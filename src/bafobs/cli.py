@@ -303,17 +303,9 @@ def cmd_reconstruct(cfg: dict, trace_path: str) -> int:
     eta = engine.estimate_eta(cfg["eta"]["tol"], cfg["eta"]["max_iter"],
                               cfg["eta"]["seed"])
     npol = cfg["n_policy"]
-    if npol == "auto":
-        if not 0.0 < eta.value < 1.0:
-            raise ConfigError(
-                f"contraction not certified (eta_hat = {eta.value}); refusing "
-                "automatic truncation"
-            )
-        result = engine.neumann_reconstruct(trace, eta_hat=eta.value,
-                                            theta=cfg["theta"])
-    else:
-        result = engine.neumann_reconstruct(trace, n_terms=npol,
-                                            eta_hat=eta.value)
+    result = engine.neumann_reconstruct(
+        trace, n_terms=None if npol == "auto" else npol, eta_hat=eta.value,
+        theta=cfg["theta"])
     out = _out_dir(cfg)
     est_path = out / "estimate.txt"
     _write_estimate(est_path, result.estimate, cfg)

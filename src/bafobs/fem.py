@@ -300,10 +300,7 @@ def project_pi_h(mesh: Mesh1D, ops: FemOperators, phi: FieldSpec) -> np.ndarray:
     rhs = np.zeros(n, dtype=dvals.dtype)
     rhs += elem[:n]       # phi_i' = +1/h on element i-1 (left neighbour)
     rhs -= elem[1:]       # phi_i' = -1/h on element i
-    sys = ShiftedSystem(ops.stiffness)
-    if np.iscomplexobj(rhs):
-        return sys.solve(rhs.real) + 1j * sys.solve(rhs.imag)
-    return sys.solve(rhs)
+    return ShiftedSystem(ops.stiffness).solve(rhs)
 
 
 SUPPORTED_ALPHAS = (0.0, 0.5, 1.0, 1.5, 2.0)
@@ -325,10 +322,5 @@ def norm_alpha(ops: FemOperators, u: np.ndarray, alpha: float) -> float:
         return math.sqrt(max(np.real(np.vdot(u, ops.mass.matvec(u))), 0.0))
     if alpha == 0.5:
         return math.sqrt(max(np.real(np.vdot(u, ops.stiffness.matvec(u))), 0.0))
-    msys = ShiftedSystem(ops.mass)
-    ku = ops.stiffness.matvec(u)
-    if np.iscomplexobj(ku):
-        w = msys.solve(ku.real) + 1j * msys.solve(ku.imag)
-    else:
-        w = msys.solve(ku)
+    w = ShiftedSystem(ops.mass).solve(ops.stiffness.matvec(u))
     return norm_alpha(ops, w, alpha - 1.0)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .fem import (FemOperators, FieldSpec, Mesh1D, ObservationProfile,
                   assemble)
-from .models import NoiseSpec, ProblemInstance, generate_observation
+from .models import NoiseSpec, ProblemInstance, add_noise, generate_observation
 from .observers import BackAndForth, WaveState
 
 CSV_HEADER = "equation,h,dt,n_used,eta_hat,noise_eps,error_x,fit_model,wall_ms"
@@ -163,46 +163,56 @@ def _steps_for(plan: SweepPlan, h: float) -> int:
     return k
 
 
-def run_cell(plan: SweepPlan, n_cells: int, eps: float,
-             eta_hat: float | None = None) -> SweepRow:
-    """Run one reconstruction cell; failures are recorded, not raised."""
-    t0 = time.perf_counter()
+def run_cell(plan: SweepPlan, n_cells: int) -> list[SweepRow]:
+    """Run one mesh level: one row per ``plan.noise_eps``, in order.
+
+    The discretization, the clean trace and the contraction estimate do not
+    depend on the noise, so they are built once per level; each noise level
+    only perturbs the clean trace, reconstructs and measures the error.
+    Failures are recorded, not raised: a failure in the shared part marks
+    every row of the level, one in a noise level marks only its row.  The
+    shared set-up time is charged to the first row, so the rows' wall_ms
+    sum to the level's time.
+    """
+    mark = time.perf_counter()
     h = plan.length / n_cells
     k = _steps_for(plan, h)
     dt = plan.tau / k
+
+    def row(eps, n_used=-1, eta_hat=float("nan"), err=float("nan"), exc=None):
+        nonlocal mark
+        now = time.perf_counter()
+        wall, mark = 1e3 * (now - mark), now
+        failure = None if exc is None else f"{type(exc).__name__}: {exc}"
+        return SweepRow(plan.equation, n_cells, h, dt, n_used, eta_hat, eps,
+                        err, wall, failure=failure)
+
+    # cell isolation: the sweep must go on, so any failure becomes a row
     try:
         mesh = Mesh1D(n_cells=n_cells, length=plan.length)
         ops = assemble(mesh, plan.profile)
         instance = ProblemInstance(equation=plan.equation, mesh=mesh,
                                    profile=plan.profile, tau=plan.tau,
                                    n_steps=k, truth=plan.truth)
-        trace = generate_observation(instance, refine=plan.refine,
-                                     noise=NoiseSpec(eps, plan.noise_seed))
+        clean = generate_observation(instance, refine=plan.refine)
         engine = BackAndForth(plan.equation, ops, dt, k)
-        if eta_hat is None:
-            eta_hat = engine.estimate_eta(plan.eta_tol, plan.eta_max_iter,
-                                          plan.eta_seed).value
-        if plan.n_policy == "auto":
-            result = engine.neumann_reconstruct(trace, eta_hat=eta_hat,
-                                                theta=plan.theta)
-        else:
-            result = engine.neumann_reconstruct(trace, n_terms=plan.n_policy,
-                                                eta_hat=eta_hat)
-        err = reconstruction_error(plan.equation, plan.truth, result.estimate, ops)
-        wall = 1e3 * (time.perf_counter() - t0)
-        return SweepRow(plan.equation, n_cells, h, dt, result.n_used,
-                        eta_hat, eps, err, wall)
-    except Exception as exc:  # cell isolation: the sweep must go on
-        wall = 1e3 * (time.perf_counter() - t0)
-        return SweepRow(plan.equation, n_cells, h, dt, -1,
-                        float("nan"), eps, float("nan"), wall,
-                        failure=f"{type(exc).__name__}: {exc}")
-
-
-def _cell_args(plan: SweepPlan):
-    for n_cells in plan.levels:
-        for eps in plan.noise_eps:
-            yield n_cells, eps
+        eta_hat = engine.estimate_eta(plan.eta_tol, plan.eta_max_iter,
+                                      plan.eta_seed).value
+    except Exception as exc:
+        return [row(eps, exc=exc) for eps in plan.noise_eps]
+    n_terms = None if plan.n_policy == "auto" else plan.n_policy
+    rows = []
+    for eps in plan.noise_eps:
+        try:
+            trace = add_noise(clean, NoiseSpec(eps, plan.noise_seed))
+            result = engine.neumann_reconstruct(trace, n_terms=n_terms,
+                                                eta_hat=eta_hat, theta=plan.theta)
+            err = reconstruction_error(plan.equation, plan.truth,
+                                       result.estimate, ops)
+            rows.append(row(eps, result.n_used, eta_hat, err))
+        except Exception as exc:
+            rows.append(row(eps, exc=exc))
+    return rows
 
 
 def worker_count() -> int:
@@ -215,24 +225,17 @@ def worker_count() -> int:
 def run_sweep(plan: SweepPlan) -> list[SweepRow]:
     """One row per (level, noise) cell, deterministic given the plan seeds.
 
-    Cells are independent; with BAFOBS_WORKERS > 1 they run in a process
-    pool.  Serial runs share the contraction estimate across noise levels of
-    the same mesh (it does not depend on the data).
+    Levels are independent and each runs as one ``run_cell``; with
+    BAFOBS_WORKERS > 1 they run in a process pool of at most one worker per
+    CPU and per level.
     """
-    workers = worker_count()
-    args = list(_cell_args(plan))
+    workers = min(worker_count(), os.cpu_count() or 1, len(plan.levels))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_cell, plan, n, eps) for n, eps in args]
-            return [f.result() for f in futures]
-    rows = []
-    eta_cache: dict[int, float] = {}
-    for n_cells, eps in args:
-        row = run_cell(plan, n_cells, eps, eta_hat=eta_cache.get(n_cells))
-        if row.failure is None:
-            eta_cache.setdefault(n_cells, row.eta_hat)
-        rows.append(row)
-    return rows
+            levels = list(pool.map(run_cell, [plan] * len(plan.levels), plan.levels))
+    else:
+        levels = [run_cell(plan, n_cells) for n_cells in plan.levels]
+    return [r for rows in levels for r in rows]
 
 
 # -- rate fitting --------------------------------------------------------------
@@ -283,7 +286,6 @@ def fit_rate(rows: list[SweepRow], model: str = "power-log2",
         raise ValueError("degenerate sweep: all levels have the same h^theta + dt")
     y = np.log(np.array([r.error_x for r in clean]))
     r = _regressor(model, x)
-    dropped = False
     if len(clean) >= 4:
         slope_f, icept_f, resid_f = _lstsq_line(r[:-1], y[:-1])
         deviation = abs(y[-1] - (slope_f * r[-1] + icept_f))
@@ -295,7 +297,7 @@ def fit_rate(rows: list[SweepRow], model: str = "power-log2",
     slope, intercept, resid = _lstsq_line(r, y)
     return RateFit(model=model, slope=slope, intercept=intercept,
                    max_residual=float(np.max(np.abs(resid))),
-                   n_points=len(resid), dropped_coarsest=dropped)
+                   n_points=len(resid))
 
 
 # -- noise robustness -----------------------------------------------------------

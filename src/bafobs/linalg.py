@@ -24,6 +24,15 @@ class SingularPivotError(RuntimeError):
         )
 
 
+def _tridiag_product(diag: np.ndarray, off: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Symmetric tridiagonal (diag, off) applied along the last axis of u."""
+    out = diag * u
+    if diag.size > 1:
+        out[..., :-1] += off * u[..., 1:]
+        out[..., 1:] += off * u[..., :-1]
+    return out
+
+
 @dataclass(frozen=True)
 class SymTridiag:
     """Symmetric tridiagonal matrix stored as main/off diagonals."""
@@ -54,14 +63,11 @@ class SymTridiag:
         return cls(np.ones(n), np.zeros(max(n - 1, 0)))
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
+        """Product with a vector, or with every row of a 2-d array."""
         u = np.asarray(u)
-        if u.shape != (self.n,):
-            raise ValueError(f"vector has shape {u.shape}, expected ({self.n},)")
-        out = self.diag * u
-        if self.n > 1:
-            out[:-1] += self.off * u[1:]
-            out[1:] += self.off * u[:-1]
-        return out
+        if u.ndim not in (1, 2) or u.shape[-1] != self.n:
+            raise ValueError(f"array has shape {u.shape}, expected (..., {self.n})")
+        return _tridiag_product(self.diag, self.off, u)
 
     def to_dense(self) -> np.ndarray:
         a = np.diag(self.diag)
@@ -127,12 +133,7 @@ class ShiftedSystem:
         self._lower = e
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u)
-        out = self._diag * u
-        if self.n > 1:
-            out[:-1] += self._off * u[1:]
-            out[1:] += self._off * u[:-1]
-        return out
+        return _tridiag_product(self._diag, self._off, np.asarray(u))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs)

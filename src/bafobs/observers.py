@@ -23,15 +23,6 @@ from .linalg import ShiftedSystem, SymTridiag
 AUTO_N_CAP = 200
 
 
-def _matmat(t: SymTridiag, rows: np.ndarray) -> np.ndarray:
-    """Apply a SymTridiag to every row of a 2-d array."""
-    out = rows * t.diag
-    if t.n > 1:
-        out[:, :-1] += rows[:, 1:] * t.off
-        out[:, 1:] += rows[:, :-1] * t.off
-    return out
-
-
 @dataclass(frozen=True)
 class WaveState:
     """Position/velocity pair of Galerkin coefficients."""
@@ -341,7 +332,7 @@ class BackAndForth:
     def forward_observer(self, trace: ObservationTrace):
         """Run the damped observer from rest, driven by the trace; state at tau."""
         self._check_trace(trace)
-        loads = _matmat(self.ops.output_gram, trace.samples[1:])
+        loads = self.ops.output_gram.matvec(trace.samples[1:])
         if self.equation == "schrodinger":
             return run_schrodinger(self._fwd, self.zero_state(), loads)
         return run_wave(self._wave, np.zeros(self.ops.n), np.zeros(self.ops.n), loads)
@@ -356,7 +347,7 @@ class BackAndForth:
         """
         self._check_trace(trace)
         reversed_samples = trace.samples[::-1][1:]   # y^{K-k}, k = 1..K
-        loads = _matmat(self.ops.output_gram, reversed_samples)
+        loads = self.ops.output_gram.matvec(reversed_samples)
         if self.equation == "schrodinger":
             return run_schrodinger(self._bwd, final_state, loads)
         out = run_wave(self._wave, final_state.pos, -final_state.vel, -loads)

@@ -4,6 +4,7 @@ import numpy as np
 
 from bafobs import cli
 from bafobs.models import read_trace
+from bafobs.observers import BackAndForth, EtaEstimate
 
 
 def run_cli(args, capsys):
@@ -111,6 +112,19 @@ def test_reconstruct_header_mismatch_reports_both_sides(tmp_path, capsys):
                             "reconstruct", "--trace", trace_path], capsys)
     assert code == 2
     assert "24" in err and "12" in err
+
+
+def test_reconstruct_uncertified_contraction_exit_code(tmp_path, capsys, monkeypatch):
+    cfg = small_config(tmp_path)
+    trace_path = str(tmp_path / "t.txt")
+    run_cli(["--config", cfg, "generate", "--out", trace_path], capsys)
+    monkeypatch.setattr(BackAndForth, "estimate_eta",
+                        lambda self, *args: EtaEstimate(1.0, True, 2))
+    code, _, err = run_cli(["--config", cfg, "reconstruct", "--trace", trace_path],
+                           capsys)
+    assert code == 2
+    assert "contraction not certified: eta_hat = 1.0 is not in (0, 1)" in err
+    assert not (tmp_path / "out" / "estimate.txt").exists()
 
 
 def test_estimate_eta_cached_determinism(tmp_path, capsys):

@@ -1,9 +1,11 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+from bafobs import harness
 from bafobs.fem import FieldSpec, Mesh1D, ObservationProfile, assemble, project_pi_h
 from bafobs.harness import (CSV_HEADER, BackAndForth, NoiseRow, SweepPlan,
                             SweepRow, evaluate_gates, fit_rate, noise_study,
@@ -157,25 +159,60 @@ def test_sweep_errors_decrease_and_dt_dominates():
     errs = [r.error_x for r in rows]
     assert errs[0] > errs[1] > errs[2]
     # doubling kappa at fixed h raises the dt-dominated error
-    slower = run_cell(small_plan(levels=(32,), kappa=2.0), 32, 0.0)
-    faster = run_cell(small_plan(levels=(32,), kappa=1.0), 32, 0.0)
+    slower = run_cell(small_plan(levels=(32,), kappa=2.0), 32)[0]
+    faster = run_cell(small_plan(levels=(32,), kappa=1.0), 32)[0]
     assert slower.error_x > faster.error_x
 
 
 def test_sweep_cell_failure_isolated():
-    plan = small_plan(levels=(1, 16))    # n_cells = 1 is an invalid mesh
+    # n_cells = 1 is an invalid mesh, eps = -1 an invalid noise amplitude
+    plan = small_plan(levels=(1, 16), noise_eps=(0.0, -1.0))
     rows = run_sweep(plan)
-    assert rows[0].failure is not None
-    assert rows[1].failure is None and np.isfinite(rows[1].error_x)
+    assert [(r.n_cells, r.noise_eps) for r in rows] == \
+        [(1, 0.0), (1, -1.0), (16, 0.0), (16, -1.0)]
+    assert rows[0].failure is not None and rows[1].failure is not None
+    assert rows[2].failure is None and np.isfinite(rows[2].error_x)
+    assert "amplitude" in rows[3].failure
 
 
 def test_sweep_worker_pool_matches_serial(monkeypatch):
-    plan = small_plan(levels=(8, 16))
+    plan = small_plan(levels=(8, 16), noise_eps=(0.0, 1e-3))
     serial = run_sweep(plan)
     monkeypatch.setenv("BAFOBS_WORKERS", "2")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)   # a real pool, even on one CPU
     pooled = run_sweep(plan)
-    assert [(r.n_cells, r.error_x, r.n_used) for r in serial] == \
-        [(r.n_cells, r.error_x, r.n_used) for r in pooled]
+    def key(rows):
+        return [(r.n_cells, r.noise_eps, r.error_x, r.n_used, r.eta_hat) for r in rows]
+
+    assert key(serial) == key(pooled)
+
+
+def test_sweep_worker_count_clamped(monkeypatch):
+    # never start a large pool: a fake executor records the requested size
+    requested = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setenv("BAFOBS_WORKERS", str(10 ** 6))
+    plan = small_plan(levels=(8, 16, 24))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    run_sweep(plan)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    rows = run_sweep(plan)
+    assert requested == [2, 3]
+    assert [r.n_cells for r in rows] == [8, 16, 24]
 
 
 def test_eta_constant_across_levels_in_resolved_time_regime():

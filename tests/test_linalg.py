@@ -107,6 +107,11 @@ def test_pencil_vectors_mass_orthonormal_and_residual():
     for j in (0, 7, M.n - 1):
         r = K.matvec(V[:, j]) - pe.values[j] * M.matvec(V[:, j])
         assert np.max(np.abs(r)) <= 1e-8 * pe.values[j]
+    # a 2-d input is multiplied row by row, bit for bit as the 1-d product
+    rows = K.matvec(V.T)
+    assert all(np.array_equal(rows[j], K.matvec(V[:, j])) for j in range(M.n))
+    with pytest.raises(ValueError, match="shape"):
+        K.matvec(V[:, :3])
 
 
 def test_pencil_spectrum_positive_ascending():

@@ -208,8 +208,7 @@ def test_forward_observer_duhamel_bound(engines):
     samples = rng.standard_normal((33, ops.n)) + 1j * rng.standard_normal((33, ops.n))
     trace = ObservationTrace("schrodinger", samples, 1.0, 1.0 / 32)
     from bafobs.linalg import ShiftedSystem
-    from bafobs.observers import _matmat
-    loads = _matmat(ops.output_gram, trace.samples[1:])
+    loads = ops.output_gram.matvec(trace.samples[1:])
     msys = ShiftedSystem(ops.mass)
     def load_norm(f):
         w = msys.solve(f.real) + 1j * msys.solve(f.imag)
@@ -274,9 +273,8 @@ def test_forced_observers_match_dense_two_pass():
     inst = ProblemInstance("schrodinger", mesh, prof, tau=dt * K, n_steps=K,
                            truth=FieldSpec(kind="sine", coefficients=(1.0, 0.5)))
     trace = generate_observation(inst, refine=2)
-    from bafobs.observers import _matmat
-    loads_fwd = _matmat(ops.output_gram, trace.samples[1:])
-    loads_bwd = _matmat(ops.output_gram, trace.samples[::-1][1:])
+    loads_fwd = ops.output_gram.matvec(trace.samples[1:])
+    loads_bwd = ops.output_gram.matvec(trace.samples[::-1][1:])
     zplus = dense_schrodinger_pass(ops, +1, dt, K, np.zeros(mesh.n, complex),
                                    loads_fwd)
     zminus = dense_schrodinger_pass(ops, -1, dt, K, zplus, loads_bwd)
@@ -289,8 +287,8 @@ def test_forced_observers_match_dense_two_pass():
                             truth=(FieldSpec(kind="sine", coefficients=(1.0,)),
                                    FieldSpec(kind="sine", coefficients=(0.0, 1.0))))
     tracew = generate_observation(instw, refine=2)
-    wloads = _matmat(ops.output_gram, tracew.samples[1:])
-    wloads_b = _matmat(ops.output_gram, tracew.samples[::-1][1:])
+    wloads = ops.output_gram.matvec(tracew.samples[1:])
+    wloads_b = ops.output_gram.matvec(tracew.samples[::-1][1:])
     fw_pos, fw_vel = dense_wave_pass(ops, dt, Kw, np.zeros(mesh.n),
                                      np.zeros(mesh.n), wloads)
     bw_pos, bw_vel = dense_wave_pass(ops, dt, Kw, fw_pos, -fw_vel, -wloads_b)
