@@ -7,7 +7,7 @@ finite elements in space and implicit finite differences in time.
 """
 
 from .fem import FemOperators, FieldSpec, Mesh1D, ObservationProfile, assemble
-from .linalg import PencilEig, ShiftedSystem, SymTridiag, pencil_eigs, solve_tridiag
+from .linalg import PencilEig, ShiftedSystem, SymTridiag, pencil_eigs
 from .models import (NoiseSpec, ProblemInstance, add_noise,
                      generate_observation, read_trace, write_trace)
 from .observers import (BackAndForth, EtaEstimate, ObservationTrace,
@@ -25,7 +25,7 @@ __all__ = [
     "SymTridiag", "WaveState", "WaveStepper", "add_noise", "assemble",
     "choose_truncation", "fit_rate", "generate_observation", "noise_study",
     "pencil_eigs", "power_iteration", "read_trace", "run_schrodinger",
-    "run_sweep", "run_wave", "solve_tridiag", "reconstruction_error", "write_trace",
+    "run_sweep", "run_wave", "reconstruction_error", "write_trace",
 ]
 
 __version__ = "0.1.0"

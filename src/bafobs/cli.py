@@ -24,7 +24,6 @@ from .observers import BackAndForth
 
 DEFAULTS = {
     "equation": "schrodinger",
-    "seed": 7,
     "theta": 1.0,
     "refine": 2,
     "n_policy": "auto",
@@ -277,10 +276,9 @@ def _write_estimate(path: Path, estimate, cfg: dict):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header) + "\n")
         if cfg["equation"] == "wave":
-            fh.write(models._format_row(estimate.pos) + "\n")
-            fh.write(models._format_row(estimate.vel) + "\n")
+            models.write_rows(fh, np.vstack([estimate.pos, estimate.vel]))
         else:
-            fh.write(models._format_row(np.asarray(estimate)) + "\n")
+            models.write_rows(fh, np.atleast_2d(estimate))
 
 
 def cmd_reconstruct(cfg: dict, trace_path: str) -> int:

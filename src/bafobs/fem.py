@@ -3,9 +3,10 @@
 Provides the uniform mesh, assembly of the mass/stiffness/observation
 matrices, load vectors, the H^1_0-orthogonal projection onto the element
 space, and the discrete fractional-power norms used by the error analysis.
-All quadrature is 4-point Gauss-Legendre per element so that the assembled
-operators and the load vectors commit the same variational crime (none, for
-the polynomial integrands).
+Assembly, the load vectors and the projection use 4-point Gauss-Legendre per
+element, so they commit the same variational crime (none, for the polynomial
+integrands); the load vectors take an 8-point rule on request, for the
+reference integrals of closed-form fields in the error norms.
 """
 
 from __future__ import annotations
@@ -41,6 +42,11 @@ _GL8_W = 0.5 * np.array([
 ])
 
 
+def _gauss_rule(order8: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Points and weights of the 4- or 8-point rule on the reference element."""
+    return (_GL8_X, _GL8_W) if order8 else (_GL4_X, _GL4_W)
+
+
 @dataclass(frozen=True)
 class Mesh1D:
     """Uniform partition of (0, length) with n_cells elements."""
@@ -69,7 +75,7 @@ class Mesh1D:
 
     def quadrature_points(self, order8: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """All Gauss points and weights on the mesh, element by element."""
-        xs, ws = (_GL8_X, _GL8_W) if order8 else (_GL4_X, _GL4_W)
+        xs, ws = _gauss_rule(order8)
         lefts = self.h * np.arange(self.n_cells)
         pts = (lefts[:, None] + self.h * xs[None, :]).ravel()
         wts = np.tile(self.h * ws, self.n_cells)
@@ -194,20 +200,24 @@ def assemble(mesh: Mesh1D, profile: ObservationProfile) -> FemOperators:
                         output_gram=output)
 
 
-def load_vector(mesh: Mesh1D, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Entries int f phi_i dx, same Gauss rule as assembly."""
-    h = mesh.h
-    n = mesh.n
-    pts, _ = mesh.quadrature_points()
-    vals = np.asarray(f(pts))
-    per = vals.reshape(mesh.n_cells, _GL4_X.size)
-    wq = _GL4_W * h
-    contrib_left = per @ (wq * (1.0 - _GL4_X))
-    contrib_right = per @ (wq * _GL4_X)
-    out = np.zeros(n, dtype=vals.dtype)
-    out += contrib_right[:n]
-    out += contrib_left[1:]
-    return out
+def load_vector(mesh: Mesh1D, f: Callable[[np.ndarray], np.ndarray],
+                order8: bool = False) -> np.ndarray:
+    """Entries int f phi_i dx, by the assembly's Gauss rule or the 8-point one."""
+    xs, ws = _gauss_rule(order8)
+    pts, _ = mesh.quadrature_points(order8)
+    per = np.asarray(f(pts)).reshape(mesh.n_cells, xs.size) * (mesh.h * ws)
+    # interior node i is the right vertex of element i-1 and the left of element i
+    return per[:-1] @ xs + per[1:] @ (1.0 - xs)
+
+
+def grad_load_vector(mesh: Mesh1D, df: Callable[[np.ndarray], np.ndarray],
+                     order8: bool = False) -> np.ndarray:
+    """Entries int f' phi_i' dx, given the derivative df of f."""
+    _, ws = _gauss_rule(order8)
+    pts, _ = mesh.quadrature_points(order8)
+    # the hat slopes are +-1/h, so the h of dx cancels
+    per = np.asarray(df(pts)).reshape(mesh.n_cells, ws.size) @ ws
+    return per[:-1] - per[1:]
 
 
 def interpolate(mesh: Mesh1D, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -290,17 +300,7 @@ def project_pi_h(mesh: Mesh1D, ops: FemOperators, phi: FieldSpec) -> np.ndarray:
     Solves (u, v)_K = int phi' v' for all hat functions v, with the right
     side evaluated by the assembly quadrature applied to phi'.
     """
-    h = mesh.h
-    pts, _ = mesh.quadrature_points()
-    dvals = np.asarray(phi.derivative(pts))
-    per = dvals.reshape(mesh.n_cells, _GL4_X.size)
-    wq = _GL4_W  # gradient of hats is +-1/h, the h from dx cancels
-    elem = per @ wq
-    n = mesh.n
-    rhs = np.zeros(n, dtype=dvals.dtype)
-    rhs += elem[:n]       # phi_i' = +1/h on element i-1 (left neighbour)
-    rhs -= elem[1:]       # phi_i' = -1/h on element i
-    return ShiftedSystem(ops.stiffness).solve(rhs)
+    return ShiftedSystem(ops.stiffness).solve(grad_load_vector(mesh, phi.derivative))
 
 
 SUPPORTED_ALPHAS = (0.0, 0.5, 1.0, 1.5, 2.0)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .fem import (FemOperators, FieldSpec, Mesh1D, ObservationProfile,
-                  assemble)
+                  assemble, grad_load_vector, load_vector)
 from .models import NoiseSpec, ProblemInstance, add_noise, generate_observation
 from .observers import BackAndForth, WaveState
 
@@ -29,57 +29,11 @@ WORKERS_ENV = "BAFOBS_WORKERS"
 # -- error evaluation in the analysis norms ------------------------------------
 
 
-def _field_sq_norm(mesh: Mesh1D, values_at_q: np.ndarray, weights: np.ndarray) -> float:
-    return float(np.real(np.sum(weights * np.abs(values_at_q) ** 2)))
-
-
-def _hat_loads(mesh: Mesh1D, values_at_q: np.ndarray, pts: np.ndarray,
-               weights: np.ndarray) -> np.ndarray:
-    """Entries int f phi_i dx with the fine (8-point) rule."""
-    n = mesh.n
-    nq = values_at_q.size // mesh.n_cells
-    per = (weights * values_at_q).reshape(mesh.n_cells, nq)
-    t = (pts.reshape(mesh.n_cells, nq) - mesh.h * np.arange(mesh.n_cells)[:, None]) / mesh.h
-    left = np.sum(per * (1.0 - t), axis=1)
-    right = np.sum(per * t, axis=1)
-    out = np.zeros(n, dtype=values_at_q.dtype)
-    out += right[:n]
-    out += left[1:]
-    return out
-
-
-def _hat_grad_loads(mesh: Mesh1D, dvalues_at_q: np.ndarray,
-                    weights: np.ndarray) -> np.ndarray:
-    """Entries int f' phi_i' dx with the fine rule."""
-    n = mesh.n
-    nq = dvalues_at_q.size // mesh.n_cells
-    per = np.sum((weights * dvalues_at_q).reshape(mesh.n_cells, nq), axis=1) / mesh.h
-    out = np.zeros(n, dtype=dvalues_at_q.dtype)
-    out += per[:n]
-    out -= per[1:]
-    return out
-
-
-def _l2_error(mesh: Mesh1D, ops: FemOperators, truth: FieldSpec,
-              coeffs: np.ndarray) -> float:
-    pts, wts = mesh.quadrature_points(order8=True)
-    tv = truth.value(pts)
-    t2 = _field_sq_norm(mesh, tv, wts)
-    loads = _hat_loads(mesh, tv, pts, wts)
+def _distance(sq_norm: float, loads: np.ndarray, gram, coeffs: np.ndarray) -> float:
+    """Distance of f to the element function u, from |f|^2, (f, phi_i) and the Gram."""
     cross = 2.0 * float(np.real(np.vdot(coeffs, loads)))
-    quad = float(np.real(np.vdot(coeffs, ops.mass.matvec(coeffs))))
-    return math.sqrt(max(t2 - cross + quad, 0.0))
-
-
-def _h1_error(mesh: Mesh1D, ops: FemOperators, truth: FieldSpec,
-              coeffs: np.ndarray) -> float:
-    pts, wts = mesh.quadrature_points(order8=True)
-    dv = truth.derivative(pts)
-    t2 = _field_sq_norm(mesh, dv, wts)
-    loads = _hat_grad_loads(mesh, dv, wts)
-    cross = 2.0 * float(np.real(np.vdot(coeffs, loads)))
-    quad = float(np.real(np.vdot(coeffs, ops.stiffness.matvec(coeffs))))
-    return math.sqrt(max(t2 - cross + quad, 0.0))
+    quad = float(np.real(np.vdot(coeffs, gram.matvec(coeffs))))
+    return math.sqrt(max(sq_norm - cross + quad, 0.0))
 
 
 def reconstruction_error(equation: str, truth, estimate, ops: FemOperators) -> float:
@@ -92,18 +46,27 @@ def reconstruction_error(equation: str, truth, estimate, ops: FemOperators) -> f
     element space is part of the reported error.
     """
     mesh = ops.mesh
+    pts, wts = mesh.quadrature_points(order8=True)
+
+    def sq_norm(f) -> float:
+        return float(np.sum(wts * np.abs(f(pts)) ** 2))
+
     if equation == "schrodinger":
         u = np.asarray(estimate)
         if u.shape != (ops.n,):
             raise ValueError(f"estimate has shape {u.shape}, expected ({ops.n},)")
-        return _l2_error(mesh, ops, truth, u)
+        return _distance(sq_norm(truth.value), load_vector(mesh, truth.value, True),
+                         ops.mass, u)
     if equation == "wave":
         w0, w1 = truth
         state = estimate if isinstance(estimate, WaveState) else WaveState(*estimate)
         if state.pos.shape != (ops.n,):
             raise ValueError("estimate dimension does not match the mesh")
-        return (_h1_error(mesh, ops, w0, state.pos)
-                + _l2_error(mesh, ops, w1, state.vel))
+        return (_distance(sq_norm(w0.derivative),
+                          grad_load_vector(mesh, w0.derivative, True),
+                          ops.stiffness, state.pos)
+                + _distance(sq_norm(w1.value), load_vector(mesh, w1.value, True),
+                            ops.mass, state.vel))
     raise ValueError(f"unknown equation {equation!r}")
 
 
@@ -216,10 +179,14 @@ def run_cell(plan: SweepPlan, n_cells: int) -> list[SweepRow]:
 
 
 def worker_count() -> int:
+    """Requested sweep workers: BAFOBS_WORKERS, a positive integer, 1 if unset."""
+    raw = os.environ.get(WORKERS_ENV, "1")
     try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
+        if int(raw) >= 1:
+            return int(raw)
     except ValueError:
-        return 1
+        pass
+    raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
 
 
 def run_sweep(plan: SweepPlan) -> list[SweepRow]:

@@ -55,10 +55,6 @@ class SymTridiag:
         return self.diag.size
 
     @classmethod
-    def zeros(cls, n: int) -> "SymTridiag":
-        return cls(np.zeros(n), np.zeros(max(n - 1, 0)))
-
-    @classmethod
     def identity(cls, n: int) -> "SymTridiag":
         return cls(np.ones(n), np.zeros(max(n - 1, 0)))
 
@@ -152,11 +148,6 @@ class ShiftedSystem:
             y[i] -= cp[i] * y[i + 1]
         dtype = float if (self.is_real and not np.iscomplexobj(rhs)) else complex
         return np.array(y, dtype=dtype)
-
-
-def solve_tridiag(sys: ShiftedSystem, rhs: np.ndarray) -> np.ndarray:
-    """Solve (alpha*M + beta*K + gamma*B) x = rhs for a prefactored system."""
-    return sys.solve(rhs)
 
 
 @dataclass(frozen=True)

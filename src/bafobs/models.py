@@ -161,14 +161,12 @@ def add_noise(trace: ObservationTrace, noise: NoiseSpec) -> ObservationTrace:
 # traces interleave (re, im) per node.
 
 
-def _format_row(row: np.ndarray) -> str:
-    if np.iscomplexobj(row):
-        flat = np.empty(2 * row.size)
-        flat[0::2] = row.real
-        flat[1::2] = row.imag
-    else:
-        flat = row
-    return ",".join(f"{v:.17g}" for v in flat)
+def write_rows(fh, rows: np.ndarray):
+    """Write the rows of a 2-d array, complex ones as interleaved (re, im)."""
+    a = np.ascontiguousarray(rows)
+    if np.iscomplexobj(a):
+        a = a.view(np.float64)
+    np.savetxt(fh, a, fmt="%.17g", delimiter=",")
 
 
 def write_trace(path, trace: ObservationTrace, instance: ProblemInstance,
@@ -198,8 +196,7 @@ def write_trace(path, trace: ObservationTrace, instance: ProblemInstance,
         header["config"] = config
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header) + "\n")
-        for row in trace.samples:
-            fh.write(_format_row(row) + "\n")
+        write_rows(fh, trace.samples)
     return header
 
 
@@ -209,16 +206,9 @@ def read_trace(path) -> tuple[ObservationTrace, dict]:
         header = json.loads(fh.readline())
         if header.get("format") != TRACE_FORMAT:
             raise ValueError(f"unrecognized trace format {header.get('format')!r}")
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            vals = np.array([float(v) for v in line.split(",")])
-            if header["complex"]:
-                vals = vals[0::2] + 1j * vals[1::2]
-            rows.append(vals)
-    samples = np.array(rows)
+        samples = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if header["complex"]:
+        samples = samples.view(np.complex128)
     expected = header["n_steps"] + 1
     if samples.shape[0] != expected:
         raise ValueError(f"trace has {samples.shape[0]} rows, header says {expected}")

@@ -181,6 +181,8 @@ class ObservationTrace:
         samples = np.asarray(self.samples)
         if samples.ndim != 2 or samples.shape[0] < 2:
             raise ValueError("samples must be a (K+1, n) array with K >= 1")
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("samples must be finite (found nan or inf)")
         object.__setattr__(self, "samples", samples)
         if abs(self.n_steps * self.dt - self.tau) > 1e-9 * max(self.tau, 1.0):
             raise ValueError("tau must equal K * dt")
@@ -201,7 +203,6 @@ class EtaEstimate:
     value: float
     converged: bool
     iterations: int
-    history: tuple = ()
 
 
 def power_iteration(apply_op: Callable, norm: Callable, start,
@@ -221,19 +222,17 @@ def power_iteration(apply_op: Callable, norm: Callable, start,
     if nrm == 0.0:
         raise ValueError("start vector must be nonzero")
     v = (1.0 / nrm) * start
-    ratios = []
     prev = None
     for it in range(1, max_iter + 1):
         w = apply_op(v)
         ratio = norm(w)
-        ratios.append(ratio)
         if ratio == 0.0:
-            return EtaEstimate(0.0, True, it, tuple(ratios))
+            return EtaEstimate(0.0, True, it)
         if prev is not None and abs(ratio - prev) <= tol * ratio:
-            return EtaEstimate(ratio, True, it, tuple(ratios))
+            return EtaEstimate(ratio, True, it)
         prev = ratio
         v = (1.0 / ratio) * w
-    return EtaEstimate(prev, False, max_iter, tuple(ratios))
+    return EtaEstimate(prev, False, max_iter)
 
 
 def choose_truncation(mode: str, *, h: float, theta: float, eta_hat: float,

@@ -81,3 +81,19 @@ def fine_l2_distance(mesh, f, coeffs: np.ndarray, points_per_cell: int = 64) -> 
         p1 = full[e] * (1.0 - t) + full[e + 1] * t
         total += np.sum(np.abs(f.value(x) - p1) ** 2) * (h / points_per_cell)
     return float(np.sqrt(total))
+
+
+def fine_h1_distance(mesh, f, coeffs: np.ndarray, points_per_cell: int = 64) -> float:
+    """H^1_0 seminorm distance between a closed-form field and a P1 vector.
+
+    Composite midpoint rule on f' against the element's constant slope
+    (c[e+1] - c[e]) / h; independent of the package quadrature.
+    """
+    h = mesh.h
+    t = (np.arange(points_per_cell) + 0.5) / points_per_cell
+    full = np.concatenate([[0.0], coeffs, [0.0]])
+    total = 0.0
+    for e in range(mesh.n_cells):
+        slope = (full[e + 1] - full[e]) / h
+        total += np.sum(np.abs(f.derivative(h * (e + t)) - slope) ** 2) * (h / points_per_cell)
+    return float(np.sqrt(total))

@@ -37,6 +37,14 @@ def test_unknown_key_rejected(tmp_path, capsys):
     assert "geometry.n_cellz" in err
 
 
+def test_top_level_seed_key_rejected(tmp_path, capsys):
+    # the noise and eta sections carry their own seeds
+    cfg = write_config(tmp_path, {"seed": 7})
+    code, _, err = run_cli(["--config", cfg, "generate"], capsys)
+    assert code == 2
+    assert "unknown config key: seed" in err
+
+
 def test_window_touching_boundary_rejected(tmp_path, capsys):
     cfg = small_config(tmp_path, observation={"a": 0.0, "b": 0.5, "smoothness": 2})
     code, _, err = run_cli(["--config", cfg, "generate"], capsys)
@@ -125,6 +133,28 @@ def test_reconstruct_uncertified_contraction_exit_code(tmp_path, capsys, monkeyp
     assert code == 2
     assert "contraction not certified: eta_hat = 1.0 is not in (0, 1)" in err
     assert not (tmp_path / "out" / "estimate.txt").exists()
+
+
+def test_reconstruct_non_finite_trace_exit_code(tmp_path, capsys):
+    cfg = small_config(tmp_path)
+    trace_path = tmp_path / "t.txt"
+    run_cli(["--config", cfg, "generate", "--out", str(trace_path)], capsys)
+    lines = trace_path.read_text(encoding="utf-8").split("\n")
+    lines[3] = "nan" + lines[3][lines[3].index(","):]
+    trace_path.write_text("\n".join(lines), encoding="utf-8")
+    code, _, err = run_cli(["--config", cfg, "reconstruct", "--trace", str(trace_path)],
+                           capsys)
+    assert code == 2
+    assert "finite" in err
+    assert not (tmp_path / "out" / "estimate.txt").exists()
+
+
+def test_sweep_malformed_worker_count_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("BAFOBS_WORKERS", "abc")
+    cfg = small_config(tmp_path, sweep={"levels": [8, 16, 24]})
+    code, _, err = run_cli(["--config", cfg, "sweep"], capsys)
+    assert code == 2
+    assert "BAFOBS_WORKERS" in err and "'abc'" in err
 
 
 def test_estimate_eta_cached_determinism(tmp_path, capsys):

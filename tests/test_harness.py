@@ -13,7 +13,7 @@ from bafobs.harness import (CSV_HEADER, BackAndForth, NoiseRow, SweepPlan,
                             reconstruction_error)
 from bafobs.observers import WaveState
 
-from oracles import fine_l2_distance
+from oracles import fine_h1_distance, fine_l2_distance
 
 TRUTH = FieldSpec(kind="sine", coefficients=(1.0, 0.5))
 WAVE_TRUTH = (FieldSpec(kind="sine", coefficients=(1.0,)),
@@ -49,6 +49,18 @@ def test_error_of_zero_estimate_is_truth_norm():
                           WaveState(np.zeros(mesh.n), np.zeros(mesh.n)), ops)
     expected = math.pi * math.sqrt(0.5) + math.sqrt(0.5)
     assert w_err == pytest.approx(expected, rel=1e-10)
+
+
+def test_wave_error_of_nonzero_estimate_matches_independent_quadrature():
+    mesh = Mesh1D(n_cells=16)
+    ops = assemble(mesh, ObservationProfile())
+    w0, w1 = WAVE_TRUTH
+    pos = project_pi_h(mesh, ops, w0)
+    vel = np.random.default_rng(5).standard_normal(mesh.n)
+    err = reconstruction_error("wave", WAVE_TRUTH, WaveState(pos, vel), ops)
+    reference = (fine_h1_distance(mesh, w0, pos, points_per_cell=1024)
+                 + fine_l2_distance(mesh, w1, vel, points_per_cell=1024))
+    assert err == pytest.approx(reference, rel=1e-6)
 
 
 def test_error_triangle_inequality_against_discrete_norm():
@@ -213,6 +225,18 @@ def test_sweep_worker_count_clamped(monkeypatch):
     rows = run_sweep(plan)
     assert requested == [2, 3]
     assert [r.n_cells for r in rows] == [8, 16, 24]
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-5", "2.5"])
+def test_malformed_worker_count_rejected(monkeypatch, raw):
+    monkeypatch.setenv("BAFOBS_WORKERS", raw)
+    with pytest.raises(ValueError, match=f"BAFOBS_WORKERS.*{raw}"):
+        harness.worker_count()
+
+
+def test_unset_worker_count_is_one(monkeypatch):
+    monkeypatch.delenv("BAFOBS_WORKERS", raising=False)
+    assert harness.worker_count() == 1
 
 
 def test_eta_constant_across_levels_in_resolved_time_regime():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bafobs.linalg import (ShiftedSystem, SingularPivotError, SymTridiag,
-                           pencil_eigs, solve_tridiag)
+                           pencil_eigs)
 
 
 def p1_pair(n_cells: int, h: float | None = None):
@@ -16,7 +16,7 @@ def p1_pair(n_cells: int, h: float | None = None):
 def test_identity_solve_returns_rhs():
     sys = ShiftedSystem(SymTridiag.identity(4))
     e1 = np.array([1.0, 0.0, 0.0, 0.0])
-    assert np.array_equal(solve_tridiag(sys, e1), e1)
+    assert np.array_equal(sys.solve(e1), e1)
 
 
 def test_two_by_two_against_cramer():

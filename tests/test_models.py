@@ -1,11 +1,17 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bafobs.fem import FieldSpec, Mesh1D, ObservationProfile, assemble, norm_alpha
 from bafobs.linalg import pencil_eigs
 from bafobs.models import (NoiseSpec, ProblemInstance, add_noise,
                            generate_observation, propagate_exact, read_trace,
                            write_trace)
+from bafobs.observers import ObservationTrace
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +170,57 @@ def test_trace_file_roundtrip_real(tmp_path, wave_instance):
     back, header = read_trace(path)
     assert not header["complex"]
     assert np.array_equal(back.samples, trace.samples)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _random_traces(draw):
+    shape = (draw(st.integers(2, 6)), draw(st.integers(1, 5)))
+    samples = draw(arrays(np.float64, shape, elements=_FINITE))
+    if draw(st.booleans()):
+        samples = samples + 1j * draw(arrays(np.float64, shape, elements=_FINITE))
+    return samples
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(samples=_random_traces())
+def test_trace_file_roundtrip_bit_exact(tmp_path, samples):
+    n_steps = samples.shape[0] - 1
+    trace = ObservationTrace("schrodinger", samples, tau=1.0, dt=1.0 / n_steps)
+    instance = ProblemInstance(
+        equation="schrodinger", mesh=Mesh1D(n_cells=samples.shape[1] + 1),
+        profile=ObservationProfile(), tau=1.0, n_steps=n_steps,
+        truth=FieldSpec(kind="sine", coefficients=(1.0,)))
+    path = tmp_path / "trace.txt"
+    write_trace(path, trace, instance, refine=1)
+    back, _ = read_trace(path)
+    assert back.samples.dtype == samples.dtype
+    assert back.samples.tobytes() == samples.tobytes()
+
+
+def _raw_trace(path, rows):
+    header = {"format": "bafobs-trace-1", "equation": "wave", "tau": 1.0,
+              "dt": 1.0 / (len(rows) - 1), "n_steps": len(rows) - 1,
+              "complex": False}
+    path.write_text(json.dumps(header) + "\n" + "".join(r + "\n" for r in rows),
+                    encoding="utf-8")
+    return path
+
+
+def test_trace_file_rejects_ragged_row(tmp_path):
+    path = _raw_trace(tmp_path / "ragged.txt", ["1.0,2.0,3.0", "4.0,5.0"])
+    with pytest.raises(ValueError):
+        read_trace(path)
+
+
+def test_trace_file_rejects_non_finite_samples(tmp_path):
+    for bad in ("nan", "inf", "-inf"):
+        path = _raw_trace(tmp_path / "bad.txt", ["1.0,2.0", f"3.0,{bad}"])
+        with pytest.raises(ValueError, match="finite"):
+            read_trace(path)
 
 
 def test_trace_file_rejects_unknown_format(tmp_path):
