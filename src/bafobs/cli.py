@@ -20,6 +20,7 @@ import numpy as np
 
 from . import harness, models
 from .fem import FieldSpec, Mesh1D, ObservationProfile, assemble
+from .linalg import solver_kernel
 from .observers import BackAndForth
 
 DEFAULTS = {
@@ -313,6 +314,7 @@ def cmd_reconstruct(cfg: dict, trace_path: str) -> int:
         "n_used": result.n_used,
         "increment_norms": list(result.increment_norms),
         "step_count": result.step_count,
+        "solver_kernel": solver_kernel(),
         "config": cfg,
     }
     truth = build_truth(cfg)
@@ -368,6 +370,7 @@ def cmd_sweep(cfg: dict) -> int:
                         encoding="utf-8")
     summary = harness.summary_dict(plan, rows, fit, gates, config=cfg,
                                    noise_table=noise_table)
+    summary["solver_kernel"] = solver_kernel()
     if fit_error is not None:
         summary["fit_error"] = fit_error
     summary_path = out / "summary.json"

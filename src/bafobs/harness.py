@@ -239,9 +239,11 @@ def fit_rate(rows: list[SweepRow], model: str = "power-log2",
              theta: float = 1.0) -> RateFit:
     """Fit log error_x ~ slope * log(regressor) over the clean rows.
 
-    Pre-asymptotic guard: when at least 4 rows are available, the trend is
+    Pre-asymptotic guard: when at least 5 rows are available, the trend is
     fitted on the finer levels alone; if the coarsest level sits more than
-    3x the median residual away from that trend, it is dropped.
+    3x the median residual away from that trend, it is dropped.  With fewer
+    rows the finer levels leave under two residual degrees of freedom, their
+    median residual says nothing about the scatter, and all rows are kept.
     """
     clean = [r for r in rows if r.noise_eps == 0.0 and r.failure is None
              and np.isfinite(r.error_x) and r.error_x > 0.0]
@@ -253,7 +255,7 @@ def fit_rate(rows: list[SweepRow], model: str = "power-log2",
         raise ValueError("degenerate sweep: all levels have the same h^theta + dt")
     y = np.log(np.array([r.error_x for r in clean]))
     r = _regressor(model, x)
-    if len(clean) >= 4:
+    if len(clean) >= 5:
         slope_f, icept_f, resid_f = _lstsq_line(r[:-1], y[:-1])
         deviation = abs(y[-1] - (slope_f * r[-1] + icept_f))
         med = max(float(np.median(np.abs(resid_f))), 1e-12)

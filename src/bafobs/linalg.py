@@ -8,7 +8,10 @@ used for exact data generation and cross-checks only.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -54,10 +57,6 @@ class SymTridiag:
     def n(self) -> int:
         return self.diag.size
 
-    @classmethod
-    def identity(cls, n: int) -> "SymTridiag":
-        return cls(np.ones(n), np.zeros(max(n - 1, 0)))
-
     def matvec(self, u: np.ndarray) -> np.ndarray:
         """Product with a vector, or with every row of a 2-d array."""
         u = np.asarray(u)
@@ -72,14 +71,50 @@ class SymTridiag:
         return a
 
 
+@functools.cache
+def _lapack() -> dict | None:
+    """LAPACK's ?gttrf/?gttrs from the OpenBLAS that numpy's wheel bundles.
+
+    Returns {float: (dgttrf, dgttrs), complex: (zgttrf, zgttrs)}, or None when
+    numpy ships no such library (conda/MKL builds).  Importing numpy has
+    already mapped the library, so loading it here maps nothing new.
+    """
+    base = Path(np.__file__).parent
+    for path in sorted((base.parent / "numpy.libs").glob("*openblas64_*")) \
+            + sorted((base / ".dylibs").glob("*openblas64_*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            routines = {dtype: (getattr(lib, f"scipy_{kind}gttrf_64_"),
+                                getattr(lib, f"scipy_{kind}gttrs_64_"))
+                        for dtype, kind in ((float, "d"), (complex, "z"))}
+        except (OSError, AttributeError):
+            continue
+        # Fortran ABI, 64-bit integers: every argument by address, plus the
+        # hidden length of gttrs's character argument TRANS.
+        for trf, trs in routines.values():
+            trf.argtypes = [ctypes.c_void_p] * 7
+            trs.argtypes = [ctypes.c_void_p] * 11 + [ctypes.c_size_t]
+            trf.restype = trs.restype = None
+        return routines
+    return None
+
+
+def solver_kernel() -> str:
+    """Name of the kernel ``ShiftedSystem`` factors and solves with here."""
+    return "openblas-gttrs" if _lapack() is not None else "thomas"
+
+
 class ShiftedSystem:
     """Prefactored combination alpha*M + beta*K + gamma*B of three matrices.
 
     alpha/beta may be complex (the Schrodinger steppers use beta = -+ i*dt);
     the combined matrix stays tridiagonal and, for every scheme assembled in
-    this package, strictly diagonally dominant, so Thomas elimination without
-    pivoting is safe.  A pivot-magnitude guard raises ``SingularPivotError``
-    otherwise.  The factorization is computed once and reused for every solve.
+    this package, strictly diagonally dominant.  The factorization is
+    computed once and reused for every solve: LAPACK's partially pivoted
+    ?gttrf/?gttrs from numpy's bundled OpenBLAS when it is there, otherwise
+    Thomas elimination without pivoting.  Either way a pivot-magnitude guard
+    raises ``SingularPivotError`` when a diagonal entry of U is at most
+    1e-14 times the largest diagonal entry of the matrix.
     """
 
     def __init__(self, M: SymTridiag, K: SymTridiag | None = None,
@@ -106,12 +141,40 @@ class ShiftedSystem:
         self._factor()
 
     def _factor(self):
+        tiny = 1e-14 * (float(np.max(np.abs(self._diag))) or 1.0)
+        lapack = _lapack()
+        if lapack is None:
+            self._gttrs = None
+            self._thomas_factor(tiny)
+            return
+        dtype = float if self.is_real else complex
+        gttrf, self._gttrs = lapack[dtype]
+        n = self.n
+        # dl, d, du are overwritten with the factors of L and U; du2, ipiv are new.
+        self._lu = (self._off.astype(dtype), self._diag.astype(dtype),
+                    self._off.astype(dtype), np.zeros(max(n - 2, 0), dtype),
+                    np.zeros(n, np.int64))
+        addresses = tuple(a.ctypes.data for a in self._lu)
+        n_arg, info = ctypes.c_int64(n), ctypes.c_int64(0)
+        size, status = ctypes.byref(n_arg), ctypes.byref(info)
+        gttrf(size, *addresses, status)
+        d = self._lu[1]
+        small = np.flatnonzero(np.abs(d) <= tiny)
+        if info.value > 0 or small.size:   # info > 0: U(info, info) is exactly 0
+            i = int(small[0]) if small.size else info.value - 1
+            raise SingularPivotError(i, float(abs(d[i])))
+        # gttrs arguments TRANS..IPIV for 1 and 2 right-hand sides, then
+        # (B,) LDB = n, INFO and the hidden length of TRANS.
+        self._head = {k: (b"N", size, ctypes.byref(ctypes.c_int64(k)), *addresses)
+                      for k in (1, 2)}
+        self._tail = (size, status, 1)
+        self._dtype = dtype
+
+    def _thomas_factor(self, tiny: float):
         # Thomas LU: cp[i] = c_i / (b_i - a_i cp[i-1]); store reciprocal pivots.
         d = self._diag.tolist()
         e = self._off.tolist()
         n = self.n
-        scale = max(abs(v) for v in d) or 1.0
-        tiny = 1e-14 * scale
         cp = [0.0] * (n - 1)
         inv = [0.0] * n
         piv = d[0]
@@ -135,6 +198,18 @@ class ShiftedSystem:
         rhs = np.asarray(rhs)
         if rhs.shape != (self.n,):
             raise ValueError(f"rhs has shape {rhs.shape}, expected ({self.n},)")
+        if self._gttrs is None:
+            return self._thomas_solve(rhs)
+        if self.is_real and np.iscomplexobj(rhs):
+            # The real and imaginary parts are the two columns of one solve.
+            x = np.array((rhs.real, rhs.imag), dtype=float)
+            self._gttrs(*self._head[2], x.ctypes.data, *self._tail)
+            return x[0] + 1j * x[1]
+        x = rhs.astype(self._dtype, order="C")
+        self._gttrs(*self._head[1], x.ctypes.data, *self._tail)
+        return x
+
+    def _thomas_solve(self, rhs: np.ndarray) -> np.ndarray:
         n = self.n
         a = self._lower
         cp = self._cp

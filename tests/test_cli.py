@@ -92,6 +92,7 @@ def test_reconstruct_round_trip_and_diagnostics(tmp_path, capsys):
     assert diag["n_used"] == meta["n_used"] >= 1
     assert "error_x" in diag and diag["error_x"] > 0
     assert diag["config"]["time"]["n_steps"] == 12
+    assert diag["solver_kernel"] in ("openblas-gttrs", "thomas")
     est_lines = (tmp_path / "out" / "estimate.txt").read_text().strip().split("\n")
     header = json.loads(est_lines[0])
     assert header["complex"] and len(est_lines) == 2
@@ -185,6 +186,7 @@ def test_sweep_outputs_and_exit_codes(tmp_path, capsys):
     assert summary["all_gates_pass"]
     assert summary["fit"]["model"] == "pure-power"
     assert summary["config"]["sweep"]["levels"] == [8, 16, 24]
+    assert summary["solver_kernel"] in ("openblas-gttrs", "thomas")
 
 
 def test_sweep_failing_gate_nonzero_exit(tmp_path, capsys):

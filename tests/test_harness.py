@@ -129,6 +129,17 @@ def test_fit_drops_polluted_coarsest_level():
     assert fit.slope == pytest.approx(1.0, abs=1e-10)
 
 
+def test_fit_keeps_coarsest_level_of_four():
+    # three finer levels fitted with two parameters leave one residual degree
+    # of freedom, too few to call the coarsest level an outlier
+    hs = [1 / 8, 1 / 16, 1 / 32, 1 / 64]
+    errors = [3.0 * (2 * h) * f for h, f in zip(hs, (1.3, 1.02, 0.99, 1.01))]
+    fit = fit_rate(synthetic_rows(errors, hs), model="pure-power")
+    assert not fit.dropped_coarsest and fit.n_points == 4
+    slope, _ = np.polyfit(np.log([2 * h for h in hs]), np.log(errors), 1)
+    assert fit.slope == pytest.approx(slope, abs=1e-12)
+
+
 def test_fit_validation():
     hs = [1 / 8, 1 / 16]
     with pytest.raises(ValueError, match="at least 3"):

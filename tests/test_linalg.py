@@ -1,8 +1,33 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bafobs import linalg
+from bafobs.fem import Mesh1D, ObservationProfile, assemble
 from bafobs.linalg import (ShiftedSystem, SingularPivotError, SymTridiag,
                            pencil_eigs)
+from bafobs.observers import BackAndForth
+
+
+def identity(n: int) -> SymTridiag:
+    return SymTridiag(np.ones(n), np.zeros(max(n - 1, 0)))
+
+
+def require_compiled_kernel():
+    if linalg._lapack() is None:
+        pytest.skip("this numpy bundles no OpenBLAS with ?gttrf/?gttrs")
+
+
+@pytest.fixture(params=["openblas-gttrs", "thomas"])
+def kernel(request, monkeypatch):
+    """Run a test on each tridiagonal kernel; "thomas" forces the fallback."""
+    if request.param == "thomas":
+        monkeypatch.setattr(linalg, "_lapack", lambda: None)
+    else:
+        require_compiled_kernel()
+    assert linalg.solver_kernel() == request.param
+    return request.param
 
 
 def p1_pair(n_cells: int, h: float | None = None):
@@ -14,7 +39,7 @@ def p1_pair(n_cells: int, h: float | None = None):
 
 
 def test_identity_solve_returns_rhs():
-    sys = ShiftedSystem(SymTridiag.identity(4))
+    sys = ShiftedSystem(identity(4))
     e1 = np.array([1.0, 0.0, 0.0, 0.0])
     assert np.array_equal(sys.solve(e1), e1)
 
@@ -65,20 +90,73 @@ def test_conjugation_symmetry_of_shifted_solves():
 
 
 def test_dimension_mismatch_rejected():
-    sys = ShiftedSystem(SymTridiag.identity(3))
+    sys = ShiftedSystem(identity(3))
     with pytest.raises(ValueError, match="shape"):
         sys.solve(np.ones(4))
-    M = SymTridiag.identity(3)
-    K = SymTridiag.identity(4)
+    M = identity(3)
+    K = identity(4)
     with pytest.raises(ValueError, match="dimension"):
         ShiftedSystem(M, K, beta=1.0)
 
 
-def test_singular_pivot_reported_with_index():
-    M = SymTridiag(np.array([1.0, 1.0]), np.array([1.0]))
-    with pytest.raises(SingularPivotError) as err:
-        ShiftedSystem(M)
-    assert err.value.index == 1
+def test_singular_pivot_reported_with_index(kernel):
+    # gttrf pivots, but no subdiagonal entry here exceeds the pivot above it,
+    # so both kernels eliminate without row swaps and meet the same pivots.
+    cases = [
+        (np.array([1.0, 1.0]), np.array([1.0]), 1),                   # U(1, 1) = 0
+        (np.array([1.0, 2.0, 1.0]), np.array([1.0, 1.0]), 2),         # U(2, 2) = 0
+        (np.array([1.0, 1.0 + 1e-15]), np.array([1.0]), 1),           # under 1e-14 * scale
+        (np.array([1e-15, 1.0]), np.array([1e-16]), 0),
+    ]
+    for diag, off, index in cases:
+        with pytest.raises(SingularPivotError) as err:
+            ShiftedSystem(SymTridiag(diag, off))
+        assert err.value.index == index
+        assert err.value.magnitude <= 1e-14 * np.max(np.abs(diag))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+       complex_shift=st.booleans(), complex_rhs=st.booleans())
+def test_compiled_kernel_matches_thomas(n, seed, complex_shift, complex_rhs):
+    require_compiled_kernel()
+    rng = np.random.default_rng(seed)
+    off = rng.uniform(-1.0, 1.0, n - 1)
+    row = np.abs(np.r_[off, 0.0]) + np.abs(np.r_[0.0, off])
+    # strictly diagonally dominant with a margin of at least 0.5 per row,
+    # which the shift (at most 0.3 per row) cannot use up
+    diag = rng.choice([-1.0, 1.0], n) * (row + rng.uniform(0.5, 2.0, n))
+    K = SymTridiag(rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n - 1))
+    beta = 0.1j if complex_shift else 0.1
+    rhs = rng.standard_normal(n)
+    if complex_rhs:
+        rhs = rhs + 1j * rng.standard_normal(n)
+    fast = ShiftedSystem(SymTridiag(diag, off), K, beta=beta).solve(rhs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_lapack", lambda: None)
+        ref = ShiftedSystem(SymTridiag(diag, off), K, beta=beta).solve(rhs)
+    assert fast.dtype == ref.dtype
+    assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_thomas_fallback_round_trips_match_compiled_kernel(monkeypatch):
+    require_compiled_kernel()
+    mesh = Mesh1D(n_cells=24)
+    ops = assemble(mesh, ObservationProfile())
+
+    def round_trips():
+        schrod = BackAndForth("schrodinger", ops, mesh.h, 24)
+        wave = BackAndForth("wave", ops, mesh.h, 48)
+        return (schrod.apply_L(schrod.random_state(1)),
+                wave.apply_L(wave.random_state(2)))
+
+    fast_schrod, fast_wave = round_trips()
+    monkeypatch.setattr(linalg, "_lapack", lambda: None)
+    assert linalg.solver_kernel() == "thomas"
+    ref_schrod, ref_wave = round_trips()
+    for fast, ref in ((fast_schrod, ref_schrod), (fast_wave.pos, ref_wave.pos),
+                      (fast_wave.vel, ref_wave.vel)):
+        assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_pencil_identical_matrices_gives_unit_spectrum():
@@ -130,6 +208,6 @@ def test_pencil_rejects_indefinite_mass():
 
 def test_pencil_rejects_oracle_scale_overflow():
     n = 5000
-    M = SymTridiag.identity(n)
+    M = identity(n)
     with pytest.raises(ValueError, match="oracle scale"):
         pencil_eigs(M, M)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bafobs.fem import FieldSpec, Mesh1D, ObservationProfile, assemble, norm_alpha
 from bafobs.linalg import pencil_eigs
@@ -319,13 +321,14 @@ def test_apply_l_nonexpansive_on_random_states(engines):
             assert engine.x_norm(engine.apply_L(u)) <= engine.x_norm(u) * (1 + 1e-12)
 
 
-def test_schrodinger_round_trip_self_adjoint(engines):
+@settings(max_examples=40, deadline=None)
+@given(seed_u=st.integers(0, 2**32 - 1), seed_v=st.integers(0, 2**32 - 1))
+def test_schrodinger_round_trip_self_adjoint(engines, seed_u, seed_v):
     _, schrod, _ = engines
-    for seed in range(10):
-        u, v = schrod.random_state(seed), schrod.random_state(100 + seed)
-        defect = abs(schrod.x_inner(schrod.apply_L(u), v)
-                     - schrod.x_inner(u, schrod.apply_L(v)))
-        assert defect <= 1e-10 * schrod.x_norm(u) * schrod.x_norm(v)
+    u, v = schrod.random_state(seed_u), schrod.random_state(seed_v)
+    defect = abs(schrod.x_inner(schrod.apply_L(u), v)
+                 - schrod.x_inner(u, schrod.apply_L(v)))
+    assert defect <= 1e-10 * schrod.x_norm(u) * schrod.x_norm(v)
 
 
 def test_schrodinger_round_trip_equals_explicit_adjoint_composition():
@@ -467,6 +470,34 @@ def test_reconstruct_n_zero_equals_first_iterate(engines):
     res = schrod.neumann_reconstruct(trace, n_terms=0)
     assert np.array_equal(res.estimate, schrod.first_iterate(trace))
     assert res.n_used == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(equation=st.sampled_from(["schrodinger", "wave"]),
+       seed=st.integers(0, 2**32 - 1), n_terms=st.integers(0, 4),
+       a=st.floats(-2.0, 2.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-3),
+       b=st.floats(-2.0, 2.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-3))
+def test_reconstruct_linear_in_trace(engines, equation, seed, n_terms, a, b):
+    ops, schrod, wave = engines
+    engine = schrod if equation == "schrodinger" else wave
+    rng = np.random.default_rng(seed)
+    shape = (engine.n_steps + 1, ops.n)
+
+    def draw():
+        y = rng.standard_normal(shape)
+        return y + 1j * rng.standard_normal(shape) if equation == "schrodinger" else y
+
+    y1, y2 = draw(), draw()
+
+    def estimate(samples):
+        trace = ObservationTrace(equation, samples, engine.n_steps * engine.dt, engine.dt)
+        est = engine.neumann_reconstruct(trace, n_terms=n_terms).estimate
+        return est if equation == "schrodinger" else np.concatenate((est.pos, est.vel))
+
+    e1, e2 = estimate(y1), estimate(y2)
+    combined = estimate(a * y1 + b * y2)
+    scale = max(abs(a) * np.max(np.abs(e1)), abs(b) * np.max(np.abs(e2)), 1e-300)
+    assert np.max(np.abs(combined - (a * e1 + b * e2))) <= 1e-12 * scale
 
 
 def test_reconstruct_tail_bound_against_long_run(engines):
