@@ -14,6 +14,7 @@ import copy
 import hashlib
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,7 @@ DEFAULTS = {
         "kappa": 1.0,
         "noise_eps": [0.0],
         "fit_model": "power-log2",
-        "gates": {"slope_band": [0.8, 1.15], "monotone": True},
+        "gates": {"slope_band": [0.8, None], "monotone": True},
     },
     "output": {"directory": "."},
 }
@@ -243,6 +244,12 @@ def _engine_from(cfg: dict) -> tuple[BackAndForth, dict]:
     return engine, {"mesh": mesh, "ops": ops}
 
 
+def _warn_unconverged_eta(eta_hat: float, iterations: int, where: str = ""):
+    warnings.warn(f"eta = {eta_hat:.6g}{where} did not converge in {iterations} "
+                  "steps; raise eta.max_iter or loosen eta.tol",
+                  RuntimeWarning, stacklevel=2)
+
+
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     digest.update(path.read_bytes())
@@ -301,6 +308,8 @@ def cmd_reconstruct(cfg: dict, trace_path: str) -> int:
     engine, parts = _engine_from(cfg)
     eta = engine.estimate_eta(cfg["eta"]["tol"], cfg["eta"]["max_iter"],
                               cfg["eta"]["seed"])
+    if not eta.converged:
+        _warn_unconverged_eta(eta.value, eta.iterations)
     npol = cfg["n_policy"]
     result = engine.neumann_reconstruct(
         trace, n_terms=None if npol == "auto" else npol, eta_hat=eta.value,
@@ -311,6 +320,7 @@ def cmd_reconstruct(cfg: dict, trace_path: str) -> int:
     diagnostics = {
         "eta_hat": eta.value,
         "eta_converged": eta.converged,
+        "eta_iterations": eta.iterations,
         "n_used": result.n_used,
         "increment_norms": list(result.increment_norms),
         "step_count": result.step_count,
@@ -349,6 +359,9 @@ def cmd_estimate_eta(cfg: dict) -> int:
 def cmd_sweep(cfg: dict) -> int:
     plan = build_plan(cfg)
     rows = harness.run_sweep(plan)
+    unconverged = {r.n_cells: r for r in rows if r.eta_converged is False}
+    for r in unconverged.values():
+        _warn_unconverged_eta(r.eta_hat, r.eta_iterations, f" at {r.n_cells} cells")
     gates_cfg = cfg["sweep"]["gates"]
     fit = None
     fit_error = None

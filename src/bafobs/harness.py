@@ -20,7 +20,7 @@ import numpy as np
 from .fem import (FemOperators, FieldSpec, Mesh1D, ObservationProfile,
                   assemble, grad_load_vector, load_vector)
 from .models import NoiseSpec, ProblemInstance, add_noise, generate_observation
-from .observers import BackAndForth, WaveState
+from .observers import BackAndForth, EtaEstimate, WaveState
 
 CSV_HEADER = "equation,h,dt,n_used,eta_hat,noise_eps,error_x,fit_model,wall_ms"
 WORKERS_ENV = "BAFOBS_WORKERS"
@@ -117,6 +117,8 @@ class SweepRow:
     error_x: float
     wall_ms: float
     failure: str | None = None
+    eta_converged: bool | None = None
+    eta_iterations: int = 0
 
 
 def _steps_for(plan: SweepPlan, h: float) -> int:
@@ -142,13 +144,16 @@ def run_cell(plan: SweepPlan, n_cells: int) -> list[SweepRow]:
     k = _steps_for(plan, h)
     dt = plan.tau / k
 
-    def row(eps, n_used=-1, eta_hat=float("nan"), err=float("nan"), exc=None):
+    def row(eps, eta: EtaEstimate | None = None, n_used=-1, err=float("nan"),
+            exc=None):
         nonlocal mark
         now = time.perf_counter()
         wall, mark = 1e3 * (now - mark), now
         failure = None if exc is None else f"{type(exc).__name__}: {exc}"
-        return SweepRow(plan.equation, n_cells, h, dt, n_used, eta_hat, eps,
-                        err, wall, failure=failure)
+        eta_hat, converged, iterations = ((float("nan"), None, 0) if eta is None
+                                          else (eta.value, eta.converged, eta.iterations))
+        return SweepRow(plan.equation, n_cells, h, dt, n_used, eta_hat, eps, err,
+                        wall, failure, converged, iterations)
 
     # cell isolation: the sweep must go on, so any failure becomes a row
     try:
@@ -159,8 +164,7 @@ def run_cell(plan: SweepPlan, n_cells: int) -> list[SweepRow]:
                                    n_steps=k, truth=plan.truth)
         clean = generate_observation(instance, refine=plan.refine)
         engine = BackAndForth(plan.equation, ops, dt, k)
-        eta_hat = engine.estimate_eta(plan.eta_tol, plan.eta_max_iter,
-                                      plan.eta_seed).value
+        eta = engine.estimate_eta(plan.eta_tol, plan.eta_max_iter, plan.eta_seed)
     except Exception as exc:
         return [row(eps, exc=exc) for eps in plan.noise_eps]
     n_terms = None if plan.n_policy == "auto" else plan.n_policy
@@ -169,10 +173,10 @@ def run_cell(plan: SweepPlan, n_cells: int) -> list[SweepRow]:
         try:
             trace = add_noise(clean, NoiseSpec(eps, plan.noise_seed))
             result = engine.neumann_reconstruct(trace, n_terms=n_terms,
-                                                eta_hat=eta_hat, theta=plan.theta)
+                                                eta_hat=eta.value, theta=plan.theta)
             err = reconstruction_error(plan.equation, plan.truth,
                                        result.estimate, ops)
-            rows.append(row(eps, result.n_used, eta_hat, err))
+            rows.append(row(eps, eta, result.n_used, err))
         except Exception as exc:
             rows.append(row(eps, exc=exc))
     return rows
@@ -332,9 +336,13 @@ def rows_to_csv(rows: list[SweepRow], fit_model: str,
 
 
 def evaluate_gates(rows: list[SweepRow], fit: RateFit | None,
-                   slope_band: tuple[float, float] = (0.8, 1.15),
+                   slope_band: tuple[float, float | None] = (0.8, None),
                    require_monotone: bool = True) -> dict[str, bool]:
-    """Pass/fail per acceptance gate for one sweep."""
+    """Pass/fail per acceptance gate for one sweep.
+
+    A None upper edge of slope_band leaves the band open above: the error
+    estimate is an upper bound, so errors may decay faster than it.
+    """
     gates: dict[str, bool] = {}
     gates["no_cell_failures"] = all(r.failure is None for r in rows)
     clean = sorted((r for r in rows if r.noise_eps == 0.0 and r.failure is None),
@@ -345,7 +353,8 @@ def evaluate_gates(rows: list[SweepRow], fit: RateFit | None,
             b < a for a, b in zip(errs, errs[1:])
         ) and len(errs) >= 2
     if fit is not None:
-        gates["slope_in_band"] = slope_band[0] <= fit.slope <= slope_band[1]
+        low, high = slope_band
+        gates["slope_in_band"] = low <= fit.slope and (high is None or fit.slope <= high)
     return gates
 
 

@@ -198,7 +198,13 @@ class ObservationTrace:
 
 @dataclass(frozen=True)
 class EtaEstimate:
-    """Power-iteration estimate of the round-trip contraction factor."""
+    """Estimate of the round-trip contraction factor.
+
+    From ``BackAndForth.estimate_eta``, value is the largest-modulus Ritz
+    value of the round trip L in X.  iterations counts the applications of
+    the operator; converged is False only when the step budget ran out
+    before the stopping rule held.
+    """
 
     value: float
     converged: bool
@@ -233,6 +239,50 @@ def power_iteration(apply_op: Callable, norm: Callable, start,
         prev = ratio
         v = (1.0 / ratio) * w
     return EtaEstimate(prev, False, max_iter)
+
+
+def arnoldi_iteration(apply_op: Callable, inner: Callable, start,
+                      tol: float = 1e-6, max_iter: int = 60) -> EtaEstimate:
+    """Largest-modulus Ritz value of a linear operator, by Arnoldi in ``inner``.
+
+    inner(u, v) is linear in u and conjugate-linear in v.  Each step applies
+    the operator once and orthogonalizes against the whole basis by
+    classical Gram-Schmidt with one reorthogonalization pass, so operators
+    that are only nearly self-adjoint in ``inner`` are handled.  The
+    iteration stops when the Ritz residual h_{m+1,m} |e_m^T y| of the
+    dominant Ritz pair (theta, y), y of unit 2-norm, drops to tol |theta|;
+    a breakdown (h_{m+1,m} = 0) meets that rule too.  Running out of
+    max_iter returns the last Ritz value with converged = False.
+    """
+    if not 0.0 < tol < 1.0:
+        raise ValueError("tol must lie in (0, 1)")
+    if max_iter < 2:
+        raise ValueError("max_iter must be at least 2")
+
+    def norm(u) -> float:
+        return math.sqrt(max(np.real(inner(u, u)), 0.0))
+
+    nrm = norm(start)
+    if nrm == 0.0:
+        raise ValueError("start vector must be nonzero")
+    basis = [start * (1.0 / nrm)]
+    hess = np.zeros((max_iter + 1, max_iter), dtype=complex)
+    theta = 0.0
+    for m in range(1, max_iter + 1):
+        w = apply_op(basis[-1])
+        for _ in range(2):
+            coeffs = [inner(w, v) for v in basis]
+            for c, v in zip(coeffs, basis):
+                w = w - v * c
+            hess[:m, m - 1] += coeffs
+        hess[m, m - 1] = beta = norm(w)
+        ritz, vecs = np.linalg.eig(hess[:m, :m])
+        k = int(np.argmax(np.abs(ritz)))
+        theta = float(np.abs(ritz[k]))
+        if beta * abs(vecs[-1, k]) <= tol * theta:
+            return EtaEstimate(theta, True, m)
+        basis.append(w * (1.0 / beta))
+    return EtaEstimate(theta, False, max_iter)
 
 
 def choose_truncation(mode: str, *, h: float, theta: float, eta_hat: float,
@@ -369,9 +419,9 @@ class BackAndForth:
 
     def estimate_eta(self, tol: float = 1e-6, max_iter: int = 60,
                      seed: int = 0) -> EtaEstimate:
-        """Power iteration for the round-trip contraction factor in X."""
+        """Arnoldi estimate of the round-trip contraction factor in X."""
         start = self.random_state(seed)
-        return power_iteration(self.apply_L, self.x_norm, start, tol, max_iter)
+        return arnoldi_iteration(self.apply_L, self.x_inner, start, tol, max_iter)
 
     def neumann_reconstruct(self, trace: ObservationTrace, *,
                             n_terms: int | None = None,

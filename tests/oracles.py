@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from bafobs import FemOperators, pencil_eigs
+from bafobs import FemOperators, WaveState, pencil_eigs
 
 
 def reduced_generator(ops: FemOperators, sign: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -32,6 +32,24 @@ def exact_damped_schrodinger(ops: FemOperators, sign: int, t: float,
     w, S, V = reduced_generator(ops, sign)
     c0 = np.linalg.solve(S, V.T @ ops.mass.matvec(q0))
     return V @ (S @ (np.exp(w * t) * c0))
+
+
+def dense_round_trip(engine) -> np.ndarray:
+    """The round trip L of a BackAndForth engine as a dense matrix.
+
+    Column j is engine.apply_L of the j-th unit state: complex n-vectors for
+    Schrodinger, (pos, vel) stacked in R^{2n} for the wave.  Its eigenvalues
+    do not depend on the inner product, so a dense eigvals call checks the
+    Krylov estimate independently.
+    """
+    n = engine.ops.n
+    if engine.equation == "schrodinger":
+        return np.column_stack([engine.apply_L(e) for e in np.eye(n, dtype=complex)])
+    cols = []
+    for e in np.eye(2 * n):
+        out = engine.apply_L(WaveState(e[:n], e[n:]))
+        cols.append(np.concatenate([out.pos, out.vel]))
+    return np.column_stack(cols)
 
 
 def dense_schrodinger_pass(ops: FemOperators, sign: int, dt: float, n_steps: int,

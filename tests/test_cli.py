@@ -1,6 +1,10 @@
 import json
+import warnings
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bafobs import cli
 from bafobs.models import read_trace
@@ -83,12 +87,15 @@ def test_reconstruct_round_trip_and_diagnostics(tmp_path, capsys):
     cfg = small_config(tmp_path)
     trace_path = str(tmp_path / "trace.txt")
     run_cli(["--config", cfg, "generate", "--out", trace_path], capsys)
-    code, stdout, _ = run_cli(["--config", cfg, "reconstruct",
-                               "--trace", trace_path], capsys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, stdout, _ = run_cli(["--config", cfg, "reconstruct",
+                                   "--trace", trace_path], capsys)
     assert code == 0
     meta = json.loads(stdout)
     diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
     assert 0 < diag["eta_hat"] < 1
+    assert diag["eta_converged"] is True and 1 <= diag["eta_iterations"] <= 40
     assert diag["n_used"] == meta["n_used"] >= 1
     assert "error_x" in diag and diag["error_x"] > 0
     assert diag["config"]["time"]["n_steps"] == 12
@@ -98,6 +105,14 @@ def test_reconstruct_round_trip_and_diagnostics(tmp_path, capsys):
     assert header["complex"] and len(est_lines) == 2
     values = np.array([float(v) for v in est_lines[1].split(",")])
     assert values.size == 2 * 11
+    # an exhausted step budget is reported, not passed off as an estimate
+    with pytest.warns(RuntimeWarning, match=r"eta = \S+ did not converge in 2 steps"):
+        code, _, _ = run_cli(["--config", cfg, "--set", "eta.max_iter=2",
+                              "--set", "eta.tol=1e-12", "reconstruct",
+                              "--trace", trace_path], capsys)
+    assert code == 0
+    diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+    assert diag["eta_converged"] is False and diag["eta_iterations"] == 2
 
 
 def test_reconstruct_zero_truth_gives_zero_estimate(tmp_path, capsys):
@@ -187,6 +202,37 @@ def test_sweep_outputs_and_exit_codes(tmp_path, capsys):
     assert summary["fit"]["model"] == "pure-power"
     assert summary["config"]["sweep"]["levels"] == [8, 16, 24]
     assert summary["solver_kernel"] in ("openblas-gttrs", "thomas")
+    assert all(r["eta_converged"] is True and r["eta_iterations"] >= 1
+               for r in summary["rows"])
+    # one warning per level whose eta ran out of steps; the CSV is unchanged
+    with pytest.warns(RuntimeWarning) as caught:
+        code, _, _ = run_cli(["--config", cfg, "--set", "eta.max_iter=2",
+                              "--set", "eta.tol=1e-12", "sweep"], capsys)
+    assert code == 0
+    messages = [str(w.message) for w in caught]
+    for n_cells in (8, 16, 24):
+        assert sum(f"at {n_cells} cells did not converge in 2 steps" in m
+                   for m in messages) == 1
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert all(r["eta_converged"] is False and r["eta_iterations"] == 2
+               for r in summary["rows"])
+    csv_lines = (tmp_path / "out" / "sweep.csv").read_text().strip().split("\n")
+    assert csv_lines[1] == cli.harness.CSV_HEADER
+
+
+def test_sweep_default_band_passes_slope_above_estimate(tmp_path, capsys):
+    # the error estimate is an upper bound: faster decay passes by default
+    cfg = write_config(tmp_path, {
+        "equation": "wave",
+        "output": {"directory": str(tmp_path / "out")},
+        "sweep": {"levels": [16, 32, 64]},
+    })
+    code, stdout, _ = run_cli(["--config", cfg, "sweep"], capsys)
+    assert code == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["config"]["sweep"]["gates"]["slope_band"] == [0.8, None]
+    assert summary["fit"]["slope"] > 1.15
+    assert json.loads(stdout)["gates"]["slope_in_band"]
 
 
 def test_sweep_failing_gate_nonzero_exit(tmp_path, capsys):
@@ -254,3 +300,49 @@ def test_complex_truth_coefficients(tmp_path, capsys):
     from bafobs.fem import ObservationProfile
     expected = 1j * np.sin(np.pi * x) * ObservationProfile().weight(x)
     assert np.max(np.abs(trace.samples[0] - expected)) < 1e-10
+
+
+# every leaf here is copied through resolution unchanged
+_OVERRIDABLE = {
+    "equation": st.sampled_from(["schrodinger", "wave"]),
+    "theta": st.floats(0.1, 2.0),
+    "refine": st.integers(1, 8),
+    "n_policy": st.one_of(st.just("auto"), st.integers(0, 200)),
+    "geometry.length": st.floats(0.1, 10.0),
+    "geometry.n_cells": st.integers(2, 4096),
+    "observation.a": st.floats(allow_nan=False, allow_infinity=False),
+    "observation.smoothness": st.integers(1, 3),
+    "observation.constant": st.one_of(st.none(), st.floats(0.0, 1.0)),
+    "time.tau": st.floats(0.01, 10.0),
+    "noise.amplitude": st.floats(0.0, 1.0),
+    "noise.seed": st.integers(0, 2**63 - 1),
+    "eta.tol": st.floats(1e-15, 0.5),
+    "eta.max_iter": st.integers(2, 10_000),
+    "eta.seed": st.integers(0, 2**63 - 1),
+    "sweep.levels": st.lists(st.integers(1, 8192), min_size=1, max_size=6),
+    "sweep.kappa": st.floats(0.01, 100.0),
+    "sweep.noise_eps": st.lists(st.floats(0.0, 1.0), max_size=5),
+    "sweep.fit_model": st.sampled_from(["power-log2", "pure-power"]),
+    "sweep.gates.slope_band": st.lists(st.one_of(st.none(), st.floats(-5.0, 5.0)),
+                                       min_size=2, max_size=2),
+    "sweep.gates.monotone": st.booleans(),
+    "output.directory": st.text(),
+}
+
+
+def _leaf(cfg, dotted):
+    for part in dotted.split("."):
+        cfg = cfg[part]
+    return cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(chosen=st.fixed_dictionaries({}, optional=_OVERRIDABLE))
+def test_overrides_round_trip_through_resolved_config(chosen):
+    overrides = [f"{path}={json.dumps(value)}" for path, value in chosen.items()]
+    cfg = cli.load_config(None, overrides)
+    for path in _OVERRIDABLE:
+        if path in chosen:
+            assert _leaf(cfg, path) == chosen[path], path
+        elif path != "time.tau":   # the default tau is filled in per equation
+            assert _leaf(cfg, path) == _leaf(cli.DEFAULTS, path), path

@@ -9,10 +9,12 @@ from bafobs.fem import FieldSpec, Mesh1D, ObservationProfile, assemble, norm_alp
 from bafobs.linalg import pencil_eigs
 from bafobs.models import ProblemInstance, generate_observation
 from bafobs.observers import (BackAndForth, ObservationTrace, SchrodingerStepper,
-                              WaveState, WaveStepper, choose_truncation,
-                              power_iteration, run_schrodinger, run_wave)
+                              WaveState, WaveStepper, arnoldi_iteration,
+                              choose_truncation, power_iteration, run_schrodinger,
+                              run_wave)
 
-from oracles import dense_schrodinger_pass, dense_wave_pass, exact_damped_schrodinger
+from oracles import (dense_round_trip, dense_schrodinger_pass, dense_wave_pass,
+                     exact_damped_schrodinger)
 
 
 @pytest.fixture(scope="module")
@@ -404,6 +406,122 @@ def test_power_iteration_validation():
         power_iteration(lambda v: v, np.linalg.norm, np.ones(3), tol=2.0)
     with pytest.raises(ValueError):
         power_iteration(lambda v: v, np.linalg.norm, np.ones(3), max_iter=1)
+
+
+def _eta_engine(equation, n_cells):
+    # a narrow window, a short horizon and dt = h/4 spread the Schrodinger
+    # spectrum (leading |eigenvalues| 0.81-0.86, then 0.11-0.23); the wave
+    # acceptance set-up has its two leading |eigenvalues| within 30% of
+    # each other
+    mesh = Mesh1D(n_cells=n_cells)
+    if equation == "schrodinger":
+        ops = assemble(mesh, ObservationProfile(a=0.4, b=0.6))
+        n_steps = round(4 * 0.1 / mesh.h)
+        return BackAndForth(equation, ops, 0.1 / n_steps, n_steps)
+    ops = assemble(mesh, ObservationProfile())
+    n_steps = round(2.0 / mesh.h)
+    return BackAndForth(equation, ops, 2.0 / n_steps, n_steps)
+
+
+@pytest.mark.parametrize("equation", ["schrodinger", "wave"])
+@pytest.mark.parametrize("n_cells", [16, 24])
+def test_eta_matches_dense_spectral_radius(equation, n_cells):
+    engine = _eta_engine(equation, n_cells)
+    radius = np.max(np.abs(np.linalg.eigvals(dense_round_trip(engine))))
+    est = engine.estimate_eta(tol=1e-10, max_iter=80, seed=3)
+    assert est.converged
+    assert est.value == pytest.approx(radius, abs=1e-8)
+
+
+def test_schrodinger_eta_matches_tight_power_iteration():
+    engine = _eta_engine("schrodinger", 24)
+    est = engine.estimate_eta(seed=3)
+    power = power_iteration(engine.apply_L, engine.x_norm, engine.random_state(3),
+                            tol=1e-12, max_iter=500)
+    assert est.converged and power.converged
+    assert est.iterations < power.iterations
+    assert est.value == pytest.approx(power.value, rel=1e-8)
+
+
+def test_wave_eta_independent_of_seed():
+    engine = _eta_engine("wave", 64)
+    values = [engine.estimate_eta(seed=s).value for s in (3, 11, 15, 20, 42)]
+    assert max(values) - min(values) <= 1e-8
+
+
+def _plain_inner(u, v):
+    return np.vdot(v, u)
+
+
+def test_arnoldi_stops_on_breakdown():
+    diag = np.array([0.3, -0.92, 0.5, 0.05])
+    # an eigenvector start: the first residual is exactly zero
+    est = arnoldi_iteration(lambda v: diag * v, _plain_inner, np.eye(4)[1],
+                            tol=1e-14, max_iter=10)
+    assert (est.value, est.converged, est.iterations) == (0.92, True, 1)
+    # a generic start exhausts the 4-dimensional Krylov space after 4 steps
+    est = arnoldi_iteration(lambda v: diag * v, _plain_inner, np.ones(4),
+                            tol=1e-14, max_iter=10)
+    assert est.converged and est.iterations == 4
+    assert est.value == pytest.approx(0.92, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_arnoldi_on_nonnormal_complex_matrix(seed):
+    # a similarity transform of a known spectrum: dominant |eigenvalue| 0.9,
+    # the rest at most 0.5 with arbitrary phases
+    rng = np.random.default_rng(seed)
+    n = 40
+    lam = 0.5 * rng.random(n) * np.exp(2j * np.pi * rng.random(n))
+    lam[0] = 0.9 * np.exp(0.7j)
+    S = np.eye(n) + 0.3 * (rng.standard_normal((n, n))
+                           + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
+    A = S @ np.diag(lam) @ np.linalg.inv(S)
+    start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    est = arnoldi_iteration(lambda v: A @ v, _plain_inner, start, tol=1e-10,
+                            max_iter=n)
+    assert est.converged
+    # the Ritz residual, not h_{m+1,m} alone, ends the iteration
+    assert est.iterations < n - 5
+    assert est.value == pytest.approx(0.9, abs=1e-8)
+
+
+def test_arnoldi_basis_stays_orthonormal():
+    # eigenvalues spread over 13 orders of magnitude: one Gram-Schmidt pass
+    # leaves ~1e-13 of non-orthogonality here, the reorthogonalization ~4e-16
+    diag = 0.9 * 0.6 ** np.arange(30)
+    seen = []
+
+    def op(v):
+        seen.append(v)
+        return diag * v
+
+    est = arnoldi_iteration(op, _plain_inner, np.ones(30), tol=1e-15, max_iter=30)
+    assert est.converged and est.value == pytest.approx(0.9, abs=1e-12)
+    V = np.column_stack(seen)
+    assert np.max(np.abs(V.conj().T @ V - np.eye(V.shape[1]))) <= 1e-14
+
+
+def test_arnoldi_step_budget_flagged(engines):
+    _, _, wave = engines
+    est = wave.estimate_eta(max_iter=2, seed=11)
+    assert not est.converged
+    assert est.iterations == 2
+    assert 0.0 < est.value < 1.0
+
+
+@pytest.mark.parametrize("start, kwargs", [
+    (np.zeros(3), {}),
+    (np.ones(3), {"tol": 2.0}),
+    (np.ones(3), {"tol": 0.0}),
+    (np.ones(3), {"max_iter": 1}),
+])
+def test_arnoldi_validation_matches_power_iteration(start, kwargs):
+    with pytest.raises(ValueError) as power:
+        power_iteration(lambda v: v, np.linalg.norm, start, **kwargs)
+    with pytest.raises(ValueError) as arnoldi:
+        arnoldi_iteration(lambda v: v, _plain_inner, start, **kwargs)
+    assert str(arnoldi.value) == str(power.value)
 
 
 def test_eta_below_one_and_more_damping_smaller_eta(engines):
