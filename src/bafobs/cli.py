@@ -13,6 +13,7 @@ import argparse
 import copy
 import hashlib
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -138,7 +139,33 @@ def resolve_config(cfg: dict) -> dict:
     npol = cfg["n_policy"]
     if npol != "auto" and not isinstance(npol, int):
         raise ConfigError("n_policy must be 'auto' or an integer")
+    _validate_eta(cfg["eta"])
+    _validate_slope_band(cfg["sweep"]["gates"]["slope_band"])
     return cfg
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _validate_eta(eta: dict):
+    tol, max_iter = eta["tol"], eta["max_iter"]
+    if not (_is_number(tol) and 0.0 < tol < 1.0):
+        raise ConfigError(f"eta.tol must be a number in (0, 1), got {tol!r}")
+    if not (isinstance(max_iter, int) and not isinstance(max_iter, bool)
+            and max_iter >= 2):
+        raise ConfigError(f"eta.max_iter must be an integer >= 2, got {max_iter!r}")
+
+
+def _validate_slope_band(band):
+    """[low, high] or [low, null], with finite low <= high."""
+    ok = (isinstance(band, list) and len(band) == 2
+          and _is_number(band[0]) and math.isfinite(band[0])
+          and (band[1] is None or (_is_number(band[1]) and math.isfinite(band[1])
+                                   and band[0] <= band[1])))
+    if not ok:
+        raise ConfigError("sweep.gates.slope_band must be [low, high] or [low, null] "
+                          f"with finite low <= high, got {band!r}")
 
 
 def _validate_truth(truth, equation: str):
@@ -306,14 +333,14 @@ def cmd_reconstruct(cfg: dict, trace_path: str) -> int:
             f"{ {k: v[1] for k, v in mismatched.items()} }"
         )
     engine, parts = _engine_from(cfg)
-    eta = engine.estimate_eta(cfg["eta"]["tol"], cfg["eta"]["max_iter"],
-                              cfg["eta"]["seed"])
+    eta, eta_ms = harness.timed(engine.estimate_eta, cfg["eta"]["tol"],
+                                cfg["eta"]["max_iter"], cfg["eta"]["seed"])
     if not eta.converged:
         _warn_unconverged_eta(eta.value, eta.iterations)
     npol = cfg["n_policy"]
-    result = engine.neumann_reconstruct(
-        trace, n_terms=None if npol == "auto" else npol, eta_hat=eta.value,
-        theta=cfg["theta"])
+    result, neumann_ms = harness.timed(
+        engine.neumann_reconstruct, trace, n_terms=None if npol == "auto" else npol,
+        eta_hat=eta.value, theta=cfg["theta"])
     out = _out_dir(cfg)
     est_path = out / "estimate.txt"
     _write_estimate(est_path, result.estimate, cfg)
@@ -324,13 +351,17 @@ def cmd_reconstruct(cfg: dict, trace_path: str) -> int:
         "n_used": result.n_used,
         "increment_norms": list(result.increment_norms),
         "step_count": result.step_count,
+        "n_capped": result.n_capped,
         "solver_kernel": solver_kernel(),
+        "eta_ms": eta_ms,
+        "neumann_ms": neumann_ms,
         "config": cfg,
     }
     truth = build_truth(cfg)
     if truth is not None:
-        diagnostics["error_x"] = harness.reconstruction_error(
-            cfg["equation"], truth, result.estimate, parts["ops"])
+        diagnostics["error_x"], diagnostics["error_ms"] = harness.timed(
+            harness.reconstruction_error, cfg["equation"], truth, result.estimate,
+            parts["ops"])
     diag_path = out / "diagnostics.json"
     diag_path.write_text(json.dumps(diagnostics, indent=2), encoding="utf-8")
     print(json.dumps({"estimate": str(est_path), "diagnostics": str(diag_path),

@@ -119,6 +119,12 @@ class SweepRow:
     failure: str | None = None
     eta_converged: bool | None = None
     eta_iterations: int = 0
+    # stage wall times; the level's shared stages go to its first row
+    gen_ms: float = 0.0
+    eta_ms: float = 0.0
+    neumann_ms: float = 0.0
+    error_ms: float = 0.0
+    n_capped: bool = False
 
 
 def _steps_for(plan: SweepPlan, h: float) -> int:
@@ -126,6 +132,13 @@ def _steps_for(plan: SweepPlan, h: float) -> int:
     if plan.equation == "wave":
         k = max(k, 2)
     return k
+
+
+def timed(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), its wall time in ms)."""
+    start = time.perf_counter()
+    out = fn(*args, **kwargs)
+    return out, 1e3 * (time.perf_counter() - start)
 
 
 def run_cell(plan: SweepPlan, n_cells: int) -> list[SweepRow]:
@@ -136,24 +149,26 @@ def run_cell(plan: SweepPlan, n_cells: int) -> list[SweepRow]:
     only perturbs the clean trace, reconstructs and measures the error.
     Failures are recorded, not raised: a failure in the shared part marks
     every row of the level, one in a noise level marks only its row.  The
-    shared set-up time is charged to the first row, so the rows' wall_ms
-    sum to the level's time.
+    shared set-up time, and with it gen_ms and eta_ms, is charged to the
+    first row, so the rows' wall_ms sum to the level's time.
     """
     mark = time.perf_counter()
     h = plan.length / n_cells
     k = _steps_for(plan, h)
     dt = plan.tau / k
 
-    def row(eps, eta: EtaEstimate | None = None, n_used=-1, err=float("nan"),
-            exc=None):
+    def row(eps, eta: EtaEstimate | None = None, result=None, err=float("nan"),
+            exc=None, **stage_ms):
         nonlocal mark
         now = time.perf_counter()
         wall, mark = 1e3 * (now - mark), now
         failure = None if exc is None else f"{type(exc).__name__}: {exc}"
         eta_hat, converged, iterations = ((float("nan"), None, 0) if eta is None
                                           else (eta.value, eta.converged, eta.iterations))
+        n_used, capped = (-1, False) if result is None else (result.n_used, result.n_capped)
         return SweepRow(plan.equation, n_cells, h, dt, n_used, eta_hat, eps, err,
-                        wall, failure, converged, iterations)
+                        wall, failure, converged, iterations, n_capped=capped,
+                        **stage_ms)
 
     # cell isolation: the sweep must go on, so any failure becomes a row
     try:
@@ -162,23 +177,28 @@ def run_cell(plan: SweepPlan, n_cells: int) -> list[SweepRow]:
         instance = ProblemInstance(equation=plan.equation, mesh=mesh,
                                    profile=plan.profile, tau=plan.tau,
                                    n_steps=k, truth=plan.truth)
-        clean = generate_observation(instance, refine=plan.refine)
+        clean, gen_ms = timed(generate_observation, instance, refine=plan.refine)
         engine = BackAndForth(plan.equation, ops, dt, k)
-        eta = engine.estimate_eta(plan.eta_tol, plan.eta_max_iter, plan.eta_seed)
+        eta, eta_ms = timed(engine.estimate_eta, plan.eta_tol, plan.eta_max_iter,
+                            plan.eta_seed)
     except Exception as exc:
         return [row(eps, exc=exc) for eps in plan.noise_eps]
     n_terms = None if plan.n_policy == "auto" else plan.n_policy
+    shared = {"gen_ms": gen_ms, "eta_ms": eta_ms}
     rows = []
     for eps in plan.noise_eps:
         try:
             trace = add_noise(clean, NoiseSpec(eps, plan.noise_seed))
-            result = engine.neumann_reconstruct(trace, n_terms=n_terms,
-                                                eta_hat=eta.value, theta=plan.theta)
-            err = reconstruction_error(plan.equation, plan.truth,
-                                       result.estimate, ops)
-            rows.append(row(eps, eta, result.n_used, err))
+            result, neumann_ms = timed(engine.neumann_reconstruct, trace,
+                                       n_terms=n_terms, eta_hat=eta.value,
+                                       theta=plan.theta)
+            err, error_ms = timed(reconstruction_error, plan.equation, plan.truth,
+                                  result.estimate, ops)
+            rows.append(row(eps, eta, result, err, neumann_ms=neumann_ms,
+                            error_ms=error_ms, **shared))
         except Exception as exc:
-            rows.append(row(eps, exc=exc))
+            rows.append(row(eps, exc=exc, **shared))
+        shared = {}
     return rows
 
 

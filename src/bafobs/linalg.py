@@ -1,9 +1,11 @@
-"""Symmetric tridiagonal kernels: shifted solves and a pencil eigensolver.
+"""Symmetric tridiagonal kernels: shifted solves and a closed-form pencil spectrum.
 
 Everything here operates on the interior-node matrices produced by the FEM
 assembly (mass, stiffness, observation Grams).  The shifted solve is the
-workhorse of the implicit time steppers; the pencil eigensolver is an oracle
-used for exact data generation and cross-checks only.
+workhorse of the implicit time steppers.  The pencil spectrum drives exact
+data generation: on the uniform mesh the mass and stiffness matrices are
+Toeplitz, so their common eigenvectors are discrete sines and the transforms
+to and from mode coordinates are DST-Is, with no size limit.
 """
 
 from __future__ import annotations
@@ -225,72 +227,110 @@ class ShiftedSystem:
         return np.array(y, dtype=dtype)
 
 
+def _dst1(u: np.ndarray, scale=1.0) -> np.ndarray:
+    """Unnormalized DST-I of v = scale * u along the last axis.
+
+    out_k = sum_j v_j sin(pi (j+1)(k+1)/(n+1)), read off entries 1..n of the
+    FFT of the odd extension [0, v, 0, -reversed v] (length 2n+2), which are
+    -2i out_k.  A complex u is transformed as its real and imaginary parts,
+    so no buffer is both complex and twice as long as u.
+    """
+    if np.iscomplexobj(u):
+        out = np.empty(u.shape, dtype=complex)
+        out.real = _dst1(u.real, scale)
+        out.imag = _dst1(u.imag, scale)
+        return out
+    n = u.shape[-1]
+    ext = np.empty(u.shape[:-1] + (2 * n + 2,))
+    ext[..., 0] = ext[..., n + 1] = 0.0
+    np.multiply(u, scale, out=ext[..., 1:n + 1])
+    np.negative(ext[..., n:0:-1], out=ext[..., n + 2:])
+    return -0.5 * np.fft.rfft(ext)[..., 1:n + 1].imag
+
+
 @dataclass(frozen=True)
 class PencilEig:
-    """Full spectrum of the pencil K v = lambda M v, M-orthonormal vectors."""
+    """Spectrum of a symmetric tridiagonal Toeplitz pencil K v = lambda M v.
 
-    values: np.ndarray          # ascending
-    vectors: np.ndarray         # column j is the eigenvector for values[j]
-    mass: SymTridiag | None = field(repr=False, default=None)
+    Mode j (ascending lambda) is the discrete sine sin(i theta_k), i = 1..n,
+    theta_k = k pi/(n+1), scaled to unit M-norm; k runs 1..n in the order
+    ``modes`` picks.  The transforms to and from mode coordinates are one
+    DST-I each, O(n log n) per row, and never form the n x n eigenvectors.
+    """
 
+    values: np.ndarray                                  # ascending
+    modes: slice = field(repr=False)                    # sine indices k, in mode order
+    mass_values: np.ndarray = field(repr=False)         # M's eigenvalue of each mode
 
-def _chol_bidiag(M: SymTridiag) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factor of a positive definite SymTridiag (lower bidiagonal)."""
-    n = M.n
-    ld = np.zeros(n)
-    le = np.zeros(max(n - 1, 0))
-    for i in range(n):
-        v = M.diag[i] - (le[i - 1] ** 2 if i > 0 else 0.0)
-        if v <= 0.0:
-            raise SingularPivotError(i, v)
-        ld[i] = np.sqrt(v)
-        if i < n - 1:
-            le[i] = M.off[i] / ld[i]
-    return ld, le
+    @property
+    def n(self) -> int:
+        return self.values.size
 
+    def _check(self, u) -> np.ndarray:
+        u = np.asarray(u)
+        if u.ndim not in (1, 2) or u.shape[-1] != self.n:
+            raise ValueError(f"array has shape {u.shape}, expected (..., {self.n})")
+        return u
 
-def _bidiag_solve_lower(ld, le, rhs: np.ndarray) -> np.ndarray:
-    """Solve L x = rhs with lower bidiagonal L; rhs may be a matrix."""
-    x = np.array(rhs, dtype=float, copy=True)
-    x[0] /= ld[0]
-    for i in range(1, x.shape[0]):
-        x[i] = (x[i] - le[i - 1] * x[i - 1]) / ld[i]
-    return x
+    @functools.cached_property
+    def _scale(self) -> np.ndarray:
+        """Per mode, 1 / M-norm of its sine: that norm squared is mass_values (n+1)/2."""
+        return np.sqrt(2.0 / ((self.n + 1) * self.mass_values))
 
+    def to_modal(self, u: np.ndarray) -> np.ndarray:
+        """V^T M u along the last axis: the mode coordinates of nodal values.
 
-def _bidiag_solve_upper(ld, le, rhs: np.ndarray) -> np.ndarray:
-    """Solve L^T x = rhs with lower bidiagonal L; rhs may be a matrix."""
-    x = np.array(rhs, dtype=float, copy=True)
-    n = x.shape[0]
-    x[n - 1] /= ld[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = (x[i] - le[i] * x[i + 1]) / ld[i]
-    return x
+        M maps each sine to mass_values times itself, so this is the DST-I
+        of u times mass_values and the mode's scale.
+        """
+        u = self._check(u)
+        return _dst1(u)[..., self.modes] * (self.mass_values * self._scale)
 
+    def from_modal(self, c: np.ndarray) -> np.ndarray:
+        """V c along the last axis: nodal values from mode coordinates."""
+        c = self._check(c)
+        # modes is the identity or the reversal, so it is its own inverse
+        return _dst1(c[..., self.modes], self._scale[self.modes])
 
-MAX_PENCIL_DIM = 4096
+    @functools.cached_property
+    def vectors(self) -> np.ndarray:
+        """n x n, column j the M-orthonormal eigenvector for values[j]."""
+        n = self.n
+        # (i * k) mod 2(n+1) keeps the sine argument in [0, 2 pi) exactly
+        ik = np.outer(np.arange(1, n + 1), np.arange(1, n + 1)[self.modes]) % (2 * n + 2)
+        return np.sin(np.pi / (n + 1) * ik) * self._scale
 
 
 def pencil_eigs(K: SymTridiag, M: SymTridiag) -> PencilEig:
-    """Solve the generalized symmetric pencil K v = lambda M v.
+    """Closed-form spectrum of the pencil K v = lambda M v for Toeplitz K, M.
 
-    The pencil is reduced by the M-Cholesky congruence to a standard
-    symmetric problem, whose spectrum is computed by Householder reduction
-    plus implicit QL/QR (LAPACK via numpy.linalg.eigh).  Intended for oracle
-    scale only (n <= 4096).
+    A symmetric tridiagonal Toeplitz matrix (diagonal a, off-diagonal b) has
+    the eigenvectors sin(i theta_k), theta_k = k pi/(n+1), with eigenvalues
+    a + 2b cos theta_k.  Two such matrices share them, so with K = (a, b) and
+    M = (c, d) the pencil has lambda_k = (a + 2b cos theta_k)/(c + 2d cos
+    theta_k).  The uniform P1 assembly gives such pairs.  Anything that is
+    not Toeplitz raises ValueError; an M that is not positive definite
+    (c + 2d cos theta_k <= 0 for some k) raises SingularPivotError with that
+    k - 1 as the index.
     """
     if K.n != M.n:
         raise ValueError("K and M dimensions differ")
-    if K.n > MAX_PENCIL_DIM:
-        raise ValueError(f"pencil dimension {K.n} exceeds oracle scale {MAX_PENCIL_DIM}")
-    ld, le = _chol_bidiag(M)
-    # C = L^-1 K L^-T, symmetric dense at this scale.
-    Y = _bidiag_solve_lower(ld, le, K.to_dense())
-    C = _bidiag_solve_lower(ld, le, Y.T)
-    C = 0.5 * (C + C.T)
-    try:
-        w, U = np.linalg.eigh(C)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise RuntimeError(f"pencil eigensolver failed to converge: {exc}") from exc
-    V = _bidiag_solve_upper(ld, le, U)
-    return PencilEig(values=w, vectors=V, mass=M)
+    n = K.n
+    cos = np.cos(np.pi / (n + 1) * np.arange(1, n + 1))
+
+    def toeplitz(A: SymTridiag, name: str) -> tuple[float, float]:
+        if np.any(A.diag != A.diag[0]) or np.any(A.off != A.off[:1]):
+            raise ValueError(f"{name} is not Toeplitz: its diagonals are not constant")
+        return float(A.diag[0]), (float(A.off[0]) if n > 1 else 0.0)
+
+    (a, b), (c, d) = toeplitz(K, "K"), toeplitz(M, "M")
+    mass = c + 2.0 * d * cos
+    indefinite = np.flatnonzero(mass <= 0.0)
+    if indefinite.size:
+        k = int(indefinite[0])
+        raise SingularPivotError(k, abs(float(mass[k])))
+    lam = (a + 2.0 * b * cos) / mass
+    # lambda is a Moebius function of cos theta_k, which falls with k: so it
+    # rises with k when bc <= ad and falls when bc > ad
+    modes = slice(None, None, -1 if b * c > a * d else 1)
+    return PencilEig(values=lam[modes], modes=modes, mass_values=mass[modes])

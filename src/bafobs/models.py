@@ -1,11 +1,14 @@
 """Problem instances and synthetic observation generation.
 
 Observations are produced by propagating the conservative system exactly in
-time through the pencil eigendecomposition, optionally on a refined mesh, so
-the data never share the time discretization (and, with refine > 1, the
-space discretization) of the reconstruction -- the usual inverse-crime
-safeguards.  Bounded uniform noise models the data-error terms of the
-convergence estimates.
+time, optionally on a refined mesh, so the data never share the time
+discretization (and, with refine > 1, the space discretization) of the
+reconstruction -- the usual inverse-crime safeguards.  The propagation runs
+in the modes of the mass/stiffness pencil: its closed-form spectrum gives
+each mode's phase, and one DST-I each way moves between nodal values and
+mode coordinates (``linalg.pencil_eigs``), so generation costs O(K n log n),
+builds no n x n array and has no size limit.  Bounded uniform noise models
+the data-error terms of the convergence estimates.
 """
 
 from __future__ import annotations
@@ -73,7 +76,12 @@ class ProblemInstance:
 
 @dataclass(frozen=True)
 class ExactTrajectory:
-    """Unmasked pencil-propagated fields, sampled on the (fine) mesh."""
+    """Unmasked exact fields at the K+1 sample times, on the (fine) mesh.
+
+    Each mode of the pencil evolves by its closed-form phase (Schrodinger)
+    or rotation (wave); the states are synthesized from the mode coordinates
+    by DST-I.  The whole (K+1) x n_fine trajectory is held in memory.
+    """
 
     mesh: Mesh1D
     operators: FemOperators
@@ -90,27 +98,24 @@ def propagate_exact(instance: ProblemInstance, refine: int = 1) -> ExactTrajecto
     ops = assemble(fine, instance.profile)
     pencil = pencil_eigs(ops.stiffness, ops.mass)
     lam = pencil.values
-    V = pencil.vectors
     x = fine.interior_nodes
     times = instance.dt * np.arange(instance.n_steps + 1)
 
-    def coords(nodal: np.ndarray) -> np.ndarray:
-        return V.T @ ops.mass.matvec(nodal)
-
     if instance.equation == "schrodinger":
-        z0 = instance.truth.value(x).astype(complex)
-        c = coords(z0)
-        phases = np.exp(1j * times[:, None] * lam[None, :])
-        states = (phases * c[None, :]) @ V.T
-        return ExactTrajectory(fine, ops, times, states)
+        c = pencil.to_modal(instance.truth.value(x).astype(complex))
+        modal = np.exp(1j * times[:, None] * lam[None, :])
+        modal *= c[None, :]
+        return ExactTrajectory(fine, ops, times, pencil.from_modal(modal))
 
     w0, w1 = instance.truth
-    a = coords(w0.value(x))
-    b = coords(w1.value(x))
+    a = pencil.to_modal(w0.value(x))
+    b = pencil.to_modal(w1.value(x))
     om = np.sqrt(lam)
     wt = times[:, None] * om[None, :]
-    positions = (np.cos(wt) * a[None, :] + np.sin(wt) / om[None, :] * b[None, :]) @ V.T
-    velocities = (-om[None, :] * np.sin(wt) * a[None, :] + np.cos(wt) * b[None, :]) @ V.T
+    cos_wt = np.cos(wt)
+    sin_wt = np.sin(wt, out=wt)
+    positions = pencil.from_modal(cos_wt * a + sin_wt * (b / om))
+    velocities = pencil.from_modal(cos_wt * b - sin_wt * (om * a))
     return ExactTrajectory(fine, ops, times, positions, velocities)
 
 
@@ -119,14 +124,16 @@ def generate_observation(instance: ProblemInstance, refine: int = 1,
     """Masked, restricted, optionally noisy output samples y^0..y^K.
 
     The observed field (the state for Schrodinger, the velocity for the
-    wave) is multiplied nodally by the observation weight on the fine mesh,
-    then restricted to the reconstruction mesh by nodal injection.
+    wave) is multiplied nodally by the observation weight and restricted to
+    the reconstruction mesh by nodal injection.
     """
     traj = propagate_exact(instance, refine)
     observed = traj.states if instance.equation == "schrodinger" else traj.velocities
-    weights = instance.profile.weight(traj.mesh.interior_nodes)
-    masked = observed * weights[None, :]
-    samples = masked[:, refine - 1::refine]
+    # both are nodal, so restrict first: the product is then a new array of
+    # the coarse size, not a strided view that keeps the fine field alive
+    kept = slice(refine - 1, None, refine)
+    weights = instance.profile.weight(traj.mesh.interior_nodes[kept])
+    samples = observed[:, kept] * weights[None, :]
     provenance = "mesh-refined" if refine > 1 else "clean"
     trace = ObservationTrace(equation=instance.equation, samples=samples,
                              tau=instance.tau, dt=instance.dt,

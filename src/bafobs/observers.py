@@ -318,6 +318,7 @@ class ReconstructionResult:
     eta_hat: float | None
     increment_norms: tuple
     step_count: int
+    n_capped: bool = False      # the automatic rule asked for more than AUTO_N_CAP
 
 
 class BackAndForth:
@@ -430,9 +431,11 @@ class BackAndForth:
         """Accumulate sum_{n=0}^{N} L^n of the first iterate.
 
         With n_terms = None the truncation length comes from the full-mode
-        rule evaluated at (h, dt, eta_hat), floored at 1 and capped at 200.
+        rule evaluated at (h, dt, eta_hat), floored at 1 and capped at
+        AUTO_N_CAP; a capped N warns and sets the result's n_capped.
         """
         z = self.first_iterate(trace)
+        capped = False
         if n_terms is None:
             if eta_hat is None:
                 raise ValueError("automatic truncation needs eta_hat")
@@ -445,7 +448,7 @@ class BackAndForth:
                     f"{AUTO_N_CAP} (eta_hat = {eta_hat} is close to 1)",
                     RuntimeWarning, stacklevel=2,
                 )
-                n_terms = AUTO_N_CAP
+                n_terms, capped = AUTO_N_CAP, True
         elif n_terms < 0:
             raise ValueError("n_terms must be nonnegative")
         increments = [self.x_norm(z)]
@@ -459,4 +462,4 @@ class BackAndForth:
         return ReconstructionResult(estimate=acc, n_used=n_terms,
                                     eta_hat=eta_hat,
                                     increment_norms=tuple(increments),
-                                    step_count=steps)
+                                    step_count=steps, n_capped=capped)

@@ -7,9 +7,83 @@ the package is a real cross-check and not a tautology.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from bafobs import FemOperators, WaveState, pencil_eigs
+from bafobs import FemOperators, WaveState
+from bafobs.linalg import SingularPivotError
+
+
+@dataclass(frozen=True)
+class DensePencil:
+    """Full spectrum of the pencil K v = lambda M v, M-orthonormal vectors."""
+
+    values: np.ndarray          # ascending
+    vectors: np.ndarray         # column j is the eigenvector for values[j]
+
+
+def _chol_bidiag(M) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factor of a positive definite SymTridiag (lower bidiagonal)."""
+    n = M.n
+    ld = np.zeros(n)
+    le = np.zeros(max(n - 1, 0))
+    for i in range(n):
+        v = M.diag[i] - (le[i - 1] ** 2 if i > 0 else 0.0)
+        if v <= 0.0:
+            raise SingularPivotError(i, v)
+        ld[i] = np.sqrt(v)
+        if i < n - 1:
+            le[i] = M.off[i] / ld[i]
+    return ld, le
+
+
+def _bidiag_solve_lower(ld, le, rhs: np.ndarray) -> np.ndarray:
+    """Solve L x = rhs with lower bidiagonal L; rhs may be a matrix."""
+    x = np.array(rhs, dtype=float, copy=True)
+    x[0] /= ld[0]
+    for i in range(1, x.shape[0]):
+        x[i] = (x[i] - le[i - 1] * x[i - 1]) / ld[i]
+    return x
+
+
+def _bidiag_solve_upper(ld, le, rhs: np.ndarray) -> np.ndarray:
+    """Solve L^T x = rhs with lower bidiagonal L; rhs may be a matrix."""
+    x = np.array(rhs, dtype=float, copy=True)
+    n = x.shape[0]
+    x[n - 1] /= ld[n - 1]
+    for i in range(n - 2, -1, -1):
+        x[i] = (x[i] - le[i] * x[i + 1]) / ld[i]
+    return x
+
+
+MAX_PENCIL_DIM = 4096
+
+
+def dense_pencil_eigs(K, M) -> DensePencil:
+    """Solve the generalized symmetric pencil K v = lambda M v.
+
+    The pencil is reduced by the M-Cholesky congruence to a standard
+    symmetric problem, whose spectrum is computed by Householder reduction
+    plus implicit QL/QR (LAPACK via numpy.linalg.eigh).  Works for any
+    symmetric tridiagonal pair with M positive definite, Toeplitz or not;
+    intended for oracle scale only (n <= 4096).
+    """
+    if K.n != M.n:
+        raise ValueError("K and M dimensions differ")
+    if K.n > MAX_PENCIL_DIM:
+        raise ValueError(f"pencil dimension {K.n} exceeds oracle scale {MAX_PENCIL_DIM}")
+    ld, le = _chol_bidiag(M)
+    # C = L^-1 K L^-T, symmetric dense at this scale.
+    Y = _bidiag_solve_lower(ld, le, K.to_dense())
+    C = _bidiag_solve_lower(ld, le, Y.T)
+    C = 0.5 * (C + C.T)
+    try:
+        w, U = np.linalg.eigh(C)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise RuntimeError(f"pencil eigensolver failed to converge: {exc}") from exc
+    V = _bidiag_solve_upper(ld, le, U)
+    return DensePencil(values=w, vectors=V)
 
 
 def reduced_generator(ops: FemOperators, sign: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -18,7 +92,7 @@ def reduced_generator(ops: FemOperators, sign: int) -> tuple[np.ndarray, np.ndar
     Returns (eigvals, eigvecs, basis) so that the system M q' = sign*i K q - B q
     reads c' = G c in coordinates q = basis @ c, with G = S diag(w) S^-1.
     """
-    pencil = pencil_eigs(ops.stiffness, ops.mass)
+    pencil = dense_pencil_eigs(ops.stiffness, ops.mass)
     V = pencil.vectors
     reduced_damping = V.T @ ops.damping_gram.to_dense() @ V
     G = sign * 1j * np.diag(pencil.values) - reduced_damping

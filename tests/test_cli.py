@@ -100,6 +100,8 @@ def test_reconstruct_round_trip_and_diagnostics(tmp_path, capsys):
     assert "error_x" in diag and diag["error_x"] > 0
     assert diag["config"]["time"]["n_steps"] == 12
     assert diag["solver_kernel"] in ("openblas-gttrs", "thomas")
+    assert diag["n_capped"] is False
+    assert all(diag[s] > 0 for s in ("eta_ms", "neumann_ms", "error_ms"))
     est_lines = (tmp_path / "out" / "estimate.txt").read_text().strip().split("\n")
     header = json.loads(est_lines[0])
     assert header["complex"] and len(est_lines) == 2
@@ -113,6 +115,42 @@ def test_reconstruct_round_trip_and_diagnostics(tmp_path, capsys):
     assert code == 0
     diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
     assert diag["eta_converged"] is False and diag["eta_iterations"] == 2
+
+
+def test_reconstruct_records_truncation_cap_hit(tmp_path, capsys, monkeypatch):
+    cfg = small_config(tmp_path)
+    trace_path = str(tmp_path / "t.txt")
+    run_cli(["--config", cfg, "generate", "--out", trace_path], capsys)
+    # eta close to 1: the truncation rule asks for far more than AUTO_N_CAP
+    monkeypatch.setattr(BackAndForth, "estimate_eta",
+                        lambda self, *args: EtaEstimate(0.999, True, 2))
+    with pytest.warns(RuntimeWarning, match="capping at 200"):
+        code, _, _ = run_cli(["--config", cfg, "reconstruct", "--trace", trace_path],
+                             capsys)
+    assert code == 0
+    diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+    assert diag["n_capped"] is True and diag["n_used"] == 200
+
+
+@pytest.mark.parametrize("override", [
+    "eta.tol=0", "eta.tol=1", "eta.tol=-1e-3", 'eta.tol="tight"', "eta.tol=NaN",
+    "eta.max_iter=1", "eta.max_iter=2.5", "eta.max_iter=true",
+    "sweep.gates.slope_band=[0.8]", 'sweep.gates.slope_band="0.8"',
+    "sweep.gates.slope_band=[0.8, 1.0, 2.0]", "sweep.gates.slope_band=[null, 1.0]",
+    "sweep.gates.slope_band=[1.2, 0.8]", "sweep.gates.slope_band=[NaN, null]",
+    "sweep.gates.slope_band=[0.8, Infinity]",
+])
+def test_bad_eta_or_gate_settings_rejected_before_any_level(tmp_path, capsys,
+                                                            monkeypatch, override):
+    def no_sweep(plan):
+        raise AssertionError("a level ran before the config was checked")
+
+    monkeypatch.setattr(cli.harness, "run_sweep", no_sweep)
+    cfg = small_config(tmp_path, sweep={"levels": [8, 16, 24]})
+    code, stdout, err = run_cli(["--config", cfg, "--set", override, "sweep"], capsys)
+    assert code == 2 and stdout == ""
+    assert override.split("=")[0] in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_reconstruct_zero_truth_gives_zero_estimate(tmp_path, capsys):
@@ -204,10 +242,16 @@ def test_sweep_outputs_and_exit_codes(tmp_path, capsys):
     assert summary["solver_kernel"] in ("openblas-gttrs", "thomas")
     assert all(r["eta_converged"] is True and r["eta_iterations"] >= 1
                for r in summary["rows"])
+    stages = ("gen_ms", "eta_ms", "neumann_ms", "error_ms")
+    for r in summary["rows"]:
+        assert r["n_capped"] is False
+        assert all(r[s] > 0 for s in stages)
+        assert sum(r[s] for s in stages) <= r["wall_ms"]
     # one warning per level whose eta ran out of steps; the CSV is unchanged
     with pytest.warns(RuntimeWarning) as caught:
         code, _, _ = run_cli(["--config", cfg, "--set", "eta.max_iter=2",
-                              "--set", "eta.tol=1e-12", "sweep"], capsys)
+                              "--set", "eta.tol=1e-12",
+                              "--set", "sweep.noise_eps=[0.0, 0.001]", "sweep"], capsys)
     assert code == 0
     messages = [str(w.message) for w in caught]
     for n_cells in (8, 16, 24):
@@ -216,6 +260,11 @@ def test_sweep_outputs_and_exit_codes(tmp_path, capsys):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert all(r["eta_converged"] is False and r["eta_iterations"] == 2
                for r in summary["rows"])
+    # a level's shared stages are charged to its first row only
+    first, second = summary["rows"][0::2], summary["rows"][1::2]
+    assert all(r["gen_ms"] > 0 and r["eta_ms"] > 0 for r in first)
+    assert all(r["gen_ms"] == 0 and r["eta_ms"] == 0 for r in second)
+    assert all(r["neumann_ms"] > 0 and r["error_ms"] > 0 for r in first + second)
     csv_lines = (tmp_path / "out" / "sweep.csv").read_text().strip().split("\n")
     assert csv_lines[1] == cli.harness.CSV_HEADER
 
@@ -323,8 +372,9 @@ _OVERRIDABLE = {
     "sweep.kappa": st.floats(0.01, 100.0),
     "sweep.noise_eps": st.lists(st.floats(0.0, 1.0), max_size=5),
     "sweep.fit_model": st.sampled_from(["power-log2", "pure-power"]),
-    "sweep.gates.slope_band": st.lists(st.one_of(st.none(), st.floats(-5.0, 5.0)),
-                                       min_size=2, max_size=2),
+    "sweep.gates.slope_band": st.floats(-5.0, 5.0).flatmap(
+        lambda low: st.tuples(st.just(low), st.one_of(st.none(), st.floats(low, 5.0)))
+    ).map(list),
     "sweep.gates.monotone": st.booleans(),
     "output.directory": st.text(),
 }

@@ -164,6 +164,17 @@ def test_single_level_sweep_row(tmp_path):
     assert np.isfinite(row.error_x) and row.error_x > 0
     assert 0 < row.eta_hat < 1
     assert row.n_used >= 1
+    assert row.n_capped is False
+
+
+def test_truncation_cap_hit_recorded_in_row(monkeypatch):
+    # eta close to 1: the rule asks for more than AUTO_N_CAP terms
+    monkeypatch.setattr(BackAndForth, "estimate_eta",
+                        lambda self, *args: harness.EtaEstimate(0.999, True, 2))
+    with pytest.warns(RuntimeWarning, match="capping at 200"):
+        (row,) = run_cell(small_plan(levels=(8,)), 8)
+    assert row.failure is None
+    assert row.n_capped is True and row.n_used == 200
 
 
 def test_sweep_reproducible_bit_identically():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bafobs import linalg
@@ -8,6 +8,7 @@ from bafobs.fem import Mesh1D, ObservationProfile, assemble
 from bafobs.linalg import (ShiftedSystem, SingularPivotError, SymTridiag,
                            pencil_eigs)
 from bafobs.observers import BackAndForth
+from oracles import dense_pencil_eigs
 
 
 def identity(n: int) -> SymTridiag:
@@ -203,11 +204,82 @@ def test_pencil_rejects_indefinite_mass():
     bad = SymTridiag(np.array([1.0, -1.0, 1.0]), np.zeros(2))
     _, K = p1_pair(4)
     with pytest.raises(SingularPivotError):
-        pencil_eigs(K, bad)
+        dense_pencil_eigs(K, bad)
 
 
 def test_pencil_rejects_oracle_scale_overflow():
     n = 5000
     M = identity(n)
     with pytest.raises(ValueError, match="oracle scale"):
-        pencil_eigs(M, M)
+        dense_pencil_eigs(M, M)
+
+
+def toeplitz(n: int, diag: float, off: float) -> SymTridiag:
+    return SymTridiag(np.full(n, diag), np.full(n - 1, off))
+
+
+@st.composite
+def toeplitz_pencils(draw):
+    """Random SPD Toeplitz pairs whose spectrum is well separated, and P1 pairs."""
+    n = draw(st.integers(1, 200))
+    if draw(st.booleans()):
+        M, K = p1_pair(n + 1, h=draw(st.floats(1e-3, 10.0)))
+        return K, M
+    unit = st.floats(0.5, 2.0)
+    c, a = draw(unit), draw(unit)
+    d = c * draw(st.floats(-0.45, 0.45))   # |d| < c/2: M positive definite
+    b = a * draw(st.floats(-0.45, 0.45))   # K too, though the closed form needs only M
+    # lambda(cos) = (a + 2b cos)/(c + 2d cos) is constant when bc = ad; keep
+    # clear of that so the eigenvectors are well determined
+    assume(abs(b * c - a * d) >= 0.05 * a * c)
+    return toeplitz(n, a, b), toeplitz(n, c, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=toeplitz_pencils())
+def test_closed_form_pencil_matches_dense_oracle(pair):
+    K, M = pair
+    fast = pencil_eigs(K, M)
+    ref = dense_pencil_eigs(K, M)
+    assert np.max(np.abs(fast.values - ref.values) / np.abs(ref.values)) <= 1e-10
+    V, W = fast.vectors, ref.vectors
+    W = W * np.sign(np.sum(V * W, axis=0))   # eigenvectors are fixed up to sign
+    assert np.max(np.abs(V - W)) <= 1e-9 * np.max(np.abs(W))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 255])
+@pytest.mark.parametrize("pair", ["p1", "falling"])
+def test_modal_transforms_invert_each_other(n, pair):
+    if pair == "p1":
+        M, K = p1_pair(n + 1)
+    else:   # lambda falls with the sine index, so the modes run in reverse
+        K, M = toeplitz(n, 1.0, 0.4), toeplitz(n, 1.0, -0.3)
+    pe = pencil_eigs(K, M)
+    assert np.all(np.diff(pe.values) > 0)
+    V = pe.vectors
+    assert np.max(np.abs(V.T @ M.to_dense() @ V - np.eye(n))) <= 1e-12
+    rng = np.random.default_rng(n)
+    real = rng.standard_normal((3, n))
+    for u in (real[0], real, real[0] + 1j * real[1], real + 1j * real[::-1]):
+        modal = pe.to_modal(u)
+        assert modal.shape == u.shape and modal.dtype == u.dtype
+        tol = 1e-12 * np.abs(u).max()
+        # the DST-I agrees with the explicit eigenvectors, row by row
+        assert np.allclose(modal, M.matvec(u) @ V, rtol=0, atol=tol)
+        assert np.allclose(pe.from_modal(modal), u, rtol=0, atol=tol)
+        assert np.allclose(pe.from_modal(u), u @ V.T, rtol=0, atol=tol)
+    with pytest.raises(ValueError, match="shape"):
+        pe.to_modal(np.ones(n + 1))
+
+
+def test_closed_form_rejects_non_toeplitz_and_indefinite_mass():
+    M, K = p1_pair(4)
+    bumped = SymTridiag(M.diag + np.array([0.0, 1e-12, 0.0]), M.off)
+    with pytest.raises(ValueError, match="Toeplitz"):
+        pencil_eigs(K, bumped)
+    with pytest.raises(ValueError, match="Toeplitz"):
+        pencil_eigs(SymTridiag(K.diag, np.array([-4.0, -4.5])), M)
+    # diag 1, off 1 at n = 3: 1 + 2 cos(3 pi/4) < 0 in the last mode
+    with pytest.raises(SingularPivotError) as err:
+        pencil_eigs(K, toeplitz(3, 1.0, 1.0))
+    assert err.value.index == 2

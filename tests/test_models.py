@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from bafobs.models import (NoiseSpec, ProblemInstance, add_noise,
                            generate_observation, propagate_exact, read_trace,
                            write_trace)
 from bafobs.observers import ObservationTrace
+from oracles import dense_pencil_eigs
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +93,56 @@ def test_single_mode_returns_after_one_period():
                            truth=FieldSpec(kind="sine", coefficients=(1.0,)))
     trace = generate_observation(inst, refine=1)
     assert np.max(np.abs(trace.samples[-1] - trace.samples[0])) < 1e-9
+
+
+def test_generation_lifts_the_oracle_size_limit():
+    # 5999 fine nodes, above the dense oracle's 4096; four steps keep the
+    # trajectory small, and no n x n array (288 MB here) is ever allocated
+    mesh = Mesh1D(n_cells=3000)
+    inst = ProblemInstance("schrodinger", mesh, ObservationProfile(), tau=1.0,
+                           n_steps=4, truth=FieldSpec(kind="sine", coefficients=(1.0, 0.5)))
+    tracemalloc.start()
+    try:
+        trace = generate_observation(inst, refine=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_fine = 2 * mesh.n_cells - 1
+    assert peak < 0.05 * 8 * n_fine ** 2
+    assert trace.samples.shape == (5, mesh.n)
+    x = mesh.interior_nodes
+    expected = inst.profile.weight(x) * inst.truth.value(x)
+    assert np.max(np.abs(trace.samples[0] - expected)) < 1e-10
+
+
+def dense_oracle_trace(inst: ProblemInstance, refine: int) -> np.ndarray:
+    """Clean samples by the dense oracle's eigenvectors, products with V and V^T."""
+    fine = Mesh1D(n_cells=inst.mesh.n_cells * refine, length=inst.mesh.length)
+    ops = assemble(fine, inst.profile)
+    pencil = dense_pencil_eigs(ops.stiffness, ops.mass)
+    V, lam = pencil.vectors, pencil.values
+    x = fine.interior_nodes
+    t = inst.dt * np.arange(inst.n_steps + 1)[:, None]
+    if inst.equation == "schrodinger":
+        c = V.T @ ops.mass.matvec(inst.truth.value(x).astype(complex))
+        observed = (np.exp(1j * t * lam) * c) @ V.T
+    else:
+        a, b = (V.T @ ops.mass.matvec(f.value(x)) for f in inst.truth)
+        om = np.sqrt(lam)
+        observed = (-om * np.sin(t * om) * a + np.cos(t * om) * b) @ V.T
+    return (observed * inst.profile.weight(x))[:, refine - 1::refine]
+
+
+@pytest.mark.parametrize("kind", ["sine", "bump"])
+@pytest.mark.parametrize("equation", ["schrodinger", "wave"])
+def test_traces_match_dense_oracle(equation, kind):
+    truth = FieldSpec(kind=kind, coefficients=(1.0, 0.5))
+    inst = ProblemInstance(equation, Mesh1D(n_cells=64), ObservationProfile(),
+                           tau=1.0 if equation == "schrodinger" else 2.0, n_steps=64,
+                           truth=truth if equation == "schrodinger" else (truth, truth))
+    samples = generate_observation(inst, refine=2).samples
+    ref = dense_oracle_trace(inst, 2)
+    assert np.max(np.abs(samples - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 def test_generation_commutes_with_scaling(schrod_instance):
