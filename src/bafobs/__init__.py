@@ -12,8 +12,8 @@ from .models import (NoiseSpec, ProblemInstance, add_noise,
                      generate_observation, read_trace, write_trace)
 from .observers import (BackAndForth, EtaEstimate, ObservationTrace,
                         ReconstructionResult, SchrodingerStepper, WaveState,
-                        WaveStepper, choose_truncation, power_iteration,
-                        run_schrodinger, run_wave)
+                        WaveStepper, choose_truncation, run_schrodinger,
+                        run_wave)
 from .harness import (NoiseRow, RateFit, SweepPlan, SweepRow, fit_rate,
                       noise_study, run_sweep, reconstruction_error)
 
@@ -24,7 +24,7 @@ __all__ = [
     "SchrodingerStepper", "ShiftedSystem", "SweepPlan", "SweepRow",
     "SymTridiag", "WaveState", "WaveStepper", "add_noise", "assemble",
     "choose_truncation", "fit_rate", "generate_observation", "noise_study",
-    "pencil_eigs", "power_iteration", "read_trace", "run_schrodinger",
+    "pencil_eigs", "read_trace", "run_schrodinger",
     "run_sweep", "run_wave", "reconstruction_error", "write_trace",
 ]
 

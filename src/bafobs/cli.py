@@ -115,6 +115,7 @@ def resolve_config(cfg: dict) -> dict:
     eq = cfg["equation"]
     if eq not in ("schrodinger", "wave"):
         raise ConfigError(f"equation must be 'schrodinger' or 'wave', got {eq!r}")
+    _validate_sizes(cfg)
     t = cfg["time"]
     if t["tau"] is None:
         t["tau"] = 1.0 if eq == "schrodinger" else 2.0
@@ -148,12 +149,28 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _validate_sizes(cfg: dict):
+    refine, n_cells = cfg["refine"], cfg["geometry"]["n_cells"]
+    levels = cfg["sweep"]["levels"]
+    if not (_is_int(refine) and refine >= 1):
+        raise ConfigError(f"refine must be an integer >= 1, got {refine!r}")
+    if not (_is_int(n_cells) and n_cells >= 2):
+        raise ConfigError(f"geometry.n_cells must be an integer >= 2, got {n_cells!r}")
+    if not (isinstance(levels, list) and levels
+            and all(_is_int(n) and n >= 2 for n in levels)):
+        raise ConfigError("sweep.levels must be a non-empty list of integers >= 2, "
+                          f"got {levels!r}")
+
+
 def _validate_eta(eta: dict):
     tol, max_iter = eta["tol"], eta["max_iter"]
     if not (_is_number(tol) and 0.0 < tol < 1.0):
         raise ConfigError(f"eta.tol must be a number in (0, 1), got {tol!r}")
-    if not (isinstance(max_iter, int) and not isinstance(max_iter, bool)
-            and max_iter >= 2):
+    if not (_is_int(max_iter) and max_iter >= 2):
         raise ConfigError(f"eta.max_iter must be an integer >= 2, got {max_iter!r}")
 
 

@@ -1,12 +1,12 @@
 """P1 finite elements on an interval with homogeneous Dirichlet conditions.
 
 Provides the uniform mesh, assembly of the mass/stiffness/observation
-matrices, load vectors, the H^1_0-orthogonal projection onto the element
-space, and the discrete fractional-power norms used by the error analysis.
-Assembly, the load vectors and the projection use 4-point Gauss-Legendre per
-element, so they commit the same variational crime (none, for the polynomial
-integrands); the load vectors take an 8-point rule on request, for the
-reference integrals of closed-form fields in the error norms.
+matrices, the load vectors against the hat basis and the closed-form fields
+that serve as reconstruction targets.  Assembly and the load vectors use
+4-point Gauss-Legendre per element, so they commit the same variational
+crime (none, for the polynomial integrands); the load vectors take an
+8-point rule on request, for the reference integrals of closed-form fields
+in the error norms.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import ShiftedSystem, SymTridiag
+from .linalg import SymTridiag
 
 # 4-point Gauss-Legendre on [0, 1]: exact for polynomials of degree <= 7.
 _GL4_X = 0.5 + 0.5 * np.array([
@@ -220,11 +220,6 @@ def grad_load_vector(mesh: Mesh1D, df: Callable[[np.ndarray], np.ndarray],
     return per[:-1] - per[1:]
 
 
-def interpolate(mesh: Mesh1D, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Nodal values of f at the interior nodes."""
-    return np.asarray(f(mesh.interior_nodes))
-
-
 @dataclass(frozen=True)
 class FieldSpec:
     """Closed-form field on [0, length] with Dirichlet boundary values.
@@ -292,35 +287,3 @@ class FieldSpec:
         c, beta = self.center, self.exponent
         lin_slope = ((L - c) ** beta - c ** beta) / L
         return beta * np.sign(x - c) * np.abs(x - c) ** (beta - 1.0) - lin_slope
-
-
-def project_pi_h(mesh: Mesh1D, ops: FemOperators, phi: FieldSpec) -> np.ndarray:
-    """H^1_0-orthogonal projection of phi onto the P1 space.
-
-    Solves (u, v)_K = int phi' v' for all hat functions v, with the right
-    side evaluated by the assembly quadrature applied to phi'.
-    """
-    return ShiftedSystem(ops.stiffness).solve(grad_load_vector(mesh, phi.derivative))
-
-
-SUPPORTED_ALPHAS = (0.0, 0.5, 1.0, 1.5, 2.0)
-
-
-def norm_alpha(ops: FemOperators, u: np.ndarray, alpha: float) -> float:
-    """Discrete D(A0^alpha) norm of a coefficient vector.
-
-    alpha = 0 is the M-norm, alpha = 1/2 the K-norm; higher orders apply the
-    discrete operator w = M^-1 K u and recurse, so no eigendecomposition is
-    needed at production scale.
-    """
-    u = np.asarray(u)
-    if u.shape != (ops.n,):
-        raise ValueError(f"vector has shape {u.shape}, expected ({ops.n},)")
-    if alpha not in SUPPORTED_ALPHAS:
-        raise ValueError(f"unsupported alpha {alpha}; use one of {SUPPORTED_ALPHAS}")
-    if alpha == 0.0:
-        return math.sqrt(max(np.real(np.vdot(u, ops.mass.matvec(u))), 0.0))
-    if alpha == 0.5:
-        return math.sqrt(max(np.real(np.vdot(u, ops.stiffness.matvec(u))), 0.0))
-    w = ShiftedSystem(ops.mass).solve(ops.stiffness.matvec(u))
-    return norm_alpha(ops, w, alpha - 1.0)

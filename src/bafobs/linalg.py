@@ -29,15 +29,6 @@ class SingularPivotError(RuntimeError):
         )
 
 
-def _tridiag_product(diag: np.ndarray, off: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Symmetric tridiagonal (diag, off) applied along the last axis of u."""
-    out = diag * u
-    if diag.size > 1:
-        out[..., :-1] += off * u[..., 1:]
-        out[..., 1:] += off * u[..., :-1]
-    return out
-
-
 @dataclass(frozen=True)
 class SymTridiag:
     """Symmetric tridiagonal matrix stored as main/off diagonals."""
@@ -64,13 +55,11 @@ class SymTridiag:
         u = np.asarray(u)
         if u.ndim not in (1, 2) or u.shape[-1] != self.n:
             raise ValueError(f"array has shape {u.shape}, expected (..., {self.n})")
-        return _tridiag_product(self.diag, self.off, u)
-
-    def to_dense(self) -> np.ndarray:
-        a = np.diag(self.diag)
+        out = self.diag * u
         if self.n > 1:
-            a += np.diag(self.off, 1) + np.diag(self.off, -1)
-        return a
+            out[..., :-1] += self.off * u[..., 1:]
+            out[..., 1:] += self.off * u[..., :-1]
+        return out
 
 
 @functools.cache
@@ -192,9 +181,6 @@ class ShiftedSystem:
         self._cp = cp
         self._inv = inv
         self._lower = e
-
-    def matvec(self, u: np.ndarray) -> np.ndarray:
-        return _tridiag_product(self._diag, self._off, np.asarray(u))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs)

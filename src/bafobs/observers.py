@@ -4,8 +4,10 @@ The forward observer is the damped implicit scheme driven by the recorded
 output; the backward observer is realized as a time-reversed initial value
 problem (for the wave pair this is the velocity-flip conjugation of the
 damped evolution).  Their zero-forcing composition is the round-trip
-operator whose contraction factor governs how many back-and-forth sweeps
-the truncated Neumann sum retains.
+operator L.  Its contraction factor eta, estimated by Arnoldi in the X inner
+product, sets through ``choose_truncation`` how many back-and-forth sweeps
+the truncated Neumann sum retains.  Each equation has one stepping loop,
+which returns the final state only.
 """
 
 from __future__ import annotations
@@ -76,13 +78,10 @@ class SchrodingerStepper:
 
 
 def run_schrodinger(stepper: SchrodingerStepper, q0: np.ndarray,
-                    forcing: np.ndarray | None = None,
-                    keep_history: bool = False):
-    """Advance the Schrodinger scheme n_steps times.
+                    forcing: np.ndarray | None = None) -> np.ndarray:
+    """Advance the Schrodinger scheme n_steps times; the final state.
 
-    forcing, when given, holds the load vectors f^1..f^K as rows.  Returns
-    the final state, or (final, history) with history of shape (K+1, n)
-    when keep_history is set.
+    forcing, when given, holds the load vectors f^1..f^K as rows.
     """
     n = stepper.ops.n
     q = np.asarray(q0, dtype=complex)
@@ -90,14 +89,9 @@ def run_schrodinger(stepper: SchrodingerStepper, q0: np.ndarray,
         raise ValueError(f"q0 has shape {q.shape}, expected ({n},)")
     if forcing is not None and forcing.shape != (stepper.n_steps, n):
         raise ValueError("forcing must have one load vector per step")
-    history = np.empty((stepper.n_steps + 1, n), dtype=complex) if keep_history else None
-    if keep_history:
-        history[0] = q
     for k in range(1, stepper.n_steps + 1):
         q = stepper.step(q, None if forcing is None else forcing[k - 1])
-        if keep_history:
-            history[k] = q
-    return (q, history) if keep_history else q
+    return q
 
 
 class WaveStepper:
@@ -131,12 +125,10 @@ class WaveStepper:
 
 
 def run_wave(stepper: WaveStepper, p0: np.ndarray, p1: np.ndarray,
-             forcing: np.ndarray | None = None, keep_history: bool = False):
+             forcing: np.ndarray | None = None) -> WaveState:
     """Advance the wave scheme n_steps times from (p0, p1) = (position, velocity).
 
-    Returns the final WaveState (p^K, D_t p^K), or (final, positions,
-    velocities) with positions of shape (K+1, n) and the backward-difference
-    velocities D_t p^k for k = 1..K when keep_history is set.
+    Returns the final WaveState (p^K, D_t p^K), D_t the backward difference.
     """
     n = stepper.ops.n
     p_prev2 = np.asarray(p0, dtype=float)
@@ -147,22 +139,10 @@ def run_wave(stepper: WaveStepper, p0: np.ndarray, p1: np.ndarray,
         raise ValueError("forcing must have one load vector per step")
     dt = stepper.dt
     p_prev = p_prev2 + dt * vel0
-    history = None
-    velocities = None
-    if keep_history:
-        history = np.empty((stepper.n_steps + 1, n))
-        velocities = np.empty((stepper.n_steps, n))
-        history[0] = p_prev2
-        history[1] = p_prev
-        velocities[0] = vel0
     for k in range(2, stepper.n_steps + 1):
         p = stepper.step(p_prev, p_prev2, None if forcing is None else forcing[k - 1])
         p_prev2, p_prev = p_prev, p
-        if keep_history:
-            history[k] = p
-            velocities[k - 1] = (p - p_prev2) / dt
-    final = WaveState(p_prev, (p_prev - p_prev2) / dt)
-    return (final, history, velocities) if keep_history else final
+    return WaveState(p_prev, (p_prev - p_prev2) / dt)
 
 
 @dataclass(frozen=True)
@@ -211,36 +191,6 @@ class EtaEstimate:
     iterations: int
 
 
-def power_iteration(apply_op: Callable, norm: Callable, start,
-                    tol: float = 1e-6, max_iter: int = 60) -> EtaEstimate:
-    """Dominant-ratio estimate ||A v|| / ||v|| for a linear operator.
-
-    For a self-adjoint positive operator in the chosen inner product (the
-    Schrodinger round trip) the limit is the operator norm; otherwise it is
-    the dominant-mode ratio.  Non-convergence within max_iter returns the
-    last ratio with converged = False rather than raising.
-    """
-    if not 0.0 < tol < 1.0:
-        raise ValueError("tol must lie in (0, 1)")
-    if max_iter < 2:
-        raise ValueError("max_iter must be at least 2")
-    nrm = norm(start)
-    if nrm == 0.0:
-        raise ValueError("start vector must be nonzero")
-    v = (1.0 / nrm) * start
-    prev = None
-    for it in range(1, max_iter + 1):
-        w = apply_op(v)
-        ratio = norm(w)
-        if ratio == 0.0:
-            return EtaEstimate(0.0, True, it)
-        if prev is not None and abs(ratio - prev) <= tol * ratio:
-            return EtaEstimate(ratio, True, it)
-        prev = ratio
-        v = (1.0 / ratio) * w
-    return EtaEstimate(prev, False, max_iter)
-
-
 def arnoldi_iteration(apply_op: Callable, inner: Callable, start,
                       tol: float = 1e-6, max_iter: int = 60) -> EtaEstimate:
     """Largest-modulus Ritz value of a linear operator, by Arnoldi in ``inner``.
@@ -285,28 +235,22 @@ def arnoldi_iteration(apply_op: Callable, inner: Callable, start,
     return EtaEstimate(theta, False, max_iter)
 
 
-def choose_truncation(mode: str, *, h: float, theta: float, eta_hat: float,
-                      dt: float | None = None) -> int:
+def choose_truncation(*, h: float, theta: float, eta_hat: float,
+                      dt: float = 0.0) -> int:
     """Number of Neumann terms matching the discretization error.
 
-    semi mode: ceil(theta * ln h / ln eta); full mode:
-    ceil(ln(h^theta + dt) / ln eta); both floored at 0.
+    ceil(ln(h^theta + dt) / ln eta), floored at 0; dt = 0 is the
+    semi-discrete case.
     """
-    if mode not in ("semi", "full"):
-        raise ValueError(f"mode must be 'semi' or 'full', got {mode!r}")
     if not h > 0:
         raise ValueError("h must be positive")
+    if not dt >= 0:
+        raise ValueError("dt must be nonnegative")
     if not 0.0 < eta_hat < 1.0:
         raise ValueError(
             f"contraction not certified: eta_hat = {eta_hat} is not in (0, 1)"
         )
-    if mode == "semi":
-        ratio = theta * math.log(h) / math.log(eta_hat)
-    else:
-        if dt is None or not dt > 0:
-            raise ValueError("full mode needs dt > 0")
-        ratio = math.log(h ** theta + dt) / math.log(eta_hat)
-    return max(0, math.ceil(ratio))
+    return max(0, math.ceil(math.log(h ** theta + dt) / math.log(eta_hat)))
 
 
 @dataclass(frozen=True)
@@ -430,8 +374,8 @@ class BackAndForth:
                             theta: float = 1.0) -> ReconstructionResult:
         """Accumulate sum_{n=0}^{N} L^n of the first iterate.
 
-        With n_terms = None the truncation length comes from the full-mode
-        rule evaluated at (h, dt, eta_hat), floored at 1 and capped at
+        With n_terms = None the truncation length comes from
+        ``choose_truncation`` at (h, dt, eta_hat), floored at 1 and capped at
         AUTO_N_CAP; a capped N warns and sets the result's n_capped.
         """
         z = self.first_iterate(trace)
@@ -439,7 +383,7 @@ class BackAndForth:
         if n_terms is None:
             if eta_hat is None:
                 raise ValueError("automatic truncation needs eta_hat")
-            n_terms = choose_truncation("full", h=self.ops.mesh.h, dt=self.dt,
+            n_terms = choose_truncation(h=self.ops.mesh.h, dt=self.dt,
                                         theta=theta, eta_hat=eta_hat)
             n_terms = max(n_terms, 1)
             if n_terms > AUTO_N_CAP:

@@ -1,18 +1,35 @@
-"""Independent oracles shared by the test modules.
+"""Independent oracles and test-only references shared by the test modules.
 
-Everything here deliberately avoids the package's stepper/solver code paths:
+The oracles deliberately avoid the package's stepper/solver code paths:
 dense numpy factorizations and eigendecompositions only, so agreement with
-the package is a real cross-check and not a tautology.
+the package is a real cross-check and not a tautology.  The same goes for
+the analysis tools the algorithm never runs: the H^1_0 projection and the
+discrete D(A0^alpha) norms solve densely.  power_iteration is the reference
+eta estimator that the package's Arnoldi estimate is checked against.  The
+two history helpers are the exception: they drive the package's steppers one
+step at a time to record every state, and a test pins their last row to
+run_schrodinger / run_wave bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from bafobs import FemOperators, WaveState
+from bafobs import EtaEstimate, FemOperators, WaveState
+from bafobs.fem import grad_load_vector
 from bafobs.linalg import SingularPivotError
+
+
+def dense(A) -> np.ndarray:
+    """A SymTridiag as a dense n x n array."""
+    a = np.diag(A.diag)
+    if A.n > 1:
+        a += np.diag(A.off, 1) + np.diag(A.off, -1)
+    return a
 
 
 @dataclass(frozen=True)
@@ -75,7 +92,7 @@ def dense_pencil_eigs(K, M) -> DensePencil:
         raise ValueError(f"pencil dimension {K.n} exceeds oracle scale {MAX_PENCIL_DIM}")
     ld, le = _chol_bidiag(M)
     # C = L^-1 K L^-T, symmetric dense at this scale.
-    Y = _bidiag_solve_lower(ld, le, K.to_dense())
+    Y = _bidiag_solve_lower(ld, le, dense(K))
     C = _bidiag_solve_lower(ld, le, Y.T)
     C = 0.5 * (C + C.T)
     try:
@@ -94,7 +111,7 @@ def reduced_generator(ops: FemOperators, sign: int) -> tuple[np.ndarray, np.ndar
     """
     pencil = dense_pencil_eigs(ops.stiffness, ops.mass)
     V = pencil.vectors
-    reduced_damping = V.T @ ops.damping_gram.to_dense() @ V
+    reduced_damping = V.T @ dense(ops.damping_gram) @ V
     G = sign * 1j * np.diag(pencil.values) - reduced_damping
     w, S = np.linalg.eig(G)
     return w, S, V
@@ -129,8 +146,8 @@ def dense_round_trip(engine) -> np.ndarray:
 def dense_schrodinger_pass(ops: FemOperators, sign: int, dt: float, n_steps: int,
                            q0: np.ndarray, loads: np.ndarray | None = None) -> np.ndarray:
     """Literal dense transcription of the implicit Schrodinger scheme."""
-    M = ops.mass.to_dense()
-    A = M - sign * 1j * dt * ops.stiffness.to_dense() + dt * ops.damping_gram.to_dense()
+    M = dense(ops.mass)
+    A = M - sign * 1j * dt * dense(ops.stiffness) + dt * dense(ops.damping_gram)
     q = np.asarray(q0, dtype=complex)
     for k in range(1, n_steps + 1):
         rhs = M @ q
@@ -144,9 +161,9 @@ def dense_wave_pass(ops: FemOperators, dt: float, n_steps: int,
                     p0: np.ndarray, p1: np.ndarray,
                     loads: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Literal dense transcription of the implicit two-step wave scheme."""
-    M = ops.mass.to_dense()
-    B = ops.damping_gram.to_dense()
-    A = M + dt * dt * ops.stiffness.to_dense() + dt * B
+    M = dense(ops.mass)
+    B = dense(ops.damping_gram)
+    A = M + dt * dt * dense(ops.stiffness) + dt * B
     p_prev2 = np.asarray(p0, dtype=float)
     p_prev = p_prev2 + dt * np.asarray(p1, dtype=float)
     for k in range(2, n_steps + 1):
@@ -189,3 +206,99 @@ def fine_h1_distance(mesh, f, coeffs: np.ndarray, points_per_cell: int = 64) -> 
         slope = (full[e + 1] - full[e]) / h
         total += np.sum(np.abs(f.derivative(h * (e + t)) - slope) ** 2) * (h / points_per_cell)
     return float(np.sqrt(total))
+
+
+def project_pi_h(mesh, ops: FemOperators, phi) -> np.ndarray:
+    """H^1_0-orthogonal projection of phi onto the P1 space.
+
+    Solves (u, v)_K = int phi' v' for all hat functions v, with the right
+    side evaluated by the assembly quadrature applied to phi'.
+    """
+    return np.linalg.solve(dense(ops.stiffness), grad_load_vector(mesh, phi.derivative))
+
+
+SUPPORTED_ALPHAS = (0.0, 0.5, 1.0, 1.5, 2.0)
+
+
+def norm_alpha(ops: FemOperators, u: np.ndarray, alpha: float) -> float:
+    """Discrete D(A0^alpha) norm of a coefficient vector.
+
+    alpha = 0 is the M-norm, alpha = 1/2 the K-norm; higher orders apply the
+    discrete operator w = M^-1 K u and recurse.
+    """
+    u = np.asarray(u)
+    if u.shape != (ops.n,):
+        raise ValueError(f"vector has shape {u.shape}, expected ({ops.n},)")
+    if alpha not in SUPPORTED_ALPHAS:
+        raise ValueError(f"unsupported alpha {alpha}; use one of {SUPPORTED_ALPHAS}")
+    if alpha == 0.0:
+        return math.sqrt(max(np.real(np.vdot(u, ops.mass.matvec(u))), 0.0))
+    if alpha == 0.5:
+        return math.sqrt(max(np.real(np.vdot(u, ops.stiffness.matvec(u))), 0.0))
+    w = np.linalg.solve(dense(ops.mass), ops.stiffness.matvec(u))
+    return norm_alpha(ops, w, alpha - 1.0)
+
+
+def power_iteration(apply_op: Callable, norm: Callable, start,
+                    tol: float = 1e-6, max_iter: int = 60) -> EtaEstimate:
+    """Dominant-ratio estimate ||A v|| / ||v|| for a linear operator.
+
+    For a self-adjoint positive operator in the chosen inner product (the
+    Schrodinger round trip) the limit is the operator norm; otherwise it is
+    the dominant-mode ratio.  Non-convergence within max_iter returns the
+    last ratio with converged = False rather than raising.
+    """
+    if not 0.0 < tol < 1.0:
+        raise ValueError("tol must lie in (0, 1)")
+    if max_iter < 2:
+        raise ValueError("max_iter must be at least 2")
+    nrm = norm(start)
+    if nrm == 0.0:
+        raise ValueError("start vector must be nonzero")
+    v = (1.0 / nrm) * start
+    prev = None
+    for it in range(1, max_iter + 1):
+        w = apply_op(v)
+        ratio = norm(w)
+        if ratio == 0.0:
+            return EtaEstimate(0.0, True, it)
+        if prev is not None and abs(ratio - prev) <= tol * ratio:
+            return EtaEstimate(ratio, True, it)
+        prev = ratio
+        v = (1.0 / ratio) * w
+    return EtaEstimate(prev, False, max_iter)
+
+
+def schrodinger_history(stepper, q0: np.ndarray, forcing: np.ndarray | None = None):
+    """run_schrodinger, keeping every state: (final, history of shape (K+1, n))."""
+    q = np.asarray(q0, dtype=complex)
+    history = np.empty((stepper.n_steps + 1, q.size), dtype=complex)
+    history[0] = q
+    for k in range(1, stepper.n_steps + 1):
+        q = stepper.step(q, None if forcing is None else forcing[k - 1])
+        history[k] = q
+    return q, history
+
+
+def wave_history(stepper, p0: np.ndarray, p1: np.ndarray,
+                 forcing: np.ndarray | None = None):
+    """run_wave, keeping every state: (final, positions, velocities).
+
+    positions has shape (K+1, n); velocities holds p1 and then the
+    backward differences D_t p^k for k = 2..K, so it has shape (K, n).
+    """
+    dt = stepper.dt
+    p_prev2 = np.asarray(p0, dtype=float)
+    vel0 = np.asarray(p1, dtype=float)
+    p_prev = p_prev2 + dt * vel0
+    history = np.empty((stepper.n_steps + 1, p_prev.size))
+    velocities = np.empty((stepper.n_steps, p_prev.size))
+    history[0] = p_prev2
+    history[1] = p_prev
+    velocities[0] = vel0
+    for k in range(2, stepper.n_steps + 1):
+        p = stepper.step(p_prev, p_prev2, None if forcing is None else forcing[k - 1])
+        p_prev2, p_prev = p_prev, p
+        history[k] = p
+        velocities[k - 1] = (p - p_prev2) / dt
+    return WaveState(p_prev, (p_prev - p_prev2) / dt), history, velocities

@@ -13,16 +13,15 @@ import time
 import numpy as np
 import pytest
 
-from bafobs.fem import (FieldSpec, Mesh1D, ObservationProfile, assemble,
-                        norm_alpha)
+from bafobs.fem import FieldSpec, Mesh1D, ObservationProfile, assemble
 from bafobs.harness import (SweepPlan, SweepRow, build_noise_table, fit_rate,
                             run_sweep)
 from bafobs.linalg import ShiftedSystem, pencil_eigs
 from bafobs.observers import (BackAndForth, SchrodingerStepper, WaveState,
-                              WaveStepper, choose_truncation, run_schrodinger,
-                              run_wave)
+                              WaveStepper, choose_truncation, run_schrodinger)
 
-from oracles import exact_damped_schrodinger
+from oracles import (exact_damped_schrodinger, norm_alpha, schrodinger_history,
+                     wave_history)
 
 SCHROD_TRUTH = FieldSpec(kind="sine", coefficients=(1.0, 0.5))
 WAVE_TRUTH = (FieldSpec(kind="sine", coefficients=(1.0,)),
@@ -200,7 +199,7 @@ def test_criterion_3_contraction_suite(ops64, engines64):
     st = SchrodingerStepper(ops64, schrod.dt, schrod.n_steps)
     for seed in range(100):
         u = schrod.random_state(seed)
-        _, hist = run_schrodinger(st, u, keep_history=True)
+        _, hist = schrodinger_history(st, u)
         norms = [norm_alpha(ops64, q, 0.0) for q in hist]
         worst_step = max(worst_step,
                          max(b / a - 1.0 for a, b in zip(norms, norms[1:])))
@@ -208,7 +207,7 @@ def test_criterion_3_contraction_suite(ops64, engines64):
     wst = WaveStepper(ops64, wave.dt, wave.n_steps)
     for seed in range(100):
         u = wave.random_state(seed)
-        _, hist, vels = run_wave(wst, u.pos, u.vel, keep_history=True)
+        _, hist, vels = wave_history(wst, u.pos, u.vel)
         energies = [norm_alpha(ops64, vels[k - 1], 0.0) ** 2
                     + norm_alpha(ops64, hist[k], 0.5) ** 2
                     for k in range(1, wave.n_steps + 1)]
@@ -244,7 +243,7 @@ def test_criterion_4_duhamel_bound(ops64, engines64):
         loads = rng.standard_normal((schrod.n_steps, ops64.n)) \
             + 1j * rng.standard_normal((schrod.n_steps, ops64.n))
         max_load = max(_m_inverse_norm(ops64, f) for f in loads)
-        _, hist = run_schrodinger(st, q0, loads, keep_history=True)
+        _, hist = schrodinger_history(st, q0, loads)
         base = norm_alpha(ops64, q0, 0.0)
         for k in range(1, schrod.n_steps + 1):
             bound = base + k * schrod.dt * max_load * (1 + 10 * schrod.dt)
@@ -256,7 +255,7 @@ def test_criterion_4_duhamel_bound(ops64, engines64):
         p0, p1 = rng.standard_normal(ops64.n), rng.standard_normal(ops64.n)
         loads = rng.standard_normal((wave.n_steps, ops64.n))
         max_load = max(_m_inverse_norm(ops64, f) for f in loads)
-        _, hist, vels = run_wave(wst, p0, p1, loads, keep_history=True)
+        _, hist, vels = wave_history(wst, p0, p1, loads)
         base = wave.x_norm(WaveState(p0, p1))
         for k in range(1, wave.n_steps + 1):
             bound = base + k * wave.dt * max_load * (1 + 10 * wave.dt)
@@ -309,21 +308,22 @@ def test_criterion_5_neumann_tail_bound(ops64, engines64):
 
 
 def test_criterion_6_truncation_rule_table():
-    # expected values derived by hand from the two ceil formulas
+    # expected values derived by hand from ceil(ln(h^theta + dt) / ln eta);
+    # dt = 0 is the semi-discrete case
     cases = [
-        ("full", 0.01, 0.01, 1.0, 0.5, 6),      # ceil(5.6439)
-        ("full", 0.5, 0.5, 1.0, 0.5, 0),        # ln 1 = 0
-        ("full", 0.9, 0.2, 1.0, 0.5, 0),        # positive log, floored
-        ("full", 0.05, 0.001, 1.0, 0.8, 14),    # ceil(13.336)
-        ("full", 0.1, 1e-6, 1.0, 0.3, 2),       # ceil(1.9124)
-        ("full", 0.2, 0.05, 2.0, 0.6, 5),       # ceil(4.7138)
-        ("semi", 0.1, None, 1.0, 0.1, 1),       # equal logarithms
-        ("semi", 0.1, None, 2.0, 0.1, 2),
-        ("semi", 0.25, None, 1.0, 0.7, 4),      # ceil(3.8869)
-        ("semi", 0.5, None, 1.0, 0.5, 1),
+        (0.01, 0.01, 1.0, 0.5, 6),      # ceil(5.6439)
+        (0.5, 0.5, 1.0, 0.5, 0),        # ln 1 = 0
+        (0.9, 0.2, 1.0, 0.5, 0),        # positive log, floored
+        (0.05, 0.001, 1.0, 0.8, 14),    # ceil(13.336)
+        (0.1, 1e-6, 1.0, 0.3, 2),       # ceil(1.9124)
+        (0.2, 0.05, 2.0, 0.6, 5),       # ceil(4.7138)
+        (0.1, 0.0, 1.0, 0.1, 1),        # equal logarithms
+        (0.1, 0.0, 2.0, 0.1, 2),
+        (0.25, 0.0, 1.0, 0.7, 4),       # ceil(3.8869)
+        (0.5, 0.0, 1.0, 0.5, 1),
     ]
-    got = [choose_truncation(mode, h=h, dt=dt, theta=theta, eta_hat=eta)
-           for mode, h, dt, theta, eta, _ in cases]
+    got = [choose_truncation(h=h, dt=dt, theta=theta, eta_hat=eta)
+           for h, dt, theta, eta, _ in cases]
     expected = [c[-1] for c in cases]
     ok = got == expected
     report("6 (truncation rule on derived table)", ok, f"{got} vs {expected}")

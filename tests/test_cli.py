@@ -139,6 +139,9 @@ def test_reconstruct_records_truncation_cap_hit(tmp_path, capsys, monkeypatch):
     "sweep.gates.slope_band=[0.8, 1.0, 2.0]", "sweep.gates.slope_band=[null, 1.0]",
     "sweep.gates.slope_band=[1.2, 0.8]", "sweep.gates.slope_band=[NaN, null]",
     "sweep.gates.slope_band=[0.8, Infinity]",
+    "refine=0", "refine=1.5", "refine=true", 'geometry.n_cells="abc"',
+    "geometry.n_cells=1", 'sweep.levels="abc"', "sweep.levels=[]",
+    "sweep.levels=[1, 8]", "sweep.levels=[8, 16.5]",
 ])
 def test_bad_eta_or_gate_settings_rejected_before_any_level(tmp_path, capsys,
                                                             monkeypatch, override):
@@ -150,6 +153,15 @@ def test_bad_eta_or_gate_settings_rejected_before_any_level(tmp_path, capsys,
     code, stdout, err = run_cli(["--config", cfg, "--set", override, "sweep"], capsys)
     assert code == 2 and stdout == ""
     assert override.split("=")[0] in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_generate_rejects_bad_cell_count(tmp_path, capsys):
+    cfg = small_config(tmp_path)
+    code, stdout, err = run_cli(["--config", cfg, "--set", 'geometry.n_cells="abc"',
+                                 "generate"], capsys)
+    assert code == 2 and stdout == ""
+    assert "geometry.n_cells must be an integer >= 2" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -295,9 +307,21 @@ def test_sweep_failing_gate_nonzero_exit(tmp_path, capsys):
     assert not json.loads(stdout)["gates"]["slope_in_band"]
 
 
-def test_sweep_failing_cell_nonzero_exit_other_rows_intact(tmp_path, capsys):
+def test_sweep_failing_cell_nonzero_exit_other_rows_intact(tmp_path, capsys,
+                                                          monkeypatch):
+    # the config checks keep bad levels out, so the coarsest level fails inside
+    # its cell instead
+    generate = cli.harness.generate_observation
+
+    def fail_coarsest(instance, **kwargs):
+        if instance.mesh.n_cells == 6:
+            raise RuntimeError("generation failed")
+        return generate(instance, **kwargs)
+
+    monkeypatch.setattr(cli.harness, "generate_observation", fail_coarsest)
+    monkeypatch.delenv("BAFOBS_WORKERS", raising=False)
     cfg = small_config(tmp_path, sweep={
-        "levels": [1, 8, 16, 24],
+        "levels": [6, 8, 16, 24],
         "fit_model": "pure-power",
         "gates": {"slope_band": [0.0, 3.0], "monotone": True},
     })
@@ -306,7 +330,7 @@ def test_sweep_failing_cell_nonzero_exit_other_rows_intact(tmp_path, capsys):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert not summary["gates"]["no_cell_failures"]
     rows = summary["rows"]
-    assert rows[0]["failure"] is not None
+    assert rows[0]["failure"] == "RuntimeError: generation failed"
     assert all(r["failure"] is None for r in rows[1:])
 
 
@@ -368,7 +392,7 @@ _OVERRIDABLE = {
     "eta.tol": st.floats(1e-15, 0.5),
     "eta.max_iter": st.integers(2, 10_000),
     "eta.seed": st.integers(0, 2**63 - 1),
-    "sweep.levels": st.lists(st.integers(1, 8192), min_size=1, max_size=6),
+    "sweep.levels": st.lists(st.integers(2, 8192), min_size=1, max_size=6),
     "sweep.kappa": st.floats(0.01, 100.0),
     "sweep.noise_eps": st.lists(st.floats(0.0, 1.0), max_size=5),
     "sweep.fit_model": st.sampled_from(["power-log2", "pure-power"]),

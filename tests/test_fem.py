@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from bafobs.fem import (FieldSpec, Mesh1D, ObservationProfile, assemble,
-                        interpolate, load_vector, norm_alpha, project_pi_h)
+from bafobs.fem import FieldSpec, Mesh1D, ObservationProfile, assemble, load_vector
 from bafobs.linalg import pencil_eigs
 
-from oracles import fine_l2_distance
+from oracles import dense, fine_l2_distance, norm_alpha, project_pi_h
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +45,7 @@ def test_degenerate_weights_give_zero_and_mass():
 
 def test_observation_gram_positive_semidefinite(default_ops):
     mesh, ops = default_ops
-    w = np.linalg.eigvalsh(ops.damping_gram.to_dense())
+    w = np.linalg.eigvalsh(dense(ops.damping_gram))
     assert np.all(w > -1e-14)
 
 
@@ -222,9 +221,3 @@ def test_norm_alpha_rejects_unsupported_order(default_ops):
     mesh, ops = default_ops
     with pytest.raises(ValueError, match="unsupported alpha"):
         norm_alpha(ops, np.zeros(mesh.n), 0.25)
-
-
-def test_interpolate_matches_nodal_values(default_ops):
-    mesh, _ = default_ops
-    f = FieldSpec(kind="sine", coefficients=(1.0,))
-    assert np.allclose(interpolate(mesh, f.value), np.sin(np.pi * mesh.interior_nodes))

@@ -7,13 +7,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bafobs.fem import FieldSpec, Mesh1D, ObservationProfile, assemble, norm_alpha
+from bafobs.fem import FieldSpec, Mesh1D, ObservationProfile, assemble
 from bafobs.linalg import pencil_eigs
 from bafobs.models import (NoiseSpec, ProblemInstance, add_noise,
                            generate_observation, propagate_exact, read_trace,
                            write_trace)
 from bafobs.observers import ObservationTrace
-from oracles import dense_pencil_eigs
+from oracles import dense_pencil_eigs, norm_alpha
 
 
 @pytest.fixture(scope="module")

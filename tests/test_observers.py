@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bafobs.fem import FieldSpec, Mesh1D, ObservationProfile, assemble, norm_alpha
+from bafobs.fem import FieldSpec, Mesh1D, ObservationProfile, assemble
 from bafobs.linalg import pencil_eigs
 from bafobs.models import ProblemInstance, generate_observation
 from bafobs.observers import (BackAndForth, ObservationTrace, SchrodingerStepper,
                               WaveState, WaveStepper, arnoldi_iteration,
-                              choose_truncation, power_iteration, run_schrodinger,
-                              run_wave)
+                              choose_truncation, run_schrodinger, run_wave)
 
-from oracles import (dense_round_trip, dense_schrodinger_pass, dense_wave_pass,
-                     exact_damped_schrodinger)
+from oracles import (dense, dense_round_trip, dense_schrodinger_pass,
+                     dense_wave_pass, exact_damped_schrodinger, norm_alpha,
+                     power_iteration, schrodinger_history, wave_history)
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +38,7 @@ def engines():
 def test_schrodinger_zero_data_stays_zero(small):
     mesh, ops = small
     st = SchrodingerStepper(ops, 0.05, 10)
-    q, hist = run_schrodinger(st, np.zeros(mesh.n, complex), keep_history=True)
+    q, hist = schrodinger_history(st, np.zeros(mesh.n, complex))
     assert np.all(q == 0) and np.all(hist == 0)
 
 
@@ -48,7 +48,7 @@ def test_schrodinger_m_norm_nonincreasing_without_forcing(small):
     for sign in (+1, -1):
         st = SchrodingerStepper(ops, mesh.h, 24, sign=sign)
         q0 = rng.standard_normal(mesh.n) + 1j * rng.standard_normal(mesh.n)
-        _, hist = run_schrodinger(st, q0, keep_history=True)
+        _, hist = schrodinger_history(st, q0)
         norms = [norm_alpha(ops, h_, 0.0) for h_ in hist]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
 
@@ -59,9 +59,34 @@ def test_schrodinger_nodamping_norm_nonincreasing(small):
     rng = np.random.default_rng(6)
     st = SchrodingerStepper(ops0, mesh.h, 16)
     q0 = rng.standard_normal(mesh.n) + 1j * rng.standard_normal(mesh.n)
-    _, hist = run_schrodinger(st, q0, keep_history=True)
+    _, hist = schrodinger_history(st, q0)
     norms = [norm_alpha(ops0, h_, 0.0) for h_ in hist]
     assert all(b <= a * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_history_helpers_end_at_the_stepping_loops_state(small, forced):
+    # the history-based tests read the oracle helpers, so their last states
+    # must be exactly what the package's own loops return
+    mesh, ops = small
+    rng = np.random.default_rng(13)
+    n_steps = 10
+    loads = rng.standard_normal((n_steps, mesh.n)) if forced else None
+    st = SchrodingerStepper(ops, 0.05, n_steps)
+    q0 = rng.standard_normal(mesh.n) + 1j * rng.standard_normal(mesh.n)
+    cloads = None if loads is None else loads + 1j * loads[::-1]
+    final, hist = schrodinger_history(st, q0, cloads)
+    expected = run_schrodinger(st, q0, cloads)
+    assert hist.shape == (n_steps + 1, mesh.n) and np.array_equal(hist[0], q0)
+    assert np.array_equal(hist[-1], expected) and np.array_equal(final, expected)
+    wst = WaveStepper(ops, 0.05, n_steps)
+    p0, p1 = rng.standard_normal(mesh.n), rng.standard_normal(mesh.n)
+    final, pos, vel = wave_history(wst, p0, p1, loads)
+    expected = run_wave(wst, p0, p1, loads)
+    assert pos.shape == (n_steps + 1, mesh.n) and vel.shape == (n_steps, mesh.n)
+    assert np.array_equal(pos[-1], expected.pos) and np.array_equal(vel[-1], expected.vel)
+    assert np.array_equal(final.pos, expected.pos)
+    assert np.array_equal(final.vel, expected.vel)
 
 
 def test_schrodinger_matches_dense_transcription(small):
@@ -98,8 +123,7 @@ def wave_energy(ops, pos, vel):
 def test_wave_zero_data_stays_zero(small):
     mesh, ops = small
     st = WaveStepper(ops, 0.05, 8)
-    final, hist, vels = run_wave(st, np.zeros(mesh.n), np.zeros(mesh.n),
-                                 keep_history=True)
+    final, hist, vels = wave_history(st, np.zeros(mesh.n), np.zeros(mesh.n))
     assert np.all(hist == 0) and np.all(vels == 0)
     assert np.all(final.pos == 0) and np.all(final.vel == 0)
 
@@ -109,7 +133,7 @@ def test_wave_energy_nonincreasing_any_damping(small):
     rng = np.random.default_rng(10)
     st = WaveStepper(ops, mesh.h, 24)
     p0, p1 = rng.standard_normal(mesh.n), rng.standard_normal(mesh.n)
-    _, hist, vels = run_wave(st, p0, p1, keep_history=True)
+    _, hist, vels = wave_history(st, p0, p1)
     energies = [wave_energy(ops, hist[k], vels[k - 1]) for k in range(1, 25)]
     assert all(b <= a * (1 + 1e-12) for a, b in zip(energies, energies[1:]))
 
@@ -124,7 +148,7 @@ def test_wave_single_mode_energy_within_first_order_of_constant():
     for steps_per_period in (64, 128):
         dt = period / steps_per_period
         st = WaveStepper(ops, dt, steps_per_period)
-        _, hist, vels = run_wave(st, v, np.zeros(mesh.n), keep_history=True)
+        _, hist, vels = wave_history(st, v, np.zeros(mesh.n))
         energies = [wave_energy(ops, hist[k], vels[k - 1])
                     for k in range(1, steps_per_period + 1)]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(energies, energies[1:]))
@@ -219,8 +243,7 @@ def test_forward_observer_duhamel_bound(engines):
         return norm_alpha(ops, w, 0.0)
     max_load = max(load_norm(f) for f in loads)
     st = SchrodingerStepper(ops, schrod.dt, schrod.n_steps)
-    _, hist = run_schrodinger(st, np.zeros(ops.n, complex), loads,
-                              keep_history=True)
+    _, hist = schrodinger_history(st, np.zeros(ops.n, complex), loads)
     for k in range(1, schrod.n_steps + 1):
         bound = k * schrod.dt * max_load * (1 + 10 * schrod.dt)
         assert norm_alpha(ops, hist[k], 0.0) <= bound
@@ -341,8 +364,8 @@ def test_schrodinger_round_trip_equals_explicit_adjoint_composition():
     ops = assemble(mesh, ObservationProfile())
     dt, K = mesh.h, 12
     engine = BackAndForth("schrodinger", ops, dt, K)
-    M = ops.mass.to_dense()
-    A_plus = M - 1j * dt * ops.stiffness.to_dense() + dt * ops.damping_gram.to_dense()
+    M = dense(ops.mass)
+    A_plus = M - 1j * dt * dense(ops.stiffness) + dt * dense(ops.damping_gram)
     S_plus = np.linalg.solve(A_plus, M)
     S_minus = np.linalg.solve(A_plus.conj(), M)
     forward = np.linalg.matrix_power(S_plus, K)
@@ -542,30 +565,30 @@ def test_eta_deterministic_given_seed(engines):
 
 
 def test_choose_truncation_table():
-    # expected values computed by hand from ceil(ln(h^theta + dt)/ln(eta))
-    # and ceil(theta ln h / ln eta)
+    # expected values computed by hand from ceil(ln(h^theta + dt)/ln(eta));
+    # dt = 0 is the semi-discrete case
     cases = [
-        ("full", 0.01, 0.01, 1.0, 0.5, 6),
-        ("full", 0.5, 0.5, 1.0, 0.5, 0),
-        ("full", 0.9, 0.2, 1.0, 0.5, 0),
-        ("semi", 0.1, None, 1.0, 0.1, 1),
-        ("semi", 0.1, None, 2.0, 0.1, 2),
-        ("semi", 0.25, None, 1.0, 0.7, 4),
-        ("full", 0.05, 0.001, 1.0, 0.8, 14),
-        ("full", 0.1, 1e-6, 1.0, 0.3, 2),
-        ("semi", 0.5, None, 1.0, 0.5, 1),
-        ("full", 0.2, 0.05, 2.0, 0.6, 5),
+        (0.01, 0.01, 1.0, 0.5, 6),
+        (0.5, 0.5, 1.0, 0.5, 0),
+        (0.9, 0.2, 1.0, 0.5, 0),
+        (0.1, 0.0, 1.0, 0.1, 1),
+        (0.1, 0.0, 2.0, 0.1, 2),
+        (0.25, 0.0, 1.0, 0.7, 4),
+        (0.05, 0.001, 1.0, 0.8, 14),
+        (0.1, 1e-6, 1.0, 0.3, 2),
+        (0.5, 0.0, 1.0, 0.5, 1),
+        (0.2, 0.05, 2.0, 0.6, 5),
     ]
-    for mode, h, dt, theta, eta, expected in cases:
-        got = choose_truncation(mode, h=h, dt=dt, theta=theta, eta_hat=eta)
-        assert got == expected, (mode, h, dt, theta, eta, got, expected)
+    for h, dt, theta, eta, expected in cases:
+        got = choose_truncation(h=h, dt=dt, theta=theta, eta_hat=eta)
+        assert got == expected, (h, dt, theta, eta, got, expected)
 
 
 def test_choose_truncation_refuses_no_contraction():
     with pytest.raises(ValueError, match="contraction not certified"):
-        choose_truncation("full", h=0.1, dt=0.1, theta=1.0, eta_hat=1.0)
-    with pytest.raises(ValueError, match="mode"):
-        choose_truncation("other", h=0.1, dt=0.1, theta=1.0, eta_hat=0.5)
+        choose_truncation(h=0.1, dt=0.1, theta=1.0, eta_hat=1.0)
+    with pytest.raises(ValueError, match="dt must be nonnegative"):
+        choose_truncation(h=0.1, dt=-0.1, theta=1.0, eta_hat=0.5)
 
 
 # -- reconstruction -------------------------------------------------------------
