@@ -56,11 +56,11 @@ class ConfigError(ValueError):
 def _check_keys(user: dict, schema: dict, path: str = ""):
     for key, value in user.items():
         where = f"{path}.{key}" if path else key
-        if key == "truth":
-            continue
         if key not in schema:
             raise ConfigError(f"unknown config key: {where}")
-        if isinstance(schema[key], dict) and isinstance(value, dict):
+        if isinstance(schema[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{where} must be an object, got {value!r}")
             _check_keys(value, schema[key], where)
 
 
@@ -74,7 +74,8 @@ def _merge(base: dict, user: dict) -> dict:
     return out
 
 
-def _apply_override(cfg: dict, item: str):
+def _apply_override(user: dict, item: str) -> dict:
+    """Merge one path=value override into the user document."""
     if "=" not in item:
         raise ConfigError(f"override must look like path=value, got {item!r}")
     dotted, raw = item.split("=", 1)
@@ -82,18 +83,9 @@ def _apply_override(cfg: dict, item: str):
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    node = cfg
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        if part not in node or not isinstance(node[part], dict):
-            raise ConfigError(f"unknown config path: {dotted}")
-        node = node[part]
-    leaf = parts[-1]
-    known = leaf in node or (len(parts) == 1 and leaf == "truth") \
-        or parts[0] == "truth"
-    if not known:
-        raise ConfigError(f"unknown config path: {dotted}")
-    node[leaf] = value
+    for part in reversed(dotted.split(".")):
+        value = {part: value}
+    return _merge(user, value)
 
 
 def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
@@ -103,19 +95,73 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
             user = json.load(fh)
         if not isinstance(user, dict):
             raise ConfigError("config document must be a JSON object")
-    _check_keys(user, DEFAULTS)
-    cfg = _merge(DEFAULTS, user)
     for item in overrides or []:
-        _apply_override(cfg, item)
-    return resolve_config(cfg)
+        user = _apply_override(user, item)
+    _check_keys(user, DEFAULTS)
+    return resolve_config(_merge(DEFAULTS, user))
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    """A finite JSON number; a bool is not one."""
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+
+
+def _is_positive(v) -> bool:
+    return _is_number(v) and v > 0
+
+
+# (dotted leaf, check, what it must be) for every leaf but truth, which
+# _validate_truth checks per equation.  All rows run before any default is
+# derived from the leaves, so nothing downstream sees a value of the wrong kind.
+_RULES = (
+    ("equation", lambda v: v in ("schrodinger", "wave"), "'schrodinger' or 'wave'"),
+    ("theta", _is_positive, "a positive number"),
+    ("refine", lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    ("n_policy", lambda v: v == "auto" or (_is_int(v) and v >= 0),
+     "'auto' or an integer >= 0"),
+    ("geometry.length", _is_positive, "a positive number"),
+    ("geometry.n_cells", lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+    ("observation.a", _is_number, "a number"),
+    ("observation.b", _is_number, "a number"),
+    ("observation.smoothness", lambda v: _is_int(v) and v in (1, 2, 3), "1, 2 or 3"),
+    ("observation.constant", lambda v: v is None or _is_number(v), "null or a number"),
+    ("time.tau", lambda v: v is None or _is_positive(v), "null or a positive number"),
+    ("time.n_steps", lambda v: v is None or (_is_int(v) and v >= 1),
+     "null or an integer >= 1"),
+    ("time.dt", lambda v: v is None or _is_positive(v), "null or a positive number"),
+    ("noise.amplitude", lambda v: _is_number(v) and v >= 0, "a number >= 0"),
+    ("noise.seed", lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    ("eta.tol", lambda v: _is_number(v) and 0 < v < 1, "a number in (0, 1)"),
+    ("eta.max_iter", lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+    ("eta.seed", lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    ("sweep.levels", lambda v: isinstance(v, list) and len(v) > 0
+     and all(_is_int(n) and n >= 2 for n in v), "a non-empty list of integers >= 2"),
+    ("sweep.kappa", _is_positive, "a positive number"),
+    ("sweep.noise_eps", lambda v: isinstance(v, list) and len(v) > 0
+     and all(_is_number(e) and e >= 0 for e in v), "a non-empty list of numbers >= 0"),
+    ("sweep.fit_model", lambda v: v in ("power-log2", "pure-power"),
+     "'power-log2' or 'pure-power'"),
+    ("sweep.gates.slope_band", lambda v: isinstance(v, list) and len(v) == 2
+     and _is_number(v[0]) and (v[1] is None or (_is_number(v[1]) and v[0] <= v[1])),
+     "[low, high] or [low, null] with finite low <= high"),
+    ("sweep.gates.monotone", lambda v: isinstance(v, bool), "true or false"),
+    ("output.directory", lambda v: isinstance(v, str), "a string"),
+)
 
 
 def resolve_config(cfg: dict) -> dict:
-    """Fill the equation-dependent defaults and validate the leaves."""
+    """Check every leaf against _RULES, then fill the equation-dependent defaults."""
+    for dotted, check, what in _RULES:
+        value = cfg
+        for part in dotted.split("."):
+            value = value[part]
+        if not check(value):
+            raise ConfigError(f"{dotted} must be {what}, got {value!r}")
     eq = cfg["equation"]
-    if eq not in ("schrodinger", "wave"):
-        raise ConfigError(f"equation must be 'schrodinger' or 'wave', got {eq!r}")
-    _validate_sizes(cfg)
     t = cfg["time"]
     if t["tau"] is None:
         t["tau"] = 1.0 if eq == "schrodinger" else 2.0
@@ -137,52 +183,7 @@ def resolve_config(cfg: dict) -> dict:
                 "velocity": {"kind": "sine", "coefficients": [0.0, 1.0]},
             }
     _validate_truth(cfg["truth"], eq)
-    npol = cfg["n_policy"]
-    if npol != "auto" and not isinstance(npol, int):
-        raise ConfigError("n_policy must be 'auto' or an integer")
-    _validate_eta(cfg["eta"])
-    _validate_slope_band(cfg["sweep"]["gates"]["slope_band"])
     return cfg
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _validate_sizes(cfg: dict):
-    refine, n_cells = cfg["refine"], cfg["geometry"]["n_cells"]
-    levels = cfg["sweep"]["levels"]
-    if not (_is_int(refine) and refine >= 1):
-        raise ConfigError(f"refine must be an integer >= 1, got {refine!r}")
-    if not (_is_int(n_cells) and n_cells >= 2):
-        raise ConfigError(f"geometry.n_cells must be an integer >= 2, got {n_cells!r}")
-    if not (isinstance(levels, list) and levels
-            and all(_is_int(n) and n >= 2 for n in levels)):
-        raise ConfigError("sweep.levels must be a non-empty list of integers >= 2, "
-                          f"got {levels!r}")
-
-
-def _validate_eta(eta: dict):
-    tol, max_iter = eta["tol"], eta["max_iter"]
-    if not (_is_number(tol) and 0.0 < tol < 1.0):
-        raise ConfigError(f"eta.tol must be a number in (0, 1), got {tol!r}")
-    if not (_is_int(max_iter) and max_iter >= 2):
-        raise ConfigError(f"eta.max_iter must be an integer >= 2, got {max_iter!r}")
-
-
-def _validate_slope_band(band):
-    """[low, high] or [low, null], with finite low <= high."""
-    ok = (isinstance(band, list) and len(band) == 2
-          and _is_number(band[0]) and math.isfinite(band[0])
-          and (band[1] is None or (_is_number(band[1]) and math.isfinite(band[1])
-                                   and band[0] <= band[1])))
-    if not ok:
-        raise ConfigError("sweep.gates.slope_band must be [low, high] or [low, null] "
-                          f"with finite low <= high, got {band!r}")
 
 
 def _validate_truth(truth, equation: str):

@@ -97,8 +97,9 @@ class SweepPlan:
     def __post_init__(self):
         if len(self.levels) < 1:
             raise ValueError("need at least one level")
-        if self.n_policy != "auto" and not isinstance(self.n_policy, int):
-            raise ValueError("n_policy must be 'auto' or an integer")
+        npol = self.n_policy
+        if not (npol == "auto" or (type(npol) is int and npol >= 0)):
+            raise ValueError(f"n_policy must be 'auto' or an integer >= 0, got {npol!r}")
         if not self.kappa > 0:
             raise ValueError("kappa must be positive")
 

@@ -154,10 +154,9 @@ class ShiftedSystem:
         if info.value > 0 or small.size:   # info > 0: U(info, info) is exactly 0
             i = int(small[0]) if small.size else info.value - 1
             raise SingularPivotError(i, float(abs(d[i])))
-        # gttrs arguments TRANS..IPIV for 1 and 2 right-hand sides, then
+        # gttrs arguments TRANS..IPIV for one right-hand side, then
         # (B,) LDB = n, INFO and the hidden length of TRANS.
-        self._head = {k: (b"N", size, ctypes.byref(ctypes.c_int64(k)), *addresses)
-                      for k in (1, 2)}
+        self._head = (b"N", size, ctypes.byref(ctypes.c_int64(1)), *addresses)
         self._tail = (size, status, 1)
         self._dtype = dtype
 
@@ -189,12 +188,9 @@ class ShiftedSystem:
         if self._gttrs is None:
             return self._thomas_solve(rhs)
         if self.is_real and np.iscomplexobj(rhs):
-            # The real and imaginary parts are the two columns of one solve.
-            x = np.array((rhs.real, rhs.imag), dtype=float)
-            self._gttrs(*self._head[2], x.ctypes.data, *self._tail)
-            return x[0] + 1j * x[1]
+            return self.solve(rhs.real) + 1j * self.solve(rhs.imag)
         x = rhs.astype(self._dtype, order="C")
-        self._gttrs(*self._head[1], x.ctypes.data, *self._tail)
+        self._gttrs(*self._head, x.ctypes.data, *self._tail)
         return x
 
     def _thomas_solve(self, rhs: np.ndarray) -> np.ndarray:

@@ -244,6 +244,8 @@ def choose_truncation(*, h: float, theta: float, eta_hat: float,
     """
     if not h > 0:
         raise ValueError("h must be positive")
+    if not 0 < theta < math.inf:
+        raise ValueError(f"theta must be a finite positive number, got {theta!r}")
     if not dt >= 0:
         raise ValueError("dt must be nonnegative")
     if not 0.0 < eta_hat < 1.0:

@@ -142,6 +142,12 @@ def test_reconstruct_records_truncation_cap_hit(tmp_path, capsys, monkeypatch):
     "refine=0", "refine=1.5", "refine=true", 'geometry.n_cells="abc"',
     "geometry.n_cells=1", 'sweep.levels="abc"', "sweep.levels=[]",
     "sweep.levels=[1, 8]", "sweep.levels=[8, 16.5]",
+    "time.dt=0", "time.n_steps=0", "time.tau=-1", "geometry=5", "eta=3",
+    'geometry.length="x"', 'sweep.kappa="x"', "n_policy=true", "n_policy=-1",
+    "theta=-1", "sweep.noise_eps=[]", "sweep.kappa=Infinity", 'observation.a="x"',
+    'observation.smoothness="x"', "observation.constant=[1]", 'noise.amplitude="x"',
+    'noise.seed="x"', "eta.seed=1.5", 'sweep.fit_model="x"', 'sweep.gates.monotone="x"',
+    "output.directory=5",
 ])
 def test_bad_eta_or_gate_settings_rejected_before_any_level(tmp_path, capsys,
                                                             monkeypatch, override):
@@ -156,13 +162,23 @@ def test_bad_eta_or_gate_settings_rejected_before_any_level(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
-def test_generate_rejects_bad_cell_count(tmp_path, capsys):
+@pytest.mark.parametrize("override, message", [
+    ('geometry.n_cells="abc"', "geometry.n_cells must be an integer >= 2"),
+    ("time.dt=0", "time.dt must be null or a positive number, got 0"),
+    ("geometry=5", "geometry must be an object, got 5"),
+], ids=["n_cells", "dt", "geometry"])
+def test_generate_rejects_bad_cell_count(tmp_path, capsys, override, message):
     cfg = small_config(tmp_path)
-    code, stdout, err = run_cli(["--config", cfg, "--set", 'geometry.n_cells="abc"',
-                                 "generate"], capsys)
+    code, stdout, err = run_cli(["--config", cfg, "--set", override, "generate"], capsys)
     assert code == 2 and stdout == ""
-    assert "geometry.n_cells must be an integer >= 2" in err
+    assert message in err
     assert not (tmp_path / "out").exists()
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+def test_dict_override_merges_into_its_section():
+    cfg = cli.load_config(None, ['sweep.gates={"monotone": false}'])
+    assert cfg["sweep"]["gates"] == {"slope_band": [0.8, None], "monotone": False}
 
 
 def test_reconstruct_zero_truth_gives_zero_estimate(tmp_path, capsys):
@@ -394,7 +410,7 @@ _OVERRIDABLE = {
     "eta.seed": st.integers(0, 2**63 - 1),
     "sweep.levels": st.lists(st.integers(2, 8192), min_size=1, max_size=6),
     "sweep.kappa": st.floats(0.01, 100.0),
-    "sweep.noise_eps": st.lists(st.floats(0.0, 1.0), max_size=5),
+    "sweep.noise_eps": st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
     "sweep.fit_model": st.sampled_from(["power-log2", "pure-power"]),
     "sweep.gates.slope_band": st.floats(-5.0, 5.0).flatmap(
         lambda low: st.tuples(st.just(low), st.one_of(st.none(), st.floats(low, 5.0)))

@@ -287,6 +287,18 @@ def test_noise_study_zero_baseline_and_linearity():
     assert 1 / 3 <= abs(ratios[1] / ratios[0]) <= 3
 
 
+@pytest.mark.parametrize("kw, match", [
+    (dict(levels=()), "at least one level"),
+    (dict(kappa=0.0), "kappa must be positive"),
+    (dict(n_policy="fixed"), "n_policy"),
+    (dict(n_policy=True), "n_policy"),
+    (dict(n_policy=-1), "n_policy"),
+])
+def test_plan_validation(kw, match):
+    with pytest.raises(ValueError, match=match):
+        small_plan(**kw)
+
+
 def test_noise_study_requires_baseline():
     with pytest.raises(ValueError, match="baseline"):
         noise_study(small_plan(noise_eps=(1e-3,)))

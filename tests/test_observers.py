@@ -589,6 +589,9 @@ def test_choose_truncation_refuses_no_contraction():
         choose_truncation(h=0.1, dt=0.1, theta=1.0, eta_hat=1.0)
     with pytest.raises(ValueError, match="dt must be nonnegative"):
         choose_truncation(h=0.1, dt=-0.1, theta=1.0, eta_hat=0.5)
+    for theta in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="theta must be a finite positive number"):
+            choose_truncation(h=0.1, dt=0.1, theta=theta, eta_hat=0.5)
 
 
 # -- reconstruction -------------------------------------------------------------
