@@ -167,10 +167,17 @@ def resolve_config(cfg: dict) -> dict:
         t["tau"] = 1.0 if eq == "schrodinger" else 2.0
     if t["n_steps"] is None:
         if t["dt"] is not None:
-            t["n_steps"] = max(1, round(t["tau"] / t["dt"]))
+            leaf, step, quotient = "dt", t["dt"], "time.tau / time.dt"
         else:
-            h = cfg["geometry"]["length"] / cfg["geometry"]["n_cells"]
-            t["n_steps"] = max(1, round(t["tau"] / h))
+            step = cfg["geometry"]["length"] / cfg["geometry"]["n_cells"]
+            leaf, quotient = "tau", f"time.tau / h (h = {step!r})"
+        # each leaf passed its rule, yet the quotient can still overflow (or h
+        # underflow to 0), and round() takes no infinite step count
+        n_steps = t["tau"] / step if step > 0 else math.inf
+        if not math.isfinite(n_steps):
+            raise ConfigError(f"time.{leaf} must give a finite step count "
+                              f"{quotient}, got {t[leaf]!r}")
+        t["n_steps"] = max(1, round(n_steps))
     if eq == "wave":
         t["n_steps"] = max(t["n_steps"], 2)
     t["dt"] = t["tau"] / t["n_steps"]
@@ -322,20 +329,22 @@ def cmd_generate(cfg: dict, out: str | None) -> int:
 
 
 def _write_estimate(path: Path, estimate, cfg: dict):
+    """A JSON header line, then one row per field (position and velocity for
+    the wave), 17 significant digits, comma-separated; complex rows
+    interleave (re, im) per node."""
+    rows = np.ascontiguousarray(np.vstack([estimate.pos, estimate.vel])
+                                if cfg["equation"] == "wave" else np.atleast_2d(estimate))
     header = {"format": "bafobs-estimate-1",
               "equation": cfg["equation"],
-              "complex": bool(np.iscomplexobj(getattr(estimate, "pos", estimate))),
+              "complex": bool(np.iscomplexobj(rows)),
               "config": cfg}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header) + "\n")
-        if cfg["equation"] == "wave":
-            models.write_rows(fh, np.vstack([estimate.pos, estimate.vel]))
-        else:
-            models.write_rows(fh, np.atleast_2d(estimate))
+        np.savetxt(fh, rows.view(np.float64), fmt="%.17g", delimiter=",")
 
 
 def cmd_reconstruct(cfg: dict, trace_path: str) -> int:
-    trace, header = models.read_trace(trace_path)
+    (trace, header), read_ms = harness.timed(models.read_trace, trace_path)
     expected = {"equation": cfg["equation"],
                 "n_cells": cfg["geometry"]["n_cells"],
                 "length": cfg["geometry"]["length"],
@@ -371,6 +380,8 @@ def cmd_reconstruct(cfg: dict, trace_path: str) -> int:
         "step_count": result.step_count,
         "n_capped": result.n_capped,
         "solver_kernel": solver_kernel(),
+        "trace_format": header["format"],
+        "read_ms": read_ms,
         "eta_ms": eta_ms,
         "neumann_ms": neumann_ms,
         "config": cfg,

@@ -22,7 +22,9 @@ from .fem import FemOperators, FieldSpec, Mesh1D, ObservationProfile, assemble
 from .linalg import pencil_eigs
 from .observers import ObservationTrace
 
-TRACE_FORMAT = "bafobs-trace-1"
+TRACE_FORMAT = "bafobs-trace-2"        # written and read
+TEXT_TRACE_FORMAT = "bafobs-trace-1"   # read only
+_HEADER_KEYS = {"equation", "tau", "dt", "n_steps", "complex"}   # read_trace needs these
 
 
 @dataclass(frozen=True)
@@ -163,17 +165,11 @@ def add_noise(trace: ObservationTrace, noise: NoiseSpec) -> ObservationTrace:
 
 # -- trace files -------------------------------------------------------------
 #
-# One self-describing text file per trace: a JSON header line, then K+1 rows
-# of node-ordered samples, 17 significant digits, comma-separated.  Complex
-# traces interleave (re, im) per node.
-
-
-def write_rows(fh, rows: np.ndarray):
-    """Write the rows of a 2-d array, complex ones as interleaved (re, im)."""
-    a = np.ascontiguousarray(rows)
-    if np.iscomplexobj(a):
-        a = a.view(np.float64)
-    np.savetxt(fh, a, fmt="%.17g", delimiter=",")
+# One self-describing file per trace: a JSON header line, then the K+1 rows of
+# node-ordered samples as one .npy payload (little-endian complex128 or
+# float64, as the header's "complex" flag says).  The older text format,
+# 17-digit comma-separated rows with complex samples as interleaved (re, im),
+# is still read.
 
 
 def write_trace(path, trace: ObservationTrace, instance: ProblemInstance,
@@ -181,6 +177,7 @@ def write_trace(path, trace: ObservationTrace, instance: ProblemInstance,
                 config: dict | None = None) -> dict:
     """Write the trace with full provenance header; returns the header dict."""
     profile = instance.profile
+    is_complex = bool(np.iscomplexobj(trace.samples))
     header = {
         "format": TRACE_FORMAT,
         "equation": trace.equation,
@@ -189,7 +186,7 @@ def write_trace(path, trace: ObservationTrace, instance: ProblemInstance,
         "tau": trace.tau,
         "dt": trace.dt,
         "n_steps": trace.n_steps,
-        "complex": bool(np.iscomplexobj(trace.samples)),
+        "complex": is_complex,
         "profile": {
             "a": profile.a, "b": profile.b,
             "smoothness": profile.smoothness, "constant": profile.const,
@@ -201,21 +198,29 @@ def write_trace(path, trace: ObservationTrace, instance: ProblemInstance,
     }
     if config is not None:
         header["config"] = config
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header) + "\n")
-        write_rows(fh, trace.samples)
+    samples = np.ascontiguousarray(trace.samples, dtype=_payload_dtype(is_complex))
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode("utf-8") + b"\n")
+        np.save(fh, samples, allow_pickle=False)
     return header
 
 
 def read_trace(path) -> tuple[ObservationTrace, dict]:
-    """Read a trace file; returns (trace, header)."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read a trace file of either format; returns (trace, header)."""
+    with open(path, "rb") as fh:
         header = json.loads(fh.readline())
-        if header.get("format") != TRACE_FORMAT:
-            raise ValueError(f"unrecognized trace format {header.get('format')!r}")
-        samples = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if header["complex"]:
-        samples = samples.view(np.complex128)
+        fmt = header.get("format") if isinstance(header, dict) else None
+        if fmt not in (TRACE_FORMAT, TEXT_TRACE_FORMAT):
+            raise ValueError(f"unrecognized trace format {fmt!r}")
+        missing = _HEADER_KEYS - header.keys()
+        if missing:
+            raise ValueError(f"trace header lacks the keys {sorted(missing)}")
+        if fmt == TRACE_FORMAT:
+            samples = _read_payload(fh, header["complex"])
+        else:
+            samples = np.loadtxt(fh, delimiter=",", ndmin=2)
+            if header["complex"]:
+                samples = samples.view(np.complex128)
     expected = header["n_steps"] + 1
     if samples.shape[0] != expected:
         raise ValueError(f"trace has {samples.shape[0]} rows, header says {expected}")
@@ -223,3 +228,30 @@ def read_trace(path) -> tuple[ObservationTrace, dict]:
                              tau=header["tau"], dt=header["dt"],
                              provenance=header.get("provenance", "clean"))
     return trace, header
+
+
+def _payload_dtype(is_complex: bool) -> np.dtype:
+    return np.dtype("<c16" if is_complex else "<f8")
+
+
+def _read_payload(fh, is_complex: bool) -> np.ndarray:
+    """The .npy payload after the header: one 2-d array of the declared dtype, then EOF."""
+    start = fh.tell()
+    if fh.read(len(np.lib.format.MAGIC_PREFIX)) != np.lib.format.MAGIC_PREFIX:
+        raise ValueError("trace has no .npy sample payload after its header")
+    fh.seek(start)
+    try:
+        samples = np.load(fh, allow_pickle=False)
+    except (ValueError, MemoryError) as exc:
+        # a short read, a broken array header, or a declared shape too large
+        # to allocate
+        raise ValueError(f"cannot read the trace payload: {exc}") from exc
+    if fh.read(1):
+        raise ValueError("trace has trailing bytes after its .npy payload")
+    if samples.ndim != 2:
+        raise ValueError(f"trace payload must be a 2-d array, got shape {samples.shape}")
+    expected = _payload_dtype(is_complex)
+    if samples.dtype != expected:
+        raise ValueError(f"trace payload dtype {samples.dtype.str} is not "
+                         f"{expected.str}, as the header's complex flag ({is_complex}) says")
+    return samples

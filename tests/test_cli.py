@@ -101,7 +101,8 @@ def test_reconstruct_round_trip_and_diagnostics(tmp_path, capsys):
     assert diag["config"]["time"]["n_steps"] == 12
     assert diag["solver_kernel"] in ("openblas-gttrs", "thomas")
     assert diag["n_capped"] is False
-    assert all(diag[s] > 0 for s in ("eta_ms", "neumann_ms", "error_ms"))
+    assert diag["trace_format"] == "bafobs-trace-2"
+    assert all(diag[s] > 0 for s in ("read_ms", "eta_ms", "neumann_ms", "error_ms"))
     est_lines = (tmp_path / "out" / "estimate.txt").read_text().strip().split("\n")
     header = json.loads(est_lines[0])
     assert header["complex"] and len(est_lines) == 2
@@ -176,6 +177,22 @@ def test_generate_rejects_bad_cell_count(tmp_path, capsys, override, message):
     assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 
+@pytest.mark.parametrize("override, message", [
+    ("time.dt=5e-324",
+     "time.dt must give a finite step count time.tau / time.dt, got 5e-324"),
+    ("time.tau=1e308",
+     "time.tau must give a finite step count time.tau / h (h = 0.015625), got 1e+308"),
+], ids=["dt", "tau"])
+def test_infinite_derived_step_count_rejected(tmp_path, capsys, override, message):
+    # n_steps is left to be derived from tau / dt (or tau / h), which overflows
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(["--set", override, "--set", f"output.directory={out}",
+                                 "generate"], capsys)
+    assert code == 2 and stdout == ""
+    assert message in err
+    assert not out.exists()
+
+
 def test_dict_override_merges_into_its_section():
     cfg = cli.load_config(None, ['sweep.gates={"monotone": false}'])
     assert cfg["sweep"]["gates"] == {"slope_band": [0.8, None], "monotone": False}
@@ -217,18 +234,63 @@ def test_reconstruct_uncertified_contraction_exit_code(tmp_path, capsys, monkeyp
     assert not (tmp_path / "out" / "estimate.txt").exists()
 
 
+def _generated_trace(tmp_path, capsys, cfg) -> tuple[bytes, np.ndarray]:
+    """The header line and the samples of a freshly generated v2 trace."""
+    trace_path = tmp_path / "generated.txt"
+    run_cli(["--config", cfg, "generate", "--out", str(trace_path)], capsys)
+    header_line = trace_path.read_bytes().split(b"\n", 1)[0]
+    return header_line, read_trace(trace_path)[0].samples
+
+
 def test_reconstruct_non_finite_trace_exit_code(tmp_path, capsys):
     cfg = small_config(tmp_path)
+    header_line, samples = _generated_trace(tmp_path, capsys, cfg)
+    samples[2, 0] = np.nan
     trace_path = tmp_path / "t.txt"
-    run_cli(["--config", cfg, "generate", "--out", str(trace_path)], capsys)
-    lines = trace_path.read_text(encoding="utf-8").split("\n")
-    lines[3] = "nan" + lines[3][lines[3].index(","):]
-    trace_path.write_text("\n".join(lines), encoding="utf-8")
+    with open(trace_path, "wb") as fh:
+        fh.write(header_line + b"\n")
+        np.save(fh, samples, allow_pickle=False)
     code, _, err = run_cli(["--config", cfg, "reconstruct", "--trace", str(trace_path)],
                            capsys)
     assert code == 2
     assert "finite" in err
     assert not (tmp_path / "out" / "estimate.txt").exists()
+
+
+def test_reconstruct_truncated_trace_exit_code(tmp_path, capsys):
+    cfg = small_config(tmp_path)
+    trace_path = tmp_path / "t.txt"
+    run_cli(["--config", cfg, "generate", "--out", str(trace_path)], capsys)
+    trace_path.write_bytes(trace_path.read_bytes()[:-8])
+    code, stdout, err = run_cli(["--config", cfg, "reconstruct",
+                                 "--trace", str(trace_path)], capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: cannot read the trace payload")
+    assert not (tmp_path / "out" / "estimate.txt").exists()
+
+
+def test_reconstruct_v1_text_trace_gives_the_same_estimate(tmp_path, capsys):
+    cfg = small_config(tmp_path)
+    header_line, samples = _generated_trace(tmp_path, capsys, cfg)
+    runs = {}
+    for fmt in ("bafobs-trace-2", "bafobs-trace-1"):
+        trace_path = tmp_path / f"{fmt}.txt"
+        header = json.loads(header_line)
+        header["format"] = fmt
+        with open(trace_path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(header) + "\n")
+        with open(trace_path, "ab") as fh:
+            if fmt == "bafobs-trace-2":
+                np.save(fh, samples, allow_pickle=False)
+            else:
+                np.savetxt(fh, samples.view(np.float64), fmt="%.17g", delimiter=",")
+        code, _, _ = run_cli(["--config", cfg, "reconstruct",
+                              "--trace", str(trace_path)], capsys)
+        assert code == 0
+        diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        assert diag["trace_format"] == fmt
+        runs[fmt] = (tmp_path / "out" / "estimate.txt").read_bytes()
+    assert runs["bafobs-trace-1"] == runs["bafobs-trace-2"]
 
 
 def test_sweep_malformed_worker_count_exit_code(tmp_path, capsys, monkeypatch):

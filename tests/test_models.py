@@ -1,3 +1,4 @@
+import io
 import json
 import tracemalloc
 
@@ -206,12 +207,12 @@ def test_trace_file_roundtrip(tmp_path, schrod_instance):
     trace = generate_observation(schrod_instance, refine=2, noise=noise)
     path = tmp_path / "trace.txt"
     header = write_trace(path, trace, schrod_instance, refine=2, noise=noise)
-    assert header["format"] == "bafobs-trace-1"
+    assert header["format"] == "bafobs-trace-2"
     assert header["n_steps"] == 16 and header["refine"] == 2
     assert header["noise"] == {"amplitude": 1e-3, "seed": 4}
     back, header2 = read_trace(path)
     assert header2 == header
-    assert np.array_equal(back.samples, trace.samples)   # 17 digits roundtrip
+    assert np.array_equal(back.samples, trace.samples)
     assert back.tau == trace.tau and back.dt == trace.dt
 
 
@@ -253,13 +254,78 @@ def test_trace_file_roundtrip_bit_exact(tmp_path, samples):
     assert back.samples.tobytes() == samples.tobytes()
 
 
-def _raw_trace(path, rows):
+def _raw_trace(path, rows, **header):
+    """A hand-written text trace in the read-only bafobs-trace-1 format."""
     header = {"format": "bafobs-trace-1", "equation": "wave", "tau": 1.0,
               "dt": 1.0 / (len(rows) - 1), "n_steps": len(rows) - 1,
-              "complex": False}
+              "complex": False, **header}
     path.write_text(json.dumps(header) + "\n" + "".join(r + "\n" for r in rows),
                     encoding="utf-8")
     return path
+
+
+def _npy_trace(path, payload, cut=None, tail=b"", **header):
+    """A hand-made bafobs-trace-2 file: the header line, then np.save of the
+    payload, cut to its first `cut` bytes and followed by `tail`."""
+    rows = payload.shape[0] if payload.ndim else 2
+    header = {"format": "bafobs-trace-2", "equation": "wave", "tau": 1.0,
+              "dt": 1.0 / (rows - 1), "n_steps": rows - 1,
+              "complex": bool(np.iscomplexobj(payload)), **header}
+    buf = io.BytesIO()
+    np.save(buf, payload, allow_pickle=False)
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n"
+                     + buf.getvalue()[:cut] + tail)
+    return path
+
+
+@pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+def test_trace_file_reads_v1_text_bit_exact(tmp_path, is_complex):
+    rng = np.random.default_rng(5)
+    written = rng.standard_normal((4, 6)) * 10.0 ** rng.integers(-300, 300, (4, 6))
+    rows = [",".join(f"{v:.17g}" for v in row) for row in written]
+    path = _raw_trace(tmp_path / "v1.txt", rows, complex=is_complex,
+                      equation="schrodinger" if is_complex else "wave")
+    back, header = read_trace(path)
+    assert header["format"] == "bafobs-trace-1"
+    expected = written.view(np.complex128) if is_complex else written
+    assert back.samples.dtype == expected.dtype
+    assert back.samples.tobytes() == expected.tobytes()
+
+
+_V2_SAMPLES = np.arange(12.0).reshape(3, 4)
+
+
+@pytest.mark.parametrize("cut", [0, 4, 40, -1], ids=["empty", "in-magic",
+                                                     "in-array-header", "in-data"])
+def test_trace_file_rejects_empty_or_truncated_payload(tmp_path, cut):
+    path = _npy_trace(tmp_path / "short.txt", _V2_SAMPLES, cut=cut)
+    with pytest.raises(ValueError, match="payload"):
+        read_trace(path)
+
+
+def test_trace_file_rejects_trailing_bytes(tmp_path):
+    path = _npy_trace(tmp_path / "long.txt", _V2_SAMPLES, tail=b"\n")
+    with pytest.raises(ValueError, match="trailing bytes"):
+        read_trace(path)
+
+
+@pytest.mark.parametrize("payload", [np.arange(3.0), np.zeros((3, 2, 2)),
+                                     np.float64(1.0)], ids=["1-d", "3-d", "0-d"])
+def test_trace_file_rejects_payload_not_2d(tmp_path, payload):
+    path = _npy_trace(tmp_path / "shape.txt", payload)
+    with pytest.raises(ValueError, match="2-d"):
+        read_trace(path)
+
+
+@pytest.mark.parametrize("payload, is_complex", [
+    (_V2_SAMPLES, True), (_V2_SAMPLES.astype(complex), False),
+    (_V2_SAMPLES.astype(np.float32), False), (_V2_SAMPLES.astype(">f8"), False),
+], ids=["real-as-complex", "complex-as-real", "float32", "big-endian"])
+def test_trace_file_rejects_payload_dtype_not_matching_header(tmp_path, payload,
+                                                              is_complex):
+    path = _npy_trace(tmp_path / "dtype.txt", payload, complex=is_complex)
+    with pytest.raises(ValueError, match="dtype"):
+        read_trace(path)
 
 
 def test_trace_file_rejects_ragged_row(tmp_path):
@@ -279,6 +345,18 @@ def test_trace_file_rejects_unknown_format(tmp_path):
     path = tmp_path / "bogus.txt"
     path.write_text('{"format": "other"}\n1.0\n', encoding="utf-8")
     with pytest.raises(ValueError, match="format"):
+        read_trace(path)
+
+
+@pytest.mark.parametrize("header_line, message", [
+    ("5", "format"), ("[]", "format"),
+    ('{"format": "bafobs-trace-2", "tau": 1.0}',
+     r"lacks the keys \['complex', 'dt', 'equation', 'n_steps'\]"),
+], ids=["number", "list", "missing-keys"])
+def test_trace_file_rejects_malformed_header(tmp_path, header_line, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(header_line + "\n1.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
         read_trace(path)
 
 
