@@ -5,7 +5,8 @@ assembly (mass, stiffness, observation Grams).  The shifted solve is the
 workhorse of the implicit time steppers.  The pencil spectrum drives exact
 data generation: on the uniform mesh the mass and stiffness matrices are
 Toeplitz, so their common eigenvectors are discrete sines and the transforms
-to and from mode coordinates are DST-Is, with no size limit.
+to and from mode coordinates are DST-Is, with no size limit.  Synthesis of
+every stride-th node alone folds the sines first and runs one shorter DST-I.
 """
 
 from __future__ import annotations
@@ -209,23 +210,23 @@ class ShiftedSystem:
         return np.array(y, dtype=dtype)
 
 
-def _dst1(u: np.ndarray, scale=1.0) -> np.ndarray:
-    """Unnormalized DST-I of v = scale * u along the last axis.
+def _dst1(u: np.ndarray) -> np.ndarray:
+    """Unnormalized DST-I of u along the last axis.
 
-    out_k = sum_j v_j sin(pi (j+1)(k+1)/(n+1)), read off entries 1..n of the
-    FFT of the odd extension [0, v, 0, -reversed v] (length 2n+2), which are
+    out_k = sum_j u_j sin(pi (j+1)(k+1)/(n+1)), read off entries 1..n of the
+    FFT of the odd extension [0, u, 0, -reversed u] (length 2n+2), which are
     -2i out_k.  A complex u is transformed as its real and imaginary parts,
     so no buffer is both complex and twice as long as u.
     """
     if np.iscomplexobj(u):
         out = np.empty(u.shape, dtype=complex)
-        out.real = _dst1(u.real, scale)
-        out.imag = _dst1(u.imag, scale)
+        out.real = _dst1(u.real)
+        out.imag = _dst1(u.imag)
         return out
     n = u.shape[-1]
     ext = np.empty(u.shape[:-1] + (2 * n + 2,))
     ext[..., 0] = ext[..., n + 1] = 0.0
-    np.multiply(u, scale, out=ext[..., 1:n + 1])
+    ext[..., 1:n + 1] = u
     np.negative(ext[..., n:0:-1], out=ext[..., n + 2:])
     return -0.5 * np.fft.rfft(ext)[..., 1:n + 1].imag
 
@@ -268,11 +269,22 @@ class PencilEig:
         u = self._check(u)
         return _dst1(u)[..., self.modes] * (self.mass_values * self._scale)
 
-    def from_modal(self, c: np.ndarray) -> np.ndarray:
-        """V c along the last axis: nodal values from mode coordinates."""
+    def from_modal(self, c: np.ndarray, stride: int = 1) -> np.ndarray:
+        """V c along the last axis, only at the nodes stride, 2 stride, ...
+
+        Node stride*i sees sine k = jC + m, C = (n+1)/stride, as sin(i m pi/C)
+        for even j and -sin(i (C-m) pi/C) for odd j: the sines fold onto C - 1
+        coarse ones, and one DST-I of that length gives the samples.
+        """
         c = self._check(c)
+        n = self.n
+        if stride < 1 or (n + 1) % stride:
+            raise ValueError(f"stride must divide n + 1 = {n + 1}, got {stride}")
+        sines = np.zeros(c.shape[:-1] + (n + 1,), dtype=np.result_type(c, float))
         # modes is the identity or the reversal, so it is its own inverse
-        return _dst1(c[..., self.modes], self._scale[self.modes])
+        np.multiply(c[..., self.modes], self._scale[self.modes], out=sines[..., 1:])
+        blocks = sines.reshape(c.shape[:-1] + (stride, -1))   # row j: sines jC .. jC + C - 1
+        return _dst1(blocks[..., ::2, 1:].sum(axis=-2) - blocks[..., 1::2, :0:-1].sum(axis=-2))
 
     @functools.cached_property
     def vectors(self) -> np.ndarray:

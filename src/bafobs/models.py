@@ -3,28 +3,30 @@
 Observations are produced by propagating the conservative system exactly in
 time, optionally on a refined mesh, so the data never share the time
 discretization (and, with refine > 1, the space discretization) of the
-reconstruction -- the usual inverse-crime safeguards.  The propagation runs
-in the modes of the mass/stiffness pencil: its closed-form spectrum gives
-each mode's phase, and one DST-I each way moves between nodal values and
-mode coordinates (``linalg.pencil_eigs``), so generation costs O(K n log n),
-builds no n x n array and has no size limit.  Bounded uniform noise models
-the data-error terms of the convergence estimates.
+reconstruction -- the usual inverse-crime safeguards.  Each mode of the
+mass/stiffness pencil evolves by its closed-form phase (``pencil_eigs``), and
+only the observed field is synthesized, at the reconstruction nodes, a block
+of time rows at a time.  So generation costs O(K n log n), holds no fine
+trajectory and no n x n array, and has no size limit.  Bounded uniform noise
+models the data-error terms of the convergence estimates.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fem import FemOperators, FieldSpec, Mesh1D, ObservationProfile, assemble
+from .fem import FieldSpec, Mesh1D, ObservationProfile, assemble
 from .linalg import pencil_eigs
 from .observers import ObservationTrace
 
 TRACE_FORMAT = "bafobs-trace-2"        # written and read
 TEXT_TRACE_FORMAT = "bafobs-trace-1"   # read only
 _HEADER_KEYS = {"equation", "tau", "dt", "n_steps", "complex"}   # read_trace needs these
+GENERATION_BLOCK = 32                  # time rows synthesized at once
 
 
 @dataclass(frozen=True)
@@ -76,24 +78,15 @@ class ProblemInstance:
         return self.tau / self.n_steps
 
 
-@dataclass(frozen=True)
-class ExactTrajectory:
-    """Unmasked exact fields at the K+1 sample times, on the (fine) mesh.
+def generate_observation(instance: ProblemInstance, refine: int = 1,
+                         noise: NoiseSpec | None = None) -> ObservationTrace:
+    """Masked, restricted, optionally noisy output samples y^0..y^K.
 
-    Each mode of the pencil evolves by its closed-form phase (Schrodinger)
-    or rotation (wave); the states are synthesized from the mode coordinates
-    by DST-I.  The whole (K+1) x n_fine trajectory is held in memory.
+    The observed field (the state for Schrodinger, the velocity for the
+    wave) of the refined mesh is synthesized only at the reconstruction
+    nodes (nodal injection), GENERATION_BLOCK time rows at a time, and
+    multiplied nodally by the observation weight.
     """
-
-    mesh: Mesh1D
-    operators: FemOperators
-    times: np.ndarray
-    states: np.ndarray                    # schrodinger field / wave position
-    velocities: np.ndarray | None = None  # wave only
-
-
-def propagate_exact(instance: ProblemInstance, refine: int = 1) -> ExactTrajectory:
-    """Exact-in-time evolution of the conservative system on a refined mesh."""
     if refine < 1:
         raise ValueError("refine must be at least 1")
     fine = Mesh1D(n_cells=instance.mesh.n_cells * refine, length=instance.mesh.length)
@@ -104,38 +97,30 @@ def propagate_exact(instance: ProblemInstance, refine: int = 1) -> ExactTrajecto
     times = instance.dt * np.arange(instance.n_steps + 1)
 
     if instance.equation == "schrodinger":
+        rate, dtype = lam, complex
         c = pencil.to_modal(instance.truth.value(x).astype(complex))
-        modal = np.exp(1j * times[:, None] * lam[None, :])
-        modal *= c[None, :]
-        return ExactTrajectory(fine, ops, times, pencil.from_modal(modal))
 
-    w0, w1 = instance.truth
-    a = pencil.to_modal(w0.value(x))
-    b = pencil.to_modal(w1.value(x))
-    om = np.sqrt(lam)
-    wt = times[:, None] * om[None, :]
-    cos_wt = np.cos(wt)
-    sin_wt = np.sin(wt, out=wt)
-    positions = pencil.from_modal(cos_wt * a + sin_wt * (b / om))
-    velocities = pencil.from_modal(cos_wt * b - sin_wt * (om * a))
-    return ExactTrajectory(fine, ops, times, positions, velocities)
+        def observed(t):
+            return np.exp(1j * t[:, None] * lam) * c
+    else:
+        om = np.sqrt(lam)
+        rate, dtype = om, float
+        a, b = (pencil.to_modal(f.value(x)) for f in instance.truth)
+        om_a = om * a
 
-
-def generate_observation(instance: ProblemInstance, refine: int = 1,
-                         noise: NoiseSpec | None = None) -> ObservationTrace:
-    """Masked, restricted, optionally noisy output samples y^0..y^K.
-
-    The observed field (the state for Schrodinger, the velocity for the
-    wave) is multiplied nodally by the observation weight and restricted to
-    the reconstruction mesh by nodal injection.
-    """
-    traj = propagate_exact(instance, refine)
-    observed = traj.states if instance.equation == "schrodinger" else traj.velocities
-    # both are nodal, so restrict first: the product is then a new array of
-    # the coarse size, not a strided view that keeps the fine field alive
-    kept = slice(refine - 1, None, refine)
-    weights = instance.profile.weight(traj.mesh.interior_nodes[kept])
-    samples = observed[:, kept] * weights[None, :]
+        def observed(t):
+            wt = t[:, None] * om
+            return np.cos(wt) * b - np.sin(wt, out=wt) * om_a
+    # as Python floats the product overflows to inf without a warning
+    if not math.isfinite(float(times[-1]) * float(rate[-1])):    # rates ascend
+        raise ValueError(f"tau = {instance.tau!r} is too large: the largest phase tau * "
+                         f"{'lambda' if instance.equation == 'schrodinger' else 'omega'}"
+                         "_max overflows")
+    weights = instance.profile.weight(x[refine - 1::refine])
+    samples = np.empty((times.size, weights.size), dtype=dtype)
+    for start in range(0, times.size, GENERATION_BLOCK):
+        rows = slice(start, start + GENERATION_BLOCK)
+        samples[rows] = pencil.from_modal(observed(times[rows]), refine) * weights
     provenance = "mesh-refined" if refine > 1 else "clean"
     trace = ObservationTrace(equation=instance.equation, samples=samples,
                              tau=instance.tau, dt=instance.dt,

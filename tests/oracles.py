@@ -8,7 +8,10 @@ discrete D(A0^alpha) norms solve densely.  power_iteration is the reference
 eta estimator that the package's Arnoldi estimate is checked against.  The
 two history helpers are the exception: they drive the package's steppers one
 step at a time to record every state, and a test pins their last row to
-run_schrodinger / run_wave bit for bit.
+run_schrodinger / run_wave bit for bit.  propagate_exact is the
+restrict-after-synthesis reference for generate_observation: it builds the
+whole fine trajectory, positions and velocities, with the package's pencil
+transforms, and a test restricts it by nodal injection.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from bafobs import EtaEstimate, FemOperators, WaveState
+from bafobs import (EtaEstimate, FemOperators, Mesh1D, ProblemInstance, WaveState,
+                    assemble, pencil_eigs)
 from bafobs.fem import grad_load_vector
 from bafobs.linalg import SingularPivotError
 
@@ -302,3 +306,48 @@ def wave_history(stepper, p0: np.ndarray, p1: np.ndarray,
         history[k] = p
         velocities[k - 1] = (p - p_prev2) / dt
     return WaveState(p_prev, (p_prev - p_prev2) / dt), history, velocities
+
+
+@dataclass(frozen=True)
+class ExactTrajectory:
+    """Unmasked exact fields at the K+1 sample times, on the (fine) mesh.
+
+    Each mode of the pencil evolves by its closed-form phase (Schrodinger)
+    or rotation (wave); the states are synthesized from the mode coordinates
+    by DST-I.  The whole (K+1) x n_fine trajectory is held in memory.
+    """
+
+    mesh: Mesh1D
+    operators: FemOperators
+    times: np.ndarray
+    states: np.ndarray                    # schrodinger field / wave position
+    velocities: np.ndarray | None = None  # wave only
+
+
+def propagate_exact(instance: ProblemInstance, refine: int = 1) -> ExactTrajectory:
+    """Exact-in-time evolution of the conservative system on a refined mesh."""
+    if refine < 1:
+        raise ValueError("refine must be at least 1")
+    fine = Mesh1D(n_cells=instance.mesh.n_cells * refine, length=instance.mesh.length)
+    ops = assemble(fine, instance.profile)
+    pencil = pencil_eigs(ops.stiffness, ops.mass)
+    lam = pencil.values
+    x = fine.interior_nodes
+    times = instance.dt * np.arange(instance.n_steps + 1)
+
+    if instance.equation == "schrodinger":
+        c = pencil.to_modal(instance.truth.value(x).astype(complex))
+        modal = np.exp(1j * times[:, None] * lam[None, :])
+        modal *= c[None, :]
+        return ExactTrajectory(fine, ops, times, pencil.from_modal(modal))
+
+    w0, w1 = instance.truth
+    a = pencil.to_modal(w0.value(x))
+    b = pencil.to_modal(w1.value(x))
+    om = np.sqrt(lam)
+    wt = times[:, None] * om[None, :]
+    cos_wt = np.cos(wt)
+    sin_wt = np.sin(wt, out=wt)
+    positions = pencil.from_modal(cos_wt * a + sin_wt * (b / om))
+    velocities = pencil.from_modal(cos_wt * b - sin_wt * (om * a))
+    return ExactTrajectory(fine, ops, times, positions, velocities)

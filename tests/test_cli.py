@@ -193,6 +193,25 @@ def test_infinite_derived_step_count_rejected(tmp_path, capsys, override, messag
     assert not out.exists()
 
 
+@pytest.mark.parametrize("equation, rate", [("schrodinger", "lambda_max"),
+                                            ("wave", "omega_max")])
+def test_huge_tau_with_given_step_count_rejected_before_synthesis(tmp_path, capsys,
+                                                                   equation, rate):
+    # tau / n_steps is finite, so every config rule passes, but the largest
+    # modal phase tau * lambda_max (tau * omega_max for the wave) overflows
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, err = run_cli(["--set", f"equation={equation}",
+                                     "--set", "geometry.n_cells=16",
+                                     "--set", "time.n_steps=12", "--set", "time.tau=1e308",
+                                     "--set", f"output.directory={out}", "generate"], capsys)
+    assert code == 2 and stdout == ""
+    assert f"tau = 1e+308 is too large: the largest phase tau * {rate} overflows" in err
+    assert caught == []
+    assert not out.exists()
+
+
 def test_dict_override_merges_into_its_section():
     cfg = cli.load_config(None, ['sweep.gates={"monotone": false}'])
     assert cfg["sweep"]["gates"] == {"slope_band": [0.8, None], "monotone": False}

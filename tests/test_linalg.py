@@ -273,6 +273,34 @@ def test_modal_transforms_invert_each_other(n, pair):
         pe.to_modal(np.ones(n + 1))
 
 
+@settings(max_examples=80, deadline=None)
+@given(coarse=st.integers(2, 64), stride=st.integers(1, 5), falling=st.booleans(),
+       rows=st.sampled_from([None, 1, 3]), is_complex=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_strided_synthesis_is_restricted_synthesis(coarse, stride, falling, rows,
+                                                   is_complex, seed):
+    n = stride * coarse - 1
+    if falling:   # lambda falls with the sine index, so the modes run in reverse
+        K, M = toeplitz(n, 1.0, 0.4), toeplitz(n, 1.0, -0.3)
+    else:
+        M, K = p1_pair(n + 1)
+    pe = pencil_eigs(K, M)
+    rng = np.random.default_rng(seed)
+    shape = (n,) if rows is None else (rows, n)
+    c = rng.standard_normal(shape)
+    if is_complex:
+        c = c + 1j * rng.standard_normal(shape)
+    full = pe.from_modal(c)
+    restricted = full[..., stride - 1::stride]
+    strided = pe.from_modal(c, stride)
+    assert strided.shape == restricted.shape and strided.dtype == restricted.dtype
+    assert np.max(np.abs(strided - restricted)) <= 1e-13 * np.max(np.abs(full))
+    for bad in (0, stride + 1, n + 2):
+        if bad == 0 or (n + 1) % bad:
+            with pytest.raises(ValueError, match="stride"):
+                pe.from_modal(c, bad)
+
+
 def test_closed_form_rejects_non_toeplitz_and_indefinite_mass():
     M, K = p1_pair(4)
     bumped = SymTridiag(M.diag + np.array([0.0, 1e-12, 0.0]), M.off)

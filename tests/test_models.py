@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import tracemalloc
 
@@ -11,10 +12,9 @@ from hypothesis.extra.numpy import arrays
 from bafobs.fem import FieldSpec, Mesh1D, ObservationProfile, assemble
 from bafobs.linalg import pencil_eigs
 from bafobs.models import (NoiseSpec, ProblemInstance, add_noise,
-                           generate_observation, propagate_exact, read_trace,
-                           write_trace)
+                           generate_observation, read_trace, write_trace)
 from bafobs.observers import ObservationTrace
-from oracles import dense_pencil_eigs, norm_alpha
+from oracles import dense_pencil_eigs, norm_alpha, propagate_exact
 
 
 @pytest.fixture(scope="module")
@@ -157,14 +157,39 @@ def test_generation_commutes_with_scaling(schrod_instance):
     assert np.max(np.abs(b.samples - 3.0 * a.samples)) < 1e-11
 
 
-def test_refined_trace_restricts_by_nodal_injection(schrod_instance):
-    inst = schrod_instance
-    traj = propagate_exact(inst, refine=4)
-    trace = generate_observation(inst, refine=4)
-    weights = inst.profile.weight(traj.mesh.interior_nodes)
-    masked = traj.states * weights[None, :]
-    assert np.array_equal(trace.samples, masked[:, 3::4])
-    assert trace.provenance == "mesh-refined"
+def test_refined_trace_restricts_by_nodal_injection(schrod_instance, wave_instance):
+    for inst, refine in itertools.product((schrod_instance, wave_instance), range(1, 6)):
+        traj = propagate_exact(inst, refine=refine)
+        trace = generate_observation(inst, refine=refine)
+        observed = traj.states if inst.equation == "schrodinger" else traj.velocities
+        weights = inst.profile.weight(traj.mesh.interior_nodes)
+        restricted = (observed * weights[None, :])[:, refine - 1::refine]
+        if refine == 1:
+            assert np.array_equal(trace.samples, restricted)
+        else:
+            # the fine modes are folded before the sum, so only the summation
+            # order differs from restricting the synthesized fine field
+            scale = np.max(np.abs(restricted))
+            assert np.max(np.abs(trace.samples - restricted)) <= 1e-14 * scale
+        assert trace.provenance == ("mesh-refined" if refine > 1 else "clean")
+
+
+@pytest.mark.parametrize("equation, n_cells", [("schrodinger", 1024), ("wave", 512)])
+def test_generation_peak_memory_is_the_trace_plus_one_block(equation, n_cells):
+    # only the observed field is synthesized, at the coarse nodes, in blocks
+    # of time rows; a fine trajectory (and the wave positions) would take
+    # several times the trace
+    sine = FieldSpec(kind="sine", coefficients=(1.0, 0.5))
+    inst = ProblemInstance(equation, Mesh1D(n_cells=n_cells), ObservationProfile(),
+                           tau=1.0, n_steps=n_cells,
+                           truth=sine if equation == "schrodinger" else (sine, sine))
+    tracemalloc.start()
+    try:
+        trace = generate_observation(inst, refine=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * trace.samples.nbytes
 
 
 def test_add_noise_zero_amplitude_is_identity(schrod_instance):
