@@ -48,6 +48,11 @@ DEFAULTS = {
 
 _FIELD_KEYS = {"kind", "coefficients", "amplitude", "center", "exponent"}
 
+# Largest trace, (n_steps + 1) x interior nodes values, a config may ask for:
+# 34 GB as complex samples, up to a 46340-cell level with dt = h.  Past it a
+# step count is a typo, and the run would fail on memory after a long start.
+MAX_TRACE_VALUES = 2**31
+
 
 class ConfigError(ValueError):
     pass
@@ -165,6 +170,7 @@ def resolve_config(cfg: dict) -> dict:
     t = cfg["time"]
     if t["tau"] is None:
         t["tau"] = 1.0 if eq == "schrodinger" else 2.0
+    leaf = "n_steps"
     if t["n_steps"] is None:
         if t["dt"] is not None:
             leaf, step, quotient = "dt", t["dt"], "time.tau / time.dt"
@@ -180,6 +186,11 @@ def resolve_config(cfg: dict) -> dict:
         t["n_steps"] = max(1, round(n_steps))
     if eq == "wave":
         t["n_steps"] = max(t["n_steps"], 2)
+    nodes = cfg["geometry"]["n_cells"] - 1
+    if (t["n_steps"] + 1) * nodes > MAX_TRACE_VALUES:
+        raise ConfigError(f"time.{leaf} must give a trace of at most {MAX_TRACE_VALUES} "
+                          f"values, (n_steps + 1) x {nodes} nodes, got {t[leaf]!r} "
+                          f"(n_steps = {t['n_steps']})")
     t["dt"] = t["tau"] / t["n_steps"]
     if cfg["truth"] is None:
         if eq == "schrodinger":
@@ -378,6 +389,7 @@ def cmd_reconstruct(cfg: dict, trace_path: str) -> int:
         "n_used": result.n_used,
         "increment_norms": list(result.increment_norms),
         "step_count": result.step_count,
+        "n_solves": engine.round_trip_solves * (eta.iterations + result.n_used + 1),
         "n_capped": result.n_capped,
         "solver_kernel": solver_kernel(),
         "trace_format": header["format"],

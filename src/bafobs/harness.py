@@ -12,7 +12,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -126,6 +125,8 @@ class SweepRow:
     neumann_ms: float = 0.0
     error_ms: float = 0.0
     n_capped: bool = False
+    # tridiagonal solves: the row's Neumann sum, plus the level's eta on its first row
+    n_solves: int = 0
 
 
 def _steps_for(plan: SweepPlan, h: float) -> int:
@@ -151,7 +152,8 @@ def run_cell(plan: SweepPlan, n_cells: int) -> list[SweepRow]:
     Failures are recorded, not raised: a failure in the shared part marks
     every row of the level, one in a noise level marks only its row.  The
     shared set-up time, and with it gen_ms and eta_ms, is charged to the
-    first row, so the rows' wall_ms sum to the level's time.
+    first row, so the rows' wall_ms sum to the level's time; so are the
+    eta's solves, so the rows' n_solves sum to the level's solves.
     """
     mark = time.perf_counter()
     h = plan.length / n_cells
@@ -186,6 +188,7 @@ def run_cell(plan: SweepPlan, n_cells: int) -> list[SweepRow]:
         return [row(eps, exc=exc) for eps in plan.noise_eps]
     n_terms = None if plan.n_policy == "auto" else plan.n_policy
     shared = {"gen_ms": gen_ms, "eta_ms": eta_ms}
+    eta_solves = engine.round_trip_solves * eta.iterations
     rows = []
     for eps in plan.noise_eps:
         try:
@@ -195,11 +198,12 @@ def run_cell(plan: SweepPlan, n_cells: int) -> list[SweepRow]:
                                        theta=plan.theta)
             err, error_ms = timed(reconstruction_error, plan.equation, plan.truth,
                                   result.estimate, ops)
+            solves = eta_solves + engine.round_trip_solves * (result.n_used + 1)
             rows.append(row(eps, eta, result, err, neumann_ms=neumann_ms,
-                            error_ms=error_ms, **shared))
+                            error_ms=error_ms, n_solves=solves, **shared))
         except Exception as exc:
-            rows.append(row(eps, exc=exc, **shared))
-        shared = {}
+            rows.append(row(eps, exc=exc, n_solves=eta_solves, **shared))
+        shared, eta_solves = {}, 0
     return rows
 
 
@@ -223,6 +227,8 @@ def run_sweep(plan: SweepPlan) -> list[SweepRow]:
     """
     workers = min(worker_count(), os.cpu_count() or 1, len(plan.levels))
     if workers > 1:
+        # imported here: the pool module is ~20 ms of every serial run's start-up
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             levels = list(pool.map(run_cell, [plan] * len(plan.levels), plan.levels))
     else:

@@ -15,6 +15,7 @@ import ctypes
 import functools
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -128,6 +129,7 @@ class ShiftedSystem:
             diag = diag.real
             off = off.real
         self.n = n
+        self.dtype = np.dtype(float if self.is_real else complex)
         self._diag = diag
         self._off = off
         self._factor()
@@ -139,9 +141,8 @@ class ShiftedSystem:
             self._gttrs = None
             self._thomas_factor(tiny)
             return
-        dtype = float if self.is_real else complex
-        gttrf, self._gttrs = lapack[dtype]
-        n = self.n
+        gttrf, self._gttrs = lapack[float if self.is_real else complex]
+        n, dtype = self.n, self.dtype
         # dl, d, du are overwritten with the factors of L and U; du2, ipiv are new.
         self._lu = (self._off.astype(dtype), self._diag.astype(dtype),
                     self._off.astype(dtype), np.zeros(max(n - 2, 0), dtype),
@@ -159,7 +160,6 @@ class ShiftedSystem:
         # (B,) LDB = n, INFO and the hidden length of TRANS.
         self._head = (b"N", size, ctypes.byref(ctypes.c_int64(1)), *addresses)
         self._tail = (size, status, 1)
-        self._dtype = dtype
 
     def _thomas_factor(self, tiny: float):
         # Thomas LU: cp[i] = c_i / (b_i - a_i cp[i-1]); store reciprocal pivots.
@@ -182,32 +182,53 @@ class ShiftedSystem:
         self._inv = inv
         self._lower = e
 
+    def bind(self, buf: np.ndarray) -> Callable[[], None]:
+        """A zero-argument solve that overwrites buf with the solution for buf.
+
+        buf must be a writeable, C-contiguous (n,) array of ``dtype``.  The
+        solver's arguments and buf's address are resolved here, once, so a
+        stepping loop that refills buf before each call pays for neither.
+        """
+        if (buf.shape != (self.n,) or buf.dtype != self.dtype
+                or not (buf.flags.c_contiguous and buf.flags.writeable)):
+            raise ValueError(f"buf must be a writeable C-contiguous ({self.n},) "
+                             f"{self.dtype} array, got {buf.shape} {buf.dtype}")
+        if self._gttrs is None:
+            thomas = self._thomas_solve
+
+            def solve_in_place():
+                buf[:] = thomas(buf.tolist())
+            return solve_in_place
+        gttrs, args = self._gttrs, (*self._head, buf.ctypes.data, *self._tail)
+
+        def solve_in_place():
+            gttrs(*args)
+        # args holds raw addresses into buf and into self's factors
+        solve_in_place.owners = (self, buf)
+        return solve_in_place
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs)
         if rhs.shape != (self.n,):
             raise ValueError(f"rhs has shape {rhs.shape}, expected ({self.n},)")
-        if self._gttrs is None:
-            return self._thomas_solve(rhs)
         if self.is_real and np.iscomplexobj(rhs):
             return self.solve(rhs.real) + 1j * self.solve(rhs.imag)
-        x = rhs.astype(self._dtype, order="C")
-        self._gttrs(*self._head, x.ctypes.data, *self._tail)
+        x = rhs.astype(self.dtype, order="C")
+        self.bind(x)()
         return x
 
-    def _thomas_solve(self, rhs: np.ndarray) -> np.ndarray:
+    def _thomas_solve(self, d: list) -> list:
         n = self.n
         a = self._lower
         cp = self._cp
         inv = self._inv
-        d = rhs.tolist()
         y = [0.0] * n
         y[0] = d[0] * inv[0]
         for i in range(1, n):
             y[i] = (d[i] - a[i - 1] * y[i - 1]) * inv[i]
         for i in range(n - 2, -1, -1):
             y[i] -= cp[i] * y[i + 1]
-        dtype = float if (self.is_real and not np.iscomplexobj(rhs)) else complex
-        return np.array(y, dtype=dtype)
+        return y
 
 
 def _dst1(u: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ damped evolution).  Their zero-forcing composition is the round-trip
 operator L.  Its contraction factor eta, estimated by Arnoldi in the X inner
 product, sets through ``choose_truncation`` how many back-and-forth sweeps
 the truncated Neumann sum retains.  Each equation has one stepping loop,
-which returns the final state only.
+which returns the final state only and allocates nothing per step.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .fem import FemOperators
-from .linalg import ShiftedSystem, SymTridiag
+from .linalg import ShiftedSystem
 
 AUTO_N_CAP = 200
 
@@ -69,29 +69,59 @@ class SchrodingerStepper:
         self.sign = sign
         self.system = ShiftedSystem(ops.mass, ops.stiffness, ops.damping_gram,
                                     alpha=1.0, beta=-sign * 1j * dt, gamma=dt)
+        # M in the state's dtype: numpy casts a real operand to complex
+        # anyway, so the products keep their bits, at half the cost
+        self._mass = (ops.mass.diag.astype(complex), ops.mass.off.astype(complex))
 
-    def step(self, q: np.ndarray, load: np.ndarray | None = None) -> np.ndarray:
-        rhs = self.ops.mass.matvec(q)
-        if load is not None:
-            rhs = rhs + self.dt * load
-        return self.system.solve(rhs)
+
+def _bind_product(diag: np.ndarray, off: np.ndarray, x: np.ndarray,
+                  out: np.ndarray, tmp: np.ndarray) -> Callable[[], None]:
+    """A zero-argument out = A x for the symmetric tridiagonal A = (diag, off).
+
+    The operations and their order are those of ``SymTridiag.matvec``, so
+    the bits agree; the views of x and out are taken here, once, and tmp
+    (length n - 1) is the scratch for the off-diagonal products.
+    """
+    x_hi, x_lo, out_lo, out_hi = x[1:], x[:-1], out[:-1], out[1:]
+
+    def product():
+        np.multiply(diag, x, out=out)
+        np.multiply(off, x_hi, out=tmp)
+        np.add(out_lo, tmp, out=out_lo)
+        np.multiply(off, x_lo, out=tmp)
+        np.add(out_hi, tmp, out=out_hi)
+    return product
 
 
 def run_schrodinger(stepper: SchrodingerStepper, q0: np.ndarray,
                     forcing: np.ndarray | None = None) -> np.ndarray:
     """Advance the Schrodinger scheme n_steps times; the final state.
 
-    forcing, when given, holds the load vectors f^1..f^K as rows.
+    forcing, when given, holds the load vectors f^1..f^K as rows.  Two state
+    buffers alternate: each step forms M q^{k-1} + dt f^k in the one not
+    holding q^{k-1} and solves there in place, so no step allocates.
     """
     n = stepper.ops.n
-    q = np.asarray(q0, dtype=complex)
+    q = np.array(q0, dtype=complex, order="C")
     if q.shape != (n,):
         raise ValueError(f"q0 has shape {q.shape}, expected ({n},)")
     if forcing is not None and forcing.shape != (stepper.n_steps, n):
         raise ValueError("forcing must have one load vector per step")
-    for k in range(1, stepper.n_steps + 1):
-        q = stepper.step(q, None if forcing is None else forcing[k - 1])
-    return q
+    dt = stepper.dt
+    states = (q, np.empty(n, dtype=complex))
+    tmp, load = np.empty(n - 1, dtype=complex), np.empty(n, dtype=complex)
+    # per parity of k: the product M q^{k-1} into the other buffer, that
+    # buffer, and the solve bound to it
+    plans = [(_bind_product(*stepper._mass, src, dst, tmp), dst, stepper.system.bind(dst))
+             for src, dst in (states, states[::-1])]
+    for k in range(stepper.n_steps):
+        product, rhs, solve = plans[k & 1]
+        product()
+        if forcing is not None:
+            np.multiply(dt, forcing[k], out=load)
+            np.add(rhs, load, out=rhs)
+        solve()
+    return states[stepper.n_steps & 1]
 
 
 class WaveStepper:
@@ -111,17 +141,10 @@ class WaveStepper:
         self.n_steps = n_steps
         self.system = ShiftedSystem(ops.mass, ops.stiffness, ops.damping_gram,
                                     alpha=1.0, beta=dt * dt, gamma=dt)
-        self._prev_weight = SymTridiag(
-            2.0 * ops.mass.diag + dt * ops.damping_gram.diag,
-            2.0 * ops.mass.off + dt * ops.damping_gram.off,
-        )
-
-    def step(self, p_prev: np.ndarray, p_prev2: np.ndarray,
-             load: np.ndarray | None = None) -> np.ndarray:
-        rhs = self._prev_weight.matvec(p_prev) - self.ops.mass.matvec(p_prev2)
-        if load is not None:
-            rhs = rhs + (self.dt * self.dt) * load
-        return self.system.solve(rhs)
+        mass, damping = ops.mass, ops.damping_gram
+        # diagonals of the weight 2M + dt B of p^{k-1}
+        self._weight = (2.0 * mass.diag + dt * damping.diag,
+                        2.0 * mass.off + dt * damping.off)
 
 
 def run_wave(stepper: WaveStepper, p0: np.ndarray, p1: np.ndarray,
@@ -129,20 +152,43 @@ def run_wave(stepper: WaveStepper, p0: np.ndarray, p1: np.ndarray,
     """Advance the wave scheme n_steps times from (p0, p1) = (position, velocity).
 
     Returns the final WaveState (p^K, D_t p^K), D_t the backward difference.
+    A (2, n) history holds p^{k-1} and p^{k-2} in alternating rows: each
+    step forms (2M + dt B) p^{k-1} and M p^{k-2} in two product buffers,
+    writes their difference (plus dt^2 f^k) over p^{k-2} and solves there
+    in place, so no step allocates.
     """
     n = stepper.ops.n
-    p_prev2 = np.asarray(p0, dtype=float)
+    pos0 = np.asarray(p0, dtype=float)
     vel0 = np.asarray(p1, dtype=float)
-    if p_prev2.shape != (n,) or vel0.shape != (n,):
+    if pos0.shape != (n,) or vel0.shape != (n,):
         raise ValueError(f"states must have shape ({n},)")
     if forcing is not None and forcing.shape != (stepper.n_steps, n):
         raise ValueError("forcing must have one load vector per step")
     dt = stepper.dt
-    p_prev = p_prev2 + dt * vel0
+    dt2 = dt * dt
+    history = np.empty((2, n))
+    history[0] = pos0
+    np.add(pos0, dt * vel0, out=history[1])
+    weighted, massed = np.empty(n), np.empty(n)
+    tmp, load = np.empty(n - 1), np.empty(n)
+    mass = stepper.ops.mass
+    # per parity of k: the products of p^{k-1} (row 1 - (k & 1)) and of
+    # p^{k-2} (row k & 1, where p^k is formed), that row, its bound solve
+    plans = [(_bind_product(*stepper._weight, prev, weighted, tmp),
+              _bind_product(mass.diag, mass.off, new, massed, tmp),
+              new, stepper.system.bind(new))
+             for new, prev in (history, history[::-1])]
     for k in range(2, stepper.n_steps + 1):
-        p = stepper.step(p_prev, p_prev2, None if forcing is None else forcing[k - 1])
-        p_prev2, p_prev = p_prev, p
-    return WaveState(p_prev, (p_prev - p_prev2) / dt)
+        weight_product, mass_product, rhs, solve = plans[k & 1]
+        weight_product()
+        mass_product()
+        np.subtract(weighted, massed, out=rhs)
+        if forcing is not None:
+            np.multiply(dt2, forcing[k - 1], out=load)
+            np.add(rhs, load, out=rhs)
+        solve()
+    last = stepper.n_steps & 1
+    return WaveState(history[last].copy(), (history[last] - history[1 - last]) / dt)
 
 
 @dataclass(frozen=True)
@@ -287,6 +333,14 @@ class BackAndForth:
             self._bwd = SchrodingerStepper(ops, dt, n_steps, sign=-1)
         else:
             self._wave = WaveStepper(ops, dt, n_steps)
+
+    @property
+    def round_trip_solves(self) -> int:
+        """Tridiagonal solves in one round trip, two passes of K steps.
+
+        The wave's first step of each pass is explicit and solves nothing.
+        """
+        return 2 * (self.n_steps - (self.equation == "wave"))
 
     # -- X geometry ---------------------------------------------------------
 

@@ -6,12 +6,14 @@ the package is a real cross-check and not a tautology.  The same goes for
 the analysis tools the algorithm never runs: the H^1_0 projection and the
 discrete D(A0^alpha) norms solve densely.  power_iteration is the reference
 eta estimator that the package's Arnoldi estimate is checked against.  The
-two history helpers are the exception: they drive the package's steppers one
-step at a time to record every state, and a test pins their last row to
-run_schrodinger / run_wave bit for bit.  propagate_exact is the
-restrict-after-synthesis reference for generate_observation: it builds the
-whole fine trajectory, positions and velocities, with the package's pencil
-transforms, and a test restricts it by nodal injection.
+per-step functions schrodinger_step / wave_step and the two history helpers
+that drive them are the exception: they are the scheme written one step at
+a time with the package's tridiagonal products and solves, and tests pin
+the package's allocation-free loops run_schrodinger / run_wave to them bit
+for bit.  propagate_exact is the restrict-after-synthesis reference for
+generate_observation: it builds the whole fine trajectory, positions and
+velocities, with the package's pencil transforms, and a test restricts it
+by nodal injection.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from bafobs import (EtaEstimate, FemOperators, Mesh1D, ProblemInstance, WaveState,
                     assemble, pencil_eigs)
 from bafobs.fem import grad_load_vector
-from bafobs.linalg import SingularPivotError
+from bafobs.linalg import SingularPivotError, SymTridiag
 
 
 def dense(A) -> np.ndarray:
@@ -273,13 +275,36 @@ def power_iteration(apply_op: Callable, norm: Callable, start,
     return EtaEstimate(prev, False, max_iter)
 
 
+def schrodinger_step(stepper, q: np.ndarray,
+                     load: np.ndarray | None = None) -> np.ndarray:
+    """One Schrodinger step as written: solve
+    (M -+ i dt K + dt B) q^k = M q^{k-1} + dt f^k."""
+    rhs = stepper.ops.mass.matvec(q)
+    if load is not None:
+        rhs = rhs + stepper.dt * load
+    return stepper.system.solve(rhs)
+
+
+def wave_step(stepper, p_prev: np.ndarray, p_prev2: np.ndarray,
+              load: np.ndarray | None = None) -> np.ndarray:
+    """One wave step as written: solve (M + dt^2 K + dt B) p^k =
+    (2M + dt B) p^{k-1} - M p^{k-2} + dt^2 f^k."""
+    ops, dt = stepper.ops, stepper.dt
+    prev_weight = SymTridiag(2.0 * ops.mass.diag + dt * ops.damping_gram.diag,
+                             2.0 * ops.mass.off + dt * ops.damping_gram.off)
+    rhs = prev_weight.matvec(p_prev) - ops.mass.matvec(p_prev2)
+    if load is not None:
+        rhs = rhs + (dt * dt) * load
+    return stepper.system.solve(rhs)
+
+
 def schrodinger_history(stepper, q0: np.ndarray, forcing: np.ndarray | None = None):
     """run_schrodinger, keeping every state: (final, history of shape (K+1, n))."""
     q = np.asarray(q0, dtype=complex)
     history = np.empty((stepper.n_steps + 1, q.size), dtype=complex)
     history[0] = q
     for k in range(1, stepper.n_steps + 1):
-        q = stepper.step(q, None if forcing is None else forcing[k - 1])
+        q = schrodinger_step(stepper, q, None if forcing is None else forcing[k - 1])
         history[k] = q
     return q, history
 
@@ -301,7 +326,7 @@ def wave_history(stepper, p0: np.ndarray, p1: np.ndarray,
     history[1] = p_prev
     velocities[0] = vel0
     for k in range(2, stepper.n_steps + 1):
-        p = stepper.step(p_prev, p_prev2, None if forcing is None else forcing[k - 1])
+        p = wave_step(stepper, p_prev, p_prev2, None if forcing is None else forcing[k - 1])
         p_prev2, p_prev = p_prev, p
         history[k] = p
         velocities[k - 1] = (p - p_prev2) / dt

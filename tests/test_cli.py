@@ -100,6 +100,9 @@ def test_reconstruct_round_trip_and_diagnostics(tmp_path, capsys):
     assert "error_x" in diag and diag["error_x"] > 0
     assert diag["config"]["time"]["n_steps"] == 12
     assert diag["solver_kernel"] in ("openblas-gttrs", "thomas")
+    # two passes of 12 steps per round trip: the eta's, the first iterate's
+    # and one per Neumann term
+    assert diag["n_solves"] == 2 * 12 * (diag["eta_iterations"] + diag["n_used"] + 1)
     assert diag["n_capped"] is False
     assert diag["trace_format"] == "bafobs-trace-2"
     assert all(diag[s] > 0 for s in ("read_ms", "eta_ms", "neumann_ms", "error_ms"))
@@ -191,6 +194,27 @@ def test_infinite_derived_step_count_rejected(tmp_path, capsys, override, messag
     assert code == 2 and stdout == ""
     assert message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    ("time.dt=1e-12", "time.dt must give a trace of at most 2147483648 values, "
+     "(n_steps + 1) x 63 nodes, got 1e-12 (n_steps = 1000000000000)"),
+    ("time.n_steps=34087042", "time.n_steps must give a trace of at most 2147483648 "
+     "values, (n_steps + 1) x 63 nodes, got 34087042"),
+    ("geometry.n_cells=46341", "time.tau must give a trace of at most 2147483648 "
+     "values, (n_steps + 1) x 46340 nodes, got 1.0 (n_steps = 46341)"),
+], ids=["dt", "n_steps", "n_cells"])
+def test_step_count_past_the_trace_ceiling_rejected(tmp_path, capsys, override, message):
+    # each leaf passes its rule, but the (n_steps + 1) x n trace would not fit
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(["--set", override, "--set", f"output.directory={out}",
+                                 "generate"], capsys)
+    assert code == 2 and stdout == ""
+    assert message in err
+    assert not out.exists()
+    # one step or one cell fewer still fits
+    assert cli.load_config(None, ["time.n_steps=34087041"])["time"]["n_steps"] == 34087041
+    assert cli.load_config(None, ["geometry.n_cells=46340"])["time"]["n_steps"] == 46340
 
 
 @pytest.mark.parametrize("equation, rate", [("schrodinger", "lambda_max"),
@@ -354,6 +378,7 @@ def test_sweep_outputs_and_exit_codes(tmp_path, capsys):
     stages = ("gen_ms", "eta_ms", "neumann_ms", "error_ms")
     for r in summary["rows"]:
         assert r["n_capped"] is False
+        assert r["n_solves"] > 0
         assert all(r[s] > 0 for s in stages)
         assert sum(r[s] for s in stages) <= r["wall_ms"]
     # one warning per level whose eta ran out of steps; the CSV is unchanged

@@ -1,6 +1,9 @@
+import concurrent.futures
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from bafobs.harness import (CSV_HEADER, BackAndForth, NoiseRow, SweepPlan,
                             SweepRow, evaluate_gates, fit_rate, noise_study,
                             rows_to_csv, run_cell, run_sweep, summary_dict,
                             reconstruction_error)
+from bafobs.linalg import ShiftedSystem
 from bafobs.observers import WaveState
 
 from oracles import fine_h1_distance, fine_l2_distance, norm_alpha, project_pi_h
@@ -176,6 +180,29 @@ def test_truncation_cap_hit_recorded_in_row(monkeypatch):
     assert row.n_capped is True and row.n_used == 200
 
 
+@pytest.mark.parametrize("equation, truth, tau", [("schrodinger", TRUTH, 1.0),
+                                                  ("wave", WAVE_TRUTH, 2.0)])
+def test_row_solve_counts_are_the_solves_run(monkeypatch, equation, truth, tau):
+    # count every in-place solve the stepping loops bind and call
+    calls = []
+    bind = ShiftedSystem.bind
+
+    def counting_bind(self, buf):
+        solve = bind(self, buf)
+        return lambda: (calls.append(1), solve())
+
+    monkeypatch.setattr(ShiftedSystem, "bind", counting_bind)
+    plan = small_plan(equation=equation, truth=truth, tau=tau, levels=(8,),
+                      noise_eps=(0.0, 1e-3))
+    first, second = run_cell(plan, 8)
+    assert first.failure is None and second.failure is None
+    assert first.n_solves + second.n_solves == len(calls)
+    # the level's eta is charged to its first row
+    round_trip = 2 * (16 - 1) if equation == "wave" else 2 * 8
+    assert second.n_solves == round_trip * (second.n_used + 1)
+    assert first.n_solves == round_trip * (first.eta_iterations + first.n_used + 1)
+
+
 def test_sweep_reproducible_bit_identically():
     plan = small_plan(levels=(8, 16))
     a = run_sweep(plan)
@@ -237,7 +264,8 @@ def test_sweep_worker_count_clamped(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+    # run_sweep imports the pool class when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setenv("BAFOBS_WORKERS", str(10 ** 6))
     plan = small_plan(levels=(8, 16, 24))
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -246,6 +274,17 @@ def test_sweep_worker_count_clamped(monkeypatch):
     rows = run_sweep(plan)
     assert requested == [2, 3]
     assert [r.n_cells for r in rows] == [8, 16, 24]
+
+
+def test_serial_sweep_never_imports_the_process_pool(monkeypatch, tmp_path):
+    monkeypatch.delenv("BAFOBS_WORKERS", raising=False)
+    code = ("import sys; from bafobs import cli; "
+            "cli.main(['--set', 'sweep.levels=[4, 6, 8]', "
+            f"'--set', 'output.directory={tmp_path}', 'sweep']); "
+            "sys.exit('concurrent.futures.process' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, timeout=60).returncode == 0
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-5", "2.5"])

@@ -91,6 +91,27 @@ def test_conjugation_symmetry_of_shifted_solves():
                        rtol=1e-12, atol=1e-14)
 
 
+def test_bound_solve_overwrites_its_buffer(kernel):
+    rng = np.random.default_rng(3)
+    M, K = p1_pair(9)
+    for beta in (0.1, 0.1j):
+        sys = ShiftedSystem(M, K, beta=beta)
+        buf = np.empty(8, dtype=sys.dtype)
+        solve = sys.bind(buf)
+        for _ in range(2):          # one binding serves every refill of buf
+            rhs = rng.standard_normal(8).astype(sys.dtype)
+            buf[:] = rhs
+            assert solve() is None
+            assert np.array_equal(buf, sys.solve(rhs))
+    real, complex_ = ShiftedSystem(M, K, beta=0.1), ShiftedSystem(M, K, beta=0.1j)
+    frozen = np.zeros(8)
+    frozen.flags.writeable = False
+    for system, buf in ((real, np.zeros(8, complex)), (complex_, np.zeros(8)),
+                        (real, np.zeros(9)), (real, np.zeros(16)[::2]), (real, frozen)):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            system.bind(buf)
+
+
 def test_dimension_mismatch_rejected():
     sys = ShiftedSystem(identity(3))
     with pytest.raises(ValueError, match="shape"):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bafobs import linalg
 from bafobs.fem import FieldSpec, Mesh1D, ObservationProfile, assemble
 from bafobs.linalg import pencil_eigs
 from bafobs.models import ProblemInstance, generate_observation
@@ -87,6 +88,41 @@ def test_history_helpers_end_at_the_stepping_loops_state(small, forced):
     assert np.array_equal(pos[-1], expected.pos) and np.array_equal(vel[-1], expected.vel)
     assert np.array_equal(final.pos, expected.pos)
     assert np.array_equal(final.vel, expected.vel)
+
+
+@pytest.mark.parametrize("kernel", ["openblas-gttrs", "thomas"])
+@pytest.mark.parametrize("n_cells", [2, 33])
+@pytest.mark.parametrize("n_steps", [7, 8])
+@pytest.mark.parametrize("forced", [False, True])
+def test_stepping_loops_match_the_per_step_oracle(monkeypatch, kernel, n_cells,
+                                                  n_steps, forced):
+    # the loops reuse their buffers and alternate them by the parity of k;
+    # the oracle forms every product and right-hand side afresh
+    if kernel == "thomas":
+        monkeypatch.setattr(linalg, "_lapack", lambda: None)
+    elif linalg._lapack() is None:
+        pytest.skip("this numpy bundles no OpenBLAS with ?gttrf/?gttrs")
+    assert linalg.solver_kernel() == kernel
+    mesh = Mesh1D(n_cells=n_cells)        # 2 cells: one node, no off-diagonal
+    ops = assemble(mesh, ObservationProfile())
+    n = mesh.n
+    rng = np.random.default_rng(100 * n_cells + n_steps)
+    loads = rng.standard_normal((n_steps, n)) if forced else None
+    cloads = None if loads is None else loads + 1j * rng.standard_normal((n_steps, n))
+    q0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    p0, p1 = rng.standard_normal(n), rng.standard_normal(n)
+    given = (q0, p0, p1) + ((loads, cloads) if forced else ())
+    copies = [a.copy() for a in given]
+    for sign in (+1, -1):
+        st = SchrodingerStepper(ops, 0.05, n_steps, sign=sign)
+        expected, _ = schrodinger_history(st, q0, cloads)
+        assert np.array_equal(run_schrodinger(st, q0, cloads), expected)
+    wst = WaveStepper(ops, 0.05, n_steps)
+    expected, _, _ = wave_history(wst, p0, p1, loads)
+    out = run_wave(wst, p0, p1, loads)
+    assert np.array_equal(out.pos, expected.pos) and np.array_equal(out.vel, expected.vel)
+    # the loops work in their own buffers and leave their inputs alone
+    assert all(np.array_equal(a, b) for a, b in zip(given, copies))
 
 
 def test_schrodinger_matches_dense_transcription(small):
