@@ -186,10 +186,13 @@ def resolve_config(cfg: dict) -> dict:
         t["n_steps"] = max(1, round(n_steps))
     if eq == "wave":
         t["n_steps"] = max(t["n_steps"], 2)
-    nodes = cfg["geometry"]["n_cells"] - 1
-    if (t["n_steps"] + 1) * nodes > MAX_TRACE_VALUES:
-        raise ConfigError(f"time.{leaf} must give a trace of at most {MAX_TRACE_VALUES} "
-                          f"values, (n_steps + 1) x {nodes} nodes, got {t[leaf]!r} "
+    n_cells = cfg["geometry"]["n_cells"]
+    if (t["n_steps"] + 1) * (n_cells - 1) > MAX_TRACE_VALUES:
+        # through h = length / n_cells the cell count sets both factors
+        dotted, value = (("geometry.n_cells", n_cells) if leaf == "tau"
+                         else (f"time.{leaf}", t[leaf]))
+        raise ConfigError(f"{dotted} must give a trace of at most {MAX_TRACE_VALUES} "
+                          f"values, (n_steps + 1) x {n_cells - 1} nodes, got {value!r} "
                           f"(n_steps = {t['n_steps']})")
     t["dt"] = t["tau"] / t["n_steps"]
     if cfg["truth"] is None:

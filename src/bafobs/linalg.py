@@ -57,11 +57,29 @@ class SymTridiag:
         u = np.asarray(u)
         if u.ndim not in (1, 2) or u.shape[-1] != self.n:
             raise ValueError(f"array has shape {u.shape}, expected (..., {self.n})")
-        out = self.diag * u
-        if self.n > 1:
-            out[..., :-1] += self.off * u[..., 1:]
-            out[..., 1:] += self.off * u[..., :-1]
+        out = np.empty(u.shape, np.result_type(self.diag, u))
+        self.bind(u, out, np.empty(u.shape[:-1] + (self.n - 1,), out.dtype))()
         return out
+
+    def bind(self, x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> Callable[[], None]:
+        """A zero-argument product out = A x over fixed buffers.
+
+        x and out have shape (..., n), tmp (..., n - 1) takes the off-diagonal
+        products.  The diagonals are cast to out's dtype and the views of x
+        and out taken here, once: numpy casts a real operand of a complex
+        product anyway, so the bits are the same, at about half the cost.
+        """
+        diag = self.diag.astype(out.dtype, copy=False)
+        off = self.off.astype(out.dtype, copy=False)
+        x_hi, x_lo, out_lo, out_hi = x[..., 1:], x[..., :-1], out[..., :-1], out[..., 1:]
+
+        def product():
+            np.multiply(diag, x, out=out)
+            np.multiply(off, x_hi, out=tmp)
+            np.add(out_lo, tmp, out=out_lo)
+            np.multiply(off, x_lo, out=tmp)
+            np.add(out_hi, tmp, out=out_hi)
+        return product
 
 
 @functools.cache
@@ -95,6 +113,22 @@ def _lapack() -> dict | None:
 def solver_kernel() -> str:
     """Name of the kernel ``ShiftedSystem`` factors and solves with here."""
     return "openblas-gttrs" if _lapack() is not None else "thomas"
+
+
+class BoundSolve:
+    """A right-hand-side buffer tied to one ``ShiftedSystem`` by its ``bind``.
+
+    ``system.solve(bound)`` overwrites ``bound.buf`` with the solution for
+    its contents.  args holds raw addresses into buf and into the system's
+    factors (None on the Thomas path); the references keep both alive.
+    """
+
+    __slots__ = ("system", "buf", "args")
+
+    def __init__(self, system: "ShiftedSystem", buf: np.ndarray, args: tuple | None):
+        self.system = system
+        self.buf = buf
+        self.args = args
 
 
 class ShiftedSystem:
@@ -182,40 +216,39 @@ class ShiftedSystem:
         self._inv = inv
         self._lower = e
 
-    def bind(self, buf: np.ndarray) -> Callable[[], None]:
-        """A zero-argument solve that overwrites buf with the solution for buf.
+    def bind(self, buf: np.ndarray) -> BoundSolve:
+        """Tie buf to this system for in-place solves by ``solve``.
 
         buf must be a writeable, C-contiguous (n,) array of ``dtype``.  The
         solver's arguments and buf's address are resolved here, once, so a
-        stepping loop that refills buf before each call pays for neither.
+        stepping loop that refills buf before each solve pays for neither.
         """
         if (buf.shape != (self.n,) or buf.dtype != self.dtype
                 or not (buf.flags.c_contiguous and buf.flags.writeable)):
             raise ValueError(f"buf must be a writeable C-contiguous ({self.n},) "
                              f"{self.dtype} array, got {buf.shape} {buf.dtype}")
+        args = None if self._gttrs is None else (*self._head, buf.ctypes.data, *self._tail)
+        return BoundSolve(self, buf, args)
+
+    def solve(self, rhs: np.ndarray | BoundSolve) -> np.ndarray:
+        """The solution for rhs, in a new array; for a ``bind`` buffer, in it.
+
+        Every solve goes through here, in place or not.
+        """
+        if rhs.__class__ is not BoundSolve:
+            rhs = np.asarray(rhs)
+            if rhs.shape != (self.n,):
+                raise ValueError(f"rhs has shape {rhs.shape}, expected ({self.n},)")
+            if self.is_real and np.iscomplexobj(rhs):
+                return self.solve(rhs.real) + 1j * self.solve(rhs.imag)
+            rhs = self.bind(rhs.astype(self.dtype, order="C"))
+        elif rhs.system is not self:
+            raise ValueError("rhs is bound to another system")
         if self._gttrs is None:
-            thomas = self._thomas_solve
-
-            def solve_in_place():
-                buf[:] = thomas(buf.tolist())
-            return solve_in_place
-        gttrs, args = self._gttrs, (*self._head, buf.ctypes.data, *self._tail)
-
-        def solve_in_place():
-            gttrs(*args)
-        # args holds raw addresses into buf and into self's factors
-        solve_in_place.owners = (self, buf)
-        return solve_in_place
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(rhs)
-        if rhs.shape != (self.n,):
-            raise ValueError(f"rhs has shape {rhs.shape}, expected ({self.n},)")
-        if self.is_real and np.iscomplexobj(rhs):
-            return self.solve(rhs.real) + 1j * self.solve(rhs.imag)
-        x = rhs.astype(self.dtype, order="C")
-        self.bind(x)()
-        return x
+            rhs.buf[:] = self._thomas_solve(rhs.buf.tolist())
+        else:
+            self._gttrs(*rhs.args)
+        return rhs.buf
 
     def _thomas_solve(self, d: list) -> list:
         n = self.n

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .fem import FemOperators
-from .linalg import ShiftedSystem
+from .linalg import ShiftedSystem, SymTridiag
 
 AUTO_N_CAP = 200
 
@@ -69,28 +69,6 @@ class SchrodingerStepper:
         self.sign = sign
         self.system = ShiftedSystem(ops.mass, ops.stiffness, ops.damping_gram,
                                     alpha=1.0, beta=-sign * 1j * dt, gamma=dt)
-        # M in the state's dtype: numpy casts a real operand to complex
-        # anyway, so the products keep their bits, at half the cost
-        self._mass = (ops.mass.diag.astype(complex), ops.mass.off.astype(complex))
-
-
-def _bind_product(diag: np.ndarray, off: np.ndarray, x: np.ndarray,
-                  out: np.ndarray, tmp: np.ndarray) -> Callable[[], None]:
-    """A zero-argument out = A x for the symmetric tridiagonal A = (diag, off).
-
-    The operations and their order are those of ``SymTridiag.matvec``, so
-    the bits agree; the views of x and out are taken here, once, and tmp
-    (length n - 1) is the scratch for the off-diagonal products.
-    """
-    x_hi, x_lo, out_lo, out_hi = x[1:], x[:-1], out[:-1], out[1:]
-
-    def product():
-        np.multiply(diag, x, out=out)
-        np.multiply(off, x_hi, out=tmp)
-        np.add(out_lo, tmp, out=out_lo)
-        np.multiply(off, x_lo, out=tmp)
-        np.add(out_hi, tmp, out=out_hi)
-    return product
 
 
 def run_schrodinger(stepper: SchrodingerStepper, q0: np.ndarray,
@@ -110,17 +88,18 @@ def run_schrodinger(stepper: SchrodingerStepper, q0: np.ndarray,
     dt = stepper.dt
     states = (q, np.empty(n, dtype=complex))
     tmp, load = np.empty(n - 1, dtype=complex), np.empty(n, dtype=complex)
+    solve = stepper.system.solve
     # per parity of k: the product M q^{k-1} into the other buffer, that
-    # buffer, and the solve bound to it
-    plans = [(_bind_product(*stepper._mass, src, dst, tmp), dst, stepper.system.bind(dst))
+    # buffer, and the buffer bound to the system for in-place solves
+    plans = [(stepper.ops.mass.bind(src, dst, tmp), dst, stepper.system.bind(dst))
              for src, dst in (states, states[::-1])]
     for k in range(stepper.n_steps):
-        product, rhs, solve = plans[k & 1]
+        product, rhs, bound = plans[k & 1]
         product()
         if forcing is not None:
             np.multiply(dt, forcing[k], out=load)
             np.add(rhs, load, out=rhs)
-        solve()
+        solve(bound)
     return states[stepper.n_steps & 1]
 
 
@@ -142,9 +121,9 @@ class WaveStepper:
         self.system = ShiftedSystem(ops.mass, ops.stiffness, ops.damping_gram,
                                     alpha=1.0, beta=dt * dt, gamma=dt)
         mass, damping = ops.mass, ops.damping_gram
-        # diagonals of the weight 2M + dt B of p^{k-1}
-        self._weight = (2.0 * mass.diag + dt * damping.diag,
-                        2.0 * mass.off + dt * damping.off)
+        # the weight 2M + dt B of p^{k-1}
+        self._weight = SymTridiag(2.0 * mass.diag + dt * damping.diag,
+                                  2.0 * mass.off + dt * damping.off)
 
 
 def run_wave(stepper: WaveStepper, p0: np.ndarray, p1: np.ndarray,
@@ -171,22 +150,22 @@ def run_wave(stepper: WaveStepper, p0: np.ndarray, p1: np.ndarray,
     np.add(pos0, dt * vel0, out=history[1])
     weighted, massed = np.empty(n), np.empty(n)
     tmp, load = np.empty(n - 1), np.empty(n)
-    mass = stepper.ops.mass
+    solve = stepper.system.solve
     # per parity of k: the products of p^{k-1} (row 1 - (k & 1)) and of
-    # p^{k-2} (row k & 1, where p^k is formed), that row, its bound solve
-    plans = [(_bind_product(*stepper._weight, prev, weighted, tmp),
-              _bind_product(mass.diag, mass.off, new, massed, tmp),
-              new, stepper.system.bind(new))
+    # p^{k-2} (row k & 1, where p^k is formed), that row, the row bound to
+    # the system for in-place solves
+    plans = [(stepper._weight.bind(prev, weighted, tmp),
+              stepper.ops.mass.bind(new, massed, tmp), new, stepper.system.bind(new))
              for new, prev in (history, history[::-1])]
     for k in range(2, stepper.n_steps + 1):
-        weight_product, mass_product, rhs, solve = plans[k & 1]
+        weight_product, mass_product, rhs, bound = plans[k & 1]
         weight_product()
         mass_product()
         np.subtract(weighted, massed, out=rhs)
         if forcing is not None:
             np.multiply(dt2, forcing[k - 1], out=load)
             np.add(rhs, load, out=rhs)
-        solve()
+        solve(bound)
     last = stepper.n_steps & 1
     return WaveState(history[last].copy(), (history[last] - history[1 - last]) / dt)
 

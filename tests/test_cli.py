@@ -201,8 +201,8 @@ def test_infinite_derived_step_count_rejected(tmp_path, capsys, override, messag
      "(n_steps + 1) x 63 nodes, got 1e-12 (n_steps = 1000000000000)"),
     ("time.n_steps=34087042", "time.n_steps must give a trace of at most 2147483648 "
      "values, (n_steps + 1) x 63 nodes, got 34087042"),
-    ("geometry.n_cells=46341", "time.tau must give a trace of at most 2147483648 "
-     "values, (n_steps + 1) x 46340 nodes, got 1.0 (n_steps = 46341)"),
+    ("geometry.n_cells=46341", "geometry.n_cells must give a trace of at most 2147483648 "
+     "values, (n_steps + 1) x 46340 nodes, got 46341 (n_steps = 46341)"),
 ], ids=["dt", "n_steps", "n_cells"])
 def test_step_count_past_the_trace_ceiling_rejected(tmp_path, capsys, override, message):
     # each leaf passes its rule, but the (n_steps + 1) x n trace would not fit

@@ -97,19 +97,42 @@ def test_bound_solve_overwrites_its_buffer(kernel):
     for beta in (0.1, 0.1j):
         sys = ShiftedSystem(M, K, beta=beta)
         buf = np.empty(8, dtype=sys.dtype)
-        solve = sys.bind(buf)
+        bound = sys.bind(buf)
         for _ in range(2):          # one binding serves every refill of buf
             rhs = rng.standard_normal(8).astype(sys.dtype)
             buf[:] = rhs
-            assert solve() is None
+            assert sys.solve(bound) is buf
             assert np.array_equal(buf, sys.solve(rhs))
     real, complex_ = ShiftedSystem(M, K, beta=0.1), ShiftedSystem(M, K, beta=0.1j)
+    twin = ShiftedSystem(M, K, beta=0.1)
+    with pytest.raises(ValueError, match="another system"):
+        twin.solve(real.bind(np.zeros(8)))
     frozen = np.zeros(8)
     frozen.flags.writeable = False
     for system, buf in ((real, np.zeros(8, complex)), (complex_, np.zeros(8)),
                         (real, np.zeros(9)), (real, np.zeros(16)[::2]), (real, frozen)):
         with pytest.raises(ValueError, match="C-contiguous"):
             system.bind(buf)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9])
+def test_matvec_is_the_textbook_product_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    A = SymTridiag(rng.standard_normal(n), rng.standard_normal(n - 1))
+    real = rng.standard_normal((3, n))
+    for u in (real[0], real, real + 1j * rng.standard_normal((3, n))):
+        expected = A.diag * u
+        expected[..., :-1] += A.off * u[..., 1:]
+        expected[..., 1:] += A.off * u[..., :-1]
+        got = A.matvec(u)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    # a bound product reads x afresh on every call
+    x, out, tmp = np.empty(n, complex), np.empty(n, complex), np.empty(n - 1, complex)
+    product = A.bind(x, out, tmp)
+    for u in real[:2] + 1j * real[1:]:
+        x[:] = u
+        product()
+        assert np.array_equal(out, A.matvec(u))
 
 
 def test_dimension_mismatch_rejected():
