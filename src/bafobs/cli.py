@@ -23,6 +23,7 @@ import numpy as np
 from . import harness, models
 from .fem import FieldSpec, Mesh1D, ObservationProfile, assemble
 from .linalg import solver_kernel
+from .models import _is_int, _is_number, _is_positive
 from .observers import BackAndForth
 
 DEFAULTS = {
@@ -104,19 +105,6 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
         user = _apply_override(user, item)
     _check_keys(user, DEFAULTS)
     return resolve_config(_merge(DEFAULTS, user))
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    """A finite JSON number; a bool is not one."""
-    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
-
-
-def _is_positive(v) -> bool:
-    return _is_number(v) and v > 0
 
 
 # (dotted leaf, check, what it must be) for every leaf but truth, which

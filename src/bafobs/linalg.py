@@ -84,34 +84,37 @@ class SymTridiag:
 
 @functools.cache
 def _lapack() -> dict | None:
-    """LAPACK's ?gttrf/?gttrs from the OpenBLAS that numpy's wheel bundles.
+    """LAPACK's zgttrf, zgttrs and dpttrs from the OpenBLAS that numpy's wheel bundles.
 
-    Returns {float: (dgttrf, dgttrs), complex: (zgttrf, zgttrs)}, or None when
-    numpy ships no such library (conda/MKL builds).  Importing numpy has
-    already mapped the library, so loading it here maps nothing new.
+    Returns {name: routine} for those three, or None when numpy ships no
+    such library (conda/MKL builds).  Importing numpy has already mapped the
+    library, so loading it here maps nothing new.
     """
     base = Path(np.__file__).parent
     for path in sorted((base.parent / "numpy.libs").glob("*openblas64_*")) \
             + sorted((base / ".dylibs").glob("*openblas64_*")):
         try:
             lib = ctypes.CDLL(str(path))
-            routines = {dtype: (getattr(lib, f"scipy_{kind}gttrf_64_"),
-                                getattr(lib, f"scipy_{kind}gttrs_64_"))
-                        for dtype, kind in ((float, "d"), (complex, "z"))}
+            routines = {name: getattr(lib, f"scipy_{name}_64_")
+                        for name in ("zgttrf", "zgttrs", "dpttrs")}
         except (OSError, AttributeError):
             continue
         # Fortran ABI, 64-bit integers: every argument by address, plus the
-        # hidden length of gttrs's character argument TRANS.
-        for trf, trs in routines.values():
-            trf.argtypes = [ctypes.c_void_p] * 7
-            trs.argtypes = [ctypes.c_void_p] * 11 + [ctypes.c_size_t]
-            trf.restype = trs.restype = None
+        # hidden length of zgttrs's character argument TRANS.
+        routines["zgttrf"].argtypes = routines["dpttrs"].argtypes = [ctypes.c_void_p] * 7
+        routines["zgttrs"].argtypes = [ctypes.c_void_p] * 11 + [ctypes.c_size_t]
+        for routine in routines.values():
+            routine.restype = None
         return routines
     return None
 
 
 def solver_kernel() -> str:
-    """Name of the kernel ``ShiftedSystem`` factors and solves with here."""
+    """Name of the kernel ``ShiftedSystem`` solves with here.
+
+    "openblas-gttrs" names the compiled OpenBLAS path (zgttrf/zgttrs for
+    complex systems, dpttrs for real ones), "thomas" the pure-Python fallback.
+    """
     return "openblas-gttrs" if _lapack() is not None else "thomas"
 
 
@@ -119,8 +122,9 @@ class BoundSolve:
     """A right-hand-side buffer tied to one ``ShiftedSystem`` by its ``bind``.
 
     ``system.solve(bound)`` overwrites ``bound.buf`` with the solution for
-    its contents.  args holds raw addresses into buf and into the system's
-    factors (None on the Thomas path); the references keep both alive.
+    its contents.  args holds the LAPACK arguments, raw addresses into buf
+    and into the system's factors (None on the Thomas path); the references
+    keep both alive.
     """
 
     __slots__ = ("system", "buf", "args")
@@ -137,11 +141,14 @@ class ShiftedSystem:
     alpha/beta may be complex (the Schrodinger steppers use beta = -+ i*dt);
     the combined matrix stays tridiagonal and, for every scheme assembled in
     this package, strictly diagonally dominant.  The factorization is
-    computed once and reused for every solve: LAPACK's partially pivoted
-    ?gttrf/?gttrs from numpy's bundled OpenBLAS when it is there, otherwise
-    Thomas elimination without pivoting.  Either way a pivot-magnitude guard
-    raises ``SingularPivotError`` when a diagonal entry of U is at most
-    1e-14 times the largest diagonal entry of the matrix.
+    computed once and reused for every solve.  With numpy's bundled OpenBLAS
+    a complex system is factored by LAPACK's partially pivoted zgttrf and
+    solved by zgttrs; a real one, being symmetric, is factored as L D L^T by
+    Thomas elimination without pivoting and solved by dpttrs.  Without
+    OpenBLAS every system is solved by Thomas elimination.  A pivot-magnitude
+    guard raises ``SingularPivotError`` when a pivot is at most 1e-14 times
+    the largest diagonal entry of the matrix; so a real system that would
+    need row swaps raises it on either kernel.
     """
 
     def __init__(self, M: SymTridiag, K: SymTridiag | None = None,
@@ -172,49 +179,62 @@ class ShiftedSystem:
         tiny = 1e-14 * (float(np.max(np.abs(self._diag))) or 1.0)
         lapack = _lapack()
         if lapack is None:
-            self._gttrs = None
-            self._thomas_factor(tiny)
+            self._trs = None
+            _, self._cp, self._inv = self._thomas_factor(tiny)
+            self._lower = self._off.tolist()
             return
-        gttrf, self._gttrs = lapack[float if self.is_real else complex]
-        n, dtype = self.n, self.dtype
+        n_arg, info = ctypes.c_int64(self.n), ctypes.c_int64(0)
+        size, status, one = ctypes.byref(n_arg), ctypes.byref(info), ctypes.byref(ctypes.c_int64(1))
+        if self.is_real:
+            pivots, multipliers, _ = self._thomas_factor(tiny)
+            self._factors = (np.array(pivots), np.array(multipliers))
+            self._trs = lapack["dpttrs"]
+            # dpttrs arguments N..E, then (B,) LDB = n and INFO
+            self._head = (size, one, *(a.ctypes.data for a in self._factors))
+            self._tail = (size, status)
+            return
         # dl, d, du are overwritten with the factors of L and U; du2, ipiv are new.
-        self._lu = (self._off.astype(dtype), self._diag.astype(dtype),
-                    self._off.astype(dtype), np.zeros(max(n - 2, 0), dtype),
-                    np.zeros(n, np.int64))
-        addresses = tuple(a.ctypes.data for a in self._lu)
-        n_arg, info = ctypes.c_int64(n), ctypes.c_int64(0)
-        size, status = ctypes.byref(n_arg), ctypes.byref(info)
-        gttrf(size, *addresses, status)
-        d = self._lu[1]
+        self._factors = (self._off.copy(), self._diag.copy(), self._off.copy(),
+                         np.zeros(max(self.n - 2, 0), complex), np.zeros(self.n, np.int64))
+        addresses = tuple(a.ctypes.data for a in self._factors)
+        lapack["zgttrf"](size, *addresses, status)
+        d = self._factors[1]
         small = np.flatnonzero(np.abs(d) <= tiny)
         if info.value > 0 or small.size:   # info > 0: U(info, info) is exactly 0
             i = int(small[0]) if small.size else info.value - 1
             raise SingularPivotError(i, float(abs(d[i])))
-        # gttrs arguments TRANS..IPIV for one right-hand side, then
+        self._trs = lapack["zgttrs"]
+        # zgttrs arguments TRANS..IPIV for one right-hand side, then
         # (B,) LDB = n, INFO and the hidden length of TRANS.
-        self._head = (b"N", size, ctypes.byref(ctypes.c_int64(1)), *addresses)
+        self._head = (b"N", size, one, *addresses)
         self._tail = (size, status, 1)
 
-    def _thomas_factor(self, tiny: float):
-        # Thomas LU: cp[i] = c_i / (b_i - a_i cp[i-1]); store reciprocal pivots.
+    def _thomas_factor(self, tiny: float) -> tuple[list, list, list]:
+        """Thomas elimination without pivoting: the pivots, the multipliers
+        cp[i] = c_i / (b_i - a_i cp[i-1]) and the reciprocal pivots.
+
+        For the symmetric matrix this is L D L^T, with D the pivots and the
+        multipliers the subdiagonal of L.
+        """
         d = self._diag.tolist()
         e = self._off.tolist()
         n = self.n
         cp = [0.0] * (n - 1)
+        pivots = [0.0] * n
         inv = [0.0] * n
         piv = d[0]
         if abs(piv) <= tiny:
             raise SingularPivotError(0, abs(piv))
+        pivots[0] = piv
         inv[0] = 1.0 / piv
         for i in range(1, n):
             cp[i - 1] = e[i - 1] * inv[i - 1]
             piv = d[i] - e[i - 1] * cp[i - 1]
             if abs(piv) <= tiny:
                 raise SingularPivotError(i, abs(piv))
+            pivots[i] = piv
             inv[i] = 1.0 / piv
-        self._cp = cp
-        self._inv = inv
-        self._lower = e
+        return pivots, cp, inv
 
     def bind(self, buf: np.ndarray) -> BoundSolve:
         """Tie buf to this system for in-place solves by ``solve``.
@@ -227,7 +247,7 @@ class ShiftedSystem:
                 or not (buf.flags.c_contiguous and buf.flags.writeable)):
             raise ValueError(f"buf must be a writeable C-contiguous ({self.n},) "
                              f"{self.dtype} array, got {buf.shape} {buf.dtype}")
-        args = None if self._gttrs is None else (*self._head, buf.ctypes.data, *self._tail)
+        args = None if self._trs is None else (*self._head, buf.ctypes.data, *self._tail)
         return BoundSolve(self, buf, args)
 
     def solve(self, rhs: np.ndarray | BoundSolve) -> np.ndarray:
@@ -244,10 +264,10 @@ class ShiftedSystem:
             rhs = self.bind(rhs.astype(self.dtype, order="C"))
         elif rhs.system is not self:
             raise ValueError("rhs is bound to another system")
-        if self._gttrs is None:
+        if self._trs is None:
             rhs.buf[:] = self._thomas_solve(rhs.buf.tolist())
         else:
-            self._gttrs(*rhs.args)
+            self._trs(*rhs.args)
         return rhs.buf
 
     def _thomas_solve(self, d: list) -> list:

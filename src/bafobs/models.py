@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,8 +26,31 @@ from .observers import ObservationTrace
 
 TRACE_FORMAT = "bafobs-trace-2"        # written and read
 TEXT_TRACE_FORMAT = "bafobs-trace-1"   # read only
-_HEADER_KEYS = {"equation", "tau", "dt", "n_steps", "complex"}   # read_trace needs these
 GENERATION_BLOCK = 32                  # time rows synthesized at once
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    """A finite JSON number; a bool is not one, nor an int past the float range."""
+    return (_is_int(v) and abs(v) <= sys.float_info.max) or (isinstance(v, float)
+                                                              and math.isfinite(v))
+
+
+def _is_positive(v) -> bool:
+    return _is_number(v) and v > 0
+
+
+# read_trace needs these keys, with values of these kinds
+_HEADER_RULES = {
+    "equation": (lambda v: isinstance(v, str), "a str"),
+    "tau": (_is_positive, "a finite positive number"),
+    "dt": (_is_positive, "a finite positive number"),
+    "n_steps": (lambda v: _is_int(v) and v >= 1, "an int >= 1"),
+    "complex": (lambda v: isinstance(v, bool), "a bool"),
+}
 
 
 @dataclass(frozen=True)
@@ -197,9 +221,12 @@ def read_trace(path) -> tuple[ObservationTrace, dict]:
         fmt = header.get("format") if isinstance(header, dict) else None
         if fmt not in (TRACE_FORMAT, TEXT_TRACE_FORMAT):
             raise ValueError(f"unrecognized trace format {fmt!r}")
-        missing = _HEADER_KEYS - header.keys()
+        missing = _HEADER_RULES.keys() - header.keys()
         if missing:
             raise ValueError(f"trace header lacks the keys {sorted(missing)}")
+        for key, (valid, what) in _HEADER_RULES.items():
+            if not valid(header[key]):
+                raise ValueError(f"trace header {key} must be {what}, got {header[key]!r}")
         if fmt == TRACE_FORMAT:
             samples = _read_payload(fh, header["complex"])
         else:

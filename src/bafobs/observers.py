@@ -107,7 +107,9 @@ class WaveStepper:
     """Implicit two-step stepper for the damped wave observer.
 
     Each step solves (M + dt^2 K + dt B) p^k = (2M + dt B) p^{k-1} - M p^{k-2}
-    + dt^2 f^k; the startup is p^1 = p^0 + dt * p1.
+    + dt^2 f^k; the startup is p^1 = p^0 + dt * p1.  With W = 2M + dt B, the
+    block-diagonal [M 0; 0 W] and [W 0; 0 M] (coupling 0 at the join) form
+    both products of a step at once.
     """
 
     def __init__(self, ops: FemOperators, dt: float, n_steps: int):
@@ -121,9 +123,12 @@ class WaveStepper:
         self.system = ShiftedSystem(ops.mass, ops.stiffness, ops.damping_gram,
                                     alpha=1.0, beta=dt * dt, gamma=dt)
         mass, damping = ops.mass, ops.damping_gram
-        # the weight 2M + dt B of p^{k-1}
-        self._weight = SymTridiag(2.0 * mass.diag + dt * damping.diag,
-                                  2.0 * mass.off + dt * damping.off)
+        weight = SymTridiag(2.0 * mass.diag + dt * damping.diag,
+                            2.0 * mass.off + dt * damping.off)
+        # indexed by the parity of k, the row of the (2, n) history holding p^{k-2}
+        self._stacked = tuple(SymTridiag(np.r_[upper.diag, lower.diag],
+                                         np.r_[upper.off, 0.0, lower.off])
+                              for upper, lower in ((mass, weight), (weight, mass)))
 
 
 def run_wave(stepper: WaveStepper, p0: np.ndarray, p1: np.ndarray,
@@ -132,9 +137,10 @@ def run_wave(stepper: WaveStepper, p0: np.ndarray, p1: np.ndarray,
 
     Returns the final WaveState (p^K, D_t p^K), D_t the backward difference.
     A (2, n) history holds p^{k-1} and p^{k-2} in alternating rows: each
-    step forms (2M + dt B) p^{k-1} and M p^{k-2} in two product buffers,
-    writes their difference (plus dt^2 f^k) over p^{k-2} and solves there
-    in place, so no step allocates.
+    step forms (2M + dt B) p^{k-1} and M p^{k-2} as one block-diagonal
+    product over the flat history, writes their difference (plus dt^2 f^k)
+    over p^{k-2} and solves there in place, so no step allocates.  A zero
+    coupling adds only +-0, so the states are those of two separate products.
     """
     n = stepper.ops.n
     pos0 = np.asarray(p0, dtype=float)
@@ -148,19 +154,20 @@ def run_wave(stepper: WaveStepper, p0: np.ndarray, p1: np.ndarray,
     history = np.empty((2, n))
     history[0] = pos0
     np.add(pos0, dt * vel0, out=history[1])
-    weighted, massed = np.empty(n), np.empty(n)
-    tmp, load = np.empty(n - 1), np.empty(n)
+    products = np.empty((2, n))
+    tmp, load = np.empty(2 * n - 1), np.empty(n)
     solve = stepper.system.solve
-    # per parity of k: the products of p^{k-1} (row 1 - (k & 1)) and of
-    # p^{k-2} (row k & 1, where p^k is formed), that row, the row bound to
-    # the system for in-place solves
-    plans = [(stepper._weight.bind(prev, weighted, tmp),
-              stepper.ops.mass.bind(new, massed, tmp), new, stepper.system.bind(new))
-             for new, prev in (history, history[::-1])]
+    # per parity of k: the product of the flat history, p^{k-2} in row k & 1
+    # (where p^k is formed) and p^{k-1} in the other, by the matching block
+    # matrix; the halves holding W p^{k-1} and M p^{k-2}; that row; and the
+    # row bound to the system for in-place solves
+    plans = [(matrix.bind(history.reshape(-1), products.reshape(-1), tmp),
+              products[1 - parity], products[parity], history[parity],
+              stepper.system.bind(history[parity]))
+             for parity, matrix in enumerate(stepper._stacked)]
     for k in range(2, stepper.n_steps + 1):
-        weight_product, mass_product, rhs, bound = plans[k & 1]
-        weight_product()
-        mass_product()
+        product, weighted, massed, rhs, bound = plans[k & 1]
+        product()
         np.subtract(weighted, massed, out=rhs)
         if forcing is not None:
             np.multiply(dt2, forcing[k - 1], out=load)

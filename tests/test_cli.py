@@ -300,6 +300,22 @@ def test_reconstruct_non_finite_trace_exit_code(tmp_path, capsys):
     assert not (tmp_path / "out" / "estimate.txt").exists()
 
 
+def test_reconstruct_header_value_of_wrong_kind_exit_code(tmp_path, capsys):
+    cfg = small_config(tmp_path)
+    header_line, samples = _generated_trace(tmp_path, capsys, cfg)
+    header = json.loads(header_line)
+    header["n_steps"] = str(header["n_steps"])
+    trace_path = tmp_path / "t.txt"
+    with open(trace_path, "wb") as fh:
+        fh.write(json.dumps(header).encode("utf-8") + b"\n")
+        np.save(fh, samples, allow_pickle=False)
+    code, stdout, err = run_cli(["--config", cfg, "reconstruct", "--trace", str(trace_path)],
+                                capsys)
+    assert code == 2 and stdout == ""
+    assert "trace header n_steps must be an int >= 1, got '12'" in err
+    assert not (tmp_path / "out" / "estimate.txt").exists()
+
+
 def test_reconstruct_truncated_trace_exit_code(tmp_path, capsys):
     cfg = small_config(tmp_path)
     trace_path = tmp_path / "t.txt"

@@ -17,7 +17,7 @@ def identity(n: int) -> SymTridiag:
 
 def require_compiled_kernel():
     if linalg._lapack() is None:
-        pytest.skip("this numpy bundles no OpenBLAS with ?gttrf/?gttrs")
+        pytest.skip("this numpy bundles no OpenBLAS with zgttrf/zgttrs/dpttrs")
 
 
 @pytest.fixture(params=["openblas-gttrs", "thomas"])
@@ -159,6 +159,14 @@ def test_singular_pivot_reported_with_index(kernel):
             ShiftedSystem(SymTridiag(diag, off))
         assert err.value.index == index
         assert err.value.magnitude <= 1e-14 * np.max(np.abs(diag))
+
+
+def test_real_system_needing_a_row_swap_raises_on_both_kernels(kernel):
+    # partial pivoting would swap the two rows; the real systems are factored
+    # as L D L^T without pivoting, so the first pivot 1e-20 is reported
+    with pytest.raises(SingularPivotError) as err:
+        ShiftedSystem(SymTridiag(np.array([1e-20, 1.0]), np.array([1.0])))
+    assert err.value.index == 0 and err.value.magnitude == 1e-20
 
 
 @settings(max_examples=200, deadline=None)

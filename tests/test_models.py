@@ -1,6 +1,7 @@
 import io
 import itertools
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -382,6 +383,23 @@ def test_trace_file_rejects_malformed_header(tmp_path, header_line, message):
     path = tmp_path / "bad.txt"
     path.write_text(header_line + "\n1.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match=message):
+        read_trace(path)
+
+
+@pytest.mark.parametrize("key, value, what", [
+    ("n_steps", "2", "an int >= 1"), ("n_steps", True, "an int >= 1"),
+    ("n_steps", 0, "an int >= 1"),
+    ("tau", "1.0", "a finite positive number"), ("tau", float("inf"), "a finite positive number"),
+    ("tau", 10 ** 400, "a finite positive number"),
+    ("dt", None, "a finite positive number"), ("dt", -0.5, "a finite positive number"),
+    ("complex", "yes", "a bool"), ("complex", 0, "a bool"),
+    ("equation", 3, "a str"),
+], ids=["n_steps-str", "n_steps-bool", "n_steps-zero", "tau-str", "tau-inf",
+        "tau-int-past-float", "dt-null", "dt-negative", "complex-str", "complex-int", "equation-int"])
+def test_trace_file_rejects_header_value_of_wrong_kind(tmp_path, key, value, what):
+    path = _npy_trace(tmp_path / "kind.txt", _V2_SAMPLES, **{key: value})
+    with pytest.raises(ValueError, match=re.escape(f"trace header {key} must be {what}, "
+                                                   f"got {value!r}")):
         read_trace(path)
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bafobs import linalg
 from bafobs.fem import FieldSpec, Mesh1D, ObservationProfile, assemble
-from bafobs.linalg import pencil_eigs
+from bafobs.linalg import SymTridiag, pencil_eigs
 from bafobs.models import ProblemInstance, generate_observation
 from bafobs.observers import (BackAndForth, ObservationTrace, SchrodingerStepper,
                               WaveState, WaveStepper, arnoldi_iteration,
@@ -101,7 +101,7 @@ def test_stepping_loops_match_the_per_step_oracle(monkeypatch, kernel, n_cells,
     if kernel == "thomas":
         monkeypatch.setattr(linalg, "_lapack", lambda: None)
     elif linalg._lapack() is None:
-        pytest.skip("this numpy bundles no OpenBLAS with ?gttrf/?gttrs")
+        pytest.skip("this numpy bundles no OpenBLAS with zgttrf/zgttrs/dpttrs")
     assert linalg.solver_kernel() == kernel
     mesh = Mesh1D(n_cells=n_cells)        # 2 cells: one node, no off-diagonal
     ops = assemble(mesh, ObservationProfile())
@@ -123,6 +123,27 @@ def test_stepping_loops_match_the_per_step_oracle(monkeypatch, kernel, n_cells,
     assert np.array_equal(out.pos, expected.pos) and np.array_equal(out.vel, expected.vel)
     # the loops work in their own buffers and leave their inputs alone
     assert all(np.array_equal(a, b) for a, b in zip(given, copies))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_cells=st.integers(2, 80), dt=st.floats(1e-4, 1.0),
+       a=st.floats(0.05, 0.45), seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_wave_product_is_the_two_products_bit_for_bit(n_cells, dt, a, seed):
+    # [M 0; 0 W] and [W 0; 0 M], W = 2M + dt B, over the flat (2, n) history:
+    # the zero coupling at the join adds only +-0 to the two separate products
+    mesh = Mesh1D(n_cells=n_cells)
+    ops = assemble(mesh, ObservationProfile(a=a, b=1.0 - a / 2))
+    mass, damping = ops.mass, ops.damping_gram
+    weight = SymTridiag(2.0 * mass.diag + dt * damping.diag,
+                        2.0 * mass.off + dt * damping.off)
+    stepper = WaveStepper(ops, dt, 2)
+    rng = np.random.default_rng(seed)
+    history = rng.standard_normal((2, mesh.n)) * 10.0 ** rng.integers(-8, 8, (2, mesh.n))
+    history[:, rng.integers(mesh.n)] = 0.0
+    for stacked, (upper, lower) in zip(stepper._stacked, ((mass, weight), (weight, mass))):
+        got = stacked.matvec(history.reshape(-1))
+        assert np.array_equal(got[:mesh.n], upper.matvec(history[0]))
+        assert np.array_equal(got[mesh.n:], lower.matvec(history[1]))
 
 
 def test_schrodinger_matches_dense_transcription(small):
