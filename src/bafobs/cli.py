@@ -47,7 +47,21 @@ DEFAULTS = {
     "output": {"directory": "."},
 }
 
-_FIELD_KEYS = {"kind", "coefficients", "amplitude", "center", "exponent"}
+# every leaf of a truth field (truth.*, or truth.position.* and
+# truth.velocity.* for the wave): its check and what it must be.  The wave
+# is real, so its fields take real coefficients only.
+_FIELD_RULES = {
+    "kind": (lambda v: v in ("sine", "bump", "kink"), "'sine', 'bump' or 'kink'"),
+    "coefficients": (lambda v: isinstance(v, list) and len(v) > 0 and all(
+        _is_number(c) or (isinstance(c, list) and len(c) == 2 and all(map(_is_number, c)))
+        for c in v), "a non-empty list of numbers or [re, im] pairs"),
+    "amplitude": (_is_number, "a number"),
+    "center": (_is_number, "a number"),
+    "exponent": (_is_number, "a number"),
+}
+_WAVE_FIELD_RULES = {**_FIELD_RULES, "coefficients": (
+    lambda v: isinstance(v, list) and len(v) > 0 and all(map(_is_number, v)),
+    "a non-empty list of numbers")}
 
 # Largest trace, (n_steps + 1) x interior nodes values, a config may ask for:
 # 34 GB as complex samples, up to a 46340-cell level with dt = h.  Past it a
@@ -198,25 +212,30 @@ def resolve_config(cfg: dict) -> dict:
 def _validate_truth(truth, equation: str):
     if truth in (None, "none"):
         return
-    if equation == "wave":
-        if not isinstance(truth, dict) or set(truth) != {"position", "velocity"}:
-            raise ConfigError("wave truth needs exactly the keys position, velocity")
-        for sub in truth.values():
-            _validate_truth(sub, "schrodinger")
-        return
-    if not isinstance(truth, dict):
-        raise ConfigError("truth must be a JSON object")
-    unknown = set(truth) - _FIELD_KEYS
+    if equation != "wave":
+        _validate_field(truth, "truth")
+    elif not isinstance(truth, dict) or set(truth) != {"position", "velocity"}:
+        raise ConfigError("wave truth needs exactly the keys position, velocity")
+    else:
+        for name, field in truth.items():
+            _validate_field(field, f"truth.{name}", _WAVE_FIELD_RULES)
+
+
+def _validate_field(field, where: str, rules: dict = _FIELD_RULES):
+    if not isinstance(field, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {field!r}")
+    unknown = set(field) - set(rules)
     if unknown:
-        raise ConfigError(f"unknown truth keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    for key, value in field.items():
+        check, what = rules[key]
+        if not check(value):
+            raise ConfigError(f"{where}.{key} must be {what}, got {value!r}")
 
 
 def _coeff(v) -> complex | float:
-    if isinstance(v, (int, float)):
-        return float(v)
-    if isinstance(v, list) and len(v) == 2:
-        return complex(v[0], v[1])
-    raise ConfigError(f"coefficient must be a number or [re, im], got {v!r}")
+    """A checked coefficient: a number, or an [re, im] pair."""
+    return complex(*v) if isinstance(v, list) else float(v)
 
 
 def _field_from(cfg: dict, length: float) -> FieldSpec:

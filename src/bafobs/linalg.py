@@ -84,11 +84,12 @@ class SymTridiag:
 
 @functools.cache
 def _lapack() -> dict | None:
-    """LAPACK's zgttrf, zgttrs and dpttrs from the OpenBLAS that numpy's wheel bundles.
+    """LAPACK's zgttrs and dpttrs from the OpenBLAS that numpy's wheel bundles.
 
-    Returns {name: routine} for those three, or None when numpy ships no
-    such library (conda/MKL builds).  Importing numpy has already mapped the
-    library, so loading it here maps nothing new.
+    Returns {name: routine} for those two solves, or None when numpy ships
+    no such library (conda/MKL builds); ``ShiftedSystem`` factors by itself.
+    Importing numpy has already mapped the library, so loading it here maps
+    nothing new.
     """
     base = Path(np.__file__).parent
     for path in sorted((base.parent / "numpy.libs").glob("*openblas64_*")) \
@@ -96,12 +97,12 @@ def _lapack() -> dict | None:
         try:
             lib = ctypes.CDLL(str(path))
             routines = {name: getattr(lib, f"scipy_{name}_64_")
-                        for name in ("zgttrf", "zgttrs", "dpttrs")}
+                        for name in ("zgttrs", "dpttrs")}
         except (OSError, AttributeError):
             continue
         # Fortran ABI, 64-bit integers: every argument by address, plus the
         # hidden length of zgttrs's character argument TRANS.
-        routines["zgttrf"].argtypes = routines["dpttrs"].argtypes = [ctypes.c_void_p] * 7
+        routines["dpttrs"].argtypes = [ctypes.c_void_p] * 7
         routines["zgttrs"].argtypes = [ctypes.c_void_p] * 11 + [ctypes.c_size_t]
         for routine in routines.values():
             routine.restype = None
@@ -112,8 +113,9 @@ def _lapack() -> dict | None:
 def solver_kernel() -> str:
     """Name of the kernel ``ShiftedSystem`` solves with here.
 
-    "openblas-gttrs" names the compiled OpenBLAS path (zgttrf/zgttrs for
-    complex systems, dpttrs for real ones), "thomas" the pure-Python fallback.
+    "openblas-gttrs" names the compiled OpenBLAS solves (zgttrs for complex
+    systems, dpttrs for real ones), "thomas" the pure-Python substitutions;
+    both solve with the same Thomas factors.
     """
     return "openblas-gttrs" if _lapack() is not None else "thomas"
 
@@ -138,17 +140,17 @@ class BoundSolve:
 class ShiftedSystem:
     """Prefactored combination alpha*M + beta*K + gamma*B of three matrices.
 
-    alpha/beta may be complex (the Schrodinger steppers use beta = -+ i*dt);
-    the combined matrix stays tridiagonal and, for every scheme assembled in
-    this package, strictly diagonally dominant.  The factorization is
-    computed once and reused for every solve.  With numpy's bundled OpenBLAS
-    a complex system is factored by LAPACK's partially pivoted zgttrf and
-    solved by zgttrs; a real one, being symmetric, is factored as L D L^T by
-    Thomas elimination without pivoting and solved by dpttrs.  Without
-    OpenBLAS every system is solved by Thomas elimination.  A pivot-magnitude
-    guard raises ``SingularPivotError`` when a pivot is at most 1e-14 times
-    the largest diagonal entry of the matrix; so a real system that would
-    need row swaps raises it on either kernel.
+    alpha/beta may be complex (the Schrodinger stepper uses beta = -i*dt);
+    the combined matrix stays tridiagonal and symmetric, and for every
+    scheme assembled in this package its Hermitian part M + dt B is positive
+    definite, so elimination without pivoting never meets a zero pivot.
+    Every system is factored once, by that Thomas elimination, and the
+    factors are reused for every solve.  With numpy's bundled OpenBLAS a
+    complex system is solved by zgttrs (L U with no row swaps), a real one
+    by dpttrs (L D L^T); without OpenBLAS the Thomas substitutions solve.  A
+    pivot-magnitude guard raises ``SingularPivotError`` when a pivot is at
+    most 1e-14 times the largest diagonal entry of the matrix; so a system
+    that would need row swaps raises it on either kernel.
     """
 
     def __init__(self, M: SymTridiag, K: SymTridiag | None = None,
@@ -177,44 +179,38 @@ class ShiftedSystem:
 
     def _factor(self):
         tiny = 1e-14 * (float(np.max(np.abs(self._diag))) or 1.0)
+        pivots, multipliers, inv = self._thomas_factor(tiny)
         lapack = _lapack()
         if lapack is None:
             self._trs = None
-            _, self._cp, self._inv = self._thomas_factor(tiny)
-            self._lower = self._off.tolist()
+            self._lower, self._cp, self._inv = self._off.tolist(), multipliers, inv
             return
         n_arg, info = ctypes.c_int64(self.n), ctypes.c_int64(0)
         size, status, one = ctypes.byref(n_arg), ctypes.byref(info), ctypes.byref(ctypes.c_int64(1))
         if self.is_real:
-            pivots, multipliers, _ = self._thomas_factor(tiny)
-            self._factors = (np.array(pivots), np.array(multipliers))
+            self._factors = (np.array(pivots), np.array(multipliers, float))
             self._trs = lapack["dpttrs"]
             # dpttrs arguments N..E, then (B,) LDB = n and INFO
             self._head = (size, one, *(a.ctypes.data for a in self._factors))
             self._tail = (size, status)
             return
-        # dl, d, du are overwritten with the factors of L and U; du2, ipiv are new.
-        self._factors = (self._off.copy(), self._diag.copy(), self._off.copy(),
-                         np.zeros(max(self.n - 2, 0), complex), np.zeros(self.n, np.int64))
-        addresses = tuple(a.ctypes.data for a in self._factors)
-        lapack["zgttrf"](size, *addresses, status)
-        d = self._factors[1]
-        small = np.flatnonzero(np.abs(d) <= tiny)
-        if info.value > 0 or small.size:   # info > 0: U(info, info) is exactly 0
-            i = int(small[0]) if small.size else info.value - 1
-            raise SingularPivotError(i, float(abs(d[i])))
+        # L U without row swaps, as zgttrf would store it: DL the multipliers,
+        # D the pivots, DU the off-diagonal, DU2 = 0 and IPIV the identity
+        self._factors = (np.array(multipliers, complex), np.array(pivots), self._off,
+                         np.zeros(max(self.n - 2, 0), complex),
+                         np.arange(1, self.n + 1, dtype=np.int64))
         self._trs = lapack["zgttrs"]
         # zgttrs arguments TRANS..IPIV for one right-hand side, then
         # (B,) LDB = n, INFO and the hidden length of TRANS.
-        self._head = (b"N", size, one, *addresses)
+        self._head = (b"N", size, one, *(a.ctypes.data for a in self._factors))
         self._tail = (size, status, 1)
 
     def _thomas_factor(self, tiny: float) -> tuple[list, list, list]:
         """Thomas elimination without pivoting: the pivots, the multipliers
         cp[i] = c_i / (b_i - a_i cp[i-1]) and the reciprocal pivots.
 
-        For the symmetric matrix this is L D L^T, with D the pivots and the
-        multipliers the subdiagonal of L.
+        For the symmetric matrix this is L D L^T = L U, with D the pivots,
+        the multipliers the subdiagonal of L and the off-diagonal U's above D.
         """
         d = self._diag.tolist()
         e = self._off.tolist()

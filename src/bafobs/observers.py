@@ -1,13 +1,14 @@
 """Fully discrete forward/backward observers and the Neumann reconstruction.
 
 The forward observer is the damped implicit scheme driven by the recorded
-output; the backward observer is realized as a time-reversed initial value
-problem (for the wave pair this is the velocity-flip conjugation of the
-damped evolution).  Their zero-forcing composition is the round-trip
-operator L.  Its contraction factor eta, estimated by Arnoldi in the X inner
-product, sets through ``choose_truncation`` how many back-and-forth sweeps
-the truncated Neumann sum retains.  Each equation has one stepping loop,
-which returns the final state only and allocates nothing per step.
+output; the backward observer is the same damped pass under the equation's
+time reversal (conjugation for Schrodinger, (p, v) -> (-p, v) for the wave),
+driven by the time-reversed output.  Their zero-forcing composition is the
+round-trip operator L.  Its contraction factor eta, estimated by Arnoldi in
+the X inner product, sets through ``choose_truncation`` how many
+back-and-forth sweeps the truncated Neumann sum retains.  Each equation has
+one stepper and one stepping loop, which returns the final state only and
+allocates nothing per step.
 """
 
 from __future__ import annotations
@@ -51,14 +52,12 @@ class WaveState:
 class SchrodingerStepper:
     """Implicit stepper for the damped Schrodinger observer.
 
-    One step solves (M -+ i dt K + dt B) q^k = M q^{k-1} + dt f^k, where the
-    sign follows the generator +-i A0 - C*C.  The system matrix is factored
-    once at construction and shared across all steps (and threads).
+    One step solves (M - i dt K + dt B) q^k = M q^{k-1} + dt f^k, the scheme
+    of i A0 - C*C; the backward scheme, of -i A0 - C*C, is its conjugate.  The
+    system matrix is factored once and shared across all steps (and threads).
     """
 
-    def __init__(self, ops: FemOperators, dt: float, n_steps: int, sign: int = +1):
-        if sign not in (+1, -1):
-            raise ValueError("sign must be +1 or -1")
+    def __init__(self, ops: FemOperators, dt: float, n_steps: int):
         if n_steps < 1:
             raise ValueError("n_steps must be at least 1")
         if not dt > 0:
@@ -66,9 +65,8 @@ class SchrodingerStepper:
         self.ops = ops
         self.dt = dt
         self.n_steps = n_steps
-        self.sign = sign
         self.system = ShiftedSystem(ops.mass, ops.stiffness, ops.damping_gram,
-                                    alpha=1.0, beta=-sign * 1j * dt, gamma=dt)
+                                    alpha=1.0, beta=-1j * dt, gamma=dt)
 
 
 def run_schrodinger(stepper: SchrodingerStepper, q0: np.ndarray,
@@ -248,9 +246,10 @@ def arnoldi_iteration(apply_op: Callable, inner: Callable, start,
     if nrm == 0.0:
         raise ValueError("start vector must be nonzero")
     basis = [start * (1.0 / nrm)]
-    hess = np.zeros((max_iter + 1, max_iter), dtype=complex)
+    hess = np.zeros((1, 0), dtype=complex)   # sized by the steps taken, not max_iter
     theta = 0.0
     for m in range(1, max_iter + 1):
+        hess = np.pad(hess, ((0, 1), (0, 1)))
         w = apply_op(basis[-1])
         for _ in range(2):
             coeffs = [inner(w, v) for v in basis]
@@ -302,9 +301,9 @@ class ReconstructionResult:
 class BackAndForth:
     """Observer pair and round-trip operator for one discretization.
 
-    Holds the prefactored steppers for a (mesh, dt, n_steps) triple; all
-    methods are pure given the immutable steppers, so one instance can be
-    shared across workers.
+    Holds the one prefactored stepper of a (mesh, dt, n_steps) triple, which
+    runs both passes; all methods are pure given the immutable stepper, so
+    one instance can be shared across workers.
     """
 
     def __init__(self, equation: str, ops: FemOperators, dt: float, n_steps: int):
@@ -314,11 +313,8 @@ class BackAndForth:
         self.ops = ops
         self.dt = dt
         self.n_steps = n_steps
-        if equation == "schrodinger":
-            self._fwd = SchrodingerStepper(ops, dt, n_steps, sign=+1)
-            self._bwd = SchrodingerStepper(ops, dt, n_steps, sign=-1)
-        else:
-            self._wave = WaveStepper(ops, dt, n_steps)
+        stepper = SchrodingerStepper if equation == "schrodinger" else WaveStepper
+        self._stepper = stepper(ops, dt, n_steps)
 
     @property
     def round_trip_solves(self) -> int:
@@ -365,29 +361,35 @@ class BackAndForth:
                 f"trace has {trace.n_steps} steps, stepper has {self.n_steps}"
             )
 
+    def _forward(self, state, loads=None):
+        """One damped pass of n_steps from state, driven by loads if given."""
+        if self.equation == "schrodinger":
+            return run_schrodinger(self._stepper, state, loads)
+        return run_wave(self._stepper, state.pos, state.vel, loads)
+
+    def _backward(self, state, loads=None):
+        """The backward pass R _forward(R state, R loads), R the time reversal:
+        conjugation for Schrodinger (of the loads in place), and for the wave
+        the position flip (p, v) -> (-p, v), which leaves the loads alone."""
+        if self.equation == "schrodinger":
+            if loads is not None:
+                np.conjugate(loads, out=loads)
+            out = self._forward(np.conj(state), loads)
+            return np.conjugate(out, out=out)
+        out = self._forward(WaveState(-state.pos, state.vel), loads)
+        return WaveState(-out.pos, out.vel)
+
     def forward_observer(self, trace: ObservationTrace):
         """Run the damped observer from rest, driven by the trace; state at tau."""
         self._check_trace(trace)
         loads = self.ops.output_gram.matvec(trace.samples[1:])
-        if self.equation == "schrodinger":
-            return run_schrodinger(self._fwd, self.zero_state(), loads)
-        return run_wave(self._wave, np.zeros(self.ops.n), np.zeros(self.ops.n), loads)
+        return self._forward(self.zero_state(), loads)
 
     def backward_observer(self, trace: ObservationTrace, final_state):
-        """Run the backward observer from the forward output; state at time 0.
-
-        Realized as a time-reversed initial value problem: the Schrodinger
-        pass uses the opposite-sign stepper on the time-reversed trace; the
-        wave pass flips the velocity, runs the damped stepper with negated
-        time-reversed forcing and flips the returned velocity.
-        """
+        """Run the backward observer from the forward output; state at time 0."""
         self._check_trace(trace)
         reversed_samples = trace.samples[::-1][1:]   # y^{K-k}, k = 1..K
-        loads = self.ops.output_gram.matvec(reversed_samples)
-        if self.equation == "schrodinger":
-            return run_schrodinger(self._bwd, final_state, loads)
-        out = run_wave(self._wave, final_state.pos, -final_state.vel, -loads)
-        return WaveState(out.pos, -out.vel)
+        return self._backward(final_state, self.ops.output_gram.matvec(reversed_samples))
 
     def first_iterate(self, trace: ObservationTrace):
         """The state the Neumann series starts from: backward(forward(trace))."""
@@ -395,12 +397,7 @@ class BackAndForth:
 
     def apply_L(self, state):
         """One zero-forcing round trip (forward then backward pass)."""
-        if self.equation == "schrodinger":
-            up = run_schrodinger(self._fwd, state)
-            return run_schrodinger(self._bwd, up)
-        up = run_wave(self._wave, state.pos, state.vel)
-        down = run_wave(self._wave, up.pos, -up.vel)
-        return WaveState(down.pos, -down.vel)
+        return self._backward(self._forward(state))
 
     # -- contraction factor and reconstruction ------------------------------
 

@@ -13,19 +13,25 @@ the package's allocation-free loops run_schrodinger / run_wave to them bit
 for bit.  propagate_exact is the restrict-after-synthesis reference for
 generate_observation: it builds the whole fine trajectory, positions and
 velocities, with the package's pencil transforms, and a test restricts it
-by nodal injection.
+by nodal injection.  backward_schrodinger_stepper and the old_* functions
+compose the observers the way the package did before its backward pass
+became the forward pass under time reversal: a second, +i dt Schrodinger
+system stepped by schrodinger_step, and the wave's velocity flip around
+run_wave with negated loads.  Tests pin BackAndForth to them bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
-from bafobs import (EtaEstimate, FemOperators, Mesh1D, ProblemInstance, WaveState,
-                    assemble, pencil_eigs)
+from bafobs import (EtaEstimate, FemOperators, Mesh1D, ProblemInstance,
+                    SchrodingerStepper, ShiftedSystem, WaveState, WaveStepper, assemble,
+                    pencil_eigs, run_wave)
 from bafobs.fem import grad_load_vector
 from bafobs.linalg import SingularPivotError, SymTridiag
 
@@ -331,6 +337,45 @@ def wave_history(stepper, p0: np.ndarray, p1: np.ndarray,
         history[k] = p
         velocities[k - 1] = (p - p_prev2) / dt
     return WaveState(p_prev, (p_prev - p_prev2) / dt), history, velocities
+
+
+def backward_schrodinger_stepper(ops: FemOperators, dt: float, n_steps: int):
+    """What schrodinger_step needs to step the backward Schrodinger scheme
+    (M + i dt K + dt B) q^k = M q^{k-1} + dt f^k, with its own system."""
+    return SimpleNamespace(ops=ops, dt=dt, n_steps=n_steps, system=ShiftedSystem(
+        ops.mass, ops.stiffness, ops.damping_gram, alpha=1.0, beta=1j * dt, gamma=dt))
+
+
+def _old_pass(engine, state, loads, backward: bool):
+    if engine.equation == "schrodinger":
+        stepper = (backward_schrodinger_stepper if backward else SchrodingerStepper)(
+            engine.ops, engine.dt, engine.n_steps)
+        return schrodinger_history(stepper, state, loads)[0]
+    stepper = WaveStepper(engine.ops, engine.dt, engine.n_steps)
+    if not backward:
+        return run_wave(stepper, state.pos, state.vel, loads)
+    out = run_wave(stepper, state.pos, -state.vel, None if loads is None else -loads)
+    return WaveState(out.pos, -out.vel)
+
+
+def old_backward_observer(engine, trace, final_state):
+    """engine.backward_observer with a second Schrodinger system, or the wave's
+    velocity flip and negated loads."""
+    loads = engine.ops.output_gram.matvec(trace.samples[::-1][1:])
+    return _old_pass(engine, final_state, loads, backward=True)
+
+
+def old_first_iterate(engine, trace):
+    """engine.first_iterate, its backward pass by old_backward_observer."""
+    loads = engine.ops.output_gram.matvec(trace.samples[1:])
+    forward = _old_pass(engine, engine.zero_state(), loads, backward=False)
+    return old_backward_observer(engine, trace, forward)
+
+
+def old_apply_L(engine, state):
+    """engine.apply_L, its backward pass as in old_backward_observer."""
+    return _old_pass(engine, _old_pass(engine, state, None, backward=False), None,
+                     backward=True)
 
 
 @dataclass(frozen=True)

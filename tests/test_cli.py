@@ -180,6 +180,42 @@ def test_generate_rejects_bad_cell_count(tmp_path, capsys, override, message):
     assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+@pytest.mark.parametrize("equation, truth, leaf", [
+    ("schrodinger", {"kind": "bump", "amplitude": "x"}, "truth.amplitude"),
+    ("schrodinger", {"kind": "sine", "coefficients": 5}, "truth.coefficients"),
+    ("schrodinger", {"coefficients": []}, "truth.coefficients"),
+    ("schrodinger", {"coefficients": [[1.0, 2.0, 3.0]]}, "truth.coefficients"),
+    ("schrodinger", {"kind": "spike"}, "truth.kind"),
+    ("schrodinger", {"kind": "kink", "center": True}, "truth.center"),
+    ("schrodinger", {"kind": "kink", "exponent": None}, "truth.exponent"),
+    ("wave", {"position": {"kind": "bump", "amplitude": "x"}, "velocity": {}},
+     "truth.position.amplitude"),
+    ("wave", {"position": {}, "velocity": {"coefficients": [[1.0, "i"]]}},
+     "truth.velocity.coefficients"),
+    ("wave", {"position": "none", "velocity": {}}, "truth.position"),
+    ("wave", {"position": {"coefficients": [[1.0, 1.0]]}, "velocity": {}},
+     "truth.position.coefficients"),
+], ids=["amplitude", "coefficients", "no-coefficients", "triple", "kind", "center",
+        "exponent", "wave-amplitude", "wave-coefficients", "wave-field", "wave-complex"])
+def test_bad_truth_leaf_rejected_before_any_work(tmp_path, capsys, monkeypatch, command,
+                                                 equation, truth, leaf):
+    # these used to end in a traceback (generate) or in failed rows (sweep);
+    # a complex wave coefficient lost its imaginary part without a word
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the truth was checked")
+
+    monkeypatch.setattr(cli.harness, "run_sweep", no_work)
+    monkeypatch.setattr(cli.models, "generate_observation", no_work)
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(["--set", f"equation={equation}",
+                                 "--set", f"truth={json.dumps(truth)}",
+                                 "--set", f"output.directory={out}", command], capsys)
+    assert code == 2 and stdout == ""
+    assert f"error: {leaf} must be " in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("override, message", [
     ("time.dt=5e-324",
      "time.dt must give a finite step count time.tau / time.dt, got 5e-324"),
@@ -365,6 +401,18 @@ def test_estimate_eta_cached_determinism(tmp_path, capsys):
     _, out1, _ = run_cli(["--config", cfg, "estimate-eta"], capsys)
     _, out2, _ = run_cli(["--config", cfg, "estimate-eta"], capsys)
     assert json.loads(out1)["eta_hat"] == json.loads(out2)["eta_hat"]
+
+
+def test_huge_eta_step_budget_gives_the_default_estimate(tmp_path, capsys):
+    # the Arnoldi storage follows the steps taken, not the budget: 10^6 steps
+    # used to ask for a 14.6 TiB Hessenberg up front
+    args = ["--set", "geometry.n_cells=16", "--set", f"output.directory={tmp_path}"]
+    code, default, _ = run_cli(args + ["estimate-eta"], capsys)
+    huge_code, huge, _ = run_cli(args + ["--set", "eta.max_iter=1000000", "estimate-eta"],
+                                 capsys)
+    assert code == huge_code == 0
+    assert json.loads(default)["converged"]
+    assert json.loads(huge) == json.loads(default)
 
 
 def test_sweep_outputs_and_exit_codes(tmp_path, capsys):

@@ -17,7 +17,7 @@ def identity(n: int) -> SymTridiag:
 
 def require_compiled_kernel():
     if linalg._lapack() is None:
-        pytest.skip("this numpy bundles no OpenBLAS with zgttrf/zgttrs/dpttrs")
+        pytest.skip("this numpy bundles no OpenBLAS with zgttrs/dpttrs")
 
 
 @pytest.fixture(params=["openblas-gttrs", "thomas"])
@@ -80,15 +80,19 @@ def test_solve_then_matvec_roundtrip_property(seed):
         np.max(np.abs(rhs)) + np.max(np.abs(x)))
 
 
-def test_conjugation_symmetry_of_shifted_solves():
+def test_conjugation_symmetry_of_shifted_solves(monkeypatch):
+    # the backward Schrodinger pass is the forward one under conjugation, so
+    # conjugate systems must solve conjugate right-hand sides exactly, on the
+    # compiled kernel (where there is one) and on the fallback
     rng = np.random.default_rng(7)
     M, K = p1_pair(17)
     dt = 0.02
-    plus = ShiftedSystem(M, K, alpha=1.0, beta=1j * dt)
-    minus = ShiftedSystem(M, K, alpha=1.0, beta=-1j * dt)
     rhs = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    assert np.allclose(plus.solve(np.conj(rhs)), np.conj(minus.solve(rhs)),
-                       rtol=1e-12, atol=1e-14)
+    for _ in range(2):
+        plus = ShiftedSystem(M, K, alpha=1.0, beta=1j * dt)
+        minus = ShiftedSystem(M, K, alpha=1.0, beta=-1j * dt)
+        assert np.array_equal(plus.solve(np.conj(rhs)), np.conj(minus.solve(rhs)))
+        monkeypatch.setattr(linalg, "_lapack", lambda: None)
 
 
 def test_bound_solve_overwrites_its_buffer(kernel):
@@ -146,8 +150,8 @@ def test_dimension_mismatch_rejected():
 
 
 def test_singular_pivot_reported_with_index(kernel):
-    # gttrf pivots, but no subdiagonal entry here exceeds the pivot above it,
-    # so both kernels eliminate without row swaps and meet the same pivots.
+    # both kernels solve with the factors of one elimination without row
+    # swaps, so they meet the same pivots
     cases = [
         (np.array([1.0, 1.0]), np.array([1.0]), 1),                   # U(1, 1) = 0
         (np.array([1.0, 2.0, 1.0]), np.array([1.0, 1.0]), 2),         # U(2, 2) = 0
@@ -167,6 +171,15 @@ def test_real_system_needing_a_row_swap_raises_on_both_kernels(kernel):
     with pytest.raises(SingularPivotError) as err:
         ShiftedSystem(SymTridiag(np.array([1e-20, 1.0]), np.array([1.0])))
     assert err.value.index == 0 and err.value.magnitude == 1e-20
+
+
+def test_complex_system_needing_a_row_swap_raises_on_both_kernels(kernel):
+    # complex systems are factored by the same elimination as real ones; a
+    # partially pivoted LU (LAPACK's gttrf) would swap the rows and succeed
+    M = SymTridiag(np.array([1e-20, 1.0]), np.array([1.0]))
+    with pytest.raises(SingularPivotError) as err:
+        ShiftedSystem(M, identity(2), beta=1e-30j)
+    assert err.value.index == 0 and err.value.magnitude <= 1e-19
 
 
 @settings(max_examples=200, deadline=None)

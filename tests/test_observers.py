@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from bafobs.observers import (BackAndForth, ObservationTrace, SchrodingerStepper
                               WaveState, WaveStepper, arnoldi_iteration,
                               choose_truncation, run_schrodinger, run_wave)
 
-from oracles import (dense, dense_round_trip, dense_schrodinger_pass,
-                     dense_wave_pass, exact_damped_schrodinger, norm_alpha,
+from oracles import (backward_schrodinger_stepper, dense, dense_round_trip,
+                     dense_schrodinger_pass, dense_wave_pass, exact_damped_schrodinger,
+                     norm_alpha, old_apply_L, old_backward_observer, old_first_iterate,
                      power_iteration, schrodinger_history, wave_history)
 
 
@@ -36,6 +38,13 @@ def engines():
 # -- steppers -----------------------------------------------------------------
 
 
+def conjugated(run, q0, loads=None):
+    """The backward (+i dt) Schrodinger scheme as the package runs it: a
+    forward run on the conjugated start and loads, conjugated back."""
+    out = run(np.conj(q0), None if loads is None else np.conj(loads))
+    return tuple(map(np.conj, out)) if isinstance(out, tuple) else np.conj(out)
+
+
 def test_schrodinger_zero_data_stays_zero(small):
     mesh, ops = small
     st = SchrodingerStepper(ops, 0.05, 10)
@@ -46,10 +55,10 @@ def test_schrodinger_zero_data_stays_zero(small):
 def test_schrodinger_m_norm_nonincreasing_without_forcing(small):
     mesh, ops = small
     rng = np.random.default_rng(5)
+    history = partial(schrodinger_history, SchrodingerStepper(ops, mesh.h, 24))
     for sign in (+1, -1):
-        st = SchrodingerStepper(ops, mesh.h, 24, sign=sign)
         q0 = rng.standard_normal(mesh.n) + 1j * rng.standard_normal(mesh.n)
-        _, hist = schrodinger_history(st, q0)
+        _, hist = history(q0) if sign > 0 else conjugated(history, q0)
         norms = [norm_alpha(ops, h_, 0.0) for h_ in hist]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
 
@@ -101,7 +110,7 @@ def test_stepping_loops_match_the_per_step_oracle(monkeypatch, kernel, n_cells,
     if kernel == "thomas":
         monkeypatch.setattr(linalg, "_lapack", lambda: None)
     elif linalg._lapack() is None:
-        pytest.skip("this numpy bundles no OpenBLAS with zgttrf/zgttrs/dpttrs")
+        pytest.skip("this numpy bundles no OpenBLAS with zgttrs/dpttrs")
     assert linalg.solver_kernel() == kernel
     mesh = Mesh1D(n_cells=n_cells)        # 2 cells: one node, no off-diagonal
     ops = assemble(mesh, ObservationProfile())
@@ -113,10 +122,13 @@ def test_stepping_loops_match_the_per_step_oracle(monkeypatch, kernel, n_cells,
     p0, p1 = rng.standard_normal(n), rng.standard_normal(n)
     given = (q0, p0, p1) + ((loads, cloads) if forced else ())
     copies = [a.copy() for a in given]
-    for sign in (+1, -1):
-        st = SchrodingerStepper(ops, 0.05, n_steps, sign=sign)
-        expected, _ = schrodinger_history(st, q0, cloads)
-        assert np.array_equal(run_schrodinger(st, q0, cloads), expected)
+    st = SchrodingerStepper(ops, 0.05, n_steps)
+    expected, _ = schrodinger_history(st, q0, cloads)
+    assert np.array_equal(run_schrodinger(st, q0, cloads), expected)
+    # the backward scheme: the forward loop under conjugation, against its own system
+    expected, _ = schrodinger_history(backward_schrodinger_stepper(ops, 0.05, n_steps),
+                                      q0, cloads)
+    assert np.array_equal(conjugated(partial(run_schrodinger, st), q0, cloads), expected)
     wst = WaveStepper(ops, 0.05, n_steps)
     expected, _, _ = wave_history(wst, p0, p1, loads)
     out = run_wave(wst, p0, p1, loads)
@@ -151,9 +163,9 @@ def test_schrodinger_matches_dense_transcription(small):
     rng = np.random.default_rng(9)
     q0 = rng.standard_normal(mesh.n) + 1j * rng.standard_normal(mesh.n)
     loads = rng.standard_normal((12, mesh.n)) + 1j * rng.standard_normal((12, mesh.n))
+    run = partial(run_schrodinger, SchrodingerStepper(ops, 0.03, 12))
     for sign in (+1, -1):
-        st = SchrodingerStepper(ops, 0.03, 12, sign=sign)
-        mine = run_schrodinger(st, q0, loads)
+        mine = run(q0, loads) if sign > 0 else conjugated(run, q0, loads)
         reference = dense_schrodinger_pass(ops, sign, 0.03, 12, q0, loads)
         assert np.max(np.abs(mine - reference)) < 1e-12
 
@@ -245,8 +257,6 @@ def test_wave_richardson_self_convergence():
 
 def test_stepper_validation(small):
     mesh, ops = small
-    with pytest.raises(ValueError):
-        SchrodingerStepper(ops, 0.1, 4, sign=2)
     with pytest.raises(ValueError):
         SchrodingerStepper(ops, -0.1, 4)
     with pytest.raises(ValueError):
@@ -380,6 +390,38 @@ def test_forced_observers_match_dense_two_pass():
     first = enginew.first_iterate(tracew)
     assert np.max(np.abs(first.pos - bw_pos)) < 1e-13
     assert np.max(np.abs(first.vel - (-bw_vel))) < 1e-13
+
+
+@pytest.mark.parametrize("kernel", ["openblas-gttrs", "thomas"])
+@pytest.mark.parametrize("n_cells", [2, 33])
+@pytest.mark.parametrize("equation", ["schrodinger", "wave"])
+def test_observers_match_the_old_two_system_composition(monkeypatch, kernel, n_cells,
+                                                        equation):
+    # the backward pass is the forward one under time reversal; before, it
+    # ran a second (+i dt) Schrodinger system, and the wave pass flipped the
+    # velocity and negated the loads.  The two agree bit for bit.
+    if kernel == "thomas":
+        monkeypatch.setattr(linalg, "_lapack", lambda: None)
+    elif linalg._lapack() is None:
+        pytest.skip("this numpy bundles no OpenBLAS with zgttrs/dpttrs")
+    assert linalg.solver_kernel() == kernel
+    ops = assemble(Mesh1D(n_cells=n_cells), ObservationProfile())
+    dt, n_steps = 0.05, 9
+    engine = BackAndForth(equation, ops, dt, n_steps)
+    rng = np.random.default_rng(n_cells)
+    samples = rng.standard_normal((n_steps + 1, ops.n))
+    if equation == "schrodinger":
+        samples = samples + 1j * rng.standard_normal(samples.shape)
+    trace = ObservationTrace(equation, samples, n_steps * dt, dt)
+    state = engine.random_state(n_cells)
+    for got, expected in (
+            (engine.backward_observer(trace, state), old_backward_observer(engine, trace, state)),
+            (engine.first_iterate(trace), old_first_iterate(engine, trace)),
+            (engine.apply_L(state), old_apply_L(engine, state))):
+        if equation == "wave":
+            assert np.array_equal(got.pos, expected.pos)
+            got, expected = got.vel, expected.vel
+        assert np.array_equal(got, expected)
 
 
 def test_apply_l_zero_and_linearity(engines):
@@ -588,6 +630,15 @@ def test_arnoldi_step_budget_flagged(engines):
     assert not est.converged
     assert est.iterations == 2
     assert 0.0 < est.value < 1.0
+
+
+def test_arnoldi_storage_follows_the_steps_taken(engines):
+    # a budget far past any allocatable Hessenberg gives the default estimate
+    _, schrod, wave = engines
+    for engine in (schrod, wave):
+        default = engine.estimate_eta(seed=5)
+        assert default.converged
+        assert engine.estimate_eta(max_iter=10**12, seed=5) == default
 
 
 @pytest.mark.parametrize("start, kwargs", [
