@@ -16,15 +16,15 @@ import json
 import math
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import harness, models
-from .fem import FieldSpec, Mesh1D, ObservationProfile, assemble
+from .fem import FieldSpec, Mesh1D, ObservationProfile
 from .linalg import solver_kernel
 from .models import _is_int, _is_number, _is_positive
-from .observers import BackAndForth
 
 DEFAULTS = {
     "equation": "schrodinger",
@@ -51,7 +51,8 @@ DEFAULTS = {
 # truth.velocity.* for the wave): its check and what it must be.  The wave
 # is real, so its fields take real coefficients only.
 _FIELD_RULES = {
-    "kind": (lambda v: v in ("sine", "bump", "kink"), "'sine', 'bump' or 'kink'"),
+    "kind": (lambda v: v in ("sine", "bump"), "'sine' or 'bump' ('kink' is outside "
+             "the regularity class the analysis assumes)"),
     "coefficients": (lambda v: isinstance(v, list) and len(v) > 0 and all(
         _is_number(c) or (isinstance(c, list) and len(c) == 2 and all(map(_is_number, c)))
         for c in v), "a non-empty list of numbers or [re, im] pairs"),
@@ -308,13 +309,10 @@ def build_plan(cfg: dict) -> harness.SweepPlan:
     )
 
 
-def _engine_from(cfg: dict) -> tuple[BackAndForth, dict]:
-    mesh = Mesh1D(n_cells=cfg["geometry"]["n_cells"],
-                  length=cfg["geometry"]["length"])
-    ops = assemble(mesh, build_profile(cfg))
-    engine = BackAndForth(cfg["equation"], ops, cfg["time"]["dt"],
-                          cfg["time"]["n_steps"])
-    return engine, {"mesh": mesh, "ops": ops}
+def _engine_from(cfg: dict) -> harness.BackAndForth:
+    return harness.build_engine(cfg["equation"], cfg["geometry"]["n_cells"],
+                                cfg["geometry"]["length"], build_profile(cfg),
+                                cfg["time"]["dt"], cfg["time"]["n_steps"])
 
 
 def _warn_unconverged_eta(eta_hat: float, iterations: int, where: str = ""):
@@ -342,7 +340,8 @@ def cmd_generate(cfg: dict, out: str | None) -> int:
     instance = build_instance(cfg)
     noise = models.NoiseSpec(cfg["noise"]["amplitude"], cfg["noise"]["seed"])
     trace = models.generate_observation(instance, refine=cfg["refine"], noise=noise)
-    path = Path(out) if out else _out_dir(cfg) / "trace.txt"
+    path = Path(out) if out else Path(cfg["output"]["directory"]) / "trace.txt"
+    path.parent.mkdir(parents=True, exist_ok=True)
     models.write_trace(path, trace, instance, cfg["refine"], noise, config=cfg)
     print(json.dumps({"trace": str(path), "sha256": _sha256(path),
                       "rows": trace.n_steps + 1}))
@@ -380,39 +379,24 @@ def cmd_reconstruct(cfg: dict, trace_path: str) -> int:
             f"{ {k: v[0] for k, v in mismatched.items()} }, trace side "
             f"{ {k: v[1] for k, v in mismatched.items()} }"
         )
-    engine, parts = _engine_from(cfg)
+    engine = _engine_from(cfg)
     eta, eta_ms = harness.timed(engine.estimate_eta, cfg["eta"]["tol"],
                                 cfg["eta"]["max_iter"], cfg["eta"]["seed"])
     if not eta.converged:
         _warn_unconverged_eta(eta.value, eta.iterations)
-    npol = cfg["n_policy"]
-    result, neumann_ms = harness.timed(
-        engine.neumann_reconstruct, trace, n_terms=None if npol == "auto" else npol,
-        eta_hat=eta.value, theta=cfg["theta"])
+    truth = build_truth(cfg)
+    result, row = harness.reconstruct(engine, trace, eta, n_policy=cfg["n_policy"],
+                                      theta=cfg["theta"], truth=truth,
+                                      noise_eps=cfg["noise"]["amplitude"], eta_ms=eta_ms)
     out = _out_dir(cfg)
     est_path = out / "estimate.txt"
     _write_estimate(est_path, result.estimate, cfg)
-    diagnostics = {
-        "eta_hat": eta.value,
-        "eta_converged": eta.converged,
-        "eta_iterations": eta.iterations,
-        "n_used": result.n_used,
-        "increment_norms": list(result.increment_norms),
-        "step_count": result.step_count,
-        "n_solves": engine.round_trip_solves * (eta.iterations + result.n_used + 1),
-        "n_capped": result.n_capped,
-        "solver_kernel": solver_kernel(),
-        "trace_format": header["format"],
-        "read_ms": read_ms,
-        "eta_ms": eta_ms,
-        "neumann_ms": neumann_ms,
-        "config": cfg,
-    }
-    truth = build_truth(cfg)
-    if truth is not None:
-        diagnostics["error_x"], diagnostics["error_ms"] = harness.timed(
-            harness.reconstruction_error, cfg["equation"], truth, result.estimate,
-            parts["ops"])
+    diagnostics = asdict(row)
+    if truth is None:
+        del diagnostics["error_x"], diagnostics["error_ms"]
+    diagnostics.update(increment_norms=list(result.increment_norms),
+                       solver_kernel=solver_kernel(), trace_format=header["format"],
+                       read_ms=read_ms, config=cfg)
     diag_path = out / "diagnostics.json"
     diag_path.write_text(json.dumps(diagnostics, indent=2), encoding="utf-8")
     print(json.dumps({"estimate": str(est_path), "diagnostics": str(diag_path),
@@ -430,7 +414,7 @@ def _close(a, b) -> bool:
 
 
 def cmd_estimate_eta(cfg: dict) -> int:
-    engine, _ = _engine_from(cfg)
+    engine = _engine_from(cfg)
     eta = engine.estimate_eta(cfg["eta"]["tol"], cfg["eta"]["max_iter"],
                               cfg["eta"]["seed"])
     print(json.dumps({"eta_hat": eta.value, "converged": eta.converged,

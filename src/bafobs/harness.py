@@ -129,13 +129,6 @@ class SweepRow:
     n_solves: int = 0
 
 
-def _steps_for(plan: SweepPlan, h: float) -> int:
-    k = max(1, round(plan.tau / (plan.kappa * h)))
-    if plan.equation == "wave":
-        k = max(k, 2)
-    return k
-
-
 def timed(fn, *args, **kwargs):
     """(fn(*args, **kwargs), its wall time in ms)."""
     start = time.perf_counter()
@@ -143,67 +136,81 @@ def timed(fn, *args, **kwargs):
     return out, 1e3 * (time.perf_counter() - start)
 
 
+def build_engine(equation: str, n_cells: int, length: float,
+                 profile: ObservationProfile, dt: float, n_steps: int) -> BackAndForth:
+    """The observer pair of one discretization: mesh, operators and stepper."""
+    ops = assemble(Mesh1D(n_cells=n_cells, length=length), profile)
+    return BackAndForth(equation, ops, dt, n_steps)
+
+
+def reconstruct(engine: BackAndForth, trace, eta: EtaEstimate, *, n_policy: int | str,
+                theta: float, truth, noise_eps: float, eta_ms: float | None):
+    """Neumann sum of a trace and its error against the truth: (result, row).
+
+    The row pays for the eta estimate (eta_ms and its solves) when eta_ms is
+    not None; a sweep level pays for its one estimate in its first row.
+    Without a truth, error_x is nan.  wall_ms is the sum of the stage times.
+    """
+    result, neumann_ms = timed(engine.neumann_reconstruct, trace,
+                               n_terms=None if n_policy == "auto" else n_policy,
+                               eta_hat=eta.value, theta=theta)
+    err, error_ms = float("nan"), 0.0
+    if truth is not None:
+        err, error_ms = timed(reconstruction_error, engine.equation, truth,
+                              result.estimate, engine.ops)
+    eta_ms, eta_steps = (0.0, 0) if eta_ms is None else (eta_ms, eta.iterations)
+    mesh = engine.ops.mesh
+    return result, SweepRow(
+        engine.equation, mesh.n_cells, mesh.h, engine.dt, result.n_used, eta.value,
+        noise_eps, err, eta_ms + neumann_ms + error_ms, eta_converged=eta.converged,
+        eta_iterations=eta.iterations, eta_ms=eta_ms, neumann_ms=neumann_ms,
+        error_ms=error_ms, n_capped=result.n_capped,
+        n_solves=engine.round_trip_solves * (eta_steps + result.n_used + 1))
+
+
 def run_cell(plan: SweepPlan, n_cells: int) -> list[SweepRow]:
     """Run one mesh level: one row per ``plan.noise_eps``, in order.
 
     The discretization, the clean trace and the contraction estimate do not
     depend on the noise, so they are built once per level; each noise level
-    only perturbs the clean trace, reconstructs and measures the error.
-    Failures are recorded, not raised: a failure in the shared part marks
-    every row of the level, one in a noise level marks only its row.  The
-    shared set-up time, and with it gen_ms and eta_ms, is charged to the
-    first row, so the rows' wall_ms sum to the level's time; so are the
-    eta's solves, so the rows' n_solves sum to the level's solves.
+    only perturbs the clean trace and calls ``reconstruct``.  Failures are
+    recorded, not raised: a failure in the shared part marks every row of
+    the level, one in a noise level marks only its row, and a failed row
+    records only its failure and wall time.  The first row is charged the
+    shared set-up, so the rows' wall_ms sum to the level's time, and when it
+    reconstructs it also carries gen_ms, eta_ms and the eta's solves.
     """
     mark = time.perf_counter()
     h = plan.length / n_cells
-    k = _steps_for(plan, h)
+    k = max(round(plan.tau / (plan.kappa * h)), 2 if plan.equation == "wave" else 1)
     dt = plan.tau / k
-
-    def row(eps, eta: EtaEstimate | None = None, result=None, err=float("nan"),
-            exc=None, **stage_ms):
-        nonlocal mark
-        now = time.perf_counter()
-        wall, mark = 1e3 * (now - mark), now
-        failure = None if exc is None else f"{type(exc).__name__}: {exc}"
-        eta_hat, converged, iterations = ((float("nan"), None, 0) if eta is None
-                                          else (eta.value, eta.converged, eta.iterations))
-        n_used, capped = (-1, False) if result is None else (result.n_used, result.n_capped)
-        return SweepRow(plan.equation, n_cells, h, dt, n_used, eta_hat, eps, err,
-                        wall, failure, converged, iterations, n_capped=capped,
-                        **stage_ms)
-
+    rows, setup_failure = [], None
     # cell isolation: the sweep must go on, so any failure becomes a row
     try:
-        mesh = Mesh1D(n_cells=n_cells, length=plan.length)
-        ops = assemble(mesh, plan.profile)
-        instance = ProblemInstance(equation=plan.equation, mesh=mesh,
+        engine = build_engine(plan.equation, n_cells, plan.length, plan.profile, dt, k)
+        instance = ProblemInstance(equation=plan.equation, mesh=engine.ops.mesh,
                                    profile=plan.profile, tau=plan.tau,
                                    n_steps=k, truth=plan.truth)
         clean, gen_ms = timed(generate_observation, instance, refine=plan.refine)
-        engine = BackAndForth(plan.equation, ops, dt, k)
         eta, eta_ms = timed(engine.estimate_eta, plan.eta_tol, plan.eta_max_iter,
                             plan.eta_seed)
     except Exception as exc:
-        return [row(eps, exc=exc) for eps in plan.noise_eps]
-    n_terms = None if plan.n_policy == "auto" else plan.n_policy
-    shared = {"gen_ms": gen_ms, "eta_ms": eta_ms}
-    eta_solves = engine.round_trip_solves * eta.iterations
-    rows = []
+        setup_failure = exc
     for eps in plan.noise_eps:
         try:
+            if setup_failure is not None:
+                raise setup_failure
             trace = add_noise(clean, NoiseSpec(eps, plan.noise_seed))
-            result, neumann_ms = timed(engine.neumann_reconstruct, trace,
-                                       n_terms=n_terms, eta_hat=eta.value,
-                                       theta=plan.theta)
-            err, error_ms = timed(reconstruction_error, plan.equation, plan.truth,
-                                  result.estimate, ops)
-            solves = eta_solves + engine.round_trip_solves * (result.n_used + 1)
-            rows.append(row(eps, eta, result, err, neumann_ms=neumann_ms,
-                            error_ms=error_ms, n_solves=solves, **shared))
+            _, row = reconstruct(engine, trace, eta, n_policy=plan.n_policy,
+                                 theta=plan.theta, truth=plan.truth, noise_eps=eps,
+                                 eta_ms=None if rows else eta_ms)
+            row.gen_ms = 0.0 if rows else gen_ms
         except Exception as exc:
-            rows.append(row(eps, exc=exc, n_solves=eta_solves, **shared))
-        shared, eta_solves = {}, 0
+            row = SweepRow(plan.equation, n_cells, h, dt, -1, float("nan"), eps,
+                           float("nan"), 0.0, f"{type(exc).__name__}: {exc}")
+        now = time.perf_counter()
+        row.wall_ms, mark = 1e3 * (now - mark), now
+        rows.append(row)
     return rows
 
 

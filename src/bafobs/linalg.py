@@ -356,14 +356,6 @@ class PencilEig:
         blocks = sines.reshape(c.shape[:-1] + (stride, -1))   # row j: sines jC .. jC + C - 1
         return _dst1(blocks[..., ::2, 1:].sum(axis=-2) - blocks[..., 1::2, :0:-1].sum(axis=-2))
 
-    @functools.cached_property
-    def vectors(self) -> np.ndarray:
-        """n x n, column j the M-orthonormal eigenvector for values[j]."""
-        n = self.n
-        # (i * k) mod 2(n+1) keeps the sine argument in [0, 2 pi) exactly
-        ik = np.outer(np.arange(1, n + 1), np.arange(1, n + 1)[self.modes]) % (2 * n + 2)
-        return np.sin(np.pi / (n + 1) * ik) * self._scale
-
 
 def pencil_eigs(K: SymTridiag, M: SymTridiag) -> PencilEig:
     """Closed-form spectrum of the pencil K v = lambda M v for Toeplitz K, M.

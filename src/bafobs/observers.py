@@ -294,7 +294,6 @@ class ReconstructionResult:
     n_used: int
     eta_hat: float | None
     increment_norms: tuple
-    step_count: int
     n_capped: bool = False      # the automatic rule asked for more than AUTO_N_CAP
 
 
@@ -441,8 +440,7 @@ class BackAndForth:
             term = self.apply_L(term)
             acc = acc + term
             increments.append(self.x_norm(term))
-        steps = 2 * self.n_steps * (n_terms + 1)
         return ReconstructionResult(estimate=acc, n_used=n_terms,
                                     eta_hat=eta_hat,
                                     increment_norms=tuple(increments),
-                                    step_count=steps, n_capped=capped)
+                                    n_capped=capped)

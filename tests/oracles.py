@@ -5,10 +5,12 @@ dense numpy factorizations and eigendecompositions only, so agreement with
 the package is a real cross-check and not a tautology.  The same goes for
 the analysis tools the algorithm never runs: the H^1_0 projection and the
 discrete D(A0^alpha) norms solve densely.  power_iteration is the reference
-eta estimator that the package's Arnoldi estimate is checked against.  The
-per-step functions schrodinger_step / wave_step and the two history helpers
-that drive them are the exception: they are the scheme written one step at
-a time with the package's tridiagonal products and solves, and tests pin
+eta estimator that the package's Arnoldi estimate is checked against, and
+pencil_vectors the dense eigenvector matrix that the package's closed-form
+pencil only ever applies by DST-I.  The per-step functions schrodinger_step
+/ wave_step and the two history helpers that drive them are the exception:
+they are the scheme written one step at a time with the package's
+tridiagonal products and solves, and tests pin
 the package's allocation-free loops run_schrodinger / run_wave to them bit
 for bit.  propagate_exact is the restrict-after-synthesis reference for
 generate_observation: it builds the whole fine trajectory, positions and
@@ -113,6 +115,15 @@ def dense_pencil_eigs(K, M) -> DensePencil:
         raise RuntimeError(f"pencil eigensolver failed to converge: {exc}") from exc
     V = _bidiag_solve_upper(ld, le, U)
     return DensePencil(values=w, vectors=V)
+
+
+def pencil_vectors(pe) -> np.ndarray:
+    """n x n, column j the M-orthonormal eigenvector of a closed-form PencilEig
+    for values[j]: the matrix its DST-I transforms never form."""
+    n = pe.n
+    # (i * k) mod 2(n+1) keeps the sine argument in [0, 2 pi) exactly
+    ik = np.outer(np.arange(1, n + 1), np.arange(1, n + 1)[pe.modes]) % (2 * n + 2)
+    return np.sin(np.pi / (n + 1) * ik) * np.sqrt(2.0 / ((n + 1) * pe.mass_values))
 
 
 def reduced_generator(ops: FemOperators, sign: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

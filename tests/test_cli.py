@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bafobs import cli
+from bafobs.harness import SweepRow
 from bafobs.models import read_trace
 from bafobs.observers import BackAndForth, EtaEstimate
 
@@ -121,6 +123,51 @@ def test_reconstruct_round_trip_and_diagnostics(tmp_path, capsys):
     assert diag["eta_converged"] is False and diag["eta_iterations"] == 2
 
 
+def test_generate_creates_the_directory_of_out(tmp_path, capsys):
+    cfg = small_config(tmp_path)
+    out = tmp_path / "new" / "dir" / "t.txt"
+    code, stdout, _ = run_cli(["--config", cfg, "generate", "--out", str(out)], capsys)
+    assert code == 0 and json.loads(stdout)["trace"] == str(out)
+    assert read_trace(out)[0].samples.shape == (13, 11)
+
+
+@pytest.mark.parametrize("equation", ["schrodinger", "wave"])
+def test_reconstruct_diagnostics_match_a_one_level_sweep_row(tmp_path, capsys, equation):
+    # both commands fill their rows by harness.reconstruct, so every field but
+    # the wall times agrees bit for bit
+    args = ["--set", f"equation={equation}", "--set", "geometry.n_cells=32",
+            "--set", "sweep.levels=[32]", "--set", f"output.directory={tmp_path}"]
+    trace_path = str(tmp_path / "t.txt")
+    assert run_cli(args + ["generate", "--out", trace_path], capsys)[0] == 0
+    assert run_cli(args + ["reconstruct", "--trace", trace_path], capsys)[0] == 0
+    run_cli(args + ["sweep"], capsys)   # exits 1: one level leaves nothing to fit
+    diag = json.loads((tmp_path / "diagnostics.json").read_text())
+    (row,) = json.loads((tmp_path / "summary.json").read_text())["rows"]
+    row_fields = {f.name for f in fields(SweepRow)}
+    assert set(diag) == row_fields | {"increment_norms", "solver_kernel",
+                                      "trace_format", "read_ms", "config"}
+    same = sorted(name for name in row_fields if not name.endswith("_ms"))
+    assert {k: diag[k] for k in same} == {k: row[k] for k in same}
+    assert row["failure"] is None and row["n_cells"] == 32
+
+
+def test_reconstruct_without_truth_writes_no_error_and_strict_json(tmp_path, capsys):
+    cfg = small_config(tmp_path)
+    trace_path = str(tmp_path / "t.txt")
+    run_cli(["--config", cfg, "generate", "--out", trace_path], capsys)
+    code, _, _ = run_cli(["--config", cfg, "--set", "truth=none", "reconstruct",
+                          "--trace", trace_path], capsys)
+    assert code == 0
+
+    def refuse(constant):
+        raise ValueError(f"diagnostics.json holds {constant}, which is not JSON")
+
+    diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text(),
+                      parse_constant=refuse)
+    assert "error_x" not in diag and "error_ms" not in diag
+    assert diag["config"]["truth"] == "none" and diag["n_used"] >= 1
+
+
 def test_reconstruct_records_truncation_cap_hit(tmp_path, capsys, monkeypatch):
     cfg = small_config(tmp_path)
     trace_path = str(tmp_path / "t.txt")
@@ -187,8 +234,9 @@ def test_generate_rejects_bad_cell_count(tmp_path, capsys, override, message):
     ("schrodinger", {"coefficients": []}, "truth.coefficients"),
     ("schrodinger", {"coefficients": [[1.0, 2.0, 3.0]]}, "truth.coefficients"),
     ("schrodinger", {"kind": "spike"}, "truth.kind"),
-    ("schrodinger", {"kind": "kink", "center": True}, "truth.center"),
-    ("schrodinger", {"kind": "kink", "exponent": None}, "truth.exponent"),
+    ("schrodinger", {"kind": "kink"}, "truth.kind"),
+    ("schrodinger", {"kind": "bump", "center": True}, "truth.center"),
+    ("schrodinger", {"kind": "bump", "exponent": None}, "truth.exponent"),
     ("wave", {"position": {"kind": "bump", "amplitude": "x"}, "velocity": {}},
      "truth.position.amplitude"),
     ("wave", {"position": {}, "velocity": {"coefficients": [[1.0, "i"]]}},
@@ -196,8 +244,10 @@ def test_generate_rejects_bad_cell_count(tmp_path, capsys, override, message):
     ("wave", {"position": "none", "velocity": {}}, "truth.position"),
     ("wave", {"position": {"coefficients": [[1.0, 1.0]]}, "velocity": {}},
      "truth.position.coefficients"),
-], ids=["amplitude", "coefficients", "no-coefficients", "triple", "kind", "center",
-        "exponent", "wave-amplitude", "wave-coefficients", "wave-field", "wave-complex"])
+    ("wave", {"position": {}, "velocity": {"kind": "kink"}}, "truth.velocity.kind"),
+], ids=["amplitude", "coefficients", "no-coefficients", "triple", "kind", "kink", "center",
+        "exponent", "wave-amplitude", "wave-coefficients", "wave-field", "wave-complex",
+        "wave-kink"])
 def test_bad_truth_leaf_rejected_before_any_work(tmp_path, capsys, monkeypatch, command,
                                                  equation, truth, leaf):
     # these used to end in a traceback (generate) or in failed rows (sweep);

@@ -8,7 +8,7 @@ from bafobs.fem import Mesh1D, ObservationProfile, assemble
 from bafobs.linalg import (ShiftedSystem, SingularPivotError, SymTridiag,
                            pencil_eigs)
 from bafobs.observers import BackAndForth
-from oracles import dense, dense_pencil_eigs
+from oracles import dense, dense_pencil_eigs, pencil_vectors
 
 
 def identity(n: int) -> SymTridiag:
@@ -246,7 +246,7 @@ def test_pencil_against_closed_form_uniform_p1():
 def test_pencil_vectors_mass_orthonormal_and_residual():
     M, K = p1_pair(40)
     pe = pencil_eigs(K, M)
-    V = pe.vectors
+    V = pencil_vectors(pe)
     gram = V.T @ dense(M) @ V
     assert np.max(np.abs(gram - np.eye(M.n))) < 1e-10
     for j in (0, 7, M.n - 1):
@@ -308,7 +308,7 @@ def test_closed_form_pencil_matches_dense_oracle(pair):
     fast = pencil_eigs(K, M)
     ref = dense_pencil_eigs(K, M)
     assert np.max(np.abs(fast.values - ref.values) / np.abs(ref.values)) <= 1e-10
-    V, W = fast.vectors, ref.vectors
+    V, W = pencil_vectors(fast), ref.vectors
     W = W * np.sign(np.sum(V * W, axis=0))   # eigenvectors are fixed up to sign
     assert np.max(np.abs(V - W)) <= 1e-9 * np.max(np.abs(W))
 
@@ -322,7 +322,7 @@ def test_modal_transforms_invert_each_other(n, pair):
         K, M = toeplitz(n, 1.0, 0.4), toeplitz(n, 1.0, -0.3)
     pe = pencil_eigs(K, M)
     assert np.all(np.diff(pe.values) > 0)
-    V = pe.vectors
+    V = pencil_vectors(pe)
     assert np.max(np.abs(V.T @ dense(M) @ V - np.eye(n))) <= 1e-12
     rng = np.random.default_rng(n)
     real = rng.standard_normal((3, n))
