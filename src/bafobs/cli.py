@@ -57,8 +57,6 @@ _FIELD_RULES = {
         _is_number(c) or (isinstance(c, list) and len(c) == 2 and all(map(_is_number, c)))
         for c in v), "a non-empty list of numbers or [re, im] pairs"),
     "amplitude": (_is_number, "a number"),
-    "center": (_is_number, "a number"),
-    "exponent": (_is_number, "a number"),
 }
 _WAVE_FIELD_RULES = {**_FIELD_RULES, "coefficients": (
     lambda v: isinstance(v, list) and len(v) > 0 and all(map(_is_number, v)),
@@ -245,9 +243,8 @@ def _field_from(cfg: dict, length: float) -> FieldSpec:
         kwargs["kind"] = cfg["kind"]
     if "coefficients" in cfg:
         kwargs["coefficients"] = tuple(_coeff(v) for v in cfg["coefficients"])
-    for key in ("amplitude", "center", "exponent"):
-        if key in cfg:
-            kwargs[key] = cfg[key]
+    if "amplitude" in cfg:
+        kwargs["amplitude"] = cfg["amplitude"]
     return FieldSpec(**kwargs)
 
 
@@ -387,7 +384,8 @@ def cmd_reconstruct(cfg: dict, trace_path: str) -> int:
     truth = build_truth(cfg)
     result, row = harness.reconstruct(engine, trace, eta, n_policy=cfg["n_policy"],
                                       theta=cfg["theta"], truth=truth,
-                                      noise_eps=cfg["noise"]["amplitude"], eta_ms=eta_ms)
+                                      noise_eps=header.get("noise", {}).get("amplitude", 0.0))
+    harness.charge(row, engine, eta, eta_ms)
     out = _out_dir(cfg)
     est_path = out / "estimate.txt"
     _write_estimate(est_path, result.estimate, cfg)

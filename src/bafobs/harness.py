@@ -144,12 +144,11 @@ def build_engine(equation: str, n_cells: int, length: float,
 
 
 def reconstruct(engine: BackAndForth, trace, eta: EtaEstimate, *, n_policy: int | str,
-                theta: float, truth, noise_eps: float, eta_ms: float | None):
+                theta: float, truth, noise_eps: float):
     """Neumann sum of a trace and its error against the truth: (result, row).
 
-    The row pays for the eta estimate (eta_ms and its solves) when eta_ms is
-    not None; a sweep level pays for its one estimate in its first row.
-    Without a truth, error_x is nan.  wall_ms is the sum of the stage times.
+    The row carries its own stages and solves; ``charge`` adds a shared eta
+    estimate.  Without a truth, error_x is nan.
     """
     result, neumann_ms = timed(engine.neumann_reconstruct, trace,
                                n_terms=None if n_policy == "auto" else n_policy,
@@ -158,14 +157,23 @@ def reconstruct(engine: BackAndForth, trace, eta: EtaEstimate, *, n_policy: int 
     if truth is not None:
         err, error_ms = timed(reconstruction_error, engine.equation, truth,
                               result.estimate, engine.ops)
-    eta_ms, eta_steps = (0.0, 0) if eta_ms is None else (eta_ms, eta.iterations)
     mesh = engine.ops.mesh
-    return result, SweepRow(
+    return result, charge(SweepRow(
         engine.equation, mesh.n_cells, mesh.h, engine.dt, result.n_used, eta.value,
-        noise_eps, err, eta_ms + neumann_ms + error_ms, eta_converged=eta.converged,
-        eta_iterations=eta.iterations, eta_ms=eta_ms, neumann_ms=neumann_ms,
-        error_ms=error_ms, n_capped=result.n_capped,
-        n_solves=engine.round_trip_solves * (eta_steps + result.n_used + 1))
+        noise_eps, err, neumann_ms + error_ms, eta_converged=eta.converged,
+        eta_iterations=eta.iterations, neumann_ms=neumann_ms, error_ms=error_ms,
+        n_capped=result.n_capped), engine)
+
+
+def charge(row: SweepRow, engine: BackAndForth, eta: EtaEstimate | None = None,
+           eta_ms: float = 0.0, gen_ms: float = 0.0) -> SweepRow:
+    """Count the row's solves, a round trip per Neumann term, for the first
+    iterate (none for a failed row, n_used = -1) and per step of the shared
+    ``eta`` it pays for, and add the shared stages' times to it."""
+    row.n_solves = engine.round_trip_solves * (row.n_used + 1 + (eta.iterations if eta else 0))
+    row.eta_ms, row.gen_ms = eta_ms, gen_ms
+    row.wall_ms += eta_ms + gen_ms
+    return row
 
 
 def run_cell(plan: SweepPlan, n_cells: int) -> list[SweepRow]:
@@ -175,10 +183,10 @@ def run_cell(plan: SweepPlan, n_cells: int) -> list[SweepRow]:
     depend on the noise, so they are built once per level; each noise level
     only perturbs the clean trace and calls ``reconstruct``.  Failures are
     recorded, not raised: a failure in the shared part marks every row of
-    the level, one in a noise level marks only its row, and a failed row
-    records only its failure and wall time.  The first row is charged the
-    shared set-up, so the rows' wall_ms sum to the level's time, and when it
-    reconstructs it also carries gen_ms, eta_ms and the eta's solves.
+    the level, one in a noise level marks only its row.  The first row, failed
+    or not, is charged the shared set-up (gen_ms, eta_ms and the eta's
+    solves), so the rows' wall_ms sum to the level's time and their n_solves
+    to its solves.
     """
     mark = time.perf_counter()
     h = plan.length / n_cells
@@ -202,12 +210,12 @@ def run_cell(plan: SweepPlan, n_cells: int) -> list[SweepRow]:
                 raise setup_failure
             trace = add_noise(clean, NoiseSpec(eps, plan.noise_seed))
             _, row = reconstruct(engine, trace, eta, n_policy=plan.n_policy,
-                                 theta=plan.theta, truth=plan.truth, noise_eps=eps,
-                                 eta_ms=None if rows else eta_ms)
-            row.gen_ms = 0.0 if rows else gen_ms
+                                 theta=plan.theta, truth=plan.truth, noise_eps=eps)
         except Exception as exc:
             row = SweepRow(plan.equation, n_cells, h, dt, -1, float("nan"), eps,
                            float("nan"), 0.0, f"{type(exc).__name__}: {exc}")
+        if not rows and setup_failure is None:
+            charge(row, engine, eta, eta_ms, gen_ms)
         now = time.perf_counter()
         row.wall_ms, mark = 1e3 * (now - mark), now
         rows.append(row)

@@ -51,6 +51,11 @@ _HEADER_RULES = {
     "n_steps": (lambda v: _is_int(v) and v >= 1, "an int >= 1"),
     "complex": (lambda v: isinstance(v, bool), "a bool"),
 }
+# and checks these when present; write_trace always writes them
+_OPTIONAL_HEADER_RULES = {
+    "noise": (lambda v: isinstance(v, dict) and _is_number(v.get("amplitude"))
+              and v["amplitude"] >= 0, "an object with a number amplitude >= 0"),
+}
 
 
 @dataclass(frozen=True)
@@ -224,8 +229,8 @@ def read_trace(path) -> tuple[ObservationTrace, dict]:
         missing = _HEADER_RULES.keys() - header.keys()
         if missing:
             raise ValueError(f"trace header lacks the keys {sorted(missing)}")
-        for key, (valid, what) in _HEADER_RULES.items():
-            if not valid(header[key]):
+        for key, (valid, what) in (*_HEADER_RULES.items(), *_OPTIONAL_HEADER_RULES.items()):
+            if key in header and not valid(header[key]):
                 raise ValueError(f"trace header {key} must be {what}, got {header[key]!r}")
         if fmt == TRACE_FORMAT:
             samples = _read_payload(fh, header["complex"])

@@ -168,6 +168,17 @@ def test_reconstruct_without_truth_writes_no_error_and_strict_json(tmp_path, cap
     assert diag["config"]["truth"] == "none" and diag["n_used"] >= 1
 
 
+def test_reconstruct_reports_the_noise_of_the_trace(tmp_path, capsys):
+    # the noise level is the trace's, not the reconstructing config's
+    cfg = small_config(tmp_path)
+    trace_path = str(tmp_path / "t.txt")
+    run_cli(["--config", cfg, "--set", "noise.amplitude=0.001", "generate", "--out",
+             trace_path], capsys)
+    assert run_cli(["--config", cfg, "reconstruct", "--trace", trace_path], capsys)[0] == 0
+    diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+    assert diag["noise_eps"] == 0.001 and diag["config"]["noise"]["amplitude"] == 0.0
+
+
 def test_reconstruct_records_truncation_cap_hit(tmp_path, capsys, monkeypatch):
     cfg = small_config(tmp_path)
     trace_path = str(tmp_path / "t.txt")
@@ -228,28 +239,28 @@ def test_generate_rejects_bad_cell_count(tmp_path, capsys, override, message):
 
 
 @pytest.mark.parametrize("command", ["generate", "sweep"])
-@pytest.mark.parametrize("equation, truth, leaf", [
-    ("schrodinger", {"kind": "bump", "amplitude": "x"}, "truth.amplitude"),
-    ("schrodinger", {"kind": "sine", "coefficients": 5}, "truth.coefficients"),
-    ("schrodinger", {"coefficients": []}, "truth.coefficients"),
-    ("schrodinger", {"coefficients": [[1.0, 2.0, 3.0]]}, "truth.coefficients"),
-    ("schrodinger", {"kind": "spike"}, "truth.kind"),
-    ("schrodinger", {"kind": "kink"}, "truth.kind"),
-    ("schrodinger", {"kind": "bump", "center": True}, "truth.center"),
-    ("schrodinger", {"kind": "bump", "exponent": None}, "truth.exponent"),
+@pytest.mark.parametrize("equation, truth, message", [
+    ("schrodinger", {"kind": "bump", "amplitude": "x"}, "truth.amplitude must be "),
+    ("schrodinger", {"kind": "sine", "coefficients": 5}, "truth.coefficients must be "),
+    ("schrodinger", {"coefficients": []}, "truth.coefficients must be "),
+    ("schrodinger", {"coefficients": [[1.0, 2.0, 3.0]]}, "truth.coefficients must be "),
+    ("schrodinger", {"kind": "spike"}, "truth.kind must be "),
+    ("schrodinger", {"kind": "kink"}, "truth.kind must be "),
+    ("schrodinger", {"kind": "bump", "center": 0.3}, "unknown truth keys: ['center']"),
+    ("schrodinger", {"kind": "bump", "exponent": 0.6}, "unknown truth keys: ['exponent']"),
     ("wave", {"position": {"kind": "bump", "amplitude": "x"}, "velocity": {}},
-     "truth.position.amplitude"),
+     "truth.position.amplitude must be "),
     ("wave", {"position": {}, "velocity": {"coefficients": [[1.0, "i"]]}},
-     "truth.velocity.coefficients"),
-    ("wave", {"position": "none", "velocity": {}}, "truth.position"),
+     "truth.velocity.coefficients must be "),
+    ("wave", {"position": "none", "velocity": {}}, "truth.position must be "),
     ("wave", {"position": {"coefficients": [[1.0, 1.0]]}, "velocity": {}},
-     "truth.position.coefficients"),
-    ("wave", {"position": {}, "velocity": {"kind": "kink"}}, "truth.velocity.kind"),
+     "truth.position.coefficients must be "),
+    ("wave", {"position": {}, "velocity": {"kind": "kink"}}, "truth.velocity.kind must be "),
 ], ids=["amplitude", "coefficients", "no-coefficients", "triple", "kind", "kink", "center",
         "exponent", "wave-amplitude", "wave-coefficients", "wave-field", "wave-complex",
         "wave-kink"])
 def test_bad_truth_leaf_rejected_before_any_work(tmp_path, capsys, monkeypatch, command,
-                                                 equation, truth, leaf):
+                                                 equation, truth, message):
     # these used to end in a traceback (generate) or in failed rows (sweep);
     # a complex wave coefficient lost its imaginary part without a word
     def no_work(*args, **kwargs):
@@ -262,7 +273,7 @@ def test_bad_truth_leaf_rejected_before_any_work(tmp_path, capsys, monkeypatch, 
                                  "--set", f"truth={json.dumps(truth)}",
                                  "--set", f"output.directory={out}", command], capsys)
     assert code == 2 and stdout == ""
-    assert f"error: {leaf} must be " in err
+    assert f"error: {message}" in err
     assert not out.exists()
 
 

@@ -203,6 +203,24 @@ def test_row_solve_counts_are_the_solves_run(monkeypatch, equation, truth, tau):
     assert first.n_solves == round_trip * (first.eta_iterations + first.n_used + 1)
 
 
+def test_failed_first_row_carries_the_shared_stages(monkeypatch):
+    # eps = -1 fails in NoiseSpec, after the level's trace and eta were made
+    calls = []
+    solve = ShiftedSystem.solve
+
+    def counting_solve(self, rhs):
+        calls.append(1)
+        return solve(self, rhs)
+
+    monkeypatch.setattr(ShiftedSystem, "solve", counting_solve)
+    first, second = run_cell(small_plan(levels=(8,), noise_eps=(-1.0, 0.0)), 8)
+    assert "amplitude" in first.failure and second.failure is None
+    assert first.gen_ms > 0 and first.eta_ms > 0
+    assert second.gen_ms == 0 and second.eta_ms == 0
+    assert first.n_solves == 2 * 8 * second.eta_iterations
+    assert first.n_solves + second.n_solves == len(calls)
+
+
 def test_sweep_reproducible_bit_identically():
     plan = small_plan(levels=(8, 16))
     a = run_sweep(plan)

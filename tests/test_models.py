@@ -394,8 +394,12 @@ def test_trace_file_rejects_malformed_header(tmp_path, header_line, message):
     ("dt", None, "a finite positive number"), ("dt", -0.5, "a finite positive number"),
     ("complex", "yes", "a bool"), ("complex", 0, "a bool"),
     ("equation", 3, "a str"),
+    ("noise", {"amplitude": -1e-3}, "an object with a number amplitude >= 0"),
+    ("noise", {"amplitude": "0"}, "an object with a number amplitude >= 0"),
+    ("noise", 0.0, "an object with a number amplitude >= 0"),
 ], ids=["n_steps-str", "n_steps-bool", "n_steps-zero", "tau-str", "tau-inf",
-        "tau-int-past-float", "dt-null", "dt-negative", "complex-str", "complex-int", "equation-int"])
+        "tau-int-past-float", "dt-null", "dt-negative", "complex-str", "complex-int", "equation-int",
+        "noise-negative", "noise-str", "noise-number"])
 def test_trace_file_rejects_header_value_of_wrong_kind(tmp_path, key, value, what):
     path = _npy_trace(tmp_path / "kind.txt", _V2_SAMPLES, **{key: value})
     with pytest.raises(ValueError, match=re.escape(f"trace header {key} must be {what}, "
