@@ -4,7 +4,7 @@ Configuration is a single JSON document; any leaf can be overridden on the
 command line by dotted path (--set time.n_steps=128).  Unknown keys are
 rejected, all defaults are resolved up front, and the resolved config is
 embedded in every output file so runs stay reproducible from their
-artifacts.  BAFOBS_WORKERS bounds the sweep worker pool.
+artifacts.
 """
 
 from __future__ import annotations
@@ -51,8 +51,7 @@ DEFAULTS = {
 # truth.velocity.* for the wave): its check and what it must be.  The wave
 # is real, so its fields take real coefficients only.
 _FIELD_RULES = {
-    "kind": (lambda v: v in ("sine", "bump"), "'sine' or 'bump' ('kink' is outside "
-             "the regularity class the analysis assumes)"),
+    "kind": (lambda v: v in ("sine", "bump"), "'sine' or 'bump'"),
     "coefficients": (lambda v: isinstance(v, list) and len(v) > 0 and all(
         _is_number(c) or (isinstance(c, list) and len(c) == 2 and all(map(_is_number, c)))
         for c in v), "a non-empty list of numbers or [re, im] pairs"),
@@ -61,12 +60,6 @@ _FIELD_RULES = {
 _WAVE_FIELD_RULES = {**_FIELD_RULES, "coefficients": (
     lambda v: isinstance(v, list) and len(v) > 0 and all(map(_is_number, v)),
     "a non-empty list of numbers")}
-
-# Largest trace, (n_steps + 1) x interior nodes values, a config may ask for:
-# 34 GB as complex samples, up to a 46340-cell level with dt = h.  Past it a
-# step count is a typo, and the run would fail on memory after a long start.
-MAX_TRACE_VALUES = 2**31
-
 
 class ConfigError(ValueError):
     pass
@@ -171,30 +164,27 @@ def resolve_config(cfg: dict) -> dict:
     t = cfg["time"]
     if t["tau"] is None:
         t["tau"] = 1.0 if eq == "schrodinger" else 2.0
-    leaf = "n_steps"
-    if t["n_steps"] is None:
+    n_cells = cfg["geometry"]["n_cells"]
+    leaf, steps = "n_steps", t["n_steps"]
+    if steps is None:
         if t["dt"] is not None:
             leaf, step, quotient = "dt", t["dt"], "time.tau / time.dt"
         else:
-            step = cfg["geometry"]["length"] / cfg["geometry"]["n_cells"]
+            step = cfg["geometry"]["length"] / n_cells
             leaf, quotient = "tau", f"time.tau / h (h = {step!r})"
         # each leaf passed its rule, yet the quotient can still overflow (or h
         # underflow to 0), and round() takes no infinite step count
-        n_steps = t["tau"] / step if step > 0 else math.inf
-        if not math.isfinite(n_steps):
+        steps = t["tau"] / step if step > 0 else math.inf
+        if not math.isfinite(steps):
             raise ConfigError(f"time.{leaf} must give a finite step count "
                               f"{quotient}, got {t[leaf]!r}")
-        t["n_steps"] = max(1, round(n_steps))
-    if eq == "wave":
-        t["n_steps"] = max(t["n_steps"], 2)
-    n_cells = cfg["geometry"]["n_cells"]
-    if (t["n_steps"] + 1) * (n_cells - 1) > MAX_TRACE_VALUES:
-        # through h = length / n_cells the cell count sets both factors
-        dotted, value = (("geometry.n_cells", n_cells) if leaf == "tau"
-                         else (f"time.{leaf}", t[leaf]))
-        raise ConfigError(f"{dotted} must give a trace of at most {MAX_TRACE_VALUES} "
-                          f"values, (n_steps + 1) x {n_cells - 1} nodes, got {value!r} "
-                          f"(n_steps = {t['n_steps']})")
+    # through h = length / n_cells the cell count sets both factors of the trace
+    dotted, value = (("geometry.n_cells", n_cells) if leaf == "tau"
+                     else (f"time.{leaf}", t[leaf]))
+    try:
+        t["n_steps"] = harness.step_count(eq, n_cells, steps, dotted, value)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     t["dt"] = t["tau"] / t["n_steps"]
     if cfg["truth"] is None:
         if eq == "schrodinger":
@@ -367,6 +357,9 @@ def cmd_reconstruct(cfg: dict, trace_path: str) -> int:
                 "length": cfg["geometry"]["length"],
                 "tau": cfg["time"]["tau"],
                 "n_steps": cfg["time"]["n_steps"]}
+    if "profile" in header:
+        # as built, so a constant profile's unused a and b are its defaults
+        expected["profile"] = models.profile_header(build_profile(cfg))
     actual = {k: header.get(k) for k in expected}
     mismatched = {k: (expected[k], actual[k]) for k in expected
                   if not _close(expected[k], actual[k])}

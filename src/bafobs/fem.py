@@ -229,26 +229,16 @@ class FieldSpec:
               for every s, so it is admissible as a reconstruction target.
       bump -- amp * (x/L)^3 (1 - x/L)^3, C^infinity, vanishing at the
               boundary together with its second derivative.
-      kink -- |x - c|^beta minus the linear interpolant of its boundary
-              values; barely H^1 for beta slightly above 1/2.  Exploration
-              only ("unsafe"): outside the regularity class the error
-              analysis assumes for reconstruction targets.
     """
 
     kind: str = "sine"
     coefficients: tuple = (1.0,)
     amplitude: float = 1.0
-    center: float = 0.5 ** 0.5
-    exponent: float = 0.55
     length: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("sine", "bump", "kink"):
+        if self.kind not in ("sine", "bump"):
             raise ValueError(f"unknown field kind {self.kind!r}")
-
-    @property
-    def unsafe(self) -> bool:
-        return self.kind == "kink"
 
     @property
     def is_complex(self) -> bool:
@@ -265,12 +255,8 @@ class FieldSpec:
             for k, ck in enumerate(self.coefficients, start=1):
                 out += ck * np.sin(k * math.pi * x / L)
             return out
-        if self.kind == "bump":
-            s = x / L
-            return self.amplitude * (s * (1.0 - s)) ** 3
-        c, beta = self.center, self.exponent
-        lin = (1.0 - x / L) * c ** beta + (x / L) * (L - c) ** beta
-        return np.abs(x - c) ** beta - lin
+        s = x / L
+        return self.amplitude * (s * (1.0 - s)) ** 3
 
     def derivative(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -281,9 +267,5 @@ class FieldSpec:
             for k, ck in enumerate(self.coefficients, start=1):
                 out += ck * (k * math.pi / L) * np.cos(k * math.pi * x / L)
             return out
-        if self.kind == "bump":
-            s = x / L
-            return self.amplitude * 3.0 * (s * (1.0 - s)) ** 2 * (1.0 - 2.0 * s) / L
-        c, beta = self.center, self.exponent
-        lin_slope = ((L - c) ** beta - c ** beta) / L
-        return beta * np.sign(x - c) * np.abs(x - c) ** (beta - 1.0) - lin_slope
+        s = x / L
+        return self.amplitude * 3.0 * (s * (1.0 - s)) ** 2 * (1.0 - 2.0 * s) / L

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, asdict
 
@@ -22,7 +21,11 @@ from .models import NoiseSpec, ProblemInstance, add_noise, generate_observation
 from .observers import BackAndForth, EtaEstimate, WaveState
 
 CSV_HEADER = "equation,h,dt,n_used,eta_hat,noise_eps,error_x,fit_model,wall_ms"
-WORKERS_ENV = "BAFOBS_WORKERS"
+
+# Largest trace, (n_steps + 1) x interior nodes values, a run may ask for:
+# 34 GB as complex samples, up to a 46340-cell level with dt = h.  Past it a
+# step count is a typo, and the run would fail on memory after a long start.
+MAX_TRACE_VALUES = 2**31
 
 
 # -- error evaluation in the analysis norms ------------------------------------
@@ -72,6 +75,22 @@ def reconstruction_error(equation: str, truth, estimate, ops: FemOperators) -> f
 # -- sweeps -------------------------------------------------------------------
 
 
+def step_count(equation: str, n_cells: int, steps: float, leaf: str, value) -> int:
+    """The step count of ``steps`` (tau over the step length, or a given
+    count): rounded, and at least 2 for the wave's two-step scheme, 1
+    otherwise.  An infinite count, or one whose (n_steps + 1) x (n_cells - 1)
+    trace would pass MAX_TRACE_VALUES, raises a ValueError that names the
+    ``leaf`` and its ``value``."""
+    if not math.isfinite(steps):
+        raise ValueError(f"{leaf} must give a finite step count, got {value!r}")
+    k = max(round(steps), 2 if equation == "wave" else 1)
+    if (k + 1) * (n_cells - 1) > MAX_TRACE_VALUES:
+        raise ValueError(f"{leaf} must give a trace of at most {MAX_TRACE_VALUES} values, "
+                         f"(n_steps + 1) x {n_cells - 1} nodes, got {value!r} "
+                         f"(n_steps = {k})")
+    return k
+
+
 @dataclass(frozen=True)
 class SweepPlan:
     """Refinement study over n_cells levels with dt = kappa * h."""
@@ -101,6 +120,14 @@ class SweepPlan:
             raise ValueError(f"n_policy must be 'auto' or an integer >= 0, got {npol!r}")
         if not self.kappa > 0:
             raise ValueError("kappa must be positive")
+        for n_cells in self.levels:
+            self.n_steps(n_cells)
+
+    def n_steps(self, n_cells: int) -> int:
+        """Step count of a level, dt = kappa * h rounded by ``step_count``."""
+        step = self.kappa * (self.length / n_cells)
+        return step_count(self.equation, n_cells, self.tau / step if step > 0 else math.inf,
+                          "sweep.levels", n_cells)
 
 
 @dataclass
@@ -190,7 +217,7 @@ def run_cell(plan: SweepPlan, n_cells: int) -> list[SweepRow]:
     """
     mark = time.perf_counter()
     h = plan.length / n_cells
-    k = max(round(plan.tau / (plan.kappa * h)), 2 if plan.equation == "wave" else 1)
+    k = plan.n_steps(n_cells)
     dt = plan.tau / k
     rows, setup_failure = [], None
     # cell isolation: the sweep must go on, so any failure becomes a row
@@ -222,33 +249,10 @@ def run_cell(plan: SweepPlan, n_cells: int) -> list[SweepRow]:
     return rows
 
 
-def worker_count() -> int:
-    """Requested sweep workers: BAFOBS_WORKERS, a positive integer, 1 if unset."""
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        if int(raw) >= 1:
-            return int(raw)
-    except ValueError:
-        pass
-    raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
-
-
 def run_sweep(plan: SweepPlan) -> list[SweepRow]:
-    """One row per (level, noise) cell, deterministic given the plan seeds.
-
-    Levels are independent and each runs as one ``run_cell``; with
-    BAFOBS_WORKERS > 1 they run in a process pool of at most one worker per
-    CPU and per level.
-    """
-    workers = min(worker_count(), os.cpu_count() or 1, len(plan.levels))
-    if workers > 1:
-        # imported here: the pool module is ~20 ms of every serial run's start-up
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            levels = list(pool.map(run_cell, [plan] * len(plan.levels), plan.levels))
-    else:
-        levels = [run_cell(plan, n_cells) for n_cells in plan.levels]
-    return [r for rows in levels for r in rows]
+    """One row per (level, noise) cell, deterministic given the plan seeds:
+    one ``run_cell`` per level, in the order of ``plan.levels``."""
+    return [row for n_cells in plan.levels for row in run_cell(plan, n_cells)]
 
 
 # -- rate fitting --------------------------------------------------------------

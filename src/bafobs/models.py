@@ -80,7 +80,6 @@ class ProblemInstance:
     tau: float
     n_steps: int
     truth: FieldSpec | tuple[FieldSpec, FieldSpec]
-    allow_unsafe_truth: bool = False
 
     def __post_init__(self):
         if self.equation not in ("schrodinger", "wave"):
@@ -95,12 +94,6 @@ class ProblemInstance:
             raise ValueError("wave truth must be a (position, velocity) pair")
         if self.equation == "schrodinger" and len(fields) != 1:
             raise ValueError("schrodinger truth must be a single field")
-        for f in fields:
-            if f.unsafe and not self.allow_unsafe_truth:
-                raise ValueError(
-                    f"truth kind {f.kind!r} is outside the admissible regularity "
-                    "class; pass allow_unsafe_truth=True to use it anyway"
-                )
 
     @property
     def dt(self) -> float:
@@ -190,7 +183,6 @@ def write_trace(path, trace: ObservationTrace, instance: ProblemInstance,
                 refine: int, noise: NoiseSpec | None = None,
                 config: dict | None = None) -> dict:
     """Write the trace with full provenance header; returns the header dict."""
-    profile = instance.profile
     is_complex = bool(np.iscomplexobj(trace.samples))
     header = {
         "format": TRACE_FORMAT,
@@ -201,10 +193,7 @@ def write_trace(path, trace: ObservationTrace, instance: ProblemInstance,
         "dt": trace.dt,
         "n_steps": trace.n_steps,
         "complex": is_complex,
-        "profile": {
-            "a": profile.a, "b": profile.b,
-            "smoothness": profile.smoothness, "constant": profile.const,
-        },
+        "profile": profile_header(instance.profile),
         "refine": refine,
         "noise": {"amplitude": noise.amplitude if noise else 0.0,
                   "seed": noise.seed if noise else 0},
@@ -217,6 +206,12 @@ def write_trace(path, trace: ObservationTrace, instance: ProblemInstance,
         fh.write(json.dumps(header).encode("utf-8") + b"\n")
         np.save(fh, samples, allow_pickle=False)
     return header
+
+
+def profile_header(profile: ObservationProfile) -> dict:
+    """The trace header's record of an observation profile."""
+    return {"a": profile.a, "b": profile.b,
+            "smoothness": profile.smoothness, "constant": profile.const}
 
 
 def read_trace(path) -> tuple[ObservationTrace, dict]:

@@ -54,7 +54,7 @@ class SchrodingerStepper:
 
     One step solves (M - i dt K + dt B) q^k = M q^{k-1} + dt f^k, the scheme
     of i A0 - C*C; the backward scheme, of -i A0 - C*C, is its conjugate.  The
-    system matrix is factored once and shared across all steps (and threads).
+    system matrix is factored once and shared across all steps.
     """
 
     def __init__(self, ops: FemOperators, dt: float, n_steps: int):
@@ -301,8 +301,7 @@ class BackAndForth:
     """Observer pair and round-trip operator for one discretization.
 
     Holds the one prefactored stepper of a (mesh, dt, n_steps) triple, which
-    runs both passes; all methods are pure given the immutable stepper, so
-    one instance can be shared across workers.
+    runs both passes; all methods are pure given the immutable stepper.
     """
 
     def __init__(self, equation: str, ops: FemOperators, dt: float, n_steps: int):

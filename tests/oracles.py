@@ -4,10 +4,12 @@ The oracles deliberately avoid the package's stepper/solver code paths:
 dense numpy factorizations and eigendecompositions only, so agreement with
 the package is a real cross-check and not a tautology.  The same goes for
 the analysis tools the algorithm never runs: the H^1_0 projection and the
-discrete D(A0^alpha) norms solve densely.  power_iteration is the reference
-eta estimator that the package's Arnoldi estimate is checked against, and
-pencil_vectors the dense eigenvector matrix that the package's closed-form
-pencil only ever applies by DST-I.  The per-step functions schrodinger_step
+discrete D(A0^alpha) norms solve densely, and kink_field is the rough
+field that shows the projection's decay outside the regularity class the
+analysis assumes.  power_iteration is the reference eta estimator that the
+package's Arnoldi estimate is checked against, and pencil_vectors the dense
+eigenvector matrix that the package's closed-form pencil only ever applies
+by DST-I.  The per-step functions schrodinger_step
 / wave_step and the two history helpers that drive them are the exception:
 they are the scheme written one step at a time with the package's
 tridiagonal products and solves, and tests pin
@@ -238,6 +240,25 @@ def project_pi_h(mesh, ops: FemOperators, phi) -> np.ndarray:
     side evaluated by the assembly quadrature applied to phi'.
     """
     return np.linalg.solve(dense(ops.stiffness), grad_load_vector(mesh, phi.derivative))
+
+
+def kink_field(center: float = 0.5 ** 0.5, exponent: float = 0.55, length: float = 1.0):
+    """|x - c|^beta minus the linear interpolant of its boundary values, with
+    its derivative: barely H^1 for beta slightly above 1/2, so outside the
+    regularity class the error analysis assumes for reconstruction targets."""
+    c, beta, L = center, exponent, length
+
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        lin = (1.0 - x / L) * c ** beta + (x / L) * (L - c) ** beta
+        return np.abs(x - c) ** beta - lin
+
+    def derivative(x):
+        x = np.asarray(x, dtype=float)
+        lin_slope = ((L - c) ** beta - c ** beta) / L
+        return beta * np.sign(x - c) * np.abs(x - c) ** (beta - 1.0) - lin_slope
+
+    return SimpleNamespace(value=value, derivative=derivative)
 
 
 SUPPORTED_ALPHAS = (0.0, 0.5, 1.0, 1.5, 2.0)

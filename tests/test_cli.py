@@ -314,6 +314,40 @@ def test_step_count_past_the_trace_ceiling_rejected(tmp_path, capsys, override, 
     assert cli.load_config(None, ["geometry.n_cells=46340"])["time"]["n_steps"] == 46340
 
 
+@pytest.mark.parametrize("overrides, message", [
+    (["sweep.levels=[64, 100000]"], "sweep.levels must give a trace of at most 2147483648 "
+     "values, (n_steps + 1) x 99999 nodes, got 100000 (n_steps = 100000)"),
+    (["sweep.levels=[46341]"], "sweep.levels must give a trace of at most 2147483648 "
+     "values, (n_steps + 1) x 46340 nodes, got 46341 (n_steps = 46341)"),
+    (["sweep.kappa=1e-320"], "sweep.levels must give a finite step count, got 32"),
+], ids=["100000", "46341", "kappa"])
+def test_sweep_level_past_the_trace_ceiling_rejected(tmp_path, capsys, monkeypatch,
+                                                     overrides, message):
+    # the config loads, as geometry.n_cells is the only cell count it checks, but
+    # the plan refuses the level before any work or output
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(cli.harness, "run_cell", no_work)
+    out = tmp_path / "out"
+    args = [a for o in overrides for a in ("--set", o)]
+    code, stdout, err = run_cli(args + ["--set", f"output.directory={out}", "sweep"], capsys)
+    assert code == 2 and stdout == ""
+    assert f"error: {message}" in err
+    assert not out.exists()
+    # one cell fewer still fits
+    assert cli.build_plan(cli.load_config(None, ["sweep.levels=[46340]"])).levels == (46340,)
+
+
+@pytest.mark.parametrize("equation, tau", [("schrodinger", 1.0), ("schrodinger", 0.01),
+                                           ("wave", 2.0), ("wave", 0.01)])
+def test_config_and_sweep_level_share_the_step_rule(equation, tau):
+    # dt = h both ways; a horizon shorter than a step still takes 1 (2 for the wave)
+    cfg = cli.load_config(None, [f"equation={equation}", f"time.tau={tau}",
+                                 "geometry.n_cells=24", "sweep.levels=[24]"])
+    assert cli.build_plan(cfg).n_steps(24) == cfg["time"]["n_steps"]
+
+
 @pytest.mark.parametrize("equation, rate", [("schrodinger", "lambda_max"),
                                             ("wave", "omega_max")])
 def test_huge_tau_with_given_step_count_rejected_before_synthesis(tmp_path, capsys,
@@ -359,6 +393,33 @@ def test_reconstruct_header_mismatch_reports_both_sides(tmp_path, capsys):
                             "reconstruct", "--trace", trace_path], capsys)
     assert code == 2
     assert "24" in err and "12" in err
+
+
+def test_reconstruct_observation_profile_mismatch_exit_code(tmp_path, capsys):
+    # a trace observed through a = 0.1 used to be inverted with a = 0.2 and exit 0
+    out = tmp_path / "out"
+    trace_path = str(tmp_path / "t.txt")
+    base = ["--set", "geometry.n_cells=32", "--set", f"output.directory={out}"]
+    assert run_cli(base + ["--set", "observation.a=0.1", "generate",
+                           "--out", trace_path], capsys)[0] == 0
+    code, stdout, err = run_cli(base + ["reconstruct", "--trace", trace_path], capsys)
+    assert code == 2 and stdout == ""
+    assert "'profile': {'a': 0.2," in err and "'profile': {'a': 0.1," in err
+    assert not out.exists()
+
+
+def test_reconstruct_constant_profile_ignores_unused_window(tmp_path, capsys):
+    # a constant weight never reads a and b, so they need not match
+    trace_path = str(tmp_path / "t.txt")
+    cfg = small_config(tmp_path, observation={"constant": 0.5})
+    run_cli(["--config", cfg, "--set", "observation.a=0.1", "generate",
+             "--out", trace_path], capsys)
+    code, _, _ = run_cli(["--config", cfg, "reconstruct", "--trace", trace_path], capsys)
+    assert code == 0
+    code, _, err = run_cli(["--config", cfg, "--set", "observation.constant=0.25",
+                            "reconstruct", "--trace", trace_path], capsys)
+    assert code == 2
+    assert "'constant': 0.25" in err and "'constant': 0.5" in err
 
 
 def test_reconstruct_uncertified_contraction_exit_code(tmp_path, capsys, monkeypatch):
@@ -447,14 +508,6 @@ def test_reconstruct_v1_text_trace_gives_the_same_estimate(tmp_path, capsys):
         assert diag["trace_format"] == fmt
         runs[fmt] = (tmp_path / "out" / "estimate.txt").read_bytes()
     assert runs["bafobs-trace-1"] == runs["bafobs-trace-2"]
-
-
-def test_sweep_malformed_worker_count_exit_code(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("BAFOBS_WORKERS", "abc")
-    cfg = small_config(tmp_path, sweep={"levels": [8, 16, 24]})
-    code, _, err = run_cli(["--config", cfg, "sweep"], capsys)
-    assert code == 2
-    assert "BAFOBS_WORKERS" in err and "'abc'" in err
 
 
 def test_estimate_eta_cached_determinism(tmp_path, capsys):
@@ -566,7 +619,6 @@ def test_sweep_failing_cell_nonzero_exit_other_rows_intact(tmp_path, capsys,
         return generate(instance, **kwargs)
 
     monkeypatch.setattr(cli.harness, "generate_observation", fail_coarsest)
-    monkeypatch.delenv("BAFOBS_WORKERS", raising=False)
     cfg = small_config(tmp_path, sweep={
         "levels": [6, 8, 16, 24],
         "fit_model": "pure-power",

@@ -4,7 +4,8 @@ import pytest
 from bafobs.fem import FieldSpec, Mesh1D, ObservationProfile, assemble, load_vector
 from bafobs.linalg import pencil_eigs
 
-from oracles import dense, fine_l2_distance, norm_alpha, pencil_vectors, project_pi_h
+from oracles import (dense, fine_l2_distance, kink_field, norm_alpha, pencil_vectors,
+                     project_pi_h)
 
 
 @pytest.fixture(scope="module")
@@ -178,9 +179,7 @@ def test_projection_decay_smooth_fields():
 
 
 def test_projection_decay_rough_field_near_first_order():
-    field = FieldSpec(kind="kink")
-    assert field.unsafe
-    errs = _projection_errors(field, (16, 256))
+    errs = _projection_errors(kink_field(), (16, 256))
     overall = errs[1] / errs[0]
     assert overall <= (16 / 256) ** 0.9        # at least ~first order overall
     assert overall >= (16 / 256) ** 2.2        # and visibly slower than smooth

@@ -1,9 +1,5 @@
-import concurrent.futures
 import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -253,68 +249,10 @@ def test_sweep_cell_failure_isolated():
     assert "amplitude" in rows[3].failure
 
 
-def test_sweep_worker_pool_matches_serial(monkeypatch):
-    plan = small_plan(levels=(8, 16), noise_eps=(0.0, 1e-3))
-    serial = run_sweep(plan)
-    monkeypatch.setenv("BAFOBS_WORKERS", "2")
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)   # a real pool, even on one CPU
-    pooled = run_sweep(plan)
-    def key(rows):
-        return [(r.n_cells, r.noise_eps, r.error_x, r.n_used, r.eta_hat) for r in rows]
-
-    assert key(serial) == key(pooled)
-
-
-def test_sweep_worker_count_clamped(monkeypatch):
-    # never start a large pool: a fake executor records the requested size
-    requested = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    # run_sweep imports the pool class when it starts a pool
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setenv("BAFOBS_WORKERS", str(10 ** 6))
-    plan = small_plan(levels=(8, 16, 24))
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    run_sweep(plan)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    rows = run_sweep(plan)
-    assert requested == [2, 3]
-    assert [r.n_cells for r in rows] == [8, 16, 24]
-
-
-def test_serial_sweep_never_imports_the_process_pool(monkeypatch, tmp_path):
-    monkeypatch.delenv("BAFOBS_WORKERS", raising=False)
-    code = ("import sys; from bafobs import cli; "
-            "cli.main(['--set', 'sweep.levels=[4, 6, 8]', "
-            f"'--set', 'output.directory={tmp_path}', 'sweep']); "
-            "sys.exit('concurrent.futures.process' in sys.modules)")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    assert subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, timeout=60).returncode == 0
-
-
-@pytest.mark.parametrize("raw", ["abc", "0", "-5", "2.5"])
-def test_malformed_worker_count_rejected(monkeypatch, raw):
-    monkeypatch.setenv("BAFOBS_WORKERS", raw)
-    with pytest.raises(ValueError, match=f"BAFOBS_WORKERS.*{raw}"):
-        harness.worker_count()
-
-
-def test_unset_worker_count_is_one(monkeypatch):
-    monkeypatch.delenv("BAFOBS_WORKERS", raising=False)
-    assert harness.worker_count() == 1
+def test_plan_refuses_a_level_past_the_trace_ceiling():
+    with pytest.raises(ValueError, match=r"sweep.levels .* 99999 nodes, got 100000 "):
+        small_plan(levels=(8, 100000))
+    assert small_plan(levels=(8, 46340)).n_steps(46340) == 46340
 
 
 def test_eta_constant_across_levels_in_resolved_time_regime():

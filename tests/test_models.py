@@ -45,11 +45,8 @@ def test_instance_validation():
         ProblemInstance("schrodinger", mesh, prof, 1.0, 8, (sine, sine))
     with pytest.raises(ValueError, match="n_steps"):
         ProblemInstance("wave", mesh, prof, 1.0, 1, (sine, sine))
-    with pytest.raises(ValueError, match="regularity"):
-        ProblemInstance("schrodinger", mesh, prof, 1.0, 8, FieldSpec(kind="kink"))
-    unsafe = ProblemInstance("schrodinger", mesh, prof, 1.0, 8,
-                             FieldSpec(kind="kink"), allow_unsafe_truth=True)
-    assert unsafe.dt == 0.125
+    with pytest.raises(ValueError, match="unknown field kind 'kink'"):
+        FieldSpec(kind="kink")
 
 
 def test_exact_propagation_conserves_m_norm(schrod_instance):
