@@ -309,8 +309,11 @@ def _warn_unconverged_eta(eta_hat: float, iterations: int, where: str = ""):
 
 
 def _sha256(path: Path) -> str:
+    """The file's digest, read in 1 MiB chunks so the trace is never held twice."""
     digest = hashlib.sha256()
-    digest.update(path.read_bytes())
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
     return digest.hexdigest()
 
 

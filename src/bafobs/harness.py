@@ -235,9 +235,10 @@ def run_cell(plan: SweepPlan, n_cells: int) -> list[SweepRow]:
         try:
             if setup_failure is not None:
                 raise setup_failure
-            trace = add_noise(clean, NoiseSpec(eps, plan.noise_seed))
-            _, row = reconstruct(engine, trace, eta, n_policy=plan.n_policy,
-                                 theta=plan.theta, truth=plan.truth, noise_eps=eps)
+            # unnamed, the noisy trace is released before the next one is drawn
+            _, row = reconstruct(engine, add_noise(clean, NoiseSpec(eps, plan.noise_seed)),
+                                 eta, n_policy=plan.n_policy, theta=plan.theta,
+                                 truth=plan.truth, noise_eps=eps)
         except Exception as exc:
             row = SweepRow(plan.equation, n_cells, h, dt, -1, float("nan"), eps,
                            float("nan"), 0.0, f"{type(exc).__name__}: {exc}")

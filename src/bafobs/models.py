@@ -156,18 +156,21 @@ def add_noise(trace: ObservationTrace, noise: NoiseSpec) -> ObservationTrace:
     """Return a perturbed copy of the trace; amplitude 0 returns it unchanged.
 
     Complex samples get independent uniform perturbations on the real and
-    imaginary parts.  Deterministic for a given seed.
+    imaginary parts.  Deterministic for a given seed.  The samples are copied
+    once and perturbed in place, GENERATION_BLOCK rows at a time, the real
+    parts first: the same stream of draws as one draw of the whole shape
+    per part, so the copy is all the memory it takes beyond a block.
     """
     if noise.amplitude == 0.0:
         return trace
     rng = np.random.default_rng(noise.seed)
     eps = noise.amplitude
-    shape = trace.samples.shape
-    if np.iscomplexobj(trace.samples):
-        delta = rng.uniform(-eps, eps, shape) + 1j * rng.uniform(-eps, eps, shape)
-    else:
-        delta = rng.uniform(-eps, eps, shape)
-    return replace(trace, samples=trace.samples + delta, provenance="noisy")
+    samples = np.array(trace.samples, dtype=np.result_type(trace.samples.dtype, np.float64))
+    for part in (samples.real, samples.imag) if np.iscomplexobj(samples) else (samples,):
+        for start in range(0, part.shape[0], GENERATION_BLOCK):
+            rows = part[start:start + GENERATION_BLOCK]
+            rows += rng.uniform(-eps, eps, rows.shape)
+    return replace(trace, samples=samples, provenance="noisy")
 
 
 # -- trace files -------------------------------------------------------------

@@ -24,6 +24,7 @@ from .fem import FemOperators
 from .linalg import ShiftedSystem, SymTridiag
 
 AUTO_N_CAP = 200
+LOAD_BLOCK = 32        # output rows whose observer loads are formed at once
 
 
 @dataclass(frozen=True)
@@ -69,23 +70,23 @@ class SchrodingerStepper:
                                     alpha=1.0, beta=-1j * dt, gamma=dt)
 
 
-def run_schrodinger(stepper: SchrodingerStepper, q0: np.ndarray,
-                    forcing: np.ndarray | None = None) -> np.ndarray:
+def run_schrodinger(stepper: SchrodingerStepper, q0: np.ndarray, *,
+                    outputs: np.ndarray | None = None) -> np.ndarray:
     """Advance the Schrodinger scheme n_steps times; the final state.
 
-    forcing, when given, holds the load vectors f^1..f^K as rows.  Two state
-    buffers alternate: each step forms M q^{k-1} + dt f^k in the one not
-    holding q^{k-1} and solves there in place, so no step allocates.
+    outputs, when given, holds the output samples y^1..y^K as rows (a view,
+    reversed or not, is read as it is); step k is driven by the load
+    f^k = G y^k, G the output Gram matrix.  Two state buffers alternate: each
+    step forms M q^{k-1} + dt f^k in the one not holding q^{k-1} and solves
+    there in place, so no step allocates.
     """
     n = stepper.ops.n
     q = np.array(q0, dtype=complex, order="C")
     if q.shape != (n,):
         raise ValueError(f"q0 has shape {q.shape}, expected ({n},)")
-    if forcing is not None and forcing.shape != (stepper.n_steps, n):
-        raise ValueError("forcing must have one load vector per step")
-    dt = stepper.dt
+    loads = None if outputs is None else _Loads(stepper, outputs, stepper.dt)
     states = (q, np.empty(n, dtype=complex))
-    tmp, load = np.empty(n - 1, dtype=complex), np.empty(n, dtype=complex)
+    tmp = np.empty(n - 1, dtype=complex)
     solve = stepper.system.solve
     # per parity of k: the product M q^{k-1} into the other buffer, that
     # buffer, and the buffer bound to the system for in-place solves
@@ -94,11 +95,64 @@ def run_schrodinger(stepper: SchrodingerStepper, q0: np.ndarray,
     for k in range(stepper.n_steps):
         product, rhs, bound = plans[k & 1]
         product()
-        if forcing is not None:
-            np.multiply(dt, forcing[k], out=load)
-            np.add(rhs, load, out=rhs)
+        if loads is not None:
+            np.add(rhs, loads.row(k), out=rhs)
         solve(bound)
     return states[stepper.n_steps & 1]
+
+
+@dataclass(frozen=True)
+class _Conjugated:
+    """Output rows that a Schrodinger pass reads conjugated: the backward
+    observer's time reversal of its data, applied a block at a time."""
+
+    rows: np.ndarray
+
+
+class _Loads:
+    """The scaled observer loads scale * G y^k of a pass's output rows.
+
+    LOAD_BLOCK rows at a time are read (copied, or conjugated for a
+    ``_Conjugated`` input) into one fixed buffer, and one bound product with
+    the output Gram matrix G forms their loads, so a pass holds O(LOAD_BLOCK n)
+    of loads whatever its step count.  row(k) must be asked for with k
+    ascending; every product is elementwise, so the loads are bit for bit
+    those of one product over all rows.
+    """
+
+    def __init__(self, stepper, outputs, scale: float):
+        conjugate = isinstance(outputs, _Conjugated)
+        self._outputs = np.asarray(outputs.rows if conjugate else outputs)
+        self._conjugate = conjugate
+        shape = (stepper.n_steps, stepper.ops.n)
+        if self._outputs.shape != shape:
+            raise ValueError(f"outputs has shape {self._outputs.shape}, expected {shape}: "
+                             "one output row per step")
+        self._scale = scale
+        self._size = min(LOAD_BLOCK, stepper.n_steps)
+        dtype = np.result_type(float, self._outputs.dtype)
+        # zeroed: rows a partial block does not fill hold earlier rows or zeros,
+        # never garbage that could overflow in the product
+        self._block = np.zeros((self._size, shape[1]), dtype)
+        self._loads = np.empty_like(self._block)
+        self._product = stepper.ops.output_gram.bind(
+            self._block, self._loads, np.empty((self._size, shape[1] - 1), dtype))
+        self._rows = list(self._loads)        # row views made once, not per step
+        self._start = -self._size
+
+    def row(self, k: int) -> np.ndarray:
+        i = k - self._start
+        if i >= self._size:
+            rows = self._outputs[k:k + self._size]
+            block = self._block[:len(rows)]
+            if self._conjugate:
+                np.conjugate(rows, out=block)
+            else:
+                block[...] = rows
+            self._product()
+            np.multiply(self._scale, self._loads, out=self._loads)
+            self._start, i = k, 0
+        return self._rows[i]
 
 
 class WaveStepper:
@@ -129,31 +183,31 @@ class WaveStepper:
                               for upper, lower in ((mass, weight), (weight, mass)))
 
 
-def run_wave(stepper: WaveStepper, p0: np.ndarray, p1: np.ndarray,
-             forcing: np.ndarray | None = None) -> WaveState:
+def run_wave(stepper: WaveStepper, p0: np.ndarray, p1: np.ndarray, *,
+             outputs: np.ndarray | None = None) -> WaveState:
     """Advance the wave scheme n_steps times from (p0, p1) = (position, velocity).
 
     Returns the final WaveState (p^K, D_t p^K), D_t the backward difference.
-    A (2, n) history holds p^{k-1} and p^{k-2} in alternating rows: each
-    step forms (2M + dt B) p^{k-1} and M p^{k-2} as one block-diagonal
-    product over the flat history, writes their difference (plus dt^2 f^k)
-    over p^{k-2} and solves there in place, so no step allocates.  A zero
-    coupling adds only +-0, so the states are those of two separate products.
+    outputs, as for ``run_schrodinger``, holds y^1..y^K; the explicit first
+    step reads none, so y^1 is never used.  A (2, n) history holds p^{k-1}
+    and p^{k-2} in alternating rows: each step forms (2M + dt B) p^{k-1} and
+    M p^{k-2} as one block-diagonal product over the flat history, writes
+    their difference (plus dt^2 f^k) over p^{k-2} and solves there in place,
+    so no step allocates.  A zero coupling adds only +-0, so the states are
+    those of two separate products.
     """
     n = stepper.ops.n
     pos0 = np.asarray(p0, dtype=float)
     vel0 = np.asarray(p1, dtype=float)
     if pos0.shape != (n,) or vel0.shape != (n,):
         raise ValueError(f"states must have shape ({n},)")
-    if forcing is not None and forcing.shape != (stepper.n_steps, n):
-        raise ValueError("forcing must have one load vector per step")
     dt = stepper.dt
-    dt2 = dt * dt
+    loads = None if outputs is None else _Loads(stepper, outputs, dt * dt)
     history = np.empty((2, n))
     history[0] = pos0
     np.add(pos0, dt * vel0, out=history[1])
     products = np.empty((2, n))
-    tmp, load = np.empty(2 * n - 1), np.empty(n)
+    tmp = np.empty(2 * n - 1)
     solve = stepper.system.solve
     # per parity of k: the product of the flat history, p^{k-2} in row k & 1
     # (where p^k is formed) and p^{k-1} in the other, by the matching block
@@ -167,9 +221,8 @@ def run_wave(stepper: WaveStepper, p0: np.ndarray, p1: np.ndarray,
         product, weighted, massed, rhs, bound = plans[k & 1]
         product()
         np.subtract(weighted, massed, out=rhs)
-        if forcing is not None:
-            np.multiply(dt2, forcing[k - 1], out=load)
-            np.add(rhs, load, out=rhs)
+        if loads is not None:
+            np.add(rhs, loads.row(k - 1), out=rhs)
         solve(bound)
     last = stepper.n_steps & 1
     return WaveState(history[last].copy(), (history[last] - history[1 - last]) / dt)
@@ -359,35 +412,34 @@ class BackAndForth:
                 f"trace has {trace.n_steps} steps, stepper has {self.n_steps}"
             )
 
-    def _forward(self, state, loads=None):
-        """One damped pass of n_steps from state, driven by loads if given."""
+    def _forward(self, state, outputs=None):
+        """One damped pass of n_steps from state, driven by outputs if given."""
         if self.equation == "schrodinger":
-            return run_schrodinger(self._stepper, state, loads)
-        return run_wave(self._stepper, state.pos, state.vel, loads)
+            return run_schrodinger(self._stepper, state, outputs=outputs)
+        return run_wave(self._stepper, state.pos, state.vel, outputs=outputs)
 
-    def _backward(self, state, loads=None):
-        """The backward pass R _forward(R state, R loads), R the time reversal:
-        conjugation for Schrodinger (of the loads in place), and for the wave
-        the position flip (p, v) -> (-p, v), which leaves the loads alone."""
+    def _backward(self, state, outputs=None):
+        """The backward pass R _forward(R state, R outputs), R the time
+        reversal: conjugation for Schrodinger (of the outputs as the pass
+        reads them), and for the wave the position flip (p, v) -> (-p, v),
+        which leaves the outputs alone."""
         if self.equation == "schrodinger":
-            if loads is not None:
-                np.conjugate(loads, out=loads)
-            out = self._forward(np.conj(state), loads)
+            if outputs is not None:
+                outputs = _Conjugated(outputs)
+            out = self._forward(np.conj(state), outputs)
             return np.conjugate(out, out=out)
-        out = self._forward(WaveState(-state.pos, state.vel), loads)
+        out = self._forward(WaveState(-state.pos, state.vel), outputs)
         return WaveState(-out.pos, out.vel)
 
     def forward_observer(self, trace: ObservationTrace):
         """Run the damped observer from rest, driven by the trace; state at tau."""
         self._check_trace(trace)
-        loads = self.ops.output_gram.matvec(trace.samples[1:])
-        return self._forward(self.zero_state(), loads)
+        return self._forward(self.zero_state(), trace.samples[1:])
 
     def backward_observer(self, trace: ObservationTrace, final_state):
         """Run the backward observer from the forward output; state at time 0."""
         self._check_trace(trace)
-        reversed_samples = trace.samples[::-1][1:]   # y^{K-k}, k = 1..K
-        return self._backward(final_state, self.ops.output_gram.matvec(reversed_samples))
+        return self._backward(final_state, trace.samples[::-1][1:])   # y^{K-k}, k = 1..K
 
     def first_iterate(self, trace: ObservationTrace):
         """The state the Neumann series starts from: backward(forward(trace))."""

@@ -19,9 +19,12 @@ generate_observation: it builds the whole fine trajectory, positions and
 velocities, with the package's pencil transforms, and a test restricts it
 by nodal injection.  backward_schrodinger_stepper and the old_* functions
 compose the observers the way the package did before its backward pass
-became the forward pass under time reversal: a second, +i dt Schrodinger
-system stepped by schrodinger_step, and the wave's velocity flip around
-run_wave with negated loads.  Tests pin BackAndForth to them bit for bit.
+became the forward pass under time reversal and before its passes formed
+their loads from the output rows a block at a time: all K loads formed at
+once, then a second, +i dt Schrodinger system stepped by schrodinger_step,
+and the wave's velocity flip around wave_history with negated loads.  Tests
+pin BackAndForth to them bit for bit.  old_add_noise is add_noise as one
+whole-array draw per part, which the blocked in-place draws reproduce.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 
 from bafobs import (EtaEstimate, FemOperators, Mesh1D, ProblemInstance,
                     SchrodingerStepper, ShiftedSystem, WaveState, WaveStepper, assemble,
-                    pencil_eigs, run_wave)
+                    pencil_eigs)
 from bafobs.fem import grad_load_vector
 from bafobs.linalg import SingularPivotError, SymTridiag
 
@@ -336,20 +339,22 @@ def wave_step(stepper, p_prev: np.ndarray, p_prev2: np.ndarray,
     return stepper.system.solve(rhs)
 
 
-def schrodinger_history(stepper, q0: np.ndarray, forcing: np.ndarray | None = None):
-    """run_schrodinger, keeping every state: (final, history of shape (K+1, n))."""
+def schrodinger_history(stepper, q0: np.ndarray, loads: np.ndarray | None = None):
+    """run_schrodinger driven by the loads f^1..f^K as rows (not by output
+    rows), keeping every state: (final, history of shape (K+1, n))."""
     q = np.asarray(q0, dtype=complex)
     history = np.empty((stepper.n_steps + 1, q.size), dtype=complex)
     history[0] = q
     for k in range(1, stepper.n_steps + 1):
-        q = schrodinger_step(stepper, q, None if forcing is None else forcing[k - 1])
+        q = schrodinger_step(stepper, q, None if loads is None else loads[k - 1])
         history[k] = q
     return q, history
 
 
 def wave_history(stepper, p0: np.ndarray, p1: np.ndarray,
-                 forcing: np.ndarray | None = None):
-    """run_wave, keeping every state: (final, positions, velocities).
+                 loads: np.ndarray | None = None):
+    """run_wave driven by the loads f^1..f^K as rows, keeping every state:
+    (final, positions, velocities).
 
     positions has shape (K+1, n); velocities holds p1 and then the
     backward differences D_t p^k for k = 2..K, so it has shape (K, n).
@@ -364,7 +369,7 @@ def wave_history(stepper, p0: np.ndarray, p1: np.ndarray,
     history[1] = p_prev
     velocities[0] = vel0
     for k in range(2, stepper.n_steps + 1):
-        p = wave_step(stepper, p_prev, p_prev2, None if forcing is None else forcing[k - 1])
+        p = wave_step(stepper, p_prev, p_prev2, None if loads is None else loads[k - 1])
         p_prev2, p_prev = p_prev, p
         history[k] = p
         velocities[k - 1] = (p - p_prev2) / dt
@@ -385,8 +390,8 @@ def _old_pass(engine, state, loads, backward: bool):
         return schrodinger_history(stepper, state, loads)[0]
     stepper = WaveStepper(engine.ops, engine.dt, engine.n_steps)
     if not backward:
-        return run_wave(stepper, state.pos, state.vel, loads)
-    out = run_wave(stepper, state.pos, -state.vel, None if loads is None else -loads)
+        return wave_history(stepper, state.pos, state.vel, loads)[0]
+    out = wave_history(stepper, state.pos, -state.vel, None if loads is None else -loads)[0]
     return WaveState(out.pos, -out.vel)
 
 
@@ -408,6 +413,29 @@ def old_apply_L(engine, state):
     """engine.apply_L, its backward pass as in old_backward_observer."""
     return _old_pass(engine, _old_pass(engine, state, None, backward=False), None,
                      backward=True)
+
+
+def old_neumann_estimate(engine, trace, n_terms: int):
+    """engine.neumann_reconstruct(trace, n_terms=n_terms).estimate, every pass
+    by _old_pass."""
+    acc = term = old_first_iterate(engine, trace)
+    for _ in range(n_terms):
+        term = old_apply_L(engine, term)
+        acc = acc + term
+    return acc
+
+
+def old_add_noise(samples: np.ndarray, amplitude: float, seed: int) -> np.ndarray:
+    """add_noise's samples as one draw of the whole shape per part:
+    uniform + 1j * uniform for complex samples."""
+    rng = np.random.default_rng(seed)
+    shape = samples.shape
+    if np.iscomplexobj(samples):
+        delta = (rng.uniform(-amplitude, amplitude, shape)
+                 + 1j * rng.uniform(-amplitude, amplitude, shape))
+    else:
+        delta = rng.uniform(-amplitude, amplitude, shape)
+    return samples + delta
 
 
 @dataclass(frozen=True)

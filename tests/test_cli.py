@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 from dataclasses import fields
@@ -71,6 +72,18 @@ def test_generate_row_count_and_determinism(tmp_path, capsys):
     out2 = str(tmp_path / "b.txt")
     _, stdout2, _ = run_cli(["--config", cfg, "generate", "--out", out2], capsys)
     assert json.loads(stdout2)["sha256"] == meta1["sha256"]
+
+
+def test_generate_digest_is_the_files_sha256_past_one_read_chunk(tmp_path, capsys):
+    # 300 cells: a 1.4 MB trace, more than the 1 MiB chunk the digest reads at a time
+    cfg = small_config(tmp_path)
+    out = tmp_path / "big.txt"
+    code, stdout, _ = run_cli(["--config", cfg, "--set", "geometry.n_cells=300",
+                               "--set", "time.n_steps=300", "generate", "--out", str(out)],
+                              capsys)
+    assert code == 0
+    assert out.stat().st_size > 1 << 20
+    assert json.loads(stdout)["sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
 
 
 def test_override_by_dotted_path(tmp_path, capsys):

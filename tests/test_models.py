@@ -15,7 +15,7 @@ from bafobs.linalg import pencil_eigs
 from bafobs.models import (NoiseSpec, ProblemInstance, add_noise,
                            generate_observation, read_trace, write_trace)
 from bafobs.observers import ObservationTrace
-from oracles import dense_pencil_eigs, norm_alpha, propagate_exact
+from oracles import dense_pencil_eigs, norm_alpha, old_add_noise, propagate_exact
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +207,37 @@ def test_add_noise_deterministic_and_bounded(schrod_instance):
     assert np.max(np.abs(delta.imag)) <= 1e-2
     c = add_noise(trace, NoiseSpec(1e-2, seed=6))
     assert not np.array_equal(a.samples, c.samples)
+
+
+@pytest.mark.parametrize("is_complex", [True, False])
+def test_add_noise_is_the_whole_array_draw_bit_for_bit(is_complex):
+    # the draws go in place, GENERATION_BLOCK = 32 rows at a time, real parts
+    # first; 70 rows end in a partial block
+    rng = np.random.default_rng(3)
+    samples = rng.standard_normal((70, 33))
+    if is_complex:
+        samples = samples + 1j * rng.standard_normal(samples.shape)
+    copy = samples.copy()
+    trace = ObservationTrace("schrodinger" if is_complex else "wave", samples, 0.69, 0.01)
+    noisy = add_noise(trace, NoiseSpec(1e-2, seed=9))
+    assert noisy.samples.dtype == samples.dtype
+    assert np.array_equal(noisy.samples, old_add_noise(samples, 1e-2, 9))
+    assert np.array_equal(samples, copy)
+
+
+def test_add_noise_memory_is_one_copy_of_the_trace():
+    # Schrodinger at 1024 cells: the noisy copy and one block of draws, not
+    # two more trace-sized arrays of draws
+    rng = np.random.default_rng(4)
+    samples = rng.standard_normal((1025, 1023)) + 1j * rng.standard_normal((1025, 1023))
+    trace = ObservationTrace("schrodinger", samples, 1.0, 1.0 / 1024)
+    tracemalloc.start()
+    try:
+        add_noise(trace, NoiseSpec(1e-3, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * samples.nbytes
 
 
 def test_noise_rms_matches_uniform_moment():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -17,7 +18,8 @@ from bafobs.observers import (BackAndForth, ObservationTrace, SchrodingerStepper
 from oracles import (backward_schrodinger_stepper, dense, dense_round_trip,
                      dense_schrodinger_pass, dense_wave_pass, exact_damped_schrodinger,
                      norm_alpha, old_apply_L, old_backward_observer, old_first_iterate,
-                     pencil_vectors, power_iteration, schrodinger_history, wave_history)
+                     old_neumann_estimate, pencil_vectors, power_iteration,
+                     schrodinger_history, wave_history)
 
 
 @pytest.fixture(scope="module")
@@ -38,11 +40,17 @@ def engines():
 # -- steppers -----------------------------------------------------------------
 
 
-def conjugated(run, q0, loads=None):
+def conjugated(run, q0, data=None):
     """The backward (+i dt) Schrodinger scheme as the package runs it: a
-    forward run on the conjugated start and loads, conjugated back."""
-    out = run(np.conj(q0), None if loads is None else np.conj(loads))
+    forward run on the conjugated start and loads (or outputs), conjugated
+    back."""
+    out = run(np.conj(q0), None if data is None else np.conj(data))
     return tuple(map(np.conj, out)) if isinstance(out, tuple) else np.conj(out)
+
+
+def driven(run, stepper):
+    """run(stepper, start..., outputs=rows) as a function of (start..., rows)."""
+    return lambda *args: run(stepper, *args[:-1], outputs=args[-1])
 
 
 def test_schrodinger_zero_data_stays_zero(small):
@@ -81,18 +89,20 @@ def test_history_helpers_end_at_the_stepping_loops_state(small, forced):
     mesh, ops = small
     rng = np.random.default_rng(13)
     n_steps = 10
-    loads = rng.standard_normal((n_steps, mesh.n)) if forced else None
+    outputs = rng.standard_normal((n_steps, mesh.n)) if forced else None
+    coutputs = None if outputs is None else outputs + 1j * outputs[::-1]
+    loads, cloads = (None if y is None else ops.output_gram.matvec(y)
+                     for y in (outputs, coutputs))
     st = SchrodingerStepper(ops, 0.05, n_steps)
     q0 = rng.standard_normal(mesh.n) + 1j * rng.standard_normal(mesh.n)
-    cloads = None if loads is None else loads + 1j * loads[::-1]
     final, hist = schrodinger_history(st, q0, cloads)
-    expected = run_schrodinger(st, q0, cloads)
+    expected = run_schrodinger(st, q0, outputs=coutputs)
     assert hist.shape == (n_steps + 1, mesh.n) and np.array_equal(hist[0], q0)
     assert np.array_equal(hist[-1], expected) and np.array_equal(final, expected)
     wst = WaveStepper(ops, 0.05, n_steps)
     p0, p1 = rng.standard_normal(mesh.n), rng.standard_normal(mesh.n)
     final, pos, vel = wave_history(wst, p0, p1, loads)
-    expected = run_wave(wst, p0, p1, loads)
+    expected = run_wave(wst, p0, p1, outputs=outputs)
     assert pos.shape == (n_steps + 1, mesh.n) and vel.shape == (n_steps, mesh.n)
     assert np.array_equal(pos[-1], expected.pos) and np.array_equal(vel[-1], expected.vel)
     assert np.array_equal(final.pos, expected.pos)
@@ -116,25 +126,92 @@ def test_stepping_loops_match_the_per_step_oracle(monkeypatch, kernel, n_cells,
     ops = assemble(mesh, ObservationProfile())
     n = mesh.n
     rng = np.random.default_rng(100 * n_cells + n_steps)
-    loads = rng.standard_normal((n_steps, n)) if forced else None
-    cloads = None if loads is None else loads + 1j * rng.standard_normal((n_steps, n))
+    outputs = rng.standard_normal((n_steps, n)) if forced else None
+    coutputs = None if outputs is None else outputs + 1j * rng.standard_normal((n_steps, n))
+    loads, cloads = (None if y is None else ops.output_gram.matvec(y)
+                     for y in (outputs, coutputs))
     q0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     p0, p1 = rng.standard_normal(n), rng.standard_normal(n)
-    given = (q0, p0, p1) + ((loads, cloads) if forced else ())
+    given = (q0, p0, p1) + ((outputs, coutputs) if forced else ())
     copies = [a.copy() for a in given]
     st = SchrodingerStepper(ops, 0.05, n_steps)
     expected, _ = schrodinger_history(st, q0, cloads)
-    assert np.array_equal(run_schrodinger(st, q0, cloads), expected)
+    assert np.array_equal(run_schrodinger(st, q0, outputs=coutputs), expected)
     # the backward scheme: the forward loop under conjugation, against its own system
     expected, _ = schrodinger_history(backward_schrodinger_stepper(ops, 0.05, n_steps),
                                       q0, cloads)
-    assert np.array_equal(conjugated(partial(run_schrodinger, st), q0, cloads), expected)
+    assert np.array_equal(conjugated(driven(run_schrodinger, st), q0, coutputs), expected)
     wst = WaveStepper(ops, 0.05, n_steps)
     expected, _, _ = wave_history(wst, p0, p1, loads)
-    out = run_wave(wst, p0, p1, loads)
+    out = run_wave(wst, p0, p1, outputs=outputs)
     assert np.array_equal(out.pos, expected.pos) and np.array_equal(out.vel, expected.vel)
     # the loops work in their own buffers and leave their inputs alone
     assert all(np.array_equal(a, b) for a, b in zip(given, copies))
+
+
+@pytest.mark.parametrize("n_cells", [2, 17])
+@pytest.mark.parametrize("equation, n_steps",
+                         [("schrodinger", k) for k in (1, 31, 32, 33, 70)]
+                         + [("wave", k) for k in (2, 32, 33, 65)])
+def test_output_driven_passes_match_the_loads_driven_oracle(n_cells, equation, n_steps):
+    # the passes form their loads LOAD_BLOCK = 32 output rows at a time (the
+    # wave's from y^2 on); the oracles take all K loads formed at once.  The
+    # step counts fall below, at and past a block, and off its multiples.
+    ops = assemble(Mesh1D(n_cells=n_cells), ObservationProfile())
+    dt = 0.05
+    rng = np.random.default_rng(1000 * n_cells + n_steps)
+    samples = rng.standard_normal((n_steps + 1, ops.n))
+    if equation == "schrodinger":
+        samples = samples + 1j * rng.standard_normal(samples.shape)
+    copy = samples.copy()
+    gram = ops.output_gram.matvec
+    for outputs in (samples[1:], samples[::-1][1:]):      # rows, and a reversed view
+        if equation == "schrodinger":
+            st = SchrodingerStepper(ops, dt, n_steps)
+            q0 = rng.standard_normal(ops.n) + 1j * rng.standard_normal(ops.n)
+            expected, _ = schrodinger_history(st, q0, gram(outputs))
+            assert np.array_equal(run_schrodinger(st, q0, outputs=outputs), expected)
+        else:
+            wst = WaveStepper(ops, dt, n_steps)
+            p0, p1 = rng.standard_normal(ops.n), rng.standard_normal(ops.n)
+            expected, _, _ = wave_history(wst, p0, p1, gram(outputs))
+            out = run_wave(wst, p0, p1, outputs=outputs)
+            assert np.array_equal(out.pos, expected.pos)
+            assert np.array_equal(out.vel, expected.vel)
+    # through the observers: the backward pass reads the reversed rows (the
+    # Schrodinger one conjugated as it reads them), and the Neumann sum
+    # starts from the first iterate
+    engine = BackAndForth(equation, ops, dt, n_steps)
+    trace = ObservationTrace(equation, samples, n_steps * dt, dt)
+    state = engine.random_state(n_steps)
+    for got, expected in (
+            (engine.backward_observer(trace, state), old_backward_observer(engine, trace, state)),
+            (engine.first_iterate(trace), old_first_iterate(engine, trace)),
+            (engine.neumann_reconstruct(trace, n_terms=2).estimate,
+             old_neumann_estimate(engine, trace, 2))):
+        if equation == "wave":
+            assert np.array_equal(got.pos, expected.pos)
+            got, expected = got.vel, expected.vel
+        assert np.array_equal(got, expected)
+    assert np.array_equal(samples, copy)
+
+
+def test_first_iterate_memory_is_a_fraction_of_the_trace():
+    # the passes hold O(LOAD_BLOCK n) of loads, not two trace-sized arrays
+    ops = assemble(Mesh1D(n_cells=1024), ObservationProfile())
+    n_steps = 1024
+    rng = np.random.default_rng(8)
+    samples = rng.standard_normal((n_steps + 1, ops.n)) \
+        + 1j * rng.standard_normal((n_steps + 1, ops.n))
+    trace = ObservationTrace("schrodinger", samples, 1.0, 1.0 / n_steps)
+    engine = BackAndForth("schrodinger", ops, trace.dt, n_steps)
+    tracemalloc.start()
+    try:
+        engine.first_iterate(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * samples.nbytes
 
 
 @settings(max_examples=100, deadline=None)
@@ -162,11 +239,12 @@ def test_schrodinger_matches_dense_transcription(small):
     mesh, ops = small
     rng = np.random.default_rng(9)
     q0 = rng.standard_normal(mesh.n) + 1j * rng.standard_normal(mesh.n)
-    loads = rng.standard_normal((12, mesh.n)) + 1j * rng.standard_normal((12, mesh.n))
-    run = partial(run_schrodinger, SchrodingerStepper(ops, 0.03, 12))
+    outputs = rng.standard_normal((12, mesh.n)) + 1j * rng.standard_normal((12, mesh.n))
+    loads = dense(ops.output_gram) @ outputs.T
+    run = driven(run_schrodinger, SchrodingerStepper(ops, 0.03, 12))
     for sign in (+1, -1):
-        mine = run(q0, loads) if sign > 0 else conjugated(run, q0, loads)
-        reference = dense_schrodinger_pass(ops, sign, 0.03, 12, q0, loads)
+        mine = run(q0, outputs) if sign > 0 else conjugated(run, q0, outputs)
+        reference = dense_schrodinger_pass(ops, sign, 0.03, 12, q0, loads.T)
         assert np.max(np.abs(mine - reference)) < 1e-12
 
 
@@ -231,10 +309,11 @@ def test_wave_matches_dense_transcription(small):
     mesh, ops = small
     rng = np.random.default_rng(12)
     p0, p1 = rng.standard_normal(mesh.n), rng.standard_normal(mesh.n)
-    loads = rng.standard_normal((10, mesh.n))
+    outputs = rng.standard_normal((10, mesh.n))
     st = WaveStepper(ops, 0.04, 10)
-    final = run_wave(st, p0, p1, loads)
-    ref_pos, ref_vel = dense_wave_pass(ops, 0.04, 10, p0, p1, loads)
+    final = run_wave(st, p0, p1, outputs=outputs)
+    ref_pos, ref_vel = dense_wave_pass(ops, 0.04, 10, p0, p1,
+                                       (dense(ops.output_gram) @ outputs.T).T)
     assert np.max(np.abs(final.pos - ref_pos)) < 1e-12
     assert np.max(np.abs(final.vel - ref_vel)) < 1e-12
 
@@ -261,9 +340,17 @@ def test_stepper_validation(small):
         SchrodingerStepper(ops, -0.1, 4)
     with pytest.raises(ValueError):
         WaveStepper(ops, 0.1, 1)
-    st = SchrodingerStepper(ops, 0.1, 4)
-    with pytest.raises(ValueError, match="load vector per step"):
-        run_schrodinger(st, np.zeros(mesh.n, complex), np.zeros((3, mesh.n)))
+    st, wst = SchrodingerStepper(ops, 0.1, 4), WaveStepper(ops, 0.1, 4)
+    zero = np.zeros(mesh.n)
+    run = (partial(run_schrodinger, st, zero), partial(run_wave, wst, zero, zero))
+    # outputs is keyword-only: the old positional loads fail instead of
+    # silently driving the pass as output rows
+    for pass_ in run:
+        with pytest.raises(TypeError):
+            pass_(np.zeros((4, mesh.n)))
+        for shape in ((3, mesh.n), (4, mesh.n + 1), (mesh.n,), (4, 1, mesh.n)):
+            with pytest.raises(ValueError, match="one output row per step"):
+                pass_(outputs=np.zeros(shape))
 
 
 # -- observers ----------------------------------------------------------------
