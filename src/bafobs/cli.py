@@ -15,7 +15,6 @@ import hashlib
 import json
 import math
 import sys
-import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from . import harness, models
 from .fem import FieldSpec, Mesh1D, ObservationProfile
 from .linalg import solver_kernel
 from .models import _is_int, _is_number, _is_positive
+from .observers import _ETA_DEFAULTS
 
 DEFAULTS = {
     "equation": "schrodinger",
@@ -36,7 +36,7 @@ DEFAULTS = {
     "time": {"tau": None, "n_steps": None, "dt": None},
     "truth": None,          # per-equation default filled in at resolution
     "noise": {"amplitude": 0.0, "seed": 7},
-    "eta": {"tol": 1e-6, "max_iter": 80, "seed": 11},
+    "eta": dict(_ETA_DEFAULTS),
     "sweep": {
         "levels": [32, 64, 128, 256],
         "kappa": 1.0,
@@ -47,19 +47,20 @@ DEFAULTS = {
     "output": {"directory": "."},
 }
 
-# every leaf of a truth field (truth.*, or truth.position.* and
-# truth.velocity.* for the wave): its check and what it must be.  The wave
-# is real, so its fields take real coefficients only.
-_FIELD_RULES = {
-    "kind": (lambda v: v in ("sine", "bump"), "'sine' or 'bump'"),
-    "coefficients": (lambda v: isinstance(v, list) and len(v) > 0 and all(
+# the leaves a truth field (truth, or truth.position and truth.velocity for
+# the wave) reads besides kind, by kind: each leaf's check, what it must be
+# and its FieldSpec value.  The wave is real, so its fields take real
+# coefficients only.
+_TRUTH_LEAVES = {
+    "sine": {"coefficients": (lambda v: isinstance(v, list) and len(v) > 0 and all(
         _is_number(c) or (isinstance(c, list) and len(c) == 2 and all(map(_is_number, c)))
-        for c in v), "a non-empty list of numbers or [re, im] pairs"),
-    "amplitude": (_is_number, "a number"),
+        for c in v), "a non-empty list of numbers or [re, im] pairs",
+        lambda v: tuple(complex(*c) if isinstance(c, list) else float(c) for c in v))},
+    "bump": {"amplitude": (_is_number, "a number", float)},
 }
-_WAVE_FIELD_RULES = {**_FIELD_RULES, "coefficients": (
+_WAVE_TRUTH_LEAVES = {**_TRUTH_LEAVES, "sine": {"coefficients": (
     lambda v: isinstance(v, list) and len(v) > 0 and all(map(_is_number, v)),
-    "a non-empty list of numbers")}
+    "a non-empty list of numbers", lambda v: tuple(map(float, v)))}}
 
 class ConfigError(ValueError):
     pass
@@ -114,7 +115,7 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
 
 
 # (dotted leaf, check, what it must be) for every leaf but truth, which
-# _validate_truth checks per equation.  All rows run before any default is
+# build_truth checks per equation.  All rows run before any default is
 # derived from the leaves, so nothing downstream sees a value of the wrong kind.
 _RULES = (
     ("equation", lambda v: v in ("schrodinger", "wave"), "'schrodinger' or 'wave'"),
@@ -194,48 +195,28 @@ def resolve_config(cfg: dict) -> dict:
                 "position": {"kind": "sine", "coefficients": [1.0]},
                 "velocity": {"kind": "sine", "coefficients": [0.0, 1.0]},
             }
-    _validate_truth(cfg["truth"], eq)
+    build_truth(cfg)      # the truth's check
     return cfg
 
 
-def _validate_truth(truth, equation: str):
-    if truth in (None, "none"):
-        return
-    if equation != "wave":
-        _validate_field(truth, "truth")
-    elif not isinstance(truth, dict) or set(truth) != {"position", "velocity"}:
-        raise ConfigError("wave truth needs exactly the keys position, velocity")
-    else:
-        for name, field in truth.items():
-            _validate_field(field, f"truth.{name}", _WAVE_FIELD_RULES)
-
-
-def _validate_field(field, where: str, rules: dict = _FIELD_RULES):
-    if not isinstance(field, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {field!r}")
-    unknown = set(field) - set(rules)
+def _truth_field(spec, where: str, length: float, leaves_by_kind: dict) -> FieldSpec:
+    """The FieldSpec of one truth field, each leaf checked as it is read."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {spec!r}")
+    kind = spec.get("kind", "sine")
+    leaves = leaves_by_kind.get(kind) if isinstance(kind, str) else None
+    if leaves is None:
+        raise ConfigError(f"{where}.kind must be 'sine' or 'bump', got {kind!r}")
+    unknown = set(spec) - {"kind", *leaves}
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
-    for key, value in field.items():
-        check, what = rules[key]
-        if not check(value):
-            raise ConfigError(f"{where}.{key} must be {what}, got {value!r}")
-
-
-def _coeff(v) -> complex | float:
-    """A checked coefficient: a number, or an [re, im] pair."""
-    return complex(*v) if isinstance(v, list) else float(v)
-
-
-def _field_from(cfg: dict, length: float) -> FieldSpec:
-    kwargs = {"length": length}
-    if "kind" in cfg:
-        kwargs["kind"] = cfg["kind"]
-    if "coefficients" in cfg:
-        kwargs["coefficients"] = tuple(_coeff(v) for v in cfg["coefficients"])
-    if "amplitude" in cfg:
-        kwargs["amplitude"] = cfg["amplitude"]
-    return FieldSpec(**kwargs)
+    kwargs = {}
+    for key, (check, what, value_of) in leaves.items():
+        if key in spec:
+            if not check(spec[key]):
+                raise ConfigError(f"{where}.{key} must be {what}, got {spec[key]!r}")
+            kwargs[key] = value_of(spec[key])
+    return FieldSpec(kind=kind, length=length, **kwargs)
 
 
 def build_profile(cfg: dict) -> ObservationProfile:
@@ -246,14 +227,19 @@ def build_profile(cfg: dict) -> ObservationProfile:
 
 
 def build_truth(cfg: dict):
+    """The truth's FieldSpec, a (position, velocity) pair for the wave, or
+    None; every leaf is checked as it is built, so this is also the check
+    ``resolve_config`` runs."""
     length = cfg["geometry"]["length"]
     truth = cfg["truth"]
     if truth in (None, "none"):
         return None
-    if cfg["equation"] == "wave":
-        return (_field_from(truth["position"], length),
-                _field_from(truth["velocity"], length))
-    return _field_from(truth, length)
+    if cfg["equation"] != "wave":
+        return _truth_field(truth, "truth", length, _TRUTH_LEAVES)
+    if not isinstance(truth, dict) or set(truth) != {"position", "velocity"}:
+        raise ConfigError("wave truth needs exactly the keys position, velocity")
+    return tuple(_truth_field(truth[name], f"truth.{name}", length, _WAVE_TRUTH_LEAVES)
+                 for name in ("position", "velocity"))
 
 
 def build_instance(cfg: dict) -> models.ProblemInstance:
@@ -292,7 +278,6 @@ def build_plan(cfg: dict) -> harness.SweepPlan:
         eta_tol=cfg["eta"]["tol"],
         eta_max_iter=cfg["eta"]["max_iter"],
         eta_seed=cfg["eta"]["seed"],
-        fit_model=sw["fit_model"],
     )
 
 
@@ -300,12 +285,6 @@ def _engine_from(cfg: dict) -> harness.BackAndForth:
     return harness.build_engine(cfg["equation"], cfg["geometry"]["n_cells"],
                                 cfg["geometry"]["length"], build_profile(cfg),
                                 cfg["time"]["dt"], cfg["time"]["n_steps"])
-
-
-def _warn_unconverged_eta(eta_hat: float, iterations: int, where: str = ""):
-    warnings.warn(f"eta = {eta_hat:.6g}{where} did not converge in {iterations} "
-                  "steps; raise eta.max_iter or loosen eta.tol",
-                  RuntimeWarning, stacklevel=2)
 
 
 def _sha256(path: Path) -> str:
@@ -373,10 +352,7 @@ def cmd_reconstruct(cfg: dict, trace_path: str) -> int:
             f"{ {k: v[1] for k, v in mismatched.items()} }"
         )
     engine = _engine_from(cfg)
-    eta, eta_ms = harness.timed(engine.estimate_eta, cfg["eta"]["tol"],
-                                cfg["eta"]["max_iter"], cfg["eta"]["seed"])
-    if not eta.converged:
-        _warn_unconverged_eta(eta.value, eta.iterations)
+    eta, eta_ms = harness.timed(engine.estimate_eta, **cfg["eta"])
     truth = build_truth(cfg)
     result, row = harness.reconstruct(engine, trace, eta, n_policy=cfg["n_policy"],
                                       theta=cfg["theta"], truth=truth,
@@ -409,8 +385,7 @@ def _close(a, b) -> bool:
 
 def cmd_estimate_eta(cfg: dict) -> int:
     engine = _engine_from(cfg)
-    eta = engine.estimate_eta(cfg["eta"]["tol"], cfg["eta"]["max_iter"],
-                              cfg["eta"]["seed"])
+    eta = engine.estimate_eta(**cfg["eta"])
     print(json.dumps({"eta_hat": eta.value, "converged": eta.converged,
                       "iterations": eta.iterations}))
     return 0
@@ -419,14 +394,12 @@ def cmd_estimate_eta(cfg: dict) -> int:
 def cmd_sweep(cfg: dict) -> int:
     plan = build_plan(cfg)
     rows = harness.run_sweep(plan)
-    unconverged = {r.n_cells: r for r in rows if r.eta_converged is False}
-    for r in unconverged.values():
-        _warn_unconverged_eta(r.eta_hat, r.eta_iterations, f" at {r.n_cells} cells")
+    fit_model = cfg["sweep"]["fit_model"]
     gates_cfg = cfg["sweep"]["gates"]
     fit = None
     fit_error = None
     try:
-        fit = harness.fit_rate(rows, model=plan.fit_model, theta=plan.theta)
+        fit = harness.fit_rate(rows, model=fit_model, theta=plan.theta)
     except ValueError as exc:
         fit_error = str(exc)
     noise_table = None
@@ -439,7 +412,7 @@ def cmd_sweep(cfg: dict) -> int:
         gates["rate_fit_possible"] = False
     out = _out_dir(cfg)
     csv_path = out / "sweep.csv"
-    csv_path.write_text(harness.rows_to_csv(rows, plan.fit_model, config=cfg),
+    csv_path.write_text(harness.rows_to_csv(rows, fit_model, config=cfg),
                         encoding="utf-8")
     summary = harness.summary_dict(plan, rows, fit, gates, config=cfg,
                                    noise_table=noise_table)

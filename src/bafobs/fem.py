@@ -242,9 +242,8 @@ class FieldSpec:
 
     @property
     def is_complex(self) -> bool:
-        return self.kind == "sine" and any(
-            isinstance(c, complex) and c.imag != 0.0 for c in self.coefficients
-        )
+        # a complex 1+0j too: the real sum cannot take it in place
+        return self.kind == "sine" and any(isinstance(c, complex) for c in self.coefficients)
 
     def value(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -18,7 +18,7 @@ import numpy as np
 from .fem import (FemOperators, FieldSpec, Mesh1D, ObservationProfile,
                   assemble, grad_load_vector, load_vector)
 from .models import NoiseSpec, ProblemInstance, add_noise, generate_observation
-from .observers import BackAndForth, EtaEstimate, WaveState
+from .observers import _ETA_DEFAULTS, BackAndForth, EtaEstimate, WaveState
 
 CSV_HEADER = "equation,h,dt,n_used,eta_hat,noise_eps,error_x,fit_model,wall_ms"
 
@@ -107,10 +107,9 @@ class SweepPlan:
     noise_eps: tuple[float, ...] = (0.0,)
     noise_seed: int = 7
     n_policy: int | str = "auto"
-    eta_tol: float = 1e-6
-    eta_max_iter: int = 80
-    eta_seed: int = 11
-    fit_model: str = "power-log2"
+    eta_tol: float = _ETA_DEFAULTS["tol"]
+    eta_max_iter: int = _ETA_DEFAULTS["max_iter"]
+    eta_seed: int = _ETA_DEFAULTS["seed"]
 
     def __post_init__(self):
         if len(self.levels) < 1:

@@ -94,6 +94,8 @@ class ProblemInstance:
             raise ValueError("wave truth must be a (position, velocity) pair")
         if self.equation == "schrodinger" and len(fields) != 1:
             raise ValueError("schrodinger truth must be a single field")
+        if self.equation == "wave" and any(f.is_complex for f in fields):
+            raise ValueError("wave truth must be real: a field has complex coefficients")
 
     @property
     def dt(self) -> float:
@@ -144,12 +146,11 @@ def generate_observation(instance: ProblemInstance, refine: int = 1,
         rows = slice(start, start + GENERATION_BLOCK)
         samples[rows] = pencil.from_modal(observed(times[rows]), refine) * weights
     provenance = "mesh-refined" if refine > 1 else "clean"
-    trace = ObservationTrace(equation=instance.equation, samples=samples,
-                             tau=instance.tau, dt=instance.dt,
-                             provenance=provenance)
-    if noise is not None:
-        trace = add_noise(trace, noise)
-    return trace
+    if noise is not None and noise.amplitude != 0.0:
+        _draw_noise(samples, noise)      # the samples are this function's own
+        provenance = "noisy"
+    return ObservationTrace(equation=instance.equation, samples=samples,
+                            tau=instance.tau, dt=instance.dt, provenance=provenance)
 
 
 def add_noise(trace: ObservationTrace, noise: NoiseSpec) -> ObservationTrace:
@@ -157,20 +158,26 @@ def add_noise(trace: ObservationTrace, noise: NoiseSpec) -> ObservationTrace:
 
     Complex samples get independent uniform perturbations on the real and
     imaginary parts.  Deterministic for a given seed.  The samples are copied
-    once and perturbed in place, GENERATION_BLOCK rows at a time, the real
-    parts first: the same stream of draws as one draw of the whole shape
-    per part, so the copy is all the memory it takes beyond a block.
+    once and perturbed in place, so the copy is all the memory it takes
+    beyond a block.
     """
     if noise.amplitude == 0.0:
         return trace
+    samples = np.array(trace.samples, dtype=np.result_type(trace.samples.dtype, np.float64))
+    _draw_noise(samples, noise)
+    return replace(trace, samples=samples, provenance="noisy")
+
+
+def _draw_noise(samples: np.ndarray, noise: NoiseSpec):
+    """Perturb float64 or complex128 samples in place, GENERATION_BLOCK rows
+    at a time, the real parts first: the same stream of draws as one draw of
+    the whole shape per part."""
     rng = np.random.default_rng(noise.seed)
     eps = noise.amplitude
-    samples = np.array(trace.samples, dtype=np.result_type(trace.samples.dtype, np.float64))
     for part in (samples.real, samples.imag) if np.iscomplexobj(samples) else (samples,):
         for start in range(0, part.shape[0], GENERATION_BLOCK):
             rows = part[start:start + GENERATION_BLOCK]
             rows += rng.uniform(-eps, eps, rows.shape)
-    return replace(trace, samples=samples, provenance="noisy")
 
 
 # -- trace files -------------------------------------------------------------

@@ -25,6 +25,10 @@ from .linalg import ShiftedSystem, SymTridiag
 
 AUTO_N_CAP = 200
 LOAD_BLOCK = 32        # output rows whose observer loads are formed at once
+# the contraction estimate's settings, keyed by estimate_eta's keywords; the
+# defaults of estimate_eta, of SweepPlan's eta_* fields and of the CLI's eta
+# section
+_ETA_DEFAULTS = {"tol": 1e-6, "max_iter": 80, "seed": 11}
 
 
 @dataclass(frozen=True)
@@ -275,7 +279,8 @@ class EtaEstimate:
 
 
 def arnoldi_iteration(apply_op: Callable, inner: Callable, start,
-                      tol: float = 1e-6, max_iter: int = 60) -> EtaEstimate:
+                      tol: float = _ETA_DEFAULTS["tol"],
+                      max_iter: int = _ETA_DEFAULTS["max_iter"]) -> EtaEstimate:
     """Largest-modulus Ritz value of a linear operator, by Arnoldi in ``inner``.
 
     inner(u, v) is linear in u and conjugate-linear in v.  Each step applies
@@ -451,11 +456,21 @@ class BackAndForth:
 
     # -- contraction factor and reconstruction ------------------------------
 
-    def estimate_eta(self, tol: float = 1e-6, max_iter: int = 60,
-                     seed: int = 0) -> EtaEstimate:
-        """Arnoldi estimate of the round-trip contraction factor in X."""
+    def estimate_eta(self, tol: float = _ETA_DEFAULTS["tol"],
+                     max_iter: int = _ETA_DEFAULTS["max_iter"],
+                     seed: int = _ETA_DEFAULTS["seed"]) -> EtaEstimate:
+        """Arnoldi estimate of the round-trip contraction factor in X.
+
+        An estimate that runs out of steps leaves the truncation length it
+        sets uncertified, so besides converged = False it warns.
+        """
         start = self.random_state(seed)
-        return arnoldi_iteration(self.apply_L, self.x_inner, start, tol, max_iter)
+        eta = arnoldi_iteration(self.apply_L, self.x_inner, start, tol, max_iter)
+        if not eta.converged:
+            warnings.warn(f"eta = {eta.value:.6g} at {self.ops.mesh.n_cells} cells did not "
+                          f"converge in {eta.iterations} steps; raise max_iter or loosen tol",
+                          RuntimeWarning, stacklevel=2)
+        return eta
 
     def neumann_reconstruct(self, trace: ObservationTrace, *,
                             n_terms: int | None = None,

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import warnings
 from dataclasses import fields
@@ -9,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bafobs import cli
-from bafobs.harness import SweepRow
+from bafobs.fem import FieldSpec
+from bafobs.harness import SweepPlan, SweepRow
 from bafobs.models import read_trace
-from bafobs.observers import BackAndForth, EtaEstimate
+from bafobs.observers import BackAndForth, EtaEstimate, arnoldi_iteration
 
 
 def run_cli(args, capsys):
@@ -127,7 +129,8 @@ def test_reconstruct_round_trip_and_diagnostics(tmp_path, capsys):
     values = np.array([float(v) for v in est_lines[1].split(",")])
     assert values.size == 2 * 11
     # an exhausted step budget is reported, not passed off as an estimate
-    with pytest.warns(RuntimeWarning, match=r"eta = \S+ did not converge in 2 steps"):
+    with pytest.warns(RuntimeWarning,
+                      match=r"eta = \S+ at 12 cells did not converge in 2 steps"):
         code, _, _ = run_cli(["--config", cfg, "--set", "eta.max_iter=2",
                               "--set", "eta.tol=1e-12", "reconstruct",
                               "--trace", trace_path], capsys)
@@ -198,7 +201,7 @@ def test_reconstruct_records_truncation_cap_hit(tmp_path, capsys, monkeypatch):
     run_cli(["--config", cfg, "generate", "--out", trace_path], capsys)
     # eta close to 1: the truncation rule asks for far more than AUTO_N_CAP
     monkeypatch.setattr(BackAndForth, "estimate_eta",
-                        lambda self, *args: EtaEstimate(0.999, True, 2))
+                        lambda self, **kwargs: EtaEstimate(0.999, True, 2))
     with pytest.warns(RuntimeWarning, match="capping at 200"):
         code, _, _ = run_cli(["--config", cfg, "reconstruct", "--trace", trace_path],
                              capsys)
@@ -269,9 +272,16 @@ def test_generate_rejects_bad_cell_count(tmp_path, capsys, override, message):
     ("wave", {"position": {"coefficients": [[1.0, 1.0]]}, "velocity": {}},
      "truth.position.coefficients must be "),
     ("wave", {"position": {}, "velocity": {"kind": "kink"}}, "truth.velocity.kind must be "),
+    # each kind takes only the leaves it reads
+    ("schrodinger", {"kind": "sine", "coefficients": [1.0, 0.5], "amplitude": 5},
+     "unknown truth keys: ['amplitude']"),
+    ("schrodinger", {"kind": "bump", "coefficients": [9, 9, 9]},
+     "unknown truth keys: ['coefficients']"),
+    ("wave", {"position": {"kind": "sine", "coefficients": [1.0], "amplitude": 2},
+              "velocity": {}}, "unknown truth.position keys: ['amplitude']"),
 ], ids=["amplitude", "coefficients", "no-coefficients", "triple", "kind", "kink", "center",
         "exponent", "wave-amplitude", "wave-coefficients", "wave-field", "wave-complex",
-        "wave-kink"])
+        "wave-kink", "sine-amplitude", "bump-coefficients", "wave-sine-amplitude"])
 def test_bad_truth_leaf_rejected_before_any_work(tmp_path, capsys, monkeypatch, command,
                                                  equation, truth, message):
     # these used to end in a traceback (generate) or in failed rows (sweep);
@@ -440,7 +450,7 @@ def test_reconstruct_uncertified_contraction_exit_code(tmp_path, capsys, monkeyp
     trace_path = str(tmp_path / "t.txt")
     run_cli(["--config", cfg, "generate", "--out", trace_path], capsys)
     monkeypatch.setattr(BackAndForth, "estimate_eta",
-                        lambda self, *args: EtaEstimate(1.0, True, 2))
+                        lambda self, **kwargs: EtaEstimate(1.0, True, 2))
     code, _, err = run_cli(["--config", cfg, "reconstruct", "--trace", trace_path],
                            capsys)
     assert code == 2
@@ -528,6 +538,28 @@ def test_estimate_eta_cached_determinism(tmp_path, capsys):
     _, out1, _ = run_cli(["--config", cfg, "estimate-eta"], capsys)
     _, out2, _ = run_cli(["--config", cfg, "estimate-eta"], capsys)
     assert json.loads(out1)["eta_hat"] == json.loads(out2)["eta_hat"]
+
+
+def test_estimate_eta_warns_when_it_runs_out_of_steps(tmp_path, capsys):
+    # at 16 cells the default tolerance holds after 2 steps
+    args = ["--set", "geometry.n_cells=16", "--set", "eta.max_iter=2",
+            "--set", "eta.tol=1e-12", "estimate-eta"]
+    with pytest.warns(RuntimeWarning, match=r"eta = \S+ at 16 cells did not converge in 2 steps"):
+        code, stdout, _ = run_cli(args, capsys)
+    assert code == 0
+    assert json.loads(stdout)["converged"] is False
+
+
+def test_eta_defaults_have_one_owner():
+    # the estimator's defaults are the sweep plan's and the config's
+    params = inspect.signature(BackAndForth.estimate_eta).parameters
+    signature = {key: params[key].default for key in ("tol", "max_iter", "seed")}
+    plan = SweepPlan("schrodinger", (8,), 1.0, FieldSpec())
+    assert signature == cli.DEFAULTS["eta"] == {
+        "tol": plan.eta_tol, "max_iter": plan.eta_max_iter, "seed": plan.eta_seed}
+    arnoldi = inspect.signature(arnoldi_iteration).parameters
+    assert (arnoldi["tol"].default, arnoldi["max_iter"].default) == (
+        signature["tol"], signature["max_iter"])
 
 
 def test_huge_eta_step_budget_gives_the_default_estimate(tmp_path, capsys):
@@ -685,6 +717,18 @@ def test_complex_truth_coefficients(tmp_path, capsys):
     from bafobs.fem import ObservationProfile
     expected = 1j * np.sin(np.pi * x) * ObservationProfile().weight(x)
     assert np.max(np.abs(trace.samples[0] - expected)) < 1e-10
+
+
+def test_complex_pair_with_a_zero_imaginary_part(tmp_path, capsys):
+    # [2, 0] is the complex 2+0j; it used to end in a numpy casting error
+    traces = []
+    for name, coefficients in (("pair", [[2.0, 0.0]]), ("real", [2.0])):
+        out = str(tmp_path / f"{name}.txt")
+        cfg = small_config(tmp_path, truth={"coefficients": coefficients})
+        code, _, _ = run_cli(["--config", cfg, "generate", "--out", out], capsys)
+        assert code == 0
+        traces.append(read_trace(out)[0].samples)
+    assert np.array_equal(traces[0], traces[1])
 
 
 # every leaf here is copied through resolution unchanged

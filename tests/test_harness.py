@@ -318,7 +318,7 @@ def test_noise_inflation_magnitude_grows_with_forced_n():
 def test_csv_layout_and_config_comment():
     plan = small_plan(levels=(8,))
     rows = run_sweep(plan)
-    text = rows_to_csv(rows, plan.fit_model, config={"seed": 7})
+    text = rows_to_csv(rows, "power-log2", config={"seed": 7})
     lines = text.strip().split("\n")
     assert lines[0].startswith("# config: ")
     assert json.loads(lines[0][len("# config: "):]) == {"seed": 7}

@@ -47,6 +47,12 @@ def test_instance_validation():
         ProblemInstance("wave", mesh, prof, 1.0, 1, (sine, sine))
     with pytest.raises(ValueError, match="unknown field kind 'kink'"):
         FieldSpec(kind="kink")
+    # the wave is real: a complex coefficient used to lose its imaginary part
+    # with only a ComplexWarning
+    wavy = FieldSpec(kind="sine", coefficients=(1 + 1j,))
+    for truth in ((wavy, sine), (sine, wavy)):
+        with pytest.raises(ValueError, match="wave truth must be real"):
+            ProblemInstance("wave", mesh, prof, 1.0, 8, truth)
 
 
 def test_exact_propagation_conserves_m_norm(schrod_instance):
@@ -238,6 +244,37 @@ def test_add_noise_memory_is_one_copy_of_the_trace():
     finally:
         tracemalloc.stop()
     assert peak < 1.3 * samples.nbytes
+
+
+@pytest.mark.parametrize("equation", ["schrodinger", "wave"])
+def test_generated_noise_is_add_noise_bit_for_bit(equation):
+    # 70 rows: the draws end in a partial GENERATION_BLOCK
+    sine = FieldSpec(kind="sine", coefficients=(1.0, 0.5))
+    inst = ProblemInstance(equation, Mesh1D(n_cells=16), ObservationProfile(), tau=1.0,
+                           n_steps=69, truth=sine if equation == "schrodinger" else (sine, sine))
+    noise = NoiseSpec(1e-2, seed=8)
+    noisy = generate_observation(inst, refine=2, noise=noise)
+    expected = add_noise(generate_observation(inst, refine=2), noise)
+    assert noisy.provenance == expected.provenance == "noisy"
+    assert np.array_equal(noisy.samples, expected.samples)
+    clean = generate_observation(inst, refine=2, noise=NoiseSpec(0.0, seed=8))
+    assert clean.provenance == "mesh-refined"
+    assert np.array_equal(clean.samples, generate_observation(inst, refine=2).samples)
+
+
+def test_generated_noise_is_drawn_into_the_trace_in_place():
+    # Schrodinger at 1024 cells, refine 2: the noise goes into the samples
+    # generation owns, not into a second copy of the trace (2.12x when it did)
+    inst = ProblemInstance("schrodinger", Mesh1D(n_cells=1024), ObservationProfile(),
+                           tau=1.0, n_steps=1024,
+                           truth=FieldSpec(kind="sine", coefficients=(1.0, 0.5)))
+    tracemalloc.start()
+    try:
+        trace = generate_observation(inst, refine=2, noise=NoiseSpec(1e-3, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.4 * trace.samples.nbytes
 
 
 def test_noise_rms_matches_uniform_moment():
