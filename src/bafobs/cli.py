@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -333,15 +334,16 @@ def _write_estimate(path: Path, estimate, cfg: dict):
 
 
 def cmd_reconstruct(cfg: dict, trace_path: str) -> int:
-    (trace, header), read_ms = harness.timed(models.read_trace, trace_path)
+    start = time.perf_counter()
+    trace, header = models.read_trace(trace_path)
+    read_ms = 1e3 * (time.perf_counter() - start)
+    # the profile as built, so a constant profile's unused a and b are its defaults
     expected = {"equation": cfg["equation"],
                 "n_cells": cfg["geometry"]["n_cells"],
                 "length": cfg["geometry"]["length"],
                 "tau": cfg["time"]["tau"],
-                "n_steps": cfg["time"]["n_steps"]}
-    if "profile" in header:
-        # as built, so a constant profile's unused a and b are its defaults
-        expected["profile"] = models.profile_header(build_profile(cfg))
+                "n_steps": cfg["time"]["n_steps"],
+                "profile": models.profile_header(build_profile(cfg))}
     actual = {k: header.get(k) for k in expected}
     mismatched = {k: (expected[k], actual[k]) for k in expected
                   if not _close(expected[k], actual[k])}
@@ -352,11 +354,13 @@ def cmd_reconstruct(cfg: dict, trace_path: str) -> int:
             f"{ {k: v[1] for k, v in mismatched.items()} }"
         )
     engine = _engine_from(cfg)
-    eta, eta_ms = harness.timed(engine.estimate_eta, **cfg["eta"])
+    start = time.perf_counter()
+    eta = engine.estimate_eta(**cfg["eta"])
+    eta_ms = 1e3 * (time.perf_counter() - start)
     truth = build_truth(cfg)
     result, row = harness.reconstruct(engine, trace, eta, n_policy=cfg["n_policy"],
                                       theta=cfg["theta"], truth=truth,
-                                      noise_eps=header.get("noise", {}).get("amplitude", 0.0))
+                                      noise_eps=header["noise"]["amplitude"])
     harness.charge(row, engine, eta, eta_ms)
     out = _out_dir(cfg)
     est_path = out / "estimate.txt"

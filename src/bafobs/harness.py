@@ -155,13 +155,6 @@ class SweepRow:
     n_solves: int = 0
 
 
-def timed(fn, *args, **kwargs):
-    """(fn(*args, **kwargs), its wall time in ms)."""
-    start = time.perf_counter()
-    out = fn(*args, **kwargs)
-    return out, 1e3 * (time.perf_counter() - start)
-
-
 def build_engine(equation: str, n_cells: int, length: float,
                  profile: ObservationProfile, dt: float, n_steps: int) -> BackAndForth:
     """The observer pair of one discretization: mesh, operators and stepper."""
@@ -176,13 +169,15 @@ def reconstruct(engine: BackAndForth, trace, eta: EtaEstimate, *, n_policy: int 
     The row carries its own stages and solves; ``charge`` adds a shared eta
     estimate.  Without a truth, error_x is nan.
     """
-    result, neumann_ms = timed(engine.neumann_reconstruct, trace,
-                               n_terms=None if n_policy == "auto" else n_policy,
-                               eta_hat=eta.value, theta=theta)
+    start = time.perf_counter()
+    result = engine.neumann_reconstruct(trace, n_terms=None if n_policy == "auto" else n_policy,
+                                        eta_hat=eta.value, theta=theta)
+    neumann_ms = 1e3 * (time.perf_counter() - start)
     err, error_ms = float("nan"), 0.0
     if truth is not None:
-        err, error_ms = timed(reconstruction_error, engine.equation, truth,
-                              result.estimate, engine.ops)
+        start = time.perf_counter()
+        err = reconstruction_error(engine.equation, truth, result.estimate, engine.ops)
+        error_ms = 1e3 * (time.perf_counter() - start)
     mesh = engine.ops.mesh
     return result, charge(SweepRow(
         engine.equation, mesh.n_cells, mesh.h, engine.dt, result.n_used, eta.value,
@@ -225,9 +220,12 @@ def run_cell(plan: SweepPlan, n_cells: int) -> list[SweepRow]:
         instance = ProblemInstance(equation=plan.equation, mesh=engine.ops.mesh,
                                    profile=plan.profile, tau=plan.tau,
                                    n_steps=k, truth=plan.truth)
-        clean, gen_ms = timed(generate_observation, instance, refine=plan.refine)
-        eta, eta_ms = timed(engine.estimate_eta, plan.eta_tol, plan.eta_max_iter,
-                            plan.eta_seed)
+        start = time.perf_counter()
+        clean = generate_observation(instance, refine=plan.refine)
+        gen_ms = 1e3 * (time.perf_counter() - start)
+        start = time.perf_counter()
+        eta = engine.estimate_eta(plan.eta_tol, plan.eta_max_iter, plan.eta_seed)
+        eta_ms = 1e3 * (time.perf_counter() - start)
     except Exception as exc:
         setup_failure = exc
     for eps in plan.noise_eps:

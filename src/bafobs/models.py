@@ -24,8 +24,7 @@ from .fem import FieldSpec, Mesh1D, ObservationProfile, assemble
 from .linalg import pencil_eigs
 from .observers import ObservationTrace
 
-TRACE_FORMAT = "bafobs-trace-2"        # written and read
-TEXT_TRACE_FORMAT = "bafobs-trace-1"   # read only
+TRACE_FORMAT = "bafobs-trace-2"
 GENERATION_BLOCK = 32                  # time rows synthesized at once
 
 
@@ -50,11 +49,9 @@ _HEADER_RULES = {
     "dt": (_is_positive, "a finite positive number"),
     "n_steps": (lambda v: _is_int(v) and v >= 1, "an int >= 1"),
     "complex": (lambda v: isinstance(v, bool), "a bool"),
-}
-# and checks these when present; write_trace always writes them
-_OPTIONAL_HEADER_RULES = {
     "noise": (lambda v: isinstance(v, dict) and _is_number(v.get("amplitude"))
               and v["amplitude"] >= 0, "an object with a number amplitude >= 0"),
+    "profile": (lambda v: isinstance(v, dict), "an object"),
 }
 
 
@@ -184,9 +181,8 @@ def _draw_noise(samples: np.ndarray, noise: NoiseSpec):
 #
 # One self-describing file per trace: a JSON header line, then the K+1 rows of
 # node-ordered samples as one .npy payload (little-endian complex128 or
-# float64, as the header's "complex" flag says).  The older text format,
-# 17-digit comma-separated rows with complex samples as interleaved (re, im),
-# is still read.
+# float64, as the header's "complex" flag says).  Its header carries at least
+# the keys of _HEADER_RULES, the noise and the observation profile among them.
 
 
 def write_trace(path, trace: ObservationTrace, instance: ProblemInstance,
@@ -225,24 +221,20 @@ def profile_header(profile: ObservationProfile) -> dict:
 
 
 def read_trace(path) -> tuple[ObservationTrace, dict]:
-    """Read a trace file of either format; returns (trace, header)."""
+    """Read a ``TRACE_FORMAT`` file, its header checked against _HEADER_RULES
+    and its payload against the header; returns (trace, header)."""
     with open(path, "rb") as fh:
         header = json.loads(fh.readline())
         fmt = header.get("format") if isinstance(header, dict) else None
-        if fmt not in (TRACE_FORMAT, TEXT_TRACE_FORMAT):
+        if fmt != TRACE_FORMAT:
             raise ValueError(f"unrecognized trace format {fmt!r}")
         missing = _HEADER_RULES.keys() - header.keys()
         if missing:
             raise ValueError(f"trace header lacks the keys {sorted(missing)}")
-        for key, (valid, what) in (*_HEADER_RULES.items(), *_OPTIONAL_HEADER_RULES.items()):
-            if key in header and not valid(header[key]):
+        for key, (valid, what) in _HEADER_RULES.items():
+            if not valid(header[key]):
                 raise ValueError(f"trace header {key} must be {what}, got {header[key]!r}")
-        if fmt == TRACE_FORMAT:
-            samples = _read_payload(fh, header["complex"])
-        else:
-            samples = np.loadtxt(fh, delimiter=",", ndmin=2)
-            if header["complex"]:
-                samples = samples.view(np.complex128)
+        samples = _read_payload(fh, header["complex"])
     expected = header["n_steps"] + 1
     if samples.shape[0] != expected:
         raise ValueError(f"trace has {samples.shape[0]} rows, header says {expected}")

@@ -88,7 +88,7 @@ def run_schrodinger(stepper: SchrodingerStepper, q0: np.ndarray, *,
     q = np.array(q0, dtype=complex, order="C")
     if q.shape != (n,):
         raise ValueError(f"q0 has shape {q.shape}, expected ({n},)")
-    loads = None if outputs is None else _Loads(stepper, outputs, stepper.dt)
+    loads = None if outputs is None else _loads(stepper, outputs, stepper.dt)
     states = (q, np.empty(n, dtype=complex))
     tmp = np.empty(n - 1, dtype=complex)
     solve = stepper.system.solve
@@ -100,7 +100,7 @@ def run_schrodinger(stepper: SchrodingerStepper, q0: np.ndarray, *,
         product, rhs, bound = plans[k & 1]
         product()
         if loads is not None:
-            np.add(rhs, loads.row(k), out=rhs)
+            np.add(rhs, next(loads), out=rhs)
         solve(bound)
     return states[stepper.n_steps & 1]
 
@@ -113,50 +113,40 @@ class _Conjugated:
     rows: np.ndarray
 
 
-class _Loads:
-    """The scaled observer loads scale * G y^k of a pass's output rows.
+def _loads(stepper, outputs, scale: float):
+    """The scaled observer loads scale * G y^k of a pass's output rows, in order.
 
-    LOAD_BLOCK rows at a time are read (copied, or conjugated for a
-    ``_Conjugated`` input) into one fixed buffer, and one bound product with
-    the output Gram matrix G forms their loads, so a pass holds O(LOAD_BLOCK n)
-    of loads whatever its step count.  row(k) must be asked for with k
-    ascending; every product is elementwise, so the loads are bit for bit
-    those of one product over all rows.
+    Each block of LOAD_BLOCK rows is read by one bound product with the
+    output Gram matrix G straight from the rows into one fixed buffer, which
+    a ``_Conjugated`` input then conjugates in place (G is real, so
+    conj(G y) = G conj(y)); a pass holds O(LOAD_BLOCK n) of loads whatever
+    its step count.  Every product is elementwise, so the loads are bit for
+    bit those of one product over all rows.  The shape is checked here, not
+    at the first load.
     """
+    conjugate = isinstance(outputs, _Conjugated)
+    outputs = np.asarray(outputs.rows if conjugate else outputs)
+    shape = (stepper.n_steps, stepper.ops.n)
+    if outputs.shape != shape:
+        raise ValueError(f"outputs has shape {outputs.shape}, expected {shape}: "
+                         "one output row per step")
+    size = min(LOAD_BLOCK, shape[0])
+    dtype = np.result_type(float, outputs.dtype)
+    buf = np.empty((size, shape[1]), dtype)
+    tmp = np.empty((size, shape[1] - 1), dtype)
+    views = list(buf)                   # row views made once, not per step
 
-    def __init__(self, stepper, outputs, scale: float):
-        conjugate = isinstance(outputs, _Conjugated)
-        self._outputs = np.asarray(outputs.rows if conjugate else outputs)
-        self._conjugate = conjugate
-        shape = (stepper.n_steps, stepper.ops.n)
-        if self._outputs.shape != shape:
-            raise ValueError(f"outputs has shape {self._outputs.shape}, expected {shape}: "
-                             "one output row per step")
-        self._scale = scale
-        self._size = min(LOAD_BLOCK, stepper.n_steps)
-        dtype = np.result_type(float, self._outputs.dtype)
-        # zeroed: rows a partial block does not fill hold earlier rows or zeros,
-        # never garbage that could overflow in the product
-        self._block = np.zeros((self._size, shape[1]), dtype)
-        self._loads = np.empty_like(self._block)
-        self._product = stepper.ops.output_gram.bind(
-            self._block, self._loads, np.empty((self._size, shape[1] - 1), dtype))
-        self._rows = list(self._loads)        # row views made once, not per step
-        self._start = -self._size
-
-    def row(self, k: int) -> np.ndarray:
-        i = k - self._start
-        if i >= self._size:
-            rows = self._outputs[k:k + self._size]
-            block = self._block[:len(rows)]
-            if self._conjugate:
-                np.conjugate(rows, out=block)
-            else:
-                block[...] = rows
-            self._product()
-            np.multiply(self._scale, self._loads, out=self._loads)
-            self._start, i = k, 0
-        return self._rows[i]
+    def generate():
+        for start in range(0, shape[0], size):
+            rows = outputs[start:start + size]
+            m = len(rows)
+            block = buf[:m]
+            stepper.ops.output_gram.bind(rows, block, tmp[:m])()
+            if conjugate:
+                np.conjugate(block, out=block)
+            np.multiply(scale, block, out=block)
+            yield from views[:m]
+    return generate()
 
 
 class WaveStepper:
@@ -206,7 +196,9 @@ def run_wave(stepper: WaveStepper, p0: np.ndarray, p1: np.ndarray, *,
     if pos0.shape != (n,) or vel0.shape != (n,):
         raise ValueError(f"states must have shape ({n},)")
     dt = stepper.dt
-    loads = None if outputs is None else _Loads(stepper, outputs, dt * dt)
+    loads = None if outputs is None else _loads(stepper, outputs, dt * dt)
+    if loads is not None:
+        next(loads)                     # y^1 drives no step
     history = np.empty((2, n))
     history[0] = pos0
     np.add(pos0, dt * vel0, out=history[1])
@@ -226,7 +218,7 @@ def run_wave(stepper: WaveStepper, p0: np.ndarray, p1: np.ndarray, *,
         product()
         np.subtract(weighted, massed, out=rhs)
         if loads is not None:
-            np.add(rhs, loads.row(k - 1), out=rhs)
+            np.add(rhs, next(loads), out=rhs)
         solve(bound)
     last = stepper.n_steps & 1
     return WaveState(history[last].copy(), (history[last] - history[1 - last]) / dt)

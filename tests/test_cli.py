@@ -509,28 +509,66 @@ def test_reconstruct_truncated_trace_exit_code(tmp_path, capsys):
     assert not (tmp_path / "out" / "estimate.txt").exists()
 
 
-def test_reconstruct_v1_text_trace_gives_the_same_estimate(tmp_path, capsys):
+@pytest.mark.parametrize("key, value, message", [
+    ("format", "bafobs-trace-1", "unrecognized trace format 'bafobs-trace-1'"),
+    ("noise", None, "trace header lacks the keys ['noise']"),
+    ("profile", None, "trace header lacks the keys ['profile']"),
+    ("profile", [0.2, 0.8], "trace header profile must be an object, got [0.2, 0.8]"),
+], ids=["format-v1", "no-noise", "no-profile", "profile-list"])
+def test_reconstruct_refuses_a_trace_without_the_fixed_header(tmp_path, capsys, key, value,
+                                                              message):
+    # one format, and every key of its header required: the profile check
+    # cannot be skipped by leaving the profile out.  value None drops the key.
     cfg = small_config(tmp_path)
     header_line, samples = _generated_trace(tmp_path, capsys, cfg)
-    runs = {}
-    for fmt in ("bafobs-trace-2", "bafobs-trace-1"):
-        trace_path = tmp_path / f"{fmt}.txt"
-        header = json.loads(header_line)
-        header["format"] = fmt
-        with open(trace_path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(header) + "\n")
-        with open(trace_path, "ab") as fh:
-            if fmt == "bafobs-trace-2":
-                np.save(fh, samples, allow_pickle=False)
-            else:
-                np.savetxt(fh, samples.view(np.float64), fmt="%.17g", delimiter=",")
-        code, _, _ = run_cli(["--config", cfg, "reconstruct",
-                              "--trace", str(trace_path)], capsys)
-        assert code == 0
-        diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
-        assert diag["trace_format"] == fmt
-        runs[fmt] = (tmp_path / "out" / "estimate.txt").read_bytes()
-    assert runs["bafobs-trace-1"] == runs["bafobs-trace-2"]
+    header = json.loads(header_line)
+    if value is None:
+        del header[key]
+    else:
+        header[key] = value
+    trace_path = tmp_path / "t.txt"
+    with open(trace_path, "wb") as fh:
+        fh.write(json.dumps(header).encode("utf-8") + b"\n")
+        np.save(fh, samples, allow_pickle=False)
+    code, stdout, err = run_cli(["--config", cfg, "reconstruct", "--trace", str(trace_path)],
+                                capsys)
+    assert code == 2 and stdout == ""
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "out" / "estimate.txt").exists()
+
+
+def _line_of(fn, call: str) -> int:
+    """The line of fn's source that holds call, which must occur once."""
+    lines, first = inspect.getsourcelines(fn)
+    (offset,) = [i for i, line in enumerate(lines) if call in line]
+    return first + offset
+
+
+def test_warnings_name_the_line_that_asks(tmp_path, capsys, monkeypatch):
+    # each warning points at the call of the estimator or the Neumann sum,
+    # not at a timing wrapper: a sweep level's, the reconstruct command's
+    with pytest.warns(RuntimeWarning, match="at 8 cells did not converge") as caught:
+        cli.harness.run_sweep(SweepPlan("schrodinger", (8,), 1.0, FieldSpec(),
+                                        eta_max_iter=2, eta_tol=1e-12))
+    (warning,) = caught
+    assert (warning.filename, warning.lineno) == (
+        cli.harness.__file__, _line_of(cli.harness.run_cell, ".estimate_eta("))
+    cfg = small_config(tmp_path)
+    trace_path = str(tmp_path / "t.txt")
+    run_cli(["--config", cfg, "generate", "--out", trace_path], capsys)
+    with pytest.warns(RuntimeWarning, match="did not converge") as caught:
+        run_cli(["--config", cfg, "--set", "eta.max_iter=2", "--set", "eta.tol=1e-12",
+                 "reconstruct", "--trace", trace_path], capsys)
+    (warning,) = caught
+    assert (warning.filename, warning.lineno) == (
+        cli.__file__, _line_of(cli.cmd_reconstruct, ".estimate_eta("))
+    monkeypatch.setattr(BackAndForth, "estimate_eta",
+                        lambda self, **kwargs: EtaEstimate(0.999, True, 2))
+    with pytest.warns(RuntimeWarning, match="capping at 200") as caught:
+        run_cli(["--config", cfg, "reconstruct", "--trace", trace_path], capsys)
+    (warning,) = caught
+    assert (warning.filename, warning.lineno) == (
+        cli.harness.__file__, _line_of(cli.harness.reconstruct, ".neumann_reconstruct("))
 
 
 def test_estimate_eta_cached_determinism(tmp_path, capsys):

@@ -345,42 +345,23 @@ def test_trace_file_roundtrip_bit_exact(tmp_path, samples):
     assert back.samples.tobytes() == samples.tobytes()
 
 
-def _raw_trace(path, rows, **header):
-    """A hand-written text trace in the read-only bafobs-trace-1 format."""
-    header = {"format": "bafobs-trace-1", "equation": "wave", "tau": 1.0,
-              "dt": 1.0 / (len(rows) - 1), "n_steps": len(rows) - 1,
-              "complex": False, **header}
-    path.write_text(json.dumps(header) + "\n" + "".join(r + "\n" for r in rows),
-                    encoding="utf-8")
-    return path
+# every key read_trace requires, as write_trace writes them
+_V2_HEADER = {"format": "bafobs-trace-2", "equation": "wave", "tau": 1.0, "dt": 0.5,
+              "n_steps": 2, "complex": False, "noise": {"amplitude": 0.0, "seed": 0},
+              "profile": {"a": 0.2, "b": 0.8, "smoothness": 2, "constant": None}}
 
 
 def _npy_trace(path, payload, cut=None, tail=b"", **header):
     """A hand-made bafobs-trace-2 file: the header line, then np.save of the
     payload, cut to its first `cut` bytes and followed by `tail`."""
     rows = payload.shape[0] if payload.ndim else 2
-    header = {"format": "bafobs-trace-2", "equation": "wave", "tau": 1.0,
-              "dt": 1.0 / (rows - 1), "n_steps": rows - 1,
+    header = {**_V2_HEADER, "dt": 1.0 / (rows - 1), "n_steps": rows - 1,
               "complex": bool(np.iscomplexobj(payload)), **header}
     buf = io.BytesIO()
     np.save(buf, payload, allow_pickle=False)
     path.write_bytes(json.dumps(header).encode("utf-8") + b"\n"
                      + buf.getvalue()[:cut] + tail)
     return path
-
-
-@pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
-def test_trace_file_reads_v1_text_bit_exact(tmp_path, is_complex):
-    rng = np.random.default_rng(5)
-    written = rng.standard_normal((4, 6)) * 10.0 ** rng.integers(-300, 300, (4, 6))
-    rows = [",".join(f"{v:.17g}" for v in row) for row in written]
-    path = _raw_trace(tmp_path / "v1.txt", rows, complex=is_complex,
-                      equation="schrodinger" if is_complex else "wave")
-    back, header = read_trace(path)
-    assert header["format"] == "bafobs-trace-1"
-    expected = written.view(np.complex128) if is_complex else written
-    assert back.samples.dtype == expected.dtype
-    assert back.samples.tobytes() == expected.tobytes()
 
 
 _V2_SAMPLES = np.arange(12.0).reshape(3, 4)
@@ -419,31 +400,37 @@ def test_trace_file_rejects_payload_dtype_not_matching_header(tmp_path, payload,
         read_trace(path)
 
 
-def test_trace_file_rejects_ragged_row(tmp_path):
-    path = _raw_trace(tmp_path / "ragged.txt", ["1.0,2.0,3.0", "4.0,5.0"])
-    with pytest.raises(ValueError):
-        read_trace(path)
-
-
 def test_trace_file_rejects_non_finite_samples(tmp_path):
-    for bad in ("nan", "inf", "-inf"):
-        path = _raw_trace(tmp_path / "bad.txt", ["1.0,2.0", f"3.0,{bad}"])
+    for bad in (np.nan, np.inf, -np.inf):
+        samples = _V2_SAMPLES.copy()
+        samples[1, 2] = bad
+        path = _npy_trace(tmp_path / "bad.txt", samples)
         with pytest.raises(ValueError, match="finite"):
             read_trace(path)
 
 
 def test_trace_file_rejects_unknown_format(tmp_path):
+    # bafobs-trace-1, the retired text format, among them, however complete
+    # its header and rows
     path = tmp_path / "bogus.txt"
-    path.write_text('{"format": "other"}\n1.0\n', encoding="utf-8")
-    with pytest.raises(ValueError, match="format"):
-        read_trace(path)
+    for header in ({"format": "other"}, {**_V2_HEADER, "format": "bafobs-trace-1"}):
+        path.write_text(json.dumps(header) + "\n1.0,2.0\n3.0,4.0\n5.0,6.0\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                f"unrecognized trace format {header['format']!r}")):
+            read_trace(path)
 
 
 @pytest.mark.parametrize("header_line, message", [
     ("5", "format"), ("[]", "format"),
     ('{"format": "bafobs-trace-2", "tau": 1.0}',
-     r"lacks the keys \['complex', 'dt', 'equation', 'n_steps'\]"),
-], ids=["number", "list", "missing-keys"])
+     r"lacks the keys \['complex', 'dt', 'equation', 'n_steps', 'noise', 'profile'\]"),
+    # every writer of the format records both, so a header without one is refused
+    (json.dumps({k: v for k, v in _V2_HEADER.items() if k != "noise"}),
+     r"lacks the keys \['noise'\]"),
+    (json.dumps({k: v for k, v in _V2_HEADER.items() if k != "profile"}),
+     r"lacks the keys \['profile'\]"),
+], ids=["number", "list", "missing-keys", "no-noise", "no-profile"])
 def test_trace_file_rejects_malformed_header(tmp_path, header_line, message):
     path = tmp_path / "bad.txt"
     path.write_text(header_line + "\n1.0\n", encoding="utf-8")
@@ -462,9 +449,10 @@ def test_trace_file_rejects_malformed_header(tmp_path, header_line, message):
     ("noise", {"amplitude": -1e-3}, "an object with a number amplitude >= 0"),
     ("noise", {"amplitude": "0"}, "an object with a number amplitude >= 0"),
     ("noise", 0.0, "an object with a number amplitude >= 0"),
+    ("profile", None, "an object"), ("profile", [0.2, 0.8], "an object"),
 ], ids=["n_steps-str", "n_steps-bool", "n_steps-zero", "tau-str", "tau-inf",
         "tau-int-past-float", "dt-null", "dt-negative", "complex-str", "complex-int", "equation-int",
-        "noise-negative", "noise-str", "noise-number"])
+        "noise-negative", "noise-str", "noise-number", "profile-null", "profile-list"])
 def test_trace_file_rejects_header_value_of_wrong_kind(tmp_path, key, value, what):
     path = _npy_trace(tmp_path / "kind.txt", _V2_SAMPLES, **{key: value})
     with pytest.raises(ValueError, match=re.escape(f"trace header {key} must be {what}, "

@@ -197,21 +197,23 @@ def test_output_driven_passes_match_the_loads_driven_oracle(n_cells, equation, n
 
 
 def test_first_iterate_memory_is_a_fraction_of_the_trace():
-    # the passes hold O(LOAD_BLOCK n) of loads, not two trace-sized arrays
+    # the passes hold O(LOAD_BLOCK n) of loads, not two trace-sized arrays,
+    # for either equation
     ops = assemble(Mesh1D(n_cells=1024), ObservationProfile())
     n_steps = 1024
     rng = np.random.default_rng(8)
-    samples = rng.standard_normal((n_steps + 1, ops.n)) \
-        + 1j * rng.standard_normal((n_steps + 1, ops.n))
-    trace = ObservationTrace("schrodinger", samples, 1.0, 1.0 / n_steps)
-    engine = BackAndForth("schrodinger", ops, trace.dt, n_steps)
-    tracemalloc.start()
-    try:
-        engine.first_iterate(trace)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.25 * samples.nbytes
+    real = rng.standard_normal((n_steps + 1, ops.n))
+    for equation, samples in (("schrodinger", real + 1j * rng.standard_normal(real.shape)),
+                              ("wave", real)):
+        trace = ObservationTrace(equation, samples, 1.0, 1.0 / n_steps)
+        engine = BackAndForth(equation, ops, trace.dt, n_steps)
+        tracemalloc.start()
+        try:
+            engine.first_iterate(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * samples.nbytes, equation
 
 
 @settings(max_examples=100, deadline=None)
