@@ -361,7 +361,7 @@ def cmd_reconstruct(cfg: dict, trace_path: str) -> int:
     result, row = harness.reconstruct(engine, trace, eta, n_policy=cfg["n_policy"],
                                       theta=cfg["theta"], truth=truth,
                                       noise_eps=header["noise"]["amplitude"])
-    harness.charge(row, engine, eta, eta_ms)
+    harness.charge(row, engine.round_trip_solves * eta.iterations, eta_ms=eta_ms)
     out = _out_dir(cfg)
     est_path = out / "estimate.txt"
     _write_estimate(est_path, result.estimate, cfg)

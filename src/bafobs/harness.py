@@ -17,7 +17,7 @@ import numpy as np
 
 from .fem import (FemOperators, FieldSpec, Mesh1D, ObservationProfile,
                   assemble, grad_load_vector, load_vector)
-from .models import NoiseSpec, ProblemInstance, add_noise, generate_observation
+from .models import NoiseSpec, ProblemInstance, generate_observation, unit_noise
 from .observers import _ETA_DEFAULTS, BackAndForth, EtaEstimate, WaveState
 
 CSV_HEADER = "equation,h,dt,n_used,eta_hat,noise_eps,error_x,fit_model,wall_ms"
@@ -31,11 +31,14 @@ MAX_TRACE_VALUES = 2**31
 # -- error evaluation in the analysis norms ------------------------------------
 
 
+def _gram_sq(gram, coeffs: np.ndarray) -> float:
+    return float(np.real(np.vdot(coeffs, gram.matvec(coeffs))))
+
+
 def _distance(sq_norm: float, loads: np.ndarray, gram, coeffs: np.ndarray) -> float:
     """Distance of f to the element function u, from |f|^2, (f, phi_i) and the Gram."""
     cross = 2.0 * float(np.real(np.vdot(coeffs, loads)))
-    quad = float(np.real(np.vdot(coeffs, gram.matvec(coeffs))))
-    return math.sqrt(max(sq_norm - cross + quad, 0.0))
+    return math.sqrt(max(sq_norm - cross + _gram_sq(gram, coeffs), 0.0))
 
 
 def reconstruction_error(equation: str, truth, estimate, ops: FemOperators) -> float:
@@ -70,6 +73,17 @@ def reconstruction_error(equation: str, truth, estimate, ops: FemOperators) -> f
                 + _distance(sq_norm(w1.value), load_vector(mesh, w1.value, True),
                             ops.mass, state.vel))
     raise ValueError(f"unknown equation {equation!r}")
+
+
+def error_norm(equation: str, estimate, ops: FemOperators) -> float:
+    """Size of an element function in the norm ``reconstruction_error``
+    measures: |u|_M for Schrodinger, |pos|_K + |vel|_M for the wave.  By the
+    triangle inequality two estimates' errors differ by at most the
+    error_norm of their difference."""
+    if equation == "schrodinger":
+        return math.sqrt(max(_gram_sq(ops.mass, estimate), 0.0))
+    return (math.sqrt(max(_gram_sq(ops.stiffness, estimate.pos), 0.0))
+            + math.sqrt(max(_gram_sq(ops.mass, estimate.vel), 0.0)))
 
 
 # -- sweeps -------------------------------------------------------------------
@@ -151,8 +165,10 @@ class SweepRow:
     neumann_ms: float = 0.0
     error_ms: float = 0.0
     n_capped: bool = False
-    # tridiagonal solves: the row's Neumann sum, plus the level's eta on its first row
+    # tridiagonal solves of the Neumann sums and the eta estimate charged to the row
     n_solves: int = 0
+    # a noisy row's bound on |error_x - clean error_x| per unit noise_eps
+    noise_gain: float | None = None
 
 
 def build_engine(equation: str, n_cells: int, length: float,
@@ -166,34 +182,44 @@ def reconstruct(engine: BackAndForth, trace, eta: EtaEstimate, *, n_policy: int 
                 theta: float, truth, noise_eps: float):
     """Neumann sum of a trace and its error against the truth: (result, row).
 
-    The row carries its own stages and solves; ``charge`` adds a shared eta
+    The row carries the sum's solves and time; ``charge`` adds a shared eta
     estimate.  Without a truth, error_x is nan.
     """
     start = time.perf_counter()
     result = engine.neumann_reconstruct(trace, n_terms=None if n_policy == "auto" else n_policy,
                                         eta_hat=eta.value, theta=theta)
     neumann_ms = 1e3 * (time.perf_counter() - start)
+    row = fill_row(engine, result, result.estimate, eta, truth=truth, noise_eps=noise_eps)
+    return result, charge(row, engine.round_trip_solves * (result.n_used + 1),
+                          neumann_ms=neumann_ms)
+
+
+def fill_row(engine: BackAndForth, result, estimate, eta: EtaEstimate, *, truth,
+             noise_eps: float) -> SweepRow:
+    """The row of ``estimate``, a sum truncated as ``result`` was: its error
+    against the truth, timed (nan without a truth).  It carries no solves
+    and no Neumann time until ``charge`` adds them."""
     err, error_ms = float("nan"), 0.0
     if truth is not None:
         start = time.perf_counter()
-        err = reconstruction_error(engine.equation, truth, result.estimate, engine.ops)
+        err = reconstruction_error(engine.equation, truth, estimate, engine.ops)
         error_ms = 1e3 * (time.perf_counter() - start)
     mesh = engine.ops.mesh
-    return result, charge(SweepRow(
-        engine.equation, mesh.n_cells, mesh.h, engine.dt, result.n_used, eta.value,
-        noise_eps, err, neumann_ms + error_ms, eta_converged=eta.converged,
-        eta_iterations=eta.iterations, neumann_ms=neumann_ms, error_ms=error_ms,
-        n_capped=result.n_capped), engine)
+    return SweepRow(engine.equation, mesh.n_cells, mesh.h, engine.dt, result.n_used, eta.value,
+                    noise_eps, err, error_ms, eta_converged=eta.converged,
+                    eta_iterations=eta.iterations, error_ms=error_ms,
+                    n_capped=result.n_capped)
 
 
-def charge(row: SweepRow, engine: BackAndForth, eta: EtaEstimate | None = None,
+def charge(row: SweepRow, solves: int = 0, *, neumann_ms: float = 0.0,
            eta_ms: float = 0.0, gen_ms: float = 0.0) -> SweepRow:
-    """Count the row's solves, a round trip per Neumann term, for the first
-    iterate (none for a failed row, n_used = -1) and per step of the shared
-    ``eta`` it pays for, and add the shared stages' times to it."""
-    row.n_solves = engine.round_trip_solves * (row.n_used + 1 + (eta.iterations if eta else 0))
-    row.eta_ms, row.gen_ms = eta_ms, gen_ms
-    row.wall_ms += eta_ms + gen_ms
+    """Add work run for the row to it: tridiagonal solves, and stage times
+    that also go into its wall_ms."""
+    row.n_solves += solves
+    row.neumann_ms += neumann_ms
+    row.eta_ms += eta_ms
+    row.gen_ms += gen_ms
+    row.wall_ms += neumann_ms + eta_ms + gen_ms
     return row
 
 
@@ -201,13 +227,21 @@ def run_cell(plan: SweepPlan, n_cells: int) -> list[SweepRow]:
     """Run one mesh level: one row per ``plan.noise_eps``, in order.
 
     The discretization, the clean trace and the contraction estimate do not
-    depend on the noise, so they are built once per level; each noise level
-    only perturbs the clean trace and calls ``reconstruct``.  Failures are
-    recorded, not raised: a failure in the shared part marks every row of
-    the level, one in a noise level marks only its row.  The first row, failed
-    or not, is charged the shared set-up (gen_ms, eta_ms and the eta's
-    solves), so the rows' wall_ms sum to the level's time and their n_solves
-    to its solves.
+    depend on the noise, so they are built once per level.  Nor does the
+    truncation N, and the Neumann sum S is linear in the trace: every noise
+    level draws the same stream, so its trace is clean + eps * u up to
+    rounding, u the unit draw of ``unit_noise``.  A level therefore runs at
+    most two sums: S(clean) at the first row that passes its noise check,
+    and S(u) at the first such row with eps > 0.  Row eps is S(clean) +
+    eps * S(u), exactly S(clean) for eps = 0, and a noisy row's noise_gain
+    is ``error_norm`` of S(u).
+
+    Failures are recorded, not raised: a failure in the shared set-up or in
+    S(clean), which every row shares, marks every row of the level; one in
+    S(u) marks the noisy rows; a bad eps marks only its own row.  Each row is
+    charged the sums it ran, and the first row, failed or not, the shared
+    set-up (gen_ms, eta_ms and the eta's solves), so the rows' wall_ms sum
+    to the level's time and their n_solves to its solves.
     """
     mark = time.perf_counter()
     h = plan.length / n_cells
@@ -228,19 +262,43 @@ def run_cell(plan: SweepPlan, n_cells: int) -> list[SweepRow]:
         eta_ms = 1e3 * (time.perf_counter() - start)
     except Exception as exc:
         setup_failure = exc
+    sums, ran = {}, []      # the level's sums, (result, row) or what they raised
+
+    def neumann(key: str, make_trace):
+        """The level's sum of make_trace(), run once; ``ran`` gets its row."""
+        if key not in sums:
+            try:
+                sums[key] = reconstruct(engine, make_trace(), eta, n_policy=plan.n_policy,
+                                        theta=plan.theta, truth=None, noise_eps=0.0)
+                ran.append(sums[key][1])
+            except Exception as exc:
+                sums[key] = exc
+        if isinstance(sums[key], Exception):
+            raise sums[key]
+        return sums[key][0]
+
     for eps in plan.noise_eps:
         try:
             if setup_failure is not None:
                 raise setup_failure
-            # unnamed, the noisy trace is released before the next one is drawn
-            _, row = reconstruct(engine, add_noise(clean, NoiseSpec(eps, plan.noise_seed)),
-                                 eta, n_policy=plan.n_policy, theta=plan.theta,
-                                 truth=plan.truth, noise_eps=eps)
+            NoiseSpec(eps, plan.noise_seed)        # a bad eps fails only its own row
+            base = neumann("clean", lambda: clean)
+            estimate, gain = base.estimate, None
+            if eps != 0.0:
+                # unnamed, the unit draw is released once its sum is done
+                unit = neumann("unit", lambda: unit_noise(clean, plan.noise_seed)).estimate
+                estimate = base.estimate + unit * eps
+                gain = error_norm(plan.equation, unit, engine.ops)
+            row = fill_row(engine, base, estimate, eta, truth=plan.truth, noise_eps=eps)
+            row.noise_gain = gain
         except Exception as exc:
             row = SweepRow(plan.equation, n_cells, h, dt, -1, float("nan"), eps,
                            float("nan"), 0.0, f"{type(exc).__name__}: {exc}")
         if not rows and setup_failure is None:
-            charge(row, engine, eta, eta_ms, gen_ms)
+            charge(row, engine.round_trip_solves * eta.iterations, eta_ms=eta_ms, gen_ms=gen_ms)
+        for sum_row in ran:
+            charge(row, sum_row.n_solves, neumann_ms=sum_row.neumann_ms)
+        ran.clear()
         now = time.perf_counter()
         row.wall_ms, mark = 1e3 * (now - mark), now
         rows.append(row)
@@ -329,6 +387,7 @@ class NoiseRow:
     error_x: float
     inflation: float
     ratio: float            # inflation / (N * tau * eps); nan for eps = 0
+    noise_gain: float | None = None     # |inflation| <= eps * noise_gain; None for eps = 0
 
 
 def build_noise_table(rows: list[SweepRow], tau: float) -> list[NoiseRow]:
@@ -348,7 +407,8 @@ def build_noise_table(rows: list[SweepRow], tau: float) -> list[NoiseRow]:
             ratio = float("nan")
             if eps > 0.0 and row.n_used > 0:
                 ratio = inflation / (row.n_used * tau * eps)
-            table.append(NoiseRow(n_cells, eps, row.error_x, inflation, ratio))
+            table.append(NoiseRow(n_cells, eps, row.error_x, inflation, ratio,
+                                  row.noise_gain))
     return table
 
 

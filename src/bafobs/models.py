@@ -63,8 +63,9 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.amplitude < 0.0:
-            raise ValueError("amplitude must be nonnegative")
+        # an infinite or nan amplitude makes no finite trace, nor a finite sweep row
+        if not (math.isfinite(self.amplitude) and self.amplitude >= 0.0):
+            raise ValueError(f"amplitude must be finite and nonnegative, got {self.amplitude!r}")
 
 
 @dataclass(frozen=True)
@@ -163,6 +164,16 @@ def add_noise(trace: ObservationTrace, noise: NoiseSpec) -> ObservationTrace:
     samples = np.array(trace.samples, dtype=np.result_type(trace.samples.dtype, np.float64))
     _draw_noise(samples, noise)
     return replace(trace, samples=samples, provenance="noisy")
+
+
+def unit_noise(trace: ObservationTrace, seed: int) -> ObservationTrace:
+    """The noise alone: ``add_noise``'s draws at amplitude 1, in one array of
+    the trace's shape, so that ``add_noise(trace, NoiseSpec(eps, seed))`` is
+    ``trace + eps * unit_noise(trace, seed)`` up to rounding."""
+    samples = np.zeros(trace.samples.shape,
+                       np.result_type(trace.samples.dtype, np.float64))
+    _draw_noise(samples, NoiseSpec(1.0, seed))
+    return replace(trace, samples=samples, provenance="unit-noise")
 
 
 def _draw_noise(samples: np.ndarray, noise: NoiseSpec):

@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import json
+import math
 import warnings
 from dataclasses import fields
 
@@ -149,7 +150,7 @@ def test_generate_creates_the_directory_of_out(tmp_path, capsys):
 
 @pytest.mark.parametrize("equation", ["schrodinger", "wave"])
 def test_reconstruct_diagnostics_match_a_one_level_sweep_row(tmp_path, capsys, equation):
-    # both commands fill their rows by harness.reconstruct, so every field but
+    # both commands fill their rows by harness.fill_row, so every field but
     # the wall times agrees bit for bit
     args = ["--set", f"equation={equation}", "--set", "geometry.n_cells=32",
             "--set", "sweep.levels=[32]", "--set", f"output.directory={tmp_path}"]
@@ -661,6 +662,26 @@ def test_sweep_outputs_and_exit_codes(tmp_path, capsys):
     assert all(r["gen_ms"] == 0 and r["eta_ms"] == 0 for r in second)
     assert all(r["neumann_ms"] > 0 and r["error_ms"] > 0 for r in first + second)
     csv_lines = (tmp_path / "out" / "sweep.csv").read_text().strip().split("\n")
+    assert csv_lines[1] == cli.harness.CSV_HEADER
+
+
+def test_sweep_noisy_rows_carry_a_noise_gain_that_bounds_them(tmp_path, capsys):
+    cfg = small_config(tmp_path, sweep={"levels": [8, 16, 24],
+                                        "noise_eps": [0.0, 0.001, 0.01]})
+    code, _, _ = run_cli(["--config", cfg, "sweep"], capsys)
+    assert code in (0, 1)
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    clean = {r["n_cells"]: r for r in summary["rows"] if r["noise_eps"] == 0.0}
+    for row in summary["rows"]:
+        assert row["failure"] is None
+        if row["noise_eps"] == 0.0:
+            assert row["noise_gain"] is None
+        else:
+            assert math.isfinite(row["noise_gain"])
+            assert abs(row["error_x"] - clean[row["n_cells"]]["error_x"]) <= \
+                row["noise_eps"] * row["noise_gain"] * (1 + 1e-9)
+    assert [t["noise_gain"] is None for t in summary["noise_table"]] == [True, False, False] * 3
+    csv_lines = (tmp_path / "out" / "sweep.csv").read_text().split("\n")
     assert csv_lines[1] == cli.harness.CSV_HEADER
 
 

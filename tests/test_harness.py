@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from bafobs.harness import (CSV_HEADER, BackAndForth, NoiseRow, SweepPlan,
                             rows_to_csv, run_cell, run_sweep, summary_dict,
                             reconstruction_error)
 from bafobs.linalg import ShiftedSystem
+from bafobs.models import NoiseSpec, ProblemInstance, add_noise, generate_observation
 from bafobs.observers import WaveState
 
 from oracles import fine_h1_distance, fine_l2_distance, norm_alpha, project_pi_h
@@ -18,6 +20,8 @@ from oracles import fine_h1_distance, fine_l2_distance, norm_alpha, project_pi_h
 TRUTH = FieldSpec(kind="sine", coefficients=(1.0, 0.5))
 WAVE_TRUTH = (FieldSpec(kind="sine", coefficients=(1.0,)),
               FieldSpec(kind="sine", coefficients=(0.0, 1.0)))
+EQUATIONS = pytest.mark.parametrize("equation, truth, tau", [("schrodinger", TRUTH, 1.0),
+                                                            ("wave", WAVE_TRUTH, 2.0)])
 
 
 def small_plan(**kw):
@@ -282,6 +286,127 @@ def test_noise_study_zero_baseline_and_linearity():
     assert 1 / 3 <= abs(ratios[1] / ratios[0]) <= 3
 
 
+def level_inputs(plan, n_cells):
+    """The engine, clean trace and eta that run_cell builds for a level."""
+    k = plan.n_steps(n_cells)
+    engine = harness.build_engine(plan.equation, n_cells, plan.length, plan.profile,
+                                  plan.tau / k, k)
+    instance = ProblemInstance(plan.equation, engine.ops.mesh, plan.profile, plan.tau, k,
+                               plan.truth)
+    clean = generate_observation(instance, refine=plan.refine)
+    eta = engine.estimate_eta(plan.eta_tol, plan.eta_max_iter, plan.eta_seed)
+    return engine, clean, eta
+
+
+@EQUATIONS
+def test_noisy_rows_match_one_sum_per_noise_level(equation, truth, tau):
+    # S(clean) + eps S(u) against the sum of each noisy trace: the clean row
+    # bit for bit, the noisy ones to rounding
+    plan = small_plan(equation=equation, truth=truth, tau=tau, levels=(16,),
+                      noise_eps=(0.0, 1e-4, 1e-3, 1e-2), noise_seed=5)
+    rows = run_cell(plan, 16)
+    engine, clean, eta = level_inputs(plan, 16)
+    for row in rows:
+        _, ref = harness.reconstruct(
+            engine, add_noise(clean, NoiseSpec(row.noise_eps, plan.noise_seed)), eta,
+            n_policy=plan.n_policy, theta=plan.theta, truth=truth, noise_eps=row.noise_eps)
+        assert row.failure is None and row.n_used == ref.n_used >= 1
+        if row.noise_eps == 0.0:
+            harness.charge(ref, engine.round_trip_solves * eta.iterations)
+            same = [f.name for f in fields(SweepRow) if not f.name.endswith("_ms")]
+            assert {k: getattr(row, k) for k in same} == {k: getattr(ref, k) for k in same}
+        else:
+            assert row.error_x == pytest.approx(ref.error_x, rel=1e-12, abs=0)
+
+
+@EQUATIONS
+@pytest.mark.parametrize("noise_eps, sums", [((0.0,), 1), ((0.0, 1e-4, 1e-3, 1e-2), 2)])
+def test_a_level_runs_at_most_two_neumann_sums(monkeypatch, equation, truth, tau,
+                                               noise_eps, sums):
+    calls = []
+    solve = ShiftedSystem.solve
+
+    def counting_solve(self, rhs):
+        calls.append(1)
+        return solve(self, rhs)
+
+    monkeypatch.setattr(ShiftedSystem, "solve", counting_solve)
+    rows = run_cell(small_plan(equation=equation, truth=truth, tau=tau, levels=(8,),
+                               noise_eps=noise_eps), 8)
+    assert all(r.failure is None for r in rows)
+    first = rows[0]
+    round_trip = 2 * (16 - 1) if equation == "wave" else 2 * 8
+    one_sum = round_trip * (first.n_used + 1)
+    assert len(calls) == round_trip * first.eta_iterations + sums * one_sum
+    # S(clean) and the eta go to the first row, S(u) to the first noisy one
+    assert [r.n_solves for r in rows] == (
+        [len(calls) - (sums - 1) * one_sum] + [one_sum, 0, 0][:len(rows) - 1])
+    assert [r.neumann_ms > 0 for r in rows] == [True] * sums + [False] * (len(rows) - sums)
+
+
+@EQUATIONS
+def test_noise_gain_bounds_the_error_inflation(equation, truth, tau):
+    plan = small_plan(equation=equation, truth=truth, tau=tau, levels=(16,),
+                      noise_eps=(0.0, 1e-4, 1e-3, 1e-2, 0.5))
+    clean, *noisy = run_cell(plan, 16)
+    assert clean.noise_gain is None
+    gains = {row.noise_gain for row in noisy}
+    (gain,) = gains
+    assert math.isfinite(gain) and gain > 0
+    for row in noisy:
+        assert abs(row.error_x - clean.error_x) <= row.noise_eps * gain * (1 + 1e-9)
+
+
+def test_error_norm_is_the_error_against_a_zero_truth():
+    # for the wave the norm is |pos|_K + |vel|_M, the one reconstruction_error
+    # measures, not the X norm
+    mesh = Mesh1D(n_cells=12)
+    ops = assemble(mesh, ObservationProfile())
+    rng = np.random.default_rng(8)
+    pos, vel = rng.standard_normal(mesh.n), rng.standard_normal(mesh.n)
+    zero = (FieldSpec(kind="sine", coefficients=(0.0,)),) * 2
+    norm = harness.error_norm("wave", WaveState(pos, vel), ops)
+    assert norm == pytest.approx(reconstruction_error("wave", zero, WaveState(pos, vel), ops),
+                                 rel=1e-12)
+    x_norm = BackAndForth("wave", ops, 0.1, 4).x_norm(WaveState(pos, vel))
+    assert x_norm < norm
+    q = pos + 1j * vel
+    assert harness.error_norm("schrodinger", q, ops) == pytest.approx(
+        reconstruction_error("schrodinger", zero[0], q, ops), rel=1e-12)
+
+
+def test_failed_unit_sum_fails_only_the_noisy_rows(monkeypatch):
+    draws = []
+
+    def failing_draw(trace, seed):
+        draws.append(seed)
+        raise RuntimeError("no unit draw")
+
+    monkeypatch.setattr(harness, "unit_noise", failing_draw)
+    rows = run_cell(small_plan(levels=(8,), noise_eps=(0.0, 1e-3, 1e-2)), 8)
+    assert rows[0].failure is None and np.isfinite(rows[0].error_x)
+    assert [r.failure for r in rows[1:]] == ["RuntimeError: no unit draw"] * 2
+    assert draws == [7]
+    assert rows[1].n_solves == rows[2].n_solves == 0
+
+
+def test_failed_clean_sum_fails_the_whole_level(monkeypatch):
+    sums = []
+
+    def failing_sum(self, trace, **kwargs):
+        sums.append(trace)
+        raise RuntimeError("no sum")
+
+    monkeypatch.setattr(BackAndForth, "neumann_reconstruct", failing_sum)
+    rows = run_cell(small_plan(levels=(8,), noise_eps=(-1.0, 0.0, 1e-3)), 8)
+    assert "amplitude" in rows[0].failure
+    assert [r.failure for r in rows[1:]] == ["RuntimeError: no sum"] * 2
+    assert len(sums) == 1
+    # the failed first row still carries the eta; the failed sum counts nothing
+    assert rows[0].eta_ms > 0 and rows[0].n_solves > 0
+    assert rows[1].n_solves == rows[2].n_solves == 0
+
+
 @pytest.mark.parametrize("kw, match", [
     (dict(levels=()), "at least one level"),
     (dict(kappa=0.0), "kappa must be positive"),
@@ -342,3 +467,13 @@ def test_gates_and_summary():
     assert summary["all_gates_pass"]
     text = json.dumps(summary)
     assert "noise_table" in text and "config" in text
+
+
+def test_noise_table_and_summary_carry_the_noise_gain():
+    plan = small_plan(levels=(8,), noise_eps=(0.0, 1e-3))
+    rows, table = noise_study(plan)
+    assert [t.noise_gain for t in table] == [None, rows[1].noise_gain]
+    summary = summary_dict(plan, rows, None, {}, noise_table=table)
+    assert [r["noise_gain"] for r in summary["rows"]] == [None, rows[1].noise_gain]
+    assert summary["noise_table"][1]["noise_gain"] == rows[1].noise_gain
+    assert "noise_gain" not in rows_to_csv(rows, "power-log2")

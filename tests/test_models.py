@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from bafobs.fem import FieldSpec, Mesh1D, ObservationProfile, assemble
 from bafobs.linalg import pencil_eigs
 from bafobs.models import (NoiseSpec, ProblemInstance, add_noise,
-                           generate_observation, read_trace, write_trace)
+                           generate_observation, read_trace, unit_noise, write_trace)
 from bafobs.observers import ObservationTrace
 from oracles import dense_pencil_eigs, norm_alpha, old_add_noise, propagate_exact
 
@@ -244,6 +244,43 @@ def test_add_noise_memory_is_one_copy_of_the_trace():
     finally:
         tracemalloc.stop()
     assert peak < 1.3 * samples.nbytes
+
+
+@pytest.mark.parametrize("is_complex", [True, False])
+def test_unit_noise_scales_to_add_noise(is_complex):
+    # the same stream at amplitude 1, in one array: add_noise at eps is the
+    # trace plus eps times it, to rounding
+    rng = np.random.default_rng(6)
+    samples = rng.standard_normal((70, 33))
+    if is_complex:
+        samples = samples + 1j * rng.standard_normal(samples.shape)
+    trace = ObservationTrace("schrodinger" if is_complex else "wave", samples, 0.69, 0.01)
+    unit = unit_noise(trace, seed=9)
+    assert unit.samples.dtype == samples.dtype and unit.provenance == "unit-noise"
+    assert np.array_equal(unit.samples, old_add_noise(np.zeros_like(samples), 1.0, 9))
+    for eps in (1e-4, 1e-2, 0.5):
+        noisy = add_noise(trace, NoiseSpec(eps, seed=9)).samples
+        np.testing.assert_allclose(noisy, samples + eps * unit.samples, rtol=0,
+                                   atol=4 * np.finfo(float).eps * np.max(np.abs(samples)))
+
+
+def test_unit_noise_memory_is_one_trace():
+    rng = np.random.default_rng(4)
+    samples = rng.standard_normal((1025, 1023)) + 1j * rng.standard_normal((1025, 1023))
+    trace = ObservationTrace("schrodinger", samples, 1.0, 1.0 / 1024)
+    tracemalloc.start()
+    try:
+        unit_noise(trace, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * samples.nbytes
+
+
+@pytest.mark.parametrize("amplitude", [-1.0, float("inf"), float("nan")])
+def test_noise_amplitude_must_be_finite_and_nonnegative(amplitude):
+    with pytest.raises(ValueError, match="amplitude must be finite and nonnegative"):
+        NoiseSpec(amplitude)
 
 
 @pytest.mark.parametrize("equation", ["schrodinger", "wave"])
