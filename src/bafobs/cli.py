@@ -297,6 +297,18 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _strict(doc):
+    """doc with every non-finite float as None, so ``json.dumps`` writes
+    null where it would write the bare tokens NaN and Infinity."""
+    if isinstance(doc, float) and not math.isfinite(doc):
+        return None
+    if isinstance(doc, dict):
+        return {key: _strict(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_strict(value) for value in doc]
+    return doc
+
+
 def _out_dir(cfg: dict) -> Path:
     out = Path(cfg["output"]["directory"])
     out.mkdir(parents=True, exist_ok=True)
@@ -424,7 +436,7 @@ def cmd_sweep(cfg: dict) -> int:
     if fit_error is not None:
         summary["fit_error"] = fit_error
     summary_path = out / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2), encoding="utf-8")
+    summary_path.write_text(json.dumps(_strict(summary), indent=2), encoding="utf-8")
     print(json.dumps({"csv": str(csv_path), "summary": str(summary_path),
                       "gates": gates}))
     return 0 if all(gates.values()) else 1

@@ -2,7 +2,8 @@
 
 Provides the uniform mesh, assembly of the mass/stiffness/observation
 matrices, the load vectors against the hat basis and the closed-form fields
-that serve as reconstruction targets.  Assembly and the load vectors use
+that serve as reconstruction targets, and the P1 interpolation of nodal
+values from one uniform mesh onto another.  Assembly and the load vectors use
 4-point Gauss-Legendre per element, so they commit the same variational
 crime (none, for the polynomial integrands); the load vectors take an
 8-point rule on request, for the reference integrals of closed-form fields
@@ -218,6 +219,15 @@ def grad_load_vector(mesh: Mesh1D, df: Callable[[np.ndarray], np.ndarray],
     # the hat slopes are +-1/h, so the h of dx cancels
     per = np.asarray(df(pts)).reshape(mesh.n_cells, ws.size) @ ws
     return per[:-1] - per[1:]
+
+
+def prolong(values: np.ndarray, mesh: Mesh1D) -> np.ndarray:
+    """The element function of interior nodal values on the uniform mesh of
+    mesh's length with values.size + 1 cells, at mesh's interior nodes: P1
+    interpolation with the Dirichlet zeros at both ends."""
+    values = np.asarray(values)
+    nodes = np.linspace(0.0, mesh.length, values.size + 2)
+    return np.interp(mesh.interior_nodes, nodes, np.r_[0.0, values, 0.0])
 
 
 @dataclass(frozen=True)

@@ -169,6 +169,8 @@ class SweepRow:
     n_solves: int = 0
     # a noisy row's bound on |error_x - clean error_x| per unit noise_eps
     noise_gain: float | None = None
+    # the level's eta estimate started from the previous level's Ritz vector
+    eta_warm: bool = False
 
 
 def build_engine(equation: str, n_cells: int, length: float,
@@ -223,7 +225,16 @@ def charge(row: SweepRow, solves: int = 0, *, neumann_ms: float = 0.0,
     return row
 
 
-def run_cell(plan: SweepPlan, n_cells: int) -> list[SweepRow]:
+@dataclass
+class WarmStart:
+    """What a sweep hands from one level to the next: the state the next
+    level's eta estimate starts from, or None for a cold start."""
+
+    state: object = None
+
+
+def run_cell(plan: SweepPlan, n_cells: int,
+             carry: WarmStart | None = None) -> list[SweepRow]:
     """Run one mesh level: one row per ``plan.noise_eps``, in order.
 
     The discretization, the clean trace and the contraction estimate do not
@@ -242,8 +253,15 @@ def run_cell(plan: SweepPlan, n_cells: int) -> list[SweepRow]:
     charged the sums it ran, and the first row, failed or not, the shared
     set-up (gen_ms, eta_ms and the eta's solves), so the rows' wall_ms sum
     to the level's time and their n_solves to its solves.
+
+    ``carry`` hands eta's start along a sweep: the level starts warm from
+    its state (see ``BackAndForth.estimate_eta``) and leaves there its
+    converged estimate's dominant Ritz vector, or None when the estimate
+    did not converge or did not run, so that the next level starts cold.
     """
     mark = time.perf_counter()
+    carry = WarmStart() if carry is None else carry
+    warm, carry.state = carry.state, None
     h = plan.length / n_cells
     k = plan.n_steps(n_cells)
     dt = plan.tau / k
@@ -258,8 +276,9 @@ def run_cell(plan: SweepPlan, n_cells: int) -> list[SweepRow]:
         clean = generate_observation(instance, refine=plan.refine)
         gen_ms = 1e3 * (time.perf_counter() - start)
         start = time.perf_counter()
-        eta = engine.estimate_eta(plan.eta_tol, plan.eta_max_iter, plan.eta_seed)
+        eta = engine.estimate_eta(plan.eta_tol, plan.eta_max_iter, plan.eta_seed, warm=warm)
         eta_ms = 1e3 * (time.perf_counter() - start)
+        carry.state = eta.ritz_vector
     except Exception as exc:
         setup_failure = exc
     sums, ran = {}, []      # the level's sums, (result, row) or what they raised
@@ -290,7 +309,7 @@ def run_cell(plan: SweepPlan, n_cells: int) -> list[SweepRow]:
                 estimate = base.estimate + unit * eps
                 gain = error_norm(plan.equation, unit, engine.ops)
             row = fill_row(engine, base, estimate, eta, truth=plan.truth, noise_eps=eps)
-            row.noise_gain = gain
+            row.noise_gain, row.eta_warm = gain, warm is not None
         except Exception as exc:
             row = SweepRow(plan.equation, n_cells, h, dt, -1, float("nan"), eps,
                            float("nan"), 0.0, f"{type(exc).__name__}: {exc}")
@@ -307,8 +326,10 @@ def run_cell(plan: SweepPlan, n_cells: int) -> list[SweepRow]:
 
 def run_sweep(plan: SweepPlan) -> list[SweepRow]:
     """One row per (level, noise) cell, deterministic given the plan seeds:
-    one ``run_cell`` per level, in the order of ``plan.levels``."""
-    return [row for n_cells in plan.levels for row in run_cell(plan, n_cells)]
+    one ``run_cell`` per level, in the order of ``plan.levels``, each level
+    after the first starting eta warm from the one before."""
+    carry = WarmStart()
+    return [row for n_cells in plan.levels for row in run_cell(plan, n_cells, carry)]
 
 
 # -- rate fitting --------------------------------------------------------------

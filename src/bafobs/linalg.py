@@ -86,28 +86,41 @@ class SymTridiag:
 def _lapack() -> dict | None:
     """LAPACK's zgttrs and dpttrs from the OpenBLAS that numpy's wheel bundles.
 
-    Returns {name: routine} for those two solves, or None when numpy ships
-    no such library (conda/MKL builds); ``ShiftedSystem`` factors by itself.
-    Importing numpy has already mapped the library, so loading it here maps
-    nothing new.
+    Returns {name: (declared, bare)} for those two solves, or None when
+    numpy ships no such library (conda/MKL builds); ``ShiftedSystem``
+    factors by itself.  declared carries the routine's argtypes, which
+    ``ShiftedSystem`` passes its arguments through once; bare is a pointer
+    to the same symbol without them, which it calls with those converted
+    arguments.  Importing numpy has already mapped the library, so loading
+    it here maps nothing new.
     """
     base = Path(np.__file__).parent
     for path in sorted((base.parent / "numpy.libs").glob("*openblas64_*")) \
             + sorted((base / ".dylibs").glob("*openblas64_*")):
         try:
             lib = ctypes.CDLL(str(path))
-            routines = {name: getattr(lib, f"scipy_{name}_64_")
+            routines = {name: (lib[f"scipy_{name}_64_"], lib[f"scipy_{name}_64_"])
                         for name in ("zgttrs", "dpttrs")}
         except (OSError, AttributeError):
             continue
         # Fortran ABI, 64-bit integers: every argument by address, plus the
         # hidden length of zgttrs's character argument TRANS.
-        routines["dpttrs"].argtypes = [ctypes.c_void_p] * 7
-        routines["zgttrs"].argtypes = [ctypes.c_void_p] * 11 + [ctypes.c_size_t]
-        for routine in routines.values():
-            routine.restype = None
+        routines["dpttrs"][0].argtypes = [ctypes.c_void_p] * 7
+        routines["zgttrs"][0].argtypes = [ctypes.c_void_p] * 11 + [ctypes.c_size_t]
+        for pair in routines.values():
+            for routine in pair:
+                routine.restype = None
         return routines
     return None
+
+
+def _converted(kinds, args: tuple) -> tuple:
+    """args passed through their declared ctypes types, as a call through
+    argtypes passes them on every call: a wrong count or an argument of the
+    wrong kind raises here."""
+    if len(args) != len(kinds):
+        raise TypeError(f"{len(kinds)} declared argument types for {len(args)} arguments")
+    return tuple(kind.from_param(arg) for kind, arg in zip(kinds, args))
 
 
 def solver_kernel() -> str:
@@ -124,9 +137,9 @@ class BoundSolve:
     """A right-hand-side buffer tied to one ``ShiftedSystem`` by its ``bind``.
 
     ``system.solve(bound)`` overwrites ``bound.buf`` with the solution for
-    its contents.  args holds the LAPACK arguments, raw addresses into buf
-    and into the system's factors (None on the Thomas path); the references
-    keep both alive.
+    its contents.  args holds the LAPACK arguments, converted by their
+    declared types and holding raw addresses into buf and into the system's
+    factors (None on the Thomas path); the references keep both alive.
     """
 
     __slots__ = ("system", "buf", "args")
@@ -182,28 +195,34 @@ class ShiftedSystem:
         pivots, multipliers, inv = self._thomas_factor(tiny)
         lapack = _lapack()
         if lapack is None:
-            self._trs = None
+            self._bare = None
             self._lower, self._cp, self._inv = self._off.tolist(), multipliers, inv
             return
         n_arg, info = ctypes.c_int64(self.n), ctypes.c_int64(0)
         size, status, one = ctypes.byref(n_arg), ctypes.byref(info), ctypes.byref(ctypes.c_int64(1))
         if self.is_real:
             self._factors = (np.array(pivots), np.array(multipliers, float))
-            self._trs = lapack["dpttrs"]
+            declared, self._bare = lapack["dpttrs"]
             # dpttrs arguments N..E, then (B,) LDB = n and INFO
-            self._head = (size, one, *(a.ctypes.data for a in self._factors))
-            self._tail = (size, status)
-            return
-        # L U without row swaps, as zgttrf would store it: DL the multipliers,
-        # D the pivots, DU the off-diagonal, DU2 = 0 and IPIV the identity
-        self._factors = (np.array(multipliers, complex), np.array(pivots), self._off,
-                         np.zeros(max(self.n - 2, 0), complex),
-                         np.arange(1, self.n + 1, dtype=np.int64))
-        self._trs = lapack["zgttrs"]
-        # zgttrs arguments TRANS..IPIV for one right-hand side, then
-        # (B,) LDB = n, INFO and the hidden length of TRANS.
-        self._head = (b"N", size, one, *(a.ctypes.data for a in self._factors))
-        self._tail = (size, status, 1)
+            head = (size, one, *(a.ctypes.data for a in self._factors))
+            tail = (size, status)
+        else:
+            # L U without row swaps, as zgttrf would store it: DL the multipliers,
+            # D the pivots, DU the off-diagonal, DU2 = 0 and IPIV the identity
+            self._factors = (np.array(multipliers, complex), np.array(pivots), self._off,
+                             np.zeros(max(self.n - 2, 0), complex),
+                             np.arange(1, self.n + 1, dtype=np.int64))
+            declared, self._bare = lapack["zgttrs"]
+            # zgttrs arguments TRANS..IPIV for one right-hand side, then
+            # (B,) LDB = n, INFO and the hidden length of TRANS.
+            head = (b"N", size, one, *(a.ctypes.data for a in self._factors))
+            tail = (size, status, 1)
+        # every argument but B converted by its declared type once, here;
+        # bind converts B by its own
+        kinds = declared.argtypes
+        self._head = _converted(kinds[:len(head)], head)
+        self._tail = _converted(kinds[len(head) + 1:], tail)
+        self._b_kind = kinds[len(head)]
 
     def _thomas_factor(self, tiny: float) -> tuple[list, list, list]:
         """Thomas elimination without pivoting: the pivots, the multipliers
@@ -235,21 +254,26 @@ class ShiftedSystem:
     def bind(self, buf: np.ndarray) -> BoundSolve:
         """Tie buf to this system for in-place solves by ``solve``.
 
-        buf must be a writeable, C-contiguous (n,) array of ``dtype``.  The
-        solver's arguments and buf's address are resolved here, once, so a
-        stepping loop that refills buf before each solve pays for neither.
+        buf must be a writeable, C-contiguous (n,) array of ``dtype``.  buf's
+        address is resolved and converted by its declared argtype here, once,
+        and joined to the system's other arguments, converted at the
+        factorization, so a stepping loop that refills buf before each solve
+        pays for neither, and an argument the declared types refuse raises
+        before any solve.
         """
         if (buf.shape != (self.n,) or buf.dtype != self.dtype
                 or not (buf.flags.c_contiguous and buf.flags.writeable)):
             raise ValueError(f"buf must be a writeable C-contiguous ({self.n},) "
                              f"{self.dtype} array, got {buf.shape} {buf.dtype}")
-        args = None if self._trs is None else (*self._head, buf.ctypes.data, *self._tail)
+        args = None if self._bare is None else (
+            *self._head, self._b_kind.from_param(buf.ctypes.data), *self._tail)
         return BoundSolve(self, buf, args)
 
     def solve(self, rhs: np.ndarray | BoundSolve) -> np.ndarray:
         """The solution for rhs, in a new array; for a ``bind`` buffer, in it.
 
-        Every solve goes through here, in place or not.
+        Every solve goes through here, in place or not, with the arguments
+        converted at ``bind``.
         """
         if rhs.__class__ is not BoundSolve:
             rhs = np.asarray(rhs)
@@ -260,10 +284,10 @@ class ShiftedSystem:
             rhs = self.bind(rhs.astype(self.dtype, order="C"))
         elif rhs.system is not self:
             raise ValueError("rhs is bound to another system")
-        if self._trs is None:
+        if self._bare is None:
             rhs.buf[:] = self._thomas_solve(rhs.buf.tolist())
         else:
-            self._trs(*rhs.args)
+            self._bare(*rhs.args)
         return rhs.buf
 
     def _thomas_solve(self, d: list) -> list:

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .fem import FemOperators
+from .fem import FemOperators, prolong
 from .linalg import ShiftedSystem, SymTridiag
 
 AUTO_N_CAP = 200
@@ -262,12 +262,14 @@ class EtaEstimate:
     From ``BackAndForth.estimate_eta``, value is the largest-modulus Ritz
     value of the round trip L in X.  iterations counts the applications of
     the operator; converged is False only when the step budget ran out
-    before the stopping rule held.
+    before the stopping rule held.  A converged estimate also carries its
+    dominant Ritz vector, which a sweep's next level starts from.
     """
 
     value: float
     converged: bool
     iterations: int
+    ritz_vector: object = field(default=None, compare=False, repr=False)
 
 
 def arnoldi_iteration(apply_op: Callable, inner: Callable, start,
@@ -281,8 +283,11 @@ def arnoldi_iteration(apply_op: Callable, inner: Callable, start,
     that are only nearly self-adjoint in ``inner`` are handled.  The
     iteration stops when the Ritz residual h_{m+1,m} |e_m^T y| of the
     dominant Ritz pair (theta, y), y of unit 2-norm, drops to tol |theta|;
-    a breakdown (h_{m+1,m} = 0) meets that rule too.  Running out of
-    max_iter returns the last Ritz value with converged = False.
+    a breakdown (h_{m+1,m} = 0) meets that rule too, and the estimate then
+    carries the Ritz vector sum_j y_j v_j, y turned so that its largest entry
+    is real and positive, and taken real when the Hessenberg matrix is (so
+    real states give a real vector).  Running out of max_iter returns the
+    last Ritz value with converged = False and no vector.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must lie in (0, 1)")
@@ -311,7 +316,16 @@ def arnoldi_iteration(apply_op: Callable, inner: Callable, start,
         k = int(np.argmax(np.abs(ritz)))
         theta = float(np.abs(ritz[k]))
         if beta * abs(vecs[-1, k]) <= tol * theta:
-            return EtaEstimate(theta, True, m)
+            # eig fixes no phase; turn y so that its real part keeps it
+            y = vecs[:, k]
+            top = y[np.argmax(np.abs(y))]
+            y = y * (abs(top) / top)
+            if not np.any(hess.imag):
+                y = y.real
+            vector = basis[0] * y[0]
+            for c, v in zip(y[1:], basis[1:]):
+                vector = vector + v * c
+            return EtaEstimate(theta, True, m, vector)
         basis.append(w * (1.0 / beta))
     return EtaEstimate(theta, False, max_iter)
 
@@ -450,13 +464,28 @@ class BackAndForth:
 
     def estimate_eta(self, tol: float = _ETA_DEFAULTS["tol"],
                      max_iter: int = _ETA_DEFAULTS["max_iter"],
-                     seed: int = _ETA_DEFAULTS["seed"]) -> EtaEstimate:
+                     seed: int = _ETA_DEFAULTS["seed"], *, warm=None) -> EtaEstimate:
         """Arnoldi estimate of the round-trip contraction factor in X.
 
-        An estimate that runs out of steps leaves the truncation length it
-        sets uncertified, so besides converged = False it warns.
+        Arnoldi starts from ``random_state(seed)``.  ``warm``, a state on any
+        uniform mesh of the same length (a coarser level's Ritz vector), is
+        prolonged onto this mesh and added to that start at equal X norm.
+        The random part keeps full weight: the dominant mode can change from
+        one mesh to the next, and a start nearly orthogonal to it can stop
+        Arnoldi on a smaller Ritz value.  An estimate that runs out of steps
+        leaves the truncation length it sets uncertified, so besides
+        converged = False it warns.
         """
         start = self.random_state(seed)
+        if warm is not None:
+            if self.equation == "schrodinger":
+                warm = prolong(warm, self.ops.mesh)
+            else:
+                warm = WaveState(prolong(warm.pos, self.ops.mesh),
+                                 prolong(warm.vel, self.ops.mesh))
+            size = self.x_norm(warm)
+            if size > 0.0:          # a restriction onto a coarser mesh can vanish
+                start = start * (1.0 / self.x_norm(start)) + warm * (1.0 / size)
         eta = arnoldi_iteration(self.apply_L, self.x_inner, start, tol, max_iter)
         if not eta.converged:
             warnings.warn(f"eta = {eta.value:.6g} at {self.ops.mesh.n_cells} cells did not "

@@ -114,6 +114,7 @@ def test_reconstruct_round_trip_and_diagnostics(tmp_path, capsys):
     diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
     assert 0 < diag["eta_hat"] < 1
     assert diag["eta_converged"] is True and 1 <= diag["eta_iterations"] <= 40
+    assert diag["eta_warm"] is False           # reconstruct starts eta cold
     assert diag["n_used"] == meta["n_used"] >= 1
     assert "error_x" in diag and diag["error_x"] > 0
     assert diag["config"]["time"]["n_steps"] == 12
@@ -735,6 +736,36 @@ def test_sweep_failing_cell_nonzero_exit_other_rows_intact(tmp_path, capsys,
     rows = summary["rows"]
     assert rows[0]["failure"] == "RuntimeError: generation failed"
     assert all(r["failure"] is None for r in rows[1:])
+
+
+def test_sweep_summary_is_strict_json(tmp_path, capsys, monkeypatch):
+    # an eps = 0 noise_table row has no ratio, a failed row no error_x or
+    # eta_hat: summary.json writes each as null, not as the bare token NaN
+    def refuse(token):
+        raise AssertionError(f"summary.json holds {token}")
+
+    def summary():
+        path = tmp_path / "out" / "summary.json"
+        return json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+
+    cfg = small_config(tmp_path, sweep={"levels": [8, 12, 16], "noise_eps": [0.0, 1e-3]})
+    run_cli(["--config", cfg, "sweep"], capsys)
+    table = summary()["noise_table"]
+    assert [t["ratio"] for t in table if t["noise_eps"] == 0.0] == [None, None, None]
+    assert all(math.isfinite(t["ratio"]) for t in table if t["noise_eps"] > 0.0)
+    generate = cli.harness.generate_observation
+
+    def fail_coarsest(instance, **kwargs):
+        if instance.mesh.n_cells == 8:
+            raise RuntimeError("generation failed")
+        return generate(instance, **kwargs)
+
+    monkeypatch.setattr(cli.harness, "generate_observation", fail_coarsest)
+    code, _, _ = run_cli(["--config", cfg, "sweep"], capsys)
+    assert code == 1
+    failed = summary()["rows"][:2]
+    assert [r["failure"] for r in failed] == ["RuntimeError: generation failed"] * 2
+    assert all(r["error_x"] is None and r["eta_hat"] is None for r in failed)
 
 
 def test_wave_config_defaults(tmp_path, capsys):

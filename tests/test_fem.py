@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bafobs.fem import FieldSpec, Mesh1D, ObservationProfile, assemble, load_vector
+from bafobs.fem import (FieldSpec, Mesh1D, ObservationProfile, assemble, load_vector,
+                        prolong)
 from bafobs.linalg import pencil_eigs
 
 from oracles import (dense, fine_l2_distance, kink_field, norm_alpha, pencil_vectors,
@@ -91,6 +92,31 @@ def test_observation_gram_monotone_in_window():
     for _ in range(20):
         u = rng.standard_normal(mesh.n)
         assert u @ big.matvec(u) >= u @ small.matvec(u) - 1e-14
+
+
+def test_prolong_interpolates_the_element_function():
+    # the same mesh returns the values
+    coarse = Mesh1D(n_cells=8, length=2.0)
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal(coarse.n) + 1j * rng.standard_normal(coarse.n)
+    assert np.allclose(prolong(values, coarse), values, rtol=0, atol=1e-15)
+    # a complex hat of the coarse mesh, on a mesh with twice the cells: its
+    # peak, half of it at the two midpoints next to it, zero elsewhere
+    hat = np.zeros(coarse.n, complex)
+    hat[2] = 1 - 2j
+    expected = np.zeros(15, complex)
+    expected[[4, 5, 6]] = (0.5 - 1j, 1 - 2j, 0.5 - 1j)
+    assert np.allclose(prolong(hat, Mesh1D(n_cells=16, length=2.0)), expected,
+                       rtol=0, atol=1e-15)
+    # f(x) = x on the interior nodes of 4 cells, with the zero at x = 1: exact
+    # at the finer nodes but the last, on the interval that falls to 0
+    fine = Mesh1D(n_cells=8)
+    got = prolong(Mesh1D(n_cells=4).interior_nodes, fine)
+    assert np.allclose(got[:-1], fine.interior_nodes[:-1], rtol=0, atol=1e-15)
+    assert got[-1] == pytest.approx(0.375)
+    # onto a coarser mesh it samples: every other node
+    assert np.allclose(prolong(values, Mesh1D(n_cells=4, length=2.0)), values[1::2],
+                       rtol=0, atol=1e-15)
 
 
 def test_load_vector_examples(default_ops):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bafobs import harness
-from bafobs.fem import FieldSpec, Mesh1D, ObservationProfile, assemble
+from bafobs.fem import FieldSpec, Mesh1D, ObservationProfile, assemble, prolong
 from bafobs.harness import (CSV_HEADER, BackAndForth, NoiseRow, SweepPlan,
                             SweepRow, evaluate_gates, fit_rate, noise_study,
                             rows_to_csv, run_cell, run_sweep, summary_dict,
@@ -173,7 +173,7 @@ def test_single_level_sweep_row(tmp_path):
 def test_truncation_cap_hit_recorded_in_row(monkeypatch):
     # eta close to 1: the rule asks for more than AUTO_N_CAP terms
     monkeypatch.setattr(BackAndForth, "estimate_eta",
-                        lambda self, *args: harness.EtaEstimate(0.999, True, 2))
+                        lambda self, *args, **kwargs: harness.EtaEstimate(0.999, True, 2))
     with pytest.warns(RuntimeWarning, match="capping at 200"):
         (row,) = run_cell(small_plan(levels=(8,)), 8)
     assert row.failure is None
@@ -270,6 +270,90 @@ def test_eta_constant_across_levels_in_resolved_time_regime():
         engine = BackAndForth("schrodinger", ops, dt, 512)
         values.append(engine.estimate_eta(tol=1e-7, max_iter=200, seed=11).value)
     assert max(values) <= 1.1 * min(values)
+
+
+# -- warm-started eta -------------------------------------------------------------
+
+
+def wave_plan(**kw):
+    """The wave acceptance plan."""
+    base = dict(equation="wave", levels=(32, 64, 128, 256), tau=2.0, truth=WAVE_TRUTH,
+                profile=ObservationProfile(a=0.2, b=0.8, smoothness=2), refine=2)
+    base.update(kw)
+    return SweepPlan(**base)
+
+
+def cold_rows(plan):
+    """Each level run on its own, so its eta starts cold."""
+    return [row for n_cells in plan.levels for row in run_cell(plan, n_cells)]
+
+
+def test_warm_eta_keeps_every_level_and_saves_steps():
+    plan = wave_plan()
+    warm, cold = run_sweep(plan), cold_rows(plan)
+    assert [r.eta_warm for r in warm] == [False, True, True, True]
+    assert not any(r.eta_warm for r in cold)
+    for w, c in zip(warm, cold):
+        assert w.failure is None and w.eta_converged
+        assert w.n_used == c.n_used
+        assert w.error_x == c.error_x
+        assert w.eta_hat == pytest.approx(c.eta_hat, rel=1e-8)
+    # the first level starts exactly as a cold one
+    assert (warm[0].eta_hat, warm[0].eta_iterations) == (cold[0].eta_hat, cold[0].eta_iterations)
+    steps = ([r.eta_iterations for r in warm], [r.eta_iterations for r in cold])
+    assert steps == ([8, 9, 12, 10], [8, 10, 12, 15])
+    assert sum(steps[0]) == 39 < sum(steps[1]) == 45
+
+
+def test_warm_eta_across_the_parity_switch():
+    # the dominant mode changes between 64 and 128 cells: the prolonged 64-cell
+    # Ritz vector is X-orthogonal to the 128-cell one, so only the random part
+    # of the start holds the mode the 128-cell estimate must find
+    plan = wave_plan(levels=(64, 128))
+    engines = {n: harness.build_engine("wave", n, 1.0, plan.profile,
+                                       plan.tau / plan.n_steps(n), plan.n_steps(n))
+               for n in plan.levels}
+    coarse, fine = (engines[n].estimate_eta().ritz_vector for n in plan.levels)
+    prolonged = WaveState(prolong(coarse.pos, engines[128].ops.mesh),
+                          prolong(coarse.vel, engines[128].ops.mesh))
+    fine_engine = engines[128]
+    cosine = abs(fine_engine.x_inner(prolonged, fine)) / (
+        fine_engine.x_norm(prolonged) * fine_engine.x_norm(fine))
+    assert cosine < 1e-8
+    (_, warm), (cold,) = run_sweep(plan), run_cell(plan, 128)
+    assert warm.eta_warm and warm.n_used == cold.n_used
+    assert warm.eta_hat == pytest.approx(cold.eta_hat, rel=1e-8)
+
+
+def test_failed_or_unconverged_level_leaves_the_next_cold():
+    # a level whose set-up fails (1 cell) hands on nothing, not even the
+    # vector it was handed
+    plan = small_plan(levels=(8, 1, 16))
+    before, failed, after = run_sweep(plan)
+    (cold,) = run_cell(plan, 16)
+    assert before.eta_converged and failed.failure is not None and after.failure is None
+    assert not after.eta_warm
+    assert (after.eta_hat, after.eta_iterations) == (cold.eta_hat, cold.eta_iterations)
+    # nor does an estimate that ran out of steps
+    plan = small_plan(levels=(8, 16), eta_max_iter=2, eta_tol=1e-12)
+    with pytest.warns(RuntimeWarning, match="did not converge"):
+        first, after = run_sweep(plan)
+        (cold,) = run_cell(plan, 16)
+    assert first.eta_converged is False and not after.eta_warm
+    assert (after.eta_hat, after.eta_iterations) == (cold.eta_hat, cold.eta_iterations)
+
+
+def test_warm_schrodinger_sweep_matches_cold_rows():
+    # the Schrodinger estimate takes as many steps warm as cold; eta_hat moves
+    # in its last bits only (about 1e-14 relative), and no N or error moves
+    plan = small_plan(levels=(32, 64, 128, 256))
+    warm, cold = run_sweep(plan), cold_rows(plan)
+    assert [r.eta_warm for r in warm] == [False, True, True, True]
+    for w, c in zip(warm, cold):
+        assert w.eta_hat == pytest.approx(c.eta_hat, rel=1e-12)
+        for f in fields(SweepRow):
+            if not f.name.endswith("_ms") and f.name not in ("eta_warm", "eta_hat"):
+                assert getattr(w, f.name) == getattr(c, f.name), f.name
 
 
 # -- noise study ------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -117,6 +119,37 @@ def test_bound_solve_overwrites_its_buffer(kernel):
                         (real, np.zeros(9)), (real, np.zeros(16)[::2]), (real, frozen)):
         with pytest.raises(ValueError, match="C-contiguous"):
             system.bind(buf)
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.1j], ids=["dpttrs", "zgttrs"])
+def test_lapack_arguments_are_checked_before_any_solve(monkeypatch, beta):
+    # every argument passes through its declared argtype once: the system's
+    # own at the factorization, the buffer's at bind, so one the declared
+    # type refuses, or a wrong count, raises there and not at a solve
+    require_compiled_kernel()
+    M, K = p1_pair(9)
+    system = ShiftedSystem(M, K, beta=beta)
+    buf = np.zeros(8, system.dtype)
+    bound = system.bind(buf)
+    declared, _ = linalg._lapack()["dpttrs" if system.is_real else "zgttrs"]
+    kinds = list(declared.argtypes)
+    b_slot = len(system._head)
+    monkeypatch.setattr(declared, "argtypes",
+                        kinds[:b_slot] + [ctypes.c_char_p] + kinds[b_slot + 1:])
+    other = ShiftedSystem(M, K, beta=beta)
+    with pytest.raises(TypeError, match="wrong type"):
+        other.bind(np.zeros(8, system.dtype))
+    monkeypatch.setattr(declared, "argtypes", [kinds[0], ctypes.c_char_p] + kinds[2:])
+    with pytest.raises(TypeError, match="wrong type"):
+        ShiftedSystem(M, K, beta=beta)
+    monkeypatch.setattr(declared, "argtypes", kinds[:-1])
+    with pytest.raises(TypeError, match="declared argument types for"):
+        ShiftedSystem(M, K, beta=beta)
+    monkeypatch.undo()
+    # a buffer bound before solves with the arguments converted then
+    rhs = np.arange(1.0, 9.0).astype(system.dtype)
+    buf[:] = rhs
+    assert np.array_equal(system.solve(bound), system.solve(rhs))
 
 
 @pytest.mark.parametrize("n", [1, 2, 9])

@@ -11,9 +11,10 @@ from bafobs import linalg
 from bafobs.fem import FieldSpec, Mesh1D, ObservationProfile, assemble
 from bafobs.linalg import SymTridiag, pencil_eigs
 from bafobs.models import ProblemInstance, generate_observation
-from bafobs.observers import (BackAndForth, ObservationTrace, SchrodingerStepper,
-                              WaveState, WaveStepper, arnoldi_iteration,
-                              choose_truncation, run_schrodinger, run_wave)
+from bafobs.observers import (BackAndForth, EtaEstimate, ObservationTrace,
+                              SchrodingerStepper, WaveState, WaveStepper,
+                              arnoldi_iteration, choose_truncation, run_schrodinger,
+                              run_wave)
 
 from oracles import (backward_schrodinger_stepper, dense, dense_round_trip,
                      dense_schrodinger_pass, dense_wave_pass, exact_damped_schrodinger,
@@ -721,6 +722,35 @@ def test_arnoldi_step_budget_flagged(engines):
     assert not est.converged
     assert est.iterations == 2
     assert 0.0 < est.value < 1.0
+    assert est.ritz_vector is None
+
+
+@pytest.mark.parametrize("equation", ["schrodinger", "wave"])
+def test_ritz_vector_is_the_dominant_eigenvector(equation):
+    # the converged estimate carries a unit vector x with L x = lambda x,
+    # |lambda| = eta, to the stopping tolerance; real for the wave's real states
+    engine = _eta_engine(equation, 24)
+    est = engine.estimate_eta(tol=1e-10, seed=3)
+    x = est.ritz_vector
+    assert est.converged and engine.x_norm(x) == pytest.approx(1.0, abs=1e-12)
+    if equation == "wave":
+        assert x.pos.dtype == x.vel.dtype == np.float64
+    image = engine.apply_L(x)
+    lam = engine.x_inner(image, x)
+    assert abs(lam) == pytest.approx(est.value, rel=1e-10)
+    assert engine.x_norm(image - x * lam) <= 1e-9
+    assert EtaEstimate(est.value, True, est.iterations) == est
+
+
+def test_warm_state_that_vanishes_on_the_mesh_starts_cold():
+    # a hat at a node of a finer mesh that this mesh does not have samples to
+    # zero here: it adds nothing, and the start is the cold one, bit for bit
+    engine = _eta_engine("wave", 16)
+    hat = np.zeros(31)
+    hat[0] = 1.0
+    warm = engine.estimate_eta(seed=3, warm=WaveState(hat, hat))
+    cold = engine.estimate_eta(seed=3)
+    assert (warm.value, warm.iterations) == (cold.value, cold.iterations)
 
 
 def test_arnoldi_storage_follows_the_steps_taken(engines):
