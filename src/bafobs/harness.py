@@ -171,6 +171,10 @@ class SweepRow:
     noise_gain: float | None = None
     # the level's eta estimate started from the previous level's Ritz vector
     eta_warm: bool = False
+    # of the (clean) Neumann sum: the largest ratio of consecutive increment
+    # norms, which eta_hat should bound, and the geometric remainder past N
+    max_increment_ratio: float | None = None
+    neumann_tail: float | None = None
 
 
 def build_engine(equation: str, n_cells: int, length: float,
@@ -210,7 +214,8 @@ def fill_row(engine: BackAndForth, result, estimate, eta: EtaEstimate, *, truth,
     return SweepRow(engine.equation, mesh.n_cells, mesh.h, engine.dt, result.n_used, eta.value,
                     noise_eps, err, error_ms, eta_converged=eta.converged,
                     eta_iterations=eta.iterations, error_ms=error_ms,
-                    n_capped=result.n_capped)
+                    n_capped=result.n_capped, max_increment_ratio=result.max_increment_ratio,
+                    neumann_tail=result.neumann_tail)
 
 
 def charge(row: SweepRow, solves: int = 0, *, neumann_ms: float = 0.0,

@@ -53,21 +53,70 @@ class SymTridiag:
         return self.diag.size
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
-        """Product with a vector, or with every row of a 2-d array."""
+        """Product with a vector, or with every row of a 2-d array.
+
+        A one-off product is cheaper in numpy than through a fresh LAPACK
+        binding, and both give the same bits.
+        """
         u = np.asarray(u)
         if u.ndim not in (1, 2) or u.shape[-1] != self.n:
             raise ValueError(f"array has shape {u.shape}, expected (..., {self.n})")
         out = np.empty(u.shape, np.result_type(self.diag, u))
-        self.bind(u, out, np.empty(u.shape[:-1] + (self.n - 1,), out.dtype))()
+        self._numpy_product(u, out, np.empty(u.shape[:-1] + (self.n - 1,), out.dtype))()
         return out
 
     def bind(self, x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> Callable[[], None]:
         """A zero-argument product out = A x over fixed buffers.
 
-        x and out have shape (..., n), tmp (..., n - 1) takes the off-diagonal
-        products.  The diagonals are cast to out's dtype and the views of x
-        and out taken here, once: numpy casts a real operand of a complex
-        product anyway, so the bits are the same, at about half the cost.
+        x and out have shape (..., n), tmp (..., n - 1).  With numpy's
+        bundled OpenBLAS, C-contiguous x and out of one float or complex
+        dtype get one LAPACK ?lagtm call, its arguments converted by their
+        declared types here, once (tmp is unused); other buffers get the
+        numpy product.  Both add the lower neighbour first, so they give
+        the same bits.
+        """
+        if x.shape != out.shape or x.shape[-1:] != (self.n,):
+            raise ValueError(f"x and out have shapes {x.shape}, {out.shape}, "
+                             f"expected one shape (..., {self.n})")
+        lapack = None
+        if (x.dtype == out.dtype and out.dtype in (np.float64, np.complex128)
+                and x.flags.c_contiguous and out.flags.c_contiguous and out.flags.writeable):
+            lapack = _lapack()
+        if lapack is None:
+            return self._numpy_product(x, out, tmp)
+        declared, bare = lapack["dlagtm" if out.dtype == np.float64 else "zlagtm"]
+        if out.dtype not in self._diagonals:
+            self._diagonals[out.dtype] = tuple(
+                a.astype(out.dtype, copy=False).ctypes.data_as(ctypes.c_void_p)
+                for a in (self.diag, self.off))
+        diag, off = self._diagonals[out.dtype]
+        size = ctypes.byref(ctypes.c_int64(self.n))
+        # ?lagtm arguments TRANS, N, NRHS, ALPHA, DL, D, DU, X, LDX, BETA, B,
+        # LDB and the hidden length of TRANS: out = 1.0 A x + 0.0 out, one
+        # right-hand side per row
+        args = _converted(declared.argtypes, (
+            b"N", size, ctypes.byref(ctypes.c_int64(x.size // self.n)),
+            ctypes.byref(ctypes.c_double(1.0)), off, diag, off,
+            x.ctypes.data_as(ctypes.c_void_p), size, ctypes.byref(ctypes.c_double(0.0)),
+            out.ctypes.data_as(ctypes.c_void_p), size, 1))
+        return functools.partial(bare, *args)
+
+    @functools.cached_property
+    def _diagonals(self) -> dict:
+        """Per dtype, pointers to the diagonal and the off-diagonal cast to
+        it, which ``bind`` fills: a pointer from data_as keeps its array
+        alive, and a matrix bound every pass casts once."""
+        return {}
+
+    def _numpy_product(self, x: np.ndarray, out: np.ndarray,
+                       tmp: np.ndarray) -> Callable[[], None]:
+        """``bind``'s product in numpy ufuncs, row i summed as LAPACK's lagtm
+        sums it: (a_{i,i-1} x_{i-1} + a_ii x_i) + a_{i,i+1} x_{i+1}.
+
+        tmp takes the off-diagonal products.  The diagonals are cast to
+        out's dtype and the views of x and out taken here, once: numpy casts
+        a real operand of a complex product anyway, so the bits are the
+        same, at about half the cost.
         """
         diag = self.diag.astype(out.dtype, copy=False)
         off = self.off.astype(out.dtype, copy=False)
@@ -75,24 +124,26 @@ class SymTridiag:
 
         def product():
             np.multiply(diag, x, out=out)
-            np.multiply(off, x_hi, out=tmp)
-            np.add(out_lo, tmp, out=out_lo)
             np.multiply(off, x_lo, out=tmp)
             np.add(out_hi, tmp, out=out_hi)
+            np.multiply(off, x_hi, out=tmp)
+            np.add(out_lo, tmp, out=out_lo)
         return product
 
 
 @functools.cache
 def _lapack() -> dict | None:
-    """LAPACK's zgttrs and dpttrs from the OpenBLAS that numpy's wheel bundles.
+    """LAPACK's solves zgttrs and dpttrs and products zlagtm and dlagtm from
+    the OpenBLAS that numpy's wheel bundles: all four, or None.
 
-    Returns {name: (declared, bare)} for those two solves, or None when
+    Returns {name: (declared, bare)} for the four routines, or None when
     numpy ships no such library (conda/MKL builds); ``ShiftedSystem``
-    factors by itself.  declared carries the routine's argtypes, which
-    ``ShiftedSystem`` passes its arguments through once; bare is a pointer
-    to the same symbol without them, which it calls with those converted
-    arguments.  Importing numpy has already mapped the library, so loading
-    it here maps nothing new.
+    factors and solves by itself then, and ``SymTridiag.bind`` multiplies
+    in numpy.  declared carries the routine's argtypes, which the callers
+    pass their arguments through once; bare is a pointer to the same symbol
+    without them, which they call with those converted arguments.
+    Importing numpy has already mapped the library, so loading it here, at
+    the first factorization or bound product, maps nothing new.
     """
     base = Path(np.__file__).parent
     for path in sorted((base.parent / "numpy.libs").glob("*openblas64_*")) \
@@ -100,13 +151,15 @@ def _lapack() -> dict | None:
         try:
             lib = ctypes.CDLL(str(path))
             routines = {name: (lib[f"scipy_{name}_64_"], lib[f"scipy_{name}_64_"])
-                        for name in ("zgttrs", "dpttrs")}
+                        for name in ("zgttrs", "dpttrs", "zlagtm", "dlagtm")}
         except (OSError, AttributeError):
             continue
         # Fortran ABI, 64-bit integers: every argument by address, plus the
-        # hidden length of zgttrs's character argument TRANS.
+        # hidden length of the character argument TRANS of zgttrs and ?lagtm.
         routines["dpttrs"][0].argtypes = [ctypes.c_void_p] * 7
         routines["zgttrs"][0].argtypes = [ctypes.c_void_p] * 11 + [ctypes.c_size_t]
+        for name in ("zlagtm", "dlagtm"):
+            routines[name][0].argtypes = [ctypes.c_void_p] * 12 + [ctypes.c_size_t]
         for pair in routines.values():
             for routine in pair:
                 routine.restype = None
@@ -124,11 +177,14 @@ def _converted(kinds, args: tuple) -> tuple:
 
 
 def solver_kernel() -> str:
-    """Name of the kernel ``ShiftedSystem`` solves with here.
+    """Name of the tridiagonal kernel here, for solves and bound products.
 
-    "openblas-gttrs" names the compiled OpenBLAS solves (zgttrs for complex
-    systems, dpttrs for real ones), "thomas" the pure-Python substitutions;
-    both solve with the same Thomas factors.
+    "openblas-gttrs" names the compiled OpenBLAS routines (zgttrs for
+    complex systems, dpttrs for real ones, and ?lagtm for the products that
+    ``SymTridiag.bind`` binds), "thomas" the pure-Python substitutions with
+    numpy products; both solve with the same Thomas factors and give the
+    same product bits.  The name predates the products and is kept so that
+    the outputs' ``solver_kernel`` field keeps its values.
     """
     return "openblas-gttrs" if _lapack() is not None else "thomas"
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -25,6 +25,11 @@ from .linalg import ShiftedSystem, SymTridiag
 
 AUTO_N_CAP = 200
 LOAD_BLOCK = 32        # output rows whose observer loads are formed at once
+# how far an observed contraction ratio of the Neumann increments may pass
+# eta_hat before the sum warns: it covers rounding and the Arnoldi
+# tolerance eta_hat was estimated to (1e-6 by default), while a missed mode
+# that sets N shows as a ratio well above eta_hat
+RATIO_SLACK = 0.01
 # the contraction estimate's settings, keyed by estimate_eta's keywords; the
 # defaults of estimate_eta, of SweepPlan's eta_* fields and of the CLI's eta
 # section
@@ -272,22 +277,25 @@ class EtaEstimate:
     ritz_vector: object = field(default=None, compare=False, repr=False)
 
 
-def arnoldi_iteration(apply_op: Callable, inner: Callable, start,
+def arnoldi_iteration(apply_op: Callable, gram: Callable, start: np.ndarray,
                       tol: float = _ETA_DEFAULTS["tol"],
                       max_iter: int = _ETA_DEFAULTS["max_iter"]) -> EtaEstimate:
-    """Largest-modulus Ritz value of a linear operator, by Arnoldi in ``inner``.
+    """Largest-modulus Ritz value of a linear operator, by Arnoldi in X.
 
-    inner(u, v) is linear in u and conjugate-linear in v.  Each step applies
-    the operator once and orthogonalizes against the whole basis by
-    classical Gram-Schmidt with one reorthogonalization pass, so operators
-    that are only nearly self-adjoint in ``inner`` are handled.  The
-    iteration stops when the Ritz residual h_{m+1,m} |e_m^T y| of the
-    dominant Ritz pair (theta, y), y of unit 2-norm, drops to tol |theta|;
-    a breakdown (h_{m+1,m} = 0) meets that rule too, and the estimate then
-    carries the Ritz vector sum_j y_j v_j, y turned so that its largest entry
-    is real and positive, and taken real when the Hessenberg matrix is (so
-    real states give a real vector).  Running out of max_iter returns the
-    last Ritz value with converged = False and no vector.
+    States are flat 1-d arrays, and gram(u) = X u gives the inner product
+    (u, v)_X = v^H X u.  The basis is the rows of one array, which grows by
+    doubling, so its storage follows the steps taken.  Each step applies the
+    operator once and orthogonalizes against the whole basis by classical
+    Gram-Schmidt with one reorthogonalization pass, so operators that are
+    only nearly self-adjoint in X are handled; each pass forms gram(w) once
+    and then takes two matrix-vector products.  The iteration stops when the
+    Ritz residual h_{m+1,m} |e_m^T y| of the dominant Ritz pair (theta, y),
+    y of unit 2-norm, drops to tol |theta|; a breakdown (h_{m+1,m} = 0)
+    meets that rule too, and the estimate then carries the Ritz vector
+    sum_j y_j v_j, y turned so that its largest entry is real and positive,
+    and taken real when the Hessenberg matrix is (so real states give a
+    real vector).  Running out of max_iter returns the last Ritz value with
+    converged = False and no vector.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must lie in (0, 1)")
@@ -295,21 +303,25 @@ def arnoldi_iteration(apply_op: Callable, inner: Callable, start,
         raise ValueError("max_iter must be at least 2")
 
     def norm(u) -> float:
-        return math.sqrt(max(np.real(inner(u, u)), 0.0))
+        return math.sqrt(max(np.real(np.vdot(u, gram(u))), 0.0))
 
+    start = np.asarray(start)
     nrm = norm(start)
     if nrm == 0.0:
         raise ValueError("start vector must be nonzero")
-    basis = [start * (1.0 / nrm)]
+    basis = np.empty((min(8, max_iter + 1), start.size), start.dtype)
+    basis[0] = start * (1.0 / nrm)
     hess = np.zeros((1, 0), dtype=complex)   # sized by the steps taken, not max_iter
     theta = 0.0
     for m in range(1, max_iter + 1):
         hess = np.pad(hess, ((0, 1), (0, 1)))
-        w = apply_op(basis[-1])
+        w = apply_op(basis[m - 1])
+        if w.dtype != basis.dtype:
+            basis = basis.astype(np.result_type(basis, w))
+        V = basis[:m]
         for _ in range(2):
-            coeffs = [inner(w, v) for v in basis]
-            for c, v in zip(coeffs, basis):
-                w = w - v * c
+            coeffs = V.conj() @ gram(w)
+            w = w - coeffs @ V
             hess[:m, m - 1] += coeffs
         hess[m, m - 1] = beta = norm(w)
         ritz, vecs = np.linalg.eig(hess[:m, :m])
@@ -322,11 +334,10 @@ def arnoldi_iteration(apply_op: Callable, inner: Callable, start,
             y = y * (abs(top) / top)
             if not np.any(hess.imag):
                 y = y.real
-            vector = basis[0] * y[0]
-            for c, v in zip(y[1:], basis[1:]):
-                vector = vector + v * c
-            return EtaEstimate(theta, True, m, vector)
-        basis.append(w * (1.0 / beta))
+            return EtaEstimate(theta, True, m, y @ V)
+        if m == len(basis):
+            basis = np.concatenate([basis, np.empty_like(basis)])
+        basis[m] = w * (1.0 / beta)
     return EtaEstimate(theta, False, max_iter)
 
 
@@ -360,6 +371,22 @@ class ReconstructionResult:
     increment_norms: tuple
     n_capped: bool = False      # the automatic rule asked for more than AUTO_N_CAP
 
+    @property
+    def max_increment_ratio(self) -> float | None:
+        """The largest rho_n = ||L^n z|| / ||L^{n-1} z|| over n = 1..N, skipping
+        a zero ||L^{n-1} z||; None when there is no such ratio."""
+        norms = self.increment_norms
+        ratios = [b / a for a, b in zip(norms, norms[1:]) if a > 0.0]
+        return max(ratios) if ratios else None
+
+    @property
+    def neumann_tail(self) -> float | None:
+        """||L^N z|| eta_hat / (1 - eta_hat), the geometric remainder past the
+        last term; None without an eta_hat in (0, 1)."""
+        if self.eta_hat is None or not 0.0 < self.eta_hat < 1.0:
+            return None
+        return self.increment_norms[-1] * self.eta_hat / (1.0 - self.eta_hat)
+
 
 class BackAndForth:
     """Observer pair and round-trip operator for one discretization.
@@ -377,6 +404,12 @@ class BackAndForth:
         self.n_steps = n_steps
         stepper = SchrodingerStepper if equation == "schrodinger" else WaveStepper
         self._stepper = stepper(ops, dt, n_steps)
+        # X of a _flat state: M, or for the wave [K 0; 0 M] (coupling 0 at the
+        # join), the stiffness norm of the position plus the mass norm of the
+        # velocity
+        K, M = ops.stiffness, ops.mass
+        self._x_gram = M if equation == "schrodinger" else SymTridiag(
+            np.r_[K.diag, M.diag], np.r_[K.off, 0.0, M.off])
 
     @property
     def round_trip_solves(self) -> int:
@@ -389,13 +422,22 @@ class BackAndForth:
     # -- X geometry ---------------------------------------------------------
 
     def x_inner(self, u, v):
-        if self.equation == "schrodinger":
-            return np.vdot(v, self.ops.mass.matvec(u))
-        return (np.vdot(v.pos, self.ops.stiffness.matvec(u.pos))
-                + np.vdot(v.vel, self.ops.mass.matvec(u.vel)))
+        return np.vdot(self._flat(v), self._x_gram.matvec(self._flat(u)))
 
     def x_norm(self, u) -> float:
         return math.sqrt(max(np.real(self.x_inner(u, u)), 0.0))
+
+    def _flat(self, state) -> np.ndarray:
+        """A state as one 1-d array: the wave's is [pos; vel]."""
+        if self.equation == "schrodinger":
+            return state
+        return np.concatenate([state.pos, state.vel])
+
+    def _state(self, flat: np.ndarray):
+        """The state of a ``_flat`` array (the wave's halves are views)."""
+        if self.equation == "schrodinger":
+            return flat
+        return WaveState(flat[:self.ops.n], flat[self.ops.n:])
 
     def zero_state(self):
         n = self.ops.n
@@ -462,31 +504,43 @@ class BackAndForth:
 
     # -- contraction factor and reconstruction ------------------------------
 
+    def _eta_start(self, seed: int, warm=None):
+        """Arnoldi's start: ``random_state(seed)``, plus ``warm``, if given.
+
+        ``warm``, a state on any uniform mesh of the same length (a coarser
+        level's Ritz vector), is prolonged onto this mesh and added to the
+        random state at equal X norm.  The random part keeps full weight: the
+        dominant mode can change from one mesh to the next, and a start
+        nearly orthogonal to it can stop Arnoldi on a smaller Ritz value.
+        """
+        start = self.random_state(seed)
+        if warm is None:
+            return start
+        if self.equation == "schrodinger":
+            warm = prolong(warm, self.ops.mesh)
+        else:
+            warm = WaveState(prolong(warm.pos, self.ops.mesh), prolong(warm.vel, self.ops.mesh))
+        size = self.x_norm(warm)
+        if size == 0.0:             # a restriction onto a coarser mesh can vanish
+            return start
+        return start * (1.0 / self.x_norm(start)) + warm * (1.0 / size)
+
     def estimate_eta(self, tol: float = _ETA_DEFAULTS["tol"],
                      max_iter: int = _ETA_DEFAULTS["max_iter"],
                      seed: int = _ETA_DEFAULTS["seed"], *, warm=None) -> EtaEstimate:
         """Arnoldi estimate of the round-trip contraction factor in X.
 
-        Arnoldi starts from ``random_state(seed)``.  ``warm``, a state on any
-        uniform mesh of the same length (a coarser level's Ritz vector), is
-        prolonged onto this mesh and added to that start at equal X norm.
-        The random part keeps full weight: the dominant mode can change from
-        one mesh to the next, and a start nearly orthogonal to it can stop
-        Arnoldi on a smaller Ritz value.  An estimate that runs out of steps
-        leaves the truncation length it sets uncertified, so besides
-        converged = False it warns.
+        Arnoldi starts from ``_eta_start(seed, warm)`` and runs on ``_flat``
+        states, the wave's as [pos; vel], with X as one tridiagonal Gram
+        matrix; the Ritz vector comes back as a state.  An estimate that
+        runs out of steps leaves the truncation length it sets uncertified,
+        so besides converged = False it warns.
         """
-        start = self.random_state(seed)
-        if warm is not None:
-            if self.equation == "schrodinger":
-                warm = prolong(warm, self.ops.mesh)
-            else:
-                warm = WaveState(prolong(warm.pos, self.ops.mesh),
-                                 prolong(warm.vel, self.ops.mesh))
-            size = self.x_norm(warm)
-            if size > 0.0:          # a restriction onto a coarser mesh can vanish
-                start = start * (1.0 / self.x_norm(start)) + warm * (1.0 / size)
-        eta = arnoldi_iteration(self.apply_L, self.x_inner, start, tol, max_iter)
+        eta = arnoldi_iteration(lambda u: self._flat(self.apply_L(self._state(u))),
+                                self._x_gram.matvec, self._flat(self._eta_start(seed, warm)),
+                                tol, max_iter)
+        if eta.ritz_vector is not None:
+            eta = replace(eta, ritz_vector=self._state(eta.ritz_vector))
         if not eta.converged:
             warnings.warn(f"eta = {eta.value:.6g} at {self.ops.mesh.n_cells} cells did not "
                           f"converge in {eta.iterations} steps; raise max_iter or loosen tol",
@@ -501,7 +555,11 @@ class BackAndForth:
 
         With n_terms = None the truncation length comes from
         ``choose_truncation`` at (h, dt, eta_hat), floored at 1 and capped at
-        AUTO_N_CAP; a capped N warns and sets the result's n_capped.
+        AUTO_N_CAP; a capped N warns and sets the result's n_capped.  Given
+        eta_hat, the sum also warns when an observed ratio of consecutive
+        increment norms passes eta_hat by more than RATIO_SLACK: a check of
+        eta_hat for free, rigorous only where ||L||_X = eta, as for the
+        X-self-adjoint Schrodinger round trip.
         """
         z = self.first_iterate(trace)
         capped = False
@@ -527,7 +585,14 @@ class BackAndForth:
             term = self.apply_L(term)
             acc = acc + term
             increments.append(self.x_norm(term))
-        return ReconstructionResult(estimate=acc, n_used=n_terms,
-                                    eta_hat=eta_hat,
-                                    increment_norms=tuple(increments),
-                                    n_capped=capped)
+        result = ReconstructionResult(estimate=acc, n_used=n_terms, eta_hat=eta_hat,
+                                      increment_norms=tuple(increments), n_capped=capped)
+        ratio = result.max_increment_ratio
+        if eta_hat is not None and ratio is not None and ratio > eta_hat * (1.0 + RATIO_SLACK):
+            warnings.warn(
+                f"Neumann increments shrink by a factor up to {ratio:.6g} per term, more "
+                f"than eta_hat = {eta_hat:.6g} allows: eta_hat missed part of the "
+                f"spectrum, and N = {n_terms} may be too small",
+                RuntimeWarning, stacklevel=2,
+            )
+        return result

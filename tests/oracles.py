@@ -7,7 +7,9 @@ the analysis tools the algorithm never runs: the H^1_0 projection and the
 discrete D(A0^alpha) norms solve densely, and kink_field is the rough
 field that shows the projection's decay outside the regularity class the
 analysis assumes.  power_iteration is the reference eta estimator that the
-package's Arnoldi estimate is checked against, and pencil_vectors the dense
+package's Arnoldi estimate is checked against, list_arnoldi that Arnoldi as
+it was written with a list basis and one inner product per basis vector,
+which the one-array basis must reproduce, and pencil_vectors the dense
 eigenvector matrix that the package's closed-form pencil only ever applies
 by DST-I.  The per-step functions schrodinger_step
 / wave_step and the two history helpers that drive them are the exception:
@@ -314,6 +316,65 @@ def power_iteration(apply_op: Callable, norm: Callable, start,
         prev = ratio
         v = (1.0 / ratio) * w
     return EtaEstimate(prev, False, max_iter)
+
+
+def list_arnoldi(apply_op: Callable, inner: Callable, start,
+                 tol: float = 1e-6, max_iter: int = 80) -> EtaEstimate:
+    """observers.arnoldi_iteration as it was before its basis became one
+    array: a list of states (arrays or WaveStates), one inner(w, v) call per
+    basis vector in each Gram-Schmidt pass.
+
+    inner(u, v) is linear in u and conjugate-linear in v.  Each step applies
+    the operator once and orthogonalizes against the whole basis by
+    classical Gram-Schmidt with one reorthogonalization pass, so operators
+    that are only nearly self-adjoint in ``inner`` are handled.  The
+    iteration stops when the Ritz residual h_{m+1,m} |e_m^T y| of the
+    dominant Ritz pair (theta, y), y of unit 2-norm, drops to tol |theta|;
+    a breakdown (h_{m+1,m} = 0) meets that rule too, and the estimate then
+    carries the Ritz vector sum_j y_j v_j, y turned so that its largest entry
+    is real and positive, and taken real when the Hessenberg matrix is (so
+    real states give a real vector).  Running out of max_iter returns the
+    last Ritz value with converged = False and no vector.
+    """
+    if not 0.0 < tol < 1.0:
+        raise ValueError("tol must lie in (0, 1)")
+    if max_iter < 2:
+        raise ValueError("max_iter must be at least 2")
+
+    def norm(u) -> float:
+        return math.sqrt(max(np.real(inner(u, u)), 0.0))
+
+    nrm = norm(start)
+    if nrm == 0.0:
+        raise ValueError("start vector must be nonzero")
+    basis = [start * (1.0 / nrm)]
+    hess = np.zeros((1, 0), dtype=complex)   # sized by the steps taken, not max_iter
+    theta = 0.0
+    for m in range(1, max_iter + 1):
+        hess = np.pad(hess, ((0, 1), (0, 1)))
+        w = apply_op(basis[-1])
+        for _ in range(2):
+            coeffs = [inner(w, v) for v in basis]
+            for c, v in zip(coeffs, basis):
+                w = w - v * c
+            hess[:m, m - 1] += coeffs
+        hess[m, m - 1] = beta = norm(w)
+        ritz, vecs = np.linalg.eig(hess[:m, :m])
+        k = int(np.argmax(np.abs(ritz)))
+        theta = float(np.abs(ritz[k]))
+        if beta * abs(vecs[-1, k]) <= tol * theta:
+            # eig fixes no phase; turn y so that its real part keeps it
+            y = vecs[:, k]
+            top = y[np.argmax(np.abs(y))]
+            y = y * (abs(top) / top)
+            if not np.any(hess.imag):
+                y = y.real
+            vector = basis[0] * y[0]
+            for c, v in zip(y[1:], basis[1:]):
+                vector = vector + v * c
+            return EtaEstimate(theta, True, m, vector)
+        basis.append(w * (1.0 / beta))
+    return EtaEstimate(theta, False, max_iter)
 
 
 def schrodinger_step(stepper, q: np.ndarray,

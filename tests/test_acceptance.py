@@ -9,6 +9,7 @@ not failed.  Their lines carry each level's error and envelope ratio.
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from bafobs.fem import FieldSpec, Mesh1D, ObservationProfile, assemble
 from bafobs.harness import (SweepPlan, SweepRow, build_noise_table, fit_rate,
                             run_sweep)
 from bafobs.linalg import ShiftedSystem, pencil_eigs
-from bafobs.observers import (BackAndForth, SchrodingerStepper, WaveState,
+from bafobs.observers import (RATIO_SLACK, BackAndForth, SchrodingerStepper, WaveState,
                               WaveStepper, choose_truncation, run_schrodinger)
 
 from oracles import (exact_damped_schrodinger, norm_alpha, pencil_vectors,
@@ -301,6 +302,22 @@ def test_criterion_5_neumann_tail_bound(ops64, engines64):
                        for n, dev, bound, _ in rs)
     report("5 (Neumann tail within geometric bound)", ok,
            f"eta_s={eta_s:.4f} eta_w={eta_w:.4f}; {detail}")
+    assert ok
+
+
+def test_criterion_5_increment_ratios_stay_under_eta_hat():
+    # the Neumann sum warns when a ratio of consecutive increments passes
+    # eta_hat by more than RATIO_SLACK; on both acceptance plans none does
+    rows = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for plan in (schrod_plan(), wave_plan()):
+            rows += run_sweep(plan)
+    worst = max(r.max_increment_ratio / r.eta_hat for r in rows)
+    ok = all(r.failure is None for r in rows) and worst <= 1.0 + RATIO_SLACK
+    report("5 (Neumann increment ratios within eta_hat)", ok,
+           " ".join(f"{r.equation[0]}{r.n_cells}: {r.max_increment_ratio / r.eta_hat:.4f}"
+                    for r in rows))
     assert ok
 
 

@@ -14,7 +14,7 @@ from bafobs import cli
 from bafobs.fem import FieldSpec
 from bafobs.harness import SweepPlan, SweepRow
 from bafobs.models import read_trace
-from bafobs.observers import BackAndForth, EtaEstimate, arnoldi_iteration
+from bafobs.observers import RATIO_SLACK, BackAndForth, EtaEstimate, arnoldi_iteration
 
 
 def run_cli(args, capsys):
@@ -123,6 +123,11 @@ def test_reconstruct_round_trip_and_diagnostics(tmp_path, capsys):
     # and one per Neumann term
     assert diag["n_solves"] == 2 * 12 * (diag["eta_iterations"] + diag["n_used"] + 1)
     assert diag["n_capped"] is False
+    # the contraction check of the Neumann sum, in the JSON only
+    eta, norms = diag["eta_hat"], diag["increment_norms"]
+    assert 0 < diag["max_increment_ratio"] <= eta * (1 + RATIO_SLACK)
+    assert diag["max_increment_ratio"] == max(b / a for a, b in zip(norms, norms[1:]))
+    assert diag["neumann_tail"] == pytest.approx(norms[-1] * eta / (1 - eta), rel=1e-15)
     assert diag["trace_format"] == "bafobs-trace-2"
     assert all(diag[s] > 0 for s in ("read_ms", "eta_ms", "neumann_ms", "error_ms"))
     est_lines = (tmp_path / "out" / "estimate.txt").read_text().strip().split("\n")
@@ -641,6 +646,7 @@ def test_sweep_outputs_and_exit_codes(tmp_path, capsys):
     stages = ("gen_ms", "eta_ms", "neumann_ms", "error_ms")
     for r in summary["rows"]:
         assert r["n_capped"] is False
+        assert 0 < r["max_increment_ratio"] and 0 < r["neumann_tail"]
         assert r["n_solves"] > 0
         assert all(r[s] > 0 for s in stages)
         assert sum(r[s] for s in stages) <= r["wall_ms"]

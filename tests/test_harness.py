@@ -350,9 +350,12 @@ def test_warm_schrodinger_sweep_matches_cold_rows():
     warm, cold = run_sweep(plan), cold_rows(plan)
     assert [r.eta_warm for r in warm] == [False, True, True, True]
     for w, c in zip(warm, cold):
-        assert w.eta_hat == pytest.approx(c.eta_hat, rel=1e-12)
+        # the Neumann tail is eta_hat / (1 - eta_hat) times an increment
+        for name in ("eta_hat", "neumann_tail"):
+            assert getattr(w, name) == pytest.approx(getattr(c, name), rel=1e-12), name
         for f in fields(SweepRow):
-            if not f.name.endswith("_ms") and f.name not in ("eta_warm", "eta_hat"):
+            if not f.name.endswith("_ms") and f.name not in ("eta_warm", "eta_hat",
+                                                             "neumann_tail"):
                 assert getattr(w, f.name) == getattr(c, f.name), f.name
 
 

@@ -2,7 +2,7 @@ import ctypes
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bafobs import linalg
@@ -153,23 +153,109 @@ def test_lapack_arguments_are_checked_before_any_solve(monkeypatch, beta):
 
 
 @pytest.mark.parametrize("n", [1, 2, 9])
-def test_matvec_is_the_textbook_product_bit_for_bit(n):
+def test_matvec_is_the_textbook_product_bit_for_bit(n, monkeypatch):
+    # row i summed as LAPACK's lagtm sums it, lower neighbour first:
+    # (a_{i,i-1} x_{i-1} + a_ii x_i) + a_{i,i+1} x_{i+1}; matvec and a bound
+    # product, on the compiled kernel (where there is one) and on the fallback
     rng = np.random.default_rng(n)
     A = SymTridiag(rng.standard_normal(n), rng.standard_normal(n - 1))
     real = rng.standard_normal((3, n))
-    for u in (real[0], real, real + 1j * rng.standard_normal((3, n))):
-        expected = A.diag * u
-        expected[..., :-1] += A.off * u[..., 1:]
-        expected[..., 1:] += A.off * u[..., :-1]
-        got = A.matvec(u)
-        assert got.dtype == expected.dtype and np.array_equal(got, expected)
-    # a bound product reads x afresh on every call
-    x, out, tmp = np.empty(n, complex), np.empty(n, complex), np.empty(n - 1, complex)
-    product = A.bind(x, out, tmp)
-    for u in real[:2] + 1j * real[1:]:
-        x[:] = u
+    for lapack in (linalg._lapack, lambda: None):
+        monkeypatch.setattr(linalg, "_lapack", lapack)
+        for u in (real[0], real, real + 1j * rng.standard_normal((3, n))):
+            expected = A.diag * u
+            expected[..., 1:] = A.off * u[..., :-1] + expected[..., 1:]
+            expected[..., :-1] += A.off * u[..., 1:]
+            got = A.matvec(u)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+            bound = np.empty_like(expected)
+            A.bind(u, bound, np.empty(u.shape[:-1] + (n - 1,), u.dtype))()
+            assert np.array_equal(bound, expected)
+        # a bound product reads x afresh on every call
+        x, out, tmp = np.empty(n, complex), np.empty(n, complex), np.empty(n - 1, complex)
+        product = A.bind(x, out, tmp)
+        for u in real[:2] + 1j * real[1:]:
+            x[:] = u
+            product()
+            assert np.array_equal(out, A.matvec(u))
+
+
+def test_contiguous_bind_takes_the_lapack_product():
+    # not a silent fallback: the product is one bare ?lagtm call
+    require_compiled_kernel()
+    lapack = linalg._lapack()
+    A = SymTridiag(np.arange(1.0, 6.0), np.ones(4))
+    for dtype, name in ((float, "dlagtm"), (complex, "zlagtm")):
+        for shape in ((5,), (3, 5)):
+            x, out = np.zeros(shape, dtype), np.zeros(shape, dtype)
+            product = A.bind(x, out, np.empty(shape[:-1] + (4,), dtype))
+            assert getattr(product, "func", None) is lapack[name][1]
+    # a strided view or buffers of two dtypes get the numpy product, with
+    # the same bits
+    tmp = np.empty(4)
+    for x, out in ((np.arange(10.0)[::2], np.empty(5)), (np.arange(5.0), np.empty(10)[::2]),
+                   (np.arange(5.0), np.empty(5, complex))):
+        product = A.bind(x, out, tmp.astype(out.dtype))
+        assert not hasattr(product, "func")
         product()
-        assert np.array_equal(out, A.matvec(u))
+        assert np.array_equal(out, A.matvec(x).astype(out.dtype))
+    with pytest.raises(ValueError, match="shapes"):
+        A.bind(np.zeros(5), np.zeros(6), np.zeros(5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 300), rows=st.sampled_from([None, 1, 3]),
+       is_complex=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=1, rows=None, is_complex=False, seed=0)
+@example(n=1, rows=3, is_complex=True, seed=0)
+def test_lapack_product_is_the_numpy_product_bit_for_bit(n, rows, is_complex, seed):
+    # 1-d and 2-d blocks, real and complex, n = 1 included (an empty
+    # off-diagonal still passes a valid pointer); out starts as nan, which
+    # beta = 0 overwrites
+    require_compiled_kernel()
+    rng = np.random.default_rng(seed)
+
+    def spread(*shape):
+        return rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+
+    A = SymTridiag(spread(n), spread(n - 1))
+    shape = (n,) if rows is None else (rows, n)
+    x = spread(*shape) + (1j * spread(*shape) if is_complex else 0.0)
+    x.reshape(-1)[rng.integers(x.size)] = 0.0
+    out = np.full(shape, np.nan, x.dtype)
+    product = A.bind(x, out, np.empty(shape[:-1] + (n - 1,), x.dtype))
+    assert hasattr(product, "func")
+    product()
+    assert np.array_equal(out, A.matvec(x))
+    x[...] = spread(*shape)                 # read afresh on every call
+    product()
+    assert np.array_equal(out, A.matvec(x))
+
+
+@pytest.mark.parametrize("name, dtype", [("dlagtm", float), ("zlagtm", complex)])
+def test_lapack_product_arguments_are_checked_at_bind(monkeypatch, name, dtype):
+    # as for the solves: every argument passes through its declared argtype
+    # at bind, so one the declared type refuses, or a wrong count, raises
+    # there and not at a product
+    require_compiled_kernel()
+    A = SymTridiag(np.arange(1.0, 9.0), np.ones(7))
+    x, out, tmp = np.zeros(8, dtype), np.zeros(8, dtype), np.zeros(7, dtype)
+    bound = A.bind(x, out, tmp)
+    declared, _ = linalg._lapack()[name]
+    kinds = list(declared.argtypes)
+    x_slot = 7                                  # TRANS, N, NRHS, ALPHA, DL, D, DU, X
+    monkeypatch.setattr(declared, "argtypes",
+                        kinds[:x_slot] + [ctypes.c_char_p] + kinds[x_slot + 1:])
+    with pytest.raises(TypeError, match="wrong type"):
+        A.bind(x, out, tmp)
+    monkeypatch.setattr(declared, "argtypes", kinds[:-1])
+    with pytest.raises(TypeError, match="declared argument types for"):
+        A.bind(x, out, tmp)
+    monkeypatch.undo()
+    # a product bound before runs with the arguments converted then
+    x[:] = np.arange(1.0, 9.0)
+    bound()
+    assert np.array_equal(out, A.matvec(x))
 
 
 def test_dimension_mismatch_rejected():

@@ -11,16 +11,16 @@ from bafobs import linalg
 from bafobs.fem import FieldSpec, Mesh1D, ObservationProfile, assemble
 from bafobs.linalg import SymTridiag, pencil_eigs
 from bafobs.models import ProblemInstance, generate_observation
-from bafobs.observers import (BackAndForth, EtaEstimate, ObservationTrace,
+from bafobs.observers import (RATIO_SLACK, BackAndForth, EtaEstimate, ObservationTrace,
                               SchrodingerStepper, WaveState, WaveStepper,
                               arnoldi_iteration, choose_truncation, run_schrodinger,
                               run_wave)
 
 from oracles import (backward_schrodinger_stepper, dense, dense_round_trip,
                      dense_schrodinger_pass, dense_wave_pass, exact_damped_schrodinger,
-                     norm_alpha, old_apply_L, old_backward_observer, old_first_iterate,
-                     old_neumann_estimate, pencil_vectors, power_iteration,
-                     schrodinger_history, wave_history)
+                     list_arnoldi, norm_alpha, old_apply_L, old_backward_observer,
+                     old_first_iterate, old_neumann_estimate, pencil_vectors,
+                     power_iteration, schrodinger_history, wave_history)
 
 
 @pytest.fixture(scope="module")
@@ -232,10 +232,16 @@ def test_stacked_wave_product_is_the_two_products_bit_for_bit(n_cells, dt, a, se
     rng = np.random.default_rng(seed)
     history = rng.standard_normal((2, mesh.n)) * 10.0 ** rng.integers(-8, 8, (2, mesh.n))
     history[:, rng.integers(mesh.n)] = 0.0
-    for stacked, (upper, lower) in zip(stepper._stacked, ((mass, weight), (weight, mass))):
-        got = stacked.matvec(history.reshape(-1))
-        assert np.array_equal(got[:mesh.n], upper.matvec(history[0]))
-        assert np.array_equal(got[mesh.n:], lower.matvec(history[1]))
+    flat, got = history.reshape(-1), np.empty(2 * mesh.n)
+    # the bound product, as run_wave forms it, on each kernel
+    for lapack in (linalg._lapack, lambda: None):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "_lapack", lapack)
+            for stacked, (upper, lower) in zip(stepper._stacked,
+                                               ((mass, weight), (weight, mass))):
+                stacked.bind(flat, got, np.empty(2 * mesh.n - 1))()
+                assert np.array_equal(got[:mesh.n], upper.matvec(history[0]))
+                assert np.array_equal(got[mesh.n:], lower.matvec(history[1]))
 
 
 def test_schrodinger_matches_dense_transcription(small):
@@ -661,18 +667,18 @@ def test_wave_eta_independent_of_seed():
     assert max(values) - min(values) <= 1e-8
 
 
-def _plain_inner(u, v):
-    return np.vdot(v, u)
+def _plain_gram(u):
+    return u                    # X = I: the Euclidean inner product
 
 
 def test_arnoldi_stops_on_breakdown():
     diag = np.array([0.3, -0.92, 0.5, 0.05])
     # an eigenvector start: the first residual is exactly zero
-    est = arnoldi_iteration(lambda v: diag * v, _plain_inner, np.eye(4)[1],
+    est = arnoldi_iteration(lambda v: diag * v, _plain_gram, np.eye(4)[1],
                             tol=1e-14, max_iter=10)
     assert (est.value, est.converged, est.iterations) == (0.92, True, 1)
     # a generic start exhausts the 4-dimensional Krylov space after 4 steps
-    est = arnoldi_iteration(lambda v: diag * v, _plain_inner, np.ones(4),
+    est = arnoldi_iteration(lambda v: diag * v, _plain_gram, np.ones(4),
                             tol=1e-14, max_iter=10)
     assert est.converged and est.iterations == 4
     assert est.value == pytest.approx(0.92, abs=1e-12)
@@ -690,7 +696,7 @@ def test_arnoldi_on_nonnormal_complex_matrix(seed):
                            + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
     A = S @ np.diag(lam) @ np.linalg.inv(S)
     start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    est = arnoldi_iteration(lambda v: A @ v, _plain_inner, start, tol=1e-10,
+    est = arnoldi_iteration(lambda v: A @ v, _plain_gram, start, tol=1e-10,
                             max_iter=n)
     assert est.converged
     # the Ritz residual, not h_{m+1,m} alone, ends the iteration
@@ -708,7 +714,7 @@ def test_arnoldi_basis_stays_orthonormal():
         seen.append(v)
         return diag * v
 
-    est = arnoldi_iteration(op, _plain_inner, np.ones(30), tol=1e-15, max_iter=30)
+    est = arnoldi_iteration(op, _plain_gram, np.ones(30), tol=1e-15, max_iter=30)
     assert est.converged and est.value == pytest.approx(0.9, abs=1e-12)
     V = np.column_stack(seen)
     assert np.max(np.abs(V.conj().T @ V - np.eye(V.shape[1]))) <= 1e-14
@@ -742,6 +748,28 @@ def test_ritz_vector_is_the_dominant_eigenvector(equation):
     assert EtaEstimate(est.value, True, est.iterations) == est
 
 
+@pytest.mark.parametrize("equation", ["schrodinger", "wave"])
+@pytest.mark.parametrize("n_cells", [16, 64, 256])
+def test_one_array_arnoldi_is_the_list_basis_oracle(equation, n_cells):
+    # the basis as rows of one array and gram(w) once per Gram-Schmidt pass
+    # reorder only sums: cold and warm, the same steps, the same eta to
+    # 1e-12 and a Ritz vector whose residual is under 1e-9
+    engine = _eta_engine(equation, n_cells)
+    coarse = _eta_engine(equation, n_cells // 2).estimate_eta(tol=1e-10, seed=3)
+    for warm in (None, coarse.ritz_vector):
+        est = engine.estimate_eta(tol=1e-10, seed=3, warm=warm)
+        ref = list_arnoldi(engine.apply_L, engine.x_inner, engine._eta_start(3, warm),
+                           tol=1e-10)
+        assert est.converged and ref.converged
+        assert est.iterations == ref.iterations
+        assert est.value == pytest.approx(ref.value, rel=1e-12, abs=0.0)
+        x = est.ritz_vector
+        assert type(x) is type(ref.ritz_vector)
+        image = engine.apply_L(x)
+        lam = engine.x_inner(image, x)
+        assert engine.x_norm(image - x * lam) <= 1e-9
+
+
 def test_warm_state_that_vanishes_on_the_mesh_starts_cold():
     # a hat at a node of a finer mesh that this mesh does not have samples to
     # zero here: it adds nothing, and the start is the cold one, bit for bit
@@ -772,7 +800,7 @@ def test_arnoldi_validation_matches_power_iteration(start, kwargs):
     with pytest.raises(ValueError) as power:
         power_iteration(lambda v: v, np.linalg.norm, start, **kwargs)
     with pytest.raises(ValueError) as arnoldi:
-        arnoldi_iteration(lambda v: v, _plain_inner, start, **kwargs)
+        arnoldi_iteration(lambda v: v, _plain_gram, start, **kwargs)
     assert str(arnoldi.value) == str(power.value)
 
 
@@ -824,6 +852,30 @@ def test_choose_truncation_refuses_no_contraction():
 
 
 # -- reconstruction -------------------------------------------------------------
+
+
+def test_increment_ratio_past_eta_hat_warns(engines):
+    # an eta_hat that missed the dominant mode: the increments shrink by
+    # about the true eta per term, twice eta_hat, and the sum says so
+    ops, schrod, _ = engines
+    inst = ProblemInstance("schrodinger", ops.mesh, ops.profile, tau=1.0,
+                           n_steps=schrod.n_steps, truth=FieldSpec(kind="sine",
+                                                                   coefficients=(1.0,)))
+    trace = generate_observation(inst, refine=2)
+    eta = schrod.estimate_eta(seed=3).value
+    quiet = schrod.neumann_reconstruct(trace, eta_hat=eta)
+    assert quiet.max_increment_ratio <= eta * (1.0 + RATIO_SLACK)
+    assert quiet.neumann_tail == pytest.approx(
+        quiet.increment_norms[-1] * eta / (1.0 - eta), rel=1e-15)
+    with pytest.warns(RuntimeWarning, match="Neumann increments shrink by a factor up to "
+                      r"\S+ per term, more than eta_hat = \S+ allows") as caught:
+        low = schrod.neumann_reconstruct(trace, eta_hat=eta / 2)
+    (warning,) = caught
+    assert warning.filename == __file__
+    assert low.max_increment_ratio > eta / 2 * (1.0 + RATIO_SLACK)
+    # no eta_hat, no check and no tail; no ratio without a term past z
+    bare = schrod.neumann_reconstruct(trace, n_terms=0)
+    assert (bare.max_increment_ratio, bare.neumann_tail) == (None, None)
 
 
 def test_reconstruct_zero_trace_gives_zero(engines):
