@@ -373,7 +373,7 @@ def cmd_reconstruct(cfg: dict, trace_path: str) -> int:
     result, row = harness.reconstruct(engine, trace, eta, n_policy=cfg["n_policy"],
                                       theta=cfg["theta"], truth=truth,
                                       noise_eps=header["noise"]["amplitude"])
-    harness.charge(row, engine.round_trip_solves * eta.iterations, eta_ms=eta_ms)
+    harness.charge(row, engine.eta_step_solves * eta.iterations, eta_ms=eta_ms)
     out = _out_dir(cfg)
     est_path = out / "estimate.txt"
     _write_estimate(est_path, result.estimate, cfg)
@@ -403,7 +403,8 @@ def cmd_estimate_eta(cfg: dict) -> int:
     engine = _engine_from(cfg)
     eta = engine.estimate_eta(**cfg["eta"])
     print(json.dumps({"eta_hat": eta.value, "converged": eta.converged,
-                      "iterations": eta.iterations}))
+                      "iterations": eta.iterations,
+                      "n_solves": engine.eta_step_solves * eta.iterations}))
     return 0
 
 

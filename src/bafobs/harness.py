@@ -319,7 +319,7 @@ def run_cell(plan: SweepPlan, n_cells: int,
             row = SweepRow(plan.equation, n_cells, h, dt, -1, float("nan"), eps,
                            float("nan"), 0.0, f"{type(exc).__name__}: {exc}")
         if not rows and setup_failure is None:
-            charge(row, engine.round_trip_solves * eta.iterations, eta_ms=eta_ms, gen_ms=gen_ms)
+            charge(row, engine.eta_step_solves * eta.iterations, eta_ms=eta_ms, gen_ms=gen_ms)
         for sum_row in ran:
             charge(row, sum_row.n_solves, neumann_ms=sum_row.neumann_ms)
         ran.clear()
@@ -367,6 +367,25 @@ def _lstsq_line(r: np.ndarray, y: np.ndarray) -> tuple[float, float, np.ndarray]
     return float(sol[0]), float(sol[1]), resid
 
 
+def _clean_levels(rows: list[SweepRow], theta: float) -> list[SweepRow]:
+    """The clean rows with a finite positive error, finest (smallest
+    h^theta + dt) first."""
+    clean = [r for r in rows if r.noise_eps == 0.0 and r.failure is None
+             and np.isfinite(r.error_x) and r.error_x > 0.0]
+    return sorted(clean, key=lambda r: r.h ** theta + r.dt)
+
+
+def local_slopes(rows: list[SweepRow], theta: float = 1.0) -> list[float]:
+    """The rate between each pair of consecutive clean levels, coarsest pair
+    first: the log ratio of their errors over the log ratio of their
+    envelopes x ln^2 x, x = h^theta + dt.  nan for two levels of one x."""
+    clean = _clean_levels(rows, theta)[::-1]
+    r = _regressor("power-log2", np.array([c.h ** theta + c.dt for c in clean]))
+    y = np.log([c.error_x for c in clean])
+    return [float(dy / dr) if dr != 0.0 else math.nan
+            for dy, dr in zip(np.diff(y), np.diff(r))]
+
+
 def fit_rate(rows: list[SweepRow], model: str = "power-log2",
              theta: float = 1.0) -> RateFit:
     """Fit log error_x ~ slope * log(regressor) over the clean rows.
@@ -377,11 +396,9 @@ def fit_rate(rows: list[SweepRow], model: str = "power-log2",
     rows the finer levels leave under two residual degrees of freedom, their
     median residual says nothing about the scatter, and all rows are kept.
     """
-    clean = [r for r in rows if r.noise_eps == 0.0 and r.failure is None
-             and np.isfinite(r.error_x) and r.error_x > 0.0]
+    clean = _clean_levels(rows, theta)
     if len(clean) < 3:
         raise ValueError("rate fitting needs at least 3 clean rows")
-    clean.sort(key=lambda r: r.h ** theta + r.dt)
     x = np.array([r.h ** theta + r.dt for r in clean])
     if np.ptp(x) == 0.0:
         raise ValueError("degenerate sweep: all levels have the same h^theta + dt")
@@ -496,6 +513,7 @@ def summary_dict(plan: SweepPlan, rows: list[SweepRow], fit: RateFit | None,
         "levels": list(plan.levels),
         "rows": [asdict(r) for r in rows],
         "fit": asdict(fit) if fit is not None else None,
+        "local_slopes": local_slopes(rows, plan.theta),
         "gates": gates,
         "all_gates_pass": all(gates.values()) if gates else True,
     }

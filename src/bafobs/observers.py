@@ -5,10 +5,10 @@ output; the backward observer is the same damped pass under the equation's
 time reversal (conjugation for Schrodinger, (p, v) -> (-p, v) for the wave),
 driven by the time-reversed output.  Their zero-forcing composition is the
 round-trip operator L.  Its contraction factor eta, estimated by Arnoldi in
-the X inner product, sets through ``choose_truncation`` how many
-back-and-forth sweeps the truncated Neumann sum retains.  Each equation has
-one stepper and one stepping loop, which returns the final state only and
-allocates nothing per step.
+the X inner product (for the wave on the half trip G, with L = G^2), sets
+through ``choose_truncation`` how many back-and-forth sweeps the truncated
+Neumann sum retains.  Each equation has one stepper and one stepping loop,
+which returns the final state only and allocates nothing per step.
 """
 
 from __future__ import annotations
@@ -264,9 +264,10 @@ class ObservationTrace:
 class EtaEstimate:
     """Estimate of the round-trip contraction factor.
 
-    From ``BackAndForth.estimate_eta``, value is the largest-modulus Ritz
-    value of the round trip L in X.  iterations counts the applications of
-    the operator; converged is False only when the step budget ran out
+    From ``BackAndForth.estimate_eta``, value is the largest modulus of a
+    Ritz value of the round trip L in X (for the wave, the square of one of
+    the half trip G).  iterations counts the applications of the operator
+    Arnoldi ran on; converged is False only when the step budget ran out
     before the stopping rule held.  A converged estimate also carries its
     dominant Ritz vector, which a sweep's next level starts from.
     """
@@ -292,9 +293,10 @@ def arnoldi_iteration(apply_op: Callable, gram: Callable, start: np.ndarray,
     Ritz residual h_{m+1,m} |e_m^T y| of the dominant Ritz pair (theta, y),
     y of unit 2-norm, drops to tol |theta|; a breakdown (h_{m+1,m} = 0)
     meets that rule too, and the estimate then carries the Ritz vector
-    sum_j y_j v_j, y turned so that its largest entry is real and positive,
-    and taken real when the Hessenberg matrix is (so real states give a
-    real vector).  Running out of max_iter returns the last Ritz value with
+    sum_j y_j v_j, y turned so that its largest entry is real and positive.
+    A real Hessenberg matrix (real states) gives a real vector, or none when
+    its dominant Ritz value is one of a complex pair, whose eigenvector is
+    not real.  Running out of max_iter returns the last Ritz value with
     converged = False and no vector.
     """
     if not 0.0 < tol < 1.0:
@@ -324,17 +326,20 @@ def arnoldi_iteration(apply_op: Callable, gram: Callable, start: np.ndarray,
             w = w - coeffs @ V
             hess[:m, m - 1] += coeffs
         hess[m, m - 1] = beta = norm(w)
-        ritz, vecs = np.linalg.eig(hess[:m, :m])
+        # a real Hessenberg's eig is taken in real arithmetic, so a real Ritz
+        # value has imaginary part 0 exactly and a real vector
+        real = not np.any(hess.imag)
+        ritz, vecs = np.linalg.eig(hess[:m, :m].real if real else hess[:m, :m])
         k = int(np.argmax(np.abs(ritz)))
         theta = float(np.abs(ritz[k]))
         if beta * abs(vecs[-1, k]) <= tol * theta:
-            # eig fixes no phase; turn y so that its real part keeps it
-            y = vecs[:, k]
+            if real and ritz[k].imag != 0.0:
+                # a complex pair of a real operator: no real vector spans it
+                return EtaEstimate(theta, True, m)
+            # eig fixes no phase; turn y so that its largest entry is positive
+            y = vecs[:, k].real if real else vecs[:, k]
             top = y[np.argmax(np.abs(y))]
-            y = y * (abs(top) / top)
-            if not np.any(hess.imag):
-                y = y.real
-            return EtaEstimate(theta, True, m, y @ V)
+            return EtaEstimate(theta, True, m, (y * (abs(top) / top)) @ V)
         if m == len(basis):
             basis = np.concatenate([basis, np.empty_like(basis)])
         basis[m] = w * (1.0 / beta)
@@ -419,6 +424,12 @@ class BackAndForth:
         """
         return 2 * (self.n_steps - (self.equation == "wave"))
 
+    @property
+    def eta_step_solves(self) -> int:
+        """Tridiagonal solves of one ``estimate_eta`` step: one pass of the
+        half trip for the wave, one round trip for Schrodinger."""
+        return self.n_steps - 1 if self.equation == "wave" else self.round_trip_solves
+
     # -- X geometry ---------------------------------------------------------
 
     def x_inner(self, u, v):
@@ -502,6 +513,14 @@ class BackAndForth:
         """One zero-forcing round trip (forward then backward pass)."""
         return self._backward(self._forward(state))
 
+    def _half_trip(self, flat: np.ndarray) -> np.ndarray:
+        """G = R T+ on a ``_flat`` wave state: one zero-forcing pass, then the
+        time reversal R (p, v) -> (-p, v).  R is linear and its own inverse,
+        so G(G(u)) is ``apply_L`` bit for bit."""
+        n = self.ops.n
+        out = run_wave(self._stepper, flat[:n], flat[n:])
+        return np.concatenate([-out.pos, out.vel])
+
     # -- contraction factor and reconstruction ------------------------------
 
     def _eta_start(self, seed: int, warm=None):
@@ -532,13 +551,22 @@ class BackAndForth:
 
         Arnoldi starts from ``_eta_start(seed, warm)`` and runs on ``_flat``
         states, the wave's as [pos; vel], with X as one tridiagonal Gram
-        matrix; the Ritz vector comes back as a state.  An estimate that
-        runs out of steps leaves the truncation length it sets uncertified,
-        so besides converged = False it warns.
+        matrix; the Ritz vector comes back as a state.  The wave's time
+        reversal is linear, so L = G^2 with G the half trip
+        (``_half_trip``): Arnoldi runs on G, one pass a step, and eta is
+        theta^2, with G's Ritz vector an eigenvector of L.  Schrodinger's,
+        conjugation, is antilinear, so its Arnoldi runs on L, one round trip
+        a step.  Either way iterations and max_iter count applications of
+        the operator.  An estimate that runs out of steps leaves the
+        truncation length it sets uncertified, so besides converged = False
+        it warns.
         """
-        eta = arnoldi_iteration(lambda u: self._flat(self.apply_L(self._state(u))),
-                                self._x_gram.matvec, self._flat(self._eta_start(seed, warm)),
-                                tol, max_iter)
+        start = self._flat(self._eta_start(seed, warm))
+        if self.equation == "wave":
+            eta = arnoldi_iteration(self._half_trip, self._x_gram.matvec, start, tol, max_iter)
+            eta = replace(eta, value=eta.value ** 2)
+        else:
+            eta = arnoldi_iteration(self.apply_L, self._x_gram.matvec, start, tol, max_iter)
         if eta.ritz_vector is not None:
             eta = replace(eta, ritz_vector=self._state(eta.ritz_vector))
         if not eta.converged:

@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import json
 import math
+import os
 import warnings
 from dataclasses import fields
 
@@ -119,9 +120,9 @@ def test_reconstruct_round_trip_and_diagnostics(tmp_path, capsys):
     assert "error_x" in diag and diag["error_x"] > 0
     assert diag["config"]["time"]["n_steps"] == 12
     assert diag["solver_kernel"] in ("openblas-gttrs", "thomas")
-    # two passes of 12 steps per round trip: the eta's, the first iterate's
-    # and one per Neumann term
-    assert diag["n_solves"] == 2 * 12 * (diag["eta_iterations"] + diag["n_used"] + 1)
+    # two passes of 12 steps per round trip: one per Schrodinger eta step, the
+    # first iterate's and one per Neumann term
+    assert diag["n_solves"] == 2 * 12 * diag["eta_iterations"] + 2 * 12 * (diag["n_used"] + 1)
     assert diag["n_capped"] is False
     # the contraction check of the Neumann sum, in the JSON only
     eta, norms = diag["eta_hat"], diag["increment_norms"]
@@ -585,6 +586,16 @@ def test_estimate_eta_cached_determinism(tmp_path, capsys):
     assert json.loads(out1)["eta_hat"] == json.loads(out2)["eta_hat"]
 
 
+@pytest.mark.parametrize("equation, step_solves", [("schrodinger", 2 * 12), ("wave", 11)])
+def test_estimate_eta_reports_its_solves(tmp_path, capsys, equation, step_solves):
+    # one round trip per Schrodinger step, one pass per wave step
+    cfg = small_config(tmp_path, equation=equation)
+    code, stdout, _ = run_cli(["--config", cfg, "estimate-eta"], capsys)
+    eta = json.loads(stdout)
+    assert code == 0 and eta["converged"]
+    assert eta["n_solves"] == step_solves * eta["iterations"]
+
+
 def test_estimate_eta_warns_when_it_runs_out_of_steps(tmp_path, capsys):
     # at 16 cells the default tolerance holds after 2 steps
     args = ["--set", "geometry.n_cells=16", "--set", "eta.max_iter=2",
@@ -641,6 +652,8 @@ def test_sweep_outputs_and_exit_codes(tmp_path, capsys):
     assert summary["fit"]["model"] == "pure-power"
     assert summary["config"]["sweep"]["levels"] == [8, 16, 24]
     assert summary["solver_kernel"] in ("openblas-gttrs", "thomas")
+    # one local slope per consecutive pair of levels, in the JSON only
+    assert len(summary["local_slopes"]) == 2
     assert all(r["eta_converged"] is True and r["eta_iterations"] >= 1
                for r in summary["rows"])
     stages = ("gen_ms", "eta_ms", "neumann_ms", "error_ms")
@@ -670,6 +683,17 @@ def test_sweep_outputs_and_exit_codes(tmp_path, capsys):
     assert all(r["neumann_ms"] > 0 and r["error_ms"] > 0 for r in first + second)
     csv_lines = (tmp_path / "out" / "sweep.csv").read_text().strip().split("\n")
     assert csv_lines[1] == cli.harness.CSV_HEADER
+
+
+def test_time_refined_config_resolves_to_its_plan():
+    # the committed kappa = 1/32 report plan (CI runs it): dt = h/32 at every
+    # level, so 512 to 8192 steps over tau = 1
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                        "schrodinger-time-refined.json")
+    plan = cli.build_plan(cli.load_config(path))
+    assert (plan.equation, plan.levels, plan.kappa, plan.tau) == (
+        "schrodinger", (16, 32, 64, 128, 256), 0.03125, 1.0)
+    assert [plan.n_steps(n) for n in plan.levels] == [512, 1024, 2048, 4096, 8192]
 
 
 def test_sweep_noisy_rows_carry_a_noise_gain_that_bounds_them(tmp_path, capsys):
@@ -800,6 +824,9 @@ def test_wave_reconstruct_estimate_two_rows(tmp_path, capsys):
     assert pos.size == 11 and vel.size == 11
     diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
     assert diag["error_x"] > 0
+    # a wave eta step is one pass of the half trip, 11 solves after the
+    # explicit first step; a round trip is two
+    assert diag["n_solves"] == 11 * diag["eta_iterations"] + 2 * 11 * (diag["n_used"] + 1)
 
 
 def test_complex_truth_coefficients(tmp_path, capsys):

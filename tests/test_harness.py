@@ -8,14 +8,15 @@ import pytest
 from bafobs import harness
 from bafobs.fem import FieldSpec, Mesh1D, ObservationProfile, assemble, prolong
 from bafobs.harness import (CSV_HEADER, BackAndForth, NoiseRow, SweepPlan,
-                            SweepRow, evaluate_gates, fit_rate, noise_study,
-                            rows_to_csv, run_cell, run_sweep, summary_dict,
+                            SweepRow, evaluate_gates, fit_rate, local_slopes,
+                            noise_study, rows_to_csv, run_cell, run_sweep, summary_dict,
                             reconstruction_error)
 from bafobs.linalg import ShiftedSystem
 from bafobs.models import NoiseSpec, ProblemInstance, add_noise, generate_observation
 from bafobs.observers import WaveState
 
-from oracles import fine_h1_distance, fine_l2_distance, norm_alpha, project_pi_h
+from oracles import (fine_h1_distance, fine_l2_distance, list_arnoldi, norm_alpha,
+                     project_pi_h)
 
 TRUTH = FieldSpec(kind="sine", coefficients=(1.0, 0.5))
 WAVE_TRUTH = (FieldSpec(kind="sine", coefficients=(1.0,)),
@@ -155,6 +156,27 @@ def test_fit_validation():
                  model="cubic")
 
 
+def test_local_slopes_by_hand():
+    # x = h + dt = 1/8, 1/16, 1/32 with dt = h.  The envelope x ln^2 x falls
+    # by (1/2)(4 ln 2)^2 / (3 ln 2)^2 = 8/9 from 1/8 to 1/16, and by
+    # (1/2)(5/4)^2 = 25/32 from 1/16 to 1/32; the errors by 0.6 and 0.5
+    rows = synthetic_rows([0.5, 0.3, 0.15], [1 / 16, 1 / 32, 1 / 64])
+    expected = [math.log(0.6) / math.log(8 / 9), math.log(0.5) / math.log(25 / 32)]
+    # coarsest pair first, whatever the row order; noisy and failed rows left out
+    noisy = SweepRow("schrodinger", 16, 1 / 16, 1 / 16, 1, 0.5, 1e-3, 9.0, 0.0)
+    failed = SweepRow("schrodinger", 8, 1 / 8, 1 / 8, 1, 0.5, 0.0, 9.0, 0.0, failure="x")
+    got = local_slopes(rows[::-1] + [noisy, failed])
+    assert got == pytest.approx(expected, rel=1e-14)
+    assert got == pytest.approx([4.3370, 2.8079], abs=1e-4)
+    # an exact power-log2 law has slope 1 between every pair
+    hs = [1 / 8, 1 / 16, 1 / 32, 1 / 64]
+    law = synthetic_rows([2.0 * (2 * h) * math.log(2 * h) ** 2 for h in hs], hs)
+    assert local_slopes(law) == pytest.approx([1.0] * 3, abs=1e-12)
+    # two levels of one h + dt have no slope; one level has no pair
+    assert math.isnan(local_slopes(synthetic_rows([1.0, 0.5], [0.1, 0.1]))[0])
+    assert local_slopes(rows[:1]) == []
+
+
 # -- sweeps -----------------------------------------------------------------------
 
 
@@ -197,10 +219,12 @@ def test_row_solve_counts_are_the_solves_run(monkeypatch, equation, truth, tau):
     first, second = run_cell(plan, 8)
     assert first.failure is None and second.failure is None
     assert first.n_solves + second.n_solves == len(calls)
-    # the level's eta is charged to its first row
+    # the level's eta is charged to its first row: a pass per wave step, a
+    # round trip per Schrodinger step
     round_trip = 2 * (16 - 1) if equation == "wave" else 2 * 8
+    eta_step = 16 - 1 if equation == "wave" else 2 * 8
     assert second.n_solves == round_trip * (second.n_used + 1)
-    assert first.n_solves == round_trip * (first.eta_iterations + first.n_used + 1)
+    assert first.n_solves == eta_step * first.eta_iterations + round_trip * (first.n_used + 1)
 
 
 def test_failed_first_row_carries_the_shared_stages(monkeypatch):
@@ -300,9 +324,31 @@ def test_warm_eta_keeps_every_level_and_saves_steps():
         assert w.eta_hat == pytest.approx(c.eta_hat, rel=1e-8)
     # the first level starts exactly as a cold one
     assert (warm[0].eta_hat, warm[0].eta_iterations) == (cold[0].eta_hat, cold[0].eta_iterations)
+    # a wave eta step is one pass of the half trip
     steps = ([r.eta_iterations for r in warm], [r.eta_iterations for r in cold])
-    assert steps == ([8, 9, 12, 10], [8, 10, 12, 15])
-    assert sum(steps[0]) == 39 < sum(steps[1]) == 45
+    assert steps == ([9, 10, 14, 11], [9, 12, 14, 17])
+    assert sum(steps[0]) == 44 < sum(steps[1]) == 52
+
+
+@pytest.mark.parametrize("seed", [3, 11, 15, 20, 27])
+def test_wave_plan_matches_the_round_trip_oracle(seed):
+    # the sweep's eta, on the half trip and warm, against Arnoldi on the
+    # round trip L started cold from the same seed: eta_hat within 1e-8 and
+    # the same N and error_x at every level
+    plan = wave_plan(eta_seed=seed)
+    for row in run_sweep(plan):
+        k = plan.n_steps(row.n_cells)
+        engine = harness.build_engine("wave", row.n_cells, plan.length, plan.profile,
+                                      plan.tau / k, k)
+        clean = generate_observation(ProblemInstance("wave", engine.ops.mesh, plan.profile,
+                                                     plan.tau, k, plan.truth),
+                                     refine=plan.refine)
+        ref = list_arnoldi(engine.apply_L, engine.x_inner, engine.random_state(seed))
+        _, ref_row = harness.reconstruct(engine, clean, ref, n_policy=plan.n_policy,
+                                         theta=plan.theta, truth=plan.truth, noise_eps=0.0)
+        assert ref.converged and row.eta_converged
+        assert row.eta_hat == pytest.approx(ref.value, rel=1e-8)
+        assert (row.n_used, row.error_x) == (ref_row.n_used, ref_row.error_x)
 
 
 def test_warm_eta_across_the_parity_switch():
@@ -399,7 +445,7 @@ def test_noisy_rows_match_one_sum_per_noise_level(equation, truth, tau):
             n_policy=plan.n_policy, theta=plan.theta, truth=truth, noise_eps=row.noise_eps)
         assert row.failure is None and row.n_used == ref.n_used >= 1
         if row.noise_eps == 0.0:
-            harness.charge(ref, engine.round_trip_solves * eta.iterations)
+            harness.charge(ref, engine.eta_step_solves * eta.iterations)
             same = [f.name for f in fields(SweepRow) if not f.name.endswith("_ms")]
             assert {k: getattr(row, k) for k in same} == {k: getattr(ref, k) for k in same}
         else:
@@ -423,8 +469,9 @@ def test_a_level_runs_at_most_two_neumann_sums(monkeypatch, equation, truth, tau
     assert all(r.failure is None for r in rows)
     first = rows[0]
     round_trip = 2 * (16 - 1) if equation == "wave" else 2 * 8
+    eta_step = 16 - 1 if equation == "wave" else 2 * 8
     one_sum = round_trip * (first.n_used + 1)
-    assert len(calls) == round_trip * first.eta_iterations + sums * one_sum
+    assert len(calls) == eta_step * first.eta_iterations + sums * one_sum
     # S(clean) and the eta go to the first row, S(u) to the first noisy one
     assert [r.n_solves for r in rows] == (
         [len(calls) - (sums - 1) * one_sum] + [one_sum, 0, 0][:len(rows) - 1])
@@ -552,8 +599,10 @@ def test_gates_and_summary():
     summary = summary_dict(plan, rows, fit, gates, config={"x": 1},
                            noise_table=[NoiseRow(8, 0.0, 1.0, 0.0, float("nan"))])
     assert summary["all_gates_pass"]
+    assert summary["local_slopes"] == local_slopes(rows) and len(rows) == 3
     text = json.dumps(summary)
     assert "noise_table" in text and "config" in text
+    assert "slope" not in rows_to_csv(rows, "power-log2")
 
 
 def test_noise_table_and_summary_carry_the_noise_gain():

@@ -753,21 +753,61 @@ def test_ritz_vector_is_the_dominant_eigenvector(equation):
 def test_one_array_arnoldi_is_the_list_basis_oracle(equation, n_cells):
     # the basis as rows of one array and gram(w) once per Gram-Schmidt pass
     # reorder only sums: cold and warm, the same steps, the same eta to
-    # 1e-12 and a Ritz vector whose residual is under 1e-9
+    # 1e-12 and a Ritz vector whose residual is under 1e-9.  The wave runs on
+    # the half trip G, eta the square of its Ritz value; Schrodinger on L.
     engine = _eta_engine(equation, n_cells)
     coarse = _eta_engine(equation, n_cells // 2).estimate_eta(tol=1e-10, seed=3)
+    if equation == "wave":
+        def op(state):
+            return engine._state(engine._half_trip(engine._flat(state)))
+        power = 2
+    else:
+        op, power = engine.apply_L, 1
     for warm in (None, coarse.ritz_vector):
         est = engine.estimate_eta(tol=1e-10, seed=3, warm=warm)
-        ref = list_arnoldi(engine.apply_L, engine.x_inner, engine._eta_start(3, warm),
-                           tol=1e-10)
+        ref = list_arnoldi(op, engine.x_inner, engine._eta_start(3, warm), tol=1e-10)
         assert est.converged and ref.converged
         assert est.iterations == ref.iterations
-        assert est.value == pytest.approx(ref.value, rel=1e-12, abs=0.0)
+        assert est.value == pytest.approx(ref.value ** power, rel=1e-12, abs=0.0)
         x = est.ritz_vector
         assert type(x) is type(ref.ritz_vector)
         image = engine.apply_L(x)
         lam = engine.x_inner(image, x)
         assert engine.x_norm(image - x * lam) <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_cells=st.integers(2, 40), n_steps=st.integers(2, 30), dt=st.floats(1e-3, 0.5),
+       a=st.floats(0.05, 0.45), seed=st.integers(0, 2 ** 32 - 1))
+def test_half_trip_twice_is_the_round_trip_bit_for_bit(n_cells, n_steps, dt, a, seed):
+    # the wave's time reversal only flips the position's sign, exactly, and
+    # is its own inverse: G = R T+ applied twice is R T+ R T+ = L
+    ops = assemble(Mesh1D(n_cells=n_cells), ObservationProfile(a=a, b=1.0 - a / 2))
+    engine = BackAndForth("wave", ops, dt, n_steps)
+    state = engine.random_state(seed)
+    twice = engine._half_trip(engine._half_trip(engine._flat(state)))
+    assert np.array_equal(twice, engine._flat(engine.apply_L(state)))
+
+
+def test_complex_dominant_pair_of_a_real_operator_gives_no_ritz_vector():
+    # a rotation by 0.8 rad scaled to 0.9 dominates a real diagonal: the
+    # dominant Ritz values are 0.9 exp(+-0.8i), whose eigenvectors are not
+    # real, and the real part of one is no eigenvector
+    rot = 0.9 * np.array([[np.cos(0.8), -np.sin(0.8)], [np.sin(0.8), np.cos(0.8)]])
+    A = np.zeros((6, 6))
+    A[:2, :2] = rot
+    A[2:, 2:] = np.diag([0.5, -0.3, 0.2, 0.1])
+    est = arnoldi_iteration(lambda v: A @ v, _plain_gram, np.ones(6), tol=1e-12,
+                            max_iter=10)
+    assert est.converged and est.value == pytest.approx(0.9, rel=1e-12)
+    assert est.ritz_vector is None
+    # a real dominant eigenvalue of the same operator still gives a real vector
+    A[2, 2] = 0.95
+    est = arnoldi_iteration(lambda v: A @ v, _plain_gram, np.ones(6), tol=1e-12,
+                            max_iter=10)
+    x = est.ritz_vector
+    assert est.converged and est.value == pytest.approx(0.95, rel=1e-12)
+    assert x.dtype == np.float64 and np.linalg.norm(A @ x - 0.95 * x) <= 1e-10
 
 
 def test_warm_state_that_vanishes_on_the_mesh_starts_cold():
