@@ -366,21 +366,19 @@ def cmd_reconstruct(cfg: dict, trace_path: str) -> int:
             f"{ {k: v[1] for k, v in mismatched.items()} }"
         )
     engine = _engine_from(cfg)
-    start = time.perf_counter()
-    eta = engine.estimate_eta(**cfg["eta"])
-    eta_ms = 1e3 * (time.perf_counter() - start)
+    eta, eta_cost = harness.eta_stage(engine, **cfg["eta"])
     truth = build_truth(cfg)
     result, row = harness.reconstruct(engine, trace, eta, n_policy=cfg["n_policy"],
                                       theta=cfg["theta"], truth=truth,
                                       noise_eps=header["noise"]["amplitude"])
-    harness.charge(row, engine.eta_step_solves * eta.iterations, eta_ms=eta_ms)
+    harness.charge(row, **eta_cost)
     out = _out_dir(cfg)
     est_path = out / "estimate.txt"
     _write_estimate(est_path, result.estimate, cfg)
     diagnostics = asdict(row)
     if truth is None:
         del diagnostics["error_x"], diagnostics["error_ms"]
-    diagnostics.update(increment_norms=list(result.increment_norms),
+    diagnostics.update(residual_norms=list(result.residual_norms),
                        solver_kernel=solver_kernel(), trace_format=header["format"],
                        read_ms=read_ms, config=cfg)
     diag_path = out / "diagnostics.json"

@@ -18,7 +18,8 @@ import numpy as np
 from .fem import (FemOperators, FieldSpec, Mesh1D, ObservationProfile,
                   assemble, grad_load_vector, load_vector)
 from .models import NoiseSpec, ProblemInstance, generate_observation, unit_noise
-from .observers import _ETA_DEFAULTS, BackAndForth, EtaEstimate, WaveState
+from .observers import (_ETA_DEFAULTS, BackAndForth, EtaEstimate, WaveState,
+                        choose_truncation)
 
 CSV_HEADER = "equation,h,dt,n_used,eta_hat,noise_eps,error_x,fit_model,wall_ms"
 
@@ -165,16 +166,19 @@ class SweepRow:
     neumann_ms: float = 0.0
     error_ms: float = 0.0
     n_capped: bool = False
-    # tridiagonal solves of the Neumann sums and the eta estimate charged to the row
+    # tridiagonal solves of the reconstructions and the eta estimate charged to the row
     n_solves: int = 0
     # a noisy row's bound on |error_x - clean error_x| per unit noise_eps
     noise_gain: float | None = None
     # the level's eta estimate started from the previous level's Ritz vector
     eta_warm: bool = False
-    # of the (clean) Neumann sum: the largest ratio of consecutive increment
-    # norms, which eta_hat should bound, and the geometric remainder past N
-    max_increment_ratio: float | None = None
-    neumann_tail: float | None = None
+    # the paper's Neumann truncation N at eta_hat (``choose_truncation``),
+    # which n_used should not pass; None without an eta_hat in (0, 1)
+    n_neumann: int | None = None
+    # of the (clean) solve: its final relative residual and its largest
+    # Ritz value modulus, which eta_hat should bound
+    residual: float | None = None
+    ritz_max: float | None = None
 
 
 def build_engine(equation: str, n_cells: int, length: float,
@@ -184,38 +188,53 @@ def build_engine(equation: str, n_cells: int, length: float,
     return BackAndForth(equation, ops, dt, n_steps)
 
 
-def reconstruct(engine: BackAndForth, trace, eta: EtaEstimate, *, n_policy: int | str,
-                theta: float, truth, noise_eps: float):
-    """Neumann sum of a trace and its error against the truth: (result, row).
+def eta_stage(engine: BackAndForth, tol: float = _ETA_DEFAULTS["tol"],
+              max_iter: int = _ETA_DEFAULTS["max_iter"], seed: int = _ETA_DEFAULTS["seed"],
+              *, warm=None) -> tuple[EtaEstimate, dict]:
+    """The eta estimate of a reconstruction, timed: (eta, its cost as
+    ``charge`` keywords, its solves and eta_ms)."""
+    start = time.perf_counter()
+    eta = engine.estimate_eta(tol=tol, max_iter=max_iter, seed=seed, warm=warm)
+    return eta, {"solves": engine.eta_step_solves * eta.iterations,
+                 "eta_ms": 1e3 * (time.perf_counter() - start)}
 
-    The row carries the sum's solves and time; ``charge`` adds a shared eta
-    estimate.  Without a truth, error_x is nan.
+
+def reconstruct(engine: BackAndForth, trace, eta: EtaEstimate, *, n_policy: int | str,
+                theta: float, truth, noise_eps: float, polynomial=None):
+    """The solve of a trace, or the replay of another solve's ``polynomial``
+    on it, and its error against the truth: (result, row).
+
+    The row carries the round trips' solves and time; ``charge`` adds a
+    shared eta estimate.  Without a truth, error_x is nan.
     """
     start = time.perf_counter()
     result = engine.neumann_reconstruct(trace, n_terms=None if n_policy == "auto" else n_policy,
-                                        eta_hat=eta.value, theta=theta)
+                                        eta_hat=eta.value, theta=theta, polynomial=polynomial)
     neumann_ms = 1e3 * (time.perf_counter() - start)
-    row = fill_row(engine, result, result.estimate, eta, truth=truth, noise_eps=noise_eps)
+    row = fill_row(engine, result, result.estimate, eta, truth=truth, noise_eps=noise_eps,
+                   theta=theta)
     return result, charge(row, engine.round_trip_solves * (result.n_used + 1),
                           neumann_ms=neumann_ms)
 
 
 def fill_row(engine: BackAndForth, result, estimate, eta: EtaEstimate, *, truth,
-             noise_eps: float) -> SweepRow:
-    """The row of ``estimate``, a sum truncated as ``result`` was: its error
+             noise_eps: float, theta: float) -> SweepRow:
+    """The row of ``estimate``, reconstructed as ``result`` was: its error
     against the truth, timed (nan without a truth).  It carries no solves
-    and no Neumann time until ``charge`` adds them."""
+    and no reconstruction time until ``charge`` adds them."""
     err, error_ms = float("nan"), 0.0
     if truth is not None:
         start = time.perf_counter()
         err = reconstruction_error(engine.equation, truth, estimate, engine.ops)
         error_ms = 1e3 * (time.perf_counter() - start)
     mesh = engine.ops.mesh
+    n_neumann = (choose_truncation(h=mesh.h, dt=engine.dt, theta=theta, eta_hat=eta.value)
+                 if 0.0 < eta.value < 1.0 else None)
     return SweepRow(engine.equation, mesh.n_cells, mesh.h, engine.dt, result.n_used, eta.value,
                     noise_eps, err, error_ms, eta_converged=eta.converged,
                     eta_iterations=eta.iterations, error_ms=error_ms,
-                    n_capped=result.n_capped, max_increment_ratio=result.max_increment_ratio,
-                    neumann_tail=result.neumann_tail)
+                    n_capped=result.n_capped, n_neumann=n_neumann,
+                    residual=result.residual, ritz_max=result.ritz_max)
 
 
 def charge(row: SweepRow, solves: int = 0, *, neumann_ms: float = 0.0,
@@ -243,20 +262,21 @@ def run_cell(plan: SweepPlan, n_cells: int,
     """Run one mesh level: one row per ``plan.noise_eps``, in order.
 
     The discretization, the clean trace and the contraction estimate do not
-    depend on the noise, so they are built once per level.  Nor does the
-    truncation N, and the Neumann sum S is linear in the trace: every noise
+    depend on the noise, so they are built once per level.  Every noise
     level draws the same stream, so its trace is clean + eps * u up to
     rounding, u the unit draw of ``unit_noise``.  A level therefore runs at
-    most two sums: S(clean) at the first row that passes its noise check,
-    and S(u) at the first such row with eps > 0.  Row eps is S(clean) +
-    eps * S(u), exactly S(clean) for eps = 0, and a noisy row's noise_gain
-    is ``error_norm`` of S(u).
+    most one solve and one replay: the solve of the clean trace, S(clean) =
+    q(L) z, at the first row that passes its noise check, and q(L) of u's
+    first iterate, S(u), at the first such row with eps > 0.  The replay is
+    linear in the trace, so row eps is S(clean) + eps * S(u), the one linear
+    map q(L) of its noisy trace; it is exactly S(clean) for eps = 0, and a
+    noisy row's noise_gain is ``error_norm`` of S(u).
 
     Failures are recorded, not raised: a failure in the shared set-up or in
     S(clean), which every row shares, marks every row of the level; one in
     S(u) marks the noisy rows; a bad eps marks only its own row.  Each row is
-    charged the sums it ran, and the first row, failed or not, the shared
-    set-up (gen_ms, eta_ms and the eta's solves), so the rows' wall_ms sum
+    charged the reconstructions it ran, and the first row, failed or not,
+    the shared set-up (gen_ms and the eta stage), so the rows' wall_ms sum
     to the level's time and their n_solves to its solves.
 
     ``carry`` hands eta's start along a sweep: the level starts warm from
@@ -280,48 +300,50 @@ def run_cell(plan: SweepPlan, n_cells: int,
         start = time.perf_counter()
         clean = generate_observation(instance, refine=plan.refine)
         gen_ms = 1e3 * (time.perf_counter() - start)
-        start = time.perf_counter()
-        eta = engine.estimate_eta(plan.eta_tol, plan.eta_max_iter, plan.eta_seed, warm=warm)
-        eta_ms = 1e3 * (time.perf_counter() - start)
+        eta, eta_cost = eta_stage(engine, plan.eta_tol, plan.eta_max_iter, plan.eta_seed,
+                                  warm=warm)
         carry.state = eta.ritz_vector
     except Exception as exc:
         setup_failure = exc
-    sums, ran = {}, []      # the level's sums, (result, row) or what they raised
+    runs, ran = {}, []      # the level's reconstructions, (result, row) or what they raised
 
-    def neumann(key: str, make_trace):
-        """The level's sum of make_trace(), run once; ``ran`` gets its row."""
-        if key not in sums:
+    def solve(key: str, make_trace, polynomial=None):
+        """The level's reconstruction of make_trace(), run once; ``ran`` gets its row."""
+        if key not in runs:
             try:
-                sums[key] = reconstruct(engine, make_trace(), eta, n_policy=plan.n_policy,
-                                        theta=plan.theta, truth=None, noise_eps=0.0)
-                ran.append(sums[key][1])
+                runs[key] = reconstruct(engine, make_trace(), eta, n_policy=plan.n_policy,
+                                        theta=plan.theta, truth=None, noise_eps=0.0,
+                                        polynomial=polynomial)
+                ran.append(runs[key][1])
             except Exception as exc:
-                sums[key] = exc
-        if isinstance(sums[key], Exception):
-            raise sums[key]
-        return sums[key][0]
+                runs[key] = exc
+        if isinstance(runs[key], Exception):
+            raise runs[key]
+        return runs[key][0]
 
     for eps in plan.noise_eps:
         try:
             if setup_failure is not None:
                 raise setup_failure
             NoiseSpec(eps, plan.noise_seed)        # a bad eps fails only its own row
-            base = neumann("clean", lambda: clean)
+            base = solve("clean", lambda: clean)
             estimate, gain = base.estimate, None
             if eps != 0.0:
-                # unnamed, the unit draw is released once its sum is done
-                unit = neumann("unit", lambda: unit_noise(clean, plan.noise_seed)).estimate
-                estimate = base.estimate + unit * eps
+                # unnamed, the unit draw is released once its replay is done
+                unit = solve("unit", lambda: unit_noise(clean, plan.noise_seed),
+                             base.polynomial).estimate
+                estimate = engine._state(engine._flat(base.estimate) + eps * engine._flat(unit))
                 gain = error_norm(plan.equation, unit, engine.ops)
-            row = fill_row(engine, base, estimate, eta, truth=plan.truth, noise_eps=eps)
+            row = fill_row(engine, base, estimate, eta, truth=plan.truth, noise_eps=eps,
+                           theta=plan.theta)
             row.noise_gain, row.eta_warm = gain, warm is not None
         except Exception as exc:
             row = SweepRow(plan.equation, n_cells, h, dt, -1, float("nan"), eps,
                            float("nan"), 0.0, f"{type(exc).__name__}: {exc}")
         if not rows and setup_failure is None:
-            charge(row, engine.eta_step_solves * eta.iterations, eta_ms=eta_ms, gen_ms=gen_ms)
-        for sum_row in ran:
-            charge(row, sum_row.n_solves, neumann_ms=sum_row.neumann_ms)
+            charge(row, gen_ms=gen_ms, **eta_cost)
+        for run_row in ran:
+            charge(row, run_row.n_solves, neumann_ms=run_row.neumann_ms)
         ran.clear()
         now = time.perf_counter()
         row.wall_ms, mark = 1e3 * (now - mark), now

@@ -1,14 +1,16 @@
-"""Fully discrete forward/backward observers and the Neumann reconstruction.
+"""Fully discrete forward/backward observers and the Krylov reconstruction.
 
 The forward observer is the damped implicit scheme driven by the recorded
 output; the backward observer is the same damped pass under the equation's
 time reversal (conjugation for Schrodinger, (p, v) -> (-p, v) for the wave),
 driven by the time-reversed output.  Their zero-forcing composition is the
-round-trip operator L.  Its contraction factor eta, estimated by Arnoldi in
-the X inner product (for the wave on the half trip G, with L = G^2), sets
-through ``choose_truncation`` how many back-and-forth sweeps the truncated
-Neumann sum retains.  Each equation has one stepper and one stepping loop,
-which returns the final state only and allocates nothing per step.
+round-trip operator L.  The initial state solves (I - L) x = z, z the first
+iterate, whose Neumann series the paper truncates; here GMRES in the X inner
+product solves it, stopping at the residual that the paper's truncation
+leaves.  The contraction factor eta, estimated by Arnoldi in X (for the wave
+on the half trip G, with L = G^2), sets that stopping rule.  Both run on one
+Arnoldi process.  Each equation has one stepper and one stepping loop, which
+returns the final state only and allocates nothing per step.
 """
 
 from __future__ import annotations
@@ -23,13 +25,16 @@ import numpy as np
 from .fem import FemOperators, prolong
 from .linalg import ShiftedSystem, SymTridiag
 
-AUTO_N_CAP = 200
+AUTO_N_CAP = 200       # the most steps the automatic stopping rule may take
 LOAD_BLOCK = 32        # output rows whose observer loads are formed at once
-# how far an observed contraction ratio of the Neumann increments may pass
-# eta_hat before the sum warns: it covers rounding and the Arnoldi
-# tolerance eta_hat was estimated to (1e-6 by default), while a missed mode
-# that sets N shows as a ratio well above eta_hat
+# how far a Ritz value of the solve's Krylov space may pass eta_hat before
+# the solve warns: it covers rounding and the Arnoldi tolerance eta_hat was
+# estimated to (1e-6 by default), while a missed mode that sets the
+# contraction shows as a Ritz value well above eta_hat
 RATIO_SLACK = 0.01
+# a solve residual at most this share of ||z||_X is rounding: the Krylov
+# space is invariant to rounding (it has broken down), and the solve exact
+BREAKDOWN = 1e-14
 # the contraction estimate's settings, keyed by estimate_eta's keywords; the
 # defaults of estimate_eta, of SweepPlan's eta_* fields and of the CLI's eta
 # section
@@ -42,17 +47,6 @@ class WaveState:
 
     pos: np.ndarray
     vel: np.ndarray
-
-    def __add__(self, other: "WaveState") -> "WaveState":
-        return WaveState(self.pos + other.pos, self.vel + other.vel)
-
-    def __sub__(self, other: "WaveState") -> "WaveState":
-        return WaveState(self.pos - other.pos, self.vel - other.vel)
-
-    def __mul__(self, scalar: float) -> "WaveState":
-        return WaveState(scalar * self.pos, scalar * self.vel)
-
-    __rmul__ = __mul__
 
     @classmethod
     def zeros(cls, n: int) -> "WaveState":
@@ -278,44 +272,35 @@ class EtaEstimate:
     ritz_vector: object = field(default=None, compare=False, repr=False)
 
 
-def arnoldi_iteration(apply_op: Callable, gram: Callable, start: np.ndarray,
-                      tol: float = _ETA_DEFAULTS["tol"],
-                      max_iter: int = _ETA_DEFAULTS["max_iter"]) -> EtaEstimate:
-    """Largest-modulus Ritz value of a linear operator, by Arnoldi in X.
+def _norm(gram: Callable, u: np.ndarray) -> float:
+    """||u||_X, with gram(u) = X u."""
+    return math.sqrt(max(np.real(np.vdot(u, gram(u))), 0.0))
+
+
+def arnoldi_process(apply_op: Callable, gram: Callable, start: np.ndarray,
+                    max_steps: int):
+    """The Arnoldi process in X from start; after step m it yields (V, H, w).
 
     States are flat 1-d arrays, and gram(u) = X u gives the inner product
-    (u, v)_X = v^H X u.  The basis is the rows of one array, which grows by
-    doubling, so its storage follows the steps taken.  Each step applies the
-    operator once and orthogonalizes against the whole basis by classical
-    Gram-Schmidt with one reorthogonalization pass, so operators that are
-    only nearly self-adjoint in X are handled; each pass forms gram(w) once
-    and then takes two matrix-vector products.  The iteration stops when the
-    Ritz residual h_{m+1,m} |e_m^T y| of the dominant Ritz pair (theta, y),
-    y of unit 2-norm, drops to tol |theta|; a breakdown (h_{m+1,m} = 0)
-    meets that rule too, and the estimate then carries the Ritz vector
-    sum_j y_j v_j, y turned so that its largest entry is real and positive.
-    A real Hessenberg matrix (real states) gives a real vector, or none when
-    its dominant Ritz value is one of a complex pair, whose eigenvector is
-    not real.  Running out of max_iter returns the last Ritz value with
-    converged = False and no vector.
+    (u, v)_X = v^H X u.  V holds the X-orthonormal v_1..v_m as the first m
+    rows of one array, which grows by doubling, so its storage follows the
+    steps taken, as does the complex (m+1) x m Hessenberg H with
+    apply_op(v_j) = sum_i H[i, j] v_i; w = H[m, m-1] v_{m+1} is the part of
+    apply_op(v_m) outside V.  Each step applies the operator once
+    and orthogonalizes against the whole basis by classical Gram-Schmidt
+    with one reorthogonalization pass (CGS2), so operators that are only
+    nearly self-adjoint in X are handled; each pass forms gram(w) once and
+    then takes two matrix-vector products.  The caller stops by leaving the
+    loop; after a breakdown, H[m, m-1] = 0, there is nothing to normalize and
+    the process ends.
     """
-    if not 0.0 < tol < 1.0:
-        raise ValueError("tol must lie in (0, 1)")
-    if max_iter < 2:
-        raise ValueError("max_iter must be at least 2")
-
-    def norm(u) -> float:
-        return math.sqrt(max(np.real(np.vdot(u, gram(u))), 0.0))
-
-    start = np.asarray(start)
-    nrm = norm(start)
+    nrm = _norm(gram, start)
     if nrm == 0.0:
         raise ValueError("start vector must be nonzero")
-    basis = np.empty((min(8, max_iter + 1), start.size), start.dtype)
+    basis = np.empty((min(8, max_steps + 1), start.size), start.dtype)
     basis[0] = start * (1.0 / nrm)
-    hess = np.zeros((1, 0), dtype=complex)   # sized by the steps taken, not max_iter
-    theta = 0.0
-    for m in range(1, max_iter + 1):
+    hess = np.zeros((1, 0), dtype=complex)   # sized by the steps taken, not max_steps
+    for m in range(1, max_steps + 1):
         hess = np.pad(hess, ((0, 1), (0, 1)))
         w = apply_op(basis[m - 1])
         if w.dtype != basis.dtype:
@@ -325,14 +310,43 @@ def arnoldi_iteration(apply_op: Callable, gram: Callable, start: np.ndarray,
             coeffs = V.conj() @ gram(w)
             w = w - coeffs @ V
             hess[:m, m - 1] += coeffs
-        hess[m, m - 1] = beta = norm(w)
+        hess[m, m - 1] = beta = _norm(gram, w)
+        yield V, hess, w
+        if beta == 0.0:
+            return
+        if m == len(basis):
+            basis = np.concatenate([basis, np.empty_like(basis)])
+        basis[m] = w * (1.0 / beta)
+
+
+def arnoldi_iteration(apply_op: Callable, gram: Callable, start: np.ndarray,
+                      tol: float = _ETA_DEFAULTS["tol"],
+                      max_iter: int = _ETA_DEFAULTS["max_iter"]) -> EtaEstimate:
+    """Largest-modulus Ritz value of a linear operator, by ``arnoldi_process``.
+
+    The iteration stops when the Ritz residual h_{m+1,m} |e_m^T y| of the
+    dominant Ritz pair (theta, y), y of unit 2-norm, drops to tol |theta|; a
+    breakdown (h_{m+1,m} = 0) meets that rule too, and the estimate then
+    carries the Ritz vector sum_j y_j v_j, y turned so that its largest
+    entry is real and positive.  A real Hessenberg matrix (real states)
+    gives a real vector, or none when its dominant Ritz value is one of a
+    complex pair, whose eigenvector is not real.  Running out of max_iter
+    returns the last Ritz value with converged = False and no vector.
+    """
+    if not 0.0 < tol < 1.0:
+        raise ValueError("tol must lie in (0, 1)")
+    if max_iter < 2:
+        raise ValueError("max_iter must be at least 2")
+    theta = 0.0
+    for V, hess, _ in arnoldi_process(apply_op, gram, np.asarray(start), max_iter):
+        m = len(V)
         # a real Hessenberg's eig is taken in real arithmetic, so a real Ritz
         # value has imaginary part 0 exactly and a real vector
         real = not np.any(hess.imag)
         ritz, vecs = np.linalg.eig(hess[:m, :m].real if real else hess[:m, :m])
         k = int(np.argmax(np.abs(ritz)))
         theta = float(np.abs(ritz[k]))
-        if beta * abs(vecs[-1, k]) <= tol * theta:
+        if hess[m, m - 1].real * abs(vecs[-1, k]) <= tol * theta:
             if real and ritz[k].imag != 0.0:
                 # a complex pair of a real operator: no real vector spans it
                 return EtaEstimate(theta, True, m)
@@ -340,19 +354,70 @@ def arnoldi_iteration(apply_op: Callable, gram: Callable, start: np.ndarray,
             y = vecs[:, k].real if real else vecs[:, k]
             top = y[np.argmax(np.abs(y))]
             return EtaEstimate(theta, True, m, (y * (abs(top) / top)) @ V)
-        if m == len(basis):
-            basis = np.concatenate([basis, np.empty_like(basis)])
-        basis[m] = w * (1.0 / beta)
     return EtaEstimate(theta, False, max_iter)
 
 
-def choose_truncation(*, h: float, theta: float, eta_hat: float,
-                      dt: float = 0.0) -> int:
-    """Number of Neumann terms matching the discretization error.
+@dataclass(frozen=True)
+class KrylovPolynomial:
+    """The polynomial q of an m-step solve, x = q(L) z, kept as the Arnoldi
+    recurrence that built it, so that ``replay`` applies it to another
+    state.  m = 0 is the identity."""
 
-    ceil(ln(h^theta + dt) / ln eta), floored at 0; dt = 0 is the
-    semi-discrete case.
+    hess: np.ndarray        # (m+1) x m Hessenberg of L; real for real states
+    coeffs: np.ndarray      # the least-squares y of x_m = sum_j y_j v_j
+    z_norm: float           # ||z||_X, the scale of v_1 = z / ||z||_X
+
+    @property
+    def steps(self) -> int:
+        return len(self.coeffs)
+
+    def replay(self, apply_op: Callable, u: np.ndarray) -> np.ndarray:
+        """q(L) u = u + L x_m: v_1 = u / ||z||_X, v_{j+1} = (L v_j -
+        sum_i h_ij v_i) / h_{j+1,j} and x_m = sum_j y_j v_j.  It applies L m
+        times and forms no inner product, so it is linear in u."""
+        m = self.steps
+        if m == 0:
+            return u
+        basis = np.empty((m, u.size), np.result_type(u, self.coeffs))
+        basis[0] = u * (1.0 / self.z_norm)
+        for j in range(1, m):
+            w = apply_op(basis[j - 1]) - self.hess[:j, j - 1] @ basis[:j]
+            basis[j] = w * (1.0 / self.hess[j, j - 1].real)
+        return u + apply_op(self.coeffs @ basis)
+
+
+def gmres(apply_op: Callable, gram: Callable, z: np.ndarray, max_steps: int,
+          rtol: float = 0.0) -> tuple[np.ndarray, KrylovPolynomial, tuple]:
+    """GMRES in X on (I - A) x = z from x_0 = 0, A = apply_op, z nonzero,
+    plus one free fixed-point step.
+
+    Step m of ``arnoldi_process`` gives A V_m = V_{m+1} H, so the x_m of
+    K_m(A, z) with the least residual r_m = z - (I - A) x_m is V_m y, y the
+    least-squares solution of (I~ - H) y = ||z||_X e_1, I~ the (m+1) x m
+    identity.  It stops after the first step whose residual is at most
+    rtol ||z||_X, after max_steps steps, or at a breakdown, a residual at
+    most BREAKDOWN ||z||_X, where x_m is exact to rounding.  It returns
+    x = z + A x_m, whose A x_m = V_m H_m y + y_m w the process already
+    holds: the residual of x is A r_m and its error A times x_m's, so
+    neither is larger where A is nonexpansive.  Returns x, its polynomial
+    and the residual norms of x_0 = 0, x_1, ..., x_m.
     """
+    beta = _norm(gram, z)
+    residuals = [beta]
+    for V, hess, w in arnoldi_process(apply_op, gram, z, max_steps):
+        m = len(V)
+        H = hess if np.any(hess.imag) else hess.real
+        lhs = np.eye(m + 1, m) - H
+        rhs = np.zeros(m + 1, H.dtype)
+        rhs[0] = beta
+        y = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+        residuals.append(float(np.linalg.norm(rhs - lhs @ y)))
+        if residuals[-1] <= max(rtol, BREAKDOWN) * beta:
+            break
+    return z + (H[:m] @ y) @ V + y[-1] * w, KrylovPolynomial(H, y, beta), tuple(residuals)
+
+
+def _check_rule(h: float, theta: float, eta_hat: float, dt: float):
     if not h > 0:
         raise ValueError("h must be positive")
     if not 0 < theta < math.inf:
@@ -363,34 +428,45 @@ def choose_truncation(*, h: float, theta: float, eta_hat: float,
         raise ValueError(
             f"contraction not certified: eta_hat = {eta_hat} is not in (0, 1)"
         )
+
+
+def choose_truncation(*, h: float, theta: float, eta_hat: float,
+                      dt: float = 0.0) -> int:
+    """The paper's number of Neumann terms matching the discretization error.
+
+    ceil(ln(h^theta + dt) / ln eta), floored at 0; dt = 0 is the
+    semi-discrete case.  The solve stops at the residual these terms leave.
+    """
+    _check_rule(h, theta, eta_hat, dt)
     return max(0, math.ceil(math.log(h ** theta + dt) / math.log(eta_hat)))
 
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """Truncated Neumann sum plus iteration diagnostics."""
+    """A reconstruction x = q(L) z of the first iterate z, and its diagnostics.
+
+    n_used is m, the round trips past the first iterate: the steps of a
+    solve, or, for a replay, those of the solve whose polynomial it
+    applied.  residual_norms holds the X norms of the residuals of the
+    solve's GMRES iterates x_0 = 0, x_1, ..., x_m (a replay has none), and
+    ritz_max the largest modulus of a Ritz value of L on the solve's Krylov
+    space, which eta_hat should bound.
+    """
 
     estimate: np.ndarray | WaveState
     n_used: int
     eta_hat: float | None
-    increment_norms: tuple
-    n_capped: bool = False      # the automatic rule asked for more than AUTO_N_CAP
+    residual_norms: tuple
+    polynomial: KrylovPolynomial
+    ritz_max: float | None = None
+    n_capped: bool = False      # the automatic rule was not met in AUTO_N_CAP steps
 
     @property
-    def max_increment_ratio(self) -> float | None:
-        """The largest rho_n = ||L^n z|| / ||L^{n-1} z|| over n = 1..N, skipping
-        a zero ||L^{n-1} z||; None when there is no such ratio."""
-        norms = self.increment_norms
-        ratios = [b / a for a, b in zip(norms, norms[1:]) if a > 0.0]
-        return max(ratios) if ratios else None
-
-    @property
-    def neumann_tail(self) -> float | None:
-        """||L^N z|| eta_hat / (1 - eta_hat), the geometric remainder past the
-        last term; None without an eta_hat in (0, 1)."""
-        if self.eta_hat is None or not 0.0 < self.eta_hat < 1.0:
-            return None
-        return self.increment_norms[-1] * self.eta_hat / (1.0 - self.eta_hat)
+    def residual(self) -> float | None:
+        """||r_m||_X / ||z||_X, the relative residual of x_m, which bounds the
+        estimate's where L is nonexpansive; None when no step ran."""
+        norms = self.residual_norms
+        return norms[-1] / norms[0] if len(norms) > 1 else None
 
 
 class BackAndForth:
@@ -521,10 +597,14 @@ class BackAndForth:
         out = run_wave(self._stepper, flat[:n], flat[n:])
         return np.concatenate([-out.pos, out.vel])
 
+    def _round_trip(self, flat: np.ndarray) -> np.ndarray:
+        """``apply_L`` on a ``_flat`` state."""
+        return self._flat(self.apply_L(self._state(flat)))
+
     # -- contraction factor and reconstruction ------------------------------
 
-    def _eta_start(self, seed: int, warm=None):
-        """Arnoldi's start: ``random_state(seed)``, plus ``warm``, if given.
+    def _eta_start(self, seed: int, warm=None) -> np.ndarray:
+        """Arnoldi's ``_flat`` start: ``random_state(seed)``, plus ``warm``, if given.
 
         ``warm``, a state on any uniform mesh of the same length (a coarser
         level's Ritz vector), is prolonged onto this mesh and added to the
@@ -532,17 +612,19 @@ class BackAndForth:
         dominant mode can change from one mesh to the next, and a start
         nearly orthogonal to it can stop Arnoldi on a smaller Ritz value.
         """
-        start = self.random_state(seed)
+        start = self._flat(self.random_state(seed))
         if warm is None:
             return start
+        mesh = self.ops.mesh
         if self.equation == "schrodinger":
-            warm = prolong(warm, self.ops.mesh)
+            warm = prolong(warm, mesh)
         else:
-            warm = WaveState(prolong(warm.pos, self.ops.mesh), prolong(warm.vel, self.ops.mesh))
-        size = self.x_norm(warm)
+            warm = np.concatenate([prolong(warm.pos, mesh), prolong(warm.vel, mesh)])
+        gram = self._x_gram.matvec
+        size = _norm(gram, warm)
         if size == 0.0:             # a restriction onto a coarser mesh can vanish
             return start
-        return start * (1.0 / self.x_norm(start)) + warm * (1.0 / size)
+        return start * (1.0 / _norm(gram, start)) + warm * (1.0 / size)
 
     def estimate_eta(self, tol: float = _ETA_DEFAULTS["tol"],
                      max_iter: int = _ETA_DEFAULTS["max_iter"],
@@ -558,10 +640,10 @@ class BackAndForth:
         conjugation, is antilinear, so its Arnoldi runs on L, one round trip
         a step.  Either way iterations and max_iter count applications of
         the operator.  An estimate that runs out of steps leaves the
-        truncation length it sets uncertified, so besides converged = False
-        it warns.
+        stopping rule it sets uncertified, so besides converged = False it
+        warns.
         """
-        start = self._flat(self._eta_start(seed, warm))
+        start = self._eta_start(seed, warm)
         if self.equation == "wave":
             eta = arnoldi_iteration(self._half_trip, self._x_gram.matvec, start, tol, max_iter)
             eta = replace(eta, value=eta.value ** 2)
@@ -578,49 +660,63 @@ class BackAndForth:
     def neumann_reconstruct(self, trace: ObservationTrace, *,
                             n_terms: int | None = None,
                             eta_hat: float | None = None,
-                            theta: float = 1.0) -> ReconstructionResult:
-        """Accumulate sum_{n=0}^{N} L^n of the first iterate.
+                            theta: float = 1.0,
+                            polynomial: KrylovPolynomial | None = None
+                            ) -> ReconstructionResult:
+        """The initial state: (I - L) x = z solved by ``gmres``, z the first iterate.
 
-        With n_terms = None the truncation length comes from
-        ``choose_truncation`` at (h, dt, eta_hat), floored at 1 and capped at
-        AUTO_N_CAP; a capped N warns and sets the result's n_capped.  Given
-        eta_hat, the sum also warns when an observed ratio of consecutive
-        increment norms passes eta_hat by more than RATIO_SLACK: a check of
-        eta_hat for free, rigorous only where ||L||_X = eta, as for the
-        X-self-adjoint Schrodinger round trip.
+        The Neumann series sum_n L^n z solves the same system.  With n_terms
+        = None the solve stops at the first step m whose residual is at most
+        eta_hat (h^theta + dt) ||z||_X, the tail the paper's truncation
+        ``choose_truncation`` leaves; as ||(I - L)^-1||_X <= 1 / (1 - eta),
+        the error is then at most that over 1 - eta.  A solve not done in
+        AUTO_N_CAP steps warns and sets the result's n_capped.  A given
+        n_terms runs exactly that many steps, short of a breakdown, and 0
+        returns z; so does a zero z, with n_used = 0.  Given eta_hat, the
+        solve also warns when a Ritz value of L passes eta_hat by more than
+        RATIO_SLACK: a check of eta_hat for free, rigorous only where
+        ||L||_X = eta, as for the X-self-adjoint Schrodinger round trip.
+
+        ``polynomial``, another solve's, is replayed on this trace's z in
+        place of a solve (the other arguments are not read): as many round
+        trips as the solve, and linear in the trace.
         """
-        z = self.first_iterate(trace)
-        capped = False
-        if n_terms is None:
+        auto, rtol = polynomial is None and n_terms is None, 0.0
+        if auto:
             if eta_hat is None:
                 raise ValueError("automatic truncation needs eta_hat")
-            n_terms = choose_truncation(h=self.ops.mesh.h, dt=self.dt,
-                                        theta=theta, eta_hat=eta_hat)
-            n_terms = max(n_terms, 1)
-            if n_terms > AUTO_N_CAP:
-                warnings.warn(
-                    f"truncation rule asked for N = {n_terms}; capping at "
-                    f"{AUTO_N_CAP} (eta_hat = {eta_hat} is close to 1)",
-                    RuntimeWarning, stacklevel=2,
-                )
-                n_terms, capped = AUTO_N_CAP, True
-        elif n_terms < 0:
+            h = self.ops.mesh.h
+            _check_rule(h, theta, eta_hat, self.dt)
+            rtol = eta_hat * (h ** theta + self.dt)
+        elif polynomial is None and n_terms < 0:
             raise ValueError("n_terms must be nonnegative")
-        increments = [self.x_norm(z)]
-        acc = z
-        term = z
-        for _ in range(n_terms):
-            term = self.apply_L(term)
-            acc = acc + term
-            increments.append(self.x_norm(term))
-        result = ReconstructionResult(estimate=acc, n_used=n_terms, eta_hat=eta_hat,
-                                      increment_norms=tuple(increments), n_capped=capped)
-        ratio = result.max_increment_ratio
-        if eta_hat is not None and ratio is not None and ratio > eta_hat * (1.0 + RATIO_SLACK):
+        z = self._flat(self.first_iterate(trace))
+        if polynomial is not None:
+            return ReconstructionResult(self._state(polynomial.replay(self._round_trip, z)),
+                                        polynomial.steps, eta_hat, (), polynomial)
+        gram = self._x_gram.matvec
+        z_norm = _norm(gram, z)
+        if n_terms == 0 or z_norm == 0.0:
+            identity = KrylovPolynomial(np.zeros((1, 0)), np.zeros(0), z_norm)
+            return ReconstructionResult(self._state(z), 0, eta_hat, (z_norm,), identity)
+        x, poly, residuals = gmres(self._round_trip, gram, z,
+                                   AUTO_N_CAP if auto else n_terms, rtol)
+        m = poly.steps
+        capped = auto and m == AUTO_N_CAP and residuals[-1] > rtol * z_norm
+        if capped:
             warnings.warn(
-                f"Neumann increments shrink by a factor up to {ratio:.6g} per term, more "
-                f"than eta_hat = {eta_hat:.6g} allows: eta_hat missed part of the "
-                f"spectrum, and N = {n_terms} may be too small",
+                f"the solve's relative residual is {residuals[-1] / z_norm:.3g} after "
+                f"{m} steps, above the stopping rule's {rtol:.3g}; capping at "
+                f"{AUTO_N_CAP} (eta_hat = {eta_hat} may be close to 1)",
                 RuntimeWarning, stacklevel=2,
             )
-        return result
+        ritz_max = float(np.max(np.abs(np.linalg.eigvals(poly.hess[:m]))))
+        if eta_hat is not None and ritz_max > eta_hat * (1.0 + RATIO_SLACK):
+            warnings.warn(
+                f"the solve's Krylov space holds a Ritz value of L of modulus "
+                f"{ritz_max:.6g}, more than eta_hat = {eta_hat:.6g} allows: eta_hat "
+                f"missed part of the spectrum, and the stopping rule may be too loose",
+                RuntimeWarning, stacklevel=2,
+            )
+        return ReconstructionResult(self._state(x), m, eta_hat, residuals, poly, ritz_max,
+                                    capped)

@@ -27,6 +27,10 @@ once, then a second, +i dt Schrodinger system stepped by schrodinger_step,
 and the wave's velocity flip around wave_history with negated loads.  Tests
 pin BackAndForth to them bit for bit.  old_add_noise is add_noise as one
 whole-array draw per part, which the blocked in-place draws reproduce.
+neumann_series is the reconstruction as the paper writes it, the truncated
+Neumann series of the round trip, which the package's GMRES solve replaced
+and is checked against; combine is the arithmetic on states (arrays or
+WaveStates) that the package's states no longer carry.
 """
 
 from __future__ import annotations
@@ -43,6 +47,32 @@ from bafobs import (EtaEstimate, FemOperators, Mesh1D, ProblemInstance,
                     pencil_eigs)
 from bafobs.fem import grad_load_vector
 from bafobs.linalg import SingularPivotError, SymTridiag
+
+
+def combine(*terms):
+    """sum_i c_i s_i over (c_i, s_i) pairs of scalars and states, arrays or
+    WaveStates alike."""
+    if isinstance(terms[0][1], WaveState):
+        return WaveState(combine(*((c, s.pos) for c, s in terms)),
+                         combine(*((c, s.vel) for c, s in terms)))
+    total = terms[0][0] * terms[0][1]
+    for c, s in terms[1:]:
+        total = total + c * s
+    return total
+
+
+def neumann_series(engine, trace, n_terms: int) -> tuple[list, list]:
+    """The terms L^n z of the Neumann series of the first iterate z and its
+    truncated sums sum_{k<=n} L^k z, n = 0..n_terms, by the package's
+    first_iterate and apply_L."""
+    acc = term = engine.first_iterate(trace)
+    terms, sums = [term], [acc]
+    for _ in range(n_terms):
+        term = engine.apply_L(term)
+        acc = combine((1.0, acc), (1.0, term))
+        terms.append(term)
+        sums.append(acc)
+    return terms, sums
 
 
 def dense(A) -> np.ndarray:
@@ -347,7 +377,7 @@ def list_arnoldi(apply_op: Callable, inner: Callable, start,
     nrm = norm(start)
     if nrm == 0.0:
         raise ValueError("start vector must be nonzero")
-    basis = [start * (1.0 / nrm)]
+    basis = [combine((1.0 / nrm, start))]
     hess = np.zeros((1, 0), dtype=complex)   # sized by the steps taken, not max_iter
     theta = 0.0
     for m in range(1, max_iter + 1):
@@ -356,7 +386,7 @@ def list_arnoldi(apply_op: Callable, inner: Callable, start,
         for _ in range(2):
             coeffs = [inner(w, v) for v in basis]
             for c, v in zip(coeffs, basis):
-                w = w - v * c
+                w = combine((1.0, w), (-c, v))
             hess[:m, m - 1] += coeffs
         hess[m, m - 1] = beta = norm(w)
         ritz, vecs = np.linalg.eig(hess[:m, :m])
@@ -369,11 +399,8 @@ def list_arnoldi(apply_op: Callable, inner: Callable, start,
             y = y * (abs(top) / top)
             if not np.any(hess.imag):
                 y = y.real
-            vector = basis[0] * y[0]
-            for c, v in zip(y[1:], basis[1:]):
-                vector = vector + v * c
-            return EtaEstimate(theta, True, m, vector)
-        basis.append(w * (1.0 / beta))
+            return EtaEstimate(theta, True, m, combine(*zip(y, basis)))
+        basis.append(combine((1.0 / beta, w)))
     return EtaEstimate(theta, False, max_iter)
 
 
@@ -477,12 +504,11 @@ def old_apply_L(engine, state):
 
 
 def old_neumann_estimate(engine, trace, n_terms: int):
-    """engine.neumann_reconstruct(trace, n_terms=n_terms).estimate, every pass
-    by _old_pass."""
+    """neumann_series(engine, trace, n_terms)[1][-1], every pass by _old_pass."""
     acc = term = old_first_iterate(engine, trace)
     for _ in range(n_terms):
         term = old_apply_L(engine, term)
-        acc = acc + term
+        acc = combine((1.0, acc), (1.0, term))
     return acc
 
 

@@ -15,14 +15,15 @@ import numpy as np
 import pytest
 
 from bafobs.fem import FieldSpec, Mesh1D, ObservationProfile, assemble
-from bafobs.harness import (SweepPlan, SweepRow, build_noise_table, fit_rate,
+from bafobs.harness import (SweepPlan, SweepRow, build_engine, build_noise_table, fit_rate,
                             run_sweep)
 from bafobs.linalg import ShiftedSystem, pencil_eigs
+from bafobs.models import ProblemInstance, generate_observation
 from bafobs.observers import (RATIO_SLACK, BackAndForth, SchrodingerStepper, WaveState,
                               WaveStepper, choose_truncation, run_schrodinger)
 
-from oracles import (exact_damped_schrodinger, norm_alpha, pencil_vectors,
-                     schrodinger_history, wave_history)
+from oracles import (combine, exact_damped_schrodinger, neumann_series, norm_alpha,
+                     pencil_vectors, schrodinger_history, wave_history)
 
 SCHROD_TRUTH = FieldSpec(kind="sine", coefficients=(1.0, 0.5))
 WAVE_TRUTH = (FieldSpec(kind="sine", coefficients=(1.0,)),
@@ -269,24 +270,22 @@ def test_criterion_4_duhamel_bound(ops64, engines64):
     assert ok
 
 
-# -- criterion 5: Neumann tail bound ----------------------------------------------
+# -- criterion 5: Neumann tail bound and the solve that replaced the sum -------------
 
 
 def _tail_check(engine, trace):
     eta = engine.estimate_eta(tol=1e-9, max_iter=400, seed=11)
-    long_run = engine.neumann_reconstruct(trace, n_terms=60)
-    z0_norm = long_run.increment_norms[0]
+    terms, sums = neumann_series(engine, trace, 60)
+    z0_norm = engine.x_norm(terms[0])
     results = []
     for n in (2, 4, 8):
-        short = engine.neumann_reconstruct(trace, n_terms=n)
-        dev = engine.x_norm(long_run.estimate - short.estimate)
+        dev = engine.x_norm(combine((1.0, sums[-1]), (-1.0, sums[n])))
         bound = eta.value ** (n + 1) / (1 - eta.value) * z0_norm * 1.01
         results.append((n, dev, bound, dev <= bound))
     return eta.value, results
 
 
 def test_criterion_5_neumann_tail_bound(ops64, engines64):
-    from bafobs.models import ProblemInstance, generate_observation
     schrod, wave = engines64
     inst = ProblemInstance("schrodinger", ops64.mesh, PROFILE, tau=1.0,
                            n_steps=64, truth=SCHROD_TRUTH)
@@ -305,19 +304,64 @@ def test_criterion_5_neumann_tail_bound(ops64, engines64):
     assert ok
 
 
-def test_criterion_5_increment_ratios_stay_under_eta_hat():
-    # the Neumann sum warns when a ratio of consecutive increments passes
+def test_criterion_5_ritz_values_stay_under_eta_hat():
+    # the solve warns when a Ritz value of L on its Krylov space passes
     # eta_hat by more than RATIO_SLACK; on both acceptance plans none does
     rows = []
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for plan in (schrod_plan(), wave_plan()):
             rows += run_sweep(plan)
-    worst = max(r.max_increment_ratio / r.eta_hat for r in rows)
+    worst = max(r.ritz_max / r.eta_hat for r in rows)
     ok = all(r.failure is None for r in rows) and worst <= 1.0 + RATIO_SLACK
-    report("5 (Neumann increment ratios within eta_hat)", ok,
-           " ".join(f"{r.equation[0]}{r.n_cells}: {r.max_increment_ratio / r.eta_hat:.4f}"
-                    for r in rows))
+    report("5 (Ritz values of the solve within eta_hat)", ok,
+           " ".join(f"{r.equation[0]}{r.n_cells}: {r.ritz_max / r.eta_hat:.4f}" for r in rows))
+    assert ok
+
+
+def _solve_against_the_neumann_sum(plan, rows):
+    """Per level: (n_cells, solve steps m, the paper's N, relX of the solve,
+    relX of the N-term Neumann sum), relX = ||x - x_60||_X / ||x_60||_X
+    against the 60-term sum x_60, the solve at the row's eta_hat."""
+    cells = []
+    for row in rows:
+        k = plan.n_steps(row.n_cells)
+        engine = build_engine(plan.equation, row.n_cells, plan.length, plan.profile,
+                              plan.tau / k, k)
+        trace = generate_observation(ProblemInstance(plan.equation, engine.ops.mesh,
+                                                     plan.profile, plan.tau, k, plan.truth),
+                                     refine=plan.refine)
+        solve = engine.neumann_reconstruct(trace, eta_hat=row.eta_hat, theta=plan.theta)
+        assert solve.n_used == row.n_used
+        n = max(row.n_neumann, 1)
+        _, sums = neumann_series(engine, trace, 60)
+
+        def rel(x):
+            return engine.x_norm(combine((1.0, x), (-1.0, sums[-1]))) / engine.x_norm(sums[-1])
+
+        cells.append((row.n_cells, row.n_used, n, rel(solve.estimate), rel(sums[n])))
+    return cells
+
+
+@pytest.mark.parametrize("name", ["schrodinger", "wave", "schrodinger-time-refined",
+                                  "schrodinger-512"])
+def test_criterion_5_solve_takes_no_more_steps_than_the_neumann_sum(request, name):
+    # on both acceptance plans, the time-refined plan (configs/) and the
+    # benchmark's 512-cell Schrodinger level, the solve stops within the
+    # paper's N round trips and lands no farther from the converged Neumann
+    # series than the N-term sum does
+    if name in ("schrodinger", "wave"):
+        plan = schrod_plan() if name == "schrodinger" else wave_plan()
+        rows = request.getfixturevalue(f"{'schrod' if name == 'schrodinger' else name}_sweep")[0]
+    else:
+        plan = (schrod_plan(levels=(16, 32, 64, 128, 256), kappa=1 / 32)
+                if name == "schrodinger-time-refined" else schrod_plan(levels=(512,)))
+        rows = run_sweep(plan)
+    cells = _solve_against_the_neumann_sum(plan, rows)
+    ok = all(m <= n and rel_solve <= rel_sum for _, m, n, rel_solve, rel_sum in cells)
+    report(f"5 ({name}: solve steps m <= N, relX no worse than the N-term sum)", ok,
+           " ".join(f"{c}: m={m} N={n} relX {rs:.2e} vs {rn:.2e}"
+                    for c, m, n, rs, rn in cells))
     assert ok
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bafobs import cli
+from bafobs import cli, observers
 from bafobs.fem import FieldSpec
 from bafobs.harness import SweepPlan, SweepRow
 from bafobs.models import read_trace
@@ -121,14 +121,15 @@ def test_reconstruct_round_trip_and_diagnostics(tmp_path, capsys):
     assert diag["config"]["time"]["n_steps"] == 12
     assert diag["solver_kernel"] in ("openblas-gttrs", "thomas")
     # two passes of 12 steps per round trip: one per Schrodinger eta step, the
-    # first iterate's and one per Neumann term
+    # first iterate's and one per solve step
     assert diag["n_solves"] == 2 * 12 * diag["eta_iterations"] + 2 * 12 * (diag["n_used"] + 1)
     assert diag["n_capped"] is False
-    # the contraction check of the Neumann sum, in the JSON only
-    eta, norms = diag["eta_hat"], diag["increment_norms"]
-    assert 0 < diag["max_increment_ratio"] <= eta * (1 + RATIO_SLACK)
-    assert diag["max_increment_ratio"] == max(b / a for a, b in zip(norms, norms[1:]))
-    assert diag["neumann_tail"] == pytest.approx(norms[-1] * eta / (1 - eta), rel=1e-15)
+    # the solve's stopping rule and its check of eta_hat, in the JSON only
+    eta, norms = diag["eta_hat"], diag["residual_norms"]
+    assert len(norms) == diag["n_used"] + 1
+    assert diag["residual"] == norms[-1] / norms[0] <= eta * (1 / 12 + 1 / 12)
+    assert 0 < diag["ritz_max"] <= eta * (1 + RATIO_SLACK)
+    assert diag["n_used"] <= diag["n_neumann"]
     assert diag["trace_format"] == "bafobs-trace-2"
     assert all(diag[s] > 0 for s in ("read_ms", "eta_ms", "neumann_ms", "error_ms"))
     est_lines = (tmp_path / "out" / "estimate.txt").read_text().strip().split("\n")
@@ -168,7 +169,7 @@ def test_reconstruct_diagnostics_match_a_one_level_sweep_row(tmp_path, capsys, e
     diag = json.loads((tmp_path / "diagnostics.json").read_text())
     (row,) = json.loads((tmp_path / "summary.json").read_text())["rows"]
     row_fields = {f.name for f in fields(SweepRow)}
-    assert set(diag) == row_fields | {"increment_norms", "solver_kernel",
+    assert set(diag) == row_fields | {"residual_norms", "solver_kernel",
                                       "trace_format", "read_ms", "config"}
     same = sorted(name for name in row_fields if not name.endswith("_ms"))
     assert {k: diag[k] for k in same} == {k: row[k] for k in same}
@@ -203,19 +204,22 @@ def test_reconstruct_reports_the_noise_of_the_trace(tmp_path, capsys):
     assert diag["noise_eps"] == 0.001 and diag["config"]["noise"]["amplitude"] == 0.0
 
 
+# the 32-cell wave needs two solve steps, so a cap of one is hit
+WAVE_32 = ["--set", "equation=wave", "--set", "geometry.n_cells=32", "--set", "time.n_steps=64"]
+
+
 def test_reconstruct_records_truncation_cap_hit(tmp_path, capsys, monkeypatch):
     cfg = small_config(tmp_path)
     trace_path = str(tmp_path / "t.txt")
-    run_cli(["--config", cfg, "generate", "--out", trace_path], capsys)
-    # eta close to 1: the truncation rule asks for far more than AUTO_N_CAP
-    monkeypatch.setattr(BackAndForth, "estimate_eta",
-                        lambda self, **kwargs: EtaEstimate(0.999, True, 2))
-    with pytest.warns(RuntimeWarning, match="capping at 200"):
-        code, _, _ = run_cli(["--config", cfg, "reconstruct", "--trace", trace_path],
+    run_cli(["--config", cfg, *WAVE_32, "generate", "--out", trace_path], capsys)
+    monkeypatch.setattr(observers, "AUTO_N_CAP", 1)
+    with pytest.warns(RuntimeWarning, match="capping at 1"):
+        code, _, _ = run_cli(["--config", cfg, *WAVE_32, "reconstruct", "--trace", trace_path],
                              capsys)
     assert code == 0
     diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
-    assert diag["n_capped"] is True and diag["n_used"] == 200
+    assert diag["n_capped"] is True and diag["n_used"] == 1
+    assert diag["residual"] > diag["eta_hat"] * (1 / 32 + 1 / 32)
 
 
 @pytest.mark.parametrize("override", [
@@ -553,14 +557,15 @@ def _line_of(fn, call: str) -> int:
 
 
 def test_warnings_name_the_line_that_asks(tmp_path, capsys, monkeypatch):
-    # each warning points at the call of the estimator or the Neumann sum,
-    # not at a timing wrapper: a sweep level's, the reconstruct command's
+    # each warning points at the call of the estimator or the solve: the one
+    # eta stage's, which a sweep level and the reconstruct command share,
+    # and the one reconstruction path's
     with pytest.warns(RuntimeWarning, match="at 8 cells did not converge") as caught:
         cli.harness.run_sweep(SweepPlan("schrodinger", (8,), 1.0, FieldSpec(),
                                         eta_max_iter=2, eta_tol=1e-12))
     (warning,) = caught
     assert (warning.filename, warning.lineno) == (
-        cli.harness.__file__, _line_of(cli.harness.run_cell, ".estimate_eta("))
+        cli.harness.__file__, _line_of(cli.harness.eta_stage, ".estimate_eta("))
     cfg = small_config(tmp_path)
     trace_path = str(tmp_path / "t.txt")
     run_cli(["--config", cfg, "generate", "--out", trace_path], capsys)
@@ -569,11 +574,11 @@ def test_warnings_name_the_line_that_asks(tmp_path, capsys, monkeypatch):
                  "reconstruct", "--trace", trace_path], capsys)
     (warning,) = caught
     assert (warning.filename, warning.lineno) == (
-        cli.__file__, _line_of(cli.cmd_reconstruct, ".estimate_eta("))
-    monkeypatch.setattr(BackAndForth, "estimate_eta",
-                        lambda self, **kwargs: EtaEstimate(0.999, True, 2))
-    with pytest.warns(RuntimeWarning, match="capping at 200") as caught:
-        run_cli(["--config", cfg, "reconstruct", "--trace", trace_path], capsys)
+        cli.harness.__file__, _line_of(cli.harness.eta_stage, ".estimate_eta("))
+    run_cli(["--config", cfg, *WAVE_32, "generate", "--out", trace_path], capsys)
+    monkeypatch.setattr(observers, "AUTO_N_CAP", 1)
+    with pytest.warns(RuntimeWarning, match="capping at 1") as caught:
+        run_cli(["--config", cfg, *WAVE_32, "reconstruct", "--trace", trace_path], capsys)
     (warning,) = caught
     assert (warning.filename, warning.lineno) == (
         cli.harness.__file__, _line_of(cli.harness.reconstruct, ".neumann_reconstruct("))
@@ -659,7 +664,7 @@ def test_sweep_outputs_and_exit_codes(tmp_path, capsys):
     stages = ("gen_ms", "eta_ms", "neumann_ms", "error_ms")
     for r in summary["rows"]:
         assert r["n_capped"] is False
-        assert 0 < r["max_increment_ratio"] and 0 < r["neumann_tail"]
+        assert 0 < r["ritz_max"] and 0 < r["residual"] <= r["eta_hat"] * (r["h"] + r["dt"])
         assert r["n_solves"] > 0
         assert all(r[s] > 0 for s in stages)
         assert sum(r[s] for s in stages) <= r["wall_ms"]

@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from bafobs import harness
+from bafobs import harness, observers
 from bafobs.fem import FieldSpec, Mesh1D, ObservationProfile, assemble, prolong
 from bafobs.harness import (CSV_HEADER, BackAndForth, NoiseRow, SweepPlan,
                             SweepRow, evaluate_gates, fit_rate, local_slopes,
@@ -15,8 +15,8 @@ from bafobs.linalg import ShiftedSystem
 from bafobs.models import NoiseSpec, ProblemInstance, add_noise, generate_observation
 from bafobs.observers import WaveState
 
-from oracles import (fine_h1_distance, fine_l2_distance, list_arnoldi, norm_alpha,
-                     project_pi_h)
+from oracles import (combine, fine_h1_distance, fine_l2_distance, list_arnoldi,
+                     norm_alpha, project_pi_h)
 
 TRUTH = FieldSpec(kind="sine", coefficients=(1.0, 0.5))
 WAVE_TRUTH = (FieldSpec(kind="sine", coefficients=(1.0,)),
@@ -193,13 +193,13 @@ def test_single_level_sweep_row(tmp_path):
 
 
 def test_truncation_cap_hit_recorded_in_row(monkeypatch):
-    # eta close to 1: the rule asks for more than AUTO_N_CAP terms
-    monkeypatch.setattr(BackAndForth, "estimate_eta",
-                        lambda self, *args, **kwargs: harness.EtaEstimate(0.999, True, 2))
-    with pytest.warns(RuntimeWarning, match="capping at 200"):
-        (row,) = run_cell(small_plan(levels=(8,)), 8)
+    # the 32-cell wave level needs two steps: a cap of one is hit
+    monkeypatch.setattr(observers, "AUTO_N_CAP", 1)
+    with pytest.warns(RuntimeWarning, match="capping at 1"):
+        (row,) = run_cell(wave_plan(levels=(32,)), 32)
     assert row.failure is None
-    assert row.n_capped is True and row.n_used == 200
+    assert row.n_capped is True and row.n_used == 1
+    assert row.residual > row.eta_hat * (row.h + row.dt)
 
 
 @pytest.mark.parametrize("equation, truth, tau", [("schrodinger", TRUTH, 1.0),
@@ -220,7 +220,9 @@ def test_row_solve_counts_are_the_solves_run(monkeypatch, equation, truth, tau):
     assert first.failure is None and second.failure is None
     assert first.n_solves + second.n_solves == len(calls)
     # the level's eta is charged to its first row: a pass per wave step, a
-    # round trip per Schrodinger step
+    # round trip per Schrodinger step; the clean solve, and the noisy row's
+    # replay of its polynomial, take the first iterate's round trip and one
+    # a step
     round_trip = 2 * (16 - 1) if equation == "wave" else 2 * 8
     eta_step = 16 - 1 if equation == "wave" else 2 * 8
     assert second.n_solves == round_trip * (second.n_used + 1)
@@ -391,17 +393,15 @@ def test_failed_or_unconverged_level_leaves_the_next_cold():
 
 def test_warm_schrodinger_sweep_matches_cold_rows():
     # the Schrodinger estimate takes as many steps warm as cold; eta_hat moves
-    # in its last bits only (about 1e-14 relative), and no N or error moves
+    # in its last bits only (about 1e-14 relative), and no step count,
+    # residual or error moves
     plan = small_plan(levels=(32, 64, 128, 256))
     warm, cold = run_sweep(plan), cold_rows(plan)
     assert [r.eta_warm for r in warm] == [False, True, True, True]
     for w, c in zip(warm, cold):
-        # the Neumann tail is eta_hat / (1 - eta_hat) times an increment
-        for name in ("eta_hat", "neumann_tail"):
-            assert getattr(w, name) == pytest.approx(getattr(c, name), rel=1e-12), name
+        assert w.eta_hat == pytest.approx(c.eta_hat, rel=1e-12)
         for f in fields(SweepRow):
-            if not f.name.endswith("_ms") and f.name not in ("eta_warm", "eta_hat",
-                                                             "neumann_tail"):
+            if not f.name.endswith("_ms") and f.name not in ("eta_warm", "eta_hat"):
                 assert getattr(w, f.name) == getattr(c, f.name), f.name
 
 
@@ -433,16 +433,22 @@ def level_inputs(plan, n_cells):
 
 @EQUATIONS
 def test_noisy_rows_match_one_sum_per_noise_level(equation, truth, tau):
-    # S(clean) + eps S(u) against the sum of each noisy trace: the clean row
-    # bit for bit, the noisy ones to rounding
+    # S(clean) + eps S(u) against the replay of the clean solve's polynomial
+    # on each noisy trace: the clean row bit for bit, the noisy ones to
+    # rounding.  A solve of its own, as reconstruct runs on a noisy trace,
+    # lands within the stopping bound of the replay: both are within
+    # eta_hat (h + dt) ||z||_X / (1 - eta_hat) of (I - L)^-1 z.
     plan = small_plan(equation=equation, truth=truth, tau=tau, levels=(16,),
                       noise_eps=(0.0, 1e-4, 1e-3, 1e-2), noise_seed=5)
     rows = run_cell(plan, 16)
     engine, clean, eta = level_inputs(plan, 16)
+    solve = engine.neumann_reconstruct(clean, eta_hat=eta.value, theta=plan.theta)
+    bound = eta.value * (engine.ops.mesh.h ** plan.theta + engine.dt) / (1.0 - eta.value)
     for row in rows:
-        _, ref = harness.reconstruct(
-            engine, add_noise(clean, NoiseSpec(row.noise_eps, plan.noise_seed)), eta,
-            n_policy=plan.n_policy, theta=plan.theta, truth=truth, noise_eps=row.noise_eps)
+        noisy = add_noise(clean, NoiseSpec(row.noise_eps, plan.noise_seed))
+        replay, ref = harness.reconstruct(
+            engine, noisy, eta, n_policy=plan.n_policy, theta=plan.theta, truth=truth,
+            noise_eps=row.noise_eps, polynomial=None if row.noise_eps == 0.0 else solve.polynomial)
         assert row.failure is None and row.n_used == ref.n_used >= 1
         if row.noise_eps == 0.0:
             harness.charge(ref, engine.eta_step_solves * eta.iterations)
@@ -450,6 +456,10 @@ def test_noisy_rows_match_one_sum_per_noise_level(equation, truth, tau):
             assert {k: getattr(row, k) for k in same} == {k: getattr(ref, k) for k in same}
         else:
             assert row.error_x == pytest.approx(ref.error_x, rel=1e-12, abs=0)
+            own = engine.neumann_reconstruct(noisy, eta_hat=eta.value, theta=plan.theta)
+            z = engine.first_iterate(noisy)
+            gap = engine.x_norm(combine((1.0, own.estimate), (-1.0, replay.estimate)))
+            assert gap <= 2.0 * bound * engine.x_norm(z)
 
 
 @EQUATIONS
@@ -470,11 +480,13 @@ def test_a_level_runs_at_most_two_neumann_sums(monkeypatch, equation, truth, tau
     first = rows[0]
     round_trip = 2 * (16 - 1) if equation == "wave" else 2 * 8
     eta_step = 16 - 1 if equation == "wave" else 2 * 8
-    one_sum = round_trip * (first.n_used + 1)
-    assert len(calls) == eta_step * first.eta_iterations + sums * one_sum
+    # the clean solve runs the first iterate and m steps, and so does the
+    # replay of its polynomial on u
+    one_run = round_trip * (first.n_used + 1)
+    assert len(calls) == eta_step * first.eta_iterations + sums * one_run
     # S(clean) and the eta go to the first row, S(u) to the first noisy one
     assert [r.n_solves for r in rows] == (
-        [len(calls) - (sums - 1) * one_sum] + [one_sum, 0, 0][:len(rows) - 1])
+        [len(calls) - (sums - 1) * one_run] + [one_run, 0, 0][:len(rows) - 1])
     assert [r.neumann_ms > 0 for r in rows] == [True] * sums + [False] * (len(rows) - sums)
 
 
@@ -559,16 +571,19 @@ def test_noise_study_requires_baseline():
 
 
 def test_noise_inflation_magnitude_grows_with_forced_n():
-    # each extra Neumann term re-adds positively correlated noise mass (the
+    # each forced solve step re-adds positively correlated noise mass (the
     # round trip is positive semidefinite), so the noise contribution grows
-    # with the forced truncation length, saturating geometrically
+    # with the forced step count, saturating geometrically; at this level the
+    # solve is exact to rounding after two steps, and a forced eight stops
+    # there as a breakdown
     inflations = []
-    for n_terms in (0, 2, 8):
+    for n_terms in (0, 1, 2, 8):
         plan = small_plan(levels=(32,), noise_eps=(0.0, 0.5), n_policy=n_terms)
-        _, table = noise_study(plan)
+        rows, table = noise_study(plan)
         noisy = [t for t in table if t.noise_eps > 0][0]
         inflations.append(abs(noisy.inflation))
-    assert inflations[0] < inflations[1] < inflations[2]
+    assert rows[0].n_used == 2
+    assert inflations[0] < inflations[1] < inflations[2] == inflations[3]
 
 
 # -- reports ----------------------------------------------------------------------

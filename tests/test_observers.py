@@ -11,16 +11,17 @@ from bafobs import linalg
 from bafobs.fem import FieldSpec, Mesh1D, ObservationProfile, assemble
 from bafobs.linalg import SymTridiag, pencil_eigs
 from bafobs.models import ProblemInstance, generate_observation
+from bafobs import observers
 from bafobs.observers import (RATIO_SLACK, BackAndForth, EtaEstimate, ObservationTrace,
                               SchrodingerStepper, WaveState, WaveStepper,
-                              arnoldi_iteration, choose_truncation, run_schrodinger,
-                              run_wave)
+                              arnoldi_iteration, choose_truncation, gmres,
+                              run_schrodinger, run_wave)
 
-from oracles import (backward_schrodinger_stepper, dense, dense_round_trip,
+from oracles import (backward_schrodinger_stepper, combine, dense, dense_round_trip,
                      dense_schrodinger_pass, dense_wave_pass, exact_damped_schrodinger,
-                     list_arnoldi, norm_alpha, old_apply_L, old_backward_observer,
-                     old_first_iterate, old_neumann_estimate, pencil_vectors,
-                     power_iteration, schrodinger_history, wave_history)
+                     list_arnoldi, neumann_series, norm_alpha, old_apply_L,
+                     old_backward_observer, old_first_iterate, old_neumann_estimate,
+                     pencil_vectors, power_iteration, schrodinger_history, wave_history)
 
 
 @pytest.fixture(scope="module")
@@ -180,16 +181,15 @@ def test_output_driven_passes_match_the_loads_driven_oracle(n_cells, equation, n
             assert np.array_equal(out.pos, expected.pos)
             assert np.array_equal(out.vel, expected.vel)
     # through the observers: the backward pass reads the reversed rows (the
-    # Schrodinger one conjugated as it reads them), and the Neumann sum
-    # starts from the first iterate
+    # Schrodinger one conjugated as it reads them), and the Neumann sum of
+    # the first iterate composes them
     engine = BackAndForth(equation, ops, dt, n_steps)
     trace = ObservationTrace(equation, samples, n_steps * dt, dt)
     state = engine.random_state(n_steps)
     for got, expected in (
             (engine.backward_observer(trace, state), old_backward_observer(engine, trace, state)),
             (engine.first_iterate(trace), old_first_iterate(engine, trace)),
-            (engine.neumann_reconstruct(trace, n_terms=2).estimate,
-             old_neumann_estimate(engine, trace, 2))):
+            (neumann_series(engine, trace, 2)[1][-1], old_neumann_estimate(engine, trace, 2))):
         if equation == "wave":
             assert np.array_equal(got.pos, expected.pos)
             got, expected = got.vel, expected.vel
@@ -528,8 +528,8 @@ def test_apply_l_zero_and_linearity(engines):
     rhs = 2.0 * schrod.apply_L(u) + 0.5 * schrod.apply_L(v)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
     uw, vw = wave.random_state(3), wave.random_state(4)
-    lw = wave.apply_L(2.0 * uw + 0.5 * vw)
-    rw = 2.0 * wave.apply_L(uw) + 0.5 * wave.apply_L(vw)
+    lw = wave.apply_L(combine((2.0, uw), (0.5, vw)))
+    rw = combine((2.0, wave.apply_L(uw)), (0.5, wave.apply_L(vw)))
     assert np.max(np.abs(lw.pos - rw.pos)) <= 1e-12 * max(np.max(np.abs(rw.pos)), 1e-30)
 
 
@@ -744,7 +744,7 @@ def test_ritz_vector_is_the_dominant_eigenvector(equation):
     image = engine.apply_L(x)
     lam = engine.x_inner(image, x)
     assert abs(lam) == pytest.approx(est.value, rel=1e-10)
-    assert engine.x_norm(image - x * lam) <= 1e-9
+    assert engine.x_norm(combine((1.0, image), (-lam, x))) <= 1e-9
     assert EtaEstimate(est.value, True, est.iterations) == est
 
 
@@ -765,7 +765,8 @@ def test_one_array_arnoldi_is_the_list_basis_oracle(equation, n_cells):
         op, power = engine.apply_L, 1
     for warm in (None, coarse.ritz_vector):
         est = engine.estimate_eta(tol=1e-10, seed=3, warm=warm)
-        ref = list_arnoldi(op, engine.x_inner, engine._eta_start(3, warm), tol=1e-10)
+        ref = list_arnoldi(op, engine.x_inner, engine._state(engine._eta_start(3, warm)),
+                           tol=1e-10)
         assert est.converged and ref.converged
         assert est.iterations == ref.iterations
         assert est.value == pytest.approx(ref.value ** power, rel=1e-12, abs=0.0)
@@ -773,7 +774,7 @@ def test_one_array_arnoldi_is_the_list_basis_oracle(equation, n_cells):
         assert type(x) is type(ref.ritz_vector)
         image = engine.apply_L(x)
         lam = engine.x_inner(image, x)
-        assert engine.x_norm(image - x * lam) <= 1e-9
+        assert engine.x_norm(combine((1.0, image), (-lam, x))) <= 1e-9
 
 
 @settings(max_examples=60, deadline=None)
@@ -894,36 +895,105 @@ def test_choose_truncation_refuses_no_contraction():
 # -- reconstruction -------------------------------------------------------------
 
 
-def test_increment_ratio_past_eta_hat_warns(engines):
-    # an eta_hat that missed the dominant mode: the increments shrink by
-    # about the true eta per term, twice eta_hat, and the sum says so
-    ops, schrod, _ = engines
-    inst = ProblemInstance("schrodinger", ops.mesh, ops.profile, tau=1.0,
-                           n_steps=schrod.n_steps, truth=FieldSpec(kind="sine",
-                                                                   coefficients=(1.0,)))
-    trace = generate_observation(inst, refine=2)
+def _sine_trace(engine, coefficients=(1.0,)):
+    ops = engine.ops
+    truth = FieldSpec(kind="sine", coefficients=coefficients)
+    if engine.equation == "wave":
+        truth = (truth, FieldSpec(kind="sine", coefficients=(0.0, 1.0)))
+    inst = ProblemInstance(engine.equation, ops.mesh, ops.profile,
+                           tau=engine.n_steps * engine.dt, n_steps=engine.n_steps, truth=truth)
+    return generate_observation(inst, refine=2)
+
+
+def test_ritz_value_past_eta_hat_warns(engines):
+    # an eta_hat that missed the dominant mode: the solve's Krylov space
+    # holds a Ritz value near the true eta, twice eta_hat, and the solve says so
+    _, schrod, _ = engines
+    trace = _sine_trace(schrod)
     eta = schrod.estimate_eta(seed=3).value
     quiet = schrod.neumann_reconstruct(trace, eta_hat=eta)
-    assert quiet.max_increment_ratio <= eta * (1.0 + RATIO_SLACK)
-    assert quiet.neumann_tail == pytest.approx(
-        quiet.increment_norms[-1] * eta / (1.0 - eta), rel=1e-15)
-    with pytest.warns(RuntimeWarning, match="Neumann increments shrink by a factor up to "
-                      r"\S+ per term, more than eta_hat = \S+ allows") as caught:
+    assert quiet.ritz_max <= eta * (1.0 + RATIO_SLACK)
+    with pytest.warns(RuntimeWarning, match=r"Ritz value of L of modulus \S+, more than "
+                      r"eta_hat = \S+ allows") as caught:
         low = schrod.neumann_reconstruct(trace, eta_hat=eta / 2)
     (warning,) = caught
     assert warning.filename == __file__
-    assert low.max_increment_ratio > eta / 2 * (1.0 + RATIO_SLACK)
-    # no eta_hat, no check and no tail; no ratio without a term past z
+    assert low.ritz_max > eta / 2 * (1.0 + RATIO_SLACK)
+    # no step, no Ritz value and no residual
     bare = schrod.neumann_reconstruct(trace, n_terms=0)
-    assert (bare.max_increment_ratio, bare.neumann_tail) == (None, None)
+    assert (bare.ritz_max, bare.residual) == (None, None)
 
 
 def test_reconstruct_zero_trace_gives_zero(engines):
-    ops, schrod, _ = engines
-    trace = _zero_trace("schrodinger", ops.n, schrod.n_steps, schrod.dt)
-    res = schrod.neumann_reconstruct(trace, n_terms=4)
-    assert np.all(res.estimate == 0)
-    assert all(v == 0.0 for v in res.increment_norms)
+    # a zero first iterate is its own solution: no step runs and nothing is
+    # divided by its zero norm, with a given step count or the automatic rule;
+    # its polynomial is the identity
+    ops, schrod, wave = engines
+    for engine in (schrod, wave):
+        trace = _zero_trace(engine.equation, ops.n, engine.n_steps, engine.dt)
+        for kwargs in ({"n_terms": 4}, {"eta_hat": 0.5}):
+            with np.errstate(all="raise"):
+                res = engine.neumann_reconstruct(trace, **kwargs)
+            assert np.all(engine._flat(res.estimate) == 0)
+            assert (res.n_used, res.residual_norms) == (0, (0.0,))
+            assert (res.residual, res.ritz_max, res.n_capped) == (None, None, False)
+        other = _sine_trace(engine)
+        replayed = engine.neumann_reconstruct(other, polynomial=res.polynomial).estimate
+        assert np.array_equal(engine._flat(replayed), engine._flat(engine.first_iterate(other)))
+
+
+@pytest.mark.parametrize("equation", ["schrodinger", "wave"])
+def test_lucky_breakdown_returns_the_exact_solution(engines, monkeypatch, equation):
+    # a Krylov space that L leaves invariant ends the solve, even with more
+    # steps asked for: for L = 0 the new direction is exactly zero, for
+    # L = I / 2 it is rounding; the estimate is z / (1 - lambda)
+    _, schrod, wave = engines
+    engine = schrod if equation == "schrodinger" else wave
+    trace = _sine_trace(engine)
+    z = engine._flat(engine.first_iterate(trace))
+    for lam in (0.0, 0.5):
+        monkeypatch.setattr(engine, "_round_trip", lambda u, lam=lam: lam * u)
+        for kwargs in ({"n_terms": 5}, {"eta_hat": 0.6}):
+            res = engine.neumann_reconstruct(trace, **kwargs)
+            assert res.n_used == 1
+            assert res.residual <= 1e-15
+            x = engine._flat(res.estimate)
+            assert np.max(np.abs(x - z / (1.0 - lam))) <= 1e-14 * np.max(np.abs(z))
+        assert abs(res.polynomial.hess[1, 0]) <= (lam > 0) * 1e-15
+
+
+def test_gmres_breaks_down_on_an_invariant_space():
+    # an eigenvector start: h_21 is exactly zero and x = z / (1 - lambda)
+    diag = np.array([0.3, -0.92, 0.5, 0.05])
+    x, poly, residuals = gmres(lambda v: diag * v, _plain_gram, np.eye(4)[2], 10)
+    assert poly.steps == 1 and poly.hess[1, 0] == 0.0 and residuals[-1] == 0.0
+    assert np.allclose(x, np.eye(4)[2] / 0.5, rtol=0, atol=1e-15)
+    # a generic start exhausts the 4-dimensional space after 4 steps
+    x, poly, residuals = gmres(lambda v: diag * v, _plain_gram, np.ones(4), 10)
+    assert poly.steps == 4 and residuals[-1] <= 1e-14
+    assert np.allclose(x, 1.0 / (1.0 - diag), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("equation", ["schrodinger", "wave"])
+def test_final_residual_meets_the_stopping_rule(engines, equation):
+    # the residual z - (I - L) x, recomputed through apply_L, is within
+    # eta_hat (h^theta + dt) of z: x = z + L x_m leaves L r_m, at most the
+    # r_m of the GMRES iterate x_m that the solve reports and stops on
+    _, schrod, wave = engines
+    engine = schrod if equation == "schrodinger" else wave
+    trace = _sine_trace(engine, (1.0, 0.5))
+    eta = engine.estimate_eta(seed=3).value
+    for theta in (1.0, 2.0):
+        res = engine.neumann_reconstruct(trace, eta_hat=eta, theta=theta)
+        z, x = engine.first_iterate(trace), res.estimate
+        r = combine((1.0, z), (-1.0, x), (1.0, engine.apply_L(x)))
+        relative = engine.x_norm(r) / engine.x_norm(z)
+        assert relative <= res.residual <= eta * (engine.ops.mesh.h ** theta + engine.dt)
+        assert res.n_used >= 1 and not res.n_capped
+        # one step fewer does not meet the rule
+        short = engine.neumann_reconstruct(trace, n_terms=res.n_used - 1)
+        if short.residual is not None:
+            assert short.residual > eta * (engine.ops.mesh.h ** theta + engine.dt)
 
 
 def test_reconstruct_n_zero_equals_first_iterate(engines):
@@ -943,53 +1013,65 @@ def test_reconstruct_n_zero_equals_first_iterate(engines):
        a=st.floats(-2.0, 2.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-3),
        b=st.floats(-2.0, 2.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-3))
 def test_reconstruct_linear_in_trace(engines, equation, seed, n_terms, a, b):
+    # a solve is not linear in its trace, since its polynomial depends on z;
+    # the replay of one solve's polynomial is, to rounding
     ops, schrod, wave = engines
     engine = schrod if equation == "schrodinger" else wave
     rng = np.random.default_rng(seed)
     shape = (engine.n_steps + 1, ops.n)
 
+    def trace(samples):
+        return ObservationTrace(equation, samples, engine.n_steps * engine.dt, engine.dt)
+
     def draw():
         y = rng.standard_normal(shape)
         return y + 1j * rng.standard_normal(shape) if equation == "schrodinger" else y
 
-    y1, y2 = draw(), draw()
+    y0, y1, y2 = draw(), draw(), draw()
+    solve = engine.neumann_reconstruct(trace(y0), n_terms=n_terms)
+    # a solve exact to rounding stops short of n_terms
+    assert solve.polynomial.steps == solve.n_used <= n_terms
 
     def estimate(samples):
-        trace = ObservationTrace(equation, samples, engine.n_steps * engine.dt, engine.dt)
-        est = engine.neumann_reconstruct(trace, n_terms=n_terms).estimate
-        return est if equation == "schrodinger" else np.concatenate((est.pos, est.vel))
+        res = engine.neumann_reconstruct(trace(samples), polynomial=solve.polynomial)
+        assert res.n_used == solve.n_used
+        return engine._flat(res.estimate)
 
     e1, e2 = estimate(y1), estimate(y2)
     combined = estimate(a * y1 + b * y2)
     scale = max(abs(a) * np.max(np.abs(e1)), abs(b) * np.max(np.abs(e2)), 1e-300)
     assert np.max(np.abs(combined - (a * e1 + b * e2))) <= 1e-12 * scale
+    # on the solve's own trace the replay is the solve
+    own = estimate(y0)
+    assert np.max(np.abs(own - engine._flat(solve.estimate))) <= 1e-12 * np.max(np.abs(own))
 
 
 def test_reconstruct_tail_bound_against_long_run(engines):
+    # against the long-run Neumann sum, a solve's error is at most its
+    # residual over 1 - eta (the Schrodinger L is X-self-adjoint), and a
+    # truncated sum's at most its geometric tail
     ops, schrod, _ = engines
-    truth = FieldSpec(kind="sine", coefficients=(1.0, 0.5))
-    inst = ProblemInstance("schrodinger", ops.mesh, ops.profile, tau=1.0,
-                           n_steps=32, truth=truth)
-    trace = generate_observation(inst, refine=2)
+    trace = _sine_trace(schrod, (1.0, 0.5))
     eta = schrod.estimate_eta(tol=1e-9, max_iter=300, seed=11)
-    long_run = schrod.neumann_reconstruct(trace, n_terms=50)
-    assert long_run.increment_norms[-1] < 1e-14
-    z0_norm = long_run.increment_norms[0]
+    terms, sums = neumann_series(schrod, trace, 50)
+    long_run = sums[-1]
+    assert schrod.x_norm(terms[-1]) < 1e-14
+    z0_norm = schrod.x_norm(terms[0])
     for n in (2, 4, 8):
-        short = schrod.neumann_reconstruct(trace, n_terms=n)
-        dev = schrod.x_norm(long_run.estimate - short.estimate)
+        dev = schrod.x_norm(long_run - sums[n])
         assert dev <= eta.value ** (n + 1) / (1 - eta.value) * z0_norm * 1.01
+        solve = schrod.neumann_reconstruct(trace, n_terms=n)
+        dev = schrod.x_norm(long_run - solve.estimate)
+        assert dev <= solve.residual_norms[-1] / (1 - eta.value) * 1.01 + 1e-14 * z0_norm
 
 
 def test_reconstruct_increment_ratios_bounded_by_eta(engines):
+    # the Neumann series the solve replaced: its increments L^n z shrink by
+    # about eta per term
     ops, schrod, _ = engines
-    truth = FieldSpec(kind="sine", coefficients=(1.0, 0.5))
-    inst = ProblemInstance("schrodinger", ops.mesh, ops.profile, tau=1.0,
-                           n_steps=32, truth=truth)
-    trace = generate_observation(inst, refine=2)
+    trace = _sine_trace(schrod, (1.0, 0.5))
     eta = schrod.estimate_eta(tol=1e-9, max_iter=300, seed=11)
-    res = schrod.neumann_reconstruct(trace, n_terms=10)
-    inc = res.increment_norms
+    inc = [schrod.x_norm(t) for t in neumann_series(schrod, trace, 10)[0]]
     assert all(b <= a * 1.05 for a, b in zip(inc[1:], inc[2:]))
     for n in range(3, 9):
         assert inc[n + 1] <= eta.value * inc[n] * 1.05
@@ -1021,28 +1103,30 @@ def test_reconstruct_single_mode_error_decreases_to_floor():
 
 def test_reconstruct_wave_increments_nonincreasing(engines):
     ops, _, wave = engines
-    w0 = FieldSpec(kind="sine", coefficients=(1.0,))
-    w1 = FieldSpec(kind="sine", coefficients=(0.0, 1.0))
-    inst = ProblemInstance("wave", ops.mesh, ops.profile, tau=2.0, n_steps=64,
-                           truth=(w0, w1))
-    trace = generate_observation(inst, refine=2)
-    res = wave.neumann_reconstruct(trace, n_terms=8)
-    inc = res.increment_norms
+    trace = _sine_trace(wave)
+    inc = [wave.x_norm(t) for t in neumann_series(wave, trace, 8)[0]]
     assert all(b <= a * 1.05 for a, b in zip(inc[1:], inc[2:]))
 
 
-def test_reconstruct_auto_floors_and_caps(engines):
-    ops, schrod, _ = engines
-    trace = _zero_trace("schrodinger", ops.n, schrod.n_steps, schrod.dt)
-    res = schrod.neumann_reconstruct(trace, eta_hat=1e-6)
-    assert res.n_used == 1    # rule gives 0, floored to 1
-    mesh = Mesh1D(n_cells=4)
-    tiny = assemble(mesh, ObservationProfile())
-    engine = BackAndForth("schrodinger", tiny, 0.5, 2)
-    zt = _zero_trace("schrodinger", tiny.n, 2, 0.5)
-    with pytest.warns(RuntimeWarning, match="capping"):
-        res = engine.neumann_reconstruct(zt, eta_hat=1.0 - 1e-12)
-    assert res.n_used == 200
+def test_reconstruct_auto_floors_and_caps(engines, monkeypatch):
+    # a rule that z meets before any step (eta_hat (h^theta + dt) >= 1)
+    # still takes one; a rule not met in AUTO_N_CAP steps warns and stops there
+    ops, schrod, wave = engines
+    trace = _sine_trace(schrod, (1.0, 0.5))
+    res = schrod.neumann_reconstruct(trace, eta_hat=0.999, theta=1e-9)
+    assert res.n_used == 1 and not res.n_capped
+    trace = _sine_trace(wave)
+    eta = wave.estimate_eta(seed=3).value
+    one_step = wave.neumann_reconstruct(trace, n_terms=1)
+    theta = 20.0                # h^theta vanishes: the rule asks for eta_hat dt
+    assert one_step.residual > eta * wave.dt
+    monkeypatch.setattr(observers, "AUTO_N_CAP", 1)
+    with pytest.warns(RuntimeWarning, match="capping at 1") as caught:
+        res = wave.neumann_reconstruct(trace, eta_hat=eta, theta=theta)
+    (warning,) = caught
+    assert warning.filename == __file__
+    assert res.n_capped and res.n_used == 1
+    assert res.residual == one_step.residual
 
 
 def test_reconstruct_auto_needs_eta(engines):
