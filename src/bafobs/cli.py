@@ -288,15 +288,6 @@ def _engine_from(cfg: dict) -> harness.BackAndForth:
                                 cfg["time"]["dt"], cfg["time"]["n_steps"])
 
 
-def _sha256(path: Path) -> str:
-    """The file's digest, read in 1 MiB chunks so the trace is never held twice."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _strict(doc):
     """doc with every non-finite float as None, so ``json.dumps`` writes
     null where it would write the bare tokens NaN and Infinity."""
@@ -324,8 +315,9 @@ def cmd_generate(cfg: dict, out: str | None) -> int:
     trace = models.generate_observation(instance, refine=cfg["refine"], noise=noise)
     path = Path(out) if out else Path(cfg["output"]["directory"]) / "trace.txt"
     path.parent.mkdir(parents=True, exist_ok=True)
-    models.write_trace(path, trace, instance, cfg["refine"], noise, config=cfg)
-    print(json.dumps({"trace": str(path), "sha256": _sha256(path),
+    digest = hashlib.sha256()
+    models.write_trace(path, trace, instance, cfg["refine"], noise, config=cfg, digest=digest)
+    print(json.dumps({"trace": str(path), "sha256": digest.hexdigest(),
                       "rows": trace.n_steps + 1}))
     return 0
 

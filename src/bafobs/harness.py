@@ -179,6 +179,9 @@ class SweepRow:
     # Ritz value modulus, which eta_hat should bound
     residual: float | None = None
     ritz_max: float | None = None
+    # the clean solve's share |alpha| / ||z||_X of the first iterate along the
+    # deflated Ritz vector of the eta estimate; None when it deflated no pair
+    deflated: float | None = None
 
 
 def build_engine(equation: str, n_cells: int, length: float,
@@ -201,15 +204,17 @@ def eta_stage(engine: BackAndForth, tol: float = _ETA_DEFAULTS["tol"],
 
 def reconstruct(engine: BackAndForth, trace, eta: EtaEstimate, *, n_policy: int | str,
                 theta: float, truth, noise_eps: float, polynomial=None):
-    """The solve of a trace, or the replay of another solve's ``polynomial``
-    on it, and its error against the truth: (result, row).
+    """The solve of a trace, deflating the eta estimate's Ritz pair, or the
+    replay of another solve's ``polynomial`` on it, and its error against
+    the truth: (result, row).
 
     The row carries the round trips' solves and time; ``charge`` adds a
     shared eta estimate.  Without a truth, error_x is nan.
     """
     start = time.perf_counter()
     result = engine.neumann_reconstruct(trace, n_terms=None if n_policy == "auto" else n_policy,
-                                        eta_hat=eta.value, theta=theta, polynomial=polynomial)
+                                        eta_hat=eta.value, theta=theta, polynomial=polynomial,
+                                        ritz_pair=eta.ritz_pair)
     neumann_ms = 1e3 * (time.perf_counter() - start)
     row = fill_row(engine, result, result.estimate, eta, truth=truth, noise_eps=noise_eps,
                    theta=theta)
@@ -234,7 +239,8 @@ def fill_row(engine: BackAndForth, result, estimate, eta: EtaEstimate, *, truth,
                     noise_eps, err, error_ms, eta_converged=eta.converged,
                     eta_iterations=eta.iterations, error_ms=error_ms,
                     n_capped=result.n_capped, n_neumann=n_neumann,
-                    residual=result.residual, ritz_max=result.ritz_max)
+                    residual=result.residual, ritz_max=result.ritz_max,
+                    deflated=result.deflated)
 
 
 def charge(row: SweepRow, solves: int = 0, *, neumann_ms: float = 0.0,
@@ -265,12 +271,14 @@ def run_cell(plan: SweepPlan, n_cells: int,
     depend on the noise, so they are built once per level.  Every noise
     level draws the same stream, so its trace is clean + eps * u up to
     rounding, u the unit draw of ``unit_noise``.  A level therefore runs at
-    most one solve and one replay: the solve of the clean trace, S(clean) =
-    q(L) z, at the first row that passes its noise check, and q(L) of u's
-    first iterate, S(u), at the first such row with eps > 0.  The replay is
-    linear in the trace, so row eps is S(clean) + eps * S(u), the one linear
-    map q(L) of its noisy trace; it is exactly S(clean) for eps = 0, and a
-    noisy row's noise_gain is ``error_norm`` of S(u).
+    most one solve and one replay: the solve of the clean trace, S(clean),
+    at the first row that passes its noise check, and the replay of its map
+    S (a polynomial in L, beside the closed-form part along the deflated
+    Ritz vector) on u's first iterate, S(u), at the first such row with
+    eps > 0.  The replay is linear in the trace, so row eps is S(clean) +
+    eps * S(u), the one linear map S of its noisy trace; it is exactly
+    S(clean) for eps = 0, and a noisy row's noise_gain is ``error_norm`` of
+    S(u).
 
     Failures are recorded, not raised: a failure in the shared set-up or in
     S(clean), which every row shares, marks every row of the level; one in

@@ -365,20 +365,23 @@ def _dst1(u: np.ndarray) -> np.ndarray:
 
     out_k = sum_j u_j sin(pi (j+1)(k+1)/(n+1)), read off entries 1..n of the
     FFT of the odd extension [0, u, 0, -reversed u] (length 2n+2), which are
-    -2i out_k.  A complex u is transformed as its real and imaginary parts,
-    so no buffer is both complex and twice as long as u.
+    -2i out_k: one real FFT for real u, one complex FFT for complex u.
     """
-    if np.iscomplexobj(u):
-        out = np.empty(u.shape, dtype=complex)
-        out.real = _dst1(u.real)
-        out.imag = _dst1(u.imag)
-        return out
     n = u.shape[-1]
-    ext = np.empty(u.shape[:-1] + (2 * n + 2,))
+    ext = np.empty(u.shape[:-1] + (2 * n + 2,), np.result_type(u, float))
     ext[..., 0] = ext[..., n + 1] = 0.0
     ext[..., 1:n + 1] = u
+    return _extended_dst1(ext)
+
+
+def _extended_dst1(ext: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``_dst1`` of u from ext = [0, u, 0, ...] of length 2n+2, whose last n
+    entries it fills with -reversed u; into out, if given."""
+    n = ext.shape[-1] // 2 - 1
     np.negative(ext[..., n:0:-1], out=ext[..., n + 2:])
-    return -0.5 * np.fft.rfft(ext)[..., 1:n + 1].imag
+    if np.iscomplexobj(ext):
+        return np.multiply(np.fft.fft(ext)[..., 1:n + 1], 0.5j, out=out)
+    return np.multiply(np.fft.rfft(ext)[..., 1:n + 1].imag, -0.5, out=out)
 
 
 @dataclass(frozen=True)
@@ -421,20 +424,53 @@ class PencilEig:
 
     def from_modal(self, c: np.ndarray, stride: int = 1) -> np.ndarray:
         """V c along the last axis, only at the nodes stride, 2 stride, ...
+        (``synthesis`` for c's rows)."""
+        c = self._check(c)
+        rows = c.reshape(-1, self.n)
+        modal, synthesize = self.synthesis(len(rows), stride, c.dtype)
+        modal[...] = rows
+        return synthesize(len(rows)).copy().reshape(c.shape[:-1] + (-1,))
+
+    def synthesis(self, rows: int, stride: int = 1, dtype=float):
+        """``from_modal`` over buffers allocated here, once, for up to rows
+        rows at a time: (modal, synthesize).  modal is a (rows, n) view of
+        mode coordinates to fill, and synthesize(m) returns V c for its
+        first m rows c, at the nodes stride, 2 stride, ..., as a view into a
+        buffer that the next call overwrites; it overwrites modal.  Buffers
+        reused block after block keep a blocked synthesis from allocating,
+        and faulting in, fresh pages.
 
         Node stride*i sees sine k = jC + m, C = (n+1)/stride, as sin(i m pi/C)
         for even j and -sin(i (C-m) pi/C) for odd j: the sines fold onto C - 1
-        coarse ones, and one DST-I of that length gives the samples.
+        coarse ones, and one DST-I of that length gives the samples.  The
+        folded sines go straight into the DST-I's odd extension.
         """
-        c = self._check(c)
         n = self.n
         if stride < 1 or (n + 1) % stride:
             raise ValueError(f"stride must divide n + 1 = {n + 1}, got {stride}")
-        sines = np.zeros(c.shape[:-1] + (n + 1,), dtype=np.result_type(c, float))
-        # modes is the identity or the reversal, so it is its own inverse
-        np.multiply(c[..., self.modes], self._scale[self.modes], out=sines[..., 1:])
-        blocks = sines.reshape(c.shape[:-1] + (stride, -1))   # row j: sines jC .. jC + C - 1
-        return _dst1(blocks[..., ::2, 1:].sum(axis=-2) - blocks[..., 1::2, :0:-1].sum(axis=-2))
+        dtype = np.result_type(dtype, float)
+        width = (n + 1) // stride
+        ext = np.zeros((rows, 2 * width), dtype)
+        out = np.empty((rows, width - 1), dtype)
+        # the sines' coefficients, index 0 (no sine) held at 0; unfolded, they
+        # are the extension's head
+        sines = ext[:, :width] if stride == 1 else np.zeros((rows, n + 1), dtype)
+        # mode coordinates in mode order: modes is the identity or the
+        # reversal, so it is its own inverse
+        modal = sines[:, 1:][:, self.modes]
+        scale = self._scale[self.modes]
+
+        def synthesize(m: int) -> np.ndarray:
+            np.multiply(sines[:m, 1:], scale, out=sines[:m, 1:])
+            if stride > 1:
+                blocks = sines[:m].reshape(m, stride, width)    # row j: sines jC .. jC + C - 1
+                even, odd = blocks[:, ::2, 1:], blocks[:, 1::2, :0:-1]
+                if stride > 2:      # a sum of one row is that row
+                    even = np.sum(even, axis=1, keepdims=True)
+                    odd = np.sum(odd, axis=1, keepdims=True, out=out[:m, None])
+                np.subtract(even[:, 0], odd[:, 0], out=ext[:m, 1:width])
+            return _extended_dst1(ext[:m], out[:m])
+        return modal, synthesize
 
 
 def pencil_eigs(K: SymTridiag, M: SymTridiag) -> PencilEig:

@@ -6,9 +6,13 @@ discretization (and, with refine > 1, the space discretization) of the
 reconstruction -- the usual inverse-crime safeguards.  Each mode of the
 mass/stiffness pencil evolves by its closed-form phase (``pencil_eigs``), and
 only the observed field is synthesized, at the reconstruction nodes, a block
-of time rows at a time.  So generation costs O(K n log n), holds no fine
-trajectory and no n x n array, and has no size limit.  Bounded uniform noise
-models the data-error terms of the convergence estimates.
+of B = GENERATION_BLOCK time rows at a time, by block phasors: one table of
+the phases of the offsets r < B per generation, one phase per mode per
+block, and products inside the block.  So of K time rows and n modes,
+generation evaluates O(n (B + K/B)) transcendentals, plus one FFT per row
+(complex for Schrodinger, real for the wave), holds no fine trajectory and
+no n x n array, and has no size limit.  Bounded uniform noise models the
+data-error terms of the convergence estimates.
 """
 
 from __future__ import annotations
@@ -107,10 +111,24 @@ def generate_observation(instance: ProblemInstance, refine: int = 1,
     The observed field (the state for Schrodinger, the velocity for the
     wave) of the refined mesh is synthesized only at the reconstruction
     nodes (nodal injection), GENERATION_BLOCK time rows at a time, and
-    multiplied nodally by the observation weight.
+    multiplied nodally by the observation weight; noise is drawn straight
+    into the samples.
     """
     if refine < 1:
         raise ValueError("refine must be at least 1")
+    samples = _clean_samples(instance, refine)
+    provenance = "mesh-refined" if refine > 1 else "clean"
+    if noise is not None and noise.amplitude != 0.0:
+        _draw_noise(samples, noise)      # the samples are this function's own
+        provenance = "noisy"
+    return ObservationTrace(equation=instance.equation, samples=samples,
+                            tau=instance.tau, dt=instance.dt, provenance=provenance)
+
+
+def _clean_samples(instance: ProblemInstance, refine: int) -> np.ndarray:
+    """``generate_observation``'s samples before any noise, in a new array;
+    the synthesis buffers are released when it returns, before the noise
+    is drawn."""
     fine = Mesh1D(n_cells=instance.mesh.n_cells * refine, length=instance.mesh.length)
     ops = assemble(fine, instance.profile)
     pencil = pencil_eigs(ops.stiffness, ops.mass)
@@ -121,18 +139,12 @@ def generate_observation(instance: ProblemInstance, refine: int = 1,
     if instance.equation == "schrodinger":
         rate, dtype = lam, complex
         c = pencil.to_modal(instance.truth.value(x).astype(complex))
-
-        def observed(t):
-            return np.exp(1j * t[:, None] * lam) * c
     else:
-        om = np.sqrt(lam)
-        rate, dtype = om, float
+        # the velocity b cos(omega t) - omega a sin(omega t) is
+        # Re(exp(i omega t) (b + i omega a))
+        rate, dtype = np.sqrt(lam), float
         a, b = (pencil.to_modal(f.value(x)) for f in instance.truth)
-        om_a = om * a
-
-        def observed(t):
-            wt = t[:, None] * om
-            return np.cos(wt) * b - np.sin(wt, out=wt) * om_a
+        c = b + 1j * (rate * a)
     # as Python floats the product overflows to inf without a warning
     if not math.isfinite(float(times[-1]) * float(rate[-1])):    # rates ascend
         raise ValueError(f"tau = {instance.tau!r} is too large: the largest phase tau * "
@@ -140,15 +152,31 @@ def generate_observation(instance: ProblemInstance, refine: int = 1,
                          "_max overflows")
     weights = instance.profile.weight(x[refine - 1::refine])
     samples = np.empty((times.size, weights.size), dtype=dtype)
-    for start in range(0, times.size, GENERATION_BLOCK):
-        rows = slice(start, start + GENERATION_BLOCK)
-        samples[rows] = pencil.from_modal(observed(times[rows]), refine) * weights
-    provenance = "mesh-refined" if refine > 1 else "clean"
-    if noise is not None and noise.amplitude != 0.0:
-        _draw_noise(samples, noise)      # the samples are this function's own
-        provenance = "noisy"
-    return ObservationTrace(equation=instance.equation, samples=samples,
-                            tau=instance.tau, dt=instance.dt, provenance=provenance)
+    # exp(i rate t_{s+r}) = exp(i rate t_s) exp(i rate t_r): the block starting
+    # at row s is the phase table of the offsets r < GENERATION_BLOCK times
+    # one phase per mode, so no sample costs a transcendental
+    size = min(GENERATION_BLOCK, times.size)
+    phase = np.empty(rate.size, complex)
+    modal, synthesize = pencil.synthesis(size, refine, dtype)
+    if dtype is complex:
+        table = np.exp(1j * times[:size, None] * rate)
+    else:
+        # the real part alone, from cos and sin tables: two real products
+        wt = times[:size, None] * rate
+        cos, sin, spare = np.cos(wt), np.sin(wt, out=wt), np.empty(modal.shape)
+    for start in range(0, times.size, size):
+        rows = min(size, times.size - start)
+        np.multiply(1j * times[start], rate, out=phase)
+        np.exp(phase, out=phase)
+        np.multiply(phase, c, out=phase)
+        if dtype is complex:
+            np.multiply(table[:rows], phase, out=modal[:rows])
+        else:
+            np.multiply(cos[:rows], phase.real, out=modal[:rows])
+            np.multiply(sin[:rows], phase.imag, out=spare[:rows])
+            np.subtract(modal[:rows], spare[:rows], out=modal[:rows])
+        np.multiply(synthesize(rows), weights, out=samples[start:start + rows])
+    return samples
 
 
 def add_noise(trace: ObservationTrace, noise: NoiseSpec) -> ObservationTrace:
@@ -196,10 +224,27 @@ def _draw_noise(samples: np.ndarray, noise: NoiseSpec):
 # the keys of _HEADER_RULES, the noise and the observation profile among them.
 
 
+class _Digesting:
+    """A binary file whose writes also feed a hashlib digest."""
+
+    def __init__(self, fh, digest):
+        self.fh, self.digest = fh, digest
+
+    def write(self, data) -> int:
+        self.digest.update(data)
+        return self.fh.write(data)
+
+
 def write_trace(path, trace: ObservationTrace, instance: ProblemInstance,
                 refine: int, noise: NoiseSpec | None = None,
-                config: dict | None = None) -> dict:
-    """Write the trace with full provenance header; returns the header dict."""
+                config: dict | None = None, digest=None) -> dict:
+    """Write the trace with full provenance header; returns the header dict.
+
+    ``digest``, a hashlib object such as ``hashlib.sha256()``, is fed every
+    byte as it is written, so the file's digest needs no second read.  The
+    payload is the bytes ``np.save`` writes, written from the samples' own
+    buffer, not a copy.
+    """
     is_complex = bool(np.iscomplexobj(trace.samples))
     header = {
         "format": TRACE_FORMAT,
@@ -220,8 +265,11 @@ def write_trace(path, trace: ObservationTrace, instance: ProblemInstance,
         header["config"] = config
     samples = np.ascontiguousarray(trace.samples, dtype=_payload_dtype(is_complex))
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8") + b"\n")
-        np.save(fh, samples, allow_pickle=False)
+        out = fh if digest is None else _Digesting(fh, digest)
+        out.write(json.dumps(header).encode("utf-8") + b"\n")
+        fmt = np.lib.format
+        fmt.write_array_header_1_0(out, fmt.header_data_from_array_1_0(samples))
+        out.write(samples)
     return header
 
 

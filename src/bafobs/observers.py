@@ -8,9 +8,12 @@ round-trip operator L.  The initial state solves (I - L) x = z, z the first
 iterate, whose Neumann series the paper truncates; here GMRES in the X inner
 product solves it, stopping at the residual that the paper's truncation
 leaves.  The contraction factor eta, estimated by Arnoldi in X (for the wave
-on the half trip G, with L = G^2), sets that stopping rule.  Both run on one
-Arnoldi process.  Each equation has one stepper and one stepping loop, which
-returns the final state only and allocates nothing per step.
+on the half trip G, with L = G^2), sets that stopping rule, and the estimate's
+dominant Ritz pair (y, L y), read off the same Arnoldi relation, is deflated
+from the solve: z's component along y is solved in closed form and GMRES runs
+on the rest.  Both run on one Arnoldi process.  Each equation has one stepper
+and one stepping loop, which returns the final state only and allocates
+nothing per step.
 """
 
 from __future__ import annotations
@@ -35,6 +38,10 @@ RATIO_SLACK = 0.01
 # a solve residual at most this share of ||z||_X is rounding: the Krylov
 # space is invariant to rounding (it has broken down), and the solve exact
 BREAKDOWN = 1e-14
+# the most of the stopping rule's residual that a deflated Ritz pair's own
+# residual may take; a pair past it (a loose eta tolerance) is not deflated,
+# since GMRES on the rest would have to make up the difference
+DEFLATION_SHARE = 0.5
 # the contraction estimate's settings, keyed by estimate_eta's keywords; the
 # defaults of estimate_eta, of SweepPlan's eta_* fields and of the CLI's eta
 # section
@@ -263,13 +270,17 @@ class EtaEstimate:
     the half trip G).  iterations counts the applications of the operator
     Arnoldi ran on; converged is False only when the step budget ran out
     before the stopping rule held.  A converged estimate also carries its
-    dominant Ritz vector, which a sweep's next level starts from.
+    dominant Ritz vector, which a sweep's next level starts from, and a
+    dominant Ritz pair (y, L y) of the round trip, which a solve deflates
+    (``BackAndForth.neumann_reconstruct``); either is None when the dominant
+    Ritz value is one of a complex pair.
     """
 
     value: float
     converged: bool
     iterations: int
     ritz_vector: object = field(default=None, compare=False, repr=False)
+    ritz_pair: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def _norm(gram: Callable, u: np.ndarray) -> float:
@@ -319,62 +330,112 @@ def arnoldi_process(apply_op: Callable, gram: Callable, start: np.ndarray,
         basis[m] = w * (1.0 / beta)
 
 
+def _dominant(matrix: np.ndarray) -> tuple[complex, np.ndarray, bool]:
+    """The eigenvalue of largest modulus of a square matrix, its eigenvector
+    of unit 2-norm, and whether the matrix is real while that eigenvalue is
+    one of a complex pair, whose eigenvector is not real.  A real matrix's
+    eig is taken in real arithmetic, so a real eigenvalue has imaginary part
+    0 exactly and comes with a real vector."""
+    real = not np.any(matrix.imag)
+    values, vecs = np.linalg.eig(matrix.real if real else matrix)
+    k = int(np.argmax(np.abs(values)))
+    paired = real and values[k].imag != 0.0
+    return values[k], vecs[:, k].real if real and not paired else vecs[:, k], paired
+
+
 def arnoldi_iteration(apply_op: Callable, gram: Callable, start: np.ndarray,
                       tol: float = _ETA_DEFAULTS["tol"],
-                      max_iter: int = _ETA_DEFAULTS["max_iter"]) -> EtaEstimate:
-    """Largest-modulus Ritz value of a linear operator, by ``arnoldi_process``.
+                      max_iter: int = _ETA_DEFAULTS["max_iter"], *,
+                      pair_power: int = 1) -> EtaEstimate:
+    """Largest-modulus Ritz value of a linear operator A, by ``arnoldi_process``.
 
-    The iteration stops when the Ritz residual h_{m+1,m} |e_m^T y| of the
-    dominant Ritz pair (theta, y), y of unit 2-norm, drops to tol |theta|; a
+    The iteration stops when the Ritz residual h_{m+1,m} |e_m^T s| of the
+    dominant Ritz pair (theta, s), s of unit 2-norm, drops to tol |theta|; a
     breakdown (h_{m+1,m} = 0) meets that rule too, and the estimate then
-    carries the Ritz vector sum_j y_j v_j, y turned so that its largest
+    carries the Ritz vector sum_j s_j v_j, s turned so that its largest
     entry is real and positive.  A real Hessenberg matrix (real states)
     gives a real vector, or none when its dominant Ritz value is one of a
     complex pair, whose eigenvector is not real.  Running out of max_iter
     returns the last Ritz value with converged = False and no vector.
+
+    A converged estimate also carries a dominant Ritz pair (y, B y) of B =
+    A^pair_power, with no further application of A: for pair_power 1, y is
+    the Ritz vector and A y = V_m H_m s + s_m w; for pair_power 2, y = V_{m-1} s
+    with s from the top (m-1) x (m-1) block of H_{m+1,m} H_{m,m-1}, and
+    A^2 y = V_{m+1} H_{m+1,m} H_{m,m-1} s.  It is None where the vector is,
+    and for pair_power 2 also when m < 2 or the pair's value is complex.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must lie in (0, 1)")
     if max_iter < 2:
         raise ValueError("max_iter must be at least 2")
     theta = 0.0
-    for V, hess, _ in arnoldi_process(apply_op, gram, np.asarray(start), max_iter):
+    for V, hess, w in arnoldi_process(apply_op, gram, np.asarray(start), max_iter):
         m = len(V)
-        # a real Hessenberg's eig is taken in real arithmetic, so a real Ritz
-        # value has imaginary part 0 exactly and a real vector
-        real = not np.any(hess.imag)
-        ritz, vecs = np.linalg.eig(hess[:m, :m].real if real else hess[:m, :m])
-        k = int(np.argmax(np.abs(ritz)))
-        theta = float(np.abs(ritz[k]))
-        if hess[m, m - 1].real * abs(vecs[-1, k]) <= tol * theta:
-            if real and ritz[k].imag != 0.0:
+        ritz, s, paired = _dominant(hess[:m, :m])
+        theta = float(np.abs(ritz))
+        if hess[m, m - 1].real * abs(s[-1]) <= tol * theta:
+            if paired:
                 # a complex pair of a real operator: no real vector spans it
                 return EtaEstimate(theta, True, m)
-            # eig fixes no phase; turn y so that its largest entry is positive
-            y = vecs[:, k].real if real else vecs[:, k]
-            top = y[np.argmax(np.abs(y))]
-            return EtaEstimate(theta, True, m, (y * (abs(top) / top)) @ V)
+            # eig fixes no phase; turn s so that its largest entry is positive
+            top = s[np.argmax(np.abs(s))]
+            s = s * (abs(top) / top)
+            return EtaEstimate(theta, True, m, s @ V, _ritz_pair(V, hess, w, s, pair_power))
     return EtaEstimate(theta, False, max_iter)
+
+
+def _ritz_pair(V: np.ndarray, hess: np.ndarray, w: np.ndarray, s: np.ndarray,
+               power: int):
+    """``arnoldi_iteration``'s pair (y, A^power y) after step m, from the
+    basis V, the Hessenberg and w = h_{m+1,m} v_{m+1}; s is A's dominant
+    Ritz vector in V's coordinates."""
+    m = len(V)
+    H = hess if np.any(hess.imag) else hess.real
+    if power == 1:
+        return s @ V, (H[:m] @ s) @ V + s[-1] * w
+    if m < 2:
+        return None
+    first = H[:m, :m - 1]                   # A V_{m-1} = V_m first
+    _, s, paired = _dominant((H @ first)[:m - 1])
+    if paired:
+        return None
+    inner = first @ s                       # A y in V_m's coordinates
+    return s @ V[:m - 1], (H[:m] @ inner) @ V + inner[-1] * w
 
 
 @dataclass(frozen=True)
 class KrylovPolynomial:
-    """The polynomial q of an m-step solve, x = q(L) z, kept as the Arnoldi
-    recurrence that built it, so that ``replay`` applies it to another
-    state.  m = 0 is the identity."""
+    """The map of an m-step solve, x = S(z), kept as the Arnoldi recurrence
+    that built it, so that ``replay`` applies it to another state.
+
+    Without a deflated pair S is a polynomial q(L), and m = 0 the identity.
+    A solve that deflated a unit Ritz pair (y, L y) of value theta keeps
+    ``deflation`` = (y, X y, 1 / (1 - theta)), and S(u) = alpha(u) y / (1 -
+    theta) + q(L)(u - alpha(u) y) with alpha(u) = (u, y)_X.
+    """
 
     hess: np.ndarray        # (m+1) x m Hessenberg of L; real for real states
     coeffs: np.ndarray      # the least-squares y of x_m = sum_j y_j v_j
-    z_norm: float           # ||z||_X, the scale of v_1 = z / ||z||_X
+    z_norm: float           # ||z||_X of GMRES's z, the scale of v_1 = z / ||z||_X
+    deflation: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def steps(self) -> int:
         return len(self.coeffs)
 
     def replay(self, apply_op: Callable, u: np.ndarray) -> np.ndarray:
-        """q(L) u = u + L x_m: v_1 = u / ||z||_X, v_{j+1} = (L v_j -
+        """S(u), with q(L) u = u + L x_m: v_1 = u / ||z||_X, v_{j+1} = (L v_j -
         sum_i h_ij v_i) / h_{j+1,j} and x_m = sum_j y_j v_j.  It applies L m
-        times and forms no inner product, so it is linear in u."""
+        times, and its one inner product, alpha(u), is linear in u; so is S."""
+        if self.deflation is None:
+            return self._polynomial(apply_op, u)
+        y, dual, scale = self.deflation
+        alpha = np.vdot(dual, u)
+        return self._polynomial(apply_op, u - alpha * y) + (alpha * scale) * y
+
+    def _polynomial(self, apply_op: Callable, u: np.ndarray) -> np.ndarray:
+        """q(L) u."""
         m = self.steps
         if m == 0:
             return u
@@ -387,7 +448,7 @@ class KrylovPolynomial:
 
 
 def gmres(apply_op: Callable, gram: Callable, z: np.ndarray, max_steps: int,
-          rtol: float = 0.0) -> tuple[np.ndarray, KrylovPolynomial, tuple]:
+          atol: float = 0.0) -> tuple[np.ndarray, KrylovPolynomial, tuple]:
     """GMRES in X on (I - A) x = z from x_0 = 0, A = apply_op, z nonzero,
     plus one free fixed-point step.
 
@@ -395,8 +456,8 @@ def gmres(apply_op: Callable, gram: Callable, z: np.ndarray, max_steps: int,
     K_m(A, z) with the least residual r_m = z - (I - A) x_m is V_m y, y the
     least-squares solution of (I~ - H) y = ||z||_X e_1, I~ the (m+1) x m
     identity.  It stops after the first step whose residual is at most
-    rtol ||z||_X, after max_steps steps, or at a breakdown, a residual at
-    most BREAKDOWN ||z||_X, where x_m is exact to rounding.  It returns
+    atol, after max_steps steps, or at a breakdown, a residual at most
+    BREAKDOWN ||z||_X, where x_m is exact to rounding.  It returns
     x = z + A x_m, whose A x_m = V_m H_m y + y_m w the process already
     holds: the residual of x is A r_m and its error A times x_m's, so
     neither is larger where A is nonexpansive.  Returns x, its polynomial
@@ -412,7 +473,7 @@ def gmres(apply_op: Callable, gram: Callable, z: np.ndarray, max_steps: int,
         rhs[0] = beta
         y = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
         residuals.append(float(np.linalg.norm(rhs - lhs @ y)))
-        if residuals[-1] <= max(rtol, BREAKDOWN) * beta:
+        if residuals[-1] <= max(atol, BREAKDOWN * beta):
             break
     return z + (H[:m] @ y) @ V + y[-1] * w, KrylovPolynomial(H, y, beta), tuple(residuals)
 
@@ -443,14 +504,17 @@ def choose_truncation(*, h: float, theta: float, eta_hat: float,
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """A reconstruction x = q(L) z of the first iterate z, and its diagnostics.
+    """A reconstruction x = S(z) of the first iterate z, and its diagnostics.
 
-    n_used is m, the round trips past the first iterate: the steps of a
-    solve, or, for a replay, those of the solve whose polynomial it
-    applied.  residual_norms holds the X norms of the residuals of the
-    solve's GMRES iterates x_0 = 0, x_1, ..., x_m (a replay has none), and
-    ritz_max the largest modulus of a Ritz value of L on the solve's Krylov
-    space, which eta_hat should bound.
+    n_used is m, the round trips past the first iterate: the GMRES steps of
+    a solve, or, for a replay, those of the solve whose map it applied.
+    residual_norms holds ||z||_X, the residual of x = 0, then for each GMRES
+    iterate x_1, ..., x_m of the solve a bound on its residual: its norm,
+    plus, where a Ritz pair was deflated, the pair's share |alpha| ||rho||_X
+    / (1 - theta) (a replay has none).  ritz_max is the largest modulus of a
+    Ritz value of L on the solve's Krylov space, which eta_hat should bound,
+    and deflated |alpha| / ||z||_X, the share of z along a deflated pair's
+    vector; each is None where there is none.
     """
 
     estimate: np.ndarray | WaveState
@@ -460,11 +524,12 @@ class ReconstructionResult:
     polynomial: KrylovPolynomial
     ritz_max: float | None = None
     n_capped: bool = False      # the automatic rule was not met in AUTO_N_CAP steps
+    deflated: float | None = None
 
     @property
     def residual(self) -> float | None:
-        """||r_m||_X / ||z||_X, the relative residual of x_m, which bounds the
-        estimate's where L is nonexpansive; None when no step ran."""
+        """||r_m||_X / ||z||_X, the relative residual (bound) of x_m, which
+        bounds the estimate's where L is nonexpansive; None when no step ran."""
         norms = self.residual_norms
         return norms[-1] / norms[0] if len(norms) > 1 else None
 
@@ -639,18 +704,24 @@ class BackAndForth:
         theta^2, with G's Ritz vector an eigenvector of L.  Schrodinger's,
         conjugation, is antilinear, so its Arnoldi runs on L, one round trip
         a step.  Either way iterations and max_iter count applications of
-        the operator.  An estimate that runs out of steps leaves the
-        stopping rule it sets uncertified, so besides converged = False it
-        warns.
+        the operator.  The Ritz pair (y, L y) comes back as states too, its
+        image read off the Arnoldi relation: for Schrodinger y is the Ritz
+        vector, for the wave a Ritz vector of L = G^2 on all but the last
+        basis vector (``arnoldi_iteration``'s pair_power 2).  An estimate
+        that runs out of steps leaves the stopping rule it sets uncertified,
+        so besides converged = False it warns.
         """
         start = self._eta_start(seed, warm)
         if self.equation == "wave":
-            eta = arnoldi_iteration(self._half_trip, self._x_gram.matvec, start, tol, max_iter)
+            eta = arnoldi_iteration(self._half_trip, self._x_gram.matvec, start, tol, max_iter,
+                                    pair_power=2)
             eta = replace(eta, value=eta.value ** 2)
         else:
             eta = arnoldi_iteration(self.apply_L, self._x_gram.matvec, start, tol, max_iter)
         if eta.ritz_vector is not None:
             eta = replace(eta, ritz_vector=self._state(eta.ritz_vector))
+        if eta.ritz_pair is not None:
+            eta = replace(eta, ritz_pair=tuple(map(self._state, eta.ritz_pair)))
         if not eta.converged:
             warnings.warn(f"eta = {eta.value:.6g} at {self.ops.mesh.n_cells} cells did not "
                           f"converge in {eta.iterations} steps; raise max_iter or loosen tol",
@@ -661,21 +732,34 @@ class BackAndForth:
                             n_terms: int | None = None,
                             eta_hat: float | None = None,
                             theta: float = 1.0,
-                            polynomial: KrylovPolynomial | None = None
+                            polynomial: KrylovPolynomial | None = None,
+                            ritz_pair: tuple | None = None
                             ) -> ReconstructionResult:
         """The initial state: (I - L) x = z solved by ``gmres``, z the first iterate.
 
-        The Neumann series sum_n L^n z solves the same system.  With n_terms
-        = None the solve stops at the first step m whose residual is at most
+        The Neumann series sum_n L^n z solves the same system.  ``ritz_pair``,
+        a Ritz pair (y, L y) of states such as ``EtaEstimate.ritz_pair``, is
+        deflated: with y scaled to ||y||_X = 1, theta = Re (L y, y)_X and rho
+        = L y - theta y, z's part alpha y, alpha = (z, y)_X, is solved as
+        alpha y / (1 - theta), and GMRES runs on z_perp = z - alpha y; x =
+        alpha y / (1 - theta) + z_perp + L x_k then leaves the residual
+        L r_k + alpha rho / (1 - theta).  A pair with theta >= 1 is not
+        deflated, and neither is one whose share |alpha| ||rho||_X / (1 -
+        theta) passes DEFLATION_SHARE of the automatic rule's residual.
+
+        With n_terms = None the solve stops at the first step k whose
+        residual bound ||r_k||_X + |alpha| ||rho||_X / (1 - theta) is at most
         eta_hat (h^theta + dt) ||z||_X, the tail the paper's truncation
         ``choose_truncation`` leaves; as ||(I - L)^-1||_X <= 1 / (1 - eta),
         the error is then at most that over 1 - eta.  A solve not done in
         AUTO_N_CAP steps warns and sets the result's n_capped.  A given
-        n_terms runs exactly that many steps, short of a breakdown, and 0
-        returns z; so does a zero z, with n_used = 0.  Given eta_hat, the
-        solve also warns when a Ritz value of L passes eta_hat by more than
-        RATIO_SLACK: a check of eta_hat for free, rigorous only where
-        ||L||_X = eta, as for the X-self-adjoint Schrodinger round trip.
+        n_terms runs exactly that many GMRES steps (on z_perp, where a pair
+        is deflated), short of a breakdown, and 0 returns alpha y / (1 -
+        theta) + z_perp, which is z without a pair.  A zero z returns z with
+        n_used = 0; so does a z along y to rounding, solved exactly.  Given
+        eta_hat, the solve also warns when a Ritz value of L passes eta_hat
+        by more than RATIO_SLACK: a check of eta_hat for free, rigorous only
+        where ||L||_X = eta, as for the X-self-adjoint Schrodinger round trip.
 
         ``polynomial``, another solve's, is replayed on this trace's z in
         place of a solve (the other arguments are not read): as many round
@@ -696,27 +780,52 @@ class BackAndForth:
                                         polynomial.steps, eta_hat, (), polynomial)
         gram = self._x_gram.matvec
         z_norm = _norm(gram, z)
-        if n_terms == 0 or z_norm == 0.0:
-            identity = KrylovPolynomial(np.zeros((1, 0)), np.zeros(0), z_norm)
-            return ReconstructionResult(self._state(z), 0, eta_hat, (z_norm,), identity)
-        x, poly, residuals = gmres(self._round_trip, gram, z,
-                                   AUTO_N_CAP if auto else n_terms, rtol)
+        target = rtol * z_norm
+        deflation, alpha, tail = None, 0.0, 0.0
+        if ritz_pair is not None and z_norm > 0.0:
+            y, image = (self._flat(state) for state in ritz_pair)
+            size = _norm(gram, y)
+            y, image = y * (1.0 / size), image * (1.0 / size)
+            dual = gram(y)
+            value = float(np.real(np.vdot(dual, image)))
+            if value < 1.0:
+                alpha = np.vdot(dual, z)
+                tail = float(abs(alpha)) * _norm(gram, image - value * y) / (1.0 - value)
+                if not auto or tail <= DEFLATION_SHARE * target:
+                    deflation = (y, dual, 1.0 / (1.0 - value))
+        if deflation is None:
+            alpha, tail, rest, rest_norm = 0.0, 0.0, z, z_norm
+        else:
+            rest = z - alpha * deflation[0]
+            rest_norm = _norm(gram, rest)
+        if n_terms == 0 or rest_norm <= BREAKDOWN * z_norm:
+            x, residuals = rest, (rest_norm,)
+            poly = KrylovPolynomial(np.zeros((1, 0)), np.zeros(0), rest_norm, deflation)
+        else:
+            x, poly, residuals = gmres(self._round_trip, gram, rest,
+                                       AUTO_N_CAP if auto else n_terms, target - tail)
+            poly = replace(poly, deflation=deflation)
+        if deflation is not None:
+            x = x + (alpha * deflation[2]) * deflation[0]
+        norms = (z_norm,) + tuple(r + tail for r in residuals[1:])
         m = poly.steps
-        capped = auto and m == AUTO_N_CAP and residuals[-1] > rtol * z_norm
+        capped = auto and m == AUTO_N_CAP and norms[-1] > target
         if capped:
             warnings.warn(
-                f"the solve's relative residual is {residuals[-1] / z_norm:.3g} after "
+                f"the solve's relative residual is {norms[-1] / z_norm:.3g} after "
                 f"{m} steps, above the stopping rule's {rtol:.3g}; capping at "
                 f"{AUTO_N_CAP} (eta_hat = {eta_hat} may be close to 1)",
                 RuntimeWarning, stacklevel=2,
             )
-        ritz_max = float(np.max(np.abs(np.linalg.eigvals(poly.hess[:m]))))
-        if eta_hat is not None and ritz_max > eta_hat * (1.0 + RATIO_SLACK):
+        ritz_max = float(np.max(np.abs(np.linalg.eigvals(poly.hess[:m])))) if m else None
+        if ritz_max is not None and eta_hat is not None \
+                and ritz_max > eta_hat * (1.0 + RATIO_SLACK):
             warnings.warn(
                 f"the solve's Krylov space holds a Ritz value of L of modulus "
                 f"{ritz_max:.6g}, more than eta_hat = {eta_hat:.6g} allows: eta_hat "
                 f"missed part of the spectrum, and the stopping rule may be too loose",
                 RuntimeWarning, stacklevel=2,
             )
-        return ReconstructionResult(self._state(x), m, eta_hat, residuals, poly, ritz_max,
-                                    capped)
+        deflated = None if deflation is None else float(abs(alpha)) / z_norm
+        return ReconstructionResult(self._state(x), m, eta_hat, norms, poly, ritz_max,
+                                    capped, deflated)

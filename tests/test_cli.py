@@ -79,7 +79,7 @@ def test_generate_row_count_and_determinism(tmp_path, capsys):
 
 
 def test_generate_digest_is_the_files_sha256_past_one_read_chunk(tmp_path, capsys):
-    # 300 cells: a 1.4 MB trace, more than the 1 MiB chunk the digest reads at a time
+    # 300 cells: a 1.4 MB trace, whose digest is fed as it is written, not read back
     cfg = small_config(tmp_path)
     out = tmp_path / "big.txt"
     code, stdout, _ = run_cli(["--config", cfg, "--set", "geometry.n_cells=300",

@@ -485,6 +485,23 @@ def test_strided_synthesis_is_restricted_synthesis(coarse, stride, falling, rows
                 pe.from_modal(c, bad)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 70), rows=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_complex_dst_is_the_transform_of_its_two_parts(n, rows, seed):
+    # one complex FFT against a real DST-I of the real and of the imaginary
+    # part, and against the sine sum itself
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    out = linalg._dst1(u)
+    split = linalg._dst1(u.real) + 1j * linalg._dst1(u.imag)
+    j = np.arange(1, n + 1)
+    sines = np.sin(np.pi * np.outer(j, j) / (n + 1))
+    scale = np.max(np.abs(u)) * n
+    assert out.dtype == complex and out.shape == u.shape
+    assert np.max(np.abs(out - split)) <= 1e-14 * scale
+    assert np.max(np.abs(out - u @ sines)) <= 1e-13 * scale
+
+
 def test_closed_form_rejects_non_toeplitz_and_indefinite_mass():
     M, K = p1_pair(4)
     bumped = SymTridiag(M.diag + np.array([0.0, 1e-12, 0.0]), M.off)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import json
@@ -12,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from bafobs.fem import FieldSpec, Mesh1D, ObservationProfile, assemble
 from bafobs.linalg import pencil_eigs
-from bafobs.models import (NoiseSpec, ProblemInstance, add_noise,
+from bafobs.models import (GENERATION_BLOCK, NoiseSpec, ProblemInstance, add_noise,
                            generate_observation, read_trace, unit_noise, write_trace)
 from bafobs.observers import ObservationTrace
 from oracles import dense_pencil_eigs, norm_alpha, old_add_noise, propagate_exact
@@ -148,6 +149,31 @@ def test_traces_match_dense_oracle(equation, kind):
     samples = generate_observation(inst, refine=2).samples
     ref = dense_oracle_trace(inst, 2)
     assert np.max(np.abs(samples - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n_steps", [5, 31, 32, 69, 96])
+@pytest.mark.parametrize("equation", ["schrodinger", "wave"])
+def test_block_phasors_match_the_dense_oracle_across_blocks(equation, n_steps):
+    # row s + r of a block is the phase table's row r times the block's
+    # phase at s: step counts below, at and past GENERATION_BLOCK = 32 rows,
+    # 70 rows ending in a partial block, against the dense oracle (to its own
+    # accuracy, as in test_traces_match_dense_oracle) and against one exp
+    # per sample of the closed-form trajectory, to rounding
+    assert GENERATION_BLOCK == 32
+    sine = FieldSpec(kind="sine", coefficients=(1.0, 0.5))
+    bump = FieldSpec(kind="bump")
+    inst = ProblemInstance(equation, Mesh1D(n_cells=48), ObservationProfile(),
+                           tau=1.0 if equation == "schrodinger" else 2.0, n_steps=n_steps,
+                           truth=sine if equation == "schrodinger" else (sine, bump))
+    samples = generate_observation(inst, refine=2).samples
+    ref = dense_oracle_trace(inst, 2)
+    scale = np.max(np.abs(ref))
+    assert samples.shape == ref.shape == (n_steps + 1, 47)
+    assert np.max(np.abs(samples - ref)) <= 1e-9 * scale
+    traj = propagate_exact(inst, refine=2)
+    observed = traj.states if equation == "schrodinger" else traj.velocities
+    exact = (observed * inst.profile.weight(traj.mesh.interior_nodes))[:, 1::2]
+    assert np.max(np.abs(samples - exact)) <= 1e-13 * scale
 
 
 def test_generation_commutes_with_scaling(schrod_instance):
@@ -351,6 +377,25 @@ def test_trace_file_roundtrip_real(tmp_path, wave_instance):
     back, header = read_trace(path)
     assert not header["complex"]
     assert np.array_equal(back.samples, trace.samples)
+
+
+@pytest.mark.parametrize("equation", ["schrodinger", "wave"])
+def test_trace_digest_is_fed_as_the_file_is_written(tmp_path, schrod_instance, wave_instance,
+                                                    equation):
+    # the digest is the file's, and the payload is np.save's bytes
+    inst = schrod_instance if equation == "schrodinger" else wave_instance
+    trace = generate_observation(inst, refine=2)
+    path = tmp_path / "trace.txt"
+    digest = hashlib.sha256()
+    write_trace(path, trace, inst, refine=2, digest=digest)
+    data = path.read_bytes()
+    assert digest.hexdigest() == hashlib.sha256(data).hexdigest()
+    saved = io.BytesIO()
+    np.save(saved, trace.samples, allow_pickle=False)
+    assert data.split(b"\n", 1)[1] == saved.getvalue()
+    plain = tmp_path / "plain.txt"
+    write_trace(plain, trace, inst, refine=2)
+    assert plain.read_bytes() == data
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from functools import partial
@@ -12,8 +13,8 @@ from bafobs.fem import FieldSpec, Mesh1D, ObservationProfile, assemble
 from bafobs.linalg import SymTridiag, pencil_eigs
 from bafobs.models import ProblemInstance, generate_observation
 from bafobs import observers
-from bafobs.observers import (RATIO_SLACK, BackAndForth, EtaEstimate, ObservationTrace,
-                              SchrodingerStepper, WaveState, WaveStepper,
+from bafobs.observers import (AUTO_N_CAP, RATIO_SLACK, BackAndForth, EtaEstimate,
+                              ObservationTrace, SchrodingerStepper, WaveState, WaveStepper,
                               arnoldi_iteration, choose_truncation, gmres,
                               run_schrodinger, run_wave)
 
@@ -977,21 +978,25 @@ def test_gmres_breaks_down_on_an_invariant_space():
 @pytest.mark.parametrize("equation", ["schrodinger", "wave"])
 def test_final_residual_meets_the_stopping_rule(engines, equation):
     # the residual z - (I - L) x, recomputed through apply_L, is within
-    # eta_hat (h^theta + dt) of z: x = z + L x_m leaves L r_m, at most the
-    # r_m of the GMRES iterate x_m that the solve reports and stops on
+    # eta_hat (h^theta + dt) of z:, at most the r_m of the GMRES iterate x_m
+    # that the solve reports and stops on; with the eta estimate's Ritz pair
+    # deflated, the reported bound adds the pair's share |alpha| ||rho||_X /
+    # (1 - theta) of the full residual
     _, schrod, wave = engines
     engine = schrod if equation == "schrodinger" else wave
     trace = _sine_trace(engine, (1.0, 0.5))
-    eta = engine.estimate_eta(seed=3).value
-    for theta in (1.0, 2.0):
-        res = engine.neumann_reconstruct(trace, eta_hat=eta, theta=theta)
+    estimate = engine.estimate_eta(seed=3)
+    eta = estimate.value
+    for pair, theta in itertools.product((None, estimate.ritz_pair), (1.0, 2.0)):
+        res = engine.neumann_reconstruct(trace, eta_hat=eta, theta=theta, ritz_pair=pair)
+        assert (res.deflated is None) == (pair is None)
         z, x = engine.first_iterate(trace), res.estimate
         r = combine((1.0, z), (-1.0, x), (1.0, engine.apply_L(x)))
         relative = engine.x_norm(r) / engine.x_norm(z)
         assert relative <= res.residual <= eta * (engine.ops.mesh.h ** theta + engine.dt)
         assert res.n_used >= 1 and not res.n_capped
         # one step fewer does not meet the rule
-        short = engine.neumann_reconstruct(trace, n_terms=res.n_used - 1)
+        short = engine.neumann_reconstruct(trace, n_terms=res.n_used - 1, ritz_pair=pair)
         if short.residual is not None:
             assert short.residual > eta * (engine.ops.mesh.h ** theta + engine.dt)
 
@@ -1148,3 +1153,158 @@ def test_trace_validation(engines):
                                           wave.dt))
     with pytest.raises(ValueError, match="tau"):
         ObservationTrace("wave", np.zeros((3, 4)), 1.0, 0.1)
+
+
+# -- deflation of the eta estimate's Ritz pair -----------------------------------
+
+
+@pytest.mark.parametrize("equation", ["schrodinger", "wave"])
+@pytest.mark.parametrize("n_cells", [24, 64])
+def test_ritz_pair_image_is_the_round_trip(equation, n_cells):
+    # the image read off the Arnoldi relation, at no pass, is apply_L(y): for
+    # the wave y lies on all but the last basis vector of Arnoldi on G, and
+    # its image on V_{m+1} through H_{m+1,m} H_{m,m-1}
+    engine = _eta_engine(equation, n_cells)
+    est = engine.estimate_eta(seed=3)
+    y, image = est.ritz_pair
+    assert est.converged and engine.x_norm(y) == pytest.approx(1.0, abs=1e-12)
+    if equation == "wave":
+        assert y.pos.dtype == image.vel.dtype == np.float64
+    exact = engine.apply_L(y)
+    assert engine.x_norm(combine((1.0, image), (-1.0, exact))) <= 1e-12 * engine.x_norm(exact)
+    # a Ritz pair of L's dominant eigenvalue: its value is eta_hat
+    value = engine.x_inner(image, y).real
+    assert value == pytest.approx(est.value, rel=1e-4)
+
+
+def _plain_solve(engine, trace, eta_hat, theta=1.0):
+    """Undeflated GMRES, called directly, at the automatic rule: (x, residuals)."""
+    z = engine._flat(engine.first_iterate(trace))
+    gram = engine._x_gram.matvec
+    rtol = eta_hat * (engine.ops.mesh.h ** theta + engine.dt)
+    x, _, residuals = gmres(engine._round_trip, gram, z, AUTO_N_CAP,
+                            rtol * observers._norm(gram, z))
+    return x, residuals
+
+
+def test_no_pair_is_plain_gmres_bit_for_bit(engines):
+    # no pair to deflate: an estimate that ran out of steps, a complex
+    # dominant pair, the wave's pair after one Arnoldi step, or a pair whose
+    # residual would take most of the stopping rule's
+    ops, schrod, wave = engines
+    with pytest.warns(RuntimeWarning, match="did not converge"):
+        unconverged = wave.estimate_eta(max_iter=2, tol=1e-12, seed=11)
+    rot = 0.9 * np.array([[np.cos(0.8), -np.sin(0.8)], [np.sin(0.8), np.cos(0.8)]])
+    A = np.zeros((6, 6))
+    A[:2, :2] = rot
+    A[2:, 2:] = np.diag([0.5, -0.3, 0.2, 0.1])
+    for power in (1, 2):
+        est = arnoldi_iteration(lambda v: A @ v, _plain_gram, np.ones(6), tol=1e-12,
+                                max_iter=10, pair_power=power)
+        assert est.converged and est.ritz_pair is None
+    diag = np.array([0.3, -0.92, 0.5, 0.05])
+    one_step = arnoldi_iteration(lambda v: diag * v, _plain_gram, np.eye(4)[1], max_iter=10,
+                                 pair_power=2)
+    assert one_step.iterations == 1 and one_step.ritz_vector is not None
+    assert one_step.ritz_pair is None and unconverged.ritz_pair is None
+    for engine in (schrod, wave):
+        trace = _sine_trace(engine, (1.0, 0.5))
+        eta = engine.estimate_eta(seed=3)
+        y, image = eta.ritz_pair
+        far = (y, combine((1.0, image), (0.5, engine.random_state(4))))
+        x, residuals = _plain_solve(engine, trace, eta.value)
+        for pair in (None, far):
+            res = engine.neumann_reconstruct(trace, eta_hat=eta.value, ritz_pair=pair)
+            assert res.deflated is None and res.polynomial.deflation is None
+            assert np.array_equal(engine._flat(res.estimate), x)
+            assert res.residual_norms == residuals
+
+
+@settings(max_examples=30, deadline=None)
+@given(equation=st.sampled_from(["schrodinger", "wave"]),
+       seed=st.integers(0, 2**32 - 1), n_terms=st.integers(0, 3),
+       a=st.floats(-2.0, 2.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-3),
+       b=st.floats(-2.0, 2.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-3))
+def test_deflated_replay_is_linear_in_trace(engines, equation, seed, n_terms, a, b):
+    # S(u) = alpha(u) y / (1 - theta) + q(L)(u - alpha(u) y), alpha(u) =
+    # (u, y)_X, is linear in u, so the replay of a deflated solve is linear
+    # in the trace, and on the solve's own trace it is the solve
+    ops, schrod, wave = engines
+    engine = schrod if equation == "schrodinger" else wave
+    pair = _pairs(engine)
+    rng = np.random.default_rng(seed)
+    shape = (engine.n_steps + 1, ops.n)
+
+    def trace(samples):
+        return ObservationTrace(equation, samples, engine.n_steps * engine.dt, engine.dt)
+
+    def draw():
+        y = rng.standard_normal(shape)
+        return y + 1j * rng.standard_normal(shape) if equation == "schrodinger" else y
+
+    y0, y1, y2 = draw(), draw(), draw()
+    solve = engine.neumann_reconstruct(trace(y0), n_terms=n_terms, ritz_pair=pair)
+    assert solve.polynomial.deflation is not None and 0.0 < solve.deflated <= 1.0
+
+    def estimate(samples):
+        res = engine.neumann_reconstruct(trace(samples), polynomial=solve.polynomial)
+        assert res.n_used == solve.n_used
+        return engine._flat(res.estimate)
+
+    e1, e2 = estimate(y1), estimate(y2)
+    combined = estimate(a * y1 + b * y2)
+    scale = max(abs(a) * np.max(np.abs(e1)), abs(b) * np.max(np.abs(e2)), 1e-300)
+    assert np.max(np.abs(combined - (a * e1 + b * e2))) <= 1e-12 * scale
+    own = estimate(y0)
+    assert np.max(np.abs(own - engine._flat(solve.estimate))) <= 1e-12 * np.max(np.abs(own))
+
+
+_PAIRS = {}
+
+
+def _pairs(engine):
+    """The engine's eta estimate's Ritz pair, estimated once."""
+    if engine not in _PAIRS:
+        _PAIRS[engine] = engine.estimate_eta(seed=3).ritz_pair
+    return _PAIRS[engine]
+
+
+def test_given_steps_count_gmres_steps_on_the_remainder(engines):
+    # n_terms = 0 with a pair is alpha y / (1 - theta) + z_perp; each step
+    # more is a GMRES step on z_perp, so n_terms = 1 lies closer to the
+    # solution than 0, and the full residual bound falls with it
+    _, schrod, _ = engines
+    trace = _sine_trace(schrod, (1.0, 0.5))
+    y, image = pair = _pairs(schrod)
+    theta = schrod.x_inner(image, y).real / schrod.x_norm(y) ** 2
+    z = schrod.first_iterate(trace)
+    alpha = schrod.x_inner(z, y) / schrod.x_norm(y) ** 2
+    zero = schrod.neumann_reconstruct(trace, n_terms=0, ritz_pair=pair)
+    expected = z + alpha * theta / (1.0 - theta) * y
+    assert zero.n_used == 0 and zero.residual is None
+    assert np.max(np.abs(zero.estimate - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert zero.deflated == pytest.approx(abs(alpha) / schrod.x_norm(z), rel=1e-12)
+    one = schrod.neumann_reconstruct(trace, n_terms=1, ritz_pair=pair)
+    _, sums = neumann_series(schrod, trace, 50)
+    assert one.n_used == 1
+    assert schrod.x_norm(one.estimate - sums[-1]) < schrod.x_norm(zero.estimate - sums[-1])
+
+
+@pytest.mark.parametrize("equation", ["schrodinger", "wave"])
+def test_first_iterate_along_the_pair_is_solved_exactly(engines, monkeypatch, equation):
+    # z = ||z|| y and L = lambda I: alpha y / (1 - theta) is the solution,
+    # z_perp is rounding, and no step runs and nothing divides by zero
+    _, schrod, wave = engines
+    engine = schrod if equation == "schrodinger" else wave
+    trace = _sine_trace(engine)
+    z = engine.first_iterate(trace)
+    flat = engine._flat(z)
+    lam = 0.5
+    monkeypatch.setattr(engine, "_round_trip", lambda u: lam * u)
+    pair = (z, engine._state(lam * flat))
+    for kwargs in ({"eta_hat": 0.6}, {"n_terms": 3}):
+        with np.errstate(all="raise"):
+            res = engine.neumann_reconstruct(trace, ritz_pair=pair, **kwargs)
+        assert res.n_used == 0 and res.deflated == pytest.approx(1.0, abs=1e-14)
+        x = engine._flat(res.estimate)
+        assert np.max(np.abs(x - flat / (1.0 - lam))) <= 1e-14 * np.max(np.abs(flat))
