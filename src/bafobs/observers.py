@@ -8,12 +8,12 @@ round-trip operator L.  The initial state solves (I - L) x = z, z the first
 iterate, whose Neumann series the paper truncates; here GMRES in the X inner
 product solves it, stopping at the residual that the paper's truncation
 leaves.  The contraction factor eta, estimated by Arnoldi in X (for the wave
-on the half trip G, with L = G^2), sets that stopping rule, and the estimate's
-dominant Ritz pair (y, L y), read off the same Arnoldi relation, is deflated
-from the solve: z's component along y is solved in closed form and GMRES runs
-on the rest.  Both run on one Arnoldi process.  Each equation has one stepper
-and one stepping loop, which returns the final state only and allocates
-nothing per step.
+on the half trip G, with L = G^2), sets that stopping rule, and for
+Schrodinger the estimate's dominant Ritz pair (y, L y), read off the same
+Arnoldi relation, is deflated from the solve: z's component along y is solved
+in closed form and GMRES runs on the rest.  Both run on one Arnoldi
+process.  Each equation has one stepper and one stepping loop, which returns
+the final state only and allocates nothing per step.
 """
 
 from __future__ import annotations
@@ -270,10 +270,12 @@ class EtaEstimate:
     the half trip G).  iterations counts the applications of the operator
     Arnoldi ran on; converged is False only when the step budget ran out
     before the stopping rule held.  A converged estimate also carries its
-    dominant Ritz vector, which a sweep's next level starts from, and a
-    dominant Ritz pair (y, L y) of the round trip, which a solve deflates
-    (``BackAndForth.neumann_reconstruct``); either is None when the dominant
-    Ritz value is one of a complex pair.
+    dominant Ritz vector y, which a sweep's next level starts from, and for
+    Schrodinger the Ritz pair (y, L y), which a solve deflates
+    (``BackAndForth.neumann_reconstruct``).  ritz_vector is None when the
+    estimate did not converge or its dominant Ritz value is one of a complex
+    pair; ritz_pair is None then too, and always for the wave, whose Arnoldi
+    runs on the half trip G, so that its Ritz vector's image is G y, not L y.
     """
 
     value: float
@@ -330,40 +332,21 @@ def arnoldi_process(apply_op: Callable, gram: Callable, start: np.ndarray,
         basis[m] = w * (1.0 / beta)
 
 
-def _dominant(matrix: np.ndarray) -> tuple[complex, np.ndarray, bool]:
-    """The eigenvalue of largest modulus of a square matrix, its eigenvector
-    of unit 2-norm, and whether the matrix is real while that eigenvalue is
-    one of a complex pair, whose eigenvector is not real.  A real matrix's
-    eig is taken in real arithmetic, so a real eigenvalue has imaginary part
-    0 exactly and comes with a real vector."""
-    real = not np.any(matrix.imag)
-    values, vecs = np.linalg.eig(matrix.real if real else matrix)
-    k = int(np.argmax(np.abs(values)))
-    paired = real and values[k].imag != 0.0
-    return values[k], vecs[:, k].real if real and not paired else vecs[:, k], paired
-
-
 def arnoldi_iteration(apply_op: Callable, gram: Callable, start: np.ndarray,
                       tol: float = _ETA_DEFAULTS["tol"],
-                      max_iter: int = _ETA_DEFAULTS["max_iter"], *,
-                      pair_power: int = 1) -> EtaEstimate:
+                      max_iter: int = _ETA_DEFAULTS["max_iter"]) -> EtaEstimate:
     """Largest-modulus Ritz value of a linear operator A, by ``arnoldi_process``.
 
     The iteration stops when the Ritz residual h_{m+1,m} |e_m^T s| of the
     dominant Ritz pair (theta, s), s of unit 2-norm, drops to tol |theta|; a
     breakdown (h_{m+1,m} = 0) meets that rule too, and the estimate then
-    carries the Ritz vector sum_j s_j v_j, s turned so that its largest
-    entry is real and positive.  A real Hessenberg matrix (real states)
-    gives a real vector, or none when its dominant Ritz value is one of a
-    complex pair, whose eigenvector is not real.  Running out of max_iter
-    returns the last Ritz value with converged = False and no vector.
-
-    A converged estimate also carries a dominant Ritz pair (y, B y) of B =
-    A^pair_power, with no further application of A: for pair_power 1, y is
-    the Ritz vector and A y = V_m H_m s + s_m w; for pair_power 2, y = V_{m-1} s
-    with s from the top (m-1) x (m-1) block of H_{m+1,m} H_{m,m-1}, and
-    A^2 y = V_{m+1} H_{m+1,m} H_{m,m-1} s.  It is None where the vector is,
-    and for pair_power 2 also when m < 2 or the pair's value is complex.
+    carries the Ritz vector y = sum_j s_j v_j, s turned so that its largest
+    entry is real and positive, and the pair (y, A y), A y = V_m H_m s + s_m w
+    read off the Arnoldi relation with no further application of A.  A real
+    Hessenberg matrix (real states) gives a real vector, or none when its
+    dominant Ritz value is one of a complex pair, whose eigenvector is not
+    real.  Running out of max_iter returns the last Ritz value with
+    converged = False and no vector.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must lie in (0, 1)")
@@ -372,36 +355,24 @@ def arnoldi_iteration(apply_op: Callable, gram: Callable, start: np.ndarray,
     theta = 0.0
     for V, hess, w in arnoldi_process(apply_op, gram, np.asarray(start), max_iter):
         m = len(V)
-        ritz, s, paired = _dominant(hess[:m, :m])
-        theta = float(np.abs(ritz))
-        if hess[m, m - 1].real * abs(s[-1]) <= tol * theta:
-            if paired:
+        # a real Hessenberg's eig is taken in real arithmetic, so a real Ritz
+        # value has imaginary part 0 exactly and a real vector
+        real = not np.any(hess.imag)
+        H = hess.real if real else hess
+        ritz, vecs = np.linalg.eig(H[:m, :m])
+        k = int(np.argmax(np.abs(ritz)))
+        theta = float(np.abs(ritz[k]))
+        if hess[m, m - 1].real * abs(vecs[-1, k]) <= tol * theta:
+            if real and ritz[k].imag != 0.0:
                 # a complex pair of a real operator: no real vector spans it
                 return EtaEstimate(theta, True, m)
             # eig fixes no phase; turn s so that its largest entry is positive
+            s = vecs[:, k].real if real else vecs[:, k]
             top = s[np.argmax(np.abs(s))]
             s = s * (abs(top) / top)
-            return EtaEstimate(theta, True, m, s @ V, _ritz_pair(V, hess, w, s, pair_power))
+            y = s @ V
+            return EtaEstimate(theta, True, m, y, (y, (H[:m] @ s) @ V + s[-1] * w))
     return EtaEstimate(theta, False, max_iter)
-
-
-def _ritz_pair(V: np.ndarray, hess: np.ndarray, w: np.ndarray, s: np.ndarray,
-               power: int):
-    """``arnoldi_iteration``'s pair (y, A^power y) after step m, from the
-    basis V, the Hessenberg and w = h_{m+1,m} v_{m+1}; s is A's dominant
-    Ritz vector in V's coordinates."""
-    m = len(V)
-    H = hess if np.any(hess.imag) else hess.real
-    if power == 1:
-        return s @ V, (H[:m] @ s) @ V + s[-1] * w
-    if m < 2:
-        return None
-    first = H[:m, :m - 1]                   # A V_{m-1} = V_m first
-    _, s, paired = _dominant((H @ first)[:m - 1])
-    if paired:
-        return None
-    inner = first @ s                       # A y in V_m's coordinates
-    return s @ V[:m - 1], (H[:m] @ inner) @ V + inner[-1] * w
 
 
 @dataclass(frozen=True)
@@ -704,24 +675,22 @@ class BackAndForth:
         theta^2, with G's Ritz vector an eigenvector of L.  Schrodinger's,
         conjugation, is antilinear, so its Arnoldi runs on L, one round trip
         a step.  Either way iterations and max_iter count applications of
-        the operator.  The Ritz pair (y, L y) comes back as states too, its
-        image read off the Arnoldi relation: for Schrodinger y is the Ritz
-        vector, for the wave a Ritz vector of L = G^2 on all but the last
-        basis vector (``arnoldi_iteration``'s pair_power 2).  An estimate
-        that runs out of steps leaves the stopping rule it sets uncertified,
-        so besides converged = False it warns.
+        the operator.  Schrodinger's Ritz pair (y, L y) comes back as states
+        too, its image read off the Arnoldi relation; the wave's would be
+        (y, G y), and the wave's estimate carries none.  An estimate that
+        runs out of steps leaves the stopping rule it sets uncertified, so
+        besides converged = False it warns.
         """
         start = self._eta_start(seed, warm)
         if self.equation == "wave":
-            eta = arnoldi_iteration(self._half_trip, self._x_gram.matvec, start, tol, max_iter,
-                                    pair_power=2)
-            eta = replace(eta, value=eta.value ** 2)
+            eta = arnoldi_iteration(self._half_trip, self._x_gram.matvec, start, tol, max_iter)
+            eta = replace(eta, value=eta.value ** 2, ritz_pair=None)
         else:
             eta = arnoldi_iteration(self.apply_L, self._x_gram.matvec, start, tol, max_iter)
         if eta.ritz_vector is not None:
-            eta = replace(eta, ritz_vector=self._state(eta.ritz_vector))
-        if eta.ritz_pair is not None:
-            eta = replace(eta, ritz_pair=tuple(map(self._state, eta.ritz_pair)))
+            y = self._state(eta.ritz_vector)
+            pair = None if eta.ritz_pair is None else (y, self._state(eta.ritz_pair[1]))
+            eta = replace(eta, ritz_vector=y, ritz_pair=pair)
         if not eta.converged:
             warnings.warn(f"eta = {eta.value:.6g} at {self.ops.mesh.n_cells} cells did not "
                           f"converge in {eta.iterations} steps; raise max_iter or loosen tol",

@@ -979,15 +979,14 @@ def test_gmres_breaks_down_on_an_invariant_space():
 def test_final_residual_meets_the_stopping_rule(engines, equation):
     # the residual z - (I - L) x, recomputed through apply_L, is within
     # eta_hat (h^theta + dt) of z:, at most the r_m of the GMRES iterate x_m
-    # that the solve reports and stops on; with the eta estimate's Ritz pair
-    # deflated, the reported bound adds the pair's share |alpha| ||rho||_X /
-    # (1 - theta) of the full residual
+    # that the solve reports and stops on; with a Ritz pair deflated, the
+    # reported bound adds the pair's share |alpha| ||rho||_X / (1 - theta) of
+    # the full residual
     _, schrod, wave = engines
     engine = schrod if equation == "schrodinger" else wave
     trace = _sine_trace(engine, (1.0, 0.5))
-    estimate = engine.estimate_eta(seed=3)
-    eta = estimate.value
-    for pair, theta in itertools.product((None, estimate.ritz_pair), (1.0, 2.0)):
+    eta = engine.estimate_eta(seed=3).value
+    for pair, theta in itertools.product((None, _pairs(engine)), (1.0, 2.0)):
         res = engine.neumann_reconstruct(trace, eta_hat=eta, theta=theta, ritz_pair=pair)
         assert (res.deflated is None) == (pair is None)
         z, x = engine.first_iterate(trace), res.estimate
@@ -1160,21 +1159,28 @@ def test_trace_validation(engines):
 
 @pytest.mark.parametrize("equation", ["schrodinger", "wave"])
 @pytest.mark.parametrize("n_cells", [24, 64])
-def test_ritz_pair_image_is_the_round_trip(equation, n_cells):
-    # the image read off the Arnoldi relation, at no pass, is apply_L(y): for
-    # the wave y lies on all but the last basis vector of Arnoldi on G, and
-    # its image on V_{m+1} through H_{m+1,m} H_{m,m-1}
+def test_ritz_pair_image_is_the_operators(equation, n_cells):
+    # the image read off the Arnoldi relation, at no pass, is the operator's:
+    # apply_L(y) for Schrodinger, whose estimate carries the pair with its
+    # own Ritz vector as y; the wave's Arnoldi runs on the half trip G, so
+    # its pair is (y, G y), and the wave's estimate carries none
     engine = _eta_engine(equation, n_cells)
     est = engine.estimate_eta(seed=3)
-    y, image = est.ritz_pair
-    assert est.converged and engine.x_norm(y) == pytest.approx(1.0, abs=1e-12)
+    gram = engine._x_gram.matvec
     if equation == "wave":
-        assert y.pos.dtype == image.vel.dtype == np.float64
-    exact = engine.apply_L(y)
-    assert engine.x_norm(combine((1.0, image), (-1.0, exact))) <= 1e-12 * engine.x_norm(exact)
-    # a Ritz pair of L's dominant eigenvalue: its value is eta_hat
-    value = engine.x_inner(image, y).real
-    assert value == pytest.approx(est.value, rel=1e-4)
+        assert est.converged and est.ritz_pair is None
+        op = engine._half_trip
+        est = arnoldi_iteration(op, gram, engine._eta_start(3))
+    else:
+        op = engine._round_trip
+        assert est.ritz_pair[0] is est.ritz_vector
+    y, image = est.ritz_pair     # flat arrays, as Schrodinger states are
+    assert est.converged and observers._norm(gram, y) == pytest.approx(1.0, abs=1e-12)
+    assert y.dtype == image.dtype
+    exact = op(y)
+    assert observers._norm(gram, image - exact) <= 1e-12 * observers._norm(gram, exact)
+    # a Ritz pair of the dominant eigenvalue, whose modulus is the estimate
+    assert abs(np.vdot(gram(y), image).real) == pytest.approx(est.value, rel=1e-4)
 
 
 def _plain_solve(engine, trace, eta_hat, theta=1.0):
@@ -1189,31 +1195,27 @@ def _plain_solve(engine, trace, eta_hat, theta=1.0):
 
 def test_no_pair_is_plain_gmres_bit_for_bit(engines):
     # no pair to deflate: an estimate that ran out of steps, a complex
-    # dominant pair, the wave's pair after one Arnoldi step, or a pair whose
-    # residual would take most of the stopping rule's
+    # dominant pair, the wave's estimate, or a pair whose residual would take
+    # most of the stopping rule's
     ops, schrod, wave = engines
     with pytest.warns(RuntimeWarning, match="did not converge"):
-        unconverged = wave.estimate_eta(max_iter=2, tol=1e-12, seed=11)
+        unconverged = schrod.estimate_eta(max_iter=2, tol=1e-12, seed=11)
     rot = 0.9 * np.array([[np.cos(0.8), -np.sin(0.8)], [np.sin(0.8), np.cos(0.8)]])
     A = np.zeros((6, 6))
     A[:2, :2] = rot
     A[2:, 2:] = np.diag([0.5, -0.3, 0.2, 0.1])
-    for power in (1, 2):
-        est = arnoldi_iteration(lambda v: A @ v, _plain_gram, np.ones(6), tol=1e-12,
-                                max_iter=10, pair_power=power)
-        assert est.converged and est.ritz_pair is None
-    diag = np.array([0.3, -0.92, 0.5, 0.05])
-    one_step = arnoldi_iteration(lambda v: diag * v, _plain_gram, np.eye(4)[1], max_iter=10,
-                                 pair_power=2)
-    assert one_step.iterations == 1 and one_step.ritz_vector is not None
-    assert one_step.ritz_pair is None and unconverged.ritz_pair is None
+    paired = arnoldi_iteration(lambda v: A @ v, _plain_gram, np.ones(6), tol=1e-12,
+                               max_iter=10)
+    assert paired.converged and paired.ritz_pair is None
+    assert unconverged.ritz_pair is None
     for engine in (schrod, wave):
         trace = _sine_trace(engine, (1.0, 0.5))
         eta = engine.estimate_eta(seed=3)
-        y, image = eta.ritz_pair
-        far = (y, combine((1.0, image), (0.5, engine.random_state(4))))
+        y = eta.ritz_vector
+        far = (y, combine((1.0, engine.apply_L(y)), (0.5, engine.random_state(4))))
         x, residuals = _plain_solve(engine, trace, eta.value)
-        for pair in (None, far):
+        pairs = (None, far) if engine is schrod else (eta.ritz_pair, far)
+        for pair in pairs:
             res = engine.neumann_reconstruct(trace, eta_hat=eta.value, ritz_pair=pair)
             assert res.deflated is None and res.polynomial.deflation is None
             assert np.array_equal(engine._flat(res.estimate), x)
@@ -1263,9 +1265,13 @@ _PAIRS = {}
 
 
 def _pairs(engine):
-    """The engine's eta estimate's Ritz pair, estimated once."""
+    """A Ritz pair of the engine's round trip, found once: the eta
+    estimate's, or, for the wave, whose estimate carries none, its Ritz
+    vector and that vector's image under apply_L."""
     if engine not in _PAIRS:
-        _PAIRS[engine] = engine.estimate_eta(seed=3).ritz_pair
+        eta = engine.estimate_eta(seed=3)
+        y = eta.ritz_vector
+        _PAIRS[engine] = eta.ritz_pair or (y, engine.apply_L(y))
     return _PAIRS[engine]
 
 
