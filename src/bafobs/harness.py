@@ -65,14 +65,13 @@ def reconstruction_error(equation: str, truth, estimate, ops: FemOperators) -> f
                          ops.mass, u)
     if equation == "wave":
         w0, w1 = truth
-        state = estimate if isinstance(estimate, WaveState) else WaveState(*estimate)
-        if state.pos.shape != (ops.n,):
-            raise ValueError("estimate dimension does not match the mesh")
+        if not isinstance(estimate, WaveState) or estimate.pos.shape != (ops.n,):
+            raise ValueError(f"a wave estimate must be a WaveState of ({ops.n},) arrays")
         return (_distance(sq_norm(w0.derivative),
                           grad_load_vector(mesh, w0.derivative, True),
-                          ops.stiffness, state.pos)
+                          ops.stiffness, estimate.pos)
                 + _distance(sq_norm(w1.value), load_vector(mesh, w1.value, True),
-                            ops.mass, state.vel))
+                            ops.mass, estimate.vel))
     raise ValueError(f"unknown equation {equation!r}")
 
 
@@ -83,6 +82,8 @@ def error_norm(equation: str, estimate, ops: FemOperators) -> float:
     error_norm of their difference."""
     if equation == "schrodinger":
         return math.sqrt(max(_gram_sq(ops.mass, estimate), 0.0))
+    if not isinstance(estimate, WaveState):
+        raise ValueError(f"a wave estimate must be a WaveState, got {type(estimate).__name__}")
     return (math.sqrt(max(_gram_sq(ops.stiffness, estimate.pos), 0.0))
             + math.sqrt(max(_gram_sq(ops.mass, estimate.vel), 0.0)))
 

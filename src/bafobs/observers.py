@@ -1,19 +1,19 @@
 """Fully discrete forward/backward observers and the Krylov reconstruction.
 
-The forward observer is the damped implicit scheme driven by the recorded
-output; the backward observer is the same damped pass under the equation's
-time reversal (conjugation for Schrodinger, (p, v) -> (-p, v) for the wave),
-driven by the time-reversed output.  Their zero-forcing composition is the
-round-trip operator L.  The initial state solves (I - L) x = z, z the first
-iterate, whose Neumann series the paper truncates; here GMRES in the X inner
-product solves it, stopping at the residual that the paper's truncation
-leaves.  The contraction factor eta, estimated by Arnoldi in X (for the wave
-on the half trip G, with L = G^2), sets that stopping rule, and for
-Schrodinger the estimate's dominant Ritz pair (y, L y), read off the same
-Arnoldi relation, is deflated from the solve: z's component along y is solved
-in closed form and GMRES runs on the rest.  Both run on one Arnoldi
-process.  Each equation has one stepper and one stepping loop, which returns
-the final state only and allocates nothing per step.
+The forward observer is the damped implicit pass T+ driven by the recorded
+output; the backward observer is the same pass under the equation's time
+reversal R (conjugation for Schrodinger, (p, v) -> (-p, v) for the wave),
+driven by the time-reversed output.  For both equations the zero-forcing
+round trip is thus L = G G, G = R T+ the half trip; inside the engine a state
+is one flat array, q or [p; v].  The initial state solves (I - L) x = z, z
+the first iterate, whose Neumann series the paper truncates; here GMRES in
+the X inner product solves it, stopping at the residual that the paper's
+truncation leaves.  The contraction factor eta, estimated by Arnoldi in X
+(for the wave on G), sets that stopping rule, and for Schrodinger the
+estimate's dominant Ritz pair (y, L y) is deflated from the solve: z's
+component along y is solved in closed form and GMRES runs on the rest.  Both
+run on one Arnoldi process.  Each equation has one stepper and one stepping
+loop, which returns the final state only and allocates nothing per step.
 """
 
 from __future__ import annotations
@@ -54,10 +54,6 @@ class WaveState:
 
     pos: np.ndarray
     vel: np.ndarray
-
-    @classmethod
-    def zeros(cls, n: int) -> "WaveState":
-        return cls(np.zeros(n), np.zeros(n))
 
 
 class SchrodingerStepper:
@@ -184,10 +180,11 @@ class WaveStepper:
 
 
 def run_wave(stepper: WaveStepper, p0: np.ndarray, p1: np.ndarray, *,
-             outputs: np.ndarray | None = None) -> WaveState:
+             outputs: np.ndarray | None = None) -> np.ndarray:
     """Advance the wave scheme n_steps times from (p0, p1) = (position, velocity).
 
-    Returns the final WaveState (p^K, D_t p^K), D_t the backward difference.
+    Returns the final state as one (2n,) array [p^K; D_t p^K], D_t the
+    backward difference.
     outputs, as for ``run_schrodinger``, holds y^1..y^K; the explicit first
     step reads none, so y^1 is never used.  A (2, n) history holds p^{k-1}
     and p^{k-2} in alternating rows: each step forms (2M + dt B) p^{k-1} and
@@ -226,8 +223,8 @@ def run_wave(stepper: WaveStepper, p0: np.ndarray, p1: np.ndarray, *,
         if loads is not None:
             np.add(rhs, next(loads), out=rhs)
         solve(bound)
-    last = stepper.n_steps & 1
-    return WaveState(history[last].copy(), (history[last] - history[1 - last]) / dt)
+    last, before = history[stepper.n_steps & 1], history[1 - (stepper.n_steps & 1)]
+    return np.concatenate([last, (last - before) / dt])
 
 
 @dataclass(frozen=True)
@@ -548,33 +545,32 @@ class BackAndForth:
         return np.vdot(self._flat(v), self._x_gram.matvec(self._flat(u)))
 
     def x_norm(self, u) -> float:
-        return math.sqrt(max(np.real(self.x_inner(u, u)), 0.0))
+        return _norm(self._x_gram.matvec, self._flat(u))
 
     def _flat(self, state) -> np.ndarray:
-        """A state as one 1-d array: the wave's is [pos; vel]."""
+        """A public state as the engine's one 1-d array: the wave's is [pos; vel]."""
         if self.equation == "schrodinger":
             return state
         return np.concatenate([state.pos, state.vel])
 
     def _state(self, flat: np.ndarray):
-        """The state of a ``_flat`` array (the wave's halves are views)."""
+        """The public state of a ``_flat`` array (the wave's halves are views)."""
         if self.equation == "schrodinger":
             return flat
         return WaveState(flat[:self.ops.n], flat[self.ops.n:])
 
     def zero_state(self):
-        n = self.ops.n
-        return np.zeros(n, dtype=complex) if self.equation == "schrodinger" \
-            else WaveState.zeros(n)
+        dtype = complex if self.equation == "schrodinger" else float
+        return self._state(np.zeros(self._x_gram.diag.size, dtype))
 
     def random_state(self, seed: int):
         rng = np.random.default_rng(seed)
         n = self.ops.n
         if self.equation == "schrodinger":
             return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        return WaveState(rng.standard_normal(n), rng.standard_normal(n))
+        return self._state(rng.standard_normal(2 * n))
 
-    # -- observers ----------------------------------------------------------
+    # -- observers: every pass is built of T+ (_pass) and R (_reverse) -------
 
     def _check_trace(self, trace: ObservationTrace):
         if trace.equation != self.equation:
@@ -588,54 +584,59 @@ class BackAndForth:
                 f"trace has {trace.n_steps} steps, stepper has {self.n_steps}"
             )
 
-    def _forward(self, state, outputs=None):
-        """One damped pass of n_steps from state, driven by outputs if given."""
+    def _pass(self, u: np.ndarray, outputs=None) -> np.ndarray:
+        """T+: one damped pass of n_steps from u, driven by outputs if given."""
         if self.equation == "schrodinger":
-            return run_schrodinger(self._stepper, state, outputs=outputs)
-        return run_wave(self._stepper, state.pos, state.vel, outputs=outputs)
+            return run_schrodinger(self._stepper, u, outputs=outputs)
+        n = self.ops.n
+        return run_wave(self._stepper, u[:n], u[n:], outputs=outputs)
 
-    def _backward(self, state, outputs=None):
-        """The backward pass R _forward(R state, R outputs), R the time
-        reversal: conjugation for Schrodinger (of the outputs as the pass
-        reads them), and for the wave the position flip (p, v) -> (-p, v),
-        which leaves the outputs alone."""
+    def _reverse(self, u: np.ndarray) -> np.ndarray:
+        """R in place: conjugation for Schrodinger, (p, v) -> (-p, v) for the
+        wave.  Both are exact and their own inverse."""
         if self.equation == "schrodinger":
-            if outputs is not None:
-                outputs = _Conjugated(outputs)
-            out = self._forward(np.conj(state), outputs)
-            return np.conjugate(out, out=out)
-        out = self._forward(WaveState(-state.pos, state.vel), outputs)
-        return WaveState(-out.pos, out.vel)
+            return np.conjugate(u, out=u)
+        np.negative(u[:self.ops.n], out=u[:self.ops.n])
+        return u
+
+    def _half_trip(self, u: np.ndarray, outputs=None) -> np.ndarray:
+        """G = R T+: one pass, then the time reversal."""
+        return self._reverse(self._pass(u, outputs))
+
+    def _backward(self, u: np.ndarray, outputs) -> np.ndarray:
+        """The backward pass G(R u, R outputs).  R of Schrodinger's outputs is
+        their conjugate as the pass reads them; the wave's leaves them alone."""
+        if self.equation == "schrodinger":
+            outputs = _Conjugated(outputs)
+        return self._half_trip(self._reverse(u.copy()), outputs)
+
+    def _round_trip(self, u: np.ndarray) -> np.ndarray:
+        """L = G G, one zero-forcing round trip."""
+        return self._half_trip(self._half_trip(u))
+
+    def _first_iterate(self, trace: ObservationTrace) -> np.ndarray:
+        """``first_iterate``, flat."""
+        self._check_trace(trace)
+        return self._backward(self._pass(self._flat(self.zero_state()), trace.samples[1:]),
+                              trace.samples[::-1][1:])   # y^{K-k}, k = 1..K
 
     def forward_observer(self, trace: ObservationTrace):
         """Run the damped observer from rest, driven by the trace; state at tau."""
         self._check_trace(trace)
-        return self._forward(self.zero_state(), trace.samples[1:])
+        return self._state(self._pass(self._flat(self.zero_state()), trace.samples[1:]))
 
     def backward_observer(self, trace: ObservationTrace, final_state):
         """Run the backward observer from the forward output; state at time 0."""
         self._check_trace(trace)
-        return self._backward(final_state, trace.samples[::-1][1:])   # y^{K-k}, k = 1..K
+        return self._state(self._backward(self._flat(final_state), trace.samples[::-1][1:]))
 
     def first_iterate(self, trace: ObservationTrace):
         """The state the Neumann series starts from: backward(forward(trace))."""
-        return self.backward_observer(trace, self.forward_observer(trace))
+        return self._state(self._first_iterate(trace))
 
     def apply_L(self, state):
         """One zero-forcing round trip (forward then backward pass)."""
-        return self._backward(self._forward(state))
-
-    def _half_trip(self, flat: np.ndarray) -> np.ndarray:
-        """G = R T+ on a ``_flat`` wave state: one zero-forcing pass, then the
-        time reversal R (p, v) -> (-p, v).  R is linear and its own inverse,
-        so G(G(u)) is ``apply_L`` bit for bit."""
-        n = self.ops.n
-        out = run_wave(self._stepper, flat[:n], flat[n:])
-        return np.concatenate([-out.pos, out.vel])
-
-    def _round_trip(self, flat: np.ndarray) -> np.ndarray:
-        """``apply_L`` on a ``_flat`` state."""
-        return self._flat(self.apply_L(self._state(flat)))
+        return self._state(self._round_trip(self._flat(state)))
 
     # -- contraction factor and reconstruction ------------------------------
 
@@ -643,19 +644,16 @@ class BackAndForth:
         """Arnoldi's ``_flat`` start: ``random_state(seed)``, plus ``warm``, if given.
 
         ``warm``, a state on any uniform mesh of the same length (a coarser
-        level's Ritz vector), is prolonged onto this mesh and added to the
-        random state at equal X norm.  The random part keeps full weight: the
-        dominant mode can change from one mesh to the next, and a start
-        nearly orthogonal to it can stop Arnoldi on a smaller Ritz value.
+        level's Ritz vector), is prolonged onto this mesh part by part and
+        added to the random state at equal X norm.  The random part keeps full
+        weight: the dominant mode can change from one mesh to the next, and a
+        start nearly orthogonal to it can stop Arnoldi on a smaller Ritz value.
         """
         start = self._flat(self.random_state(seed))
         if warm is None:
             return start
-        mesh = self.ops.mesh
-        if self.equation == "schrodinger":
-            warm = prolong(warm, mesh)
-        else:
-            warm = np.concatenate([prolong(warm.pos, mesh), prolong(warm.vel, mesh)])
+        parts = np.split(self._flat(warm), 1 if self.equation == "schrodinger" else 2)
+        warm = np.concatenate([prolong(part, self.ops.mesh) for part in parts])
         gram = self._x_gram.matvec
         size = _norm(gram, warm)
         if size == 0.0:             # a restriction onto a coarser mesh can vanish
@@ -682,11 +680,10 @@ class BackAndForth:
         besides converged = False it warns.
         """
         start = self._eta_start(seed, warm)
+        op = self._round_trip if self.equation == "schrodinger" else self._half_trip
+        eta = arnoldi_iteration(op, self._x_gram.matvec, start, tol, max_iter)
         if self.equation == "wave":
-            eta = arnoldi_iteration(self._half_trip, self._x_gram.matvec, start, tol, max_iter)
             eta = replace(eta, value=eta.value ** 2, ritz_pair=None)
-        else:
-            eta = arnoldi_iteration(self.apply_L, self._x_gram.matvec, start, tol, max_iter)
         if eta.ritz_vector is not None:
             y = self._state(eta.ritz_vector)
             pair = None if eta.ritz_pair is None else (y, self._state(eta.ritz_pair[1]))
@@ -743,7 +740,7 @@ class BackAndForth:
             rtol = eta_hat * (h ** theta + self.dt)
         elif polynomial is None and n_terms < 0:
             raise ValueError("n_terms must be nonnegative")
-        z = self._flat(self.first_iterate(trace))
+        z = self._first_iterate(trace)
         if polynomial is not None:
             return ReconstructionResult(self._state(polynomial.replay(self._round_trip, z)),
                                         polynomial.steps, eta_hat, (), polynomial)

@@ -66,6 +66,15 @@ def test_wave_error_of_nonzero_estimate_matches_independent_quadrature():
     reference = (fine_h1_distance(mesh, w0, pos, points_per_cell=1024)
                  + fine_l2_distance(mesh, w1, vel, points_per_cell=1024))
     assert err == pytest.approx(reference, rel=1e-6)
+    # a wave estimate is read one way: a flat [pos; vel], a (2, n) stack or a
+    # tuple is refused by both functions, and so is a WaveState off the mesh
+    for other in (np.concatenate([pos, vel]), np.stack([pos, vel]), (pos, vel)):
+        with pytest.raises(ValueError, match="WaveState"):
+            reconstruction_error("wave", WAVE_TRUTH, other, ops)
+        with pytest.raises(ValueError, match="WaveState"):
+            harness.error_norm("wave", other, ops)
+    with pytest.raises(ValueError, match=rf"\({mesh.n},\)"):
+        reconstruction_error("wave", WAVE_TRUTH, WaveState(pos[1:], vel[1:]), ops)
 
 
 def test_error_triangle_inequality_against_discrete_norm():
