@@ -2,8 +2,10 @@
 
 Reconstructs the initial state of conservative Schrodinger and wave systems
 from partial, time-windowed observations by alternating damped forward and
-backward observer sweeps and summing the resulting Neumann series, with P1
-finite elements in space and implicit finite differences in time.
+backward observer sweeps: the round trip L of one forward and one backward
+sweep gives (I - L) x = z, which the paper solves by its Neumann series and
+this package by GMRES, with P1 finite elements in space and implicit finite
+differences in time.
 """
 
 from .fem import FemOperators, FieldSpec, Mesh1D, ObservationProfile, assemble

@@ -359,11 +359,13 @@ def cmd_reconstruct(cfg: dict, trace_path: str) -> int:
         )
     engine = _engine_from(cfg)
     eta, eta_cost = harness.eta_stage(engine, **cfg["eta"])
+    result, solve_cost = harness.solve_stage(engine, trace, eta, n_policy=cfg["n_policy"],
+                                             theta=cfg["theta"])
     truth = build_truth(cfg)
-    result, row = harness.reconstruct(engine, trace, eta, n_policy=cfg["n_policy"],
-                                      theta=cfg["theta"], truth=truth,
-                                      noise_eps=header["noise"]["amplitude"])
+    row = harness.fill_row(engine, result, result.estimate, eta, truth=truth,
+                           noise_eps=header["noise"]["amplitude"], theta=cfg["theta"])
     harness.charge(row, **eta_cost)
+    harness.charge(row, **solve_cost)
     out = _out_dir(cfg)
     est_path = out / "estimate.txt"
     _write_estimate(est_path, result.estimate, cfg)
@@ -390,11 +392,9 @@ def _close(a, b) -> bool:
 
 
 def cmd_estimate_eta(cfg: dict) -> int:
-    engine = _engine_from(cfg)
-    eta = engine.estimate_eta(**cfg["eta"])
+    eta, cost = harness.eta_stage(_engine_from(cfg), **cfg["eta"])
     print(json.dumps({"eta_hat": eta.value, "converged": eta.converged,
-                      "iterations": eta.iterations,
-                      "n_solves": engine.eta_step_solves * eta.iterations}))
+                      "iterations": eta.iterations, "n_solves": cost["solves"]}))
     return 0
 
 

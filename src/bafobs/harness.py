@@ -18,8 +18,8 @@ import numpy as np
 from .fem import (FemOperators, FieldSpec, Mesh1D, ObservationProfile,
                   assemble, grad_load_vector, load_vector)
 from .models import NoiseSpec, ProblemInstance, generate_observation, unit_noise
-from .observers import (_ETA_DEFAULTS, BackAndForth, EtaEstimate, WaveState,
-                        choose_truncation)
+from .observers import (_ETA_DEFAULTS, BackAndForth, EtaEstimate, ReconstructionResult,
+                        WaveState, choose_truncation)
 
 CSV_HEADER = "equation,h,dt,n_used,eta_hat,noise_eps,error_x,fit_model,wall_ms"
 
@@ -42,6 +42,23 @@ def _distance(sq_norm: float, loads: np.ndarray, gram, coeffs: np.ndarray) -> fl
     return math.sqrt(max(sq_norm - cross + _gram_sq(gram, coeffs), 0.0))
 
 
+def _gram_fields(equation: str, estimate, ops: FemOperators) -> list[tuple[object, np.ndarray]]:
+    """The (Gram, coefficients) pair of each field of an estimate, checked:
+    (M, u) for Schrodinger, u of shape (n,); (K, pos) and (M, vel) for the
+    wave, a WaveState of (n,) arrays."""
+    if equation == "schrodinger":
+        u = np.asarray(estimate)
+        if u.shape != (ops.n,):
+            raise ValueError(f"estimate has shape {u.shape}, expected ({ops.n},)")
+        return [(ops.mass, u)]
+    if equation == "wave":
+        if not (isinstance(estimate, WaveState)
+                and estimate.pos.shape == estimate.vel.shape == (ops.n,)):
+            raise ValueError(f"a wave estimate must be a WaveState of ({ops.n},) arrays")
+        return [(ops.stiffness, estimate.pos), (ops.mass, estimate.vel)]
+    raise ValueError(f"unknown equation {equation!r}")
+
+
 def reconstruction_error(equation: str, truth, estimate, ops: FemOperators) -> float:
     """Reconstruction error in the norms the convergence analysis uses.
 
@@ -51,28 +68,18 @@ def reconstruction_error(equation: str, truth, estimate, ops: FemOperators) -> f
     not replaced by a projected surrogate, so the projection floor of the
     element space is part of the reported error.
     """
+    fields = _gram_fields(equation, estimate, ops)
     mesh = ops.mesh
     pts, wts = mesh.quadrature_points(order8=True)
-
-    def sq_norm(f) -> float:
-        return float(np.sum(wts * np.abs(f(pts)) ** 2))
-
-    if equation == "schrodinger":
-        u = np.asarray(estimate)
-        if u.shape != (ops.n,):
-            raise ValueError(f"estimate has shape {u.shape}, expected ({ops.n},)")
-        return _distance(sq_norm(truth.value), load_vector(mesh, truth.value, True),
-                         ops.mass, u)
+    # each field's truth f, with the loads (f, phi_i) of its norm
     if equation == "wave":
         w0, w1 = truth
-        if not isinstance(estimate, WaveState) or estimate.pos.shape != (ops.n,):
-            raise ValueError(f"a wave estimate must be a WaveState of ({ops.n},) arrays")
-        return (_distance(sq_norm(w0.derivative),
-                          grad_load_vector(mesh, w0.derivative, True),
-                          ops.stiffness, estimate.pos)
-                + _distance(sq_norm(w1.value), load_vector(mesh, w1.value, True),
-                            ops.mass, estimate.vel))
-    raise ValueError(f"unknown equation {equation!r}")
+        sides = [(w0.derivative, grad_load_vector), (w1.value, load_vector)]
+    else:
+        sides = [(truth.value, load_vector)]
+    return sum(_distance(float(np.sum(wts * np.abs(f(pts)) ** 2)), loads(mesh, f, True),
+                         gram, coeffs)
+               for (f, loads), (gram, coeffs) in zip(sides, fields))
 
 
 def error_norm(equation: str, estimate, ops: FemOperators) -> float:
@@ -80,12 +87,8 @@ def error_norm(equation: str, estimate, ops: FemOperators) -> float:
     measures: |u|_M for Schrodinger, |pos|_K + |vel|_M for the wave.  By the
     triangle inequality two estimates' errors differ by at most the
     error_norm of their difference."""
-    if equation == "schrodinger":
-        return math.sqrt(max(_gram_sq(ops.mass, estimate), 0.0))
-    if not isinstance(estimate, WaveState):
-        raise ValueError(f"a wave estimate must be a WaveState, got {type(estimate).__name__}")
-    return (math.sqrt(max(_gram_sq(ops.stiffness, estimate.pos), 0.0))
-            + math.sqrt(max(_gram_sq(ops.mass, estimate.vel), 0.0)))
+    return sum(math.sqrt(max(_gram_sq(gram, coeffs), 0.0))
+               for gram, coeffs in _gram_fields(equation, estimate, ops))
 
 
 # -- sweeps -------------------------------------------------------------------
@@ -135,6 +138,8 @@ class SweepPlan:
             raise ValueError(f"n_policy must be 'auto' or an integer >= 0, got {npol!r}")
         if not self.kappa > 0:
             raise ValueError("kappa must be positive")
+        for eps in self.noise_eps:
+            NoiseSpec(eps, self.noise_seed)
         for n_cells in self.levels:
             self.n_steps(n_cells)
 
@@ -192,42 +197,34 @@ def build_engine(equation: str, n_cells: int, length: float,
     return BackAndForth(equation, ops, dt, n_steps)
 
 
-def eta_stage(engine: BackAndForth, tol: float = _ETA_DEFAULTS["tol"],
-              max_iter: int = _ETA_DEFAULTS["max_iter"], seed: int = _ETA_DEFAULTS["seed"],
-              *, warm=None) -> tuple[EtaEstimate, dict]:
+def eta_stage(engine: BackAndForth, *, warm=None, **settings) -> tuple[EtaEstimate, dict]:
     """The eta estimate of a reconstruction, timed: (eta, its cost as
-    ``charge`` keywords, its solves and eta_ms)."""
+    ``charge`` keywords, its solves and eta_ms).  ``settings`` and ``warm``
+    go to ``BackAndForth.estimate_eta``."""
     start = time.perf_counter()
-    eta = engine.estimate_eta(tol=tol, max_iter=max_iter, seed=seed, warm=warm)
+    eta = engine.estimate_eta(warm=warm, **settings)
     return eta, {"solves": engine.eta_step_solves * eta.iterations,
                  "eta_ms": 1e3 * (time.perf_counter() - start)}
 
 
-def reconstruct(engine: BackAndForth, trace, eta: EtaEstimate, *, n_policy: int | str,
-                theta: float, truth, noise_eps: float, polynomial=None):
+def solve_stage(engine: BackAndForth, trace, eta: EtaEstimate, *, n_policy: int | str,
+                theta: float, polynomial=None) -> tuple[ReconstructionResult, dict]:
     """The solve of a trace, deflating the eta estimate's Ritz pair, or the
-    replay of another solve's ``polynomial`` on it, and its error against
-    the truth: (result, row).
-
-    The row carries the round trips' solves and time; ``charge`` adds a
-    shared eta estimate.  Without a truth, error_x is nan.
-    """
+    replay of another solve's ``polynomial`` on it, timed: (result, its cost
+    as ``charge`` keywords, its round trips' solves and neumann_ms)."""
     start = time.perf_counter()
     result = engine.neumann_reconstruct(trace, n_terms=None if n_policy == "auto" else n_policy,
                                         eta_hat=eta.value, theta=theta, polynomial=polynomial,
                                         ritz_pair=eta.ritz_pair)
-    neumann_ms = 1e3 * (time.perf_counter() - start)
-    row = fill_row(engine, result, result.estimate, eta, truth=truth, noise_eps=noise_eps,
-                   theta=theta)
-    return result, charge(row, engine.round_trip_solves * (result.n_used + 1),
-                          neumann_ms=neumann_ms)
+    return result, {"solves": engine.round_trip_solves * (result.n_used + 1),
+                    "neumann_ms": 1e3 * (time.perf_counter() - start)}
 
 
 def fill_row(engine: BackAndForth, result, estimate, eta: EtaEstimate, *, truth,
              noise_eps: float, theta: float) -> SweepRow:
     """The row of ``estimate``, reconstructed as ``result`` was: its error
     against the truth, timed (nan without a truth).  It carries no solves
-    and no reconstruction time until ``charge`` adds them."""
+    and no stage time until ``charge`` adds the stages' costs."""
     err, error_ms = float("nan"), 0.0
     if truth is not None:
         start = time.perf_counter()
@@ -244,10 +241,10 @@ def fill_row(engine: BackAndForth, result, estimate, eta: EtaEstimate, *, truth,
                     deflated=result.deflated)
 
 
-def charge(row: SweepRow, solves: int = 0, *, neumann_ms: float = 0.0,
+def charge(row: SweepRow, *, solves: int = 0, neumann_ms: float = 0.0,
            eta_ms: float = 0.0, gen_ms: float = 0.0) -> SweepRow:
-    """Add work run for the row to it: tridiagonal solves, and stage times
-    that also go into its wall_ms."""
+    """Add the cost of a stage run for the row to it, as a stage returns it:
+    tridiagonal solves, and stage times that also go into its wall_ms."""
     row.n_solves += solves
     row.neumann_ms += neumann_ms
     row.eta_ms += eta_ms
@@ -271,22 +268,21 @@ def run_cell(plan: SweepPlan, n_cells: int,
     The discretization, the clean trace and the contraction estimate do not
     depend on the noise, so they are built once per level.  Every noise
     level draws the same stream, so its trace is clean + eps * u up to
-    rounding, u the unit draw of ``unit_noise``.  A level therefore runs at
-    most one solve and one replay: the solve of the clean trace, S(clean),
-    at the first row that passes its noise check, and the replay of its map
-    S (a polynomial in L, beside the closed-form part along the deflated
-    Ritz vector) on u's first iterate, S(u), at the first such row with
-    eps > 0.  The replay is linear in the trace, so row eps is S(clean) +
-    eps * S(u), the one linear map S of its noisy trace; it is exactly
-    S(clean) for eps = 0, and a noisy row's noise_gain is ``error_norm`` of
-    S(u).
+    rounding, u the unit draw of ``unit_noise``.  A level therefore runs
+    one solve and at most one replay: the solve of the clean trace,
+    S(clean), with the shared stages, and the replay of its map S (a
+    polynomial in L, beside the closed-form part along the deflated Ritz
+    vector) on u's first iterate, S(u), at the first row with eps > 0.  The
+    replay is linear in the trace, so row eps is S(clean) + eps * S(u), the
+    one linear map S of its noisy trace; it is exactly S(clean) for eps = 0,
+    and a noisy row's noise_gain is ``error_norm`` of S(u).
 
-    Failures are recorded, not raised: a failure in the shared set-up or in
+    Failures are recorded, not raised: a failure in generation, eta or
     S(clean), which every row shares, marks every row of the level; one in
-    S(u) marks the noisy rows; a bad eps marks only its own row.  Each row is
-    charged the reconstructions it ran, and the first row, failed or not,
-    the shared set-up (gen_ms and the eta stage), so the rows' wall_ms sum
-    to the level's time and their n_solves to its solves.
+    S(u) marks the noisy rows.  Each row is charged the stages that finished
+    since the row before, the first row the shared ones, failed or not, so
+    the rows' wall_ms sum to the level's time and their n_solves to its
+    solves.
 
     ``carry`` hands eta's start along a sweep: the level starts warm from
     its state (see ``BackAndForth.estimate_eta``) and leaves there its
@@ -299,7 +295,8 @@ def run_cell(plan: SweepPlan, n_cells: int,
     h = plan.length / n_cells
     k = plan.n_steps(n_cells)
     dt = plan.tau / k
-    rows, setup_failure = [], None
+    rows, pending = [], []      # pending: the costs of finished stages no row carries yet
+    failure = unit = None       # what a shared stage raised; S(u), or what it raised
     # cell isolation: the sweep must go on, so any failure becomes a row
     try:
         engine = build_engine(plan.equation, n_cells, plan.length, plan.profile, dt, k)
@@ -308,52 +305,44 @@ def run_cell(plan: SweepPlan, n_cells: int,
                                    n_steps=k, truth=plan.truth)
         start = time.perf_counter()
         clean = generate_observation(instance, refine=plan.refine)
-        gen_ms = 1e3 * (time.perf_counter() - start)
-        eta, eta_cost = eta_stage(engine, plan.eta_tol, plan.eta_max_iter, plan.eta_seed,
-                                  warm=warm)
+        pending.append({"gen_ms": 1e3 * (time.perf_counter() - start)})
+        eta, cost = eta_stage(engine, tol=plan.eta_tol, max_iter=plan.eta_max_iter,
+                              seed=plan.eta_seed, warm=warm)
+        pending.append(cost)
         carry.state = eta.ritz_vector
+        base, cost = solve_stage(engine, clean, eta, n_policy=plan.n_policy, theta=plan.theta)
+        pending.append(cost)
     except Exception as exc:
-        setup_failure = exc
-    runs, ran = {}, []      # the level's reconstructions, (result, row) or what they raised
-
-    def solve(key: str, make_trace, polynomial=None):
-        """The level's reconstruction of make_trace(), run once; ``ran`` gets its row."""
-        if key not in runs:
-            try:
-                runs[key] = reconstruct(engine, make_trace(), eta, n_policy=plan.n_policy,
-                                        theta=plan.theta, truth=None, noise_eps=0.0,
-                                        polynomial=polynomial)
-                ran.append(runs[key][1])
-            except Exception as exc:
-                runs[key] = exc
-        if isinstance(runs[key], Exception):
-            raise runs[key]
-        return runs[key][0]
-
+        failure = exc
     for eps in plan.noise_eps:
+        if eps != 0.0 and unit is None and failure is None:
+            try:
+                # unnamed, the unit draw is released once its replay is done
+                unit, cost = solve_stage(engine, unit_noise(clean, plan.noise_seed), eta,
+                                         n_policy=plan.n_policy, theta=plan.theta,
+                                         polynomial=base.polynomial)
+                pending.append(cost)
+            except Exception as exc:
+                unit = exc
         try:
-            if setup_failure is not None:
-                raise setup_failure
-            NoiseSpec(eps, plan.noise_seed)        # a bad eps fails only its own row
-            base = solve("clean", lambda: clean)
+            if failure is not None:
+                raise failure
             estimate, gain = base.estimate, None
             if eps != 0.0:
-                # unnamed, the unit draw is released once its replay is done
-                unit = solve("unit", lambda: unit_noise(clean, plan.noise_seed),
-                             base.polynomial).estimate
-                estimate = engine._state(engine._flat(base.estimate) + eps * engine._flat(unit))
-                gain = error_norm(plan.equation, unit, engine.ops)
+                if isinstance(unit, Exception):
+                    raise unit
+                estimate = engine._state(engine._flat(base.estimate)
+                                         + eps * engine._flat(unit.estimate))
+                gain = error_norm(plan.equation, unit.estimate, engine.ops)
             row = fill_row(engine, base, estimate, eta, truth=plan.truth, noise_eps=eps,
                            theta=plan.theta)
             row.noise_gain, row.eta_warm = gain, warm is not None
         except Exception as exc:
             row = SweepRow(plan.equation, n_cells, h, dt, -1, float("nan"), eps,
                            float("nan"), 0.0, f"{type(exc).__name__}: {exc}")
-        if not rows and setup_failure is None:
-            charge(row, gen_ms=gen_ms, **eta_cost)
-        for run_row in ran:
-            charge(row, run_row.n_solves, neumann_ms=run_row.neumann_ms)
-        ran.clear()
+        for cost in pending:
+            charge(row, **cost)
+        pending.clear()
         now = time.perf_counter()
         row.wall_ms, mark = 1e3 * (now - mark), now
         rows.append(row)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from bafobs import cli, observers
 from bafobs.fem import FieldSpec
 from bafobs.harness import SweepPlan, SweepRow
+from bafobs.linalg import ShiftedSystem
 from bafobs.models import read_trace
 from bafobs.observers import RATIO_SLACK, BackAndForth, EtaEstimate, arnoldi_iteration
 
@@ -558,8 +559,8 @@ def _line_of(fn, call: str) -> int:
 
 def test_warnings_name_the_line_that_asks(tmp_path, capsys, monkeypatch):
     # each warning points at the call of the estimator or the solve: the one
-    # eta stage's, which a sweep level and the reconstruct command share,
-    # and the one reconstruction path's
+    # eta stage's and the one solve stage's, which a sweep level and the
+    # reconstruct command share
     with pytest.warns(RuntimeWarning, match="at 8 cells did not converge") as caught:
         cli.harness.run_sweep(SweepPlan("schrodinger", (8,), 1.0, FieldSpec(),
                                         eta_max_iter=2, eta_tol=1e-12))
@@ -581,7 +582,7 @@ def test_warnings_name_the_line_that_asks(tmp_path, capsys, monkeypatch):
         run_cli(["--config", cfg, *WAVE_32, "reconstruct", "--trace", trace_path], capsys)
     (warning,) = caught
     assert (warning.filename, warning.lineno) == (
-        cli.harness.__file__, _line_of(cli.harness.reconstruct, ".neumann_reconstruct("))
+        cli.harness.__file__, _line_of(cli.harness.solve_stage, ".neumann_reconstruct("))
 
 
 def test_estimate_eta_cached_determinism(tmp_path, capsys):
@@ -599,6 +600,30 @@ def test_estimate_eta_reports_its_solves(tmp_path, capsys, equation, step_solves
     eta = json.loads(stdout)
     assert code == 0 and eta["converged"]
     assert eta["n_solves"] == step_solves * eta["iterations"]
+
+
+@pytest.mark.parametrize("equation", ["schrodinger", "wave"])
+def test_reported_solves_are_the_solves_run(tmp_path, capsys, monkeypatch, equation):
+    # count every solve, as a wrapper of ShiftedSystem.solve sees them, while
+    # each command runs
+    calls = []
+    solve = ShiftedSystem.solve
+
+    def counting_solve(self, rhs):
+        calls.append(1)
+        return solve(self, rhs)
+
+    args = ["--set", f"equation={equation}", "--set", "geometry.n_cells=16",
+            "--set", f"output.directory={tmp_path}"]
+    trace_path = str(tmp_path / "t.txt")
+    assert run_cli(args + ["generate", "--out", trace_path], capsys)[0] == 0
+    monkeypatch.setattr(ShiftedSystem, "solve", counting_solve)
+    assert run_cli(args + ["reconstruct", "--trace", trace_path], capsys)[0] == 0
+    diag = json.loads((tmp_path / "diagnostics.json").read_text())
+    assert diag["n_solves"] == len(calls) > 0
+    calls.clear()
+    code, stdout, _ = run_cli(args + ["estimate-eta"], capsys)
+    assert code == 0 and json.loads(stdout)["n_solves"] == len(calls) > 0
 
 
 def test_estimate_eta_warns_when_it_runs_out_of_steps(tmp_path, capsys):

@@ -32,6 +32,19 @@ def small_plan(**kw):
     return SweepPlan(**base)
 
 
+def count_solves(monkeypatch) -> list:
+    """A list that gets one entry per ShiftedSystem.solve, as a wrapper of
+    the method sees them."""
+    calls, solve = [], ShiftedSystem.solve
+
+    def counting_solve(self, rhs):
+        calls.append(1)
+        return solve(self, rhs)
+
+    monkeypatch.setattr(ShiftedSystem, "solve", counting_solve)
+    return calls
+
+
 # -- reconstruction_error ---------------------------------------------------------------
 
 
@@ -214,15 +227,7 @@ def test_truncation_cap_hit_recorded_in_row(monkeypatch):
 @pytest.mark.parametrize("equation, truth, tau", [("schrodinger", TRUTH, 1.0),
                                                   ("wave", WAVE_TRUTH, 2.0)])
 def test_row_solve_counts_are_the_solves_run(monkeypatch, equation, truth, tau):
-    # count every solve, as a wrapper of ShiftedSystem.solve sees them
-    calls = []
-    solve = ShiftedSystem.solve
-
-    def counting_solve(self, rhs):
-        calls.append(1)
-        return solve(self, rhs)
-
-    monkeypatch.setattr(ShiftedSystem, "solve", counting_solve)
+    calls = count_solves(monkeypatch)
     plan = small_plan(equation=equation, truth=truth, tau=tau, levels=(8,),
                       noise_eps=(0.0, 1e-3))
     first, second = run_cell(plan, 8)
@@ -238,22 +243,41 @@ def test_row_solve_counts_are_the_solves_run(monkeypatch, equation, truth, tau):
     assert first.n_solves == eta_step * first.eta_iterations + round_trip * (first.n_used + 1)
 
 
-def test_failed_first_row_carries_the_shared_stages(monkeypatch):
-    # eps = -1 fails in NoiseSpec, after the level's trace and eta were made
-    calls = []
-    solve = ShiftedSystem.solve
+def fail_once(monkeypatch, name, at=1):
+    """Make the ``at``-th call of harness.``name`` raise."""
+    calls, real = [], getattr(harness, name)
 
-    def counting_solve(self, rhs):
+    def flaky(*args, **kwargs):
         calls.append(1)
-        return solve(self, rhs)
+        if len(calls) == at:
+            raise RuntimeError(f"no {name}")
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(ShiftedSystem, "solve", counting_solve)
-    first, second = run_cell(small_plan(levels=(8,), noise_eps=(-1.0, 0.0)), 8)
-    assert "amplitude" in first.failure and second.failure is None
-    assert first.gen_ms > 0 and first.eta_ms > 0
+    monkeypatch.setattr(harness, name, flaky)
+
+
+def test_failed_first_row_carries_the_shared_stages(monkeypatch):
+    # the first row's error fails, after the level's trace, eta and S(clean)
+    # were made
+    calls = count_solves(monkeypatch)
+    fail_once(monkeypatch, "reconstruction_error")
+    first, second = run_cell(small_plan(levels=(8,), noise_eps=(0.0, 1e-3)), 8)
+    assert first.failure == "RuntimeError: no reconstruction_error"
+    assert second.failure is None
+    assert first.gen_ms > 0 and first.eta_ms > 0 and first.neumann_ms > 0
     assert second.gen_ms == 0 and second.eta_ms == 0
-    assert first.n_solves == 2 * 8 * second.eta_iterations
+    # S(u) takes as many round trips as S(clean), whose polynomial it replays
+    one_run = 2 * 8 * (second.n_used + 1)
+    assert second.n_solves == one_run
+    assert first.n_solves == 2 * 8 * second.eta_iterations + one_run
     assert first.n_solves + second.n_solves == len(calls)
+    # an eta that raises fails the level, and the first row still carries
+    # the generation that finished before it
+    monkeypatch.setattr(BackAndForth, "estimate_eta", lambda *a, **kw: 1 / 0)
+    first, second = run_cell(small_plan(levels=(8,), noise_eps=(0.0, 1e-3)), 8)
+    assert first.failure == second.failure == "ZeroDivisionError: division by zero"
+    assert first.gen_ms > 0 and second.gen_ms == 0
+    assert first.eta_ms == first.neumann_ms == first.n_solves == second.n_solves == 0
 
 
 def test_sweep_reproducible_bit_identically():
@@ -277,15 +301,17 @@ def test_sweep_errors_decrease_and_dt_dominates():
     assert slower.error_x > faster.error_x
 
 
-def test_sweep_cell_failure_isolated():
-    # n_cells = 1 is an invalid mesh, eps = -1 an invalid noise amplitude
-    plan = small_plan(levels=(1, 16), noise_eps=(0.0, -1.0))
+def test_sweep_cell_failure_isolated(monkeypatch):
+    # n_cells = 1 is an invalid mesh; the second error the sweep measures,
+    # that of the 16-cell noisy row, fails
+    fail_once(monkeypatch, "reconstruction_error", at=2)
+    plan = small_plan(levels=(1, 16), noise_eps=(0.0, 1e-3))
     rows = run_sweep(plan)
     assert [(r.n_cells, r.noise_eps) for r in rows] == \
-        [(1, 0.0), (1, -1.0), (16, 0.0), (16, -1.0)]
+        [(1, 0.0), (1, 1e-3), (16, 0.0), (16, 1e-3)]
     assert rows[0].failure is not None and rows[1].failure is not None
     assert rows[2].failure is None and np.isfinite(rows[2].error_x)
-    assert "amplitude" in rows[3].failure
+    assert rows[3].failure == "RuntimeError: no reconstruction_error"
 
 
 def test_plan_refuses_a_level_past_the_trace_ceiling():
@@ -355,8 +381,11 @@ def test_wave_plan_matches_the_round_trip_oracle(seed):
                                                      plan.tau, k, plan.truth),
                                      refine=plan.refine)
         ref = list_arnoldi(engine.apply_L, engine.x_inner, engine.random_state(seed))
-        _, ref_row = harness.reconstruct(engine, clean, ref, n_policy=plan.n_policy,
-                                         theta=plan.theta, truth=plan.truth, noise_eps=0.0)
+        result, cost = harness.solve_stage(engine, clean, ref, n_policy=plan.n_policy,
+                                           theta=plan.theta)
+        ref_row = harness.charge(harness.fill_row(engine, result, result.estimate, ref,
+                                                  truth=plan.truth, noise_eps=0.0,
+                                                  theta=plan.theta), **cost)
         assert ref.converged and row.eta_converged
         assert row.eta_hat == pytest.approx(ref.value, rel=1e-8)
         assert (row.n_used, row.error_x) == (ref_row.n_used, ref_row.error_x)
@@ -452,9 +481,9 @@ def level_inputs(plan, n_cells):
 def test_noisy_rows_match_one_sum_per_noise_level(equation, truth, tau):
     # S(clean) + eps S(u) against the replay of the clean solve's polynomial
     # on each noisy trace: the clean row bit for bit, the noisy ones to
-    # rounding.  A solve of its own, as reconstruct runs on a noisy trace,
-    # lands within the stopping bound of the replay: both are within
-    # eta_hat (h + dt) ||z||_X / (1 - eta_hat) of (I - L)^-1 z.
+    # rounding.  A solve of its own, as the reconstruct command runs on a
+    # noisy trace, lands within the stopping bound of the replay: both are
+    # within eta_hat (h + dt) ||z||_X / (1 - eta_hat) of (I - L)^-1 z.
     plan = small_plan(equation=equation, truth=truth, tau=tau, levels=(16,),
                       noise_eps=(0.0, 1e-4, 1e-3, 1e-2), noise_seed=5)
     rows = run_cell(plan, 16)
@@ -464,12 +493,15 @@ def test_noisy_rows_match_one_sum_per_noise_level(equation, truth, tau):
     bound = eta.value * (engine.ops.mesh.h ** plan.theta + engine.dt) / (1.0 - eta.value)
     for row in rows:
         noisy = add_noise(clean, NoiseSpec(row.noise_eps, plan.noise_seed))
-        replay, ref = harness.reconstruct(
-            engine, noisy, eta, n_policy=plan.n_policy, theta=plan.theta, truth=truth,
-            noise_eps=row.noise_eps, polynomial=None if row.noise_eps == 0.0 else solve.polynomial)
+        replay, cost = harness.solve_stage(
+            engine, noisy, eta, n_policy=plan.n_policy, theta=plan.theta,
+            polynomial=None if row.noise_eps == 0.0 else solve.polynomial)
+        ref = harness.charge(harness.fill_row(engine, replay, replay.estimate, eta, truth=truth,
+                                              noise_eps=row.noise_eps, theta=plan.theta),
+                             **cost)
         assert row.failure is None and row.n_used == ref.n_used >= 1
         if row.noise_eps == 0.0:
-            harness.charge(ref, engine.eta_step_solves * eta.iterations)
+            harness.charge(ref, solves=engine.eta_step_solves * eta.iterations)
             same = [f.name for f in fields(SweepRow) if not f.name.endswith("_ms")]
             assert {k: getattr(row, k) for k in same} == {k: getattr(ref, k) for k in same}
         else:
@@ -510,14 +542,7 @@ def test_rows_carry_the_share_of_z_the_solve_deflated(equation, truth, tau):
 @pytest.mark.parametrize("noise_eps, sums", [((0.0,), 1), ((0.0, 1e-4, 1e-3, 1e-2), 2)])
 def test_a_level_runs_at_most_two_neumann_sums(monkeypatch, equation, truth, tau,
                                                noise_eps, sums):
-    calls = []
-    solve = ShiftedSystem.solve
-
-    def counting_solve(self, rhs):
-        calls.append(1)
-        return solve(self, rhs)
-
-    monkeypatch.setattr(ShiftedSystem, "solve", counting_solve)
+    calls = count_solves(monkeypatch)
     rows = run_cell(small_plan(equation=equation, truth=truth, tau=tau, levels=(8,),
                                noise_eps=noise_eps), 8)
     assert all(r.failure is None for r in rows)
@@ -563,6 +588,17 @@ def test_error_norm_is_the_error_against_a_zero_truth():
     q = pos + 1j * vel
     assert harness.error_norm("schrodinger", q, ops) == pytest.approx(
         reconstruction_error("schrodinger", zero[0], q, ops), rel=1e-12)
+    # both functions read an estimate one way: a (2, n) stack is no
+    # Schrodinger estimate, a WaveState of unequal fields no wave estimate,
+    # and no estimate is one of an unknown equation
+    for equation, truth, estimate, match in [
+            ("schrodinger", zero[0], np.stack([q, q]), rf"expected \({mesh.n},\)"),
+            ("wave", zero, WaveState(pos, vel[1:]), "WaveState"),
+            ("bogus", zero, WaveState(pos, vel), "unknown equation 'bogus'")]:
+        with pytest.raises(ValueError, match=match):
+            reconstruction_error(equation, truth, estimate, ops)
+        with pytest.raises(ValueError, match=match):
+            harness.error_norm(equation, estimate, ops)
 
 
 def test_failed_unit_sum_fails_only_the_noisy_rows(monkeypatch):
@@ -581,19 +617,20 @@ def test_failed_unit_sum_fails_only_the_noisy_rows(monkeypatch):
 
 
 def test_failed_clean_sum_fails_the_whole_level(monkeypatch):
-    sums = []
+    calls, sums = count_solves(monkeypatch), []
 
     def failing_sum(self, trace, **kwargs):
         sums.append(trace)
         raise RuntimeError("no sum")
 
     monkeypatch.setattr(BackAndForth, "neumann_reconstruct", failing_sum)
-    rows = run_cell(small_plan(levels=(8,), noise_eps=(-1.0, 0.0, 1e-3)), 8)
-    assert "amplitude" in rows[0].failure
-    assert [r.failure for r in rows[1:]] == ["RuntimeError: no sum"] * 2
+    rows = run_cell(small_plan(levels=(8,), noise_eps=(0.0, 1e-3, 1e-2)), 8)
+    assert [r.failure for r in rows] == ["RuntimeError: no sum"] * 3
     assert len(sums) == 1
-    # the failed first row still carries the eta; the failed sum counts nothing
-    assert rows[0].eta_ms > 0 and rows[0].n_solves > 0
+    # the failed first row still carries the generation and the eta, whose
+    # solves are all the level ran; the failed sum counts nothing
+    assert rows[0].gen_ms > 0 and rows[0].eta_ms > 0 and rows[0].neumann_ms == 0
+    assert rows[0].n_solves == len(calls) > 0
     assert rows[1].n_solves == rows[2].n_solves == 0
 
 
@@ -603,6 +640,8 @@ def test_failed_clean_sum_fails_the_whole_level(monkeypatch):
     (dict(n_policy="fixed"), "n_policy"),
     (dict(n_policy=True), "n_policy"),
     (dict(n_policy=-1), "n_policy"),
+    (dict(noise_eps=(0.0, -1.0)), "amplitude"),
+    (dict(noise_eps=(0.0, math.nan)), "amplitude"),
 ])
 def test_plan_validation(kw, match):
     with pytest.raises(ValueError, match=match):
