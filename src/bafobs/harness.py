@@ -449,7 +449,7 @@ class NoiseRow:
     noise_eps: float
     error_x: float
     inflation: float
-    ratio: float            # inflation / (N * tau * eps); nan for eps = 0
+    ratio: float            # inflation / (n_neumann * tau * eps); nan for eps = 0 or no N
     noise_gain: float | None = None     # |inflation| <= eps * noise_gain; None for eps = 0
 
 
@@ -468,8 +468,8 @@ def build_noise_table(rows: list[SweepRow], tau: float) -> list[NoiseRow]:
                 continue
             inflation = row.error_x - base.error_x
             ratio = float("nan")
-            if eps > 0.0 and row.n_used > 0:
-                ratio = inflation / (row.n_used * tau * eps)
+            if eps > 0.0 and row.n_neumann:
+                ratio = inflation / (row.n_neumann * tau * eps)
             table.append(NoiseRow(n_cells, eps, row.error_x, inflation, ratio,
                                   row.noise_gain))
     return table

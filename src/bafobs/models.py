@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, replace
 
@@ -67,8 +68,10 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        # an infinite or nan amplitude makes no finite trace, nor a finite sweep row
-        if not (math.isfinite(self.amplitude) and self.amplitude >= 0.0):
+        # an infinite or nan amplitude makes no finite trace, nor a finite
+        # sweep row; a bool, a string or None is no amplitude at all
+        real = isinstance(self.amplitude, numbers.Real) and not isinstance(self.amplitude, bool)
+        if not (real and math.isfinite(self.amplitude) and self.amplitude >= 0.0):
             raise ValueError(f"amplitude must be finite and nonnegative, got {self.amplitude!r}")
 
 

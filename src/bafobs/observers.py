@@ -10,10 +10,11 @@ the first iterate, whose Neumann series the paper truncates; here GMRES in
 the X inner product solves it, stopping at the residual that the paper's
 truncation leaves.  The contraction factor eta, estimated by Arnoldi in X
 (for the wave on G), sets that stopping rule, and for Schrodinger the
-estimate's dominant Ritz pair (y, L y) is deflated from the solve: z's
-component along y is solved in closed form and GMRES runs on the rest.  Both
-run on one Arnoldi process.  Each equation has one stepper and one stepping
-loop, which returns the final state only and allocates nothing per step.
+estimate's dominant Ritz pair (y, L y) is deflated from the solve: its first
+guess is the multiple c y of least residual, and GMRES runs on what that
+leaves, so that every reported residual is an exact norm.  Both run on one
+Arnoldi process.  Each equation has one stepper and one stepping loop, which
+returns the final state only and allocates nothing per step.
 """
 
 from __future__ import annotations
@@ -38,10 +39,6 @@ RATIO_SLACK = 0.01
 # a solve residual at most this share of ||z||_X is rounding: the Krylov
 # space is invariant to rounding (it has broken down), and the solve exact
 BREAKDOWN = 1e-14
-# the most of the stopping rule's residual that a deflated Ritz pair's own
-# residual may take; a pair past it (a loose eta tolerance) is not deflated,
-# since GMRES on the rest would have to make up the difference
-DEFLATION_SHARE = 0.5
 # the contraction estimate's settings, keyed by estimate_eta's keywords; the
 # defaults of estimate_eta, of SweepPlan's eta_* fields and of the CLI's eta
 # section
@@ -268,11 +265,12 @@ class EtaEstimate:
     Arnoldi ran on; converged is False only when the step budget ran out
     before the stopping rule held.  A converged estimate also carries its
     dominant Ritz vector y, which a sweep's next level starts from, and for
-    Schrodinger the Ritz pair (y, L y), which a solve deflates
-    (``BackAndForth.neumann_reconstruct``).  ritz_vector is None when the
-    estimate did not converge or its dominant Ritz value is one of a complex
-    pair; ritz_pair is None then too, and always for the wave, whose Arnoldi
-    runs on the half trip G, so that its Ritz vector's image is G y, not L y.
+    Schrodinger the Ritz pair (y, L y), which a solve deflates by a first
+    guess along y (``BackAndForth.neumann_reconstruct``).  ritz_vector is
+    None when the estimate did not converge or its dominant Ritz value is
+    one of a complex pair; ritz_pair is None then too, and always for the
+    wave, whose Arnoldi runs on the half trip G, so that its Ritz vector's
+    image is G y, not L y.
     """
 
     value: float
@@ -378,9 +376,9 @@ class KrylovPolynomial:
     that built it, so that ``replay`` applies it to another state.
 
     Without a deflated pair S is a polynomial q(L), and m = 0 the identity.
-    A solve that deflated a unit Ritz pair (y, L y) of value theta keeps
-    ``deflation`` = (y, X y, 1 / (1 - theta)), and S(u) = alpha(u) y / (1 -
-    theta) + q(L)(u - alpha(u) y) with alpha(u) = (u, y)_X.
+    A solve that deflated a Ritz pair (y, L y) keeps ``deflation`` = (y, w,
+    X w / ||w||_X^2), w = y - L y, and S(u) = c(u) y + q(L)(u - c(u) w) with
+    c(u) = (u, w)_X / ||w||_X^2.
     """
 
     hess: np.ndarray        # (m+1) x m Hessenberg of L; real for real states
@@ -395,12 +393,12 @@ class KrylovPolynomial:
     def replay(self, apply_op: Callable, u: np.ndarray) -> np.ndarray:
         """S(u), with q(L) u = u + L x_m: v_1 = u / ||z||_X, v_{j+1} = (L v_j -
         sum_i h_ij v_i) / h_{j+1,j} and x_m = sum_j y_j v_j.  It applies L m
-        times, and its one inner product, alpha(u), is linear in u; so is S."""
+        times, and its one inner product, c(u), is linear in u; so is S."""
         if self.deflation is None:
             return self._polynomial(apply_op, u)
-        y, dual, scale = self.deflation
-        alpha = np.vdot(dual, u)
-        return self._polynomial(apply_op, u - alpha * y) + (alpha * scale) * y
+        y, w, dual = self.deflation
+        c = np.vdot(dual, u)
+        return self._polynomial(apply_op, u - c * w) + c * y
 
     def _polynomial(self, apply_op: Callable, u: np.ndarray) -> np.ndarray:
         """q(L) u."""
@@ -476,13 +474,12 @@ class ReconstructionResult:
 
     n_used is m, the round trips past the first iterate: the GMRES steps of
     a solve, or, for a replay, those of the solve whose map it applied.
-    residual_norms holds ||z||_X, the residual of x = 0, then for each GMRES
-    iterate x_1, ..., x_m of the solve a bound on its residual: its norm,
-    plus, where a Ritz pair was deflated, the pair's share |alpha| ||rho||_X
-    / (1 - theta) (a replay has none).  ritz_max is the largest modulus of a
-    Ritz value of L on the solve's Krylov space, which eta_hat should bound,
-    and deflated |alpha| / ||z||_X, the share of z along a deflated pair's
-    vector; each is None where there is none.
+    residual_norms holds ||z||_X, the residual of x = 0, then the residual
+    norm of each of the solve's iterates x_1, ..., x_m (a replay has none).
+    ritz_max is the largest modulus of a Ritz value of L on the solve's
+    Krylov space, which eta_hat should bound, and deflated |(z, y)_X| /
+    (||z||_X ||y||_X), the share of z along a deflated pair's vector y; each
+    is None where there is none.
     """
 
     estimate: np.ndarray | WaveState
@@ -496,7 +493,7 @@ class ReconstructionResult:
 
     @property
     def residual(self) -> float | None:
-        """||r_m||_X / ||z||_X, the relative residual (bound) of x_m, which
+        """||r_m||_X / ||z||_X, the relative residual of x_m, which
         bounds the estimate's where L is nonexpansive; None when no step ran."""
         norms = self.residual_norms
         return norms[-1] / norms[0] if len(norms) > 1 else None
@@ -705,27 +702,25 @@ class BackAndForth:
 
         The Neumann series sum_n L^n z solves the same system.  ``ritz_pair``,
         a Ritz pair (y, L y) of states such as ``EtaEstimate.ritz_pair``, is
-        deflated: with y scaled to ||y||_X = 1, theta = Re (L y, y)_X and rho
-        = L y - theta y, z's part alpha y, alpha = (z, y)_X, is solved as
-        alpha y / (1 - theta), and GMRES runs on z_perp = z - alpha y; x =
-        alpha y / (1 - theta) + z_perp + L x_k then leaves the residual
-        L r_k + alpha rho / (1 - theta).  A pair with theta >= 1 is not
-        deflated, and neither is one whose share |alpha| ||rho||_X / (1 -
-        theta) passes DEFLATION_SHARE of the automatic rule's residual.
+        deflated by a first guess c y of least residual: with w = y - L y,
+        c = (z, w)_X / ||w||_X^2 leaves the residual rest = z - c w, so that
+        ||rest||_X <= ||z||_X, and GMRES runs on rest; x = c y + rest + L x_k
+        then leaves the residual L r_k of GMRES on rest.  A pair with w = 0
+        (L y = y) is not deflated.
 
         With n_terms = None the solve stops at the first step k whose
-        residual bound ||r_k||_X + |alpha| ||rho||_X / (1 - theta) is at most
-        eta_hat (h^theta + dt) ||z||_X, the tail the paper's truncation
-        ``choose_truncation`` leaves; as ||(I - L)^-1||_X <= 1 / (1 - eta),
-        the error is then at most that over 1 - eta.  A solve not done in
-        AUTO_N_CAP steps warns and sets the result's n_capped.  A given
-        n_terms runs exactly that many GMRES steps (on z_perp, where a pair
-        is deflated), short of a breakdown, and 0 returns alpha y / (1 -
-        theta) + z_perp, which is z without a pair.  A zero z returns z with
-        n_used = 0; so does a z along y to rounding, solved exactly.  Given
-        eta_hat, the solve also warns when a Ritz value of L passes eta_hat
-        by more than RATIO_SLACK: a check of eta_hat for free, rigorous only
-        where ||L||_X = eta, as for the X-self-adjoint Schrodinger round trip.
+        residual ||r_k||_X is at most eta_hat (h^theta + dt) ||z||_X, the
+        tail the paper's truncation ``choose_truncation`` leaves; as
+        ||(I - L)^-1||_X <= 1 / (1 - eta), the error is then at most that
+        over 1 - eta.  A solve not done in AUTO_N_CAP steps warns and sets
+        the result's n_capped.  A given n_terms runs exactly that many GMRES
+        steps (on rest, where a pair is deflated), short of a breakdown, and
+        0 returns c y + rest = z + c L y, which is z without a pair.  A zero z
+        returns z with n_used = 0; so does a z along w to rounding, which c y
+        solves exactly.  Given eta_hat, the solve also warns when a Ritz
+        value of L passes eta_hat by more than RATIO_SLACK: a check of eta_hat
+        for free, rigorous only where ||L||_X = eta, as for the X-self-adjoint
+        Schrodinger round trip.
 
         ``polynomial``, another solve's, is replayed on this trace's z in
         place of a solve (the other arguments are not read): as many round
@@ -747,33 +742,28 @@ class BackAndForth:
         gram = self._x_gram.matvec
         z_norm = _norm(gram, z)
         target = rtol * z_norm
-        deflation, alpha, tail = None, 0.0, 0.0
+        deflation, c, deflated, rest, rest_norm = None, 0.0, None, z, z_norm
         if ritz_pair is not None and z_norm > 0.0:
             y, image = (self._flat(state) for state in ritz_pair)
-            size = _norm(gram, y)
-            y, image = y * (1.0 / size), image * (1.0 / size)
-            dual = gram(y)
-            value = float(np.real(np.vdot(dual, image)))
-            if value < 1.0:
-                alpha = np.vdot(dual, z)
-                tail = float(abs(alpha)) * _norm(gram, image - value * y) / (1.0 - value)
-                if not auto or tail <= DEFLATION_SHARE * target:
-                    deflation = (y, dual, 1.0 / (1.0 - value))
-        if deflation is None:
-            alpha, tail, rest, rest_norm = 0.0, 0.0, z, z_norm
-        else:
-            rest = z - alpha * deflation[0]
-            rest_norm = _norm(gram, rest)
+            w = y - image
+            dual = gram(w)
+            size = float(np.real(np.vdot(w, dual)))
+            if size > 0.0:
+                deflation = (y, w, dual * (1.0 / size))
+                c = np.vdot(deflation[2], z)
+                rest = z - c * w
+                rest_norm = _norm(gram, rest)
+                deflated = float(abs(np.vdot(y, gram(z)))) / (_norm(gram, y) * z_norm)
         if n_terms == 0 or rest_norm <= BREAKDOWN * z_norm:
             x, residuals = rest, (rest_norm,)
             poly = KrylovPolynomial(np.zeros((1, 0)), np.zeros(0), rest_norm, deflation)
         else:
             x, poly, residuals = gmres(self._round_trip, gram, rest,
-                                       AUTO_N_CAP if auto else n_terms, target - tail)
+                                       AUTO_N_CAP if auto else n_terms, target)
             poly = replace(poly, deflation=deflation)
         if deflation is not None:
-            x = x + (alpha * deflation[2]) * deflation[0]
-        norms = (z_norm,) + tuple(r + tail for r in residuals[1:])
+            x = x + c * y
+        norms = (z_norm,) + residuals[1:]
         m = poly.steps
         capped = auto and m == AUTO_N_CAP and norms[-1] > target
         if capped:
@@ -792,6 +782,5 @@ class BackAndForth:
                 f"missed part of the spectrum, and the stopping rule may be too loose",
                 RuntimeWarning, stacklevel=2,
             )
-        deflated = None if deflation is None else float(abs(alpha)) / z_norm
         return ReconstructionResult(self._state(x), m, eta_hat, norms, poly, ritz_max,
                                     capped, deflated)

@@ -642,6 +642,9 @@ def test_failed_clean_sum_fails_the_whole_level(monkeypatch):
     (dict(n_policy=-1), "n_policy"),
     (dict(noise_eps=(0.0, -1.0)), "amplitude"),
     (dict(noise_eps=(0.0, math.nan)), "amplitude"),
+    (dict(noise_eps=("x",)), "amplitude"),
+    (dict(noise_eps=(None,)), "amplitude"),
+    (dict(noise_eps=(True,)), "amplitude"),
 ])
 def test_plan_validation(kw, match):
     with pytest.raises(ValueError, match=match):
@@ -654,12 +657,12 @@ def test_noise_study_requires_baseline():
 
 
 def test_forced_steps_leave_the_noise_inflation_to_the_deflated_pair():
-    # a forced step count counts GMRES steps on the part of z off the
-    # deflated Ritz vector y.  At this level y holds 99.96% of z (|alpha| /
-    # ||z||_X), and the closed form alpha y / (1 - theta) already sums every
-    # round trip's positively correlated noise mass along it: the inflation
-    # with no step is that of one, two or eight to rounding, and a forced
-    # eight stops after two as a breakdown
+    # a forced step count counts GMRES steps on what the first guess c y
+    # along the deflated Ritz vector y leaves of z.  At this level y holds
+    # 99.96% of z (``deflated``), and c y already sums every round trip's
+    # positively correlated noise mass along it: the inflation with no step
+    # is that of one, two or eight to rounding, and a forced eight stops
+    # after two as a breakdown
     inflations, steps = [], []
     for n_terms in (0, 1, 2, 8):
         plan = small_plan(levels=(32,), noise_eps=(0.0, 0.5), n_policy=n_terms)
@@ -711,6 +714,11 @@ def test_noise_table_and_summary_carry_the_noise_gain():
     plan = small_plan(levels=(8,), noise_eps=(0.0, 1e-3))
     rows, table = noise_study(plan)
     assert [t.noise_gain for t in table] == [None, rows[1].noise_gain]
+    # the ratio divides by the paper's N, not by the GMRES steps of a forced solve
+    forced_rows, forced = noise_study(small_plan(levels=(8,), noise_eps=(0.0, 1e-3), n_policy=2))
+    row = forced_rows[1]
+    assert row.n_used == 2 != row.n_neumann
+    assert forced[1].ratio == forced[1].inflation / (row.n_neumann * plan.tau * 1e-3)
     summary = summary_dict(plan, rows, None, {}, noise_table=table)
     assert [r["noise_gain"] for r in summary["rows"]] == [None, rows[1].noise_gain]
     assert summary["noise_table"][1]["noise_gain"] == rows[1].noise_gain

@@ -983,9 +983,7 @@ def test_gmres_breaks_down_on_an_invariant_space():
 def test_final_residual_meets_the_stopping_rule(engines, equation):
     # the residual z - (I - L) x, recomputed through apply_L, is within
     # eta_hat (h^theta + dt) of z:, at most the r_m of the GMRES iterate x_m
-    # that the solve reports and stops on; with a Ritz pair deflated, the
-    # reported bound adds the pair's share |alpha| ||rho||_X / (1 - theta) of
-    # the full residual
+    # that the solve reports and stops on, with a Ritz pair deflated or not
     _, schrod, wave = engines
     engine = schrod if equation == "schrodinger" else wave
     trace = _sine_trace(engine, (1.0, 0.5))
@@ -1199,8 +1197,7 @@ def _plain_solve(engine, trace, eta_hat, theta=1.0):
 
 def test_no_pair_is_plain_gmres_bit_for_bit(engines):
     # no pair to deflate: an estimate that ran out of steps, a complex
-    # dominant pair, the wave's estimate, or a pair whose residual would take
-    # most of the stopping rule's
+    # dominant pair, or the wave's estimate
     ops, schrod, wave = engines
     with pytest.warns(RuntimeWarning, match="did not converge"):
         unconverged = schrod.estimate_eta(max_iter=2, tol=1e-12, seed=11)
@@ -1215,15 +1212,61 @@ def test_no_pair_is_plain_gmres_bit_for_bit(engines):
     for engine in (schrod, wave):
         trace = _sine_trace(engine, (1.0, 0.5))
         eta = engine.estimate_eta(seed=3)
-        y = eta.ritz_vector
-        far = (y, combine((1.0, engine.apply_L(y)), (0.5, engine.random_state(4))))
         x, residuals = _plain_solve(engine, trace, eta.value)
-        pairs = (None, far) if engine is schrod else (eta.ritz_pair, far)
-        for pair in pairs:
-            res = engine.neumann_reconstruct(trace, eta_hat=eta.value, ritz_pair=pair)
-            assert res.deflated is None and res.polynomial.deflation is None
-            assert np.array_equal(engine._flat(res.estimate), x)
-            assert res.residual_norms == residuals
+        pair = None if engine is schrod else eta.ritz_pair
+        res = engine.neumann_reconstruct(trace, eta_hat=eta.value, ritz_pair=pair)
+        assert res.deflated is None and res.polynomial.deflation is None
+        assert np.array_equal(engine._flat(res.estimate), x)
+        assert res.residual_norms == residuals
+
+
+def test_a_poor_pair_never_makes_the_start_worse(engines):
+    # a pair (v, L v) far from any eigenvector is deflated all the same: its
+    # first guess c v is the multiple of v of least residual, so the solve
+    # starts from a residual at most ||z||_X, and it meets the rule
+    _, schrod, wave = engines
+    for engine in (schrod, wave):
+        trace = _sine_trace(engine, (1.0, 0.5))
+        eta = engine.estimate_eta(seed=3)
+        v = combine((1.0, eta.ritz_vector), (0.5, engine.random_state(4)))
+        res = engine.neumann_reconstruct(trace, eta_hat=eta.value,
+                                         ritz_pair=(v, engine.apply_L(v)))
+        assert res.polynomial.deflation is not None and 0.0 < res.deflated < 1.0
+        z, x = engine.first_iterate(trace), res.estimate
+        r = combine((1.0, z), (-1.0, x), (1.0, engine.apply_L(x)))
+        rule = eta.value * (engine.ops.mesh.h + engine.dt)
+        assert res.residual <= rule
+        assert engine.x_norm(r) / engine.x_norm(z) <= res.residual + 1e-14
+        assert res.residual_norms[1] <= res.residual_norms[0] == engine.x_norm(z)
+
+
+@pytest.mark.parametrize("equation", ["schrodinger", "wave"])
+def test_deflated_residuals_are_exact_norms(engines, monkeypatch, equation):
+    # on a diagonal L = A and a pair (v, A v), v random, one step reports
+    # the residual of the iterate c v + x_1, x_1 one GMRES step on rest =
+    # z - c w, w = v - A v, c = (z, w)_X / ||w||_X^2: the least ||rest - a (I -
+    # A) rest||_X over a, computed here by hand
+    _, schrod, wave = engines
+    engine = schrod if equation == "schrodinger" else wave
+    trace = _sine_trace(engine)
+    z = engine._flat(engine.first_iterate(trace))
+    rng = np.random.default_rng(5)
+    diag = rng.uniform(0.0, 0.6, z.size)
+    monkeypatch.setattr(engine, "_round_trip", lambda u: diag * u)
+    v = engine._flat(engine.random_state(6))
+    gram = engine._x_gram.matvec
+
+    def inner(a, b):
+        return np.vdot(b, gram(a))
+
+    w = v - diag * v
+    rest = z - inner(z, w) / inner(w, w).real * w
+    image = rest - diag * rest
+    step = rest - inner(rest, image) / inner(image, image).real * image
+    res = engine.neumann_reconstruct(trace, n_terms=1,
+                                     ritz_pair=(engine._state(v), engine._state(diag * v)))
+    assert res.n_used == 1
+    assert res.residual_norms[1] == pytest.approx(observers._norm(gram, step), rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -1232,8 +1275,8 @@ def test_no_pair_is_plain_gmres_bit_for_bit(engines):
        a=st.floats(-2.0, 2.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-3),
        b=st.floats(-2.0, 2.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-3))
 def test_deflated_replay_is_linear_in_trace(engines, equation, seed, n_terms, a, b):
-    # S(u) = alpha(u) y / (1 - theta) + q(L)(u - alpha(u) y), alpha(u) =
-    # (u, y)_X, is linear in u, so the replay of a deflated solve is linear
+    # S(u) = c(u) y + q(L)(u - c(u) w), w = y - L y and c(u) = (u, w)_X /
+    # ||w||_X^2, is linear in u, so the replay of a deflated solve is linear
     # in the trace, and on the solve's own trace it is the solve
     ops, schrod, wave = engines
     engine = schrod if equation == "schrodinger" else wave
@@ -1280,19 +1323,20 @@ def _pairs(engine):
 
 
 def test_given_steps_count_gmres_steps_on_the_remainder(engines):
-    # n_terms = 0 with a pair is alpha y / (1 - theta) + z_perp; each step
-    # more is a GMRES step on z_perp, so n_terms = 1 lies closer to the
-    # solution than 0, and the full residual bound falls with it
+    # n_terms = 0 with a pair is c y + rest = z + c L y, rest = z - c w and
+    # w = y - L y; each step more is a GMRES step on rest, so n_terms = 1
+    # lies closer to the solution than 0
     _, schrod, _ = engines
     trace = _sine_trace(schrod, (1.0, 0.5))
     y, image = pair = _pairs(schrod)
-    theta = schrod.x_inner(image, y).real / schrod.x_norm(y) ** 2
+    w = y - image
     z = schrod.first_iterate(trace)
-    alpha = schrod.x_inner(z, y) / schrod.x_norm(y) ** 2
+    c = schrod.x_inner(z, w) / schrod.x_norm(w) ** 2
     zero = schrod.neumann_reconstruct(trace, n_terms=0, ritz_pair=pair)
-    expected = z + alpha * theta / (1.0 - theta) * y
+    expected = z + c * image
     assert zero.n_used == 0 and zero.residual is None
     assert np.max(np.abs(zero.estimate - expected)) <= 1e-12 * np.max(np.abs(expected))
+    alpha = schrod.x_inner(z, y) / schrod.x_norm(y)
     assert zero.deflated == pytest.approx(abs(alpha) / schrod.x_norm(z), rel=1e-12)
     one = schrod.neumann_reconstruct(trace, n_terms=1, ritz_pair=pair)
     _, sums = neumann_series(schrod, trace, 50)
@@ -1302,8 +1346,9 @@ def test_given_steps_count_gmres_steps_on_the_remainder(engines):
 
 @pytest.mark.parametrize("equation", ["schrodinger", "wave"])
 def test_first_iterate_along_the_pair_is_solved_exactly(engines, monkeypatch, equation):
-    # z = ||z|| y and L = lambda I: alpha y / (1 - theta) is the solution,
-    # z_perp is rounding, and no step runs and nothing divides by zero
+    # y = z and L = lambda I: c y, c = 1 / (1 - lambda), is the solution,
+    # rest = z - c (y - L y) is rounding, and no step runs and nothing
+    # divides by zero
     _, schrod, wave = engines
     engine = schrod if equation == "schrodinger" else wave
     trace = _sine_trace(engine)
