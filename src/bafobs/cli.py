@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -27,26 +28,49 @@ from .linalg import solver_kernel
 from .models import _is_int, _is_number, _is_positive
 from .observers import _ETA_DEFAULTS
 
-DEFAULTS = {
-    "equation": "schrodinger",
-    "theta": 1.0,
-    "refine": 2,
-    "n_policy": "auto",
-    "geometry": {"length": 1.0, "n_cells": 64},
-    "observation": {"a": 0.2, "b": 0.8, "smoothness": 2, "constant": None},
-    "time": {"tau": None, "n_steps": None, "dt": None},
-    "truth": None,          # per-equation default filled in at resolution
-    "noise": {"amplitude": 0.0, "seed": 7},
-    "eta": dict(_ETA_DEFAULTS),
-    "sweep": {
-        "levels": [32, 64, 128, 256],
-        "kappa": 1.0,
-        "noise_eps": [0.0],
-        "fit_model": "power-log2",
-        "gates": {"slope_band": [0.8, None], "monotone": True},
-    },
-    "output": {"directory": "."},
-}
+
+# one row per config leaf, in the document's order: (dotted leaf, default,
+# check, what it must be).  truth's default is per equation, and build_truth
+# checks it.  All checks run before any default is derived from the leaves,
+# so nothing downstream sees a value of the wrong kind.
+_LEAVES = (
+    ("equation", "schrodinger", lambda v: v in ("schrodinger", "wave"),
+     "'schrodinger' or 'wave'"),
+    ("theta", 1.0, _is_positive, "a positive number"),
+    ("refine", 2, lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    ("n_policy", "auto", harness._is_n_policy, "'auto' or an integer >= 0"),
+    ("geometry.length", 1.0, _is_positive, "a positive number"),
+    ("geometry.n_cells", 64, lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+    ("observation.a", 0.2, _is_number, "a number"),
+    ("observation.b", 0.8, _is_number, "a number"),
+    ("observation.smoothness", 2, lambda v: _is_int(v) and v in (1, 2, 3), "1, 2 or 3"),
+    ("observation.constant", None, lambda v: v is None or _is_number(v), "null or a number"),
+    ("time.tau", None, lambda v: v is None or _is_positive(v), "null or a positive number"),
+    ("time.n_steps", None, lambda v: v is None or (_is_int(v) and v >= 1),
+     "null or an integer >= 1"),
+    ("time.dt", None, lambda v: v is None or _is_positive(v), "null or a positive number"),
+    ("truth", None, None, None),
+    ("noise.amplitude", 0.0, lambda v: _is_number(v) and v >= 0, "a number >= 0"),
+    ("noise.seed", 7, lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    ("eta.tol", _ETA_DEFAULTS["tol"], lambda v: _is_number(v) and 0 < v < 1,
+     "a number in (0, 1)"),
+    ("eta.max_iter", _ETA_DEFAULTS["max_iter"], lambda v: _is_int(v) and v >= 2,
+     "an integer >= 2"),
+    ("eta.seed", _ETA_DEFAULTS["seed"], lambda v: _is_int(v) and v >= 0,
+     "an integer >= 0"),
+    ("sweep.levels", [32, 64, 128, 256], lambda v: isinstance(v, list) and len(v) > 0
+     and all(_is_int(n) and n >= 2 for n in v), "a non-empty list of integers >= 2"),
+    ("sweep.kappa", 1.0, _is_positive, "a positive number"),
+    ("sweep.noise_eps", [0.0], lambda v: isinstance(v, list) and len(v) > 0
+     and all(_is_number(e) and e >= 0 for e in v), "a non-empty list of numbers >= 0"),
+    ("sweep.fit_model", "power-log2", lambda v: v in ("power-log2", "pure-power"),
+     "'power-log2' or 'pure-power'"),
+    ("sweep.gates.slope_band", [0.8, None], lambda v: isinstance(v, list) and len(v) == 2
+     and _is_number(v[0]) and (v[1] is None or (_is_number(v[1]) and v[0] <= v[1])),
+     "[low, high] or [low, null] with finite low <= high"),
+    ("sweep.gates.monotone", True, lambda v: isinstance(v, bool), "true or false"),
+    ("output.directory", ".", lambda v: isinstance(v, str), "a string"),
+)
 
 # the leaves a truth field (truth, or truth.position and truth.velocity for
 # the wave) reads besides kind, by kind: each leaf's check, what it must be
@@ -97,9 +121,18 @@ def _apply_override(user: dict, item: str) -> dict:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    return _merge(user, _nested(dotted, value))
+
+
+def _nested(dotted: str, value) -> dict:
+    """The document holding value at the dotted leaf, and nothing else."""
     for part in reversed(dotted.split(".")):
         value = {part: value}
-    return _merge(user, value)
+    return value
+
+
+# every leaf's default, in the rows' order at every depth
+DEFAULTS = functools.reduce(_merge, (_nested(row[0], row[1]) for row in _LEAVES), {})
 
 
 def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
@@ -115,52 +148,13 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
     return resolve_config(_merge(DEFAULTS, user))
 
 
-# (dotted leaf, check, what it must be) for every leaf but truth, which
-# build_truth checks per equation.  All rows run before any default is
-# derived from the leaves, so nothing downstream sees a value of the wrong kind.
-_RULES = (
-    ("equation", lambda v: v in ("schrodinger", "wave"), "'schrodinger' or 'wave'"),
-    ("theta", _is_positive, "a positive number"),
-    ("refine", lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    ("n_policy", lambda v: v == "auto" or (_is_int(v) and v >= 0),
-     "'auto' or an integer >= 0"),
-    ("geometry.length", _is_positive, "a positive number"),
-    ("geometry.n_cells", lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
-    ("observation.a", _is_number, "a number"),
-    ("observation.b", _is_number, "a number"),
-    ("observation.smoothness", lambda v: _is_int(v) and v in (1, 2, 3), "1, 2 or 3"),
-    ("observation.constant", lambda v: v is None or _is_number(v), "null or a number"),
-    ("time.tau", lambda v: v is None or _is_positive(v), "null or a positive number"),
-    ("time.n_steps", lambda v: v is None or (_is_int(v) and v >= 1),
-     "null or an integer >= 1"),
-    ("time.dt", lambda v: v is None or _is_positive(v), "null or a positive number"),
-    ("noise.amplitude", lambda v: _is_number(v) and v >= 0, "a number >= 0"),
-    ("noise.seed", lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
-    ("eta.tol", lambda v: _is_number(v) and 0 < v < 1, "a number in (0, 1)"),
-    ("eta.max_iter", lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
-    ("eta.seed", lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
-    ("sweep.levels", lambda v: isinstance(v, list) and len(v) > 0
-     and all(_is_int(n) and n >= 2 for n in v), "a non-empty list of integers >= 2"),
-    ("sweep.kappa", _is_positive, "a positive number"),
-    ("sweep.noise_eps", lambda v: isinstance(v, list) and len(v) > 0
-     and all(_is_number(e) and e >= 0 for e in v), "a non-empty list of numbers >= 0"),
-    ("sweep.fit_model", lambda v: v in ("power-log2", "pure-power"),
-     "'power-log2' or 'pure-power'"),
-    ("sweep.gates.slope_band", lambda v: isinstance(v, list) and len(v) == 2
-     and _is_number(v[0]) and (v[1] is None or (_is_number(v[1]) and v[0] <= v[1])),
-     "[low, high] or [low, null] with finite low <= high"),
-    ("sweep.gates.monotone", lambda v: isinstance(v, bool), "true or false"),
-    ("output.directory", lambda v: isinstance(v, str), "a string"),
-)
-
-
 def resolve_config(cfg: dict) -> dict:
-    """Check every leaf against _RULES, then fill the equation-dependent defaults."""
-    for dotted, check, what in _RULES:
+    """Check every leaf against its row of _LEAVES, then fill the per-equation defaults."""
+    for dotted, _, check, what in _LEAVES:
         value = cfg
         for part in dotted.split("."):
             value = value[part]
-        if not check(value):
+        if check is not None and not check(value):
             raise ConfigError(f"{dotted} must be {what}, got {value!r}")
     eq = cfg["equation"]
     t = cfg["time"]

@@ -17,7 +17,8 @@ import numpy as np
 
 from .fem import (FemOperators, FieldSpec, Mesh1D, ObservationProfile,
                   assemble, grad_load_vector, load_vector)
-from .models import NoiseSpec, ProblemInstance, generate_observation, unit_noise
+from .models import (NoiseSpec, ProblemInstance, _is_int, _is_positive,
+                     generate_observation, unit_noise)
 from .observers import (_ETA_DEFAULTS, BackAndForth, EtaEstimate, ReconstructionResult,
                         WaveState, choose_truncation)
 
@@ -110,6 +111,10 @@ def step_count(equation: str, n_cells: int, steps: float, leaf: str, value) -> i
     return k
 
 
+def _is_n_policy(v) -> bool:
+    return v == "auto" or (_is_int(v) and v >= 0)
+
+
 @dataclass(frozen=True)
 class SweepPlan:
     """Refinement study over n_cells levels with dt = kappa * h."""
@@ -133,10 +138,9 @@ class SweepPlan:
     def __post_init__(self):
         if len(self.levels) < 1:
             raise ValueError("need at least one level")
-        npol = self.n_policy
-        if not (npol == "auto" or (type(npol) is int and npol >= 0)):
-            raise ValueError(f"n_policy must be 'auto' or an integer >= 0, got {npol!r}")
-        if not self.kappa > 0:
+        if not _is_n_policy(self.n_policy):
+            raise ValueError(f"n_policy must be 'auto' or an integer >= 0, got {self.n_policy!r}")
+        if not _is_positive(self.kappa):
             raise ValueError("kappa must be positive")
         for eps in self.noise_eps:
             NoiseSpec(eps, self.noise_seed)
@@ -185,8 +189,8 @@ class SweepRow:
     # Ritz value modulus, which eta_hat should bound
     residual: float | None = None
     ritz_max: float | None = None
-    # the clean solve's share |alpha| / ||z||_X of the first iterate along the
-    # deflated Ritz vector of the eta estimate; None when it deflated no pair
+    # the clean solve's share |(z, y)_X| / (||z||_X ||y||_X) of z along the
+    # deflated Ritz vector y of the eta estimate; None when it deflated no pair
     deflated: float | None = None
 
 
@@ -271,11 +275,11 @@ def run_cell(plan: SweepPlan, n_cells: int,
     rounding, u the unit draw of ``unit_noise``.  A level therefore runs
     one solve and at most one replay: the solve of the clean trace,
     S(clean), with the shared stages, and the replay of its map S (a
-    polynomial in L, beside the closed-form part along the deflated Ritz
-    vector) on u's first iterate, S(u), at the first row with eps > 0.  The
-    replay is linear in the trace, so row eps is S(clean) + eps * S(u), the
-    one linear map S of its noisy trace; it is exactly S(clean) for eps = 0,
-    and a noisy row's noise_gain is ``error_norm`` of S(u).
+    polynomial in L, beside the least-residual first guess c y along the
+    deflated Ritz vector y) on u's first iterate, S(u), at the first row
+    with eps > 0.  The replay is linear in the trace, so row eps is
+    S(clean) + eps * S(u), the one linear map S of its noisy trace; it is
+    exactly S(clean) for eps = 0; a noisy row's noise_gain is ``error_norm`` of S(u).
 
     Failures are recorded, not raised: a failure in generation, eta or
     S(clean), which every row shares, marks every row of the level; one in

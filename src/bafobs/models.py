@@ -38,9 +38,9 @@ def _is_int(v) -> bool:
 
 
 def _is_number(v) -> bool:
-    """A finite JSON number; a bool is not one, nor an int past the float range."""
-    return (_is_int(v) and abs(v) <= sys.float_info.max) or (isinstance(v, float)
-                                                              and math.isfinite(v))
+    """A finite real number, NumPy's too; not a bool, nor an int past the float range."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and (
+        abs(v) <= sys.float_info.max if isinstance(v, int) else math.isfinite(v))
 
 
 def _is_positive(v) -> bool:
@@ -70,8 +70,7 @@ class NoiseSpec:
     def __post_init__(self):
         # an infinite or nan amplitude makes no finite trace, nor a finite
         # sweep row; a bool, a string or None is no amplitude at all
-        real = isinstance(self.amplitude, numbers.Real) and not isinstance(self.amplitude, bool)
-        if not (real and math.isfinite(self.amplitude) and self.amplitude >= 0.0):
+        if not (_is_number(self.amplitude) and self.amplitude >= 0):
             raise ValueError(f"amplitude must be finite and nonnegative, got {self.amplitude!r}")
 
 

@@ -3,8 +3,10 @@ import inspect
 import json
 import math
 import os
+import re
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -646,6 +648,45 @@ def test_eta_defaults_have_one_owner():
     arnoldi = inspect.signature(arnoldi_iteration).parameters
     assert (arnoldi["tol"].default, arnoldi["max_iter"].default) == (
         signature["tol"], signature["max_iter"])
+
+
+def test_defaults_are_the_rows_nested_in_order():
+    # the resolved config is embedded unsorted in trace headers,
+    # diagnostics.json and summary.json, so key order is part of the format
+    expected = {
+        "equation": "schrodinger",
+        "theta": 1.0,
+        "refine": 2,
+        "n_policy": "auto",
+        "geometry": {"length": 1.0, "n_cells": 64},
+        "observation": {"a": 0.2, "b": 0.8, "smoothness": 2, "constant": None},
+        "time": {"tau": None, "n_steps": None, "dt": None},
+        "truth": None,
+        "noise": {"amplitude": 0.0, "seed": 7},
+        "eta": {"tol": 1e-6, "max_iter": 80, "seed": 11},
+        "sweep": {
+            "levels": [32, 64, 128, 256],
+            "kappa": 1.0,
+            "noise_eps": [0.0],
+            "fit_model": "power-log2",
+            "gates": {"slope_band": [0.8, None], "monotone": True},
+        },
+        "output": {"directory": "."},
+    }
+    assert cli.DEFAULTS == expected
+    # json.dumps keeps key order and tells 1 from 1.0
+    assert json.dumps(cli.DEFAULTS) == json.dumps(expected)
+    for dotted, default, check, what in cli._LEAVES:
+        assert check is None or check(default), (dotted, default, what)
+    assert [row[0] for row in cli._LEAVES if row[2] is None] == ["truth"]
+
+
+def test_readme_rule_table_names_every_checked_leaf():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| leaf | rule |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    named = [leaf for line in table.splitlines()
+             for leaf in re.findall(r"`([^`]+)`", line.split("|")[1])]
+    assert sorted(named) == sorted(row[0] for row in cli._LEAVES if row[0] != "truth")
 
 
 def test_huge_eta_step_budget_gives_the_default_estimate(tmp_path, capsys):

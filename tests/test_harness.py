@@ -645,6 +645,9 @@ def test_failed_clean_sum_fails_the_whole_level(monkeypatch):
     (dict(noise_eps=("x",)), "amplitude"),
     (dict(noise_eps=(None,)), "amplitude"),
     (dict(noise_eps=(True,)), "amplitude"),
+    # an infinite kappa would run one time step per level
+    (dict(kappa=math.inf), "kappa must be positive"),
+    (dict(noise_eps=(10**400,)), "amplitude"),
 ])
 def test_plan_validation(kw, match):
     with pytest.raises(ValueError, match=match):

@@ -303,10 +303,17 @@ def test_unit_noise_memory_is_one_trace():
     assert peak < 1.3 * samples.nbytes
 
 
-@pytest.mark.parametrize("amplitude", [-1.0, float("inf"), float("nan")])
+@pytest.mark.parametrize("amplitude", [-1.0, float("inf"), float("nan"),
+                                       pytest.param(10**400, id="int-past-float-range")])
 def test_noise_amplitude_must_be_finite_and_nonnegative(amplitude):
     with pytest.raises(ValueError, match="amplitude must be finite and nonnegative"):
         NoiseSpec(amplitude)
+
+
+@pytest.mark.parametrize("amplitude", [np.float32(0.5), np.float64(0.5), np.int64(1), 0],
+                         ids=["float32", "float64", "int64", "int"])
+def test_noise_amplitude_takes_any_finite_real(amplitude):
+    assert NoiseSpec(amplitude).amplitude == amplitude
 
 
 @pytest.mark.parametrize("equation", ["schrodinger", "wave"])
