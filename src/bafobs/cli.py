@@ -25,7 +25,7 @@ import numpy as np
 from . import harness, models
 from .fem import FieldSpec, Mesh1D, ObservationProfile
 from .linalg import solver_kernel
-from .models import _is_int, _is_number, _is_positive
+from .models import _is_int, _is_number, _is_positive, _is_seed
 from .observers import _ETA_DEFAULTS
 
 
@@ -51,13 +51,12 @@ _LEAVES = (
     ("time.dt", None, lambda v: v is None or _is_positive(v), "null or a positive number"),
     ("truth", None, None, None),
     ("noise.amplitude", 0.0, lambda v: _is_number(v) and v >= 0, "a number >= 0"),
-    ("noise.seed", 7, lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    ("noise.seed", 7, _is_seed, "an integer >= 0"),
     ("eta.tol", _ETA_DEFAULTS["tol"], lambda v: _is_number(v) and 0 < v < 1,
      "a number in (0, 1)"),
     ("eta.max_iter", _ETA_DEFAULTS["max_iter"], lambda v: _is_int(v) and v >= 2,
      "an integer >= 2"),
-    ("eta.seed", _ETA_DEFAULTS["seed"], lambda v: _is_int(v) and v >= 0,
-     "an integer >= 0"),
+    ("eta.seed", _ETA_DEFAULTS["seed"], _is_seed, "an integer >= 0"),
     ("sweep.levels", [32, 64, 128, 256], lambda v: isinstance(v, list) and len(v) > 0
      and all(_is_int(n) and n >= 2 for n in v), "a non-empty list of integers >= 2"),
     ("sweep.kappa", 1.0, _is_positive, "a positive number"),

@@ -34,7 +34,12 @@ GENERATION_BLOCK = 32                  # time rows synthesized at once
 
 
 def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+    """An integer, NumPy's too; not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_seed(v) -> bool:
+    return _is_int(v) and v >= 0
 
 
 def _is_number(v) -> bool:
@@ -72,6 +77,9 @@ class NoiseSpec:
         # sweep row; a bool, a string or None is no amplitude at all
         if not (_is_number(self.amplitude) and self.amplitude >= 0):
             raise ValueError(f"amplitude must be finite and nonnegative, got {self.amplitude!r}")
+        # None would draw from OS entropy, a draw that does not repeat
+        if not _is_seed(self.seed):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -200,8 +208,17 @@ def unit_noise(trace: ObservationTrace, seed: int) -> ObservationTrace:
     """The noise alone: ``add_noise``'s draws at amplitude 1, in one array of
     the trace's shape, so that ``add_noise(trace, NoiseSpec(eps, seed))`` is
     ``trace + eps * unit_noise(trace, seed)`` up to rounding."""
-    samples = np.zeros(trace.samples.shape,
+    samples = np.empty(trace.samples.shape,
                        np.result_type(trace.samples.dtype, np.float64))
+    return _unit_noise_in_place(replace(trace, samples=samples), seed)
+
+
+def _unit_noise_in_place(trace: ObservationTrace, seed: int) -> ObservationTrace:
+    """``unit_noise(trace, seed)``, drawn into the trace's own float64 or
+    complex128 samples, which it zeroes first: the same bits, and no second
+    trace-sized array.  The trace's samples are lost."""
+    samples = trace.samples
+    samples.fill(0.0)
     _draw_noise(samples, NoiseSpec(1.0, seed))
     return replace(trace, samples=samples, provenance="unit-noise")
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -302,13 +303,14 @@ def test_sweep_errors_decrease_and_dt_dominates():
 
 
 def test_sweep_cell_failure_isolated(monkeypatch):
-    # n_cells = 1 is an invalid mesh; the second error the sweep measures,
+    # the 8-cell level's set-up fails; the second error the sweep measures,
     # that of the 16-cell noisy row, fails
+    fail_once(monkeypatch, "build_engine")
     fail_once(monkeypatch, "reconstruction_error", at=2)
-    plan = small_plan(levels=(1, 16), noise_eps=(0.0, 1e-3))
+    plan = small_plan(levels=(8, 16), noise_eps=(0.0, 1e-3))
     rows = run_sweep(plan)
     assert [(r.n_cells, r.noise_eps) for r in rows] == \
-        [(1, 0.0), (1, 1e-3), (16, 0.0), (16, 1e-3)]
+        [(8, 0.0), (8, 1e-3), (16, 0.0), (16, 1e-3)]
     assert rows[0].failure is not None and rows[1].failure is not None
     assert rows[2].failure is None and np.isfinite(rows[2].error_x)
     assert rows[3].failure == "RuntimeError: no reconstruction_error"
@@ -411,10 +413,11 @@ def test_warm_eta_across_the_parity_switch():
     assert warm.eta_hat == pytest.approx(cold.eta_hat, rel=1e-8)
 
 
-def test_failed_or_unconverged_level_leaves_the_next_cold():
-    # a level whose set-up fails (1 cell) hands on nothing, not even the
-    # vector it was handed
-    plan = small_plan(levels=(8, 1, 16))
+def test_failed_or_unconverged_level_leaves_the_next_cold(monkeypatch):
+    # a level whose set-up fails (the 12-cell one) hands on nothing, not
+    # even the vector it was handed
+    plan = small_plan(levels=(8, 12, 16))
+    fail_once(monkeypatch, "build_engine", at=2)
     before, failed, after = run_sweep(plan)
     (cold,) = run_cell(plan, 16)
     assert before.eta_converged and failed.failure is not None and after.failure is None
@@ -572,6 +575,27 @@ def test_noise_gain_bounds_the_error_inflation(equation, truth, tau):
         assert abs(row.error_x - clean.error_x) <= row.noise_eps * gain * (1 + 1e-9)
 
 
+@EQUATIONS
+def test_a_noisy_level_holds_one_trace(equation, truth, tau):
+    # u is drawn into the clean trace's buffer once S(clean) is solved, so
+    # the level peaks in generation: 1.65x the trace's bytes for
+    # Schrodinger and 1.49x for the wave; a second trace-sized array beside
+    # the clean trace would put both above 2x
+    plan = small_plan(equation=equation, truth=truth, tau=tau, levels=(512,),
+                      profile=ObservationProfile(a=0.2, b=0.8, smoothness=2),
+                      noise_eps=(0.0, 1e-3))
+    run_cell(plan, 16)      # one-off allocations of a first level, such as loaded kernels
+    tracemalloc.start()
+    try:
+        rows = run_cell(plan, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [row.failure for row in rows] == [None, None]
+    trace_bytes = (plan.n_steps(512) + 1) * 511 * (16 if equation == "schrodinger" else 8)
+    assert peak < 1.8 * trace_bytes
+
+
 def test_error_norm_is_the_error_against_a_zero_truth():
     # for the wave the norm is |pos|_K + |vel|_M, the one reconstruction_error
     # measures, not the X norm
@@ -608,7 +632,7 @@ def test_failed_unit_sum_fails_only_the_noisy_rows(monkeypatch):
         draws.append(seed)
         raise RuntimeError("no unit draw")
 
-    monkeypatch.setattr(harness, "unit_noise", failing_draw)
+    monkeypatch.setattr(harness, "_unit_noise_in_place", failing_draw)
     rows = run_cell(small_plan(levels=(8,), noise_eps=(0.0, 1e-3, 1e-2)), 8)
     assert rows[0].failure is None and np.isfinite(rows[0].error_x)
     assert [r.failure for r in rows[1:]] == ["RuntimeError: no unit draw"] * 2
@@ -652,6 +676,54 @@ def test_failed_clean_sum_fails_the_whole_level(monkeypatch):
 def test_plan_validation(kw, match):
     with pytest.raises(ValueError, match=match):
         small_plan(**kw)
+
+
+@pytest.mark.parametrize("build, kw, match", [
+    pytest.param(small_plan, dict(length=math.inf), "length must be positive and finite, "
+                 "got inf", id="length-inf"),
+    pytest.param(small_plan, dict(tau=-1.0), "tau must be positive and finite, got -1.0",
+                 id="tau-negative"),
+    pytest.param(small_plan, dict(tau=math.nan), "tau must be positive and finite, got nan",
+                 id="tau-nan"),
+    pytest.param(small_plan, dict(theta=-1.0), "theta must be positive", id="theta-negative"),
+    pytest.param(small_plan, dict(theta=math.inf), "theta must be positive", id="theta-inf"),
+    pytest.param(small_plan, dict(refine=0), "refine must be an integer >= 1, got 0",
+                 id="refine-0"),
+    pytest.param(small_plan, dict(eta_tol=2.0), r"eta_tol must be a number in \(0, 1\)",
+                 id="eta_tol-2"),
+    pytest.param(small_plan, dict(eta_max_iter=1), "eta_max_iter must be an integer >= 2",
+                 id="eta_max_iter-1"),
+    pytest.param(small_plan, dict(noise_seed=-1), "noise_seed must be an integer >= 0",
+                 id="noise_seed-negative"),
+    pytest.param(small_plan, dict(noise_seed=1.5), "noise_seed must be an integer >= 0",
+                 id="noise_seed-float"),
+    pytest.param(small_plan, dict(eta_seed=-1), "eta_seed must be an integer >= 0",
+                 id="eta_seed-negative"),
+    pytest.param(small_plan, dict(eta_seed=1.5), "eta_seed must be an integer >= 0",
+                 id="eta_seed-float"),
+    pytest.param(small_plan, dict(levels=(8.0,)), r"levels must be .* integer >= 2, got \(8.0,\)",
+                 id="levels-float"),
+    pytest.param(small_plan, dict(levels=(True,)), "levels must be", id="levels-bool"),
+    pytest.param(small_plan, dict(levels=(1,)), "levels must be", id="levels-1"),
+    pytest.param(small_plan, dict(levels=(0,)), "levels must be", id="levels-0"),
+    pytest.param(small_plan, dict(equation="heat"), "equation must be 'schrodinger' or 'wave'",
+                 id="equation-heat"),
+    pytest.param(small_plan, dict(noise_eps=()), "noise_eps must be", id="noise_eps-empty"),
+    # None would draw from OS entropy, a draw that does not repeat
+    pytest.param(NoiseSpec, dict(seed=None), "seed must be an integer >= 0, got None",
+                 id="noise-seed-None"),
+    pytest.param(NoiseSpec, dict(seed=True), "seed must be an integer >= 0, got True",
+                 id="noise-seed-True"),
+])
+def test_inputs_that_would_fail_or_misreport_are_refused_when_built(build, kw, match):
+    with pytest.raises(ValueError, match=match):
+        build(**kw)
+
+
+def test_plan_takes_numpy_integers_and_numbers():
+    plan = small_plan(levels=(np.int64(8),), noise_seed=np.int32(3), eta_seed=np.uint8(5),
+                      refine=np.int64(2), tau=np.float64(1.0), eta_tol=np.float32(1e-3))
+    assert run_cell(plan, 8)[0].failure is None
 
 
 def test_noise_study_requires_baseline():

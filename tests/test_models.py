@@ -13,8 +13,9 @@ from hypothesis.extra.numpy import arrays
 
 from bafobs.fem import FieldSpec, Mesh1D, ObservationProfile, assemble
 from bafobs.linalg import pencil_eigs
-from bafobs.models import (GENERATION_BLOCK, NoiseSpec, ProblemInstance, add_noise,
-                           generate_observation, read_trace, unit_noise, write_trace)
+from bafobs.models import (GENERATION_BLOCK, NoiseSpec, ProblemInstance, _unit_noise_in_place,
+                           add_noise, generate_observation, read_trace, unit_noise,
+                           write_trace)
 from bafobs.observers import ObservationTrace
 from oracles import dense_pencil_eigs, norm_alpha, old_add_noise, propagate_exact
 
@@ -288,6 +289,20 @@ def test_unit_noise_scales_to_add_noise(is_complex):
         noisy = add_noise(trace, NoiseSpec(eps, seed=9)).samples
         np.testing.assert_allclose(noisy, samples + eps * unit.samples, rtol=0,
                                    atol=4 * np.finfo(float).eps * np.max(np.abs(samples)))
+
+
+@pytest.mark.parametrize("is_complex", [True, False])
+def test_unit_noise_in_place_is_unit_noise_in_the_traces_buffer(is_complex):
+    rng = np.random.default_rng(7)
+    samples = rng.standard_normal((70, 33))
+    if is_complex:
+        samples = samples + 1j * rng.standard_normal(samples.shape)
+    trace = ObservationTrace("schrodinger" if is_complex else "wave", samples, 0.69, 0.01)
+    expected = unit_noise(trace, seed=9)
+    unit = _unit_noise_in_place(trace, seed=9)
+    assert unit.samples is samples and unit.provenance == "unit-noise"
+    assert unit.samples.dtype == expected.samples.dtype
+    assert np.array_equal(unit.samples, expected.samples)
 
 
 def test_unit_noise_memory_is_one_trace():
