@@ -25,21 +25,24 @@ import numpy as np
 from . import harness, models
 from .fem import FieldSpec, Mesh1D, ObservationProfile
 from .linalg import solver_kernel
-from .models import _is_int, _is_number, _is_positive, _is_seed
+from .models import _is_int, _is_number, _is_positive
 from .observers import _ETA_DEFAULTS
 
+
+# the check and rule text of each leaf that sets a SweepPlan field, the plan's
+# own; time.tau keeps a row of its own, since its null resolves per equation
+_PLAN = {leaf: (check, what) for _, leaf, check, what in harness._PLAN_LEAVES}
 
 # one row per config leaf, in the document's order: (dotted leaf, default,
 # check, what it must be).  truth's default is per equation, and build_truth
 # checks it.  All checks run before any default is derived from the leaves,
 # so nothing downstream sees a value of the wrong kind.
 _LEAVES = (
-    ("equation", "schrodinger", lambda v: v in ("schrodinger", "wave"),
-     "'schrodinger' or 'wave'"),
-    ("theta", 1.0, _is_positive, "a positive number"),
-    ("refine", 2, lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    ("n_policy", "auto", harness._is_n_policy, "'auto' or an integer >= 0"),
-    ("geometry.length", 1.0, _is_positive, "a positive number"),
+    ("equation", "schrodinger", *_PLAN["equation"]),
+    ("theta", 1.0, *_PLAN["theta"]),
+    ("refine", 2, *_PLAN["refine"]),
+    ("n_policy", "auto", *_PLAN["n_policy"]),
+    ("geometry.length", 1.0, *_PLAN["geometry.length"]),
     ("geometry.n_cells", 64, lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
     ("observation.a", 0.2, _is_number, "a number"),
     ("observation.b", 0.8, _is_number, "a number"),
@@ -51,17 +54,13 @@ _LEAVES = (
     ("time.dt", None, lambda v: v is None or _is_positive(v), "null or a positive number"),
     ("truth", None, None, None),
     ("noise.amplitude", 0.0, lambda v: _is_number(v) and v >= 0, "a number >= 0"),
-    ("noise.seed", 7, _is_seed, "an integer >= 0"),
-    ("eta.tol", _ETA_DEFAULTS["tol"], lambda v: _is_number(v) and 0 < v < 1,
-     "a number in (0, 1)"),
-    ("eta.max_iter", _ETA_DEFAULTS["max_iter"], lambda v: _is_int(v) and v >= 2,
-     "an integer >= 2"),
-    ("eta.seed", _ETA_DEFAULTS["seed"], _is_seed, "an integer >= 0"),
-    ("sweep.levels", [32, 64, 128, 256], lambda v: isinstance(v, list) and len(v) > 0
-     and all(_is_int(n) and n >= 2 for n in v), "a non-empty list of integers >= 2"),
-    ("sweep.kappa", 1.0, _is_positive, "a positive number"),
-    ("sweep.noise_eps", [0.0], lambda v: isinstance(v, list) and len(v) > 0
-     and all(_is_number(e) and e >= 0 for e in v), "a non-empty list of numbers >= 0"),
+    ("noise.seed", 7, *_PLAN["noise.seed"]),
+    ("eta.tol", _ETA_DEFAULTS["tol"], *_PLAN["eta.tol"]),
+    ("eta.max_iter", _ETA_DEFAULTS["max_iter"], *_PLAN["eta.max_iter"]),
+    ("eta.seed", _ETA_DEFAULTS["seed"], *_PLAN["eta.seed"]),
+    ("sweep.levels", [32, 64, 128, 256], *_PLAN["sweep.levels"]),
+    ("sweep.kappa", 1.0, *_PLAN["sweep.kappa"]),
+    ("sweep.noise_eps", [0.0], *_PLAN["sweep.noise_eps"]),
     ("sweep.fit_model", "power-log2", lambda v: v in ("power-log2", "pure-power"),
      "'power-log2' or 'pure-power'"),
     ("sweep.gates.slope_band", [0.8, None], lambda v: isinstance(v, list) and len(v) == 2
@@ -150,9 +149,7 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
 def resolve_config(cfg: dict) -> dict:
     """Check every leaf against its row of _LEAVES, then fill the per-equation defaults."""
     for dotted, _, check, what in _LEAVES:
-        value = cfg
-        for part in dotted.split("."):
-            value = value[part]
+        value = functools.reduce(dict.__getitem__, dotted.split("."), cfg)
         if check is not None and not check(value):
             raise ConfigError(f"{dotted} must be {what}, got {value!r}")
     eq = cfg["equation"]
@@ -252,27 +249,12 @@ def build_instance(cfg: dict) -> models.ProblemInstance:
 
 
 def build_plan(cfg: dict) -> harness.SweepPlan:
-    sw = cfg["sweep"]
     truth = build_truth(cfg)
     if truth is None:
         raise ConfigError("sweeps need a truth field in the config")
-    return harness.SweepPlan(
-        equation=cfg["equation"],
-        levels=tuple(sw["levels"]),
-        tau=cfg["time"]["tau"],
-        truth=truth,
-        profile=build_profile(cfg),
-        kappa=sw["kappa"],
-        length=cfg["geometry"]["length"],
-        theta=cfg["theta"],
-        refine=cfg["refine"],
-        noise_eps=tuple(sw["noise_eps"]),
-        noise_seed=cfg["noise"]["seed"],
-        n_policy=cfg["n_policy"],
-        eta_tol=cfg["eta"]["tol"],
-        eta_max_iter=cfg["eta"]["max_iter"],
-        eta_seed=cfg["eta"]["seed"],
-    )
+    return harness.SweepPlan(truth=truth, profile=build_profile(cfg), **{
+        field: functools.reduce(dict.__getitem__, dotted.split("."), cfg)
+        for field, dotted, _, _ in harness._PLAN_LEAVES})
 
 
 def _engine_from(cfg: dict) -> harness.BackAndForth:

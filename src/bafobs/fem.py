@@ -180,14 +180,16 @@ def _weighted_mass(mesh: Mesh1D, w_at_q: np.ndarray) -> SymTridiag:
     return SymTridiag(diag, off)
 
 
+def check_window(profile: ObservationProfile, length: float):
+    """Refuse a profile whose window [a, b] does not lie strictly inside (0, length)."""
+    if profile.const is None and not (0.0 < profile.a and profile.b < length):
+        raise ValueError(f"observation window [{profile.a}, {profile.b}] must lie strictly "
+                         f"inside (0, {length})")
+
+
 def assemble(mesh: Mesh1D, profile: ObservationProfile) -> FemOperators:
     """Assemble mass, stiffness and the two observation Grams."""
-    if profile.const is None:
-        if not (0.0 < profile.a and profile.b < mesh.length):
-            raise ValueError(
-                f"observation window [{profile.a}, {profile.b}] must lie strictly "
-                f"inside (0, {mesh.length})"
-            )
+    check_window(profile, mesh.length)
     h = mesh.h
     n = mesh.n
     mass = SymTridiag(np.full(n, 2.0 * h / 3.0), np.full(max(n - 1, 0), h / 6.0))

@@ -16,9 +16,9 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .fem import (FemOperators, FieldSpec, Mesh1D, ObservationProfile,
-                  assemble, grad_load_vector, load_vector)
-from .models import (NoiseSpec, ProblemInstance, _is_int, _is_number, _is_positive,
-                     _is_seed, _unit_noise_in_place, generate_observation)
+                  assemble, check_window, grad_load_vector, load_vector)
+from .models import (ProblemInstance, _is_int, _is_number, _is_positive, _is_seed,
+                     _unit_noise_in_place, check_truth, generate_observation)
 from .observers import (_ETA_DEFAULTS, BackAndForth, EtaEstimate, ReconstructionResult,
                         WaveState, choose_truncation)
 
@@ -111,35 +111,35 @@ def step_count(equation: str, n_cells: int, steps: float, leaf: str, value) -> i
     return k
 
 
-def _is_n_policy(v) -> bool:
-    return v == "auto" or (_is_int(v) and v >= 0)
-
-
-# SweepPlan's fields, each with its config leaf's rule: (field, check, what
-# it must be).  NoiseSpec checks each noise level, and step_count each
-# level's step count.
-_PLAN_RULES = (
-    ("equation", lambda v: v in ("schrodinger", "wave"), "'schrodinger' or 'wave'"),
-    ("levels", lambda v: isinstance(v, (tuple, list)) and len(v) > 0
-     and all(_is_int(n) and n >= 2 for n in v), "at least one level, each an integer >= 2"),
-    ("tau", _is_positive, "positive and finite"),
-    ("kappa", _is_positive, "positive and finite"),
-    ("length", _is_positive, "positive and finite"),
-    ("theta", _is_positive, "positive and finite"),
-    ("refine", lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    ("noise_eps", lambda v: isinstance(v, (tuple, list)) and len(v) > 0,
-     "at least one noise level"),
-    ("noise_seed", _is_seed, "an integer >= 0"),
-    ("n_policy", _is_n_policy, "'auto' or an integer >= 0"),
-    ("eta_tol", lambda v: _is_number(v) and 0 < v < 1, "a number in (0, 1)"),
-    ("eta_max_iter", lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
-    ("eta_seed", _is_seed, "an integer >= 0"),
+# one row per SweepPlan field the config sets: (field, its config leaf, check,
+# what it must be).  SweepPlan checks by them, cli.build_plan reads each field
+# from its leaf, and cli._LEAVES takes their checks and texts (not time.tau's).
+_PLAN_LEAVES = (
+    ("equation", "equation", lambda v: v in ("schrodinger", "wave"), "'schrodinger' or 'wave'"),
+    ("theta", "theta", _is_positive, "a positive number"),
+    ("refine", "refine", lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    ("n_policy", "n_policy", lambda v: v == "auto" or (_is_int(v) and v >= 0),
+     "'auto' or an integer >= 0"),
+    ("length", "geometry.length", _is_positive, "a positive number"),
+    ("tau", "time.tau", _is_positive, "a positive number"),
+    ("noise_seed", "noise.seed", _is_seed, "an integer >= 0"),
+    ("eta_tol", "eta.tol", lambda v: _is_number(v) and 0 < v < 1, "a number in (0, 1)"),
+    ("eta_max_iter", "eta.max_iter", lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+    ("eta_seed", "eta.seed", _is_seed, "an integer >= 0"),
+    ("levels", "sweep.levels", lambda v: isinstance(v, (list, tuple)) and len(v) > 0
+     and all(_is_int(n) and n >= 2 for n in v), "a non-empty list of integers >= 2"),
+    ("kappa", "sweep.kappa", _is_positive, "a positive number"),
+    ("noise_eps", "sweep.noise_eps", lambda v: isinstance(v, (list, tuple)) and len(v) > 0
+     and all(_is_number(e) and e >= 0 for e in v), "a non-empty list of numbers >= 0"),
 )
 
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """Refinement study over n_cells levels with dt = kappa * h."""
+    """Refinement study over n_cells levels with dt = kappa * h.  Built, it
+    checks each field by its _PLAN_LEAVES row ("kappa must be a positive
+    number, got inf"), then its window, truth and step counts, and it makes
+    levels and noise_eps tuples."""
 
     equation: str
     levels: tuple[int, ...]
@@ -158,12 +158,14 @@ class SweepPlan:
     eta_seed: int = _ETA_DEFAULTS["seed"]
 
     def __post_init__(self):
-        for name, valid, what in _PLAN_RULES:
+        for name, _, check, what in _PLAN_LEAVES:
             value = getattr(self, name)
-            if not valid(value):
+            if not check(value):
                 raise ValueError(f"{name} must be {what}, got {value!r}")
-        for eps in self.noise_eps:
-            NoiseSpec(eps, self.noise_seed)
+        for name in ("levels", "noise_eps"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        check_window(self.profile, self.length)
+        check_truth(self.equation, self.truth, self.length)
         for n_cells in self.levels:
             self.n_steps(n_cells)
 

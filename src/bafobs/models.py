@@ -82,6 +82,22 @@ class NoiseSpec:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
+def check_truth(equation: str, truth, length: float):
+    """Refuse a truth that is not one FieldSpec on (0, length) for Schrodinger,
+    or a real (position, velocity) pair of them for the wave."""
+    fields = truth if isinstance(truth, tuple) else (truth,)
+    if equation == "wave" and len(fields) != 2:
+        raise ValueError(f"wave truth must be a (position, velocity) pair, got {truth!r}")
+    if equation == "schrodinger" and len(fields) != 1:
+        raise ValueError(f"schrodinger truth must be a single field, got {truth!r}")
+    for field in fields:
+        if not (isinstance(field, FieldSpec) and field.length == length):
+            raise ValueError(f"a truth field must be a FieldSpec of the domain's length "
+                             f"{length!r}, got {field!r}")
+        if equation == "wave" and field.is_complex:
+            raise ValueError("wave truth must be real: a field has complex coefficients")
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """One concrete inverse problem: geometry, window, horizon and truth."""
@@ -101,13 +117,7 @@ class ProblemInstance:
         min_steps = 2 if self.equation == "wave" else 1
         if self.n_steps < min_steps:
             raise ValueError(f"n_steps must be at least {min_steps}")
-        fields = self.truth if isinstance(self.truth, tuple) else (self.truth,)
-        if self.equation == "wave" and len(fields) != 2:
-            raise ValueError("wave truth must be a (position, velocity) pair")
-        if self.equation == "schrodinger" and len(fields) != 1:
-            raise ValueError("schrodinger truth must be a single field")
-        if self.equation == "wave" and any(f.is_complex for f in fields):
-            raise ValueError("wave truth must be real: a field has complex coefficients")
+        check_truth(self.equation, self.truth, self.mesh.length)
 
     @property
     def dt(self) -> float:

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import inspect
 import json
@@ -5,7 +6,7 @@ import math
 import os
 import re
 import warnings
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bafobs import cli, observers
+from bafobs import cli, harness, observers
 from bafobs.fem import FieldSpec
 from bafobs.harness import SweepPlan, SweepRow
 from bafobs.linalg import ShiftedSystem
@@ -377,6 +378,27 @@ def test_sweep_level_past_the_trace_ceiling_rejected(tmp_path, capsys, monkeypat
     assert cli.build_plan(cli.load_config(None, ["sweep.levels=[46340]"])).levels == (46340,)
 
 
+@pytest.mark.parametrize("override, window", [
+    ("observation.a=-0.1", "[-0.1, 0.8] must lie strictly inside (0, 1.0)"),
+    ("observation.b=1.0", "[0.2, 1.0] must lie strictly inside (0, 1.0)"),
+    ("geometry.length=0.5", "[0.2, 0.8] must lie strictly inside (0, 0.5)"),
+], ids=["a", "b", "length"])
+def test_sweep_with_a_window_outside_the_domain_rejected(tmp_path, capsys, monkeypatch,
+                                                         override, window):
+    # the plan refuses the window as generate and estimate-eta do, before any
+    # level runs; each of its rows used to fail, and the sweep wrote them and exited 1
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(cli.harness, "run_cell", no_work)
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(["--set", override, "--set", "sweep.levels=[8,16]",
+                                 "--set", f"output.directory={out}", "sweep"], capsys)
+    assert code == 2 and stdout == ""
+    assert f"error: observation window {window}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("equation, tau", [("schrodinger", 1.0), ("schrodinger", 0.01),
                                            ("wave", 2.0), ("wave", 0.01)])
 def test_config_and_sweep_level_share_the_step_rule(equation, tau):
@@ -648,6 +670,34 @@ def test_eta_defaults_have_one_owner():
     arnoldi = inspect.signature(arnoldi_iteration).parameters
     assert (arnoldi["tol"].default, arnoldi["max_iter"].default) == (
         signature["tol"], signature["max_iter"])
+
+
+def test_the_plan_and_the_config_share_each_rule_row():
+    # one (check, text) per plan input: the config row of each plan row's
+    # leaf holds the same check object and the same text, but time.tau's,
+    # whose null resolves per equation
+    rows = {row[0]: row for row in cli._LEAVES}
+    plan_fields = {f.name for f in fields(SweepPlan)} - {"truth", "profile"}
+    assert sorted(field for field, *_ in harness._PLAN_LEAVES) == sorted(plan_fields)
+    for field, dotted, check, what in harness._PLAN_LEAVES:
+        if dotted == "time.tau":
+            assert rows[dotted][3] == f"null or {what}" and rows[dotted][2](None)
+        else:
+            assert rows[dotted][2] is check and rows[dotted][3] == what, field
+
+
+def test_plan_defaults_are_the_configs():
+    # nothing else keeps a SweepPlan default equal to its leaf's config default
+    leaves = {field: dotted for field, dotted, _, _ in harness._PLAN_LEAVES}
+    defaulted = {f.name: f.default for f in fields(SweepPlan) if f.name in leaves
+                 and f.default is not MISSING}
+    assert sorted(defaulted) == sorted(["theta", "refine", "n_policy", "length", "kappa",
+                                        "noise_eps", "noise_seed", "eta_tol",
+                                        "eta_max_iter", "eta_seed"])
+    for field, default in defaulted.items():
+        config = functools.reduce(dict.__getitem__, leaves[field].split("."), cli.DEFAULTS)
+        config = tuple(config) if isinstance(config, list) else config
+        assert (type(default), default) == (type(config), config), field
 
 
 def test_defaults_are_the_rows_nested_in_order():

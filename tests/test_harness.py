@@ -658,20 +658,38 @@ def test_failed_clean_sum_fails_the_whole_level(monkeypatch):
     assert rows[1].n_solves == rows[2].n_solves == 0
 
 
+def instance_with(**kw):
+    base = dict(equation="schrodinger", mesh=Mesh1D(8), profile=ObservationProfile(),
+                tau=1.0, n_steps=8, truth=TRUTH)
+    base.update(kw)
+    return ProblemInstance(**base)
+
+
+# each refusal names the field and the value in its config leaf's rule text;
+# the explicit ids keep the names these cases had before that text was shared
+LEVELS_RULE = "levels must be a non-empty list of integers >= 2"
+EPS_RULE = "noise_eps must be a non-empty list of numbers >= 0"
+
+
 @pytest.mark.parametrize("kw, match", [
-    (dict(levels=()), "at least one level"),
-    (dict(kappa=0.0), "kappa must be positive"),
+    pytest.param(dict(levels=()), rf"{LEVELS_RULE}, got \(\)$", id="kw0-at least one level"),
+    pytest.param(dict(kappa=0.0), "kappa must be a positive number, got 0.0$",
+                 id="kw1-kappa must be positive"),
     (dict(n_policy="fixed"), "n_policy"),
     (dict(n_policy=True), "n_policy"),
     (dict(n_policy=-1), "n_policy"),
-    (dict(noise_eps=(0.0, -1.0)), "amplitude"),
-    (dict(noise_eps=(0.0, math.nan)), "amplitude"),
-    (dict(noise_eps=("x",)), "amplitude"),
-    (dict(noise_eps=(None,)), "amplitude"),
-    (dict(noise_eps=(True,)), "amplitude"),
+    pytest.param(dict(noise_eps=(0.0, -1.0)), rf"{EPS_RULE}, got \(0.0, -1.0\)$",
+                 id="kw5-amplitude"),
+    pytest.param(dict(noise_eps=(0.0, math.nan)), rf"{EPS_RULE}, got \(0.0, nan\)$",
+                 id="kw6-amplitude"),
+    pytest.param(dict(noise_eps=("x",)), rf"{EPS_RULE}, got \('x',\)$", id="kw7-amplitude"),
+    pytest.param(dict(noise_eps=(None,)), rf"{EPS_RULE}, got \(None,\)$", id="kw8-amplitude"),
+    pytest.param(dict(noise_eps=(True,)), rf"{EPS_RULE}, got \(True,\)$", id="kw9-amplitude"),
     # an infinite kappa would run one time step per level
-    (dict(kappa=math.inf), "kappa must be positive"),
-    (dict(noise_eps=(10**400,)), "amplitude"),
+    pytest.param(dict(kappa=math.inf), "kappa must be a positive number, got inf$",
+                 id="kw10-kappa must be positive"),
+    pytest.param(dict(noise_eps=(10**400,)), rf"{EPS_RULE}, got \(10{{400}},\)$",
+                 id="kw11-amplitude"),
 ])
 def test_plan_validation(kw, match):
     with pytest.raises(ValueError, match=match):
@@ -679,14 +697,16 @@ def test_plan_validation(kw, match):
 
 
 @pytest.mark.parametrize("build, kw, match", [
-    pytest.param(small_plan, dict(length=math.inf), "length must be positive and finite, "
-                 "got inf", id="length-inf"),
-    pytest.param(small_plan, dict(tau=-1.0), "tau must be positive and finite, got -1.0",
+    pytest.param(small_plan, dict(length=math.inf), "length must be a positive number, got inf",
+                 id="length-inf"),
+    pytest.param(small_plan, dict(tau=-1.0), "tau must be a positive number, got -1.0",
                  id="tau-negative"),
-    pytest.param(small_plan, dict(tau=math.nan), "tau must be positive and finite, got nan",
+    pytest.param(small_plan, dict(tau=math.nan), "tau must be a positive number, got nan",
                  id="tau-nan"),
-    pytest.param(small_plan, dict(theta=-1.0), "theta must be positive", id="theta-negative"),
-    pytest.param(small_plan, dict(theta=math.inf), "theta must be positive", id="theta-inf"),
+    pytest.param(small_plan, dict(theta=-1.0), "theta must be a positive number, got -1.0",
+                 id="theta-negative"),
+    pytest.param(small_plan, dict(theta=math.inf), "theta must be a positive number, got inf",
+                 id="theta-inf"),
     pytest.param(small_plan, dict(refine=0), "refine must be an integer >= 1, got 0",
                  id="refine-0"),
     pytest.param(small_plan, dict(eta_tol=2.0), r"eta_tol must be a number in \(0, 1\)",
@@ -701,7 +721,7 @@ def test_plan_validation(kw, match):
                  id="eta_seed-negative"),
     pytest.param(small_plan, dict(eta_seed=1.5), "eta_seed must be an integer >= 0",
                  id="eta_seed-float"),
-    pytest.param(small_plan, dict(levels=(8.0,)), r"levels must be .* integer >= 2, got \(8.0,\)",
+    pytest.param(small_plan, dict(levels=(8.0,)), rf"{LEVELS_RULE}, got \(8.0,\)",
                  id="levels-float"),
     pytest.param(small_plan, dict(levels=(True,)), "levels must be", id="levels-bool"),
     pytest.param(small_plan, dict(levels=(1,)), "levels must be", id="levels-1"),
@@ -714,6 +734,37 @@ def test_plan_validation(kw, match):
                  id="noise-seed-None"),
     pytest.param(NoiseSpec, dict(seed=True), "seed must be an integer >= 0, got True",
                  id="noise-seed-True"),
+    # a window outside the domain or a truth of the wrong shape failed every
+    # row of the plan's sweep; a truth on another length reported an error_x
+    pytest.param(small_plan, dict(profile=ObservationProfile(a=-0.1, b=0.8)),
+                 r"observation window \[-0.1, 0.8\] must lie strictly inside \(0, 1.0\)",
+                 id="window-below-0"),
+    pytest.param(small_plan, dict(profile=ObservationProfile(a=0.2, b=1.0)),
+                 r"observation window \[0.2, 1.0\] must lie strictly inside \(0, 1.0\)",
+                 id="window-touching-length"),
+    pytest.param(small_plan, dict(length=0.5, truth=FieldSpec(length=0.5)),
+                 r"observation window \[0.2, 0.8\] must lie strictly inside \(0, 0.5\)",
+                 id="window-past-length"),
+    pytest.param(small_plan, dict(equation="wave"),
+                 r"wave truth must be a \(position, velocity\) pair, got FieldSpec",
+                 id="wave-one-field"),
+    pytest.param(small_plan, dict(truth=WAVE_TRUTH),
+                 r"schrodinger truth must be a single field, got \(FieldSpec",
+                 id="schrodinger-pair"),
+    pytest.param(small_plan, dict(equation="wave", truth=(FieldSpec(coefficients=(1j,)),
+                                                          FieldSpec())),
+                 "wave truth must be real", id="wave-complex"),
+    pytest.param(small_plan, dict(truth=FieldSpec(length=2.0)),
+                 r"a truth field must be a FieldSpec of the domain's length 1.0, "
+                 r"got FieldSpec\(.*length=2.0\)", id="truth-length"),
+    pytest.param(small_plan, dict(truth=None), "a truth field must be a FieldSpec of the "
+                 "domain's length 1.0, got None", id="truth-None"),
+    pytest.param(instance_with, dict(truth=FieldSpec(length=2.0)),
+                 r"domain's length 1.0, got FieldSpec\(.*length=2.0\)",
+                 id="instance-truth-length"),
+    pytest.param(instance_with, dict(equation="wave", truth=(TRUTH, FieldSpec(length=0.5))),
+                 r"domain's length 1.0, got FieldSpec\(.*length=0.5\)",
+                 id="instance-wave-velocity-length"),
 ])
 def test_inputs_that_would_fail_or_misreport_are_refused_when_built(build, kw, match):
     with pytest.raises(ValueError, match=match):
