@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import copy
 import functools
-import hashlib
 import json
 import math
 import sys
@@ -285,6 +284,8 @@ def _out_dir(cfg: dict) -> Path:
 
 
 def cmd_generate(cfg: dict, out: str | None) -> int:
+    import hashlib      # maps libcrypto: only this command hashes
+
     instance = build_instance(cfg)
     noise = models.NoiseSpec(cfg["noise"]["amplitude"], cfg["noise"]["seed"])
     trace = models.generate_observation(instance, refine=cfg["refine"], noise=noise)

@@ -13,6 +13,8 @@ in the error norms.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,6 +45,17 @@ _GL8_W = 0.5 * np.array([
 ])
 
 
+def _is_int(v) -> bool:
+    """An integer, NumPy's too; not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    """A finite real number, NumPy's too; not a bool, nor an int past the float range."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and (
+        abs(v) <= sys.float_info.max if isinstance(v, int) else math.isfinite(v))
+
+
 def _gauss_rule(order8: bool) -> tuple[np.ndarray, np.ndarray]:
     """Points and weights of the 4- or 8-point rule on the reference element."""
     return (_GL8_X, _GL8_W) if order8 else (_GL4_X, _GL4_W)
@@ -56,10 +69,10 @@ class Mesh1D:
     length: float = 1.0
 
     def __post_init__(self):
-        if self.n_cells < 2:
-            raise ValueError("n_cells must be at least 2")
-        if not self.length > 0:
-            raise ValueError("length must be positive")
+        if not (_is_int(self.n_cells) and self.n_cells >= 2):
+            raise ValueError(f"n_cells must be an integer >= 2, got {self.n_cells!r}")
+        if not (_is_number(self.length) and self.length > 0):
+            raise ValueError(f"length must be a positive number, got {self.length!r}")
 
     @property
     def h(self) -> float:
@@ -182,6 +195,8 @@ def _weighted_mass(mesh: Mesh1D, w_at_q: np.ndarray) -> SymTridiag:
 
 def check_window(profile: ObservationProfile, length: float):
     """Refuse a profile whose window [a, b] does not lie strictly inside (0, length)."""
+    if not isinstance(profile, ObservationProfile):
+        raise ValueError(f"profile must be an ObservationProfile, got {profile!r}")
     if profile.const is None and not (0.0 < profile.a and profile.b < length):
         raise ValueError(f"observation window [{profile.a}, {profile.b}] must lie strictly "
                          f"inside (0, {length})")
@@ -251,11 +266,24 @@ class FieldSpec:
     def __post_init__(self):
         if self.kind not in ("sine", "bump"):
             raise ValueError(f"unknown field kind {self.kind!r}")
+        # a str is a sequence too, and an empty sum a zero truth that every
+        # reconstruction matches
+        if not (isinstance(self.coefficients, (tuple, list)) and self.coefficients and all(
+                _is_number(c) if isinstance(c, numbers.Real) else
+                isinstance(c, numbers.Complex) and _is_number(c.real) and _is_number(c.imag)
+                for c in self.coefficients)):
+            raise ValueError("coefficients must be a non-empty sequence of finite real or "
+                             f"complex numbers, got {self.coefficients!r}")
+        if not _is_number(self.amplitude):
+            raise ValueError(f"amplitude must be a finite real number, got {self.amplitude!r}")
+        if not (_is_number(self.length) and self.length > 0):
+            raise ValueError(f"length must be a positive number, got {self.length!r}")
 
     @property
     def is_complex(self) -> bool:
         # a complex 1+0j too: the real sum cannot take it in place
-        return self.kind == "sine" and any(isinstance(c, complex) for c in self.coefficients)
+        return self.kind == "sine" and not all(isinstance(c, numbers.Real)
+                                               for c in self.coefficients)
 
     def value(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

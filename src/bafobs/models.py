@@ -19,13 +19,11 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fem import FieldSpec, Mesh1D, ObservationProfile, assemble
+from .fem import FieldSpec, Mesh1D, ObservationProfile, _is_int, _is_number, assemble
 from .linalg import pencil_eigs
 from .observers import ObservationTrace
 
@@ -33,19 +31,8 @@ TRACE_FORMAT = "bafobs-trace-2"
 GENERATION_BLOCK = 32                  # time rows synthesized at once
 
 
-def _is_int(v) -> bool:
-    """An integer, NumPy's too; not a bool."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
 def _is_seed(v) -> bool:
     return _is_int(v) and v >= 0
-
-
-def _is_number(v) -> bool:
-    """A finite real number, NumPy's too; not a bool, nor an int past the float range."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and (
-        abs(v) <= sys.float_info.max if isinstance(v, int) else math.isfinite(v))
 
 
 def _is_positive(v) -> bool:

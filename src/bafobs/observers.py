@@ -20,6 +20,8 @@ returns the final state only and allocates nothing per step.
 from __future__ import annotations
 
 import math
+import operator
+import random
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -561,11 +563,26 @@ class BackAndForth:
         return self._state(np.zeros(self._x_gram.diag.size, dtype))
 
     def random_state(self, seed: int):
-        rng = np.random.default_rng(seed)
+        """A state of 2n independent standard-normal draws fixed by ``seed``:
+        Box-Muller pairs r (cos phi, sin phi) of the standard library's
+        ``random.Random(seed).random()``, the one stream Python keeps across
+        versions and platforms.  The n cosines come first: the wave's
+        positions, or Schrodinger's real parts, with the sines as the
+        velocities or imaginary parts.  A NumPy integer seed draws as its
+        Python int."""
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+        uniform = random.Random(seed).random
         n = self.ops.n
+        z = np.empty(2 * n)
+        for k in range(n):
+            r = math.sqrt(-2.0 * math.log(1.0 - uniform()))
+            phi = 2.0 * math.pi * uniform()
+            z[k], z[n + k] = r * math.cos(phi), r * math.sin(phi)
         if self.equation == "schrodinger":
-            return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        return self._state(rng.standard_normal(2 * n))
+            return z[:n] + 1j * z[n:]
+        return self._state(z)
 
     # -- observers: every pass is built of T+ (_pass) and R (_reverse) -------
 

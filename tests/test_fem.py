@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,45 @@ def test_mesh_validation():
     assert mesh.h == 0.25
     assert mesh.n == 7
     assert np.allclose(mesh.interior_nodes, 0.25 * np.arange(1, 8))
+
+
+@pytest.mark.parametrize("n_cells", [2.5, 8.0, True])
+def test_mesh_refuses_a_cell_count_that_is_not_an_integer(n_cells):
+    # Mesh1D(2.5) used to build, with 1.5 interior nodes
+    with pytest.raises(ValueError, match=f"n_cells must be an integer >= 2, got {n_cells!r}"):
+        Mesh1D(n_cells=n_cells)
+    assert Mesh1D(n_cells=np.int64(8)).n == 7
+
+
+def test_mesh_refuses_an_infinite_length():
+    # it built with h = inf, and the engine's factorization then failed
+    with pytest.raises(ValueError, match="length must be a positive number, got inf"):
+        Mesh1D(n_cells=8, length=math.inf)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    # an empty sum is a zero truth, which every reconstruction matched with error_x 0
+    pytest.param(dict(coefficients=()), r"coefficients must be .*, got \(\)", id="empty"),
+    # a str is a sequence, whose sum failed in every sweep row
+    pytest.param(dict(coefficients="ab"), "coefficients must be .*, got 'ab'", id="str"),
+    pytest.param(dict(coefficients=(math.inf,)), r"coefficients must be .*, got \(inf,\)",
+                 id="inf"),
+    pytest.param(dict(kind="bump", amplitude=math.nan),
+                 "amplitude must be a finite real number, got nan", id="nan-amplitude"),
+])
+def test_field_refuses_what_it_cannot_sum(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        FieldSpec(**kwargs)
+
+
+def test_field_takes_numpy_and_complex_numbers():
+    field = FieldSpec(coefficients=(np.float32(1.0), np.complex64(0.5j)))
+    assert field.is_complex
+    assert not FieldSpec(coefficients=[np.float64(1.0), 2]).is_complex
+    with pytest.raises(ValueError, match=r"coefficients must be .*, got \(True,\)"):
+        FieldSpec(coefficients=(True,))
+    with pytest.raises(ValueError, match="length must be a positive number, got 0.0"):
+        FieldSpec(length=0.0)
 
 
 def test_mass_and_stiffness_rows_analytic(default_ops):

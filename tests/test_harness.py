@@ -745,6 +745,9 @@ def test_plan_validation(kw, match):
     pytest.param(small_plan, dict(length=0.5, truth=FieldSpec(length=0.5)),
                  r"observation window \[0.2, 0.8\] must lie strictly inside \(0, 0.5\)",
                  id="window-past-length"),
+    # no profile at all raised an AttributeError from the window check
+    pytest.param(small_plan, dict(profile=None),
+                 "profile must be an ObservationProfile, got None", id="profile-None"),
     pytest.param(small_plan, dict(equation="wave"),
                  r"wave truth must be a \(position, velocity\) pair, got FieldSpec",
                  id="wave-one-field"),

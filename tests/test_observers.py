@@ -522,6 +522,30 @@ def test_observers_match_the_old_two_system_composition(monkeypatch, kernel, n_c
         assert np.array_equal(got, expected)
 
 
+def test_random_state_stream_is_pinned(engines):
+    # Box-Muller pairs of random.Random(11).random(): the cosines are the
+    # wave's positions and Schrodinger's real parts, the sines its velocities
+    # and imaginary parts.  Any change of the stream shows here
+    _, schrod, wave = engines
+    cosines = [-1.0209384005340467, -2.218774767463573, -1.0157392703635546]
+    sines = [-0.40253009590499234, 0.4864481321508223, -0.621435219653116]
+    assert wave.random_state(11).pos[:3].tolist() == cosines
+    assert wave.random_state(11).vel[:3].tolist() == sines
+    assert schrod.random_state(11)[:3].tolist() == [complex(c, s)
+                                                    for c, s in zip(cosines, sines)]
+
+
+def test_random_state_takes_numpy_seeds(engines):
+    _, schrod, wave = engines
+    for engine in (schrod, wave):
+        assert np.array_equal(engine._flat(engine.random_state(np.uint8(5))),
+                              engine._flat(engine.random_state(5)))
+        with pytest.raises(ValueError, match="seed must be an integer >= 0, got -1"):
+            engine.random_state(-1)
+        with pytest.raises(TypeError):
+            engine.random_state(5.0)
+
+
 def test_apply_l_zero_and_linearity(engines):
     ops, schrod, wave = engines
     assert np.all(schrod.apply_L(np.zeros(ops.n, complex)) == 0)
