@@ -22,9 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, models
-from .fem import FieldSpec, Mesh1D, ObservationProfile
+from .fem import FieldSpec, Mesh1D, ObservationProfile, _is_int, _is_number, _is_positive
 from .linalg import solver_kernel
-from .models import _is_int, _is_number, _is_positive
 from .observers import _ETA_DEFAULTS
 
 
@@ -33,26 +32,26 @@ from .observers import _ETA_DEFAULTS
 _PLAN = {leaf: (check, what) for _, leaf, check, what in harness._PLAN_LEAVES}
 
 # one row per config leaf, in the document's order: (dotted leaf, default,
-# check, what it must be).  truth's default is per equation, and build_truth
-# checks it.  All checks run before any default is derived from the leaves,
-# so nothing downstream sees a value of the wrong kind.
+# check, what it must be).  A leaf that sets a field of a library type has no
+# check: resolve_config builds the type, which checks it, before it derives
+# any default, so nothing downstream sees a value of the wrong kind.
 _LEAVES = (
     ("equation", "schrodinger", *_PLAN["equation"]),
     ("theta", 1.0, *_PLAN["theta"]),
     ("refine", 2, *_PLAN["refine"]),
     ("n_policy", "auto", *_PLAN["n_policy"]),
     ("geometry.length", 1.0, *_PLAN["geometry.length"]),
-    ("geometry.n_cells", 64, lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
-    ("observation.a", 0.2, _is_number, "a number"),
-    ("observation.b", 0.8, _is_number, "a number"),
-    ("observation.smoothness", 2, lambda v: _is_int(v) and v in (1, 2, 3), "1, 2 or 3"),
-    ("observation.constant", None, lambda v: v is None or _is_number(v), "null or a number"),
+    ("geometry.n_cells", 64, None, None),
+    ("observation.a", 0.2, None, None),
+    ("observation.b", 0.8, None, None),
+    ("observation.smoothness", 2, None, None),
+    ("observation.constant", None, None, None),
     ("time.tau", None, lambda v: v is None or _is_positive(v), "null or a positive number"),
     ("time.n_steps", None, lambda v: v is None or (_is_int(v) and v >= 1),
      "null or an integer >= 1"),
     ("time.dt", None, lambda v: v is None or _is_positive(v), "null or a positive number"),
     ("truth", None, None, None),
-    ("noise.amplitude", 0.0, lambda v: _is_number(v) and v >= 0, "a number >= 0"),
+    ("noise.amplitude", 0.0, None, None),
     ("noise.seed", 7, *_PLAN["noise.seed"]),
     ("eta.tol", _ETA_DEFAULTS["tol"], *_PLAN["eta.tol"]),
     ("eta.max_iter", _ETA_DEFAULTS["max_iter"], *_PLAN["eta.max_iter"]),
@@ -69,20 +68,7 @@ _LEAVES = (
     ("output.directory", ".", lambda v: isinstance(v, str), "a string"),
 )
 
-# the leaves a truth field (truth, or truth.position and truth.velocity for
-# the wave) reads besides kind, by kind: each leaf's check, what it must be
-# and its FieldSpec value.  The wave is real, so its fields take real
-# coefficients only.
-_TRUTH_LEAVES = {
-    "sine": {"coefficients": (lambda v: isinstance(v, list) and len(v) > 0 and all(
-        _is_number(c) or (isinstance(c, list) and len(c) == 2 and all(map(_is_number, c)))
-        for c in v), "a non-empty list of numbers or [re, im] pairs",
-        lambda v: tuple(complex(*c) if isinstance(c, list) else float(c) for c in v))},
-    "bump": {"amplitude": (_is_number, "a number", float)},
-}
-_WAVE_TRUTH_LEAVES = {**_TRUTH_LEAVES, "sine": {"coefficients": (
-    lambda v: isinstance(v, list) and len(v) > 0 and all(map(_is_number, v)),
-    "a non-empty list of numbers", lambda v: tuple(map(float, v)))}}
+_TRUTH_LEAF = {"sine": "coefficients", "bump": "amplitude"}     # a field's leaf besides kind
 
 class ConfigError(ValueError):
     pass
@@ -146,12 +132,21 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
 
 
 def resolve_config(cfg: dict) -> dict:
-    """Check every leaf against its row of _LEAVES, then fill the per-equation defaults."""
+    """Check each leaf by its _LEAVES row or the type it sets, then derive the defaults."""
     for dotted, _, check, what in _LEAVES:
         value = functools.reduce(dict.__getitem__, dotted.split("."), cfg)
         if check is not None and not check(value):
             raise ConfigError(f"{dotted} must be {what}, got {value!r}")
     eq = cfg["equation"]
+    if cfg["truth"] is None:
+        cfg["truth"] = ({"kind": "sine", "coefficients": [1.0, 0.5]} if eq == "schrodinger" else
+                        {"position": {"kind": "sine", "coefficients": [1.0]},
+                         "velocity": {"kind": "sine", "coefficients": [0.0, 1.0]}})
+    # the geometry and noise sections hold exactly their type's fields
+    _built("geometry.", Mesh1D, **cfg["geometry"])
+    _built("observation.", build_profile, cfg)
+    _built("noise.", models.NoiseSpec, **cfg["noise"])
+    build_truth(cfg)
     t = cfg["time"]
     if t["tau"] is None:
         t["tau"] = 1.0 if eq == "schrodinger" else 2.0
@@ -172,48 +167,48 @@ def resolve_config(cfg: dict) -> dict:
     # through h = length / n_cells the cell count sets both factors of the trace
     dotted, value = (("geometry.n_cells", n_cells) if leaf == "tau"
                      else (f"time.{leaf}", t[leaf]))
-    try:
-        t["n_steps"] = harness.step_count(eq, n_cells, steps, dotted, value)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    t["n_steps"] = _built("", harness.step_count, eq, n_cells, steps, dotted, value)
     t["dt"] = t["tau"] / t["n_steps"]
-    if cfg["truth"] is None:
-        if eq == "schrodinger":
-            cfg["truth"] = {"kind": "sine", "coefficients": [1.0, 0.5]}
-        else:
-            cfg["truth"] = {
-                "position": {"kind": "sine", "coefficients": [1.0]},
-                "velocity": {"kind": "sine", "coefficients": [0.0, 1.0]},
-            }
-    build_truth(cfg)      # the truth's check
     return cfg
 
 
-def _truth_field(spec, where: str, length: float, leaves_by_kind: dict) -> FieldSpec:
-    """The FieldSpec of one truth field, each leaf checked as it is read."""
+def _built(section: str, build, *args, **kwargs):
+    """build(*args, **kwargs); its ValueError names a field, section in front the leaf."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}{exc}") from None
+
+
+def _from_json(value):
+    """value with each [re, im] pair of numbers in it a complex number; any
+    other value goes to FieldSpec as it is, for FieldSpec to refuse."""
+    if not isinstance(value, list):
+        return value
+    return [complex(*c) if isinstance(c, list) and len(c) == 2 and all(map(_is_number, c))
+            else c for c in value]
+
+
+def _truth_field(spec, where: str, length: float) -> FieldSpec:
+    """The FieldSpec of one truth field, checked by FieldSpec as it is built."""
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} must be a JSON object, got {spec!r}")
     kind = spec.get("kind", "sine")
-    leaves = leaves_by_kind.get(kind) if isinstance(kind, str) else None
-    if leaves is None:
-        raise ConfigError(f"{where}.kind must be 'sine' or 'bump', got {kind!r}")
-    unknown = set(spec) - {"kind", *leaves}
-    if unknown:
+    leaf = _TRUTH_LEAF.get(kind) if isinstance(kind, str) else None
+    unknown = set(spec) - {"kind", leaf}
+    # an unknown kind reads no leaf, and FieldSpec refuses the kind itself
+    if leaf and unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
-    kwargs = {}
-    for key, (check, what, value_of) in leaves.items():
-        if key in spec:
-            if not check(spec[key]):
-                raise ConfigError(f"{where}.{key} must be {what}, got {spec[key]!r}")
-            kwargs[key] = value_of(spec[key])
-    return FieldSpec(kind=kind, length=length, **kwargs)
+    return _built(f"{where}.", FieldSpec, kind=kind, length=length,
+                  **({leaf: _from_json(spec[leaf])} if leaf in spec else {}))
 
 
 def build_profile(cfg: dict) -> ObservationProfile:
+    """The profile; a constant weight keeps the default window, which it does
+    not read, so a trace's header does not depend on the leaves it ignores."""
     obs = cfg["observation"]
-    if obs.get("constant") is not None:
-        return ObservationProfile.constant(obs["constant"])
-    return ObservationProfile(a=obs["a"], b=obs["b"], smoothness=obs["smoothness"])
+    profile = ObservationProfile(obs["a"], obs["b"], obs["smoothness"], obs["constant"])
+    return profile if profile.const is None else ObservationProfile.constant(profile.const)
 
 
 def build_truth(cfg: dict):
@@ -225,11 +220,13 @@ def build_truth(cfg: dict):
     if truth in (None, "none"):
         return None
     if cfg["equation"] != "wave":
-        return _truth_field(truth, "truth", length, _TRUTH_LEAVES)
+        return _truth_field(truth, "truth", length)
     if not isinstance(truth, dict) or set(truth) != {"position", "velocity"}:
         raise ConfigError("wave truth needs exactly the keys position, velocity")
-    return tuple(_truth_field(truth[name], f"truth.{name}", length, _WAVE_TRUTH_LEAVES)
+    pair = tuple(_truth_field(truth[name], f"truth.{name}", length)
                  for name in ("position", "velocity"))
+    _built("truth.", models.check_truth, "wave", pair, length)     # the wave's is real
+    return pair
 
 
 def build_instance(cfg: dict) -> models.ProblemInstance:
@@ -238,8 +235,7 @@ def build_instance(cfg: dict) -> models.ProblemInstance:
         raise ConfigError("this command needs a truth field in the config")
     return models.ProblemInstance(
         equation=cfg["equation"],
-        mesh=Mesh1D(n_cells=cfg["geometry"]["n_cells"],
-                    length=cfg["geometry"]["length"]),
+        mesh=Mesh1D(**cfg["geometry"]),
         profile=build_profile(cfg),
         tau=cfg["time"]["tau"],
         n_steps=cfg["time"]["n_steps"],
@@ -287,7 +283,7 @@ def cmd_generate(cfg: dict, out: str | None) -> int:
     import hashlib      # maps libcrypto: only this command hashes
 
     instance = build_instance(cfg)
-    noise = models.NoiseSpec(cfg["noise"]["amplitude"], cfg["noise"]["seed"])
+    noise = models.NoiseSpec(**cfg["noise"])
     trace = models.generate_observation(instance, refine=cfg["refine"], noise=noise)
     path = Path(out) if out else Path(cfg["output"]["directory"]) / "trace.txt"
     path.parent.mkdir(parents=True, exist_ok=True)

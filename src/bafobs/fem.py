@@ -56,6 +56,10 @@ def _is_number(v) -> bool:
         abs(v) <= sys.float_info.max if isinstance(v, int) else math.isfinite(v))
 
 
+def _is_positive(v) -> bool:
+    return _is_number(v) and v > 0
+
+
 def _gauss_rule(order8: bool) -> tuple[np.ndarray, np.ndarray]:
     """Points and weights of the 4- or 8-point rule on the reference element."""
     return (_GL8_X, _GL8_W) if order8 else (_GL4_X, _GL4_W)
@@ -71,7 +75,7 @@ class Mesh1D:
     def __post_init__(self):
         if not (_is_int(self.n_cells) and self.n_cells >= 2):
             raise ValueError(f"n_cells must be an integer >= 2, got {self.n_cells!r}")
-        if not (_is_number(self.length) and self.length > 0):
+        if not _is_positive(self.length):
             raise ValueError(f"length must be a positive number, got {self.length!r}")
 
     @property
@@ -103,9 +107,7 @@ def _smoothstep(t: np.ndarray, m: int) -> np.ndarray:
         return t * t * (3.0 - 2.0 * t)
     if m == 2:
         return t ** 3 * (10.0 + t * (-15.0 + 6.0 * t))
-    if m == 3:
-        return t ** 4 * (35.0 + t * (-84.0 + t * (70.0 - 20.0 * t)))
-    raise ValueError(f"unsupported smoothness order {m}")
+    return t ** 4 * (35.0 + t * (-84.0 + t * (70.0 - 20.0 * t)))
 
 
 @dataclass(frozen=True)
@@ -125,13 +127,16 @@ class ObservationProfile:
     const: float | None = None
 
     def __post_init__(self):
-        if self.const is None:
-            if not self.a < self.b:
-                raise ValueError("need a < b")
-            if self.smoothness not in (1, 2, 3):
-                raise ValueError("smoothness must be 1, 2 or 3")
-        elif not 0.0 <= self.const <= 1.0:
-            raise ValueError("constant weight must lie in [0, 1]")
+        # a constant weight does not read the window; const is the config's ``constant``
+        for name in ("a", "b"):
+            if not _is_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+        if self.const is None and not self.a < self.b:
+            raise ValueError(f"a must be less than b, got a = {self.a!r}, b = {self.b!r}")
+        if not (_is_int(self.smoothness) and self.smoothness in (1, 2, 3)):
+            raise ValueError(f"smoothness must be 1, 2 or 3, got {self.smoothness!r}")
+        if not (self.const is None or _is_number(self.const) and 0 <= self.const <= 1):
+            raise ValueError(f"constant must be None or a number in [0, 1], got {self.const!r}")
 
     @classmethod
     def constant(cls, value: float) -> "ObservationProfile":
@@ -265,7 +270,7 @@ class FieldSpec:
 
     def __post_init__(self):
         if self.kind not in ("sine", "bump"):
-            raise ValueError(f"unknown field kind {self.kind!r}")
+            raise ValueError(f"kind must be 'sine' or 'bump', got {self.kind!r}")
         # a str is a sequence too, and an empty sum a zero truth that every
         # reconstruction matches
         if not (isinstance(self.coefficients, (tuple, list)) and self.coefficients and all(
@@ -274,9 +279,10 @@ class FieldSpec:
                 for c in self.coefficients)):
             raise ValueError("coefficients must be a non-empty sequence of finite real or "
                              f"complex numbers, got {self.coefficients!r}")
+        object.__setattr__(self, "coefficients", tuple(self.coefficients))
         if not _is_number(self.amplitude):
             raise ValueError(f"amplitude must be a finite real number, got {self.amplitude!r}")
-        if not (_is_number(self.length) and self.length > 0):
+        if not _is_positive(self.length):
             raise ValueError(f"length must be a positive number, got {self.length!r}")
 
     @property

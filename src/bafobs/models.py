@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fem import FieldSpec, Mesh1D, ObservationProfile, _is_int, _is_number, assemble
+from .fem import FieldSpec, Mesh1D, ObservationProfile, _is_int, _is_number, _is_positive, assemble
 from .linalg import pencil_eigs
 from .observers import ObservationTrace
 
@@ -33,10 +33,6 @@ GENERATION_BLOCK = 32                  # time rows synthesized at once
 
 def _is_seed(v) -> bool:
     return _is_int(v) and v >= 0
-
-
-def _is_positive(v) -> bool:
-    return _is_number(v) and v > 0
 
 
 # read_trace needs these keys, with values of these kinds
@@ -77,12 +73,13 @@ def check_truth(equation: str, truth, length: float):
         raise ValueError(f"wave truth must be a (position, velocity) pair, got {truth!r}")
     if equation == "schrodinger" and len(fields) != 1:
         raise ValueError(f"schrodinger truth must be a single field, got {truth!r}")
-    for field in fields:
+    for name, field in zip(("position", "velocity"), fields):
         if not (isinstance(field, FieldSpec) and field.length == length):
             raise ValueError(f"a truth field must be a FieldSpec of the domain's length "
                              f"{length!r}, got {field!r}")
         if equation == "wave" and field.is_complex:
-            raise ValueError("wave truth must be real: a field has complex coefficients")
+            raise ValueError(f"{name}.coefficients must be real numbers, as wave truth must "
+                             f"be real, got {field.coefficients!r}")
 
 
 @dataclass(frozen=True)
@@ -99,11 +96,11 @@ class ProblemInstance:
     def __post_init__(self):
         if self.equation not in ("schrodinger", "wave"):
             raise ValueError(f"unknown equation {self.equation!r}")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
+        if not _is_positive(self.tau):
+            raise ValueError(f"tau must be a positive number, got {self.tau!r}")
         min_steps = 2 if self.equation == "wave" else 1
-        if self.n_steps < min_steps:
-            raise ValueError(f"n_steps must be at least {min_steps}")
+        if not (_is_int(self.n_steps) and self.n_steps >= min_steps):
+            raise ValueError(f"n_steps must be an integer >= {min_steps}, got {self.n_steps!r}")
         check_truth(self.equation, self.truth, self.mesh.length)
 
     @property

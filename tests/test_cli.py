@@ -17,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bafobs import cli, harness, observers
-from bafobs.fem import FieldSpec
+from bafobs.fem import FieldSpec, Mesh1D, ObservationProfile
 from bafobs.harness import SweepPlan, SweepRow
 from bafobs.linalg import ShiftedSystem
-from bafobs.models import read_trace
+from bafobs.models import NoiseSpec, read_trace
 from bafobs.observers import RATIO_SLACK, BackAndForth, EtaEstimate, arnoldi_iteration
 
 
@@ -316,6 +316,78 @@ def test_bad_truth_leaf_rejected_before_any_work(tmp_path, capsys, monkeypatch, 
     assert code == 2 and stdout == ""
     assert f"error: {message}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+@pytest.mark.parametrize("override, message", [
+    ("observation.constant=5", "observation.constant must be None or a number in [0, 1], got 5"),
+    ("observation.a=0.9", "observation.a must be less than b, got a = 0.9, b = 0.8"),
+], ids=["constant", "a-past-b"])
+def test_a_profile_its_type_refuses_is_refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                                               command, override, message):
+    # both used to load, then exit 2 with a message that named no leaf
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the profile was checked")
+
+    monkeypatch.setattr(cli.harness, "run_sweep", no_work)
+    monkeypatch.setattr(cli.models, "generate_observation", no_work)
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(["--set", override, "--set", f"output.directory={out}",
+                                 command], capsys)
+    assert code == 2 and stdout == ""
+    assert f"error: {message}" in err
+    assert not out.exists()
+
+
+# each leaf a library type checks: the override that sets it, and that type as
+# resolve_config builds it, from the leaf's value and every other leaf's default
+_TYPE_LEAVES = {
+    "geometry.n_cells": (lambda v: f"geometry.n_cells={v}", lambda v: Mesh1D(n_cells=v)),
+    "observation.a": (lambda v: f"observation.a={v}", lambda v: ObservationProfile(a=v)),
+    "observation.b": (lambda v: f"observation.b={v}", lambda v: ObservationProfile(b=v)),
+    "observation.smoothness": (lambda v: f"observation.smoothness={v}",
+                               lambda v: ObservationProfile(smoothness=v)),
+    "observation.constant": (lambda v: f"observation.constant={v}",
+                             lambda v: ObservationProfile(const=v)),
+    "noise.amplitude": (lambda v: f"noise.amplitude={v}", lambda v: NoiseSpec(amplitude=v)),
+    "truth.kind": (lambda v: f'truth={{"kind": {v}}}', lambda v: FieldSpec(kind=v)),
+    "truth.coefficients": (lambda v: f'truth={{"coefficients": {v}}}',
+                           lambda v: FieldSpec(coefficients=cli._from_json(v))),
+    "truth.amplitude": (lambda v: f'truth={{"kind": "bump", "amplitude": {v}}}',
+                        lambda v: FieldSpec(kind="bump", amplitude=cli._from_json(v))),
+}
+
+# JSON values, with small integers only: a cell count past 46340 is refused by
+# the trace ceiling, which no type holds
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 2000) | st.floats() | st.text(max_size=3)
+    | st.sampled_from([0.5, 0.9, 5, [1.0, [0.5, 0.25]], "sine", "bump"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(leaf=st.sampled_from(sorted(_TYPE_LEAVES)), value=_JSON)
+def test_a_leaf_loads_exactly_when_its_type_builds(leaf, value):
+    # one rule per leaf: the CLI used to take observation.constant=5, which
+    # the profile refuses, and to refuse observation.smoothness=true, which it took
+    override, build = _TYPE_LEAVES[leaf]
+    raw = json.dumps(value)
+    try:
+        build(json.loads(raw))
+        built = True
+    except ValueError:
+        built = False
+    try:
+        cli.load_config(None, [override(raw)])
+        loaded = True
+    except cli.ConfigError as exc:
+        loaded = False
+        # the order of the window's ends is one rule, named by its first leaf
+        assert str(exc).startswith((f"{leaf} ", "observation.a must be less than b")), (
+            leaf, str(exc))
+    assert loaded == built, (leaf, value)
 
 
 @pytest.mark.parametrize("override, message", [
@@ -730,7 +802,10 @@ def test_defaults_are_the_rows_nested_in_order():
     assert json.dumps(cli.DEFAULTS) == json.dumps(expected)
     for dotted, default, check, what in cli._LEAVES:
         assert check is None or check(default), (dotted, default, what)
-    assert [row[0] for row in cli._LEAVES if row[2] is None] == ["truth"]
+    # the leaves a library type checks as resolve_config builds it
+    assert [row[0] for row in cli._LEAVES if row[2] is None] == [
+        "geometry.n_cells", "observation.a", "observation.b", "observation.smoothness",
+        "observation.constant", "truth", "noise.amplitude"]
 
 
 def test_readme_rule_table_names_every_checked_leaf():
@@ -963,7 +1038,6 @@ def test_complex_truth_coefficients(tmp_path, capsys):
     assert code == 0
     trace, _ = read_trace(out)
     x = np.arange(1, 12) / 12
-    from bafobs.fem import ObservationProfile
     expected = 1j * np.sin(np.pi * x) * ObservationProfile().weight(x)
     assert np.max(np.abs(trace.samples[0] - expected)) < 1e-10
 
@@ -988,7 +1062,8 @@ _OVERRIDABLE = {
     "n_policy": st.one_of(st.just("auto"), st.integers(0, 200)),
     "geometry.length": st.floats(0.1, 10.0),
     "geometry.n_cells": st.integers(2, 4096),
-    "observation.a": st.floats(allow_nan=False, allow_infinity=False),
+    "observation.a": st.floats(max_value=0.8, exclude_max=True, allow_nan=False,
+                               allow_infinity=False),      # below the default b
     "observation.smoothness": st.integers(1, 3),
     "observation.constant": st.one_of(st.none(), st.floats(0.0, 1.0)),
     "time.tau": st.floats(0.01, 10.0),

@@ -67,6 +67,13 @@ def test_field_takes_numpy_and_complex_numbers():
         FieldSpec(length=0.0)
 
 
+def test_field_keeps_its_coefficients_as_a_tuple():
+    # a config's JSON list builds a field that hashes like one built from a tuple
+    field = FieldSpec(coefficients=[1.0, 0.5j])
+    assert field.coefficients == (1.0, 0.5j)
+    assert hash(field) == hash(FieldSpec(coefficients=(1.0, 0.5j)))
+
+
 def test_mass_and_stiffness_rows_analytic(default_ops):
     mesh, ops = default_ops
     h = mesh.h
@@ -123,6 +130,36 @@ def test_profile_window_touching_boundary_rejected():
     with pytest.raises(ValueError) as err:
         assemble(mesh, ObservationProfile(a=0.0, b=0.5))
     assert "0.0" in str(err.value) and "0.5" in str(err.value)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    # a str a used to raise a TypeError from the comparison with b
+    pytest.param(dict(a="x"), "a must be a number, got 'x'", id="a-str"),
+    pytest.param(dict(b=math.nan), "b must be a number, got nan", id="b-nan"),
+    pytest.param(dict(a=0.9), "a must be less than b, got a = 0.9, b = 0.8", id="a-past-b"),
+    # a bool is no smoothness order, nor a constant weight: both used to build
+    pytest.param(dict(smoothness=True), "smoothness must be 1, 2 or 3, got True",
+                 id="smoothness-True"),
+    pytest.param(dict(smoothness=2.0), "smoothness must be 1, 2 or 3, got 2.0",
+                 id="smoothness-float"),
+    pytest.param(dict(const=True), r"constant must be None or a number in \[0, 1\], got True",
+                 id="const-True"),
+    pytest.param(dict(const=5), r"constant must be None or a number in \[0, 1\], got 5",
+                 id="const-5"),
+    pytest.param(dict(const="x"), r"constant must be None or a number in \[0, 1\], got 'x'",
+                 id="const-str"),
+    # a constant weight does not read the window, but its fields are still numbers
+    pytest.param(dict(a="x", const=0.5), "a must be a number, got 'x'", id="const-a-str"),
+])
+def test_profile_refuses_what_it_cannot_weigh(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        ObservationProfile(**kwargs)
+
+
+def test_profile_takes_numpy_numbers_and_a_constant_with_any_window():
+    prof = ObservationProfile(a=np.float32(0.25), b=np.int64(1), smoothness=np.int8(3))
+    assert prof.weight(np.array([0.5]))[0] == 1.0
+    assert ObservationProfile(a=0.9, b=0.1, const=np.float64(0.5)).weight(np.zeros(2))[0] == 0.5
 
 
 def test_observation_gram_monotone_in_window():

@@ -47,7 +47,7 @@ def test_instance_validation():
         ProblemInstance("schrodinger", mesh, prof, 1.0, 8, (sine, sine))
     with pytest.raises(ValueError, match="n_steps"):
         ProblemInstance("wave", mesh, prof, 1.0, 1, (sine, sine))
-    with pytest.raises(ValueError, match="unknown field kind 'kink'"):
+    with pytest.raises(ValueError, match="kind must be 'sine' or 'bump', got 'kink'"):
         FieldSpec(kind="kink")
     # the wave is real: a complex coefficient used to lose its imaginary part
     # with only a ComplexWarning
@@ -55,6 +55,27 @@ def test_instance_validation():
     for truth in ((wavy, sine), (sine, wavy)):
         with pytest.raises(ValueError, match="wave truth must be real"):
             ProblemInstance("wave", mesh, prof, 1.0, 8, truth)
+
+
+@pytest.mark.parametrize("equation, kw, match", [
+    # n_steps = 2.5 used to build, and generation then failed on tau = K dt
+    ("schrodinger", dict(n_steps=2.5), "n_steps must be an integer >= 1, got 2.5"),
+    ("schrodinger", dict(n_steps=True), "n_steps must be an integer >= 1, got True"),
+    ("schrodinger", dict(n_steps=0), "n_steps must be an integer >= 1, got 0"),
+    ("wave", dict(n_steps=1), "n_steps must be an integer >= 2, got 1"),
+    # a str tau used to raise a TypeError from the comparison with 0
+    ("schrodinger", dict(tau="x"), "tau must be a positive number, got 'x'"),
+    ("schrodinger", dict(tau=float("inf")), "tau must be a positive number, got inf"),
+    ("wave", dict(tau=0.0), "tau must be a positive number, got 0.0"),
+], ids=["steps-2.5", "steps-True", "steps-0", "wave-steps-1", "tau-str", "tau-inf",
+        "wave-tau-0"])
+def test_instance_refuses_a_horizon_it_cannot_step(equation, kw, match):
+    sine = FieldSpec()
+    base = dict(equation=equation, mesh=Mesh1D(n_cells=8), profile=ObservationProfile(),
+                tau=1.0, n_steps=8, truth=sine if equation == "schrodinger" else (sine, sine))
+    with pytest.raises(ValueError, match=match):
+        ProblemInstance(**{**base, **kw})
+    assert ProblemInstance(**{**base, "tau": np.float32(1.0), "n_steps": np.int64(8)}).dt == 1 / 8
 
 
 def test_exact_propagation_conserves_m_norm(schrod_instance):
