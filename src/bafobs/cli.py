@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import harness, models
+from . import fem, harness, models
 from .fem import FieldSpec, Mesh1D, ObservationProfile, _is_int, _is_number, _is_positive
 from .linalg import solver_kernel
 from .observers import _ETA_DEFAULTS
@@ -72,6 +72,9 @@ _TRUTH_LEAF = {"sine": "coefficients", "bump": "amplitude"}     # a field's leaf
 
 class ConfigError(ValueError):
     pass
+
+
+_built = functools.partial(models._checked, error=ConfigError)
 
 
 def _check_keys(user: dict, schema: dict, path: str = ""):
@@ -172,14 +175,6 @@ def resolve_config(cfg: dict) -> dict:
     return cfg
 
 
-def _built(section: str, build, *args, **kwargs):
-    """build(*args, **kwargs); its ValueError names a field, section in front the leaf."""
-    try:
-        return build(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{section}{exc}") from None
-
-
 def _from_json(value):
     """value with each [re, im] pair of numbers in it a complex number; any
     other value goes to FieldSpec as it is, for FieldSpec to refuse."""
@@ -208,6 +203,7 @@ def build_profile(cfg: dict) -> ObservationProfile:
     not read, so a trace's header does not depend on the leaves it ignores."""
     obs = cfg["observation"]
     profile = ObservationProfile(obs["a"], obs["b"], obs["smoothness"], obs["constant"])
+    fem.check_window(profile, cfg["geometry"]["length"])
     return profile if profile.const is None else ObservationProfile.constant(profile.const)
 
 
@@ -314,21 +310,14 @@ def cmd_reconstruct(cfg: dict, trace_path: str) -> int:
     trace, header = models.read_trace(trace_path)
     read_ms = 1e3 * (time.perf_counter() - start)
     # the profile as built, so a constant profile's unused a and b are its defaults
-    expected = {"equation": cfg["equation"],
-                "n_cells": cfg["geometry"]["n_cells"],
-                "length": cfg["geometry"]["length"],
-                "tau": cfg["time"]["tau"],
+    expected = {"equation": cfg["equation"], **cfg["geometry"], "tau": cfg["time"]["tau"],
                 "n_steps": cfg["time"]["n_steps"],
                 "profile": models.profile_header(build_profile(cfg))}
-    actual = {k: header.get(k) for k in expected}
-    mismatched = {k: (expected[k], actual[k]) for k in expected
-                  if not _close(expected[k], actual[k])}
+    mismatched = [k for k in expected if not _close(expected[k], header[k])]
     if mismatched:
-        raise ConfigError(
-            f"trace header does not match config: config side "
-            f"{ {k: v[0] for k, v in mismatched.items()} }, trace side "
-            f"{ {k: v[1] for k, v in mismatched.items()} }"
-        )
+        raise ConfigError(f"trace header does not match config: config side "
+                          f"{ {k: expected[k] for k in mismatched} }, trace side "
+                          f"{ {k: header[k] for k in mismatched} }")
     engine = _engine_from(cfg)
     eta, eta_cost = harness.eta_stage(engine, **cfg["eta"])
     result, solve_cost = harness.solve_stage(engine, trace, eta, n_policy=cfg["n_policy"],
@@ -355,11 +344,9 @@ def cmd_reconstruct(cfg: dict, trace_path: str) -> int:
 
 
 def _close(a, b) -> bool:
+    # read_trace has checked each header value's kind, so a float meets a number
     if isinstance(a, float) or isinstance(b, float):
-        try:
-            return abs(float(a) - float(b)) <= 1e-12 * max(1.0, abs(float(a)))
-        except (TypeError, ValueError):
-            return False
+        return abs(a - b) <= 1e-12 * max(1.0, abs(a))
     return a == b
 
 

@@ -60,6 +60,10 @@ def _is_positive(v) -> bool:
     return _is_number(v) and v > 0
 
 
+def _is_seed(v) -> bool:
+    return _is_int(v) and v >= 0
+
+
 def _gauss_rule(order8: bool) -> tuple[np.ndarray, np.ndarray]:
     """Points and weights of the 4- or 8-point rule on the reference element."""
     return (_GL8_X, _GL8_W) if order8 else (_GL4_X, _GL4_W)
@@ -202,9 +206,10 @@ def check_window(profile: ObservationProfile, length: float):
     """Refuse a profile whose window [a, b] does not lie strictly inside (0, length)."""
     if not isinstance(profile, ObservationProfile):
         raise ValueError(f"profile must be an ObservationProfile, got {profile!r}")
-    if profile.const is None and not (0.0 < profile.a and profile.b < length):
-        raise ValueError(f"observation window [{profile.a}, {profile.b}] must lie strictly "
-                         f"inside (0, {length})")
+    if profile.const is None and not 0.0 < profile.a:
+        raise ValueError(f"a must be greater than 0, got {profile.a!r}")
+    if profile.const is None and not profile.b < length:
+        raise ValueError(f"b must be less than the length {length!r}, got {profile.b!r}")
 
 
 def assemble(mesh: Mesh1D, profile: ObservationProfile) -> FemOperators:

@@ -16,9 +16,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .fem import (FemOperators, FieldSpec, Mesh1D, ObservationProfile, _is_int, _is_number,
-                  _is_positive, assemble, check_window, grad_load_vector, load_vector)
-from .models import (ProblemInstance, _is_seed, _unit_noise_in_place, check_truth,
-                     generate_observation)
+                  _is_positive, _is_seed, assemble, check_window, grad_load_vector, load_vector)
+from .models import ProblemInstance, _unit_noise_in_place, check_truth, generate_observation
 from .observers import (_ETA_DEFAULTS, BackAndForth, EtaEstimate, ReconstructionResult,
                         WaveState, choose_truncation)
 

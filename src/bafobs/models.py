@@ -23,29 +23,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fem import FieldSpec, Mesh1D, ObservationProfile, _is_int, _is_number, _is_positive, assemble
+from .fem import (FieldSpec, Mesh1D, ObservationProfile, _is_int, _is_number, _is_positive,
+                  _is_seed, assemble, check_window)
 from .linalg import pencil_eigs
 from .observers import ObservationTrace
 
 TRACE_FORMAT = "bafobs-trace-2"
 GENERATION_BLOCK = 32                  # time rows synthesized at once
-
-
-def _is_seed(v) -> bool:
-    return _is_int(v) and v >= 0
-
-
-# read_trace needs these keys, with values of these kinds
-_HEADER_RULES = {
-    "equation": (lambda v: isinstance(v, str), "a str"),
-    "tau": (_is_positive, "a finite positive number"),
-    "dt": (_is_positive, "a finite positive number"),
-    "n_steps": (lambda v: _is_int(v) and v >= 1, "an int >= 1"),
-    "complex": (lambda v: isinstance(v, bool), "a bool"),
-    "noise": (lambda v: isinstance(v, dict) and _is_number(v.get("amplitude"))
-              and v["amplitude"] >= 0, "an object with a number amplitude >= 0"),
-    "profile": (lambda v: isinstance(v, dict), "an object"),
-}
 
 
 @dataclass(frozen=True)
@@ -233,8 +217,8 @@ def _draw_noise(samples: np.ndarray, noise: NoiseSpec):
 #
 # One self-describing file per trace: a JSON header line, then the K+1 rows of
 # node-ordered samples as one .npy payload (little-endian complex128 or
-# float64, as the header's "complex" flag says).  Its header carries at least
-# the keys of _HEADER_RULES, the noise and the observation profile among them.
+# float64, as the header's "complex" flag says).  The header records the
+# mesh, the profile, the noise and the horizon, each read back by its type.
 
 
 class _Digesting:
@@ -293,27 +277,49 @@ def profile_header(profile: ObservationProfile) -> dict:
 
 
 def read_trace(path) -> tuple[ObservationTrace, dict]:
-    """Read a ``TRACE_FORMAT`` file, its header checked against _HEADER_RULES
-    and its payload against the header; returns (trace, header)."""
+    """Read a ``TRACE_FORMAT`` file, each header key checked by building the
+    type it records; returns (trace, header)."""
     with open(path, "rb") as fh:
         header = json.loads(fh.readline())
         fmt = header.get("format") if isinstance(header, dict) else None
         if fmt != TRACE_FORMAT:
             raise ValueError(f"unrecognized trace format {fmt!r}")
-        missing = _HEADER_RULES.keys() - header.keys()
-        if missing:
-            raise ValueError(f"trace header lacks the keys {sorted(missing)}")
-        for key, (valid, what) in _HEADER_RULES.items():
-            if not valid(header[key]):
-                raise ValueError(f"trace header {key} must be {what}, got {header[key]!r}")
-        samples = _read_payload(fh, header["complex"])
-    expected = header["n_steps"] + 1
-    if samples.shape[0] != expected:
-        raise ValueError(f"trace has {samples.shape[0]} rows, header says {expected}")
-    trace = ObservationTrace(equation=header["equation"], samples=samples,
-                             tau=header["tau"], dt=header["dt"],
-                             provenance=header.get("provenance", "clean"))
+        is_complex = header.get("complex")
+        if not isinstance(is_complex, bool):
+            raise ValueError(f"trace header complex must be a bool, got {is_complex!r}")
+        mesh = _checked("trace header ", Mesh1D, header.get("n_cells"), header.get("length"))
+        _header_object(header, "noise", NoiseSpec, ("amplitude", "seed"))
+        profile = _header_object(header, "profile", ObservationProfile,
+                                 ("a", "b", "smoothness", "constant"))
+        _checked("trace header profile.", check_window, profile, mesh.length)
+        samples = _read_payload(fh, is_complex)
+    # the samples' rules are the trace's, so this prefix is not the header's
+    trace = _checked("trace ", ObservationTrace, header.get("equation"), samples,
+                     header.get("tau"), header.get("dt"), header.get("provenance", "clean"))
+    n_steps = header.get("n_steps")
+    if not (_is_int(n_steps) and n_steps == trace.n_steps):
+        raise ValueError(f"trace header n_steps must be {trace.n_steps}, one less than the "
+                         f"payload's rows, got {n_steps!r}")
+    if trace.n != mesh.n:
+        raise ValueError(f"trace payload must have n_cells - 1 = {mesh.n} columns, got {trace.n}")
     return trace, header
+
+
+def _checked(prefix: str, build, *args, error=ValueError, **kwargs):
+    """build(*args, **kwargs); its ValueError, naming a field, as error with prefix in front."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise error(f"{prefix}{exc}") from None
+
+
+def _header_object(header: dict, key: str, build, names: tuple):
+    """build(*values) of the header's object at key, which holds exactly the names."""
+    value = header.get(key)
+    if not (isinstance(value, dict) and value.keys() == set(names)):
+        raise ValueError(f"trace header {key} must be an object with exactly the keys "
+                         f"{', '.join(names)}, got {value!r}")
+    return _checked(f"trace header {key}.", build, *(value[name] for name in names))
 
 
 def _payload_dtype(is_complex: bool) -> np.dtype:
@@ -321,7 +327,7 @@ def _payload_dtype(is_complex: bool) -> np.dtype:
 
 
 def _read_payload(fh, is_complex: bool) -> np.ndarray:
-    """The .npy payload after the header: one 2-d array of the declared dtype, then EOF."""
+    """The .npy payload after the header: one array of the declared dtype, then EOF."""
     start = fh.tell()
     if fh.read(len(np.lib.format.MAGIC_PREFIX)) != np.lib.format.MAGIC_PREFIX:
         raise ValueError("trace has no .npy sample payload after its header")
@@ -334,8 +340,6 @@ def _read_payload(fh, is_complex: bool) -> np.ndarray:
         raise ValueError(f"cannot read the trace payload: {exc}") from exc
     if fh.read(1):
         raise ValueError("trace has trailing bytes after its .npy payload")
-    if samples.ndim != 2:
-        raise ValueError(f"trace payload must be a 2-d array, got shape {samples.shape}")
     expected = _payload_dtype(is_complex)
     if samples.dtype != expected:
         raise ValueError(f"trace payload dtype {samples.dtype.str} is not "

@@ -20,7 +20,6 @@ returns the final state only and allocates nothing per step.
 from __future__ import annotations
 
 import math
-import operator
 import random
 import warnings
 from dataclasses import dataclass, field, replace
@@ -28,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fem import FemOperators, prolong
+from .fem import FemOperators, _is_int, _is_number, _is_positive, _is_seed, prolong
 from .linalg import ShiftedSystem, SymTridiag
 
 AUTO_N_CAP = 200       # the most steps the automatic stopping rule may take
@@ -238,15 +237,21 @@ class ObservationTrace:
 
     def __post_init__(self):
         if self.equation not in ("schrodinger", "wave"):
-            raise ValueError(f"unknown equation {self.equation!r}")
+            raise ValueError(f"equation must be 'schrodinger' or 'wave', got {self.equation!r}")
+        if not _is_positive(self.tau):
+            raise ValueError(f"tau must be a positive number, got {self.tau!r}")
         samples = np.asarray(self.samples)
         if samples.ndim != 2 or samples.shape[0] < 2:
             raise ValueError("samples must be a (K+1, n) array with K >= 1")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite (found nan or inf)")
+        # the wave's observed velocity is real, and its passes take real loads
+        if self.equation == "wave" and np.iscomplexobj(samples):
+            raise ValueError(f"samples must be real for the wave, got {samples.dtype}")
         object.__setattr__(self, "samples", samples)
-        if abs(self.n_steps * self.dt - self.tau) > 1e-9 * max(self.tau, 1.0):
-            raise ValueError("tau must equal K * dt")
+        # relative to tau > 0, so that dt > 0 too
+        if not (_is_number(self.dt) and abs(self.n_steps * self.dt - self.tau) <= 1e-9 * self.tau):
+            raise ValueError(f"dt must be tau / K = {self.tau / self.n_steps!r}, got {self.dt!r}")
 
     @property
     def n_steps(self) -> int:
@@ -345,10 +350,10 @@ def arnoldi_iteration(apply_op: Callable, gram: Callable, start: np.ndarray,
     real.  Running out of max_iter returns the last Ritz value with
     converged = False and no vector.
     """
-    if not 0.0 < tol < 1.0:
-        raise ValueError("tol must lie in (0, 1)")
-    if max_iter < 2:
-        raise ValueError("max_iter must be at least 2")
+    if not (_is_number(tol) and 0.0 < tol < 1.0):
+        raise ValueError(f"tol must be a number in (0, 1), got {tol!r}")
+    if not (_is_int(max_iter) and max_iter >= 2):
+        raise ValueError(f"max_iter must be an integer >= 2, got {max_iter!r}")
     theta = 0.0
     for V, hess, w in arnoldi_process(apply_op, gram, np.asarray(start), max_iter):
         m = len(V)
@@ -570,10 +575,9 @@ class BackAndForth:
         positions, or Schrodinger's real parts, with the sines as the
         velocities or imaginary parts.  A NumPy integer seed draws as its
         Python int."""
-        seed = operator.index(seed)
-        if seed < 0:
+        if not _is_seed(seed):
             raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-        uniform = random.Random(seed).random
+        uniform = random.Random(int(seed)).random
         n = self.ops.n
         z = np.empty(2 * n)
         for k in range(n):

@@ -328,9 +328,9 @@ def power_iteration(apply_op: Callable, norm: Callable, start,
     last ratio with converged = False rather than raising.
     """
     if not 0.0 < tol < 1.0:
-        raise ValueError("tol must lie in (0, 1)")
+        raise ValueError(f"tol must be a number in (0, 1), got {tol!r}")
     if max_iter < 2:
-        raise ValueError("max_iter must be at least 2")
+        raise ValueError(f"max_iter must be an integer >= 2, got {max_iter!r}")
     nrm = norm(start)
     if nrm == 0.0:
         raise ValueError("start vector must be nonzero")
@@ -367,9 +367,9 @@ def list_arnoldi(apply_op: Callable, inner: Callable, start,
     last Ritz value with converged = False and no vector.
     """
     if not 0.0 < tol < 1.0:
-        raise ValueError("tol must lie in (0, 1)")
+        raise ValueError(f"tol must be a number in (0, 1), got {tol!r}")
     if max_iter < 2:
-        raise ValueError("max_iter must be at least 2")
+        raise ValueError(f"max_iter must be an integer >= 2, got {max_iter!r}")
 
     def norm(u) -> float:
         return math.sqrt(max(np.real(inner(u, u)), 0.0))

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bafobs import cli, harness, observers
-from bafobs.fem import FieldSpec, Mesh1D, ObservationProfile
+from bafobs.fem import FieldSpec, Mesh1D, ObservationProfile, check_window
 from bafobs.harness import SweepPlan, SweepRow
 from bafobs.linalg import ShiftedSystem
 from bafobs.models import NoiseSpec, read_trace
@@ -66,7 +66,7 @@ def test_window_touching_boundary_rejected(tmp_path, capsys):
     cfg = small_config(tmp_path, observation={"a": 0.0, "b": 0.5, "smoothness": 2})
     code, _, err = run_cli(["--config", cfg, "generate"], capsys)
     assert code == 2
-    assert "0.0" in err and "0.5" in err
+    assert "error: observation.a must be greater than 0, got 0.0" in err
 
 
 def test_generate_row_count_and_determinism(tmp_path, capsys):
@@ -343,8 +343,11 @@ def test_a_profile_its_type_refuses_is_refused_before_any_work(tmp_path, capsys,
 # resolve_config builds it, from the leaf's value and every other leaf's default
 _TYPE_LEAVES = {
     "geometry.n_cells": (lambda v: f"geometry.n_cells={v}", lambda v: Mesh1D(n_cells=v)),
-    "observation.a": (lambda v: f"observation.a={v}", lambda v: ObservationProfile(a=v)),
-    "observation.b": (lambda v: f"observation.b={v}", lambda v: ObservationProfile(b=v)),
+    # the window's ends, by the profile and then by the domain's length
+    "observation.a": (lambda v: f"observation.a={v}",
+                      lambda v: check_window(ObservationProfile(a=v), 1.0)),
+    "observation.b": (lambda v: f"observation.b={v}",
+                      lambda v: check_window(ObservationProfile(b=v), 1.0)),
     "observation.smoothness": (lambda v: f"observation.smoothness={v}",
                                lambda v: ObservationProfile(smoothness=v)),
     "observation.constant": (lambda v: f"observation.constant={v}",
@@ -453,14 +456,15 @@ def test_sweep_level_past_the_trace_ceiling_rejected(tmp_path, capsys, monkeypat
 
 
 @pytest.mark.parametrize("override, window", [
-    ("observation.a=-0.1", "[-0.1, 0.8] must lie strictly inside (0, 1.0)"),
-    ("observation.b=1.0", "[0.2, 1.0] must lie strictly inside (0, 1.0)"),
-    ("geometry.length=0.5", "[0.2, 0.8] must lie strictly inside (0, 0.5)"),
+    ("observation.a=-0.1", "observation.a must be greater than 0, got -0.1"),
+    ("observation.b=1.0", "observation.b must be less than the length 1.0, got 1.0"),
+    ("geometry.length=0.5", "observation.b must be less than the length 0.5, got 0.8"),
 ], ids=["a", "b", "length"])
 def test_sweep_with_a_window_outside_the_domain_rejected(tmp_path, capsys, monkeypatch,
                                                          override, window):
-    # the plan refuses the window as generate and estimate-eta do, before any
-    # level runs; each of its rows used to fail, and the sweep wrote them and exited 1
+    # the config refuses the window, naming the end that leaves the domain,
+    # before any level runs; each of the sweep's rows used to fail, and the
+    # sweep wrote them and exited 1
     def no_work(*args, **kwargs):
         raise AssertionError("the sweep started")
 
@@ -469,7 +473,21 @@ def test_sweep_with_a_window_outside_the_domain_rejected(tmp_path, capsys, monke
     code, stdout, err = run_cli(["--set", override, "--set", "sweep.levels=[8,16]",
                                  "--set", f"output.directory={out}", "sweep"], capsys)
     assert code == 2 and stdout == ""
-    assert f"error: observation window {window}" in err
+    assert f"error: {window}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "estimate-eta", "sweep"])
+def test_a_window_outside_the_domain_is_refused_at_load(tmp_path, capsys, command):
+    # the config's window is checked as it loads, by the leaf: it used to load,
+    # and each command failed later in a message that named no leaf
+    with pytest.raises(cli.ConfigError, match="^observation.a must be greater than 0, got -0.1$"):
+        cli.load_config(None, ["observation.a=-0.1"])
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(["--set", "observation.a=-0.1", "--set",
+                                 f"output.directory={out}", command], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == "error: observation.a must be greater than 0, got -0.1\n"
     assert not out.exists()
 
 
@@ -604,7 +622,7 @@ def test_reconstruct_header_value_of_wrong_kind_exit_code(tmp_path, capsys):
     code, stdout, err = run_cli(["--config", cfg, "reconstruct", "--trace", str(trace_path)],
                                 capsys)
     assert code == 2 and stdout == ""
-    assert "trace header n_steps must be an int >= 1, got '12'" in err
+    assert "trace header n_steps must be 12, one less than the payload's rows, got '12'" in err
     assert not (tmp_path / "out" / "estimate.txt").exists()
 
 
@@ -622,10 +640,20 @@ def test_reconstruct_truncated_trace_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value, message", [
     ("format", "bafobs-trace-1", "unrecognized trace format 'bafobs-trace-1'"),
-    ("noise", None, "trace header lacks the keys ['noise']"),
-    ("profile", None, "trace header lacks the keys ['profile']"),
-    ("profile", [0.2, 0.8], "trace header profile must be an object, got [0.2, 0.8]"),
-], ids=["format-v1", "no-noise", "no-profile", "profile-list"])
+    ("noise", None, "trace header noise must be an object with exactly the keys amplitude, "
+     "seed, got None"),
+    ("profile", None, "trace header profile must be an object with exactly the keys a, b, "
+     "smoothness, constant, got None"),
+    ("profile", [0.2, 0.8], "trace header profile must be an object with exactly the keys "
+     "a, b, smoothness, constant, got [0.2, 0.8]"),
+    ("n_cells", None, "trace header n_cells must be an integer >= 2, got None"),
+    ("noise", {"amplitude": 0.0, "seed": "x"},
+     "trace header noise.seed must be an integer >= 0, got 'x'"),
+    ("noise", {"amplitude": 0.0, "seed": 7, "extra": 1}, "trace header noise must be an "
+     "object with exactly the keys amplitude, seed, got {'amplitude': 0.0, 'seed': 7, "
+     "'extra': 1}"),
+], ids=["format-v1", "no-noise", "no-profile", "profile-list", "no-n_cells", "noise-seed-str",
+        "noise-extra-key"])
 def test_reconstruct_refuses_a_trace_without_the_fixed_header(tmp_path, capsys, key, value,
                                                               message):
     # one format, and every key of its header required: the profile check
@@ -645,6 +673,24 @@ def test_reconstruct_refuses_a_trace_without_the_fixed_header(tmp_path, capsys, 
                                 capsys)
     assert code == 2 and stdout == ""
     assert err == f"error: {message}\n"
+    assert not (tmp_path / "out" / "estimate.txt").exists()
+
+
+def test_reconstruct_refuses_a_wave_header_over_complex_samples(tmp_path, capsys):
+    # a Schrodinger trace relabelled as a wave used to crash the wave's real
+    # passes with a UFuncTypeError: a traceback and exit 1
+    cfg = small_config(tmp_path, time={"n_steps": 12, "tau": 1.0})
+    header_line, samples = _generated_trace(tmp_path, capsys, cfg)
+    header = json.loads(header_line)
+    header["equation"] = "wave"
+    trace_path = tmp_path / "t.txt"
+    with open(trace_path, "wb") as fh:
+        fh.write(json.dumps(header).encode("utf-8") + b"\n")
+        np.save(fh, samples, allow_pickle=False)
+    code, stdout, err = run_cli(["--config", cfg, "--set", "equation=wave",
+                                 "reconstruct", "--trace", str(trace_path)], capsys)
+    assert code == 2 and stdout == ""
+    assert err == "error: trace samples must be real for the wave, got complex128\n"
     assert not (tmp_path / "out" / "estimate.txt").exists()
 
 
@@ -1060,10 +1106,10 @@ _OVERRIDABLE = {
     "theta": st.floats(0.1, 2.0),
     "refine": st.integers(1, 8),
     "n_policy": st.one_of(st.just("auto"), st.integers(0, 200)),
-    "geometry.length": st.floats(0.1, 10.0),
+    # past the default b, so that the window lies inside the domain
+    "geometry.length": st.floats(0.8, 10.0, exclude_min=True),
     "geometry.n_cells": st.integers(2, 4096),
-    "observation.a": st.floats(max_value=0.8, exclude_max=True, allow_nan=False,
-                               allow_infinity=False),      # below the default b
+    "observation.a": st.floats(0.0, 0.8, exclude_min=True, exclude_max=True),  # in (0, b)
     "observation.smoothness": st.integers(1, 3),
     "observation.constant": st.one_of(st.none(), st.floats(0.0, 1.0)),
     "time.tau": st.floats(0.01, 10.0),

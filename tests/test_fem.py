@@ -129,7 +129,9 @@ def test_profile_window_touching_boundary_rejected():
     mesh = Mesh1D(n_cells=8)
     with pytest.raises(ValueError) as err:
         assemble(mesh, ObservationProfile(a=0.0, b=0.5))
-    assert "0.0" in str(err.value) and "0.5" in str(err.value)
+    assert str(err.value) == "a must be greater than 0, got 0.0"
+    with pytest.raises(ValueError, match="^b must be less than the length 1.0, got 1.0$"):
+        assemble(mesh, ObservationProfile(a=0.5, b=1.0))
 
 
 @pytest.mark.parametrize("kwargs, match", [

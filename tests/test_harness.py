@@ -737,13 +737,13 @@ def test_plan_validation(kw, match):
     # a window outside the domain or a truth of the wrong shape failed every
     # row of the plan's sweep; a truth on another length reported an error_x
     pytest.param(small_plan, dict(profile=ObservationProfile(a=-0.1, b=0.8)),
-                 r"observation window \[-0.1, 0.8\] must lie strictly inside \(0, 1.0\)",
+                 "a must be greater than 0, got -0.1",
                  id="window-below-0"),
     pytest.param(small_plan, dict(profile=ObservationProfile(a=0.2, b=1.0)),
-                 r"observation window \[0.2, 1.0\] must lie strictly inside \(0, 1.0\)",
+                 "b must be less than the length 1.0, got 1.0",
                  id="window-touching-length"),
     pytest.param(small_plan, dict(length=0.5, truth=FieldSpec(length=0.5)),
-                 r"observation window \[0.2, 0.8\] must lie strictly inside \(0, 0.5\)",
+                 "b must be less than the length 0.5, got 0.8",
                  id="window-past-length"),
     # no profile at all raised an AttributeError from the window check
     pytest.param(small_plan, dict(profile=None),

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bafobs.fem import FieldSpec, Mesh1D, ObservationProfile, assemble
+from bafobs.fem import FieldSpec, Mesh1D, ObservationProfile, assemble, check_window
 from bafobs.linalg import pencil_eigs
 from bafobs.models import (GENERATION_BLOCK, NoiseSpec, ProblemInstance, _unit_noise_in_place,
                            add_noise, generate_observation, read_trace, unit_noise,
@@ -470,9 +470,10 @@ def test_trace_file_roundtrip_bit_exact(tmp_path, samples):
     assert back.samples.tobytes() == samples.tobytes()
 
 
-# every key read_trace requires, as write_trace writes them
-_V2_HEADER = {"format": "bafobs-trace-2", "equation": "wave", "tau": 1.0, "dt": 0.5,
-              "n_steps": 2, "complex": False, "noise": {"amplitude": 0.0, "seed": 0},
+# every key read_trace requires, as write_trace writes them, for _V2_SAMPLES
+_V2_HEADER = {"format": "bafobs-trace-2", "equation": "wave", "length": 1.0, "n_cells": 5,
+              "tau": 1.0, "dt": 0.5, "n_steps": 2, "complex": False,
+              "noise": {"amplitude": 0.0, "seed": 0},
               "profile": {"a": 0.2, "b": 0.8, "smoothness": 2, "constant": None}}
 
 
@@ -509,8 +510,9 @@ def test_trace_file_rejects_trailing_bytes(tmp_path):
 @pytest.mark.parametrize("payload", [np.arange(3.0), np.zeros((3, 2, 2)),
                                      np.float64(1.0)], ids=["1-d", "3-d", "0-d"])
 def test_trace_file_rejects_payload_not_2d(tmp_path, payload):
+    # the trace's own shape rule, not a second one in the reader
     path = _npy_trace(tmp_path / "shape.txt", payload)
-    with pytest.raises(ValueError, match="2-d"):
+    with pytest.raises(ValueError, match=re.escape("trace samples must be a (K+1, n) array")):
         read_trace(path)
 
 
@@ -546,43 +548,130 @@ def test_trace_file_rejects_unknown_format(tmp_path):
             read_trace(path)
 
 
+_NOISE_KEYS = "trace header noise must be an object with exactly the keys amplitude, seed"
+_PROFILE_KEYS = ("trace header profile must be an object with exactly the keys a, b, "
+                 "smoothness, constant")
+
+
 @pytest.mark.parametrize("header_line, message", [
     ("5", "format"), ("[]", "format"),
-    ('{"format": "bafobs-trace-2", "tau": 1.0}',
-     r"lacks the keys \['complex', 'dt', 'equation', 'n_steps', 'noise', 'profile'\]"),
-    # every writer of the format records both, so a header without one is refused
+    # a missing key is refused by the rule of its value, as a null
+    ('{"format": "bafobs-trace-2", "tau": 1.0}', "trace header complex must be a bool, got None"),
+    # every writer of the format records them, so a header without one is refused
     (json.dumps({k: v for k, v in _V2_HEADER.items() if k != "noise"}),
-     r"lacks the keys \['noise'\]"),
+     f"{_NOISE_KEYS}, got None"),
     (json.dumps({k: v for k, v in _V2_HEADER.items() if k != "profile"}),
-     r"lacks the keys \['profile'\]"),
-], ids=["number", "list", "missing-keys", "no-noise", "no-profile"])
+     f"{_PROFILE_KEYS}, got None"),
+    (json.dumps({k: v for k, v in _V2_HEADER.items() if k != "n_cells"}),
+     "trace header n_cells must be an integer >= 2, got None"),
+    (json.dumps({k: v for k, v in _V2_HEADER.items() if k != "length"}),
+     "trace header length must be a positive number, got None"),
+], ids=["number", "list", "missing-keys", "no-noise", "no-profile", "no-n_cells", "no-length"])
 def test_trace_file_rejects_malformed_header(tmp_path, header_line, message):
     path = tmp_path / "bad.txt"
     path.write_text(header_line + "\n1.0\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         read_trace(path)
 
 
-@pytest.mark.parametrize("key, value, what", [
-    ("n_steps", "2", "an int >= 1"), ("n_steps", True, "an int >= 1"),
-    ("n_steps", 0, "an int >= 1"),
-    ("tau", "1.0", "a finite positive number"), ("tau", float("inf"), "a finite positive number"),
-    ("tau", 10 ** 400, "a finite positive number"),
-    ("dt", None, "a finite positive number"), ("dt", -0.5, "a finite positive number"),
-    ("complex", "yes", "a bool"), ("complex", 0, "a bool"),
-    ("equation", 3, "a str"),
-    ("noise", {"amplitude": -1e-3}, "an object with a number amplitude >= 0"),
-    ("noise", {"amplitude": "0"}, "an object with a number amplitude >= 0"),
-    ("noise", 0.0, "an object with a number amplitude >= 0"),
-    ("profile", None, "an object"), ("profile", [0.2, 0.8], "an object"),
+@pytest.mark.parametrize("key, value, message", [
+    ("n_steps", "2", "trace header n_steps must be 2, one less than the payload's rows, got '2'"),
+    ("n_steps", True, "trace header n_steps must be 2, one less than the payload's rows, "
+     "got True"),
+    ("n_steps", 0, "trace header n_steps must be 2, one less than the payload's rows, got 0"),
+    ("tau", "1.0", "trace tau must be a positive number, got '1.0'"),
+    ("tau", float("inf"), "trace tau must be a positive number, got inf"),
+    ("tau", 10 ** 400, f"trace tau must be a positive number, got {10 ** 400!r}"),
+    ("dt", None, "trace dt must be tau / K = 0.5, got None"),
+    ("dt", -0.5, "trace dt must be tau / K = 0.5, got -0.5"),
+    ("complex", "yes", "trace header complex must be a bool, got 'yes'"),
+    ("complex", 0, "trace header complex must be a bool, got 0"),
+    ("equation", 3, "trace equation must be 'schrodinger' or 'wave', got 3"),
+    ("noise", {"amplitude": -1e-3}, f"{_NOISE_KEYS}, got {{'amplitude': -0.001}}"),
+    ("noise", {"amplitude": "0"}, f"{_NOISE_KEYS}, got {{'amplitude': '0'}}"),
+    ("noise", 0.0, f"{_NOISE_KEYS}, got 0.0"),
+    ("profile", None, f"{_PROFILE_KEYS}, got None"),
+    ("profile", [0.2, 0.8], f"{_PROFILE_KEYS}, got [0.2, 0.8]"),
+    # each object's fields by the type that holds them, named by their key
+    ("noise", {"amplitude": -1e-3, "seed": 0},
+     "trace header noise.amplitude must be finite and nonnegative, got -0.001"),
+    ("noise", {"amplitude": 0.0, "seed": "x"},
+     "trace header noise.seed must be an integer >= 0, got 'x'"),
+    ("noise", {"amplitude": 0.0, "seed": 0, "extra": 1}, f"{_NOISE_KEYS}, got "),
+    ("profile", {"a": 0.2, "b": 0.8, "smoothness": 7, "constant": None},
+     "trace header profile.smoothness must be 1, 2 or 3, got 7"),
+    ("profile", {"a": -0.1, "b": 0.8, "smoothness": 2, "constant": None},
+     "trace header profile.a must be greater than 0, got -0.1"),
+    ("length", 0.5, "trace header profile.b must be less than the length 0.5, got 0.8"),
+    ("n_cells", 1, "trace header n_cells must be an integer >= 2, got 1"),
+    ("n_cells", 4, "trace payload must have n_cells - 1 = 3 columns, got 4"),
 ], ids=["n_steps-str", "n_steps-bool", "n_steps-zero", "tau-str", "tau-inf",
         "tau-int-past-float", "dt-null", "dt-negative", "complex-str", "complex-int", "equation-int",
-        "noise-negative", "noise-str", "noise-number", "profile-null", "profile-list"])
-def test_trace_file_rejects_header_value_of_wrong_kind(tmp_path, key, value, what):
+        "noise-negative", "noise-str", "noise-number", "profile-null", "profile-list",
+        "noise-amplitude-negative", "noise-seed-str", "noise-extra-key", "profile-smoothness-7",
+        "profile-window-below-0", "length-short-of-window", "n_cells-1", "n_cells-not-columns"])
+def test_trace_file_rejects_header_value_of_wrong_kind(tmp_path, key, value, message):
     path = _npy_trace(tmp_path / "kind.txt", _V2_SAMPLES, **{key: value})
-    with pytest.raises(ValueError, match=re.escape(f"trace header {key} must be {what}, "
-                                                   f"got {value!r}")):
+    with pytest.raises(ValueError, match=re.escape(message)):
         read_trace(path)
+
+
+def test_trace_file_refuses_complex_samples_for_the_wave(tmp_path):
+    # a Schrodinger trace relabelled as a wave used to be read, and its
+    # complex samples crashed the wave's real passes
+    path = _npy_trace(tmp_path / "wave.txt", _V2_SAMPLES.astype(complex))
+    with pytest.raises(ValueError, match="trace samples must be real for the wave, "
+                                         "got complex128"):
+        read_trace(path)
+
+
+_HEADER_VALUE = st.one_of(st.none(), st.booleans(), st.integers(-2, 9), st.floats(),
+                          st.text(max_size=2), st.sampled_from([0.2, 0.8, 0.5, 1.5, 2, 3]))
+
+
+@st.composite
+def _header_objects(draw):
+    """noise, profile, n_cells and length as a header could hold them: mostly
+    objects with the writer's keys, now and then a key short or over."""
+    def record(names):
+        value = {name: draw(_HEADER_VALUE) for name in names}
+        if draw(st.integers(0, 9)) == 0:
+            value.pop(names[0]) if draw(st.booleans()) else value.update(extra=0)
+        return value
+    return (record(("amplitude", "seed")), record(("a", "b", "smoothness", "constant")),
+            draw(st.one_of(st.integers(-1, 8), _HEADER_VALUE)),
+            draw(st.one_of(st.floats(0.1, 3.0), _HEADER_VALUE)))
+
+
+def _builds(noise, profile, n_cells, length) -> bool:
+    """Whether each owning type builds from the values, with the writer's keys."""
+    try:
+        Mesh1D(n_cells, length)
+        NoiseSpec(**noise)
+        check_window(ObservationProfile(**{"const" if k == "constant" else k: v
+                                           for k, v in profile.items()}), length)
+    except (ValueError, TypeError):
+        return False
+    return noise.keys() == {"amplitude", "seed"} and len(profile) == 4
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(objects=_header_objects())
+def test_trace_header_is_read_exactly_when_its_types_build(tmp_path, objects):
+    # one rule per header key: a noise seed 'x' or an extra noise key used to
+    # be read, and n_cells and length were not read at all
+    noise, profile, n_cells, length = objects
+    columns = n_cells - 1 if isinstance(n_cells, int) and 2 <= n_cells else 3
+    path = _npy_trace(tmp_path / "t.txt", np.zeros((3, columns)), noise=noise,
+                      profile=profile, n_cells=n_cells, length=length)
+    try:
+        read_trace(path)
+        read = True
+    except ValueError as exc:
+        read = False
+        assert str(exc).startswith("trace header "), str(exc)
+    assert read == _builds(noise, profile, n_cells, length), objects
 
 
 def test_generate_rejects_bad_refine(schrod_instance):

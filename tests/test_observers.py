@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from functools import partial
 
@@ -540,10 +541,28 @@ def test_random_state_takes_numpy_seeds(engines):
     for engine in (schrod, wave):
         assert np.array_equal(engine._flat(engine.random_state(np.uint8(5))),
                               engine._flat(engine.random_state(5)))
-        with pytest.raises(ValueError, match="seed must be an integer >= 0, got -1"):
-            engine.random_state(-1)
-        with pytest.raises(TypeError):
-            engine.random_state(5.0)
+        # a float or a bool is no seed: SweepPlan refuses both, and 5.0 raised
+        # a TypeError and True drew as 1
+        for seed in (-1, 5.0, True):
+            with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, got {seed}$"):
+                engine.random_state(seed)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"max_iter": 2.5}, "max_iter must be an integer >= 2, got 2.5"),
+    ({"max_iter": True}, "max_iter must be an integer >= 2, got True"),
+    ({"max_iter": 1}, "max_iter must be an integer >= 2, got 1"),
+    ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+    ({"tol": "x"}, "tol must be a number in (0, 1), got 'x'"),
+])
+def test_eta_inputs_are_refused_by_their_rules(engines, kwargs, message):
+    # max_iter = 2.5, seed = 1.5 and tol = 'x' raised a TypeError
+    _, schrod, wave = engines
+    for engine in (schrod, wave):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            engine.estimate_eta(**kwargs)
+    assert schrod.estimate_eta(max_iter=np.int64(80), seed=np.uint8(11)) == \
+        schrod.estimate_eta(max_iter=80, seed=11)
 
 
 def test_apply_l_zero_and_linearity(engines):
@@ -1176,8 +1195,27 @@ def test_trace_validation(engines):
     with pytest.raises(ValueError, match="schrodinger"):
         wave.forward_observer(_zero_trace("schrodinger", ops.n, wave.n_steps,
                                           wave.dt))
-    with pytest.raises(ValueError, match="tau"):
+    with pytest.raises(ValueError, match=re.escape("dt must be tau / K = 0.5, got 0.1")):
         ObservationTrace("wave", np.zeros((3, 4)), 1.0, 0.1)
+
+
+@pytest.mark.parametrize("args, message", [
+    (("schrodinger", np.zeros((3, 2), complex), -1.0, -0.5),
+     "tau must be a positive number, got -1.0"),
+    (("wave", np.zeros((3, 2)), 0.0, 0.0), "tau must be a positive number, got 0.0"),
+    (("wave", np.zeros((3, 2)), "1", 0.5), "tau must be a positive number, got '1'"),
+    (("heat", np.zeros((3, 2)), 1.0, 0.5), "equation must be 'schrodinger' or 'wave', got 'heat'"),
+    (("wave", np.zeros((3, 2), complex), 1.0, 0.5),
+     "samples must be real for the wave, got complex128"),
+    (("wave", np.zeros((3, 2)), 1.0, None), "dt must be tau / K = 0.5, got None"),
+    # K dt = tau to 1e-9 of tau, so a short horizon cannot take a negative step
+    (("wave", np.zeros((2, 2)), 1e-12, -1e-10), "dt must be tau / K = 1e-12, got -1e-10"),
+], ids=["tau-negative", "tau-zero", "tau-str", "equation-heat", "wave-complex", "dt-None",
+        "dt-negative-short-tau"])
+def test_trace_refuses_a_horizon_or_samples_it_cannot_hold(args, message):
+    # ObservationTrace("schrodinger", samples, tau=-1.0, dt=-0.5) used to build
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ObservationTrace(*args)
 
 
 # -- deflation of the eta estimate's Ritz pair -----------------------------------
