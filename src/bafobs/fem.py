@@ -64,6 +64,19 @@ def _is_seed(v) -> bool:
     return _is_int(v) and v >= 0
 
 
+EQUATION_RULE = "'schrodinger' or 'wave'"
+
+
+def _is_equation(v) -> bool:
+    return isinstance(v, str) and v in ("schrodinger", "wave")
+
+
+def check_equation(equation):
+    """Refuse an equation that is not Schrodinger or the wave."""
+    if not _is_equation(equation):
+        raise ValueError(f"equation must be {EQUATION_RULE}, got {equation!r}")
+
+
 def _gauss_rule(order8: bool) -> tuple[np.ndarray, np.ndarray]:
     """Points and weights of the 4- or 8-point rule on the reference element."""
     return (_GL8_X, _GL8_W) if order8 else (_GL4_X, _GL4_W)

@@ -15,8 +15,9 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .fem import (FemOperators, FieldSpec, Mesh1D, ObservationProfile, _is_int, _is_number,
-                  _is_positive, _is_seed, assemble, check_window, grad_load_vector, load_vector)
+from .fem import (EQUATION_RULE, FemOperators, FieldSpec, Mesh1D, ObservationProfile,
+                  _is_equation, _is_int, _is_number, _is_positive, _is_seed, assemble,
+                  check_equation, check_window, grad_load_vector, load_vector)
 from .models import ProblemInstance, _unit_noise_in_place, check_truth, generate_observation
 from .observers import (_ETA_DEFAULTS, BackAndForth, EtaEstimate, ReconstructionResult,
                         WaveState, choose_truncation)
@@ -46,17 +47,16 @@ def _gram_fields(equation: str, estimate, ops: FemOperators) -> list[tuple[objec
     """The (Gram, coefficients) pair of each field of an estimate, checked:
     (M, u) for Schrodinger, u of shape (n,); (K, pos) and (M, vel) for the
     wave, a WaveState of (n,) arrays."""
+    check_equation(equation)
     if equation == "schrodinger":
         u = np.asarray(estimate)
         if u.shape != (ops.n,):
             raise ValueError(f"estimate has shape {u.shape}, expected ({ops.n},)")
         return [(ops.mass, u)]
-    if equation == "wave":
-        if not (isinstance(estimate, WaveState)
-                and estimate.pos.shape == estimate.vel.shape == (ops.n,)):
-            raise ValueError(f"a wave estimate must be a WaveState of ({ops.n},) arrays")
-        return [(ops.stiffness, estimate.pos), (ops.mass, estimate.vel)]
-    raise ValueError(f"unknown equation {equation!r}")
+    if not (isinstance(estimate, WaveState)
+            and estimate.pos.shape == estimate.vel.shape == (ops.n,)):
+        raise ValueError(f"a wave estimate must be a WaveState of ({ops.n},) arrays")
+    return [(ops.stiffness, estimate.pos), (ops.mass, estimate.vel)]
 
 
 def reconstruction_error(equation: str, truth, estimate, ops: FemOperators) -> float:
@@ -114,7 +114,7 @@ def step_count(equation: str, n_cells: int, steps: float, leaf: str, value) -> i
 # what it must be).  SweepPlan checks by them, cli.build_plan reads each field
 # from its leaf, and cli._LEAVES takes their checks and texts (not time.tau's).
 _PLAN_LEAVES = (
-    ("equation", "equation", lambda v: v in ("schrodinger", "wave"), "'schrodinger' or 'wave'"),
+    ("equation", "equation", _is_equation, EQUATION_RULE),
     ("theta", "theta", _is_positive, "a positive number"),
     ("refine", "refine", lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     ("n_policy", "n_policy", lambda v: v == "auto" or (_is_int(v) and v >= 0),

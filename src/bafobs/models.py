@@ -8,11 +8,13 @@ mass/stiffness pencil evolves by its closed-form phase (``pencil_eigs``), and
 only the observed field is synthesized, at the reconstruction nodes, a block
 of B = GENERATION_BLOCK time rows at a time, by block phasors: one table of
 the phases of the offsets r < B per generation, one phase per mode per
-block, and products inside the block.  So of K time rows and n modes,
+block, and products inside the block, synthesized in sub-blocks of
+SYNTHESIS_BLOCK rows on fine meshes.  So of K time rows and n modes,
 generation evaluates O(n (B + K/B)) transcendentals, plus one FFT per row
 (complex for Schrodinger, real for the wave), holds no fine trajectory and
-no n x n array, and has no size limit.  Bounded uniform noise models the
-data-error terms of the convergence estimates.
+no n x n array, and has no size limit.
+Bounded uniform noise, drawn from the package's own counter-based stream,
+models the data-error terms of the convergence estimates.
 """
 
 from __future__ import annotations
@@ -24,12 +26,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fem import (FieldSpec, Mesh1D, ObservationProfile, _is_int, _is_number, _is_positive,
-                  _is_seed, assemble, check_window)
+                  _is_seed, assemble, check_equation, check_window)
 from .linalg import pencil_eigs
 from .observers import ObservationTrace
 
 TRACE_FORMAT = "bafobs-trace-2"
-GENERATION_BLOCK = 32                  # time rows synthesized at once
+GENERATION_BLOCK = 32                  # time rows per block phase
+SYNTHESIS_BLOCK = 8                    # time rows per product, fold and DST-I ...
+SYNTHESIS_MODES = 1023                 # ... from this many fine modes on
+NOISE_CHUNK = 1 << 14                  # noise values drawn at once
 
 
 @dataclass(frozen=True)
@@ -78,8 +83,7 @@ class ProblemInstance:
     truth: FieldSpec | tuple[FieldSpec, FieldSpec]
 
     def __post_init__(self):
-        if self.equation not in ("schrodinger", "wave"):
-            raise ValueError(f"unknown equation {self.equation!r}")
+        check_equation(self.equation)
         if not _is_positive(self.tau):
             raise ValueError(f"tau must be a positive number, got {self.tau!r}")
         min_steps = 2 if self.equation == "wave" else 1
@@ -98,7 +102,7 @@ def generate_observation(instance: ProblemInstance, refine: int = 1,
 
     The observed field (the state for Schrodinger, the velocity for the
     wave) of the refined mesh is synthesized only at the reconstruction
-    nodes (nodal injection), GENERATION_BLOCK time rows at a time, and
+    nodes (nodal injection), a sub-block of time rows at a time, and
     multiplied nodally by the observation weight; noise is drawn straight
     into the samples.
     """
@@ -142,10 +146,15 @@ def _clean_samples(instance: ProblemInstance, refine: int) -> np.ndarray:
     samples = np.empty((times.size, weights.size), dtype=dtype)
     # exp(i rate t_{s+r}) = exp(i rate t_s) exp(i rate t_r): the block starting
     # at row s is the phase table of the offsets r < GENERATION_BLOCK times
-    # one phase per mode, so no sample costs a transcendental
+    # one phase per mode, so no sample costs a transcendental.  The products
+    # and their synthesis run on sub-blocks of SYNTHESIS_BLOCK rows from
+    # SYNTHESIS_MODES modes on, so the buffers are a quarter of a block's;
+    # a coarser mesh synthesizes whole blocks, as its buffers are small and
+    # its per-call costs are not
     size = min(GENERATION_BLOCK, times.size)
+    sub = min(SYNTHESIS_BLOCK if pencil.n >= SYNTHESIS_MODES else GENERATION_BLOCK, size)
     phase = np.empty(rate.size, complex)
-    modal, synthesize = pencil.synthesis(size, refine, dtype)
+    modal, synthesize = pencil.synthesis(sub, refine, dtype)
     if dtype is complex:
         table = np.exp(1j * times[:size, None] * rate)
     else:
@@ -153,17 +162,19 @@ def _clean_samples(instance: ProblemInstance, refine: int) -> np.ndarray:
         wt = times[:size, None] * rate
         cos, sin, spare = np.cos(wt), np.sin(wt, out=wt), np.empty(modal.shape)
     for start in range(0, times.size, size):
-        rows = min(size, times.size - start)
+        stop = min(start + size, times.size)
         np.multiply(1j * times[start], rate, out=phase)
         np.exp(phase, out=phase)
         np.multiply(phase, c, out=phase)
-        if dtype is complex:
-            np.multiply(table[:rows], phase, out=modal[:rows])
-        else:
-            np.multiply(cos[:rows], phase.real, out=modal[:rows])
-            np.multiply(sin[:rows], phase.imag, out=spare[:rows])
-            np.subtract(modal[:rows], spare[:rows], out=modal[:rows])
-        np.multiply(synthesize(rows), weights, out=samples[start:start + rows])
+        for first in range(start, stop, sub):
+            r, rows = first - start, min(sub, stop - first)
+            if dtype is complex:
+                np.multiply(table[r:r + rows], phase, out=modal[:rows])
+            else:
+                np.multiply(cos[r:r + rows], phase.real, out=modal[:rows])
+                np.multiply(sin[r:r + rows], phase.imag, out=spare[:rows])
+                np.subtract(modal[:rows], spare[:rows], out=modal[:rows])
+            np.multiply(synthesize(rows), weights, out=samples[first:first + rows])
     return samples
 
 
@@ -171,13 +182,15 @@ def add_noise(trace: ObservationTrace, noise: NoiseSpec) -> ObservationTrace:
     """Return a perturbed copy of the trace; amplitude 0 returns it unchanged.
 
     Complex samples get independent uniform perturbations on the real and
-    imaginary parts.  Deterministic for a given seed.  The samples are copied
-    once and perturbed in place, so the copy is all the memory it takes
-    beyond a block.
+    imaginary parts, from the package's own stream (``_draw_noise``), so the
+    draws are fixed by the seed alone.  The samples are copied once and
+    perturbed in place, so the copy is all the memory it takes beyond a
+    chunk of draws.
     """
     if noise.amplitude == 0.0:
         return trace
-    samples = np.array(trace.samples, dtype=np.result_type(trace.samples.dtype, np.float64))
+    samples = np.array(trace.samples, order="C",
+                       dtype=np.result_type(trace.samples.dtype, np.float64))
     _draw_noise(samples, noise)
     return replace(trace, samples=samples, provenance="noisy")
 
@@ -201,16 +214,75 @@ def _unit_noise_in_place(trace: ObservationTrace, seed: int) -> ObservationTrace
     return replace(trace, samples=samples, provenance="unit-noise")
 
 
+# The noise stream is SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) in
+# counter form: draw i of a key is mix(key + (i + 1) GAMMA mod 2**64), mix
+# its finalizer, so any chunk of draws is made at its own offset.
+_GAMMA = 0x9E3779B97F4A7C15
+_MASK = (1 << 64) - 1
+_MIX = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+        (np.uint64(27), np.uint64(0x94D049BB133111EB)), (np.uint64(31), None))
+
+
+def _mix(z: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer of the uint64 array z, in place; spare is
+    scratch of z's shape."""
+    for shift, factor in _MIX:
+        np.right_shift(z, shift, out=spare)
+        np.bitwise_xor(z, spare, out=z)
+        if factor is not None:
+            np.multiply(z, factor, out=z)
+    return z
+
+
+def _noise_key(seed: int) -> int:
+    """The stream's 64-bit key: SplitMix64's first draw, seeded with the
+    key so far xor the seed's next 64-bit word, low word first, from key 0.
+    A seed below 2**64 is one word, so its key is mix(seed + GAMMA)."""
+    seed, key = int(seed), 0
+    while True:
+        z = np.array([((key ^ seed) + _GAMMA) & _MASK], np.uint64)
+        key, seed = int(_mix(z, np.empty_like(z))[0]), seed >> 64
+        if not seed:
+            return key
+
+
+class _NoiseStream:
+    """The draws of one NoiseSpec, up to ``size`` at a time, into two
+    reusable buffers."""
+
+    def __init__(self, noise: NoiseSpec, size: int):
+        self.key, self.amplitude = _noise_key(noise.seed), noise.amplitude
+        self.steps = np.arange(1, size + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        self.z, self.spare = np.empty(size, np.uint64), np.empty(size, np.uint64)
+
+    def add(self, values: np.ndarray, first: int):
+        """Add draws first, first + 1, ... to the float64 values in place:
+        the top 53 bits of a draw, as a signed integer k in [-2**52, 2**52),
+        add amplitude * (k / 2**52), in [-amplitude, amplitude]."""
+        m = values.size
+        z, spare = self.z[:m], self.spare[:m]
+        np.add(self.steps[:m], np.uint64((self.key + first * _GAMMA) & _MASK), out=z)
+        k = _mix(z, spare).view(np.int64)
+        np.right_shift(k, 11, out=k)
+        draws = spare.view(np.float64)
+        draws[...] = k
+        np.multiply(draws, 2.0 ** -52, out=draws)
+        if self.amplitude != 1.0:
+            np.multiply(draws, self.amplitude, out=draws)
+        values += draws
+
+
 def _draw_noise(samples: np.ndarray, noise: NoiseSpec):
-    """Perturb float64 or complex128 samples in place, GENERATION_BLOCK rows
-    at a time, the real parts first: the same stream of draws as one draw of
-    the whole shape per part."""
-    rng = np.random.default_rng(noise.seed)
-    eps = noise.amplitude
-    for part in (samples.real, samples.imag) if np.iscomplexobj(samples) else (samples,):
-        for start in range(0, part.shape[0], GENERATION_BLOCK):
-            rows = part[start:start + GENERATION_BLOCK]
-            rows += rng.uniform(-eps, eps, rows.shape)
+    """Perturb C-contiguous float64 or complex128 samples in place,
+    NOISE_CHUNK values at a time: value i of the samples read as float64
+    (row by row, a complex sample's real part first) gets draw i.  So the
+    real and imaginary parts of sample (row, col) have fixed counters."""
+    if not samples.flags.c_contiguous:
+        raise ValueError("noise is drawn into C-contiguous samples only")
+    values = samples.reshape(-1).view(np.float64)
+    stream = _NoiseStream(noise, min(NOISE_CHUNK, values.size))
+    for first in range(0, values.size, NOISE_CHUNK):
+        stream.add(values[first:first + NOISE_CHUNK], first)
 
 
 # -- trace files -------------------------------------------------------------

@@ -27,7 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fem import FemOperators, _is_int, _is_number, _is_positive, _is_seed, prolong
+from .fem import (FemOperators, _is_int, _is_number, _is_positive, _is_seed, check_equation,
+                  prolong)
 from .linalg import ShiftedSystem, SymTridiag
 
 AUTO_N_CAP = 200       # the most steps the automatic stopping rule may take
@@ -236,8 +237,7 @@ class ObservationTrace:
     provenance: str = "clean"
 
     def __post_init__(self):
-        if self.equation not in ("schrodinger", "wave"):
-            raise ValueError(f"equation must be 'schrodinger' or 'wave', got {self.equation!r}")
+        check_equation(self.equation)
         if not _is_positive(self.tau):
             raise ValueError(f"tau must be a positive number, got {self.tau!r}")
         samples = np.asarray(self.samples)
@@ -514,8 +514,7 @@ class BackAndForth:
     """
 
     def __init__(self, equation: str, ops: FemOperators, dt: float, n_steps: int):
-        if equation not in ("schrodinger", "wave"):
-            raise ValueError(f"unknown equation {equation!r}")
+        check_equation(equation)
         self.equation = equation
         self.ops = ops
         self.dt = dt

@@ -25,8 +25,9 @@ became the forward pass under time reversal and before its passes formed
 their loads from the output rows a block at a time: all K loads formed at
 once, then a second, +i dt Schrodinger system stepped by schrodinger_step,
 and the wave's velocity flip around wave_history with negated loads.  Tests
-pin BackAndForth to them bit for bit.  old_add_noise is add_noise as one
-whole-array draw per part, which the blocked in-place draws reproduce.
+pin BackAndForth to them bit for bit.  splitmix_add_noise is add_noise
+written one value at a time: SplitMix64 on Python ints masked to 64 bits,
+which the package's chunked uint64 draws must reproduce bit for bit.
 neumann_series is the reconstruction as the paper writes it, the truncated
 Neumann series of the round trip, which the package's GMRES solve replaced
 and is checked against; combine is the arithmetic on states (arrays or
@@ -512,17 +513,40 @@ def old_neumann_estimate(engine, trace, n_terms: int):
     return acc
 
 
-def old_add_noise(samples: np.ndarray, amplitude: float, seed: int) -> np.ndarray:
-    """add_noise's samples as one draw of the whole shape per part:
-    uniform + 1j * uniform for complex samples."""
-    rng = np.random.default_rng(seed)
-    shape = samples.shape
-    if np.iscomplexobj(samples):
-        delta = (rng.uniform(-amplitude, amplitude, shape)
-                 + 1j * rng.uniform(-amplitude, amplitude, shape))
-    else:
-        delta = rng.uniform(-amplitude, amplitude, shape)
-    return samples + delta
+_GAMMA, _MASK = 0x9E3779B97F4A7C15, (1 << 64) - 1
+
+
+def splitmix64(z: int) -> int:
+    """SplitMix64's finalizer of a 64-bit int (Steele, Lea & Flood, 2014)."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def splitmix_key(seed: int) -> int:
+    """The noise key: mix((key ^ word) + GAMMA) over the seed's 64-bit
+    words, low word first, from key 0."""
+    key = 0
+    while True:
+        key = splitmix64(((key ^ (seed & _MASK)) + _GAMMA) & _MASK)
+        seed >>= 64
+        if not seed:
+            return key
+
+
+def splitmix_add_noise(samples: np.ndarray, amplitude: float, seed: int) -> np.ndarray:
+    """add_noise's samples, one value at a time: value i of the samples read
+    as float64, row by row and real part first, plus amplitude * (k / 2**52),
+    k the top 53 bits of mix(key + (i + 1) GAMMA) as a signed integer."""
+    key = splitmix_key(seed)
+    dtype = np.result_type(samples.dtype, np.float64)
+    values = np.array(samples, dtype=dtype, order="C").reshape(-1).view(np.float64)
+    out = []
+    for i, value in enumerate(values.tolist()):
+        z = splitmix64((key + (i + 1) * _GAMMA) & _MASK)
+        k = (z >> 11) - ((z >> 63) << 53)
+        out.append(value + amplitude * (k * 2.0 ** -52))
+    return np.array(out).view(dtype).reshape(samples.shape)
 
 
 @dataclass(frozen=True)

@@ -1150,8 +1150,9 @@ def test_overrides_round_trip_through_resolved_config(chosen):
 
 # -- what a command loads -------------------------------------------------------
 
-# extension modules a clean run has no use for: NumPy's generators, which
-# only the noise draws, and OpenSSL's libcrypto, which only generate's sha256
+# extension modules a run has no use for: NumPy's generators, which nothing
+# draws from (the noise is the package's own stream), and OpenSSL's
+# libcrypto, which only generate's sha256 needs
 FOOTPRINT = ("numpy.random", "_hashlib")
 
 # in a fresh interpreter: cli_main runs bafobs.cli.main at 16 cells, quietly
@@ -1173,12 +1174,12 @@ def _loaded_after(code: str, cwd, prelude: str = _PRELUDE) -> set:
     return set(json.loads(done.stdout.splitlines()[-1]))
 
 
-def test_clean_runs_load_neither_numpy_random_nor_libcrypto(tmp_path):
-    # numpy.random seeds through secrets, whose hmac loads _hashlib, so a
-    # noisy run loads both.  numpy 1.x imports numpy.random with numpy
+def test_no_run_loads_numpy_random_and_only_generate_loads_libcrypto(tmp_path):
+    # the noise draws are the package's own, so a noisy run loads what a
+    # clean one does: numpy.random, which seeds through secrets, whose hmac
+    # loads _hashlib, never.  numpy 1.x imports numpy.random with numpy
     # itself: what a bare import of numpy loads cannot show here
     ignored = _loaded_after("import numpy", tmp_path, prelude="import json, sys\n")
-    noisy = {"numpy.random", "_hashlib"}
     cases = [
         ("cli_main('--set', 'output.directory=clean', 'generate')", {"_hashlib"}),
         ("for eq in ('schrodinger', 'wave'):\n"
@@ -1188,9 +1189,11 @@ def test_clean_runs_load_neither_numpy_random_nor_libcrypto(tmp_path):
          "         '--trace', 'clean/trace.txt')\n"
          "cli_main('estimate-eta')", set()),
         ("harness.run_sweep(cli.build_plan(cli.load_config(\n"
-         "    None, ['sweep.levels=[8]', 'sweep.noise_eps=[0.0,0.001]'])))", noisy),
+         "    None, ['sweep.levels=[8]', 'sweep.noise_eps=[0.0,0.001]'])))", set()),
         ("cli_main('--set', 'noise.amplitude=0.001', '--set', 'output.directory=noisy',\n"
-         "         'generate')", noisy),
+         "         'generate')", {"_hashlib"}),
+        ("cli_main('--set', 'output.directory=noisy', 'reconstruct',\n"
+         "         '--trace', 'noisy/trace.txt')", set()),
     ]
-    for code, expected in cases:      # in order: the clean run reads generate's trace
+    for code, expected in cases:      # in order: each reconstruct reads the generate before it
         assert _loaded_after(code, tmp_path) - ignored == expected - ignored, code
