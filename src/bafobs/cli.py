@@ -39,7 +39,6 @@ _LEAVES = (
     ("equation", "schrodinger", *_PLAN["equation"]),
     ("theta", 1.0, *_PLAN["theta"]),
     ("refine", 2, *_PLAN["refine"]),
-    ("n_policy", "auto", *_PLAN["n_policy"]),
     ("geometry.length", 1.0, *_PLAN["geometry.length"]),
     ("geometry.n_cells", 64, None, None),
     ("observation.a", 0.2, None, None),
@@ -320,8 +319,7 @@ def cmd_reconstruct(cfg: dict, trace_path: str) -> int:
                           f"{ {k: header[k] for k in mismatched} }")
     engine = _engine_from(cfg)
     eta, eta_cost = harness.eta_stage(engine, **cfg["eta"])
-    result, solve_cost = harness.solve_stage(engine, trace, eta, n_policy=cfg["n_policy"],
-                                             theta=cfg["theta"])
+    result, solve_cost = harness.solve_stage(engine, trace, eta, theta=cfg["theta"])
     truth = build_truth(cfg)
     row = harness.fill_row(engine, result, result.estimate, eta, truth=truth,
                            noise_eps=header["noise"]["amplitude"], theta=cfg["theta"])

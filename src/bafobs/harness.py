@@ -117,8 +117,6 @@ _PLAN_LEAVES = (
     ("equation", "equation", _is_equation, EQUATION_RULE),
     ("theta", "theta", _is_positive, "a positive number"),
     ("refine", "refine", lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    ("n_policy", "n_policy", lambda v: v == "auto" or (_is_int(v) and v >= 0),
-     "'auto' or an integer >= 0"),
     ("length", "geometry.length", _is_positive, "a positive number"),
     ("tau", "time.tau", _is_positive, "a positive number"),
     ("noise_seed", "noise.seed", _is_seed, "an integer >= 0"),
@@ -151,7 +149,9 @@ class SweepPlan:
     refine: int = 2
     noise_eps: tuple[float, ...] = (0.0,)
     noise_seed: int = 7
-    n_policy: int | str = "auto"
+    # read by nothing; kept, 'auto' only, for perfbench/workloads.py, which
+    # passes it, until ROADMAP item 1 drops that argument and this field
+    n_policy: str = "auto"
     eta_tol: float = _ETA_DEFAULTS["tol"]
     eta_max_iter: int = _ETA_DEFAULTS["max_iter"]
     eta_seed: int = _ETA_DEFAULTS["seed"]
@@ -161,6 +161,8 @@ class SweepPlan:
             value = getattr(self, name)
             if not check(value):
                 raise ValueError(f"{name} must be {what}, got {value!r}")
+        if self.n_policy != "auto":
+            raise ValueError(f"n_policy must be 'auto', got {self.n_policy!r}")
         for name in ("levels", "noise_eps"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         check_window(self.profile, self.length)
@@ -232,15 +234,13 @@ def eta_stage(engine: BackAndForth, *, warm=None, **settings) -> tuple[EtaEstima
                  "eta_ms": 1e3 * (time.perf_counter() - start)}
 
 
-def solve_stage(engine: BackAndForth, trace, eta: EtaEstimate, *, n_policy: int | str,
-                theta: float, polynomial=None) -> tuple[ReconstructionResult, dict]:
+def solve_stage(engine: BackAndForth, trace, eta: EtaEstimate, *, theta: float,
+                polynomial=None) -> tuple[ReconstructionResult, dict]:
     """The solve of a trace, deflating the eta estimate's Ritz pair, or the
     replay of another solve's ``polynomial`` on it, timed: (result, its cost
     as ``charge`` keywords, its round trips' solves and neumann_ms)."""
     start = time.perf_counter()
-    result = engine.neumann_reconstruct(trace, n_terms=None if n_policy == "auto" else n_policy,
-                                        eta_hat=eta.value, theta=theta, polynomial=polynomial,
-                                        ritz_pair=eta.ritz_pair)
+    result = engine.neumann_reconstruct(trace, eta, theta=theta, polynomial=polynomial)
     return result, {"solves": engine.round_trip_solves * (result.n_used + 1),
                     "neumann_ms": 1e3 * (time.perf_counter() - start)}
 
@@ -340,7 +340,7 @@ def run_cell(plan: SweepPlan, n_cells: int,
                               seed=plan.eta_seed, warm=warm)
         pending.append(cost)
         carry.state = eta.ritz_vector
-        base, cost = solve_stage(engine, trace, eta, n_policy=plan.n_policy, theta=plan.theta)
+        base, cost = solve_stage(engine, trace, eta, theta=plan.theta)
         pending.append(cost)
     except Exception as exc:
         failure = exc
@@ -350,8 +350,8 @@ def run_cell(plan: SweepPlan, n_cells: int,
                 # nothing reads the clean samples after S(clean): u is drawn
                 # into their buffer, so the level never holds two traces
                 trace = _unit_noise_in_place(trace, plan.noise_seed)
-                unit, cost = solve_stage(engine, trace, eta, n_policy=plan.n_policy,
-                                         theta=plan.theta, polynomial=base.polynomial)
+                unit, cost = solve_stage(engine, trace, eta, theta=plan.theta,
+                                         polynomial=base.polynomial)
                 pending.append(cost)
             except Exception as exc:
                 unit = exc

@@ -201,17 +201,17 @@ def unit_noise(trace: ObservationTrace, seed: int) -> ObservationTrace:
     ``trace + eps * unit_noise(trace, seed)`` up to rounding."""
     samples = np.empty(trace.samples.shape,
                        np.result_type(trace.samples.dtype, np.float64))
-    return _unit_noise_in_place(replace(trace, samples=samples), seed)
+    # drawn before the trace is built, which checks that its samples are finite
+    _draw_noise(samples, NoiseSpec(1.0, seed), store=True)
+    return replace(trace, samples=samples, provenance="unit-noise")
 
 
 def _unit_noise_in_place(trace: ObservationTrace, seed: int) -> ObservationTrace:
-    """``unit_noise(trace, seed)``, drawn into the trace's own float64 or
-    complex128 samples, which it zeroes first: the same bits, and no second
-    trace-sized array.  The trace's samples are lost."""
-    samples = trace.samples
-    samples.fill(0.0)
-    _draw_noise(samples, NoiseSpec(1.0, seed))
-    return replace(trace, samples=samples, provenance="unit-noise")
+    """``unit_noise(trace, seed)``, stored over the trace's own float64 or
+    complex128 samples in one pass: the same bits, and no second trace-sized
+    array.  The trace's samples are lost."""
+    _draw_noise(trace.samples, NoiseSpec(1.0, seed), store=True)
+    return replace(trace, provenance="unit-noise")
 
 
 # The noise stream is SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) in
@@ -255,34 +255,37 @@ class _NoiseStream:
         self.steps = np.arange(1, size + 1, dtype=np.uint64) * np.uint64(_GAMMA)
         self.z, self.spare = np.empty(size, np.uint64), np.empty(size, np.uint64)
 
-    def add(self, values: np.ndarray, first: int):
-        """Add draws first, first + 1, ... to the float64 values in place:
-        the top 53 bits of a draw, as a signed integer k in [-2**52, 2**52),
-        add amplitude * (k / 2**52), in [-amplitude, amplitude]."""
+    def add(self, values: np.ndarray, first: int, store: bool = False):
+        """Add draws first, first + 1, ... to the float64 values in place, or
+        with store write them there: the top 53 bits of a draw, as a signed
+        integer k in [-2**52, 2**52), give amplitude * (k / 2**52), in
+        [-amplitude, amplitude].  A draw is never -0.0, so a stored draw has
+        the bits of one added to zeros."""
         m = values.size
         z, spare = self.z[:m], self.spare[:m]
         np.add(self.steps[:m], np.uint64((self.key + first * _GAMMA) & _MASK), out=z)
         k = _mix(z, spare).view(np.int64)
         np.right_shift(k, 11, out=k)
-        draws = spare.view(np.float64)
-        draws[...] = k
-        np.multiply(draws, 2.0 ** -52, out=draws)
+        draws = values if store else spare.view(np.float64)
+        np.multiply(k, 2.0 ** -52, out=draws)       # exact: |k| <= 2**52
         if self.amplitude != 1.0:
             np.multiply(draws, self.amplitude, out=draws)
-        values += draws
+        if not store:
+            values += draws
 
 
-def _draw_noise(samples: np.ndarray, noise: NoiseSpec):
-    """Perturb C-contiguous float64 or complex128 samples in place,
-    NOISE_CHUNK values at a time: value i of the samples read as float64
-    (row by row, a complex sample's real part first) gets draw i.  So the
-    real and imaginary parts of sample (row, col) have fixed counters."""
+def _draw_noise(samples: np.ndarray, noise: NoiseSpec, store: bool = False):
+    """Perturb C-contiguous float64 or complex128 samples in place, or with
+    store overwrite them with the draws, NOISE_CHUNK values at a time: value
+    i of the samples read as float64 (row by row, a complex sample's real
+    part first) gets draw i.  So the real and imaginary parts of sample
+    (row, col) have fixed counters."""
     if not samples.flags.c_contiguous:
         raise ValueError("noise is drawn into C-contiguous samples only")
     values = samples.reshape(-1).view(np.float64)
     stream = _NoiseStream(noise, min(NOISE_CHUNK, values.size))
     for first in range(0, values.size, NOISE_CHUNK):
-        stream.add(values[first:first + NOISE_CHUNK], first)
+        stream.add(values[first:first + NOISE_CHUNK], first, store)
 
 
 # -- trace files -------------------------------------------------------------
@@ -361,13 +364,16 @@ def read_trace(path) -> tuple[ObservationTrace, dict]:
             raise ValueError(f"trace header complex must be a bool, got {is_complex!r}")
         mesh = _checked("trace header ", Mesh1D, header.get("n_cells"), header.get("length"))
         _header_object(header, "noise", NoiseSpec, ("amplitude", "seed"))
+        refine = header.get("refine")
+        if not (_is_int(refine) and refine >= 1):
+            raise ValueError(f"trace header refine must be an integer >= 1, got {refine!r}")
         profile = _header_object(header, "profile", ObservationProfile,
                                  ("a", "b", "smoothness", "constant"))
         _checked("trace header profile.", check_window, profile, mesh.length)
         samples = _read_payload(fh, is_complex)
     # the samples' rules are the trace's, so this prefix is not the header's
     trace = _checked("trace ", ObservationTrace, header.get("equation"), samples,
-                     header.get("tau"), header.get("dt"), header.get("provenance", "clean"))
+                     header.get("tau"), header.get("dt"), header.get("provenance"))
     n_steps = header.get("n_steps")
     if not (_is_int(n_steps) and n_steps == trace.n_steps):
         raise ValueError(f"trace header n_steps must be {trace.n_steps}, one less than the "

@@ -31,7 +31,7 @@ from .fem import (FemOperators, _is_int, _is_number, _is_positive, _is_seed, che
                   prolong)
 from .linalg import ShiftedSystem, SymTridiag
 
-AUTO_N_CAP = 200       # the most steps the automatic stopping rule may take
+AUTO_N_CAP = 200       # the most steps the stopping rule may take
 LOAD_BLOCK = 32        # output rows whose observer loads are formed at once
 # how far a Ritz value of the solve's Krylov space may pass eta_hat before
 # the solve warns: it covers rounding and the Arnoldi tolerance eta_hat was
@@ -45,6 +45,9 @@ BREAKDOWN = 1e-14
 # defaults of estimate_eta, of SweepPlan's eta_* fields and of the CLI's eta
 # section
 _ETA_DEFAULTS = {"tol": 1e-6, "max_iter": 80, "seed": 11}
+# how a trace's samples were made: generated on the reconstruction mesh or a
+# refined one, with noise added, or the unit noise alone (``models``)
+PROVENANCES = ("clean", "mesh-refined", "noisy", "unit-noise")
 
 
 @dataclass(frozen=True)
@@ -238,6 +241,9 @@ class ObservationTrace:
 
     def __post_init__(self):
         check_equation(self.equation)
+        if not (isinstance(self.provenance, str) and self.provenance in PROVENANCES):
+            raise ValueError("provenance must be 'clean', 'mesh-refined', 'noisy' or "
+                             f"'unit-noise', got {self.provenance!r}")
         if not _is_positive(self.tau):
             raise ValueError(f"tau must be a positive number, got {self.tau!r}")
         samples = np.asarray(self.samples)
@@ -491,11 +497,11 @@ class ReconstructionResult:
 
     estimate: np.ndarray | WaveState
     n_used: int
-    eta_hat: float | None
+    eta_hat: float
     residual_norms: tuple
     polynomial: KrylovPolynomial
     ritz_max: float | None = None
-    n_capped: bool = False      # the automatic rule was not met in AUTO_N_CAP steps
+    n_capped: bool = False      # the stopping rule was not met in AUTO_N_CAP steps
     deflated: float | None = None
 
     @property
@@ -711,60 +717,50 @@ class BackAndForth:
                           RuntimeWarning, stacklevel=2)
         return eta
 
-    def neumann_reconstruct(self, trace: ObservationTrace, *,
-                            n_terms: int | None = None,
-                            eta_hat: float | None = None,
+    def neumann_reconstruct(self, trace: ObservationTrace, eta: EtaEstimate, *,
                             theta: float = 1.0,
-                            polynomial: KrylovPolynomial | None = None,
-                            ritz_pair: tuple | None = None
+                            polynomial: KrylovPolynomial | None = None
                             ) -> ReconstructionResult:
         """The initial state: (I - L) x = z solved by ``gmres``, z the first iterate.
 
-        The Neumann series sum_n L^n z solves the same system.  ``ritz_pair``,
-        a Ritz pair (y, L y) of states such as ``EtaEstimate.ritz_pair``, is
-        deflated by a first guess c y of least residual: with w = y - L y,
-        c = (z, w)_X / ||w||_X^2 leaves the residual rest = z - c w, so that
-        ||rest||_X <= ||z||_X, and GMRES runs on rest; x = c y + rest + L x_k
-        then leaves the residual L r_k of GMRES on rest.  A pair with w = 0
-        (L y = y) is not deflated.
+        The Neumann series sum_n L^n z solves the same system.  eta, an
+        ``EtaEstimate``, sets the one stopping rule: the solve stops at the
+        first step k whose residual ||r_k||_X is at most eta_hat (h^theta +
+        dt) ||z||_X, eta_hat = eta.value, the tail the paper's truncation
+        ``choose_truncation`` leaves; as ||(I - L)^-1||_X <= 1 / (1 - eta),
+        the error is then at most that over 1 - eta.  A solve not done in
+        AUTO_N_CAP steps warns and sets the result's n_capped.
 
-        With n_terms = None the solve stops at the first step k whose
-        residual ||r_k||_X is at most eta_hat (h^theta + dt) ||z||_X, the
-        tail the paper's truncation ``choose_truncation`` leaves; as
-        ||(I - L)^-1||_X <= 1 / (1 - eta), the error is then at most that
-        over 1 - eta.  A solve not done in AUTO_N_CAP steps warns and sets
-        the result's n_capped.  A given n_terms runs exactly that many GMRES
-        steps (on rest, where a pair is deflated), short of a breakdown, and
-        0 returns c y + rest = z + c L y, which is z without a pair.  A zero z
-        returns z with n_used = 0; so does a z along w to rounding, which c y
-        solves exactly.  Given eta_hat, the solve also warns when a Ritz
-        value of L passes eta_hat by more than RATIO_SLACK: a check of eta_hat
-        for free, rigorous only where ||L||_X = eta, as for the X-self-adjoint
-        Schrodinger round trip.
+        The estimate's Ritz pair (y, L y), when it has one, is deflated by a
+        first guess c y of least residual: with w = y - L y, c = (z, w)_X /
+        ||w||_X^2 leaves the residual rest = z - c w, so that ||rest||_X <=
+        ||z||_X, and GMRES runs on rest; x = c y + rest + L x_k then leaves
+        the residual L r_k of GMRES on rest.  A pair with w = 0 (L y = y) is
+        not deflated.  A zero z returns z with n_used = 0; so does a z along
+        w to rounding, which c y solves exactly.  The solve also warns when
+        a Ritz value of L passes eta_hat by more than RATIO_SLACK: a check of
+        eta_hat for free, rigorous only where ||L||_X = eta, as for the
+        X-self-adjoint Schrodinger round trip.
 
         ``polynomial``, another solve's, is replayed on this trace's z in
-        place of a solve (the other arguments are not read): as many round
-        trips as the solve, and linear in the trace.
+        place of a solve: as many round trips as the solve, and linear in
+        the trace.  A replay reads eta only for the eta_hat it records.
         """
-        auto, rtol = polynomial is None and n_terms is None, 0.0
-        if auto:
-            if eta_hat is None:
-                raise ValueError("automatic truncation needs eta_hat")
-            h = self.ops.mesh.h
-            _check_rule(h, theta, eta_hat, self.dt)
-            rtol = eta_hat * (h ** theta + self.dt)
-        elif polynomial is None and n_terms < 0:
-            raise ValueError("n_terms must be nonnegative")
-        z = self._first_iterate(trace)
+        eta_hat = eta.value
         if polynomial is not None:
-            return ReconstructionResult(self._state(polynomial.replay(self._round_trip, z)),
-                                        polynomial.steps, eta_hat, (), polynomial)
+            x = polynomial.replay(self._round_trip, self._first_iterate(trace))
+            return ReconstructionResult(self._state(x), polynomial.steps, eta_hat, (),
+                                        polynomial)
+        h = self.ops.mesh.h
+        _check_rule(h, theta, eta_hat, self.dt)
+        rtol = eta_hat * (h ** theta + self.dt)
+        z = self._first_iterate(trace)
         gram = self._x_gram.matvec
         z_norm = _norm(gram, z)
         target = rtol * z_norm
         deflation, c, deflated, rest, rest_norm = None, 0.0, None, z, z_norm
-        if ritz_pair is not None and z_norm > 0.0:
-            y, image = (self._flat(state) for state in ritz_pair)
+        if eta.ritz_pair is not None and z_norm > 0.0:
+            y, image = (self._flat(state) for state in eta.ritz_pair)
             w = y - image
             dual = gram(w)
             size = float(np.real(np.vdot(w, dual)))
@@ -774,18 +770,17 @@ class BackAndForth:
                 rest = z - c * w
                 rest_norm = _norm(gram, rest)
                 deflated = float(abs(np.vdot(y, gram(z)))) / (_norm(gram, y) * z_norm)
-        if n_terms == 0 or rest_norm <= BREAKDOWN * z_norm:
+        if rest_norm <= BREAKDOWN * z_norm:
             x, residuals = rest, (rest_norm,)
             poly = KrylovPolynomial(np.zeros((1, 0)), np.zeros(0), rest_norm, deflation)
         else:
-            x, poly, residuals = gmres(self._round_trip, gram, rest,
-                                       AUTO_N_CAP if auto else n_terms, target)
+            x, poly, residuals = gmres(self._round_trip, gram, rest, AUTO_N_CAP, target)
             poly = replace(poly, deflation=deflation)
         if deflation is not None:
             x = x + c * y
         norms = (z_norm,) + residuals[1:]
         m = poly.steps
-        capped = auto and m == AUTO_N_CAP and norms[-1] > target
+        capped = m == AUTO_N_CAP and norms[-1] > target
         if capped:
             warnings.warn(
                 f"the solve's relative residual is {norms[-1] / z_norm:.3g} after "
@@ -794,8 +789,7 @@ class BackAndForth:
                 RuntimeWarning, stacklevel=2,
             )
         ritz_max = float(np.max(np.abs(np.linalg.eigvals(poly.hess[:m])))) if m else None
-        if ritz_max is not None and eta_hat is not None \
-                and ritz_max > eta_hat * (1.0 + RATIO_SLACK):
+        if ritz_max is not None and ritz_max > eta_hat * (1.0 + RATIO_SLACK):
             warnings.warn(
                 f"the solve's Krylov space holds a Ritz value of L of modulus "
                 f"{ritz_max:.6g}, more than eta_hat = {eta_hat:.6g} allows: eta_hat "

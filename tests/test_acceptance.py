@@ -10,6 +10,7 @@ not failed.  Their lines carry each level's error and envelope ratio.
 import math
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -333,8 +334,8 @@ def _solve_against_the_neumann_sum(plan, rows):
                                                      plan.profile, plan.tau, k, plan.truth),
                                      refine=plan.refine)
         eta = engine.estimate_eta(plan.eta_tol, plan.eta_max_iter, plan.eta_seed)
-        solve = engine.neumann_reconstruct(trace, eta_hat=row.eta_hat, theta=plan.theta,
-                                           ritz_pair=eta.ritz_pair)
+        solve = engine.neumann_reconstruct(trace, replace(eta, value=row.eta_hat),
+                                           theta=plan.theta)
         assert solve.n_used == row.n_used
         n = max(row.n_neumann, 1)
         _, sums = neumann_series(engine, trace, 60)

@@ -62,6 +62,17 @@ def test_top_level_seed_key_rejected(tmp_path, capsys):
     assert "unknown config key: seed" in err
 
 
+@pytest.mark.parametrize("value", ["3", '"auto"'])
+def test_n_policy_is_an_unknown_key(tmp_path, capsys, value):
+    # the solve has one stopping rule, so no config sets a step count, nor
+    # names the rule
+    cfg = small_config(tmp_path)
+    code, stdout, err = run_cli(["--config", cfg, "--set", f"n_policy={value}",
+                                 "estimate-eta"], capsys)
+    assert code == 2 and stdout == ""
+    assert "unknown config key: n_policy" in err
+
+
 def test_window_touching_boundary_rejected(tmp_path, capsys):
     cfg = small_config(tmp_path, observation={"a": 0.0, "b": 0.5, "smoothness": 2})
     code, _, err = run_cli(["--config", cfg, "generate"], capsys)
@@ -528,8 +539,7 @@ def test_reconstruct_zero_truth_gives_zero_estimate(tmp_path, capsys):
     cfg = small_config(tmp_path, truth={"kind": "sine", "coefficients": [0.0]})
     trace_path = str(tmp_path / "zero.txt")
     run_cli(["--config", cfg, "generate", "--out", trace_path], capsys)
-    code, _, _ = run_cli(["--config", cfg, "--set", "n_policy=0",
-                          "reconstruct", "--trace", trace_path], capsys)
+    code, _, _ = run_cli(["--config", cfg, "reconstruct", "--trace", trace_path], capsys)
     assert code == 0
     est_lines = (tmp_path / "out" / "estimate.txt").read_text().strip().split("\n")
     values = np.array([float(v) for v in est_lines[1].split(",")])
@@ -795,9 +805,9 @@ def test_eta_defaults_have_one_owner():
 def test_the_plan_and_the_config_share_each_rule_row():
     # one (check, text) per plan input: the config row of each plan row's
     # leaf holds the same check object and the same text, but time.tau's,
-    # whose null resolves per equation
+    # whose null resolves per equation; n_policy, 'auto' only, has no leaf
     rows = {row[0]: row for row in cli._LEAVES}
-    plan_fields = {f.name for f in fields(SweepPlan)} - {"truth", "profile"}
+    plan_fields = {f.name for f in fields(SweepPlan)} - {"truth", "profile", "n_policy"}
     assert sorted(field for field, *_ in harness._PLAN_LEAVES) == sorted(plan_fields)
     for field, dotted, check, what in harness._PLAN_LEAVES:
         if dotted == "time.tau":
@@ -811,7 +821,7 @@ def test_plan_defaults_are_the_configs():
     leaves = {field: dotted for field, dotted, _, _ in harness._PLAN_LEAVES}
     defaulted = {f.name: f.default for f in fields(SweepPlan) if f.name in leaves
                  and f.default is not MISSING}
-    assert sorted(defaulted) == sorted(["theta", "refine", "n_policy", "length", "kappa",
+    assert sorted(defaulted) == sorted(["theta", "refine", "length", "kappa",
                                         "noise_eps", "noise_seed", "eta_tol",
                                         "eta_max_iter", "eta_seed"])
     for field, default in defaulted.items():
@@ -827,7 +837,6 @@ def test_defaults_are_the_rows_nested_in_order():
         "equation": "schrodinger",
         "theta": 1.0,
         "refine": 2,
-        "n_policy": "auto",
         "geometry": {"length": 1.0, "n_cells": 64},
         "observation": {"a": 0.2, "b": 0.8, "smoothness": 2, "constant": None},
         "time": {"tau": None, "n_steps": None, "dt": None},
@@ -1105,7 +1114,6 @@ _OVERRIDABLE = {
     "equation": st.sampled_from(["schrodinger", "wave"]),
     "theta": st.floats(0.1, 2.0),
     "refine": st.integers(1, 8),
-    "n_policy": st.one_of(st.just("auto"), st.integers(0, 200)),
     # past the default b, so that the window lies inside the domain
     "geometry.length": st.floats(0.8, 10.0, exclude_min=True),
     "geometry.n_cells": st.integers(2, 4096),

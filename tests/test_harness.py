@@ -383,8 +383,7 @@ def test_wave_plan_matches_the_round_trip_oracle(seed):
                                                      plan.tau, k, plan.truth),
                                      refine=plan.refine)
         ref = list_arnoldi(engine.apply_L, engine.x_inner, engine.random_state(seed))
-        result, cost = harness.solve_stage(engine, clean, ref, n_policy=plan.n_policy,
-                                           theta=plan.theta)
+        result, cost = harness.solve_stage(engine, clean, ref, theta=plan.theta)
         ref_row = harness.charge(harness.fill_row(engine, result, result.estimate, ref,
                                                   truth=plan.truth, noise_eps=0.0,
                                                   theta=plan.theta), **cost)
@@ -491,13 +490,12 @@ def test_noisy_rows_match_one_sum_per_noise_level(equation, truth, tau):
                       noise_eps=(0.0, 1e-4, 1e-3, 1e-2), noise_seed=5)
     rows = run_cell(plan, 16)
     engine, clean, eta = level_inputs(plan, 16)
-    solve = engine.neumann_reconstruct(clean, eta_hat=eta.value, theta=plan.theta,
-                                       ritz_pair=eta.ritz_pair)
+    solve = engine.neumann_reconstruct(clean, eta, theta=plan.theta)
     bound = eta.value * (engine.ops.mesh.h ** plan.theta + engine.dt) / (1.0 - eta.value)
     for row in rows:
         noisy = add_noise(clean, NoiseSpec(row.noise_eps, plan.noise_seed))
         replay, cost = harness.solve_stage(
-            engine, noisy, eta, n_policy=plan.n_policy, theta=plan.theta,
+            engine, noisy, eta, theta=plan.theta,
             polynomial=None if row.noise_eps == 0.0 else solve.polynomial)
         ref = harness.charge(harness.fill_row(engine, replay, replay.estimate, eta, truth=truth,
                                               noise_eps=row.noise_eps, theta=plan.theta),
@@ -509,8 +507,7 @@ def test_noisy_rows_match_one_sum_per_noise_level(equation, truth, tau):
             assert {k: getattr(row, k) for k in same} == {k: getattr(ref, k) for k in same}
         else:
             assert row.error_x == pytest.approx(ref.error_x, rel=1e-12, abs=0)
-            own = engine.neumann_reconstruct(noisy, eta_hat=eta.value, theta=plan.theta,
-                                             ritz_pair=eta.ritz_pair)
+            own = engine.neumann_reconstruct(noisy, eta, theta=plan.theta)
             z = engine.first_iterate(noisy)
             gap = engine.x_norm(combine((1.0, own.estimate), (-1.0, replay.estimate)))
             assert gap <= 2.0 * bound * engine.x_norm(z)
@@ -528,8 +525,7 @@ def test_rows_carry_the_share_of_z_the_solve_deflated(equation, truth, tau):
                       noise_eps=(0.0, 1e-3))
     clean, noisy = run_cell(plan, 16)
     engine, trace, eta = level_inputs(plan, 16)
-    solve = engine.neumann_reconstruct(trace, eta_hat=eta.value, theta=plan.theta,
-                                       ritz_pair=eta.ritz_pair)
+    solve = engine.neumann_reconstruct(trace, eta, theta=plan.theta)
     assert clean.deflated == solve.deflated and noisy.deflated == clean.deflated
     if equation == "wave":
         assert eta.ritz_pair is None and clean.deflated is None
@@ -663,7 +659,7 @@ def test_failed_unit_sum_fails_only_the_noisy_rows(monkeypatch):
 def test_failed_clean_sum_fails_the_whole_level(monkeypatch):
     calls, sums = count_solves(monkeypatch), []
 
-    def failing_sum(self, trace, **kwargs):
+    def failing_sum(self, trace, eta, **kwargs):
         sums.append(trace)
         raise RuntimeError("no sum")
 
@@ -710,6 +706,9 @@ EPS_RULE = "noise_eps must be a non-empty list of numbers >= 0"
                  id="kw10-kappa must be positive"),
     pytest.param(dict(noise_eps=(10**400,)), rf"{EPS_RULE}, got \(10{{400}},\)$",
                  id="kw11-amplitude"),
+    # the one stopping rule: a step count is refused, 0 too
+    pytest.param(dict(n_policy=3), "^n_policy must be 'auto', got 3$", id="n_policy-3"),
+    pytest.param(dict(n_policy=0), "^n_policy must be 'auto', got 0$", id="n_policy-0"),
 ])
 def test_plan_validation(kw, match):
     with pytest.raises(ValueError, match=match):
@@ -805,26 +804,6 @@ def test_noise_study_requires_baseline():
         noise_study(small_plan(noise_eps=(1e-3,)))
 
 
-def test_forced_steps_leave_the_noise_inflation_to_the_deflated_pair():
-    # a forced step count counts GMRES steps on what the first guess c y
-    # along the deflated Ritz vector y leaves of z.  At this level y holds
-    # 99.96% of z (``deflated``), and c y already sums every round trip's
-    # positively correlated noise mass along it: the inflation with no step
-    # is that of one, two or eight to rounding, and a forced eight stops
-    # after two as a breakdown
-    inflations, steps = [], []
-    for n_terms in (0, 1, 2, 8):
-        plan = small_plan(levels=(32,), noise_eps=(0.0, 0.5), n_policy=n_terms)
-        rows, table = noise_study(plan)
-        noisy = [t for t in table if t.noise_eps > 0][0]
-        inflations.append(abs(noisy.inflation))
-        steps.append(rows[0].n_used)
-        assert rows[0].deflated > 0.999
-    assert steps == [0, 1, 2, 2]
-    assert inflations[0] > 0
-    assert max(abs(i - inflations[0]) for i in inflations) <= 1e-9 * inflations[0]
-
-
 # -- reports ----------------------------------------------------------------------
 
 
@@ -863,11 +842,12 @@ def test_noise_table_and_summary_carry_the_noise_gain():
     plan = small_plan(levels=(8,), noise_eps=(0.0, 1e-3))
     rows, table = noise_study(plan)
     assert [t.noise_gain for t in table] == [None, rows[1].noise_gain]
-    # the ratio divides by the paper's N, not by the GMRES steps of a forced solve
-    forced_rows, forced = noise_study(small_plan(levels=(8,), noise_eps=(0.0, 1e-3), n_policy=2))
-    row = forced_rows[1]
-    assert row.n_used == 2 != row.n_neumann
-    assert forced[1].ratio == forced[1].inflation / (row.n_neumann * plan.tau * 1e-3)
+    # the ratio divides by the paper's N, not by the GMRES steps, which at
+    # 64 cells are fewer
+    fine_rows, fine = noise_study(small_plan(levels=(64,), noise_eps=(0.0, 1e-3)))
+    row = fine_rows[1]
+    assert row.n_used < row.n_neumann
+    assert fine[1].ratio == fine[1].inflation / (row.n_neumann * plan.tau * 1e-3)
     summary = summary_dict(plan, rows, None, {}, noise_table=table)
     assert [r["noise_gain"] for r in summary["rows"]] == [None, rows[1].noise_gain]
     assert summary["noise_table"][1]["noise_gain"] == rows[1].noise_gain

@@ -386,6 +386,23 @@ def test_unit_noise_in_place_is_unit_noise_in_the_traces_buffer(is_complex):
     assert np.array_equal(unit.samples, expected.samples)
 
 
+def test_unit_noise_reads_none_of_its_fresh_buffer(monkeypatch):
+    # the buffer np.empty returns may hold nan, which the trace built on it
+    # used to refuse before any draw was stored
+    trace = ObservationTrace("wave", np.zeros((70, 33)), 0.69, 0.01)
+    expected = unit_noise(trace, seed=9).samples
+    fresh = np.empty
+
+    def garbage(shape, dtype=float, **kwargs):
+        out = fresh(shape, dtype, **kwargs)
+        if np.issubdtype(out.dtype, np.inexact):
+            out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", garbage)
+    assert np.array_equal(unit_noise(trace, seed=9).samples, expected)
+
+
 def test_unit_noise_memory_is_one_trace():
     rng = np.random.default_rng(4)
     samples = rng.standard_normal((1025, 1023)) + 1j * rng.standard_normal((1025, 1023))
@@ -534,7 +551,8 @@ def test_trace_file_roundtrip_bit_exact(tmp_path, samples):
 _V2_HEADER = {"format": "bafobs-trace-2", "equation": "wave", "length": 1.0, "n_cells": 5,
               "tau": 1.0, "dt": 0.5, "n_steps": 2, "complex": False,
               "noise": {"amplitude": 0.0, "seed": 0},
-              "profile": {"a": 0.2, "b": 0.8, "smoothness": 2, "constant": None}}
+              "profile": {"a": 0.2, "b": 0.8, "smoothness": 2, "constant": None},
+              "refine": 1, "provenance": "clean"}
 
 
 def _npy_trace(path, payload, cut=None, tail=b"", **header):
@@ -608,6 +626,8 @@ def test_trace_file_rejects_unknown_format(tmp_path):
             read_trace(path)
 
 
+_PROVENANCE_RULE = ("trace provenance must be 'clean', 'mesh-refined', 'noisy' or "
+                    "'unit-noise'")
 _NOISE_KEYS = "trace header noise must be an object with exactly the keys amplitude, seed"
 _PROFILE_KEYS = ("trace header profile must be an object with exactly the keys a, b, "
                  "smoothness, constant")
@@ -626,7 +646,10 @@ _PROFILE_KEYS = ("trace header profile must be an object with exactly the keys a
      "trace header n_cells must be an integer >= 2, got None"),
     (json.dumps({k: v for k, v in _V2_HEADER.items() if k != "length"}),
      "trace header length must be a positive number, got None"),
-], ids=["number", "list", "missing-keys", "no-noise", "no-profile", "no-n_cells", "no-length"])
+    (json.dumps({k: v for k, v in _V2_HEADER.items() if k != "refine"}),
+     "trace header refine must be an integer >= 1, got None"),
+], ids=["number", "list", "missing-keys", "no-noise", "no-profile", "no-n_cells", "no-length",
+        "no-refine"])
 def test_trace_file_rejects_malformed_header(tmp_path, header_line, message):
     path = tmp_path / "bad.txt"
     path.write_text(header_line + "\n1.0\n", encoding="utf-8")
@@ -665,11 +688,22 @@ def test_trace_file_rejects_malformed_header(tmp_path, header_line, message):
     ("length", 0.5, "trace header profile.b must be less than the length 0.5, got 0.8"),
     ("n_cells", 1, "trace header n_cells must be an integer >= 2, got 1"),
     ("n_cells", 4, "trace payload must have n_cells - 1 = 3 columns, got 4"),
+    # refine and provenance used to be read unchecked, or not at all
+    ("refine", "x", "trace header refine must be an integer >= 1, got 'x'"),
+    ("refine", 0, "trace header refine must be an integer >= 1, got 0"),
+    ("refine", True, "trace header refine must be an integer >= 1, got True"),
+    ("refine", 1.5, "trace header refine must be an integer >= 1, got 1.5"),
+    ("provenance", [1, 2], f"{_PROVENANCE_RULE}, got [1, 2]"),
+    ("provenance", 42, f"{_PROVENANCE_RULE}, got 42"),
+    ("provenance", None, f"{_PROVENANCE_RULE}, got None"),
+    ("provenance", "raw", f"{_PROVENANCE_RULE}, got 'raw'"),
 ], ids=["n_steps-str", "n_steps-bool", "n_steps-zero", "tau-str", "tau-inf",
         "tau-int-past-float", "dt-null", "dt-negative", "complex-str", "complex-int", "equation-int",
         "noise-negative", "noise-str", "noise-number", "profile-null", "profile-list",
         "noise-amplitude-negative", "noise-seed-str", "noise-extra-key", "profile-smoothness-7",
-        "profile-window-below-0", "length-short-of-window", "n_cells-1", "n_cells-not-columns"])
+        "profile-window-below-0", "length-short-of-window", "n_cells-1", "n_cells-not-columns",
+        "refine-str", "refine-zero", "refine-bool", "refine-float", "provenance-list",
+        "provenance-int", "provenance-null", "provenance-unknown"])
 def test_trace_file_rejects_header_value_of_wrong_kind(tmp_path, key, value, message):
     path = _npy_trace(tmp_path / "kind.txt", _V2_SAMPLES, **{key: value})
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -749,7 +783,7 @@ def test_minimal_mesh_pipeline_runs():
                            truth=FieldSpec(kind="sine", coefficients=(1.0,)))
     trace = generate_observation(inst, refine=2)
     engine = BackAndForth("schrodinger", ops, 0.25, 4)
-    res = engine.neumann_reconstruct(trace, n_terms=2)
+    res = engine.neumann_reconstruct(trace, engine.estimate_eta())
     assert res.estimate.shape == (1,)
     assert np.isfinite(res.estimate).all()
 
@@ -772,7 +806,7 @@ def test_single_mode_recovery_within_first_order_envelope():
         trace = generate_observation(inst, refine=1)
         engine = BackAndForth("schrodinger", ops, inst.dt, n)
         eta = engine.estimate_eta(tol=1e-6, max_iter=80, seed=11)
-        res = engine.neumann_reconstruct(trace, eta_hat=eta.value)
+        res = engine.neumann_reconstruct(trace, eta)
         err = reconstruction_error("schrodinger", truth, res.estimate, ops)
         assert err <= 25.0 * (mesh.h + inst.dt)
         errors[n] = err

@@ -2,7 +2,10 @@ import itertools
 import math
 import re
 import tracemalloc
+import warnings
+from dataclasses import replace
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -953,56 +956,73 @@ def _sine_trace(engine, coefficients=(1.0,)):
     return generate_observation(inst, refine=2)
 
 
+def _eta(value, pair=None):
+    """A converged estimate of value, carrying the Ritz pair (y, L y) if given."""
+    return EtaEstimate(value, True, 1, ritz_pair=pair)
+
+
+def _solve_in(engine, trace, steps, pair=None):
+    """The solve of trace that takes exactly `steps` GMRES steps, short of a
+    breakdown: a stopping rule no step meets (eta_hat = 1e-300), capped at
+    `steps`, which warns that it is capped and that eta_hat is short of
+    every Ritz value."""
+    with mock.patch.object(observers, "AUTO_N_CAP", steps), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return engine.neumann_reconstruct(trace, _eta(1e-300, pair))
+
+
 def test_ritz_value_past_eta_hat_warns(engines):
     # an eta_hat that missed the dominant mode: the solve's Krylov space
     # holds a Ritz value near the true eta, twice eta_hat, and the solve says so
     _, schrod, _ = engines
     trace = _sine_trace(schrod)
-    eta = schrod.estimate_eta(seed=3).value
-    quiet = schrod.neumann_reconstruct(trace, eta_hat=eta)
+    est = replace(schrod.estimate_eta(seed=3), ritz_pair=None)
+    eta = est.value
+    quiet = schrod.neumann_reconstruct(trace, est)
     assert quiet.ritz_max <= eta * (1.0 + RATIO_SLACK)
     with pytest.warns(RuntimeWarning, match=r"Ritz value of L of modulus \S+, more than "
                       r"eta_hat = \S+ allows") as caught:
-        low = schrod.neumann_reconstruct(trace, eta_hat=eta / 2)
+        low = schrod.neumann_reconstruct(trace, replace(est, value=eta / 2))
     (warning,) = caught
     assert warning.filename == __file__
     assert low.ritz_max > eta / 2 * (1.0 + RATIO_SLACK)
-    # no step, no Ritz value and no residual
-    bare = schrod.neumann_reconstruct(trace, n_terms=0)
-    assert (bare.ritz_max, bare.residual) == (None, None)
 
 
 def test_reconstruct_zero_trace_gives_zero(engines):
     # a zero first iterate is its own solution: no step runs and nothing is
-    # divided by its zero norm, with a given step count or the automatic rule;
-    # its polynomial is the identity
+    # divided by its zero norm, and a pair is not deflated; with no step
+    # there is no Ritz value and no residual, and the polynomial is the
+    # identity
     ops, schrod, wave = engines
     for engine in (schrod, wave):
         trace = _zero_trace(engine.equation, ops.n, engine.n_steps, engine.dt)
-        for kwargs in ({"n_terms": 4}, {"eta_hat": 0.5}):
-            with np.errstate(all="raise"):
-                res = engine.neumann_reconstruct(trace, **kwargs)
-            assert np.all(engine._flat(res.estimate) == 0)
-            assert (res.n_used, res.residual_norms) == (0, (0.0,))
-            assert (res.residual, res.ritz_max, res.n_capped) == (None, None, False)
+        with np.errstate(all="raise"):
+            res = engine.neumann_reconstruct(trace, _eta(0.5, _pairs(engine)))
+        assert np.all(engine._flat(res.estimate) == 0)
+        assert (res.n_used, res.residual_norms) == (0, (0.0,))
+        assert (res.residual, res.ritz_max, res.n_capped) == (None, None, False)
+        assert res.deflated is None and res.polynomial.deflation is None
         other = _sine_trace(engine)
-        replayed = engine.neumann_reconstruct(other, polynomial=res.polynomial).estimate
+        replayed = engine.neumann_reconstruct(other, _eta(0.5),
+                                              polynomial=res.polynomial).estimate
         assert np.array_equal(engine._flat(replayed), engine._flat(engine.first_iterate(other)))
 
 
 @pytest.mark.parametrize("equation", ["schrodinger", "wave"])
+@pytest.mark.filterwarnings("ignore:the solve's Krylov space holds a Ritz value")
 def test_lucky_breakdown_returns_the_exact_solution(engines, monkeypatch, equation):
-    # a Krylov space that L leaves invariant ends the solve, even with more
-    # steps asked for: for L = 0 the new direction is exactly zero, for
-    # L = I / 2 it is rounding; the estimate is z / (1 - lambda)
+    # a Krylov space that L leaves invariant ends the solve, also under a
+    # rule that rounding does not meet (eta_hat = 1e-300): for L = 0 the new
+    # direction is exactly zero, for L = I / 2 it is rounding; the estimate
+    # is z / (1 - lambda)
     _, schrod, wave = engines
     engine = schrod if equation == "schrodinger" else wave
     trace = _sine_trace(engine)
     z = engine._flat(engine.first_iterate(trace))
     for lam in (0.0, 0.5):
         monkeypatch.setattr(engine, "_round_trip", lambda u, lam=lam: lam * u)
-        for kwargs in ({"n_terms": 5}, {"eta_hat": 0.6}):
-            res = engine.neumann_reconstruct(trace, **kwargs)
+        for eta_hat in (1e-300, 0.6):
+            res = engine.neumann_reconstruct(trace, _eta(eta_hat))
             assert res.n_used == 1
             assert res.residual <= 1e-15
             x = engine._flat(res.estimate)
@@ -1030,40 +1050,30 @@ def test_final_residual_meets_the_stopping_rule(engines, equation):
     _, schrod, wave = engines
     engine = schrod if equation == "schrodinger" else wave
     trace = _sine_trace(engine, (1.0, 0.5))
-    eta = engine.estimate_eta(seed=3).value
+    est = engine.estimate_eta(seed=3)
+    eta = est.value
     for pair, theta in itertools.product((None, _pairs(engine)), (1.0, 2.0)):
-        res = engine.neumann_reconstruct(trace, eta_hat=eta, theta=theta, ritz_pair=pair)
+        res = engine.neumann_reconstruct(trace, replace(est, ritz_pair=pair), theta=theta)
         assert (res.deflated is None) == (pair is None)
         z, x = engine.first_iterate(trace), res.estimate
         r = combine((1.0, z), (-1.0, x), (1.0, engine.apply_L(x)))
         relative = engine.x_norm(r) / engine.x_norm(z)
         assert relative <= res.residual <= eta * (engine.ops.mesh.h ** theta + engine.dt)
         assert res.n_used >= 1 and not res.n_capped
-        # one step fewer does not meet the rule
-        short = engine.neumann_reconstruct(trace, n_terms=res.n_used - 1, ritz_pair=pair)
-        if short.residual is not None:
-            assert short.residual > eta * (engine.ops.mesh.h ** theta + engine.dt)
-
-
-def test_reconstruct_n_zero_equals_first_iterate(engines):
-    ops, schrod, _ = engines
-    truth = FieldSpec(kind="sine", coefficients=(1.0,))
-    inst = ProblemInstance("schrodinger", ops.mesh, ops.profile, tau=1.0,
-                           n_steps=32, truth=truth)
-    trace = generate_observation(inst, refine=2)
-    res = schrod.neumann_reconstruct(trace, n_terms=0)
-    assert np.array_equal(res.estimate, schrod.first_iterate(trace))
-    assert res.n_used == 0
+        # no step before the last meets the rule: the solve stops at the first
+        target = eta * (engine.ops.mesh.h ** theta + engine.dt) * res.residual_norms[0]
+        assert all(norm > target for norm in res.residual_norms[1:-1])
 
 
 @settings(max_examples=30, deadline=None)
 @given(equation=st.sampled_from(["schrodinger", "wave"]),
-       seed=st.integers(0, 2**32 - 1), n_terms=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1), steps=st.integers(0, 4),
        a=st.floats(-2.0, 2.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-3),
        b=st.floats(-2.0, 2.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-3))
-def test_reconstruct_linear_in_trace(engines, equation, seed, n_terms, a, b):
+def test_reconstruct_linear_in_trace(engines, equation, seed, steps, a, b):
     # a solve is not linear in its trace, since its polynomial depends on z;
-    # the replay of one solve's polynomial is, to rounding
+    # the replay of one solve's polynomial is, to rounding.  A solve of 0
+    # steps is that of a zero trace, whose polynomial is the identity
     ops, schrod, wave = engines
     engine = schrod if equation == "schrodinger" else wave
     rng = np.random.default_rng(seed)
@@ -1076,13 +1086,15 @@ def test_reconstruct_linear_in_trace(engines, equation, seed, n_terms, a, b):
         y = rng.standard_normal(shape)
         return y + 1j * rng.standard_normal(shape) if equation == "schrodinger" else y
 
-    y0, y1, y2 = draw(), draw(), draw()
-    solve = engine.neumann_reconstruct(trace(y0), n_terms=n_terms)
-    # a solve exact to rounding stops short of n_terms
-    assert solve.polynomial.steps == solve.n_used <= n_terms
+    y1, y2 = draw(), draw()
+    y0 = draw() if steps else np.zeros_like(y1)
+    solve = _solve_in(engine, trace(y0), steps)
+    # a solve exact to rounding stops short of its cap
+    assert solve.polynomial.steps == solve.n_used <= steps
 
     def estimate(samples):
-        res = engine.neumann_reconstruct(trace(samples), polynomial=solve.polynomial)
+        res = engine.neumann_reconstruct(trace(samples), _eta(0.5),
+                                         polynomial=solve.polynomial)
         assert res.n_used == solve.n_used
         return engine._flat(res.estimate)
 
@@ -1109,9 +1121,9 @@ def test_reconstruct_tail_bound_against_long_run(engines):
     for n in (2, 4, 8):
         dev = schrod.x_norm(long_run - sums[n])
         assert dev <= eta.value ** (n + 1) / (1 - eta.value) * z0_norm * 1.01
-        solve = schrod.neumann_reconstruct(trace, n_terms=n)
-        dev = schrod.x_norm(long_run - solve.estimate)
-        assert dev <= solve.residual_norms[-1] / (1 - eta.value) * 1.01 + 1e-14 * z0_norm
+        x, _, residuals = gmres(schrod._round_trip, schrod._x_gram.matvec, terms[0], n)
+        dev = schrod.x_norm(long_run - x)
+        assert dev <= residuals[-1] / (1 - eta.value) * 1.01 + 1e-14 * z0_norm
 
 
 def test_reconstruct_increment_ratios_bounded_by_eta(engines):
@@ -1162,27 +1174,32 @@ def test_reconstruct_auto_floors_and_caps(engines, monkeypatch):
     # still takes one; a rule not met in AUTO_N_CAP steps warns and stops there
     ops, schrod, wave = engines
     trace = _sine_trace(schrod, (1.0, 0.5))
-    res = schrod.neumann_reconstruct(trace, eta_hat=0.999, theta=1e-9)
+    res = schrod.neumann_reconstruct(trace, _eta(0.999), theta=1e-9)
     assert res.n_used == 1 and not res.n_capped
     trace = _sine_trace(wave)
-    eta = wave.estimate_eta(seed=3).value
-    one_step = wave.neumann_reconstruct(trace, n_terms=1)
+    eta = wave.estimate_eta(seed=3)
+    _, _, one_step = gmres(wave._round_trip, wave._x_gram.matvec,
+                           wave._flat(wave.first_iterate(trace)), 1)
     theta = 20.0                # h^theta vanishes: the rule asks for eta_hat dt
-    assert one_step.residual > eta * wave.dt
+    assert one_step[1] / one_step[0] > eta.value * wave.dt
     monkeypatch.setattr(observers, "AUTO_N_CAP", 1)
     with pytest.warns(RuntimeWarning, match="capping at 1") as caught:
-        res = wave.neumann_reconstruct(trace, eta_hat=eta, theta=theta)
+        res = wave.neumann_reconstruct(trace, eta, theta=theta)
     (warning,) = caught
     assert warning.filename == __file__
     assert res.n_capped and res.n_used == 1
-    assert res.residual == one_step.residual
+    assert res.residual == one_step[1] / one_step[0]
 
 
-def test_reconstruct_auto_needs_eta(engines):
+def test_reconstruct_needs_a_certified_eta(engines):
+    # the stopping rule needs a contraction, eta_hat in (0, 1), and the
+    # solve refuses any other
     ops, schrod, _ = engines
     trace = _zero_trace("schrodinger", ops.n, schrod.n_steps, schrod.dt)
-    with pytest.raises(ValueError, match="eta_hat"):
-        schrod.neumann_reconstruct(trace)
+    for value in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError, match=re.escape(
+                f"contraction not certified: eta_hat = {value} is not in (0, 1)")):
+            schrod.neumann_reconstruct(trace, _eta(value))
 
 
 def test_trace_validation(engines):
@@ -1259,7 +1276,9 @@ def _plain_solve(engine, trace, eta_hat, theta=1.0):
 
 def test_no_pair_is_plain_gmres_bit_for_bit(engines):
     # no pair to deflate: an estimate that ran out of steps, a complex
-    # dominant pair, or the wave's estimate
+    # dominant pair, the wave's estimate, or Schrodinger's with its pair
+    # dropped; passed whole, Schrodinger's converged estimate deflates its
+    # pair, and the row records the share of z along its vector y
     ops, schrod, wave = engines
     with pytest.warns(RuntimeWarning, match="did not converge"):
         unconverged = schrod.estimate_eta(max_iter=2, tol=1e-12, seed=11)
@@ -1275,11 +1294,18 @@ def test_no_pair_is_plain_gmres_bit_for_bit(engines):
         trace = _sine_trace(engine, (1.0, 0.5))
         eta = engine.estimate_eta(seed=3)
         x, residuals = _plain_solve(engine, trace, eta.value)
-        pair = None if engine is schrod else eta.ritz_pair
-        res = engine.neumann_reconstruct(trace, eta_hat=eta.value, ritz_pair=pair)
+        assert (eta.ritz_pair is None) == (engine is wave)
+        res = engine.neumann_reconstruct(trace, replace(eta, ritz_pair=None))
         assert res.deflated is None and res.polynomial.deflation is None
         assert np.array_equal(engine._flat(res.estimate), x)
         assert res.residual_norms == residuals
+    trace, eta = _sine_trace(schrod, (1.0, 0.5)), schrod.estimate_eta(seed=3)
+    whole = schrod.neumann_reconstruct(trace, eta)
+    assert whole.polynomial.deflation is not None
+    assert not np.array_equal(whole.estimate, _plain_solve(schrod, trace, eta.value)[0])
+    z, y = schrod.first_iterate(trace), eta.ritz_vector
+    share = abs(schrod.x_inner(z, y)) / (schrod.x_norm(y) * schrod.x_norm(z))
+    assert whole.deflated == pytest.approx(share, rel=1e-12)
 
 
 def test_a_poor_pair_never_makes_the_start_worse(engines):
@@ -1291,8 +1317,7 @@ def test_a_poor_pair_never_makes_the_start_worse(engines):
         trace = _sine_trace(engine, (1.0, 0.5))
         eta = engine.estimate_eta(seed=3)
         v = combine((1.0, eta.ritz_vector), (0.5, engine.random_state(4)))
-        res = engine.neumann_reconstruct(trace, eta_hat=eta.value,
-                                         ritz_pair=(v, engine.apply_L(v)))
+        res = engine.neumann_reconstruct(trace, replace(eta, ritz_pair=(v, engine.apply_L(v))))
         assert res.polynomial.deflation is not None and 0.0 < res.deflated < 1.0
         z, x = engine.first_iterate(trace), res.estimate
         r = combine((1.0, z), (-1.0, x), (1.0, engine.apply_L(x)))
@@ -1304,7 +1329,7 @@ def test_a_poor_pair_never_makes_the_start_worse(engines):
 
 @pytest.mark.parametrize("equation", ["schrodinger", "wave"])
 def test_deflated_residuals_are_exact_norms(engines, monkeypatch, equation):
-    # on a diagonal L = A and a pair (v, A v), v random, one step reports
+    # on a diagonal L = A and a pair (v, A v), v random, the first step reports
     # the residual of the iterate c v + x_1, x_1 one GMRES step on rest =
     # z - c w, w = v - A v, c = (z, w)_X / ||w||_X^2: the least ||rest - a (I -
     # A) rest||_X over a, computed here by hand
@@ -1325,24 +1350,24 @@ def test_deflated_residuals_are_exact_norms(engines, monkeypatch, equation):
     rest = z - inner(z, w) / inner(w, w).real * w
     image = rest - diag * rest
     step = rest - inner(rest, image) / inner(image, image).real * image
-    res = engine.neumann_reconstruct(trace, n_terms=1,
-                                     ritz_pair=(engine._state(v), engine._state(diag * v)))
-    assert res.n_used == 1
+    res = engine.neumann_reconstruct(trace, _eta(0.6, (engine._state(v),
+                                                       engine._state(diag * v))))
+    assert res.n_used >= 1
     assert res.residual_norms[1] == pytest.approx(observers._norm(gram, step), rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
 @given(equation=st.sampled_from(["schrodinger", "wave"]),
-       seed=st.integers(0, 2**32 - 1), n_terms=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1), steps=st.integers(0, 3),
        a=st.floats(-2.0, 2.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-3),
        b=st.floats(-2.0, 2.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-3))
-def test_deflated_replay_is_linear_in_trace(engines, equation, seed, n_terms, a, b):
+def test_deflated_replay_is_linear_in_trace(engines, equation, seed, steps, a, b):
     # S(u) = c(u) y + q(L)(u - c(u) w), w = y - L y and c(u) = (u, w)_X /
     # ||w||_X^2, is linear in u, so the replay of a deflated solve is linear
-    # in the trace, and on the solve's own trace it is the solve
+    # in the trace, and on the solve's own trace it is the solve.  A solve
+    # of 0 steps deflates a pair (y, y - z), whose w = z leaves no rest
     ops, schrod, wave = engines
     engine = schrod if equation == "schrodinger" else wave
-    pair = _pairs(engine)
     rng = np.random.default_rng(seed)
     shape = (engine.n_steps + 1, ops.n)
 
@@ -1354,11 +1379,18 @@ def test_deflated_replay_is_linear_in_trace(engines, equation, seed, n_terms, a,
         return y + 1j * rng.standard_normal(shape) if equation == "schrodinger" else y
 
     y0, y1, y2 = draw(), draw(), draw()
-    solve = engine.neumann_reconstruct(trace(y0), n_terms=n_terms, ritz_pair=pair)
+    pair = _pairs(engine)
+    if steps == 0:
+        z = engine.first_iterate(trace(y0))
+        y = combine((engine.x_norm(z), pair[0]))   # at z's scale, so w = z to rounding
+        pair = (y, combine((1.0, y), (-1.0, z)))
+    solve = _solve_in(engine, trace(y0), steps, pair)
     assert solve.polynomial.deflation is not None and 0.0 < solve.deflated <= 1.0
+    assert solve.polynomial.steps == solve.n_used <= steps
 
     def estimate(samples):
-        res = engine.neumann_reconstruct(trace(samples), polynomial=solve.polynomial)
+        res = engine.neumann_reconstruct(trace(samples), _eta(0.5),
+                                         polynomial=solve.polynomial)
         assert res.n_used == solve.n_used
         return engine._flat(res.estimate)
 
@@ -1384,28 +1416,6 @@ def _pairs(engine):
     return _PAIRS[engine]
 
 
-def test_given_steps_count_gmres_steps_on_the_remainder(engines):
-    # n_terms = 0 with a pair is c y + rest = z + c L y, rest = z - c w and
-    # w = y - L y; each step more is a GMRES step on rest, so n_terms = 1
-    # lies closer to the solution than 0
-    _, schrod, _ = engines
-    trace = _sine_trace(schrod, (1.0, 0.5))
-    y, image = pair = _pairs(schrod)
-    w = y - image
-    z = schrod.first_iterate(trace)
-    c = schrod.x_inner(z, w) / schrod.x_norm(w) ** 2
-    zero = schrod.neumann_reconstruct(trace, n_terms=0, ritz_pair=pair)
-    expected = z + c * image
-    assert zero.n_used == 0 and zero.residual is None
-    assert np.max(np.abs(zero.estimate - expected)) <= 1e-12 * np.max(np.abs(expected))
-    alpha = schrod.x_inner(z, y) / schrod.x_norm(y)
-    assert zero.deflated == pytest.approx(abs(alpha) / schrod.x_norm(z), rel=1e-12)
-    one = schrod.neumann_reconstruct(trace, n_terms=1, ritz_pair=pair)
-    _, sums = neumann_series(schrod, trace, 50)
-    assert one.n_used == 1
-    assert schrod.x_norm(one.estimate - sums[-1]) < schrod.x_norm(zero.estimate - sums[-1])
-
-
 @pytest.mark.parametrize("equation", ["schrodinger", "wave"])
 def test_first_iterate_along_the_pair_is_solved_exactly(engines, monkeypatch, equation):
     # y = z and L = lambda I: c y, c = 1 / (1 - lambda), is the solution,
@@ -1419,9 +1429,8 @@ def test_first_iterate_along_the_pair_is_solved_exactly(engines, monkeypatch, eq
     lam = 0.5
     monkeypatch.setattr(engine, "_round_trip", lambda u: lam * u)
     pair = (z, engine._state(lam * flat))
-    for kwargs in ({"eta_hat": 0.6}, {"n_terms": 3}):
-        with np.errstate(all="raise"):
-            res = engine.neumann_reconstruct(trace, ritz_pair=pair, **kwargs)
-        assert res.n_used == 0 and res.deflated == pytest.approx(1.0, abs=1e-14)
-        x = engine._flat(res.estimate)
-        assert np.max(np.abs(x - flat / (1.0 - lam))) <= 1e-14 * np.max(np.abs(flat))
+    with np.errstate(all="raise"):
+        res = engine.neumann_reconstruct(trace, _eta(0.6, pair))
+    assert res.n_used == 0 and res.deflated == pytest.approx(1.0, abs=1e-14)
+    x = engine._flat(res.estimate)
+    assert np.max(np.abs(x - flat / (1.0 - lam))) <= 1e-14 * np.max(np.abs(flat))
