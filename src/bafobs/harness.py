@@ -18,7 +18,8 @@ import numpy as np
 from .fem import (EQUATION_RULE, FemOperators, FieldSpec, Mesh1D, ObservationProfile,
                   _is_equation, _is_int, _is_number, _is_positive, _is_seed, assemble,
                   check_equation, check_window, grad_load_vector, load_vector)
-from .models import ProblemInstance, _unit_noise_in_place, check_truth, generate_observation
+from .models import (REFINE_RULE, ProblemInstance, _is_refine, _unit_noise_in_place, check_truth,
+                     generate_observation)
 from .observers import (_ETA_DEFAULTS, BackAndForth, EtaEstimate, ReconstructionResult,
                         WaveState, choose_truncation)
 
@@ -116,7 +117,7 @@ def step_count(equation: str, n_cells: int, steps: float, leaf: str, value) -> i
 _PLAN_LEAVES = (
     ("equation", "equation", _is_equation, EQUATION_RULE),
     ("theta", "theta", _is_positive, "a positive number"),
-    ("refine", "refine", lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    ("refine", "refine", _is_refine, REFINE_RULE),
     ("length", "geometry.length", _is_positive, "a positive number"),
     ("tau", "time.tau", _is_positive, "a positive number"),
     ("noise_seed", "noise.seed", _is_seed, "an integer >= 0"),
@@ -304,8 +305,8 @@ def run_cell(plan: SweepPlan, n_cells: int,
 
     A level holds one trace: u is drawn into the clean trace's buffer, which
     nothing reads once S(clean) is solved, so the level's memory peaks in
-    generation (1.65x the trace's bytes for Schrodinger at 512 cells, 1.49x
-    for the wave; a test holds both under 1.8x).
+    generation (1.38x the trace's bytes for Schrodinger at 512 cells, 1.30x
+    for the wave; a test holds both under 1.45x).
 
     Failures are recorded, not raised: a failure in generation, eta or
     S(clean), which every row shares, marks every row of the level; one in

@@ -35,6 +35,7 @@ GENERATION_BLOCK = 32                  # time rows per block phase
 SYNTHESIS_BLOCK = 8                    # time rows per product, fold and DST-I ...
 SYNTHESIS_MODES = 1023                 # ... from this many fine modes on
 NOISE_CHUNK = 1 << 14                  # noise values drawn at once
+REFINE_RULE = "an integer >= 1"
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,11 @@ class ProblemInstance:
         return self.tau / self.n_steps
 
 
+def _is_refine(v) -> bool:
+    """A mesh refinement factor: an integer, not a bool, of at least 1."""
+    return _is_int(v) and v >= 1
+
+
 def generate_observation(instance: ProblemInstance, refine: int = 1,
                          noise: NoiseSpec | None = None) -> ObservationTrace:
     """Masked, restricted, optionally noisy output samples y^0..y^K.
@@ -106,8 +112,8 @@ def generate_observation(instance: ProblemInstance, refine: int = 1,
     multiplied nodally by the observation weight; noise is drawn straight
     into the samples.
     """
-    if refine < 1:
-        raise ValueError("refine must be at least 1")
+    if not _is_refine(refine):
+        raise ValueError(f"refine must be {REFINE_RULE}, got {refine!r}")
     samples = _clean_samples(instance, refine)
     provenance = "mesh-refined" if refine > 1 else "clean"
     if noise is not None and noise.amplitude != 0.0:
@@ -365,8 +371,8 @@ def read_trace(path) -> tuple[ObservationTrace, dict]:
         mesh = _checked("trace header ", Mesh1D, header.get("n_cells"), header.get("length"))
         _header_object(header, "noise", NoiseSpec, ("amplitude", "seed"))
         refine = header.get("refine")
-        if not (_is_int(refine) and refine >= 1):
-            raise ValueError(f"trace header refine must be an integer >= 1, got {refine!r}")
+        if not _is_refine(refine):
+            raise ValueError(f"trace header refine must be {REFINE_RULE}, got {refine!r}")
         profile = _header_object(header, "profile", ObservationProfile,
                                  ("a", "b", "smoothness", "constant"))
         _checked("trace header profile.", check_window, profile, mesh.length)

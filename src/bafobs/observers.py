@@ -13,12 +13,14 @@ truncation leaves.  The contraction factor eta, estimated by Arnoldi in X
 estimate's dominant Ritz pair (y, L y) is deflated from the solve: its first
 guess is the multiple c y of least residual, and GMRES runs on what that
 leaves, so that every reported residual is an exact norm.  Both run on one
-Arnoldi process.  Each equation has one stepper and one stepping loop, which
-returns the final state only and allocates nothing per step.
+Arnoldi process.  Each equation has one stepper, which binds its buffers
+once, and one stepping loop, which returns the final state only, as a new
+array, and allocates nothing per step.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import warnings
@@ -76,37 +78,39 @@ class SchrodingerStepper:
         self.n_steps = n_steps
         self.system = ShiftedSystem(ops.mass, ops.stiffness, ops.damping_gram,
                                     alpha=1.0, beta=-1j * dt, gamma=dt)
+        # the pass's two state buffers, and per parity of k the product
+        # M q^{k-1} into the buffer not holding q^{k-1}, that buffer, and the
+        # buffer bound to the system for in-place solves: bound here, once
+        self._states = (np.empty(ops.n, complex), np.empty(ops.n, complex))
+        tmp = np.empty(ops.n - 1, complex)
+        self._plans = [(ops.mass.bind(src, dst, tmp), dst, self.system.bind(dst))
+                       for src, dst in (self._states, self._states[::-1])]
 
 
 def run_schrodinger(stepper: SchrodingerStepper, q0: np.ndarray, *,
                     outputs: np.ndarray | None = None) -> np.ndarray:
-    """Advance the Schrodinger scheme n_steps times; the final state.
+    """Advance the Schrodinger scheme n_steps times; the final state, a new array.
 
     outputs, when given, holds the output samples y^1..y^K as rows (a view,
-    reversed or not, is read as it is); step k is driven by the load
-    f^k = G y^k, G the output Gram matrix.  Two state buffers alternate: each
-    step forms M q^{k-1} + dt f^k in the one not holding q^{k-1} and solves
-    there in place, so no step allocates.
+    reversed or not); step k is driven by the load f^k = G y^k, G the output
+    Gram matrix.  The stepper's two state buffers alternate: each step forms
+    M q^{k-1} + dt f^k in the one not holding q^{k-1} and solves there in
+    place, so no step allocates, and a pass only copies q0 in.
     """
     n = stepper.ops.n
-    q = np.array(q0, dtype=complex, order="C")
-    if q.shape != (n,):
-        raise ValueError(f"q0 has shape {q.shape}, expected ({n},)")
+    q0 = np.asarray(q0)
+    if q0.shape != (n,):
+        raise ValueError(f"q0 has shape {q0.shape}, expected ({n},)")
     loads = None if outputs is None else _loads(stepper, outputs, stepper.dt)
-    states = (q, np.empty(n, dtype=complex))
-    tmp = np.empty(n - 1, dtype=complex)
+    stepper._states[0][:] = q0
     solve = stepper.system.solve
-    # per parity of k: the product M q^{k-1} into the other buffer, that
-    # buffer, and the buffer bound to the system for in-place solves
-    plans = [(stepper.ops.mass.bind(src, dst, tmp), dst, stepper.system.bind(dst))
-             for src, dst in (states, states[::-1])]
     for k in range(stepper.n_steps):
-        product, rhs, bound = plans[k & 1]
+        product, rhs, bound = stepper._plans[k & 1]
         product()
         if loads is not None:
-            np.add(rhs, next(loads), out=rhs)
+            np.add(rhs, next(loads), rhs)
         solve(bound)
-    return states[stepper.n_steps & 1]
+    return stepper._states[stepper.n_steps & 1].copy()
 
 
 @dataclass(frozen=True)
@@ -124,7 +128,10 @@ def _loads(stepper, outputs, scale: float):
     output Gram matrix G straight from the rows into one fixed buffer, which
     a ``_Conjugated`` input then conjugates in place (G is real, so
     conj(G y) = G conj(y)); a pass holds O(LOAD_BLOCK n) of loads whatever
-    its step count.  Every product is elementwise, so the loads are bit for
+    its step count.  A reversed view (a backward pass's y^{K-k}) is read in
+    forward order, so that a block of a C-contiguous trace is C-contiguous
+    too and takes the LAPACK product, and the block's loads are then taken
+    last to first.  Every product is elementwise, so the loads are bit for
     bit those of one product over all rows.  The shape is checked here, not
     at the first load.
     """
@@ -134,6 +141,9 @@ def _loads(stepper, outputs, scale: float):
     if outputs.shape != shape:
         raise ValueError(f"outputs has shape {outputs.shape}, expected {shape}: "
                          "one output row per step")
+    reverse = outputs.strides[0] < 0
+    if reverse:
+        outputs = outputs[::-1]
     size = min(LOAD_BLOCK, shape[0])
     dtype = np.result_type(float, outputs.dtype)
     buf = np.empty((size, shape[1]), dtype)
@@ -142,14 +152,15 @@ def _loads(stepper, outputs, scale: float):
 
     def generate():
         for start in range(0, shape[0], size):
-            rows = outputs[start:start + size]
-            m = len(rows)
+            stop = min(start + size, shape[0])
+            rows = outputs[shape[0] - stop:shape[0] - start] if reverse else outputs[start:stop]
+            m = stop - start
             block = buf[:m]
             stepper.ops.output_gram.bind(rows, block, tmp[:m])()
             if conjugate:
                 np.conjugate(block, out=block)
             np.multiply(scale, block, out=block)
-            yield from views[:m]
+            yield from views[m - 1::-1] if reverse else views[:m]
     return generate()
 
 
@@ -179,21 +190,33 @@ class WaveStepper:
         self._stacked = tuple(SymTridiag(np.r_[upper.diag, lower.diag],
                                          np.r_[upper.off, 0.0, lower.off])
                               for upper, lower in ((mass, weight), (weight, mass)))
+        # the pass's (2, n) history, and per parity of k: the product of the
+        # flat history, p^{k-2} in row k & 1 (where p^k is formed) and p^{k-1}
+        # in the other, by the matching block matrix; the subtraction of its
+        # halves, W p^{k-1} - M p^{k-2}, into that row; the row; and the row
+        # bound to the system for in-place solves: bound here, once
+        self._history = history = np.empty((2, ops.n))
+        products, tmp = np.empty((2, ops.n)), np.empty(2 * ops.n - 1)
+        self._plans = [(matrix.bind(history.reshape(-1), products.reshape(-1), tmp),
+                        functools.partial(np.subtract, products[1 - parity],
+                                          products[parity], history[parity]),
+                        history[parity], self.system.bind(history[parity]))
+                       for parity, matrix in enumerate(self._stacked)]
 
 
 def run_wave(stepper: WaveStepper, p0: np.ndarray, p1: np.ndarray, *,
              outputs: np.ndarray | None = None) -> np.ndarray:
     """Advance the wave scheme n_steps times from (p0, p1) = (position, velocity).
 
-    Returns the final state as one (2n,) array [p^K; D_t p^K], D_t the
+    Returns the final state as one new (2n,) array [p^K; D_t p^K], D_t the
     backward difference.
     outputs, as for ``run_schrodinger``, holds y^1..y^K; the explicit first
-    step reads none, so y^1 is never used.  A (2, n) history holds p^{k-1}
-    and p^{k-2} in alternating rows: each step forms (2M + dt B) p^{k-1} and
-    M p^{k-2} as one block-diagonal product over the flat history, writes
-    their difference (plus dt^2 f^k) over p^{k-2} and solves there in place,
-    so no step allocates.  A zero coupling adds only +-0, so the states are
-    those of two separate products.
+    step reads none, so y^1 is never used.  The stepper's (2, n) history
+    holds p^{k-1} and p^{k-2} in alternating rows: each step forms
+    (2M + dt B) p^{k-1} and M p^{k-2} as one block-diagonal product over the
+    flat history, writes their difference (plus dt^2 f^k) over p^{k-2} and
+    solves there in place, so no step allocates.  A zero coupling adds only
+    +-0, so the states are those of two separate products.
     """
     n = stepper.ops.n
     pos0 = np.asarray(p0, dtype=float)
@@ -204,26 +227,16 @@ def run_wave(stepper: WaveStepper, p0: np.ndarray, p1: np.ndarray, *,
     loads = None if outputs is None else _loads(stepper, outputs, dt * dt)
     if loads is not None:
         next(loads)                     # y^1 drives no step
-    history = np.empty((2, n))
+    history = stepper._history
     history[0] = pos0
     np.add(pos0, dt * vel0, out=history[1])
-    products = np.empty((2, n))
-    tmp = np.empty(2 * n - 1)
     solve = stepper.system.solve
-    # per parity of k: the product of the flat history, p^{k-2} in row k & 1
-    # (where p^k is formed) and p^{k-1} in the other, by the matching block
-    # matrix; the halves holding W p^{k-1} and M p^{k-2}; that row; and the
-    # row bound to the system for in-place solves
-    plans = [(matrix.bind(history.reshape(-1), products.reshape(-1), tmp),
-              products[1 - parity], products[parity], history[parity],
-              stepper.system.bind(history[parity]))
-             for parity, matrix in enumerate(stepper._stacked)]
     for k in range(2, stepper.n_steps + 1):
-        product, weighted, massed, rhs, bound = plans[k & 1]
+        product, difference, rhs, bound = stepper._plans[k & 1]
         product()
-        np.subtract(weighted, massed, out=rhs)
+        difference()
         if loads is not None:
-            np.add(rhs, next(loads), out=rhs)
+            np.add(rhs, next(loads), rhs)
         solve(bound)
     last, before = history[stepper.n_steps & 1], history[1 - (stepper.n_steps & 1)]
     return np.concatenate([last, (last - before) / dt])
@@ -304,25 +317,31 @@ def arnoldi_process(apply_op: Callable, gram: Callable, start: np.ndarray,
 
     States are flat 1-d arrays, and gram(u) = X u gives the inner product
     (u, v)_X = v^H X u.  V holds the X-orthonormal v_1..v_m as the first m
-    rows of one array, which grows by doubling, so its storage follows the
-    steps taken, as does the complex (m+1) x m Hessenberg H with
-    apply_op(v_j) = sum_i H[i, j] v_i; w = H[m, m-1] v_{m+1} is the part of
-    apply_op(v_m) outside V.  Each step applies the operator once
-    and orthogonalizes against the whole basis by classical Gram-Schmidt
-    with one reorthogonalization pass (CGS2), so operators that are only
-    nearly self-adjoint in X are handled; each pass forms gram(w) once and
-    then takes two matrix-vector products.  The caller stops by leaving the
-    loop; after a breakdown, H[m, m-1] = 0, there is nothing to normalize and
-    the process ends.
+    rows of one array, and H is the complex (m+1) x m Hessenberg with
+    apply_op(v_j) = sum_i H[i, j] v_i, a view into one zeroed array; both
+    arrays grow by doubling, so their storage follows the steps taken.
+    w = H[m, m-1] v_{m+1} is the part of apply_op(v_m) outside V; later steps
+    leave the entries of the views V and H as they are.  Each step applies
+    the operator once and orthogonalizes against the whole basis by
+    classical Gram-Schmidt with one reorthogonalization pass (CGS2), so
+    operators that are only nearly self-adjoint in X are handled; each pass
+    forms gram(w) once and then takes two matrix-vector products.  The
+    caller stops by leaving the loop; after a breakdown, H[m, m-1] = 0, there
+    is nothing to normalize and the process ends.
     """
     nrm = _norm(gram, start)
     if nrm == 0.0:
         raise ValueError("start vector must be nonzero")
     basis = np.empty((min(8, max_steps + 1), start.size), start.dtype)
     basis[0] = start * (1.0 / nrm)
-    hess = np.zeros((1, 0), dtype=complex)   # sized by the steps taken, not max_steps
+    cols = min(8, max_steps)
+    hess = np.zeros((cols + 1, cols), dtype=complex)
     for m in range(1, max_steps + 1):
-        hess = np.pad(hess, ((0, 1), (0, 1)))
+        if m > cols:
+            grown = np.zeros((2 * cols + 1, 2 * cols), dtype=complex)
+            grown[:m, :cols] = hess
+            hess, cols = grown, 2 * cols
+        H = hess[:m + 1, :m]
         w = apply_op(basis[m - 1])
         if w.dtype != basis.dtype:
             basis = basis.astype(np.result_type(basis, w))
@@ -330,9 +349,9 @@ def arnoldi_process(apply_op: Callable, gram: Callable, start: np.ndarray,
         for _ in range(2):
             coeffs = V.conj() @ gram(w)
             w = w - coeffs @ V
-            hess[:m, m - 1] += coeffs
-        hess[m, m - 1] = beta = _norm(gram, w)
-        yield V, hess, w
+            H[:m, m - 1] += coeffs
+        H[m, m - 1] = beta = _norm(gram, w)
+        yield V, H, w
         if beta == 0.0:
             return
         if m == len(basis):
@@ -516,7 +535,8 @@ class BackAndForth:
     """Observer pair and round-trip operator for one discretization.
 
     Holds the one prefactored stepper of a (mesh, dt, n_steps) triple, which
-    runs both passes; all methods are pure given the immutable stepper.
+    runs both passes over the buffers it holds: an engine runs one pass at a
+    time, and every result is a fresh array.
     """
 
     def __init__(self, equation: str, ops: FemOperators, dt: float, n_steps: int):

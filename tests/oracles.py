@@ -9,7 +9,10 @@ field that shows the projection's decay outside the regularity class the
 analysis assumes.  power_iteration is the reference eta estimator that the
 package's Arnoldi estimate is checked against, list_arnoldi that Arnoldi as
 it was written with a list basis and one inner product per basis vector,
-which the one-array basis must reproduce, and pencil_vectors the dense
+which the one-array basis must reproduce, padded_arnoldi_process the
+package's Arnoldi process as it was when its Hessenberg grew by np.pad
+every step, which the doubling Hessenberg must reproduce, and
+pencil_vectors the dense
 eigenvector matrix that the package's closed-form pencil only ever applies
 by DST-I.  The per-step functions schrodinger_step
 / wave_step and the two history helpers that drive them are the exception:
@@ -403,6 +406,36 @@ def list_arnoldi(apply_op: Callable, inner: Callable, start,
             return EtaEstimate(theta, True, m, combine(*zip(y, basis)))
         basis.append(combine((1.0 / beta, w)))
     return EtaEstimate(theta, False, max_iter)
+
+
+def padded_arnoldi_process(apply_op: Callable, gram: Callable, start: np.ndarray,
+                           max_steps: int):
+    """observers.arnoldi_process with its Hessenberg grown by np.pad, one
+    row and one column a step, a new array every step: after step m it
+    yields (V, H, w), V the first m rows of the doubling basis."""
+    def norm(u) -> float:
+        return math.sqrt(max(np.real(np.vdot(u, gram(u))), 0.0))
+
+    basis = np.empty((min(8, max_steps + 1), start.size), start.dtype)
+    basis[0] = start * (1.0 / norm(start))
+    hess = np.zeros((1, 0), dtype=complex)
+    for m in range(1, max_steps + 1):
+        hess = np.pad(hess, ((0, 1), (0, 1)))
+        w = apply_op(basis[m - 1])
+        if w.dtype != basis.dtype:
+            basis = basis.astype(np.result_type(basis, w))
+        V = basis[:m]
+        for _ in range(2):
+            coeffs = V.conj() @ gram(w)
+            w = w - coeffs @ V
+            hess[:m, m - 1] += coeffs
+        hess[m, m - 1] = beta = norm(w)
+        yield V, hess, w
+        if beta == 0.0:
+            return
+        if m == len(basis):
+            basis = np.concatenate([basis, np.empty_like(basis)])
+        basis[m] = w * (1.0 / beta)
 
 
 def schrodinger_step(stepper, q: np.ndarray,

@@ -769,8 +769,13 @@ def test_trace_header_is_read_exactly_when_its_types_build(tmp_path, objects):
 
 
 def test_generate_rejects_bad_refine(schrod_instance):
-    with pytest.raises(ValueError, match="refine"):
-        generate_observation(schrod_instance, refine=0)
+    # the plan's and the trace header's rule: an integer >= 1, not a bool.
+    # True used to build a trace whose header read_trace refuses, "x" raised
+    # TypeError and 1.5 failed in Mesh1D with a message that named n_cells
+    for refine in (True, "x", 1.5, 0):
+        with pytest.raises(ValueError) as err:
+            generate_observation(schrod_instance, refine=refine)
+        assert str(err.value) == f"refine must be an integer >= 1, got {refine!r}"
 
 
 def test_minimal_mesh_pipeline_runs():

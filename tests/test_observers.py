@@ -26,7 +26,8 @@ from oracles import (backward_schrodinger_stepper, combine, dense, dense_round_t
                      dense_schrodinger_pass, dense_wave_pass, exact_damped_schrodinger,
                      list_arnoldi, neumann_series, norm_alpha, old_apply_L,
                      old_backward_observer, old_first_iterate, old_neumann_estimate,
-                     pencil_vectors, power_iteration, schrodinger_history, wave_history)
+                     padded_arnoldi_process, pencil_vectors, power_iteration,
+                     schrodinger_history, wave_history)
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +43,22 @@ def engines():
     schrod = BackAndForth("schrodinger", ops, mesh.h, 32)
     wave = BackAndForth("wave", ops, mesh.h, 64)
     return ops, schrod, wave
+
+
+KERNELS = pytest.mark.parametrize("kernel", ["openblas-gttrs", "thomas"], indirect=True)
+
+
+@pytest.fixture
+def kernel(request, monkeypatch):
+    """The tridiagonal kernel a ``KERNELS`` test runs on; "thomas" forces the
+    fallback.  It patches before the test builds a stepper, which binds its
+    solves and products when it is built."""
+    if request.param == "thomas":
+        monkeypatch.setattr(linalg, "_lapack", lambda: None)
+    elif linalg._lapack() is None:
+        pytest.skip("this numpy bundles no OpenBLAS with zgttrs/dpttrs")
+    assert linalg.solver_kernel() == request.param
+    return request.param
 
 
 # -- steppers -----------------------------------------------------------------
@@ -117,19 +134,13 @@ def test_history_helpers_end_at_the_stepping_loops_state(small, forced):
     assert np.array_equal(final.vel, expected[n:])
 
 
-@pytest.mark.parametrize("kernel", ["openblas-gttrs", "thomas"])
+@KERNELS
 @pytest.mark.parametrize("n_cells", [2, 33])
 @pytest.mark.parametrize("n_steps", [7, 8])
 @pytest.mark.parametrize("forced", [False, True])
-def test_stepping_loops_match_the_per_step_oracle(monkeypatch, kernel, n_cells,
-                                                  n_steps, forced):
+def test_stepping_loops_match_the_per_step_oracle(kernel, n_cells, n_steps, forced):
     # the loops reuse their buffers and alternate them by the parity of k;
     # the oracle forms every product and right-hand side afresh
-    if kernel == "thomas":
-        monkeypatch.setattr(linalg, "_lapack", lambda: None)
-    elif linalg._lapack() is None:
-        pytest.skip("this numpy bundles no OpenBLAS with zgttrs/dpttrs")
-    assert linalg.solver_kernel() == kernel
     mesh = Mesh1D(n_cells=n_cells)        # 2 cells: one node, no off-diagonal
     ops = assemble(mesh, ObservationProfile())
     n = mesh.n
@@ -223,6 +234,74 @@ def test_first_iterate_memory_is_a_fraction_of_the_trace():
         assert peak < 0.25 * samples.nbytes, equation
 
 
+@KERNELS
+@pytest.mark.parametrize("equation", ["schrodinger", "wave"])
+def test_repeat_passes_on_one_stepper_match_fresh_steppers(kernel, equation):
+    # a stepper binds its buffers once and every pass reuses them: each of a
+    # run of passes, driven or not, forward or reversed, gives the bits of the
+    # same pass on a fresh stepper, and returns a new array, which no later
+    # pass writes into and which the caller may overwrite
+    ops = assemble(Mesh1D(n_cells=17), ObservationProfile())
+    dt, n_steps, n = 0.05, 40, ops.n
+    rng = np.random.default_rng(21)
+    samples = rng.standard_normal((n_steps + 1, n))
+    if equation == "schrodinger":
+        samples = samples + 1j * rng.standard_normal(samples.shape)
+    make = SchrodingerStepper if equation == "schrodinger" else WaveStepper
+
+    def run(stepper, start, outputs):
+        if equation == "schrodinger":
+            return run_schrodinger(stepper, start, outputs=outputs)
+        return run_wave(stepper, start[:n], start[n:], outputs=outputs)
+
+    size = n if equation == "schrodinger" else 2 * n
+    starts = [rng.standard_normal(size) + (1j * rng.standard_normal(size)
+                                           if equation == "schrodinger" else 0.0)
+              for _ in range(4)]
+    passes = list(zip(starts, (None, samples[1:], samples[::-1][1:], None)))
+    stepper = make(ops, dt, n_steps)
+    results = []
+    for start, outputs in passes * 2:
+        got = run(stepper, start, outputs)
+        assert np.array_equal(got, run(make(ops, dt, n_steps), start, outputs))
+        results.append((got, got.copy()))
+    assert all(np.array_equal(got, kept) for got, kept in results)
+    for got, _ in results:
+        got[:] = np.nan
+    for (start, outputs), (_, kept) in zip(passes, results):
+        assert np.array_equal(run(stepper, start, outputs), kept)
+
+
+@pytest.mark.parametrize("equation", ["schrodinger", "wave"])
+def test_reversed_rows_take_the_lapack_product(monkeypatch, equation):
+    # the backward pass reads y^{K-k}, a reversed view of the trace, in forward
+    # order a block at a time: every block is C-contiguous and takes ?lagtm,
+    # as do the stepping loops' own products, so no pass runs the numpy product
+    if linalg._lapack() is None:
+        pytest.skip("this numpy bundles no OpenBLAS with ?lagtm")
+    ops = assemble(Mesh1D(n_cells=17), ObservationProfile())
+    dt, n_steps = 0.05, 70              # past two blocks, off their multiple
+    rng = np.random.default_rng(22)
+    samples = rng.standard_normal((n_steps + 1, ops.n))
+    if equation == "schrodinger":
+        samples = samples + 1j * rng.standard_normal(samples.shape)
+    trace = ObservationTrace(equation, samples, n_steps * dt, dt)
+    engine = BackAndForth(equation, ops, dt, n_steps)
+    state = engine.random_state(5)
+    expected = (old_backward_observer(engine, trace, state), old_first_iterate(engine, trace))
+
+    def refuse(*args):
+        raise AssertionError("a pass ran the numpy product")
+
+    monkeypatch.setattr(SymTridiag, "_numpy_product", refuse)
+    got = (engine.backward_observer(trace, state), engine.first_iterate(trace))
+    for a, b in zip(got, expected):
+        if equation == "wave":
+            assert np.array_equal(a.pos, b.pos)
+            a, b = a.vel, b.vel
+        assert np.array_equal(a, b)
+
+
 @settings(max_examples=100, deadline=None)
 @given(n_cells=st.integers(2, 80), dt=st.floats(1e-4, 1.0),
        a=st.floats(0.05, 0.45), seed=st.integers(0, 2 ** 32 - 1))
@@ -234,15 +313,16 @@ def test_stacked_wave_product_is_the_two_products_bit_for_bit(n_cells, dt, a, se
     mass, damping = ops.mass, ops.damping_gram
     weight = SymTridiag(2.0 * mass.diag + dt * damping.diag,
                         2.0 * mass.off + dt * damping.off)
-    stepper = WaveStepper(ops, dt, 2)
     rng = np.random.default_rng(seed)
     history = rng.standard_normal((2, mesh.n)) * 10.0 ** rng.integers(-8, 8, (2, mesh.n))
     history[:, rng.integers(mesh.n)] = 0.0
     flat, got = history.reshape(-1), np.empty(2 * mesh.n)
-    # the bound product, as run_wave forms it, on each kernel
+    # the bound product, as run_wave forms it, on each kernel, the stepper
+    # built under it as it binds its own products
     for lapack in (linalg._lapack, lambda: None):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(linalg, "_lapack", lapack)
+            stepper = WaveStepper(ops, dt, 2)
             for stacked, (upper, lower) in zip(stepper._stacked,
                                                ((mass, weight), (weight, mass))):
                 stacked.bind(flat, got, np.empty(2 * mesh.n - 1))()
@@ -494,19 +574,13 @@ def test_forced_observers_match_dense_two_pass():
     assert np.max(np.abs(first.vel - (-bw_vel))) < 1e-13
 
 
-@pytest.mark.parametrize("kernel", ["openblas-gttrs", "thomas"])
+@KERNELS
 @pytest.mark.parametrize("n_cells", [2, 33])
 @pytest.mark.parametrize("equation", ["schrodinger", "wave"])
-def test_observers_match_the_old_two_system_composition(monkeypatch, kernel, n_cells,
-                                                        equation):
+def test_observers_match_the_old_two_system_composition(kernel, n_cells, equation):
     # the backward pass is the forward one under time reversal; before, it
     # ran a second (+i dt) Schrodinger system, and the wave pass flipped the
     # velocity and negated the loads.  The two agree bit for bit.
-    if kernel == "thomas":
-        monkeypatch.setattr(linalg, "_lapack", lambda: None)
-    elif linalg._lapack() is None:
-        pytest.skip("this numpy bundles no OpenBLAS with zgttrs/dpttrs")
-    assert linalg.solver_kernel() == kernel
     ops = assemble(Mesh1D(n_cells=n_cells), ObservationProfile())
     dt, n_steps = 0.05, 9
     engine = BackAndForth(equation, ops, dt, n_steps)
@@ -880,6 +954,29 @@ def test_arnoldi_storage_follows_the_steps_taken(engines):
         default = engine.estimate_eta(seed=5)
         assert default.converged
         assert engine.estimate_eta(max_iter=10**12, seed=5) == default
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_arnoldi_hessenberg_grows_by_doubling_bit_for_bit(dtype):
+    # the Hessenberg is a view into one array that doubles with the basis;
+    # at every step, past the growths from m = 8 to 9 and 16 to 17, it and the
+    # basis are the np.pad-grown reference's bit for bit
+    rng = np.random.default_rng(23)
+    n = 40
+    A = rng.standard_normal((n, n)).astype(dtype)
+    start = rng.standard_normal(n).astype(dtype)
+    if dtype is complex:
+        A += 1j * rng.standard_normal((n, n))
+        start += 1j * rng.standard_normal(n)
+    gram = SymTridiag(2.0 + rng.uniform(size=n), 0.5 * rng.uniform(size=n - 1)).matvec
+    steps = 0
+    for (V, H, w), (V_ref, H_ref, w_ref) in zip(
+            observers.arnoldi_process(lambda u: A @ u, gram, start, 20),
+            padded_arnoldi_process(lambda u: A @ u, gram, start, 20)):
+        steps += 1
+        assert H.shape == (steps + 1, steps) and np.array_equal(H, H_ref)
+        assert np.array_equal(V, V_ref) and np.array_equal(w, w_ref)
+    assert steps == 20
 
 
 @pytest.mark.parametrize("start, kwargs", [
